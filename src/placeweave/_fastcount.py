@@ -41,8 +41,9 @@ def census_counts(
 
     indptr and indices hold a simple undirected graph as symmetric CSR
     adjacency (the csr_adjacency layout). Slots follow CLASS_INDEX; OTHER
-    is always 0. threads is accepted for the engine interface and changes
-    neither the counts nor the work.
+    is always 0. threads is kept because the README's criterion 9 calls
+    census_counts with a thread count; it changes neither the counts nor
+    the work.
     """
     if k not in (3, 4):
         raise ValueError(f"closed-form census supports k in (3, 4), got {k}")

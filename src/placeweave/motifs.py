@@ -5,10 +5,10 @@ isomorphism by (size, sorted degree sequence), which keeps classification
 a table lookup. Enumeration counts every connected node-induced
 k-subgraph exactly once. The default engine does it in closed form
 (_fastcount): induced counts follow from degrees, triangles, codegrees and
-4-cliques without visiting any subgraph. ESU walks them one by one, each
-rooted at its minimum vertex via the exclusive-neighborhood rule: in pure
-Python (the streaming path and test reference) or in optional numba
-kernels whose roots partition across threads (_numba_esu).
+4-cliques without visiting any subgraph. Pure-Python ESU walks them one by
+one, each rooted at its minimum vertex via the exclusive-neighborhood
+rule; it is the streaming path and the reference the closed form is
+tested against.
 
 Trajectory classification is the second counting mode: each device-day's
 stay walk induces a small graph whose identity is (node set, edge set);
@@ -223,31 +223,26 @@ def iter_induced_instances(net: PlaceNetwork, k: int) -> Iterator[MotifInstance]
 
 
 def enumerate_induced(
-    net: PlaceNetwork, k: int, threads: int = 1, engine: str = "auto"
+    net: PlaceNetwork, k: int, threads: int = 1, engine: str = "closed"
 ) -> dict[MotifClass, int]:
     """Count connected node-induced k-subgraphs per motif class.
 
-    Engines for k = 3 and 4 (k = 2 is the edge count under every engine):
-    "closed" derives the counts in closed form from degrees, triangles,
-    codegrees and 4-cliques (_fastcount; numpy and scipy only, one thread,
-    counts independent of threads); "numba" runs the compiled per-root ESU
-    kernels (_numba_esu; needs the optional numba package, parallel over
-    threads); "python" walks the pure ESU generator, the reference the
-    others are tested against. "auto" is "closed" on every host.
+    Engines for k = 3 and 4 (k = 2 is the edge count under both):
+    "closed", the default, derives the counts in closed form from degrees,
+    triangles, codegrees and 4-cliques (_fastcount; numpy and scipy, one
+    thread, counts independent of threads); "python" walks the pure ESU
+    generator, the reference the closed form is tested against.
     """
     if k not in (2, 3, 4):
         raise ValueError(f"k must be 2, 3 or 4, got {k}")
-    if engine not in ("auto", "closed", "numba", "python"):
+    if engine not in ("closed", "python"):
         raise ValueError(f"unknown engine {engine!r}")
     if k == 2:
         return {MotifClass.M2_1: net.n_edges} if net.n_edges else {}
     if engine == "python":
         counts = Counter(inst.motif_class for inst in iter_induced_instances(net, k))
         return dict(counts)
-    if engine == "numba":
-        from ._numba_esu import census_counts
-    else:
-        from ._fastcount import census_counts
+    from ._fastcount import census_counts
 
     _, indptr, indices = csr_adjacency(net)
     raw = census_counts(indptr, indices, k, threads=threads)

@@ -250,20 +250,13 @@ def csr_adjacency(net: PlaceNetwork) -> tuple[list[str], np.ndarray, np.ndarray]
     """
     nodes = sorted(net.nodes)
     index = {node: i for i, node in enumerate(nodes)}
-    degree = np.zeros(len(nodes), dtype=np.int64)
-    for a, b in net.edges:
-        degree[index[a]] += 1
-        degree[index[b]] += 1
+    m = len(net.edges)
+    ends = np.fromiter(
+        (index[v] for edge in net.edges for v in edge), dtype=np.int64, count=2 * m
+    ).reshape(m, 2)
+    src = np.concatenate((ends[:, 0], ends[:, 1]))
+    dst = np.concatenate((ends[:, 1], ends[:, 0]))
     indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-    np.cumsum(degree, out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=np.int64)
-    fill = indptr[:-1].copy()
-    for a, b in net.edges:
-        ia, ib = index[a], index[b]
-        indices[fill[ia]] = ib
-        fill[ia] += 1
-        indices[fill[ib]] = ia
-        fill[ib] += 1
-    for i in range(len(nodes)):
-        indices[indptr[i] : indptr[i + 1]].sort()
+    np.cumsum(np.bincount(src, minlength=len(nodes)), out=indptr[1:])
+    indices = dst[np.lexsort((dst, src))]
     return nodes, indptr, indices

@@ -211,6 +211,7 @@ def read_instances_csv(path: str | Path) -> list[tuple[dt.date, MotifInstance, i
                 for pair in row["edges"].split(";"):
                     a, b = pair.split("|")
                     edges.append((a, b))
+                count = int(row["device_count"])
             except (ValueError, TypeError) as exc:
                 raise SchemaError(f"{path}:{reader.line_num}: bad instance row: {exc}") from None
             inst = motifs.instance_from_edges(row["nodes"].split("|"), edges)
@@ -218,7 +219,7 @@ def read_instances_csv(path: str | Path) -> list[tuple[dt.date, MotifInstance, i
                 raise SchemaError(
                     f"{path}: row classifies as {inst.motif_class} but claims {row['motif_class']}"
                 )
-            rows.append((day, inst, int(row["device_count"])))
+            rows.append((day, inst, count))
     return rows
 
 
@@ -397,25 +398,19 @@ def stage_series(
 
     weighting = config.distance_weighting
     # Per-day censuses with per-day distances feed the two series families.
-    by_date: dict[dt.date, dict[MotifInstance, int]] = {}
-    for day, inst, count in rows:
-        by_date.setdefault(day, {}).setdefault(inst, 0)
-        by_date[day][inst] += count
+    by_date: dict[dt.date, list[tuple[dt.date, MotifInstance, int]]] = {}
+    for row in rows:
+        by_date.setdefault(row[0], []).append(row)
     day_censuses: dict[dt.date, motifs.MotifCensus] = {}
-    for day, bucket in by_date.items():
-        agg: dict[MotifInstance, InstanceRecord] = {}
-        for inst, count in bucket.items():
-            rec = agg.setdefault(inst, InstanceRecord())
-            rec.device_count += count
-            if motifs.is_weekend(day):
-                rec.weekend_count += count
-            else:
-                rec.weekday_count += count
+    for day, day_rows in by_date.items():
+        agg = aggregate_instances(day_rows)
         # per-walk step counts are not recoverable from unique-edge
         # instances, so the per-day flow total stays at zero; the series
         # only consume per-class counts and distances
         traj = motifs.TrajectoryCensus(
-            instances=agg, total_device_days=sum(bucket.values()), total_flows=0
+            instances=agg,
+            total_device_days=sum(count for _, _, count in day_rows),
+            total_flows=0,
         )
         census = traj.census()
         stats.attach_distances(

@@ -1,5 +1,4 @@
 import datetime as dt
-import importlib.util
 import itertools
 import random
 
@@ -8,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_classify, brute_force_enumerate
-from placeweave import _fastcount, _numba_esu, motifs
+from placeweave import _fastcount, motifs
 from placeweave.errors import InvariantError
 from placeweave.ingest import StaySequence
 from placeweave.motifs import (
@@ -26,14 +25,7 @@ from placeweave.motifs import (
 )
 from placeweave.network import PlaceNetwork
 
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
-ENGINES = (
-    "python",
-    "closed",
-    pytest.param(
-        "numba", marks=pytest.mark.skipif(not HAVE_NUMBA, reason="numba is not installed")
-    ),
-)
+ENGINES = ("python", "closed")
 
 
 def ring(n):
@@ -178,15 +170,6 @@ def test_enumerate_invariant_under_relabeling():
         assert enumerate_induced(net, k) == enumerate_induced(relabeled, k)
 
 
-def test_enumerate_threads_do_not_change_counts():
-    pytest.importorskip("numba")
-    net = random_net(20, 0.25, 9)
-    for k in (3, 4):
-        assert enumerate_induced(net, k, threads=1, engine="numba") == enumerate_induced(
-            net, k, threads=4, engine="numba"
-        )
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(1, 9).flatmap(
@@ -213,11 +196,9 @@ def test_auto_engine_is_closed_form_and_never_walks_esu(monkeypatch):
     expected = {k: enumerate_induced(net, k, engine="python") for k in (3, 4)}
 
     def no_esu(*args, **kwargs):
-        raise AssertionError("auto engine ran an ESU engine")
+        raise AssertionError("default engine walked ESU")
 
     monkeypatch.setattr(motifs, "iter_induced_instances", no_esu)
-    monkeypatch.setattr(_numba_esu, "census_counts", no_esu)
-    monkeypatch.setattr(_numba_esu, "HAVE_NUMBA", True)  # as on a host with numba
     for k in (3, 4):
         assert enumerate_induced(net, k) == expected[k]
 
@@ -252,6 +233,12 @@ def test_instance_stream_matches_counts():
 def test_enumerate_rejects_bad_k():
     with pytest.raises(ValueError):
         enumerate_induced(complete(3), 5)
+
+
+@pytest.mark.parametrize("engine", ["auto", "esu"])
+def test_enumerate_rejects_unknown_engine(engine):
+    with pytest.raises(ValueError, match="unknown engine"):
+        enumerate_induced(complete(3), 3, engine=engine)
 
 
 # -- trajectory census --------------------------------------------------------

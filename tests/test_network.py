@@ -1,5 +1,6 @@
 import datetime as dt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,9 +144,13 @@ def test_read_network_rejects_bad_header(tmp_path):
 
 
 def test_csr_adjacency_matches_network():
-    net = build_network([seq("p1", "p2", "p3", "p1"), seq("p4", "p2", device="d2")])
-    nodes, indptr, indices = csr_adjacency(net)
-    assert nodes == sorted(net.nodes)
-    for i, node in enumerate(nodes):
-        neighbors = [nodes[j] for j in indices[indptr[i] : indptr[i + 1]]]
-        assert neighbors == sorted(net.adjacency[node])
+    built = build_network([seq("p1", "p2", "p3", "p1"), seq("p4", "p2", device="d2")])
+    isolated = PlaceNetwork(nodes=["p0", "p5"], edges=dict(built.edges))
+    for net in (built, PlaceNetwork(), isolated):
+        nodes, indptr, indices = csr_adjacency(net)
+        assert nodes == sorted(net.nodes)
+        assert indptr.dtype == indices.dtype == np.int64
+        assert indptr.size == len(nodes) + 1 and indptr[-1] == indices.size
+        for i, node in enumerate(nodes):
+            neighbors = [nodes[j] for j in indices[indptr[i] : indptr[i + 1]]]
+            assert neighbors == sorted(net.adjacency[node])

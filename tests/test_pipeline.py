@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -86,9 +87,10 @@ def test_instances_csv_round_trip(data, tmp_path):
 
 def test_instances_csv_rejects_garbage(tmp_path):
     bad = tmp_path / "instances.csv"
-    bad.write_text("local_date,motif_class,nodes,edges,device_count\n2020-02-01,M2_1,a|b,zz,1\n")
-    with pytest.raises(SchemaError):
-        read_instances_csv(bad)
+    for row in ("2020-02-01,M2_1,a|b,zz,1", "2020-02-01,M2_1,a|c,a|c,x"):
+        bad.write_text(f"local_date,motif_class,nodes,edges,device_count\n{row}\n")
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(bad))}:2: "):
+            read_instances_csv(bad)
 
 
 def test_motifs_stage_rejects_unknown_mode(tmp_path):

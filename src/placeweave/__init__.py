@@ -60,6 +60,7 @@ from .stats import (
     class_avg_distance,
     daily_census_series,
     haversine_km,
+    instance_distances,
     motif_avg_distance,
     moving_average,
     pct_change_series,

@@ -6,22 +6,34 @@ Local clustering follows the weighted form of Barrat et al. (2004):
            of (w_ij + w_ih)
 
 where s_i is the strength (sum of incident weights) and k_i the degree.
-With equal weights this reduces to the ordinary triangle fraction. The
+With equal weights this reduces to the ordinary triangle fraction.
+
+All nodes are computed at once from the weighted CSR adjacency. A pair
+{j, h} adds w_ij once for j and w_ih once for h, so the sum over pairs is
+sum_j w_ij * (A @ A)_ij, the row sums of W o (A @ A), with A the 0/1
+adjacency and W the weights. That numerator is an exact int64, the same
+value a per-pair float loop reaches, and one float64 division by
+s_i * (k_i - 1) gives each C(i). The mean over nodes adds the values with
+Python's left-to-right sum in ascending node order, never with np.sum's
+pairwise sum, so its float bits do not depend on the array code. The
 power-law fit is the discrete maximum-likelihood estimator over k >= xmin
 with the Hurwitz zeta as normalizer, plus the Kolmogorov-Smirnov distance
 between the empirical and fitted tail CCDFs.
+
+scipy is imported inside the functions that use it, so `import placeweave`
+loads none of it: scipy.stats and scipy.optimize were most of the package's
+import time, and enumeration never needs them.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-from scipy.special import zeta
-from scipy.stats import poisson
+import numpy as np
 
-from .network import PlaceNetwork
+from .network import PlaceNetwork, csr_adjacency, weighted_csr
 
 
 @dataclass
@@ -87,40 +99,53 @@ def degree(net: PlaceNetwork, node: str) -> int:
 def degree_distribution(net: PlaceNetwork) -> DegreeHistogram:
     if not net.nodes:
         raise ValueError("cannot build a degree distribution of an empty network")
-    counts: dict[int, int] = {}
-    adj = net.adjacency
-    for node in net.nodes:
-        k = len(adj[node])
-        counts[k] = counts.get(k, 0) + 1
-    return DegreeHistogram(counts, net.n_nodes)
+    _, indptr, _ = csr_adjacency(net)
+    counts = np.bincount(np.diff(indptr)).tolist()
+    return DegreeHistogram({k: c for k, c in enumerate(counts) if c}, net.n_nodes)
+
+
+def local_clustering(net: PlaceNetwork) -> tuple[list[str], np.ndarray]:
+    """Barrat weighted clustering of every node: (sorted nodes, float64 values).
+
+    Nodes of degree < 2 get 0. The numerator is computed in row blocks so
+    that the two-hop product never holds more than a bounded slice of A @ A.
+    """
+    import scipy.sparse as sp
+
+    from ._fastcount import _slices
+
+    nodes, indptr, indices, weights = weighted_csr(net)
+    n = len(nodes)
+    adj = sp.csr_matrix((np.ones_like(weights), indices, indptr), shape=(n, n))
+    wts = sp.csr_matrix((weights, indices, indptr), shape=(n, n))
+    deg = np.diff(indptr)
+    numerator = np.zeros(n, dtype=np.int64)
+    for lo, hi in _slices(adj @ deg):  # row i of A @ A has at most (A d)_i entries
+        numerator[lo:hi] = (adj[lo:hi] @ adj).multiply(wts[lo:hi]).sum(axis=1).A1
+    denominator = wts.sum(axis=1).A1 * (deg - 1)
+    local = np.zeros(n)
+    np.divide(numerator, denominator, out=local, where=deg >= 2)
+    return nodes, local
 
 
 def local_clustering_weighted(net: PlaceNetwork, node: str) -> float:
     """Barrat weighted clustering of one node; 0 when degree < 2."""
-    nbrs = net.neighbors(node)
-    k = len(nbrs)
-    if k < 2:
-        return 0.0
-    strength = sum(nbrs.values())
-    adj = net.adjacency
-    items = sorted(nbrs.items())
-    acc = 0.0
-    for i, (j, w_ij) in enumerate(items):
-        adj_j = adj[j]
-        for h, w_ih in items[i + 1 :]:
-            if h in adj_j:
-                acc += w_ij + w_ih
-    return acc / (strength * (k - 1))
+    if node not in net.nodes:
+        raise KeyError(f"unknown node {node!r}")
+    nodes, local = local_clustering(net)
+    return float(local[bisect_left(nodes, node)])
 
 
 def average_clustering(net: PlaceNetwork) -> float:
     """Mean local clustering over all nodes, degree < 2 contributing zero.
 
-    Summed in ascending node order for a reproducible float result.
+    Summed left to right in ascending node order for a reproducible float
+    result.
     """
     if not net.nodes:
         raise ValueError("empty network")
-    return sum(local_clustering_weighted(net, v) for v in sorted(net.nodes)) / net.n_nodes
+    _, local = local_clustering(net)
+    return sum(local.tolist()) / net.n_nodes
 
 
 def network_summary(net: PlaceNetwork) -> NetworkSummary:
@@ -136,16 +161,17 @@ def network_summary(net: PlaceNetwork) -> NetworkSummary:
     )
 
 
-def _zeta_log_deriv(alpha: float, xmin: int, h: float = 1e-5) -> float:
-    return (math.log(zeta(alpha + h, xmin)) - math.log(zeta(alpha - h, xmin))) / (2 * h)
-
-
 def _fit_tail(ks: list[int], counts: list[int], xmin: int) -> PowerLawFit:
+    from scipy.optimize import brentq
+    from scipy.special import zeta
+
     n_tail = sum(counts)
     mean_log = sum(c * math.log(k) for k, c in zip(ks, counts)) / n_tail
 
-    def score(alpha: float) -> float:
-        return _zeta_log_deriv(alpha, xmin) + mean_log
+    def score(alpha: float, h: float = 1e-5) -> float:
+        # d/d(alpha) of log zeta(alpha, xmin), by central difference
+        dlogz = (math.log(zeta(alpha + h, xmin)) - math.log(zeta(alpha - h, xmin))) / (2 * h)
+        return dlogz + mean_log
 
     lo, hi = 1.01, 50.0
     if score(lo) > 0:
@@ -203,4 +229,9 @@ def poisson_reference(
     if ks is None:
         upper = int(math.ceil(average_degree + 10 * math.sqrt(average_degree)))
         ks = list(range(upper + 1))
-    return [(k, float(poisson.pmf(k, average_degree))) for k in ks]
+    from scipy.special import gammaln, xlogy
+
+    # scipy.stats.poisson's own pmf formula, without importing scipy.stats
+    k = np.asarray(ks, dtype=np.int64)
+    pmf = np.exp(xlogy(k, average_degree) - gammaln(k + 1) - average_degree)
+    return list(zip(ks, pmf.tolist()))

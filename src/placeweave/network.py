@@ -242,11 +242,14 @@ def read_network(path: str | Path) -> PlaceNetwork:
     return net
 
 
-def csr_adjacency(net: PlaceNetwork) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Index nodes in sorted order and return (nodes, indptr, indices).
+def weighted_csr(
+    net: PlaceNetwork,
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """Index nodes in sorted order and return (nodes, indptr, indices, weights).
 
-    indices holds each node's neighbors as sorted int64 positions; the
-    layout feeds the enumeration census engines.
+    Symmetric CSR adjacency: row i lists node i's neighbors as sorted int64
+    positions in indices, and weights holds the int64 edge weight of each
+    entry. Degrees are np.diff(indptr).
     """
     nodes = sorted(net.nodes)
     index = {node: i for i, node in enumerate(nodes)}
@@ -254,9 +257,16 @@ def csr_adjacency(net: PlaceNetwork) -> tuple[list[str], np.ndarray, np.ndarray]
     ends = np.fromiter(
         (index[v] for edge in net.edges for v in edge), dtype=np.int64, count=2 * m
     ).reshape(m, 2)
+    w = np.fromiter(net.edges.values(), dtype=np.int64, count=m)
     src = np.concatenate((ends[:, 0], ends[:, 1]))
     dst = np.concatenate((ends[:, 1], ends[:, 0]))
     indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=len(nodes)), out=indptr[1:])
-    indices = dst[np.lexsort((dst, src))]
+    order = np.lexsort((dst, src))
+    return nodes, indptr, dst[order], np.concatenate((w, w))[order]
+
+
+def csr_adjacency(net: PlaceNetwork) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """(nodes, indptr, indices) of weighted_csr; the census engines' layout."""
+    nodes, indptr, indices, _ = weighted_csr(net)
     return nodes, indptr, indices

@@ -11,13 +11,20 @@ import csv
 import datetime as dt
 import json
 import logging
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__, attributes, ingest, metrics, motifs, refnets, stats, synth
 from .config import RunConfig
-from .errors import SchemaError
+from .errors import InvariantError, SchemaError
 from .motifs import CLASS_ORDER, InstanceRecord, MotifInstance
-from .network import build_network, merge_networks, read_network, write_network
+from .network import (
+    build_network,
+    merge_networks,
+    read_network,
+    sidecar_path,
+    write_network,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -291,13 +298,16 @@ def stage_motifs(
             for inst, count in bucket.items()
         ]
         write_instances_csv(instance_rows, out / "instances.csv")
+        if network_path is not None:
+            _check_flow_identity(traj, network_path)
 
     if mode == "trajectory":
         if instance_rows is None:
             raise SchemaError("trajectory census requires --sequences")
         census = motifs.census_percentages(traj.census())
         if catalog is not None:
-            table = stats.class_avg_distance(traj.instances, catalog, weighting=weighting)
+            distances = stats.instance_distances(traj.instances, catalog)
+            table = stats.class_avg_distance(traj.instances, distances, weighting=weighting)
             stats.attach_distances(census, table)
     elif mode == "enumerate":
         if network_path is None:
@@ -312,6 +322,19 @@ def stage_motifs(
     doc["min_count"] = min_count
     write_json(doc, out / "census.json")
     return census
+
+
+def _check_flow_identity(traj: motifs.TrajectoryCensus, network_path: str | Path) -> None:
+    """A consecutive-mode network's total weight counts every walk step."""
+    meta_file = sidecar_path(network_path)
+    if not meta_file.exists():
+        return
+    meta = json.loads(meta_file.read_text(encoding="utf-8"))
+    if meta.get("mode") == "consecutive" and meta["total_weight"] != traj.total_flows:
+        raise InvariantError(
+            f"trajectory census counts {traj.total_flows} flows but the consecutive-mode "
+            f"network {network_path} has total weight {meta['total_weight']}"
+        )
 
 
 # -- attributed ---------------------------------------------------------------
@@ -397,6 +420,10 @@ def stage_series(
     census_doc = json.loads((census_dir / "census.json").read_text(encoding="utf-8"))
 
     weighting = config.distance_weighting
+    agg_all = aggregate_instances(rows)
+    # every instance's distance once; the per-day, whole-period and
+    # attributed tables below all read from it
+    distances = stats.instance_distances(agg_all, catalog)
     # Per-day censuses with per-day distances feed the two series families.
     by_date: dict[dt.date, list[tuple[dt.date, MotifInstance, int]]] = {}
     for row in rows:
@@ -414,7 +441,7 @@ def stage_series(
         )
         census = traj.census()
         stats.attach_distances(
-            census, stats.class_avg_distance(agg, catalog, weighting=weighting)
+            census, stats.class_avg_distance(agg, distances, weighting=weighting)
         )
         day_censuses[day] = census
 
@@ -442,8 +469,7 @@ def stage_series(
         logger.warning("fewer than 2 days of instances; daily series skipped")
 
     # Whole-period distance tables.
-    agg_all = aggregate_instances(rows)
-    table = stats.class_avg_distance(agg_all, catalog, weighting=weighting)
+    table = stats.class_avg_distance(agg_all, distances, weighting=weighting)
     with open(out / "distance_table.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("class,split,km\n")
         for cls in CLASS_ORDER:
@@ -458,7 +484,7 @@ def stage_series(
                 fh.write(f"{cls.value},{split_name},{_fmt(km)}\n")
     attr_table = stats.class_avg_distance(
         agg_all,
-        catalog,
+        distances,
         weighting=weighting,
         key_fn=lambda inst: attributes.canonical_key(inst, catalog),
     )
@@ -500,28 +526,42 @@ def stage_series(
 
 
 def run_pipeline(config: RunConfig) -> Path:
-    """Execute ingest through series under config.out; returns the report path."""
+    """Execute ingest through series under config.out; returns the report path.
+
+    manifest.json lists every completed stage with its paths; when a stage
+    raises, its entry names the stage and the error class and message, and
+    the manifest status is "partial".
+    """
     config.validate()
     if not (config.stops and config.pois and config.out):
         raise SchemaError("run requires stops, pois and out paths")
     out = _ensure_dir(config.out)
     manifest: list[dict] = []
 
-    def done(stage: str, *paths: str) -> None:
+    @contextmanager
+    def step(stage: str, *paths: str):
+        try:
+            yield
+        except Exception as exc:
+            manifest.append(
+                {"stage": stage, "status": "failed", "error": type(exc).__name__, "message": str(exc)}
+            )
+            write_json({"artifacts": manifest, "status": "partial"}, out / "manifest.json")
+            raise
         manifest.append({"stage": stage, "status": "complete", "paths": sorted(paths)})
 
-    try:
+    with step("ingest", "ingest/sequences.csv", "ingest/ingest_meta.json"):
         stage_ingest(
             config.stops, config.pois, config.min_dwell, config.utc_offset, out / "ingest"
         )
-        done("ingest", "ingest/sequences.csv", "ingest/ingest_meta.json")
 
+    with step("network", "networks/merged.csv", "networks/daily"):
         merged = stage_network(out / "ingest" / "sequences.csv", config.network_mode, out / "networks")
-        done("network", "networks/merged.csv", "networks/daily")
 
+    with step("metrics", "metrics/summary.json", "metrics/degree_hist.csv", "metrics/fit.json"):
         stage_metrics(merged, out / "metrics")
-        done("metrics", "metrics/summary.json", "metrics/degree_hist.csv", "metrics/fit.json")
 
+    with step("motifs", "census/census.csv", "census/census.json", "census/instances.csv"):
         stage_motifs(
             out / "census",
             mode=config.census_mode,
@@ -531,13 +571,13 @@ def run_pipeline(config: RunConfig) -> Path:
             threads=config.threads,
             weighting=config.distance_weighting,
         )
-        done("motifs", "census/census.csv", "census/census.json", "census/instances.csv")
 
+    with step("attributed", "attributed/attributed_census.csv"):
         stage_attributed(
             out / "census" / "instances.csv", config.pois, config.top_k, out / "attributed"
         )
-        done("attributed", "attributed/attributed_census.csv")
 
+    with step("series", "series/report.json", "series/distance_table.csv"):
         stage_series(
             out / "census",
             config.pois,
@@ -545,14 +585,9 @@ def run_pipeline(config: RunConfig) -> Path:
             config,
             summary_path=out / "metrics" / "summary.json",
         )
-        done("series", "series/report.json", "series/distance_table.csv")
 
-        report_path = out / "report.json"
+    report_path = out / "report.json"
+    with step("report", "report.json"):
         report_path.write_bytes((out / "series" / "report.json").read_bytes())
-        done("report", "report.json")
-    except Exception:
-        manifest.append({"stage": "run", "status": "failed", "paths": []})
-        write_json({"artifacts": manifest, "status": "partial"}, out / "manifest.json")
-        raise
     write_json({"artifacts": manifest, "status": "complete"}, out / "manifest.json")
-    return out / "report.json"
+    return report_path

@@ -11,7 +11,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import jsonschema
 
@@ -71,19 +71,35 @@ class DistanceSplit:
 DistanceTable = dict  # key (MotifClass or AttributedMotifKey) -> DistanceSplit
 
 
+def instance_distances(
+    instances: Iterable[MotifInstance], catalog: PoiCatalog
+) -> dict[MotifInstance, float]:
+    """motif_avg_distance of every non-OTHER instance, computed once.
+
+    One mapping serves every class_avg_distance call over these instances
+    or any subset of them, however they are grouped or split by day.
+    """
+    return {
+        inst: motif_avg_distance(inst, catalog)
+        for inst in instances
+        if inst.motif_class is not MotifClass.OTHER
+    }
+
+
 def class_avg_distance(
     instances: Mapping[MotifInstance, InstanceRecord],
-    catalog: PoiCatalog,
+    distances: Mapping[MotifInstance, float],
     weighting: str = "devices",
     key_fn=None,
 ) -> DistanceTable:
     """Average motif distance per class, split by day type.
 
-    With devices weighting each instance counts once per covering
-    device-day; instances weighting counts each distinct instance once
-    (day-type splits then use presence on that day type). key_fn can remap
-    instances to other grouping keys, e.g. attributed motif keys; OTHER
-    instances are always skipped.
+    distances maps each non-OTHER instance to its motif_avg_distance (see
+    instance_distances). With devices weighting each instance counts once
+    per covering device-day; instances weighting counts each distinct
+    instance once (day-type splits then use presence on that day type).
+    key_fn can remap instances to other grouping keys, e.g. attributed
+    motif keys; OTHER instances are always skipped.
     """
     if weighting not in WEIGHTING_MODES:
         raise ValueError(f"weighting must be one of {WEIGHTING_MODES}")
@@ -98,7 +114,7 @@ def class_avg_distance(
             continue
         rec = instances[inst]
         key = inst.motif_class if key_fn is None else key_fn(inst)
-        km = motif_avg_distance(inst, catalog)
+        km = distances[inst]
         if weighting == "devices":
             weights = (rec.device_count, rec.weekday_count, rec.weekend_count)
         else:

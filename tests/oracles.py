@@ -92,6 +92,25 @@ def brute_force_barrat(net, node: str) -> float:
     return acc / (strength * (k - 1))
 
 
+def exact_barrat(net, node: str) -> float:
+    """Weighted clustering with an exact integer numerator.
+
+    Sums w_ij + w_ih over unordered connected neighbor pairs in Python ints
+    and divides once, so the result is the correctly rounded quotient: the
+    bits any exact evaluation of the formula must reproduce.
+    """
+    nbrs = net.adjacency[node]
+    k = len(nbrs)
+    if k < 2:
+        return 0.0
+    numerator = sum(
+        nbrs[j] + nbrs[h]
+        for j, h in itertools.combinations(sorted(nbrs), 2)
+        if net.has_edge(j, h)
+    )
+    return numerator / (sum(nbrs.values()) * (k - 1))
+
+
 def brute_force_unweighted_clustering(net, node: str) -> float:
     """Triangle count over possible neighbor pairs, ignoring weights."""
     nbrs = sorted(net.adjacency[node])

@@ -104,6 +104,9 @@ def test_wrong_stops_header_exits_2_without_report(synth_dir, tmp_path):
     assert not (out / "report.json").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "partial"
+    failed = manifest["artifacts"][-1]
+    assert (failed["stage"], failed["status"], failed["error"]) == ("ingest", "failed", "SchemaError")
+    assert "missing column" in failed["message"]
 
 
 def test_missing_input_exits_2(tmp_path):

@@ -1,17 +1,25 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import zipf
 
-from oracles import brute_force_barrat, brute_force_unweighted_clustering
+import placeweave
+from oracles import brute_force_barrat, brute_force_unweighted_clustering, exact_barrat
 from placeweave.metrics import (
     DegreeHistogram,
     average_clustering,
     degree,
     degree_distribution,
     fit_power_law,
+    local_clustering,
     local_clustering_weighted,
     network_summary,
     poisson_reference,
@@ -59,6 +67,22 @@ def test_degree_isolated_and_triangle():
 def test_degree_unknown_node():
     with pytest.raises(KeyError):
         degree(triangle(), "zz")
+
+
+def test_degree_histogram_counts_isolated_nodes_and_matches_adjacency():
+    net = triangle()
+    net.add_edge("a", "leaf")
+    net.nodes.update({"x", "y"})
+    hist = degree_distribution(net)
+    assert hist.counts == {0: 2, 1: 1, 2: 2, 3: 1}
+    assert all(type(k) is int and type(c) is int for k, c in hist.counts.items())
+    for seed in range(5):
+        net = weighted_random_net(40, 0.1, seed)
+        want: dict[int, int] = {}
+        for node in net.nodes:
+            k = len(net.adjacency[node])
+            want[k] = want.get(k, 0) + 1
+        assert degree_distribution(net).counts == want
 
 
 def test_histogram_triangle():
@@ -155,6 +179,89 @@ def test_equal_weights_reduce_to_unweighted():
             assert local_clustering_weighted(net, node) == pytest.approx(
                 brute_force_unweighted_clustering(net, node), abs=1e-12
             )
+
+
+def star(leaves: int) -> PlaceNetwork:
+    net = PlaceNetwork()
+    for i in range(leaves):
+        net.add_edge("hub", f"leaf{i}", i + 1)
+    return net
+
+
+def clique(n: int, wmax: int, seed: int) -> PlaceNetwork:
+    rng = random.Random(seed)
+    net = PlaceNetwork()
+    for a, b in itertools.combinations([f"c{i}" for i in range(n)], 2):
+        net.add_edge(a, b, rng.randint(1, wmax))
+    return net
+
+
+def with_leaves_and_isolated(net: PlaceNetwork) -> PlaceNetwork:
+    net.add_edge("c0", "pendant0", 3)
+    net.add_edge("c1", "pendant1", 10**6)
+    net.nodes.update({"alone0", "alone1"})
+    return net
+
+
+EDGE_CASES = {
+    "no-edges": PlaceNetwork(nodes=["a", "b", "c"]),
+    "isolated-and-leaves": with_leaves_and_isolated(clique(4, 9, 1)),
+    "star": star(7),
+    "clique": clique(7, 9, 2),
+    "heavy-weights": clique(6, 10**6, 3),
+    "heavy-with-leaves": with_leaves_and_isolated(clique(5, 10**6, 4)),
+}
+
+
+@st.composite
+def weighted_graphs(draw):
+    n = draw(st.integers(1, 12))
+    nodes = [f"v{i:02d}" for i in range(n)]
+    wmax = draw(st.sampled_from([1, 9, 10**6]))
+    net = PlaceNetwork(nodes=nodes)
+    for a, b in itertools.combinations(nodes, 2):
+        if draw(st.booleans()):
+            net.add_edge(a, b, draw(st.integers(1, wmax)))
+    return net
+
+
+def check_clustering_against_oracles(net: PlaceNetwork) -> None:
+    nodes, local = local_clustering(net)
+    assert nodes == sorted(net.nodes)
+    values = local.tolist()
+    for node, got in zip(nodes, values):
+        assert abs(got - brute_force_barrat(net, node)) <= 1e-12, node
+        assert got == exact_barrat(net, node), node
+        assert local_clustering_weighted(net, node) == got
+    oracle = [brute_force_barrat(net, node) for node in nodes]
+    assert abs(average_clustering(net) - sum(oracle) / len(nodes)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_vectorized_clustering_matches_oracle_on_edge_cases(name):
+    check_clustering_against_oracles(EDGE_CASES[name])
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_graphs())
+def test_vectorized_clustering_matches_oracle(net):
+    check_clustering_against_oracles(net)
+
+
+def test_average_clustering_is_sequential_sum_in_node_order():
+    # on this network a pairwise (np.sum) or compensated (math.fsum) sum of
+    # the same values gives different bits
+    net = weighted_random_net(60, 0.3, 0, wmax=1000)
+    values = [exact_barrat(net, node) for node in sorted(net.nodes)]
+    total = 0.0
+    for value in values:
+        total += value
+    assert average_clustering(net) == total / len(values)
+
+
+def test_local_clustering_unknown_node():
+    with pytest.raises(KeyError):
+        local_clustering_weighted(triangle(), "zz")
 
 
 def test_average_clustering_extremes():
@@ -270,6 +377,31 @@ def test_poisson_peak_matches_mode():
 def test_poisson_normalizes():
     total = sum(p for _, p in poisson_reference(17.187, list(range(200))))
     assert abs(total - 1.0) < 1e-9
+
+
+def test_poisson_reference_equals_scipy_pmf_exactly():
+    from scipy.stats import poisson
+
+    for lam in (0.01, 0.37, 1.0, 2.5, 9.995, 17.187, 64.0, 199.82, 1234.5):
+        ks = list(range(int(lam + 12 * math.sqrt(lam)) + 10))
+        got = poisson_reference(lam, ks)
+        assert [k for k, _ in got] == ks
+        assert [p for _, p in got] == [float(poisson.pmf(k, lam)) for k in ks], lam
+    default = poisson_reference(3.0)
+    assert [p for _, p in default] == [float(poisson.pmf(k, 3.0)) for k, _ in default]
+
+
+def test_import_loads_neither_scipy_stats_nor_scipy_optimize():
+    code = (
+        "import sys, placeweave; "
+        "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
+    )
+    src = str(Path(placeweave.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_poisson_rejects_nonpositive():

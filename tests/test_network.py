@@ -13,6 +13,7 @@ from placeweave.network import (
     csr_adjacency,
     merge_networks,
     read_network,
+    weighted_csr,
     write_network,
 )
 
@@ -154,3 +155,18 @@ def test_csr_adjacency_matches_network():
         for i, node in enumerate(nodes):
             neighbors = [nodes[j] for j in indices[indptr[i] : indptr[i + 1]]]
             assert neighbors == sorted(net.adjacency[node])
+
+
+def test_weighted_csr_weights_follow_indices():
+    built = build_network([seq("p1", "p2", "p3", "p1", "p2"), seq("p4", "p2", device="d2")])
+    isolated = PlaceNetwork(nodes=["p0", "p5"], edges=dict(built.edges))
+    for net in (built, PlaceNetwork(), isolated):
+        nodes, indptr, indices, weights = weighted_csr(net)
+        csr_nodes, csr_indptr, csr_indices = csr_adjacency(net)
+        assert nodes == csr_nodes
+        assert np.array_equal(indptr, csr_indptr) and np.array_equal(indices, csr_indices)
+        assert weights.dtype == np.int64 and weights.size == indices.size
+        for i, node in enumerate(nodes):
+            row = range(indptr[i], indptr[i + 1])
+            assert [weights[e] for e in row] == [net.weight(node, nodes[indices[e]]) for e in row]
+    assert weighted_csr(built)[3].sum() == 2 * built.total_weight

@@ -3,8 +3,10 @@ import re
 
 import pytest
 
+from placeweave import ingest
 from placeweave.cli import main
 from placeweave.errors import SchemaError
+from placeweave.ingest import StaySequence
 from placeweave.pipeline import read_instances_csv, stage_motifs
 
 WORLD = {
@@ -96,3 +98,28 @@ def test_instances_csv_rejects_garbage(tmp_path):
 def test_motifs_stage_rejects_unknown_mode(tmp_path):
     with pytest.raises(SchemaError):
         stage_motifs(tmp_path, mode="bogus")
+
+
+def test_flow_count_differing_from_network_weight_exits_3(data, tmp_path, monkeypatch):
+    pois = str(data / "data" / "pois.csv")
+    assert main(
+        ["ingest", "--stops", str(data / "data" / "stops.csv"), "--pois", pois,
+         "--out", str(tmp_path / "ingest")]
+    ) == 0
+    sequences = str(tmp_path / "ingest" / "sequences.csv")
+    assert main(["network", "--sequences", sequences, "--out", str(tmp_path / "net")]) == 0
+    args = ["motifs", "--sequences", sequences, "--network", str(tmp_path / "net" / "merged.csv"),
+            "--pois", pois, "--out", str(tmp_path / "census")]
+    assert main(args) == 0  # the identity holds on the network built from these sequences
+
+    real = ingest.read_sequences
+
+    def one_walk_longer(path):
+        seqs = real(path)
+        first = seqs[0]
+        extra = next(p for p in first.stays if p != first.stays[-1])
+        seqs[0] = StaySequence(first.device_id, first.local_date, first.stays + (extra,))
+        return seqs
+
+    monkeypatch.setattr(ingest, "read_sequences", one_walk_longer)
+    assert main(args) == 3

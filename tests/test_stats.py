@@ -23,6 +23,7 @@ from placeweave.stats import (
     daily_census_series,
     distance_document,
     haversine_km,
+    instance_distances,
     motif_avg_distance,
     moving_average,
     pct_change_series,
@@ -150,7 +151,7 @@ def _census_instances(seqs):
 def test_class_avg_distance_single_instance():
     catalog = PoiCatalog([poi("a", 0, 0), poi("b", north_of(0, 3.0), 0)])
     instances = _census_instances([StaySequence("d1", MON, ("a", "b"))])
-    table = class_avg_distance(instances, catalog)
+    table = class_avg_distance(instances, instance_distances(instances, catalog))
     split = table[MotifClass.M2_1]
     assert split.total_km == pytest.approx(3.0, abs=1e-9)
     assert split.weekday_km == pytest.approx(3.0, abs=1e-9)
@@ -168,12 +169,13 @@ def test_class_avg_distance_device_weighting():
         StaySequence("d4", SAT, ("a", "c")),
     ]
     instances = _census_instances(seqs)
-    by_devices = class_avg_distance(instances, catalog, weighting="devices")
+    distances = instance_distances(instances, catalog)
+    by_devices = class_avg_distance(instances, distances, weighting="devices")
     split = by_devices[MotifClass.M2_1]
     assert split.total_km == pytest.approx((3 * 2.0 + 8.0) / 4, abs=1e-9)
     assert split.weekday_km == pytest.approx(2.0, abs=1e-9)
     assert split.weekend_km == pytest.approx(8.0, abs=1e-9)
-    by_instances = class_avg_distance(instances, catalog, weighting="instances")
+    by_instances = class_avg_distance(instances, distances, weighting="instances")
     assert by_instances[MotifClass.M2_1].total_km == pytest.approx(5.0, abs=1e-9)
 
 
@@ -351,9 +353,8 @@ def test_report_validates_and_passes_percentages_through():
     catalog = PoiCatalog(
         [poi("a", 0, 0), poi("b", north_of(0, 1.0), 0), poi("c", 0, 0.01)]
     )
-    table = class_avg_distance(classify_trajectories(
-        [StaySequence("d1", MON, ("a", "b"))]
-    ).instances, catalog)
+    instances = classify_trajectories([StaySequence("d1", MON, ("a", "b"))]).instances
+    table = class_avg_distance(instances, instance_distances(instances, catalog))
     report = build_report(
         summary=_summary_doc(),
         census=census,
@@ -393,6 +394,7 @@ def test_census_document_lists_all_classes():
 def test_distance_document_shape():
     catalog = PoiCatalog([poi("a", 0, 0), poi("b", north_of(0, 1.0), 0)])
     instances = _census_instances([StaySequence("d1", MON, ("a", "b"))])
-    doc = distance_document(class_avg_distance(instances, catalog), "devices")
+    table = class_avg_distance(instances, instance_distances(instances, catalog))
+    doc = distance_document(table, "devices")
     assert doc["weighting"] == "devices"
     assert doc["classes"][0]["class"] == "M2_1"

@@ -223,7 +223,7 @@ class AttributedEntry:
 
 
 def attributed_census(
-    instances: Mapping[MotifInstance, InstanceRecord | int],
+    instances: Mapping[MotifInstance, InstanceRecord],
     catalog: PoiCatalog,
     top_k: int | None = 10,
 ) -> dict[MotifClass, list[AttributedEntry]]:
@@ -239,10 +239,9 @@ def attributed_census(
     for inst, rec in instances.items():
         if inst.motif_class is MotifClass.OTHER:
             continue
-        count = rec.device_count if isinstance(rec, InstanceRecord) else int(rec)
         key = canonical_key(inst, catalog)
         bucket = per_class.setdefault(inst.motif_class, {})
-        bucket[key] = bucket.get(key, 0) + count
+        bucket[key] = bucket.get(key, 0) + rec.device_count
     result: dict[MotifClass, list[AttributedEntry]] = {}
     for cls, bucket in per_class.items():
         total = sum(bucket.values())

@@ -11,7 +11,7 @@ import logging
 import sys
 
 from . import __version__, pipeline
-from .config import RunConfig, validate_config
+from .config import CENSUS_MODES, NETWORK_MODES, WEIGHTING_MODES, RunConfig, validate_config
 from .errors import InvariantError, SchemaError
 
 logger = logging.getLogger("placeweave")
@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("network", parents=[common], help="build daily and merged place networks")
     p.add_argument("--sequences", required=True)
-    p.add_argument("--mode", choices=("consecutive", "covisitation"), dest="network_mode")
+    p.add_argument("--mode", choices=NETWORK_MODES, dest="network_mode")
 
     p = sub.add_parser("metrics", parents=[common], help="degree, clustering and fit metrics")
     p.add_argument("--network", required=True)
@@ -59,13 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("motifs", parents=[common], help="motif census of a network or trajectories")
     p.add_argument("--network")
-    p.add_argument("--mode", choices=("enumerate", "trajectory"), dest="census_mode")
+    p.add_argument("--mode", choices=CENSUS_MODES, dest="census_mode")
     p.add_argument("--sequences")
     p.add_argument("--pois")
     p.add_argument("--min-count", type=int, default=1, dest="min_count")
-    p.add_argument(
-        "--distance-weighting", choices=("devices", "instances"), dest="distance_weighting"
-    )
+    p.add_argument("--distance-weighting", choices=WEIGHTING_MODES, dest="distance_weighting")
 
     p = sub.add_parser("attributed", parents=[common], help="attributed motif and category ranking")
     p.add_argument("--instances", required=True)
@@ -77,16 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pois", required=True)
     p.add_argument("--summary", help="summary.json from the metrics stage")
     p.add_argument("--window", type=int, default=7)
-    p.add_argument(
-        "--distance-weighting", choices=("devices", "instances"), dest="distance_weighting"
-    )
+    p.add_argument("--distance-weighting", choices=WEIGHTING_MODES, dest="distance_weighting")
 
     p = sub.add_parser("run", parents=[common], help="full pipeline: ingest through report")
     p.add_argument("--stops")
     p.add_argument("--pois")
-    p.add_argument(
-        "--distance-weighting", choices=("devices", "instances"), dest="distance_weighting"
-    )
+    p.add_argument("--distance-weighting", choices=WEIGHTING_MODES, dest="distance_weighting")
 
     return parser
 

@@ -29,7 +29,7 @@ class MissingPoiError(SchemaError):
     """A referenced POI id is absent from the catalog."""
 
 
-class UnknownSectorError(PlaceweaveError):
+class UnknownSectorError(SchemaError):
     """NAICS prefix outside the 20 known sector categories."""
 
 

@@ -13,7 +13,10 @@ tested against.
 Trajectory classification is the second counting mode: each device-day's
 stay walk induces a small graph whose identity is (node set, edge set);
 per class, visit flows equal covering device-days times the class edge
-count by construction.
+count by construction. Its one table is rows of (local_date, instance,
+device_count), one row per instance seen on a day; instances.csv stores
+exactly these rows, and aggregate_instances is the one place that turns
+them into per-instance device, weekday and weekend counts.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import datetime as dt
 import enum
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvariantError
@@ -148,24 +152,30 @@ def _connected(adj: dict) -> bool:
 
 @dataclass(frozen=True)
 class MotifInstance:
-    """One occurrence: a vertex set with its (induced or traversed) edges."""
+    """One occurrence: a vertex set with its (induced or traversed) edges.
+
+    Canonical form, fixed by instance_from_edges: nodes sorted and
+    distinct, edges a sorted tuple of distinct sorted pairs.
+    """
 
     nodes: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
+    edges: tuple[tuple[str, str], ...]
     motif_class: MotifClass
-
-    def sorted_edges(self) -> list[tuple[str, str]]:
-        return sorted(self.edges)
 
 
 def instance_from_edges(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> MotifInstance:
     nodes = tuple(sorted(set(nodes)))
-    edge_set = frozenset(edge_key(a, b) for a, b in edges)
+    edges = tuple(sorted({edge_key(a, b) for a, b in edges}))
     if 2 <= len(nodes) <= 4:
-        cls = classify_graph(len(nodes), edge_set)
+        cls = classify_graph(len(nodes), edges)
     else:
         cls = MotifClass.OTHER
-    return MotifInstance(nodes, edge_set, cls)
+    return MotifInstance(nodes, edges, cls)
+
+
+def instance_order(inst: MotifInstance) -> tuple:
+    """The canonical sort key of instances: class, then nodes, then edges."""
+    return (inst.motif_class.value, inst.nodes, inst.edges)
 
 
 def trajectory_instance(seq: StaySequence) -> MotifInstance:
@@ -307,53 +317,52 @@ def is_weekend(day: dt.date) -> bool:
     return day.weekday() >= 5
 
 
+InstanceRow = tuple[dt.date, MotifInstance, int]
+
+
+def aggregate_instances(rows: Iterable[InstanceRow]) -> dict[MotifInstance, InstanceRecord]:
+    """Sum (local_date, instance, device_count) rows per instance.
+
+    The only tally of device, weekday and weekend counts; instances come
+    out in order of their first row.
+    """
+    agg: dict[MotifInstance, InstanceRecord] = {}
+    for day, inst, count in rows:
+        rec = agg.get(inst)
+        if rec is None:
+            rec = agg[inst] = InstanceRecord()
+        rec.device_count += count
+        if is_weekend(day):
+            rec.weekend_count += count
+        else:
+            rec.weekday_count += count
+    return agg
+
+
 @dataclass
 class TrajectoryCensus:
-    """Instance-level accumulation over device-days.
+    """The instance table of a set of device-day walks.
 
-    instances holds every distinct (node set, edge set) seen, including
-    walks over more than four POIs (class OTHER); those contribute to the
-    global totals only. total_flows counts every step of every walk,
-    repeats included, matching the total weight of the consecutive-mode
-    network built from the same sequences.
+    rows holds one (local_date, instance, device_count) per distinct
+    instance seen on a day, every walk over more than four POIs included
+    (class OTHER, which contributes to the global totals only); instances
+    is their per-instance tally. total_flows counts every step of every
+    walk, repeats included, matching the total weight of the
+    consecutive-mode network built from the same sequences; the rows
+    cannot recover it, since they keep only distinct edges.
     """
 
-    instances: dict[MotifInstance, InstanceRecord] = field(default_factory=dict)
+    rows: list[InstanceRow] = field(default_factory=list)
     total_device_days: int = 0
     total_flows: int = 0
+
+    @cached_property
+    def instances(self) -> dict[MotifInstance, InstanceRecord]:
+        return aggregate_instances(self.rows)
 
     @property
     def total_instances(self) -> int:
         return len(self.instances)
-
-    def add_sequence(self, seq: StaySequence) -> MotifInstance:
-        inst = trajectory_instance(seq)
-        rec = self.instances.get(inst)
-        if rec is None:
-            rec = self.instances[inst] = InstanceRecord()
-        rec.device_count += 1
-        if is_weekend(seq.local_date):
-            rec.weekend_count += 1
-        else:
-            rec.weekday_count += 1
-        self.total_device_days += 1
-        self.total_flows += len(seq.stays) - 1
-        return inst
-
-    @classmethod
-    def merge(cls, parts: Iterable["TrajectoryCensus"]) -> "TrajectoryCensus":
-        merged = cls()
-        for part in parts:
-            merged.total_device_days += part.total_device_days
-            merged.total_flows += part.total_flows
-            for inst, rec in part.instances.items():
-                tgt = merged.instances.get(inst)
-                if tgt is None:
-                    tgt = merged.instances[inst] = InstanceRecord()
-                tgt.device_count += rec.device_count
-                tgt.weekday_count += rec.weekday_count
-                tgt.weekend_count += rec.weekend_count
-        return merged
 
     def census(self) -> MotifCensus:
         classes = {c: ClassStats(motif_count=0, device_count=0, flow_count=0) for c in CLASS_ORDER}
@@ -376,11 +385,17 @@ class TrajectoryCensus:
 
 
 def classify_trajectories(sequences: Iterable[StaySequence]) -> TrajectoryCensus:
-    """Classify every device-day walk and accumulate the instance census."""
-    result = TrajectoryCensus()
+    """Classify every device-day walk into the (local_date, instance) table."""
+    tally: Counter[tuple[dt.date, MotifInstance]] = Counter()
+    flows = 0
     for seq in sequences:
-        result.add_sequence(seq)
-    return result
+        tally[seq.local_date, trajectory_instance(seq)] += 1
+        flows += len(seq.stays) - 1
+    return TrajectoryCensus(
+        rows=[(day, inst, count) for (day, inst), count in tally.items()],
+        total_device_days=sum(tally.values()),
+        total_flows=flows,
+    )
 
 
 def census_percentages(census: MotifCensus) -> MotifCensus:

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__, attributes, ingest, metrics, motifs, refnets, stats, synth
 from .config import RunConfig
 from .errors import InvariantError, SchemaError
-from .motifs import CLASS_ORDER, InstanceRecord, MotifInstance
+from .motifs import CLASS_ORDER, InstanceRow, aggregate_instances, instance_order
 from .network import (
     build_network,
     merge_networks,
@@ -190,21 +190,17 @@ def _check_id(value: str) -> str:
     return value
 
 
-def write_instances_csv(
-    rows: list[tuple[dt.date, MotifInstance, int]], path: str | Path
-) -> None:
+def write_instances_csv(rows: list[InstanceRow], path: str | Path) -> None:
     """Rows are (local_date, instance, device_count), one per instance-day."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("local_date,motif_class,nodes,edges,device_count\n")
-        for day, inst, count in sorted(
-            rows, key=lambda r: (r[0], r[1].motif_class.value, r[1].nodes, sorted(r[1].edges))
-        ):
+        for day, inst, count in sorted(rows, key=lambda r: (r[0], instance_order(r[1]))):
             nodes = "|".join(_check_id(n) for n in inst.nodes)
-            edges = ";".join(f"{a}|{b}" for a, b in inst.sorted_edges())
+            edges = ";".join(f"{a}|{b}" for a, b in inst.edges)
             fh.write(f"{day.isoformat()},{inst.motif_class.value},{nodes},{edges},{count}\n")
 
 
-def read_instances_csv(path: str | Path) -> list[tuple[dt.date, MotifInstance, int]]:
+def read_instances_csv(path: str | Path) -> list[InstanceRow]:
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -228,20 +224,6 @@ def read_instances_csv(path: str | Path) -> list[tuple[dt.date, MotifInstance, i
                 )
             rows.append((day, inst, count))
     return rows
-
-
-def aggregate_instances(
-    rows: list[tuple[dt.date, MotifInstance, int]],
-) -> dict[MotifInstance, InstanceRecord]:
-    agg: dict[MotifInstance, InstanceRecord] = {}
-    for day, inst, count in rows:
-        rec = agg.setdefault(inst, InstanceRecord())
-        rec.device_count += count
-        if motifs.is_weekend(day):
-            rec.weekend_count += count
-        else:
-            rec.weekday_count += count
-    return agg
 
 
 def write_census_csv(census: motifs.MotifCensus, path: str | Path, min_count: int = 1) -> None:
@@ -283,26 +265,15 @@ def stage_motifs(
 ) -> motifs.MotifCensus:
     out = _ensure_dir(out_dir)
     catalog = ingest.load_poi_catalog(pois_path) if pois_path else None
-    instance_rows: list[tuple[dt.date, MotifInstance, int]] | None = None
+    traj: motifs.TrajectoryCensus | None = None
     if sequences_path:
-        sequences = ingest.read_sequences(sequences_path)
-        per_day: dict[dt.date, dict[MotifInstance, int]] = {}
-        traj = motifs.TrajectoryCensus()
-        for seq in sequences:
-            inst = traj.add_sequence(seq)
-            day_bucket = per_day.setdefault(seq.local_date, {})
-            day_bucket[inst] = day_bucket.get(inst, 0) + 1
-        instance_rows = [
-            (day, inst, count)
-            for day, bucket in per_day.items()
-            for inst, count in bucket.items()
-        ]
-        write_instances_csv(instance_rows, out / "instances.csv")
+        traj = motifs.classify_trajectories(ingest.read_sequences(sequences_path))
+        write_instances_csv(traj.rows, out / "instances.csv")
         if network_path is not None:
             _check_flow_identity(traj, network_path)
 
     if mode == "trajectory":
-        if instance_rows is None:
+        if traj is None:
             raise SchemaError("trajectory census requires --sequences")
         census = motifs.census_percentages(traj.census())
         if catalog is not None:
@@ -340,9 +311,9 @@ def _check_flow_identity(traj: motifs.TrajectoryCensus, network_path: str | Path
 # -- attributed ---------------------------------------------------------------
 
 
-def _iter_flows(rows: list[tuple[dt.date, MotifInstance, int]]):
+def _iter_flows(rows: list[InstanceRow]):
     for _, inst, count in rows:
-        for edge in inst.sorted_edges():
+        for edge in inst.edges:
             for _ in range(count):
                 yield edge
 
@@ -424,30 +395,17 @@ def stage_series(
     # every instance's distance once; the per-day, whole-period and
     # attributed tables below all read from it
     distances = stats.instance_distances(agg_all, catalog)
-    # Per-day censuses with per-day distances feed the two series families.
-    by_date: dict[dt.date, list[tuple[dt.date, MotifInstance, int]]] = {}
+    by_date: dict[dt.date, list[InstanceRow]] = {}
     for row in rows:
         by_date.setdefault(row[0], []).append(row)
-    day_censuses: dict[dt.date, motifs.MotifCensus] = {}
-    for day, day_rows in by_date.items():
-        agg = aggregate_instances(day_rows)
-        # per-walk step counts are not recoverable from unique-edge
-        # instances, so the per-day flow total stays at zero; the series
-        # only consume per-class counts and distances
-        traj = motifs.TrajectoryCensus(
-            instances=agg,
-            total_device_days=sum(count for _, _, count in day_rows),
-            total_flows=0,
-        )
-        census = traj.census()
-        stats.attach_distances(
-            census, stats.class_avg_distance(agg, distances, weighting=weighting)
-        )
-        day_censuses[day] = census
 
     series_files: list[str] = []
-    if len(day_censuses) >= 2:
-        counts, dists = stats.daily_census_series(day_censuses)
+    if len(by_date) >= 2:
+        counts, dists = stats.daily_census_series(
+            {day: aggregate_instances(day_rows) for day, day_rows in by_date.items()},
+            distances,
+            weighting,
+        )
         for cls in CLASS_ORDER:
             count_series = counts[cls]
             name = f"counts_{cls.value}.csv"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -23,6 +24,7 @@ from .motifs import (
     MotifCensus,
     MotifClass,
     MotifInstance,
+    instance_order,
     is_weekend,
 )
 
@@ -52,7 +54,7 @@ def motif_avg_distance(instance: MotifInstance, catalog: PoiCatalog) -> float:
     if not instance.edges:
         raise ValueError("instance has no edges")
     total = 0.0
-    for a, b in instance.sorted_edges():
+    for a, b in instance.edges:
         ra, rb = catalog.get(a), catalog.get(b)
         if ra is None or rb is None:
             missing = a if ra is None else b
@@ -107,9 +109,7 @@ def class_avg_distance(
         raise ValueError("no instances to measure")
     sums: dict = {}
     # fixed accumulation order so float sums never depend on dict history
-    for inst in sorted(
-        instances, key=lambda i: (i.motif_class.value, i.nodes, i.sorted_edges())
-    ):
+    for inst in sorted(instances, key=instance_order):
         if inst.motif_class is MotifClass.OTHER:
             continue
         rec = instances[inst]
@@ -158,33 +158,34 @@ def day_type(day: dt.date) -> str:
     return "weekend" if is_weekend(day) else "weekday"
 
 
-def make_series(values: Mapping[dt.date, float]) -> DailySeries:
-    return [SeriesPoint(day, values[day], day_type(day)) for day in sorted(values)]
-
-
 def daily_census_series(
-    censuses: Mapping[dt.date, MotifCensus],
+    instances_by_day: Mapping[dt.date, Mapping[MotifInstance, InstanceRecord]],
+    distances: Mapping[MotifInstance, float],
+    weighting: str,
 ) -> tuple[dict[MotifClass, DailySeries], dict[MotifClass, DailySeries]]:
     """Per-class daily series of motif counts and of average distances.
 
-    Count series carry a point for every census day (zero when the class
-    is absent); distance series only carry days where a distance exists,
-    so calendar gaps are preserved rather than filled.
+    instances_by_day holds each day's instance tally; distances and
+    weighting are as in class_avg_distance. Count series carry a point for
+    every day (zero when the class is absent); distance series only carry
+    days where a distance exists, so calendar gaps are preserved rather
+    than filled.
     """
-    if len(censuses) < 2:
-        raise ValueError("need at least 2 days of censuses")
-    days = sorted(censuses)
+    if len(instances_by_day) < 2:
+        raise ValueError("need at least 2 days of instances")
     counts: dict[MotifClass, DailySeries] = {c: [] for c in CLASS_ORDER}
-    distances: dict[MotifClass, DailySeries] = {c: [] for c in CLASS_ORDER}
-    for day in days:
-        census = censuses[day]
+    dists: dict[MotifClass, DailySeries] = {c: [] for c in CLASS_ORDER}
+    for day in sorted(instances_by_day):
+        instances = instances_by_day[day]
         kind = day_type(day)
+        per_class = Counter(inst.motif_class for inst in instances)
+        table = class_avg_distance(instances, distances, weighting=weighting)
         for cls in CLASS_ORDER:
-            stats = census.classes.get(cls)
-            counts[cls].append(SeriesPoint(day, float(stats.motif_count if stats else 0), kind))
-            if stats is not None and stats.avg_distance_km is not None:
-                distances[cls].append(SeriesPoint(day, stats.avg_distance_km, kind))
-    return counts, distances
+            counts[cls].append(SeriesPoint(day, float(per_class[cls]), kind))
+            split = table.get(cls)
+            if split is not None and split.total_km is not None:
+                dists[cls].append(SeriesPoint(day, split.total_km, kind))
+    return counts, dists
 
 
 def pct_change_series(series: DailySeries) -> DailySeries:
@@ -315,30 +316,24 @@ def distance_document(table: DistanceTable, weighting: str) -> dict:
 
 def build_report(
     summary: dict,
-    census: MotifCensus | dict,
-    distances: DistanceTable | dict,
+    census: dict,
+    distances: dict,
     series_files: list[str],
     config: dict,
     tool_version: str,
-    weighting: str = "devices",
 ) -> dict:
     """Assemble and validate the run report document.
 
-    census and distances may be given either as domain objects or as
-    already-serialized documents.
+    census and distances are the census_document and distance_document
+    of the run.
     """
-    census_doc = census if isinstance(census, dict) else census_document(census)
-    if isinstance(distances, dict) and "classes" in distances and "weighting" in distances:
-        distance_doc = distances
-    else:
-        distance_doc = distance_document(distances, weighting)
     report = {
         "schema_version": 1,
         "tool": {"name": "placeweave", "version": tool_version},
         "config": config,
         "summary": summary,
-        "census": census_doc,
-        "distances": distance_doc,
+        "census": census,
+        "distances": distances,
         "series_files": sorted(series_files),
     }
     try:

@@ -17,7 +17,7 @@ from placeweave.attributes import (
 )
 from placeweave.errors import MissingPoiError, UnknownSectorError
 from placeweave.ingest import PoiCatalog, PoiRecord
-from placeweave.motifs import MotifClass, instance_from_edges
+from placeweave.motifs import InstanceRecord, MotifClass, instance_from_edges
 
 ALL_PREFIXES = {
     "11", "21", "22", "23", "31", "32", "33", "42", "44", "45", "48", "49",
@@ -201,7 +201,7 @@ def test_canonical_key_invariant_under_node_ids(perm, labels):
 def test_single_instance_census():
     cat = catalog_for({"x": 7, "y": 18})
     inst = make_instance(MotifClass.M2_1, ["x", "y"])
-    ranked = attributed_census({inst: 3}, cat)
+    ranked = attributed_census({inst: InstanceRecord(device_count=3)}, cat)
     [entry] = ranked[MotifClass.M2_1]
     assert entry.share == 1.0
     assert entry.device_count == 3
@@ -211,7 +211,7 @@ def test_single_instance_census():
 def test_same_category_flagged():
     cat = catalog_for({"x": 7, "y": 7})
     inst = make_instance(MotifClass.M2_1, ["x", "y"])
-    [entry] = attributed_census({inst: 1}, cat)[MotifClass.M2_1]
+    [entry] = attributed_census({inst: InstanceRecord(device_count=1)}, cat)[MotifClass.M2_1]
     assert entry.same_category
     assert entry.key.labels == (7, 7)
 
@@ -226,7 +226,8 @@ def test_planted_mix_shares_recovered():
     ]
     rng = np.random.default_rng(77)
     counts = rng.multinomial(10_000, [0.5, 0.3, 0.2])
-    ranked = attributed_census(dict(zip(instances, (int(c) for c in counts))), cat)
+    records = (InstanceRecord(device_count=int(c)) for c in counts)
+    ranked = attributed_census(dict(zip(instances, records)), cat)
     shares = {entry.key: entry.share for entry in ranked[MotifClass.M2_1]}
     keys = [canonical_key(inst, cat) for inst in instances]
     for key, target in zip(keys, (0.5, 0.3, 0.2)):
@@ -236,9 +237,9 @@ def test_planted_mix_shares_recovered():
 def test_top_k_and_tie_break():
     cat = catalog_for({"a": 7, "b": 18, "c": 16, "d": 19})
     insts = {
-        make_instance(MotifClass.M2_1, ["a", "b"]): 2,
-        make_instance(MotifClass.M2_1, ["a", "c"]): 2,
-        make_instance(MotifClass.M2_1, ["a", "d"]): 1,
+        make_instance(MotifClass.M2_1, ["a", "b"]): InstanceRecord(device_count=2),
+        make_instance(MotifClass.M2_1, ["a", "c"]): InstanceRecord(device_count=2),
+        make_instance(MotifClass.M2_1, ["a", "d"]): InstanceRecord(device_count=1),
     }
     ranked = attributed_census(insts, cat, top_k=2)[MotifClass.M2_1]
     assert len(ranked) == 2

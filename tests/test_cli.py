@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -107,6 +108,28 @@ def test_wrong_stops_header_exits_2_without_report(synth_dir, tmp_path):
     failed = manifest["artifacts"][-1]
     assert (failed["stage"], failed["status"], failed["error"]) == ("ingest", "failed", "SchemaError")
     assert "missing column" in failed["message"]
+
+
+def test_unknown_sector_exits_2_at_attributed_stage(synth_dir, tmp_path):
+    with open(synth_dir / "pois.csv", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = [dict(row, naics="999990") for row in reader]
+        fieldnames = reader.fieldnames
+    pois = tmp_path / "pois.csv"
+    with open(pois, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    out = tmp_path / "out"
+    code = main(
+        ["run", "--stops", str(synth_dir / "stops.csv"), "--pois", str(pois), "--out", str(out)]
+    )
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    failed = manifest["artifacts"][-1]
+    assert (failed["stage"], failed["status"], failed["error"]) == (
+        "attributed", "failed", "UnknownSectorError"
+    )
 
 
 def test_missing_input_exits_2(tmp_path):

@@ -13,6 +13,7 @@ from placeweave.ingest import StaySequence
 from placeweave.motifs import (
     CLASS_ORDER,
     ClassStats,
+    InstanceRecord,
     MotifCensus,
     MotifClass,
     census_percentages,
@@ -310,6 +311,56 @@ def test_weekday_weekend_split():
     census = classify_trajectories([seq("a", "b"), seq("a", "b", device="d2", day=SAT)])
     rec = census.instances[trajectory_instance(seq("a", "b"))]
     assert (rec.weekday_count, rec.weekend_count, rec.device_count) == (1, 1, 2)
+
+
+def _no_repeats(stays):
+    return tuple(v for i, v in enumerate(stays) if i == 0 or stays[i - 1] != v)
+
+
+walks = st.lists(st.sampled_from(["p1", "p2", "p3", "p4", "p5"]), min_size=2, max_size=7).map(
+    _no_repeats
+).filter(lambda stays: len(stays) >= 2)
+days = st.sampled_from([SAT, dt.date(2020, 2, 2), MON, dt.date(2020, 2, 4)])
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(days, walks), max_size=30))
+def test_trajectory_rows_tally_like_brute_force(day_walks):
+    seqs = [seq(*walk, device=f"d{i}", day=day) for i, (day, walk) in enumerate(day_walks)]
+    expected = {}
+    for s in seqs:
+        rec = expected.setdefault(trajectory_instance(s), InstanceRecord())
+        rec.device_count += 1
+        if s.local_date.weekday() >= 5:
+            rec.weekend_count += 1
+        else:
+            rec.weekday_count += 1
+    census = classify_trajectories(seqs)
+    assert census.instances == expected
+    assert sum(count for *_, count in census.rows) == census.total_device_days == len(seqs)
+    assert len({(day, inst) for day, inst, _ in census.rows}) == len(census.rows)
+    assert census.total_flows == sum(len(s.stays) - 1 for s in seqs)
+
+
+pairs = st.lists(
+    st.tuples(st.sampled_from("abcde"), st.sampled_from("abcde")).filter(lambda e: e[0] != e[1]),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=150)
+@given(pairs, st.randoms())
+def test_instance_from_edges_is_canonical(edges, rnd):
+    nodes = [v for edge in edges for v in edge]
+    respelled = [edge[::-1] if rnd.random() < 0.5 else edge for edge in edges]
+    respelled += rnd.choices(respelled, k=rnd.randint(0, 3))
+    rnd.shuffle(respelled)
+    shuffled = rnd.sample(nodes, k=len(nodes))
+    a = instance_from_edges(nodes, edges)
+    b = instance_from_edges(shuffled, respelled)
+    assert a == b and hash(a) == hash(b)
+    assert a.edges == tuple(sorted({tuple(sorted(edge)) for edge in edges}))
 
 
 # -- percentage arithmetic at county scale -------------------------------------

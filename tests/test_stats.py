@@ -192,31 +192,42 @@ def test_weekday_plus_weekend_counts_cover_total():
 # -- daily series -------------------------------------------------------------
 
 
-def census_of(count_by_class, day):
+SERIES_CATALOG = PoiCatalog(
+    [poi("a", 0, 0), poi("b", north_of(0, 1.0), 0), poi("c", 0, 0.01)]
+)
+
+
+def instances_of(count_by_class, day):
     seqs = []
     i = 0
     walks = {MotifClass.M2_1: ("a", "b"), MotifClass.M3_2: ("a", "b", "c", "a")}
     for cls, count in count_by_class.items():
         for _ in range(count):
-            seqs.append(StaySequence(f"d{i}", day, walks[cls] + (f"x{i}",) * 0))
+            seqs.append(StaySequence(f"d{i}", day, walks[cls]))
             i += 1
-    return classify_trajectories(seqs).census()
+    return classify_trajectories(seqs).instances
+
+
+def series_of(instances_by_day):
+    every = {inst for day_instances in instances_by_day.values() for inst in day_instances}
+    distances = instance_distances(every, SERIES_CATALOG)
+    return daily_census_series(instances_by_day, distances, "devices")
 
 
 def test_daily_series_constant_counts():
     days = [dt.date(2020, 2, d) for d in (3, 4, 5)]
-    censuses = {day: census_of({MotifClass.M2_1: 2}, day) for day in days}
-    counts, _ = daily_census_series(censuses)
+    by_day = {day: instances_of({MotifClass.M2_1: 2}, day) for day in days}
+    counts, _ = series_of(by_day)
     assert [p.value for p in counts[MotifClass.M2_1]] == [1.0, 1.0, 1.0]
 
 
 def test_weekend_only_class_has_zero_weekday_points():
     sat, mon = dt.date(2020, 2, 1), dt.date(2020, 2, 3)
-    censuses = {
-        sat: census_of({MotifClass.M3_2: 1}, sat),
-        mon: census_of({MotifClass.M2_1: 1}, mon),
+    by_day = {
+        sat: instances_of({MotifClass.M3_2: 1}, sat),
+        mon: instances_of({MotifClass.M2_1: 1}, mon),
     }
-    counts, _ = daily_census_series(censuses)
+    counts, _ = series_of(by_day)
     series = counts[MotifClass.M3_2]
     assert [(p.day_type, p.value) for p in series] == [("weekend", 1.0), ("weekday", 0.0)]
 
@@ -226,8 +237,8 @@ def test_february_2020_window_shape():
     days = [dt.date(2020, 2, 1) + dt.timedelta(days=i) for i in range(28)]
     assert days[0].weekday() == 5
     assert len(days) == 28
-    censuses = {day: census_of({MotifClass.M2_1: 1}, day) for day in days}
-    counts, _ = daily_census_series(censuses)
+    by_day = {day: instances_of({MotifClass.M2_1: 1}, day) for day in days}
+    counts, _ = series_of(by_day)
     series = counts[MotifClass.M2_1]
     assert len(series) == 28
     assert series[0].day_type == "weekend"
@@ -239,7 +250,23 @@ def test_february_2020_window_shape():
 def test_daily_series_requires_two_days():
     day = dt.date(2020, 2, 3)
     with pytest.raises(ValueError):
-        daily_census_series({day: census_of({MotifClass.M2_1: 1}, day)})
+        series_of({day: instances_of({MotifClass.M2_1: 1}, day)})
+
+
+def test_distance_series_skips_days_without_the_class():
+    mon, tue = dt.date(2020, 2, 3), dt.date(2020, 2, 4)
+    by_day = {
+        mon: instances_of({MotifClass.M2_1: 2, MotifClass.M3_2: 3}, mon),
+        tue: instances_of({MotifClass.M2_1: 1}, tue),
+    }
+    counts, dists = series_of(by_day)
+    assert [(p.date, p.value) for p in counts[MotifClass.M3_2]] == [(mon, 1.0), (tue, 0.0)]
+    distances = instance_distances(by_day[mon], SERIES_CATALOG)
+    triangle_km = class_avg_distance(by_day[mon], distances, weighting="devices")
+    [point] = dists[MotifClass.M3_2]
+    assert (point.date, point.day_type) == (mon, "weekday")
+    assert point.value == triangle_km[MotifClass.M3_2].total_km
+    assert len(dists[MotifClass.M2_1]) == 2
 
 
 # -- percentage change --------------------------------------------------------
@@ -357,8 +384,8 @@ def test_report_validates_and_passes_percentages_through():
     table = class_avg_distance(instances, instance_distances(instances, catalog))
     report = build_report(
         summary=_summary_doc(),
-        census=census,
-        distances=table,
+        census=census_document(census),
+        distances=distance_document(table, "devices"),
         series_files=["counts_M2_1.csv"],
         config=RunConfig().analysis_dict(),
         tool_version="0.0-test",
@@ -373,8 +400,8 @@ def test_report_missing_section_rejected():
     with pytest.raises(SchemaError):
         build_report(
             summary={"nodes": 1},  # missing mandatory summary fields
-            census=_small_census(),
-            distances={},
+            census=census_document(_small_census()),
+            distances=distance_document({}, "devices"),
             series_files=[],
             config={},
             tool_version="0",

@@ -75,37 +75,36 @@ def sector_by_id(sector_id: int) -> SectorCategory:
 
 
 def category_frequency(
-    flows: Iterable[tuple[str, str]],
+    endpoints: Mapping[str, int],
     catalog: PoiCatalog,
     digits: int = 2,
     names: Mapping[str, str] | None = None,
 ) -> tuple[list[tuple[str, float]], int]:
     """Rank visit-flow endpoints by category share.
 
-    Every endpoint of every flow contributes one count. digits=2 buckets
-    by sector label, digits=4 by the leading four NAICS digits (resolved
-    through `names` when provided, else the digit string itself). Returns
-    the ranked (label, share) list, shares summing to 1, plus the number
-    of endpoints whose POI id was absent from the catalog.
+    endpoints maps each POI id to the number of flow endpoints at it.
+    digits=2 buckets by sector label, digits=4 by the leading four NAICS
+    digits (resolved through `names` when provided, else the digit string
+    itself). Returns the ranked (label, share) list, shares summing to 1,
+    plus the number of endpoints whose POI id was absent from the catalog.
     """
     if digits not in (2, 4):
         raise ValueError(f"digits must be 2 or 4, got {digits}")
     counts: dict[str, int] = {}
     unresolved = 0
     total = 0
-    for flow in flows:
-        for poi_id in flow:
-            rec = catalog.get(poi_id)
-            if rec is None:
-                unresolved += 1
-                continue
-            if digits == 2:
-                label = to_sector(rec.naics).label
-            else:
-                code = rec.naics[:4]
-                label = names.get(code, code) if names else code
-            counts[label] = counts.get(label, 0) + 1
-            total += 1
+    for poi_id, count in endpoints.items():
+        rec = catalog.get(poi_id)
+        if rec is None:
+            unresolved += count
+            continue
+        if digits == 2:
+            label = to_sector(rec.naics).label
+        else:
+            code = rec.naics[:4]
+            label = names.get(code, code) if names else code
+        counts[label] = counts.get(label, 0) + count
+        total += count
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     return [(label, count / total) for label, count in ranked], unresolved
 
@@ -214,6 +213,17 @@ def canonical_key(instance: MotifInstance, catalog: PoiCatalog) -> AttributedMot
     return AttributedMotifKey(cls, labels)
 
 
+def canonical_keys(
+    instances: Iterable[MotifInstance], catalog: PoiCatalog
+) -> dict[MotifInstance, AttributedMotifKey]:
+    """canonical_key of every non-OTHER instance, for attributed_census and tables."""
+    return {
+        inst: canonical_key(inst, catalog)
+        for inst in instances
+        if inst.motif_class is not MotifClass.OTHER
+    }
+
+
 @dataclass(frozen=True)
 class AttributedEntry:
     key: AttributedMotifKey
@@ -224,14 +234,15 @@ class AttributedEntry:
 
 def attributed_census(
     instances: Mapping[MotifInstance, InstanceRecord],
-    catalog: PoiCatalog,
+    keys: Mapping[MotifInstance, AttributedMotifKey],
     top_k: int | None = 10,
 ) -> dict[MotifClass, list[AttributedEntry]]:
     """Rank attributed motifs by frequency within each class.
 
-    Shares are device counts over the class total; ordering is share
-    descending with label sequence as the deterministic tie-break. OTHER
-    instances are skipped. top_k=None keeps every key.
+    keys holds the canonical_keys of the instances. Shares are device
+    counts over the class total; ordering is share descending with label
+    sequence as the deterministic tie-break. OTHER instances are skipped.
+    top_k=None keeps every key.
     """
     if not instances:
         raise ValueError("no instances to attribute")
@@ -239,7 +250,7 @@ def attributed_census(
     for inst, rec in instances.items():
         if inst.motif_class is MotifClass.OTHER:
             continue
-        key = canonical_key(inst, catalog)
+        key = keys[inst]
         bucket = per_class.setdefault(inst.motif_class, {})
         bucket[key] = bucket.get(key, 0) + rec.device_count
     result: dict[MotifClass, list[AttributedEntry]] = {}

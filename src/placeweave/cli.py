@@ -10,9 +10,10 @@ import argparse
 import logging
 import sys
 
-from . import __version__, pipeline
+from . import __version__, ingest, pipeline
 from .config import CENSUS_MODES, NETWORK_MODES, WEIGHTING_MODES, RunConfig, validate_config
 from .errors import InvariantError, SchemaError
+from .network import read_network
 
 logger = logging.getLogger("placeweave")
 
@@ -123,9 +124,10 @@ def _dispatch(args: argparse.Namespace) -> None:
             cfg.stops, cfg.pois, cfg.min_dwell, cfg.utc_offset, _require_out(cfg)
         )
     elif args.command == "network":
-        pipeline.stage_network(args.sequences, cfg.network_mode, _require_out(cfg))
+        sequences = ingest.read_sequences(args.sequences)
+        pipeline.stage_network(sequences, cfg.network_mode, _require_out(cfg))
     elif args.command == "metrics":
-        pipeline.stage_metrics(args.network, _require_out(cfg))
+        pipeline.stage_metrics(read_network(args.network), _require_out(cfg))
     elif args.command == "refnet":
         if not cfg.out:
             raise SchemaError("--out FILE is required")
@@ -135,24 +137,20 @@ def _dispatch(args: argparse.Namespace) -> None:
         pipeline.stage_motifs(
             _require_out(cfg),
             mode=cfg.census_mode,
-            network_path=args.network,
-            sequences_path=args.sequences,
-            pois_path=args.pois,
             threads=cfg.threads,
             min_count=args.min_count,
             weighting=cfg.distance_weighting,
+            **pipeline.load_motifs_inputs(cfg.census_mode, args.network, args.sequences, args.pois),
         )
     elif args.command == "attributed":
-        pipeline.stage_attributed(args.instances, args.pois, cfg.top_k, _require_out(cfg))
+        instances = pipeline.load_instance_table(args.instances, args.pois)
+        pipeline.stage_attributed(instances, cfg.top_k, _require_out(cfg))
     elif args.command == "series":
-        pipeline.stage_series(
-            args.census_dir,
-            args.pois,
-            _require_out(cfg),
-            cfg,
-            summary_path=args.summary,
-            window=args.window,
+        out = _require_out(cfg)
+        table, census_doc, summary_doc = pipeline.load_series_inputs(
+            args.census_dir, args.pois, out, args.summary
         )
+        pipeline.stage_series(table, census_doc, summary_doc, out, cfg, window=args.window)
     elif args.command == "run":
         if not (cfg.stops and cfg.pois):
             raise SchemaError("run requires --stops and --pois (or config values)")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
-from .errors import RowError, SchemaError
+from .errors import RowError, SchemaError, UnknownSectorError
 
 logger = logging.getLogger(__name__)
 
@@ -159,7 +159,9 @@ def local_date(start_time: int, utc_offset: float) -> dt.date:
     return dt.datetime.fromtimestamp(start_time, tz).date()
 
 
-def build_stay_sequences(stops: list[StopRecord], utc_offset: float = 0.0) -> list[StaySequence]:
+def build_stay_sequences(
+    stops: list[StopRecord], utc_offset: float = 0.0, catalog: PoiCatalog | None = None
+) -> list[StaySequence]:
     """Group visits into per-device-day sequences.
 
     Stops are keyed by (device, local date of start_time shifted by
@@ -168,11 +170,19 @@ def build_stay_sequences(stops: list[StopRecord], utc_offset: float = 0.0) -> li
     to one stay, and days with fewer than two stays are discarded. Output
     is sorted by (device_id, local_date) so the result is independent of
     input order.
+
+    The sequences share no object with the stops (device ids are copied,
+    each local date is one object, and a stay is the catalog's own poi_id
+    string), so freeing the stops leaves no parse-time object pinning
+    their memory.
     """
     keyed = sorted(
         ((s.device_id, local_date(s.start_time, utc_offset), s.start_time, s.poi_id) for s in stops)
     )
+    poi_ids = {rec.poi_id: rec.poi_id for rec in catalog or ()}
+    dates: dict[dt.date, dt.date] = {}
     sequences: list[StaySequence] = []
+    own_device = None
     i = 0
     n = len(keyed)
     while i < n:
@@ -181,20 +191,27 @@ def build_stay_sequences(stops: list[StopRecord], utc_offset: float = 0.0) -> li
         while i < n and keyed[i][0] == device and keyed[i][1] == day:
             poi = keyed[i][3]
             if not stays or stays[-1] != poi:
-                stays.append(poi)
+                stays.append(poi_ids.get(poi, poi))
             i += 1
         if len(stays) >= 2:
-            sequences.append(StaySequence(device, day, tuple(stays)))
+            if device != own_device:
+                own_device = device.encode().decode()
+            if day not in dates:
+                dates[day] = dt.date(day.year, day.month, day.day)
+            sequences.append(StaySequence(own_device, dates[day], tuple(stays)))
     return sequences
 
 
 def load_poi_catalog(source: str | Path | TextIO) -> PoiCatalog:
     """Read a comma-delimited POI file into a catalog keyed by poi_id.
 
-    Duplicate ids, out-of-range coordinates and non-digit NAICS codes are
-    fatal.
+    Duplicate ids, out-of-range coordinates, non-digit NAICS codes and
+    codes whose two-digit prefix maps to no sector are fatal.
     """
+    from .attributes import to_sector  # attributes imports this module
+
     fh, close = _open_text(source)
+    where = getattr(fh, "name", "POI file")
     try:
         reader = csv.DictReader(fh)
         _check_header(reader.fieldnames, POIS_COLUMNS, "POI")
@@ -220,6 +237,10 @@ def load_poi_catalog(source: str | Path | TextIO) -> PoiCatalog:
                 raise RowError(line, f"NAICS code {naics!r} is not all digits")
             if not 2 <= len(naics) <= 6:
                 raise RowError(line, f"NAICS code {naics!r} must have 2-6 digits")
+            try:
+                to_sector(naics)
+            except UnknownSectorError as exc:
+                raise UnknownSectorError(f"{where}:{line}: poi_id {poi_id!r}: {exc}") from None
             records.append(PoiRecord(poi_id, row["name"], lat, lon, naics))
         return PoiCatalog(records)
     finally:

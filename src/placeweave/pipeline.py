@@ -1,8 +1,13 @@
-"""Stage functions behind the CLI: each reads and writes files only.
+"""Stage functions behind the CLI and `run`.
 
-`run` chains the same functions over the same artifact paths the
-individual subcommands use, so a full run and a manually chained pipeline
-produce byte-identical outputs. No artifact embeds wall-clock state.
+Each stage's core, `stage_<name>`, takes typed values, writes the stage's
+artifact files and returns what the next stage needs. A stage subcommand
+first reads its input files into those values with the stage's loader
+(`ingest.read_sequences`, `read_network` or a `load_*` function here);
+ingest parses the raw stops and POI files itself. `run` calls the cores
+only and hands each one's values to the next, reading no artifact back,
+so a manually chained pipeline writes byte-identical artifacts to it. No
+artifact embeds wall-clock state.
 """
 
 from __future__ import annotations
@@ -11,7 +16,10 @@ import csv
 import datetime as dt
 import json
 import logging
+from collections import Counter
 from contextlib import contextmanager
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from . import __version__, attributes, ingest, metrics, motifs, refnets, stats, synth
@@ -19,6 +27,7 @@ from .config import RunConfig
 from .errors import InvariantError, SchemaError
 from .motifs import CLASS_ORDER, InstanceRow, aggregate_instances, instance_order
 from .network import (
+    PlaceNetwork,
     build_network,
     merge_networks,
     read_network,
@@ -83,13 +92,14 @@ def stage_ingest(
     min_dwell: int,
     utc_offset: float,
     out_dir: str | Path,
-) -> dict:
+) -> tuple[ingest.PoiCatalog, list[ingest.StaySequence]]:
+    """Parse the raw inputs and write sequences.csv; returns (catalog, sequences)."""
     out = _ensure_dir(out_dir)
-    stops = ingest.parse_stops(stops_path)
     catalog = ingest.load_poi_catalog(pois_path)
+    stops = ingest.parse_stops(stops_path)
     visits = ingest.filter_visits(stops, min_dwell)
     visits, dropped = ingest.filter_cataloged(visits, catalog)
-    sequences = ingest.build_stay_sequences(visits, utc_offset)
+    sequences = ingest.build_stay_sequences(visits, utc_offset, catalog)
     ingest.write_sequences(sequences, out / "sequences.csv")
     meta = {
         "rows_read": len(stops),
@@ -100,19 +110,20 @@ def stage_ingest(
         "utc_offset": utc_offset,
     }
     write_json(meta, out / "ingest_meta.json")
-    return meta
+    return catalog, sequences
 
 
 # -- network ------------------------------------------------------------------
 
 
-def stage_network(sequences_path: str | Path, mode: str, out_dir: str | Path) -> Path:
-    """Build one network per local date plus the merged whole-period network."""
+def stage_network(
+    sequences: list[ingest.StaySequence], mode: str, out_dir: str | Path
+) -> PlaceNetwork:
+    """Write one network per local date and the merged whole-period network; returns the latter."""
+    if not sequences:
+        raise SchemaError("no stay sequences to build networks from")
     out = _ensure_dir(out_dir)
     daily_dir = _ensure_dir(out / "daily")
-    sequences = ingest.read_sequences(sequences_path)
-    if not sequences:
-        raise SchemaError(f"no sequences in {sequences_path}")
     by_date: dict[dt.date, list] = {}
     for seq in sequences:
         by_date.setdefault(seq.local_date, []).append(seq)
@@ -122,17 +133,15 @@ def stage_network(sequences_path: str | Path, mode: str, out_dir: str | Path) ->
         write_network(net, daily_dir / f"{day.isoformat()}.csv")
         daily.append(net)
     merged = merge_networks(daily)
-    merged_path = out / "merged.csv"
-    write_network(merged, merged_path, extra_meta={"days": len(daily)})
-    return merged_path
+    write_network(merged, out / "merged.csv", extra_meta={"days": len(daily)})
+    return merged
 
 
 # -- metrics ------------------------------------------------------------------
 
 
-def stage_metrics(network_path: str | Path, out_dir: str | Path) -> dict:
+def stage_metrics(net: PlaceNetwork, out_dir: str | Path) -> dict:
     out = _ensure_dir(out_dir)
-    net = read_network(network_path)
     summary = metrics.network_summary(net)
     write_json(summary.as_dict(), out / "summary.json")
     hist = metrics.degree_distribution(net)
@@ -253,38 +262,99 @@ def write_census_csv(census: motifs.MotifCensus, path: str | Path, min_count: in
             )
 
 
-def stage_motifs(
-    out_dir: str | Path,
+@dataclass
+class InstanceTable:
+    """Motif-instance rows, their per-instance tally and the POI catalog.
+
+    distances and keys are computed on first use and then shared, so each
+    instance's distance and canonical key is computed once per run.
+    """
+
+    rows: list[InstanceRow]
+    aggregate: dict[motifs.MotifInstance, motifs.InstanceRecord]
+    catalog: ingest.PoiCatalog
+
+    @cached_property
+    def distances(self) -> dict[motifs.MotifInstance, float]:
+        return stats.instance_distances(self.aggregate, self.catalog)
+
+    @cached_property
+    def keys(self) -> dict[motifs.MotifInstance, attributes.AttributedMotifKey]:
+        return attributes.canonical_keys(self.aggregate, self.catalog)
+
+
+def load_instance_table(instances_path: str | Path, pois_path: str | Path) -> InstanceTable:
+    rows = read_instances_csv(instances_path)
+    if not rows:
+        raise SchemaError(f"no instances in {instances_path}")
+    return InstanceTable(rows, aggregate_instances(rows), ingest.load_poi_catalog(pois_path))
+
+
+def load_motifs_inputs(
     mode: str,
     network_path: str | Path | None = None,
     sequences_path: str | Path | None = None,
     pois_path: str | Path | None = None,
+) -> dict:
+    """stage_motifs keyword arguments from the motifs subcommand's files.
+
+    Only an enumeration census reads the network; the flow check reads its
+    sidecar alone.
+    """
+    meta: dict = {}
+    if network_path and sequences_path and sidecar_path(network_path).exists():
+        meta = json.loads(sidecar_path(network_path).read_text(encoding="utf-8"))
+    return {
+        "sequences": ingest.read_sequences(sequences_path) if sequences_path else None,
+        "catalog": ingest.load_poi_catalog(pois_path) if pois_path else None,
+        "network": read_network(network_path) if network_path and mode == "enumerate" else None,
+        "flow_weight": meta["total_weight"] if meta.get("mode") == "consecutive" else None,
+    }
+
+
+def stage_motifs(
+    out_dir: str | Path,
+    mode: str,
+    sequences: list[ingest.StaySequence] | None = None,
+    catalog: ingest.PoiCatalog | None = None,
+    network: PlaceNetwork | None = None,
+    flow_weight: int | None = None,
     threads: int = 1,
     min_count: int = 1,
     weighting: str = "devices",
-) -> motifs.MotifCensus:
+) -> tuple[dict, InstanceTable | None]:
+    """Write the census; returns census.json's document and, given sequences
+    and a catalog, their instance table.
+
+    flow_weight is the total weight of the consecutive-mode network built
+    from the same sequences: one unit per walk step, so it must equal the
+    census's flow count (InvariantError otherwise).
+    """
     out = _ensure_dir(out_dir)
-    catalog = ingest.load_poi_catalog(pois_path) if pois_path else None
     traj: motifs.TrajectoryCensus | None = None
-    if sequences_path:
-        traj = motifs.classify_trajectories(ingest.read_sequences(sequences_path))
+    instances: InstanceTable | None = None
+    if sequences is not None:
+        traj = motifs.classify_trajectories(sequences)
         write_instances_csv(traj.rows, out / "instances.csv")
-        if network_path is not None:
-            _check_flow_identity(traj, network_path)
+        if flow_weight is not None and flow_weight != traj.total_flows:
+            raise InvariantError(
+                f"trajectory census counts {traj.total_flows} flows but the consecutive-mode "
+                f"network built from the same sequences has total weight {flow_weight}"
+            )
+        if catalog is not None:
+            instances = InstanceTable(traj.rows, traj.instances, catalog)
 
     if mode == "trajectory":
         if traj is None:
             raise SchemaError("trajectory census requires --sequences")
         census = motifs.census_percentages(traj.census())
-        if catalog is not None:
-            distances = stats.instance_distances(traj.instances, catalog)
-            table = stats.class_avg_distance(traj.instances, distances, weighting=weighting)
+        if instances is not None:
+            table = stats.class_avg_distance(instances.aggregate, instances.distances, weighting)
             stats.attach_distances(census, table)
     elif mode == "enumerate":
-        if network_path is None:
+        if network is None:
             raise SchemaError("enumeration census requires --network")
-        net = read_network(network_path)
-        census = motifs.census_percentages(motifs.enumeration_census(net, threads=threads))
+        census = motifs.census_percentages(motifs.enumeration_census(network, threads=threads))
     else:
         raise SchemaError(f"unknown census mode {mode!r}")
 
@@ -292,45 +362,15 @@ def stage_motifs(
     doc = stats.census_document(census)
     doc["min_count"] = min_count
     write_json(doc, out / "census.json")
-    return census
-
-
-def _check_flow_identity(traj: motifs.TrajectoryCensus, network_path: str | Path) -> None:
-    """A consecutive-mode network's total weight counts every walk step."""
-    meta_file = sidecar_path(network_path)
-    if not meta_file.exists():
-        return
-    meta = json.loads(meta_file.read_text(encoding="utf-8"))
-    if meta.get("mode") == "consecutive" and meta["total_weight"] != traj.total_flows:
-        raise InvariantError(
-            f"trajectory census counts {traj.total_flows} flows but the consecutive-mode "
-            f"network {network_path} has total weight {meta['total_weight']}"
-        )
+    return doc, instances
 
 
 # -- attributed ---------------------------------------------------------------
 
 
-def _iter_flows(rows: list[InstanceRow]):
-    for _, inst, count in rows:
-        for edge in inst.edges:
-            for _ in range(count):
-                yield edge
-
-
-def stage_attributed(
-    instances_path: str | Path,
-    pois_path: str | Path,
-    top_k: int,
-    out_dir: str | Path,
-) -> None:
+def stage_attributed(instances: InstanceTable, top_k: int, out_dir: str | Path) -> None:
     out = _ensure_dir(out_dir)
-    catalog = ingest.load_poi_catalog(pois_path)
-    rows = read_instances_csv(instances_path)
-    if not rows:
-        raise SchemaError(f"no instances in {instances_path}")
-    agg = aggregate_instances(rows)
-    ranked = attributes.attributed_census(agg, catalog, top_k=top_k)
+    ranked = attributes.attributed_census(instances.aggregate, instances.keys, top_k=top_k)
     with open(out / "attributed_census.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["class", "labels", "label_names", "device_count", "share", "same_category"])
@@ -349,10 +389,16 @@ def stage_attributed(
                         "yes" if entry.same_category else "no",
                     ]
                 )
+    # every edge of an instance is one flow per covering device-day
+    endpoints: Counter[str] = Counter()
+    for inst, rec in instances.aggregate.items():
+        for a, b in inst.edges:
+            endpoints[a] += rec.device_count
+            endpoints[b] += rec.device_count
     unresolved_total = 0
     for digits in (2, 4):
         ranked_cats, unresolved = attributes.category_frequency(
-            _iter_flows(rows), catalog, digits=digits
+            endpoints, instances.catalog, digits=digits
         )
         unresolved_total = max(unresolved_total, unresolved)
         with open(out / f"category_freq_{digits}digit.csv", "w", encoding="utf-8", newline="") as fh:
@@ -373,30 +419,41 @@ def _write_series_csv(series, path: Path) -> None:
             fh.write(f"{point.date.isoformat()},{_fmt(point.value)},{point.day_type}\n")
 
 
-def stage_series(
+def load_series_inputs(
     census_dir: str | Path,
     pois_path: str | Path,
     out_dir: str | Path,
-    config: RunConfig,
     summary_path: str | Path | None = None,
+) -> tuple[InstanceTable, dict, dict]:
+    """The instance table, census document and summary document; the
+    summary defaults to the metrics stage's next to out_dir."""
+    census_dir = Path(census_dir)
+    instances = load_instance_table(census_dir / "instances.csv", pois_path)
+    census_doc = json.loads((census_dir / "census.json").read_text(encoding="utf-8"))
+    if summary_path is None:
+        summary_path = Path(out_dir).parent / "metrics" / "summary.json"
+    summary_path = Path(summary_path)
+    if not summary_path.exists():
+        raise SchemaError(
+            f"summary not found at {summary_path}; run the metrics stage first"
+        )
+    return instances, census_doc, json.loads(summary_path.read_text(encoding="utf-8"))
+
+
+def stage_series(
+    instances: InstanceTable,
+    census_doc: dict,
+    summary_doc: dict,
+    out_dir: str | Path,
+    config: RunConfig,
     window: int = 7,
     top_distance: int = 20,
 ) -> dict:
-    census_dir = Path(census_dir)
     out = _ensure_dir(out_dir)
-    catalog = ingest.load_poi_catalog(pois_path)
-    rows = read_instances_csv(census_dir / "instances.csv")
-    if not rows:
-        raise SchemaError("series stage needs at least one instance row")
-    census_doc = json.loads((census_dir / "census.json").read_text(encoding="utf-8"))
-
     weighting = config.distance_weighting
-    agg_all = aggregate_instances(rows)
-    # every instance's distance once; the per-day, whole-period and
-    # attributed tables below all read from it
-    distances = stats.instance_distances(agg_all, catalog)
+    agg_all, distances = instances.aggregate, instances.distances
     by_date: dict[dt.date, list[InstanceRow]] = {}
-    for row in rows:
+    for row in instances.rows:
         by_date.setdefault(row[0], []).append(row)
 
     series_files: list[str] = []
@@ -441,10 +498,7 @@ def stage_series(
             ):
                 fh.write(f"{cls.value},{split_name},{_fmt(km)}\n")
     attr_table = stats.class_avg_distance(
-        agg_all,
-        distances,
-        weighting=weighting,
-        key_fn=lambda inst: attributes.canonical_key(inst, catalog),
+        agg_all, distances, weighting=weighting, key_fn=instances.keys.__getitem__
     )
     top_rows = sorted(
         attr_table.items(),
@@ -458,15 +512,6 @@ def stage_series(
                 f"{key.motif_class.value},{labels},{_fmt(split.total_km)},"
                 f"{_fmt(split.weekday_km)},{_fmt(split.weekend_km)}\n"
             )
-
-    if summary_path is None:
-        summary_path = Path(out_dir).parent / "metrics" / "summary.json"
-    summary_path = Path(summary_path)
-    if not summary_path.exists():
-        raise SchemaError(
-            f"summary not found at {summary_path}; run the metrics stage first"
-        )
-    summary_doc = json.loads(summary_path.read_text(encoding="utf-8"))
 
     report = stats.build_report(
         summary=summary_doc,
@@ -509,43 +554,42 @@ def run_pipeline(config: RunConfig) -> Path:
         manifest.append({"stage": stage, "status": "complete", "paths": sorted(paths)})
 
     with step("ingest", "ingest/sequences.csv", "ingest/ingest_meta.json"):
-        stage_ingest(
+        catalog, sequences = stage_ingest(
             config.stops, config.pois, config.min_dwell, config.utc_offset, out / "ingest"
         )
 
     with step("network", "networks/merged.csv", "networks/daily"):
-        merged = stage_network(out / "ingest" / "sequences.csv", config.network_mode, out / "networks")
+        merged = stage_network(sequences, config.network_mode, out / "networks")
 
     with step("metrics", "metrics/summary.json", "metrics/degree_hist.csv", "metrics/fit.json"):
-        stage_metrics(merged, out / "metrics")
+        summary = stage_metrics(merged, out / "metrics")
 
+    # unless it enumerates, the motifs stage needs only the network's flow weight:
+    # free the network before it runs
+    flow_weight = merged.total_weight if merged.mode == "consecutive" else None
+    network = merged if config.census_mode == "enumerate" else None
+    del merged
     with step("motifs", "census/census.csv", "census/census.json", "census/instances.csv"):
-        stage_motifs(
+        census_doc, instances = stage_motifs(
             out / "census",
             mode=config.census_mode,
-            network_path=merged,
-            sequences_path=out / "ingest" / "sequences.csv",
-            pois_path=config.pois,
+            sequences=sequences,
+            catalog=catalog,
+            network=network,
+            flow_weight=flow_weight,
             threads=config.threads,
             weighting=config.distance_weighting,
         )
+    del sequences, network  # no later stage reads them
 
     with step("attributed", "attributed/attributed_census.csv"):
-        stage_attributed(
-            out / "census" / "instances.csv", config.pois, config.top_k, out / "attributed"
-        )
+        stage_attributed(instances, config.top_k, out / "attributed")
 
     with step("series", "series/report.json", "series/distance_table.csv"):
-        stage_series(
-            out / "census",
-            config.pois,
-            out / "series",
-            config,
-            summary_path=out / "metrics" / "summary.json",
-        )
+        report = stage_series(instances, census_doc, summary, out / "series", config)
 
     report_path = out / "report.json"
     with step("report", "report.json"):
-        report_path.write_bytes((out / "series" / "report.json").read_bytes())
+        write_json(report, report_path)
     write_json({"artifacts": manifest, "status": "complete"}, out / "manifest.json")
     return report_path

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from placeweave.attributes import (
     AttributedMotifKey,
     attributed_census,
     canonical_key,
+    canonical_keys,
     category_frequency,
     sector_by_id,
     to_sector,
@@ -83,9 +85,14 @@ def test_retail_groups_44_and_45():
 # -- category frequency -------------------------------------------------------
 
 
+def endpoints(flows):
+    """Per-POI endpoint counts of a list of flows, each flow counted once."""
+    return Counter(poi for flow in flows for poi in flow)
+
+
 def test_all_retail_flows_share_one():
     catalog = catalog_for({"r1": 7, "r2": 7})
-    ranked, unresolved = category_frequency([("r1", "r2")], catalog)
+    ranked, unresolved = category_frequency(endpoints([("r1", "r2")]), catalog)
     assert ranked == [("Retail Trade", 1.0)]
     assert unresolved == 0
 
@@ -94,30 +101,40 @@ def test_category_shares_sum_to_one():
     catalog = catalog_for({"a": 7, "b": 18, "c": 16, "d": 19})
     flows = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c")]
     for digits in (2, 4):
-        ranked, _ = category_frequency(flows, catalog, digits=digits)
+        ranked, _ = category_frequency(endpoints(flows), catalog, digits=digits)
         assert abs(sum(share for _, share in ranked) - 1.0) < 1e-12
 
 
 def test_category_frequency_counts_unresolved():
     catalog = catalog_for({"a": 7})
-    ranked, unresolved = category_frequency([("a", "ghost")], catalog)
+    ranked, unresolved = category_frequency(endpoints([("a", "ghost")]), catalog)
     assert unresolved == 1
     assert ranked == [("Retail Trade", 1.0)]
 
 
 def test_category_frequency_four_digit_uses_code_with_name_fallback():
     catalog = PoiCatalog([PoiRecord("a", "a", 0, 0, "722511"), PoiRecord("b", "b", 0, 0, "4411")])
-    ranked, _ = category_frequency([("a", "b")], catalog, digits=4)
+    ranked, _ = category_frequency(endpoints([("a", "b")]), catalog, digits=4)
     assert dict(ranked) == {"7225": 0.5, "4411": 0.5}
     named, _ = category_frequency(
-        [("a", "b")], catalog, digits=4, names={"7225": "Restaurants and Other Eating Places"}
+        endpoints([("a", "b")]),
+        catalog,
+        digits=4,
+        names={"7225": "Restaurants and Other Eating Places"},
     )
     assert dict(named) == {"Restaurants and Other Eating Places": 0.5, "4411": 0.5}
 
 
+def test_category_frequency_weights_endpoints_by_count():
+    catalog = catalog_for({"r1": 7, "f1": 18})
+    ranked, unresolved = category_frequency({"r1": 3, "f1": 1, "ghost": 2}, catalog)
+    assert ranked == [("Retail Trade", 0.75), ("Accommodation and Food Services", 0.25)]
+    assert unresolved == 2
+
+
 def test_category_frequency_ranks_by_share_then_label():
     catalog = catalog_for({"a": 7, "b": 18, "c": 18})
-    ranked, _ = category_frequency([("a", "b"), ("b", "c"), ("c", "a")], catalog)
+    ranked, _ = category_frequency(endpoints([("a", "b"), ("b", "c"), ("c", "a")]), catalog)
     assert ranked[0][0] == "Accommodation and Food Services"
     assert ranked[0][1] == pytest.approx(4 / 6)
 
@@ -201,7 +218,8 @@ def test_canonical_key_invariant_under_node_ids(perm, labels):
 def test_single_instance_census():
     cat = catalog_for({"x": 7, "y": 18})
     inst = make_instance(MotifClass.M2_1, ["x", "y"])
-    ranked = attributed_census({inst: InstanceRecord(device_count=3)}, cat)
+    records = {inst: InstanceRecord(device_count=3)}
+    ranked = attributed_census(records, canonical_keys(records, cat))
     [entry] = ranked[MotifClass.M2_1]
     assert entry.share == 1.0
     assert entry.device_count == 3
@@ -211,7 +229,8 @@ def test_single_instance_census():
 def test_same_category_flagged():
     cat = catalog_for({"x": 7, "y": 7})
     inst = make_instance(MotifClass.M2_1, ["x", "y"])
-    [entry] = attributed_census({inst: InstanceRecord(device_count=1)}, cat)[MotifClass.M2_1]
+    records = {inst: InstanceRecord(device_count=1)}
+    [entry] = attributed_census(records, canonical_keys(records, cat))[MotifClass.M2_1]
     assert entry.same_category
     assert entry.key.labels == (7, 7)
 
@@ -227,7 +246,8 @@ def test_planted_mix_shares_recovered():
     rng = np.random.default_rng(77)
     counts = rng.multinomial(10_000, [0.5, 0.3, 0.2])
     records = (InstanceRecord(device_count=int(c)) for c in counts)
-    ranked = attributed_census(dict(zip(instances, records)), cat)
+    planted = dict(zip(instances, records))
+    ranked = attributed_census(planted, canonical_keys(planted, cat))
     shares = {entry.key: entry.share for entry in ranked[MotifClass.M2_1]}
     keys = [canonical_key(inst, cat) for inst in instances]
     for key, target in zip(keys, (0.5, 0.3, 0.2)):
@@ -241,7 +261,7 @@ def test_top_k_and_tie_break():
         make_instance(MotifClass.M2_1, ["a", "c"]): InstanceRecord(device_count=2),
         make_instance(MotifClass.M2_1, ["a", "d"]): InstanceRecord(device_count=1),
     }
-    ranked = attributed_census(insts, cat, top_k=2)[MotifClass.M2_1]
+    ranked = attributed_census(insts, canonical_keys(insts, cat), top_k=2)[MotifClass.M2_1]
     assert len(ranked) == 2
     # equal shares tie-break on label sequence
     assert ranked[0].key.labels < ranked[1].key.labels
@@ -249,4 +269,4 @@ def test_top_k_and_tie_break():
 
 def test_empty_census_rejected():
     with pytest.raises(ValueError):
-        attributed_census({}, catalog_for({"a": 7}))
+        attributed_census({}, canonical_keys({}, catalog_for({"a": 7})))

@@ -1,10 +1,12 @@
 import csv
 import json
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from placeweave import ingest, motifs, network, pipeline
 from placeweave.cli import main
 from placeweave.config import RunConfig, validate_config
 from placeweave.errors import ConfigError
@@ -128,7 +130,7 @@ def test_unknown_sector_exits_2_at_attributed_stage(synth_dir, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     failed = manifest["artifacts"][-1]
     assert (failed["stage"], failed["status"], failed["error"]) == (
-        "attributed", "failed", "UnknownSectorError"
+        "ingest", "failed", "UnknownSectorError"
     )
 
 
@@ -217,6 +219,109 @@ def test_run_is_reproducible_and_equals_chained_stages(synth_dir, tmp_path):
     # the chained flow covers everything except run-level bookkeeping
     for rel, blob in chain_tree.items():
         assert run_tree[rel] == blob, rel
+
+
+def _tree_bytes(root: Path) -> dict:
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()
+    }
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"network_mode": "covisitation", "census_mode": "enumerate"},
+        {"distance_weighting": "instances"},
+    ],
+    ids=["covisitation-enumerate", "instances-weighting"],
+)
+def test_run_equals_chained_stages_beyond_defaults(synth_dir, tmp_path, config):
+    stops, pois = str(synth_dir / "stops.csv"), str(synth_dir / "pois.csv")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    run_out, chain = tmp_path / "run", tmp_path / "chain"
+    assert main(
+        ["run", "--config", str(cfg), "--stops", stops, "--pois", pois, "--out", str(run_out)]
+    ) == 0
+
+    sequences = str(chain / "ingest" / "sequences.csv")
+    merged = str(chain / "networks" / "merged.csv")
+    for args in (
+        ["ingest", "--stops", stops, "--pois", pois, "--out", str(chain / "ingest")],
+        ["network", "--sequences", sequences, "--out", str(chain / "networks")],
+        ["metrics", "--network", merged, "--out", str(chain / "metrics")],
+        ["motifs", "--network", merged, "--sequences", sequences, "--pois", pois,
+         "--out", str(chain / "census")],
+        ["attributed", "--instances", str(chain / "census" / "instances.csv"), "--pois", pois,
+         "--out", str(chain / "attributed")],
+        ["series", "--census-dir", str(chain / "census"), "--pois", pois,
+         "--summary", str(chain / "metrics" / "summary.json"), "--out", str(chain / "series")],
+    ):
+        assert main([*args, "--config", str(cfg)]) == 0, args[0]
+
+    run_tree, chain_tree = _tree_bytes(run_out), _tree_bytes(chain)
+    assert set(chain_tree) == set(run_tree) - {"manifest.json", "report.json"}
+    for rel, blob in chain_tree.items():
+        assert run_tree[rel] == blob, rel
+    census = json.loads((run_out / "census" / "census.json").read_text())
+    report = json.loads((run_out / "report.json").read_text())
+    assert census["mode"] == config.get("census_mode", "trajectory")
+    assert report["distances"]["weighting"] == config.get("distance_weighting", "devices")
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap module.name under every placeweave name bound to it; returns the call log."""
+    original = getattr(module, name)
+    calls: list = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("placeweave"):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_run_reads_each_input_once(synth_dir, tmp_path, monkeypatch):
+    catalog_loads = _count_calls(monkeypatch, ingest, "load_poi_catalog")
+    rereads = {
+        "read_sequences": _count_calls(monkeypatch, ingest, "read_sequences"),
+        "read_instances_csv": _count_calls(monkeypatch, pipeline, "read_instances_csv"),
+        "read_network": _count_calls(monkeypatch, network, "read_network"),
+    }
+    out = tmp_path / "out"
+    assert main(
+        ["run", "--stops", str(synth_dir / "stops.csv"), "--pois", str(synth_dir / "pois.csv"),
+         "--out", str(out)]
+    ) == 0
+    assert len(catalog_loads) == 1
+    assert {name: len(calls) for name, calls in rereads.items()} == dict.fromkeys(rereads, 0)
+
+
+def test_run_flow_check_uses_the_in_hand_network(synth_dir, tmp_path, monkeypatch):
+    real = motifs.classify_trajectories
+
+    def one_flow_more(sequences):
+        traj = real(sequences)
+        traj.total_flows += 1
+        return traj
+
+    monkeypatch.setattr(motifs, "classify_trajectories", one_flow_more)
+    out = tmp_path / "out"
+    code = main(
+        ["run", "--stops", str(synth_dir / "stops.csv"), "--pois", str(synth_dir / "pois.csv"),
+         "--out", str(out)]
+    )
+    assert code == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    failed = manifest["artifacts"][-1]
+    assert (failed["stage"], failed["status"], failed["error"]) == (
+        "motifs", "failed", "InvariantError"
+    )
 
 
 def test_version_flag(capsys):

@@ -1,11 +1,12 @@
 import datetime as dt
 import io
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from placeweave.errors import RowError, SchemaError
+from placeweave.errors import RowError, SchemaError, UnknownSectorError
 from placeweave.ingest import (
     PoiCatalog,
     PoiRecord,
@@ -141,6 +142,30 @@ def test_load_poi_catalog_rejects_bad_rows():
     for row in ("p1,A,95.0,0.0,44", "p1,A,0.0,181.0,44", "p1,A,0.0,0.0,44x", "p1,A,0.0,0.0,4"):
         with pytest.raises(RowError):
             load_poi_catalog(io.StringIO(POIS_HEADER + row + "\n"))
+
+
+def test_load_poi_catalog_rejects_unknown_sector(tmp_path):
+    path = tmp_path / "pois.csv"
+    path.write_text(POIS_HEADER + "p1,A,0.0,0.0,4411\np2,B,0.0,0.0,999990\n")
+    with pytest.raises(UnknownSectorError, match=f"^{re.escape(str(path))}:3: poi_id 'p2': .*'99'"):
+        load_poi_catalog(path)
+
+
+def test_sequences_share_no_object_with_stops():
+    catalog = PoiCatalog(
+        [PoiRecord(f"p{i}", "A", 0.0, 0.0, "44") for i in range(3)]
+    )
+    stops = [
+        StopRecord("".join(["d", str(k % 2)]), "".join(["p", str(k % 3)]), 3600 * k, 600)
+        for k in range(8)
+    ]
+    seqs = build_stay_sequences(stops, 0, catalog)
+    assert seqs == build_stay_sequences(stops, 0)
+    own_ids = {rec.poi_id: rec.poi_id for rec in catalog}
+    stop_devices = {id(s.device_id) for s in stops}
+    assert all(poi is own_ids[poi] for seq in seqs for poi in seq.stays)
+    assert all(id(seq.device_id) not in stop_devices for seq in seqs)
+    assert len({id(seq.local_date) for seq in seqs}) == len({seq.local_date for seq in seqs})
 
 
 def test_filter_cataloged_drops_and_counts():

@@ -1,3 +1,4 @@
+import datetime as dt
 import json
 import re
 
@@ -6,8 +7,15 @@ import pytest
 from placeweave import ingest
 from placeweave.cli import main
 from placeweave.errors import SchemaError
-from placeweave.ingest import StaySequence
-from placeweave.pipeline import read_instances_csv, stage_motifs
+from placeweave.ingest import PoiCatalog, PoiRecord, StaySequence
+from placeweave.motifs import aggregate_instances, instance_from_edges
+from placeweave.pipeline import (
+    InstanceTable,
+    load_motifs_inputs,
+    read_instances_csv,
+    stage_attributed,
+    stage_motifs,
+)
 
 WORLD = {
     "n_pois": 30,
@@ -77,8 +85,11 @@ def test_instances_csv_round_trip(data, tmp_path):
     stage_motifs(
         out,
         mode="trajectory",
-        sequences_path=tmp_path / "ing" / "sequences.csv",
-        pois_path=seqs / "pois.csv",
+        **load_motifs_inputs(
+            "trajectory",
+            sequences_path=tmp_path / "ing" / "sequences.csv",
+            pois_path=seqs / "pois.csv",
+        ),
     )
     rows = read_instances_csv(out / "instances.csv")
     assert sum(count for _, _, count in rows) == TRAFFIC["n_device_days"]
@@ -123,3 +134,27 @@ def test_flow_count_differing_from_network_weight_exits_3(data, tmp_path, monkey
 
     monkeypatch.setattr(ingest, "read_sequences", one_walk_longer)
     assert main(args) == 3
+
+
+def test_category_shares_count_each_flow_per_device_day(tmp_path):
+    catalog = PoiCatalog(
+        [PoiRecord("r1", "r1", 0.0, 0.0, "4411"), PoiRecord("r2", "r2", 0.0, 0.0, "4412"),
+         PoiRecord("f1", "f1", 0.0, 0.0, "7225")]
+    )
+    day = dt.date(2020, 2, 3)
+    rows = [
+        (day, instance_from_edges(["r1", "f1"], [("r1", "f1")]), 3),
+        (day, instance_from_edges(["r1", "r2"], [("r1", "r2")]), 1),
+    ]
+    stage_attributed(InstanceTable(rows, aggregate_instances(rows), catalog), 10, tmp_path)
+    # endpoints: r1 3 + 1, r2 1 (retail 5); f1 3 (food 3)
+    assert (tmp_path / "category_freq_2digit.csv").read_text().splitlines() == [
+        "rank,label,share",
+        "1,Retail Trade,0.625",
+        "2,Accommodation and Food Services,0.375",
+    ]
+    assert (tmp_path / "category_freq_4digit.csv").read_text().splitlines()[1:] == [
+        "1,4411,0.5",
+        "2,7225,0.375",
+        "3,4412,0.125",
+    ]

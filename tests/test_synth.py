@@ -1,4 +1,5 @@
 import datetime as dt
+from collections import Counter
 
 import pytest
 
@@ -126,7 +127,7 @@ def test_planted_endpoint_category_share_recovered():
     flows = [
         (s.stays[i], s.stays[i + 1]) for s in sequences for i in range(len(s.stays) - 1)
     ]
-    ranked, unresolved = category_frequency(flows, catalog)
+    ranked, unresolved = category_frequency(Counter(poi for flow in flows for poi in flow), catalog)
     assert unresolved == 0
     shares = dict(ranked)
     assert abs(shares["Accommodation and Food Services"] - 0.30) <= 0.01

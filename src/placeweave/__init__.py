@@ -14,8 +14,10 @@ from .errors import (
 from .ingest import (
     PoiCatalog,
     PoiRecord,
+    SequenceTable,
     StaySequence,
     StopRecord,
+    StopTable,
     build_stay_sequences,
     filter_visits,
     load_poi_catalog,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -36,6 +37,10 @@ class RunConfig:
         problems = []
         if self.min_dwell < 0:
             problems.append(f"min_dwell must be >= 0, got {self.min_dwell}")
+        if not (math.isfinite(self.utc_offset) and abs(self.utc_offset) < 24):
+            problems.append(
+                f"utc_offset must be a finite number of hours in (-24, 24), got {self.utc_offset!r}"
+            )
         if self.network_mode not in NETWORK_MODES:
             problems.append(f"network_mode must be one of {NETWORK_MODES}, got {self.network_mode!r}")
         if self.census_mode not in CENSUS_MODES:

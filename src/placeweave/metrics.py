@@ -97,7 +97,7 @@ def degree(net: PlaceNetwork, node: str) -> int:
 
 
 def degree_distribution(net: PlaceNetwork) -> DegreeHistogram:
-    if not net.nodes:
+    if not net.n_nodes:
         raise ValueError("cannot build a degree distribution of an empty network")
     _, indptr, _ = csr_adjacency(net)
     counts = np.bincount(np.diff(indptr)).tolist()
@@ -142,14 +142,14 @@ def average_clustering(net: PlaceNetwork) -> float:
     Summed left to right in ascending node order for a reproducible float
     result.
     """
-    if not net.nodes:
+    if not net.n_nodes:
         raise ValueError("empty network")
     _, local = local_clustering(net)
     return sum(local.tolist()) / net.n_nodes
 
 
 def network_summary(net: PlaceNetwork) -> NetworkSummary:
-    if not net.nodes:
+    if not net.n_nodes:
         raise ValueError("empty network")
     return NetworkSummary(
         nodes=net.n_nodes,

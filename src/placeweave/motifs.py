@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvariantError
-from .ingest import StaySequence
+from .ingest import SequenceTable
 from .network import PlaceNetwork, csr_adjacency, edge_key
 
 
@@ -178,9 +178,9 @@ def instance_order(inst: MotifInstance) -> tuple:
     return (inst.motif_class.value, inst.nodes, inst.edges)
 
 
-def trajectory_instance(seq: StaySequence) -> MotifInstance:
-    """Graph traced by one device-day: distinct stays, deduplicated steps."""
-    return instance_from_edges(seq.stays, zip(seq.stays, seq.stays[1:]))
+def trajectory_instance(stays: tuple[str, ...]) -> MotifInstance:
+    """Graph traced by one device-day's stays: distinct stays, deduplicated steps."""
+    return instance_from_edges(stays, zip(stays, stays[1:]))
 
 
 # -- enumeration -------------------------------------------------------------
@@ -384,13 +384,12 @@ class TrajectoryCensus:
         )
 
 
-def classify_trajectories(sequences: Iterable[StaySequence]) -> TrajectoryCensus:
+def classify_trajectories(sequences: SequenceTable) -> TrajectoryCensus:
     """Classify every device-day walk into the (local_date, instance) table."""
     tally: Counter[tuple[dt.date, MotifInstance]] = Counter()
-    flows = 0
-    for seq in sequences:
-        tally[seq.local_date, trajectory_instance(seq)] += 1
-        flows += len(seq.stays) - 1
+    for _, day, stays in sequences.walks():
+        tally[day, trajectory_instance(stays)] += 1
+    flows = len(sequences.stays) - len(sequences)
     return TrajectoryCensus(
         rows=[(day, inst, count) for (day, inst), count in tally.items()],
         total_device_days=sum(tally.values()),

@@ -18,7 +18,7 @@ import json
 import logging
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -36,8 +36,6 @@ from .network import (
 )
 
 logger = logging.getLogger(__name__)
-
-_RESERVED = ("|", ";", ",")
 
 
 def write_json(doc: dict, path: str | Path) -> None:
@@ -92,18 +90,21 @@ def stage_ingest(
     min_dwell: int,
     utc_offset: float,
     out_dir: str | Path,
-) -> tuple[ingest.PoiCatalog, list[ingest.StaySequence]]:
+) -> tuple[ingest.PoiCatalog, ingest.SequenceTable]:
     """Parse the raw inputs and write sequences.csv; returns (catalog, sequences)."""
     out = _ensure_dir(out_dir)
     catalog = ingest.load_poi_catalog(pois_path)
     stops = ingest.parse_stops(stops_path)
-    visits = ingest.filter_visits(stops, min_dwell)
-    visits, dropped = ingest.filter_cataloged(visits, catalog)
-    sequences = ingest.build_stay_sequences(visits, utc_offset, catalog)
+    rows_read = len(stops)
+    visits, dropped = ingest.filter_cataloged(ingest.filter_visits(stops, min_dwell), catalog)
+    del stops  # each step's table is freed once the next exists
+    visits_kept = len(visits)
+    sequences = ingest.build_stay_sequences(visits, utc_offset)
+    del visits
     ingest.write_sequences(sequences, out / "sequences.csv")
     meta = {
-        "rows_read": len(stops),
-        "visits_kept": len(visits),
+        "rows_read": rows_read,
+        "visits_kept": visits_kept,
         "dropped_unknown_poi": dropped,
         "sequences": len(sequences),
         "min_dwell": min_dwell,
@@ -116,21 +117,17 @@ def stage_ingest(
 # -- network ------------------------------------------------------------------
 
 
-def stage_network(
-    sequences: list[ingest.StaySequence], mode: str, out_dir: str | Path
-) -> PlaceNetwork:
+def stage_network(sequences: ingest.SequenceTable, mode: str, out_dir: str | Path) -> PlaceNetwork:
     """Write one network per local date and the merged whole-period network; returns the latter."""
-    if not sequences:
+    if not len(sequences):
         raise SchemaError("no stay sequences to build networks from")
     out = _ensure_dir(out_dir)
     daily_dir = _ensure_dir(out / "daily")
-    by_date: dict[dt.date, list] = {}
-    for seq in sequences:
-        by_date.setdefault(seq.local_date, []).append(seq)
     daily = []
-    for day in sorted(by_date):
-        net = build_network(by_date[day], mode=mode, label=day.isoformat())
-        write_network(net, daily_dir / f"{day.isoformat()}.csv")
+    for day in sorted(set(sequences.day.tolist())):
+        label = ingest.day_date(day).isoformat()
+        net = build_network(sequences.select(sequences.day == day), mode=mode, label=label)
+        write_network(net, daily_dir / f"{label}.csv")
         daily.append(net)
     merged = merge_networks(daily)
     write_network(merged, out / "merged.csv", extra_meta={"days": len(daily)})
@@ -193,18 +190,12 @@ def stage_refnet(kind: str, n: int, avg_degree: float, seed: int, out_file: str 
 # -- motif census -------------------------------------------------------------
 
 
-def _check_id(value: str) -> str:
-    if any(ch in value for ch in _RESERVED):
-        raise SchemaError(f"poi_id {value!r} contains a reserved separator character")
-    return value
-
-
 def write_instances_csv(rows: list[InstanceRow], path: str | Path) -> None:
     """Rows are (local_date, instance, device_count), one per instance-day."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("local_date,motif_class,nodes,edges,device_count\n")
         for day, inst, count in sorted(rows, key=lambda r: (r[0], instance_order(r[1]))):
-            nodes = "|".join(_check_id(n) for n in inst.nodes)
+            nodes = "|".join(inst.nodes)
             edges = ";".join(f"{a}|{b}" for a, b in inst.edges)
             fh.write(f"{day.isoformat()},{inst.motif_class.value},{nodes},{edges},{count}\n")
 
@@ -267,12 +258,16 @@ class InstanceTable:
     """Motif-instance rows, their per-instance tally and the POI catalog.
 
     distances and keys are computed on first use and then shared, so each
-    instance's distance and canonical key is computed once per run.
+    instance's distance and canonical key, and each weighting's
+    whole-period distance table, is computed once per run.
     """
 
     rows: list[InstanceRow]
     aggregate: dict[motifs.MotifInstance, motifs.InstanceRecord]
     catalog: ingest.PoiCatalog
+    _distance_tables: dict[str, stats.DistanceTable] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     @cached_property
     def distances(self) -> dict[motifs.MotifInstance, float]:
@@ -281,6 +276,14 @@ class InstanceTable:
     @cached_property
     def keys(self) -> dict[motifs.MotifInstance, attributes.AttributedMotifKey]:
         return attributes.canonical_keys(self.aggregate, self.catalog)
+
+    def distance_table(self, weighting: str) -> stats.DistanceTable:
+        """The whole-period per-class distance table under one weighting."""
+        if weighting not in self._distance_tables:
+            self._distance_tables[weighting] = stats.class_avg_distance(
+                self.aggregate, self.distances, weighting
+            )
+        return self._distance_tables[weighting]
 
 
 def load_instance_table(instances_path: str | Path, pois_path: str | Path) -> InstanceTable:
@@ -315,7 +318,7 @@ def load_motifs_inputs(
 def stage_motifs(
     out_dir: str | Path,
     mode: str,
-    sequences: list[ingest.StaySequence] | None = None,
+    sequences: ingest.SequenceTable | None = None,
     catalog: ingest.PoiCatalog | None = None,
     network: PlaceNetwork | None = None,
     flow_weight: int | None = None,
@@ -349,8 +352,7 @@ def stage_motifs(
             raise SchemaError("trajectory census requires --sequences")
         census = motifs.census_percentages(traj.census())
         if instances is not None:
-            table = stats.class_avg_distance(instances.aggregate, instances.distances, weighting)
-            stats.attach_distances(census, table)
+            stats.attach_distances(census, instances.distance_table(weighting))
     elif mode == "enumerate":
         if network is None:
             raise SchemaError("enumeration census requires --network")
@@ -459,7 +461,7 @@ def stage_series(
     series_files: list[str] = []
     if len(by_date) >= 2:
         counts, dists = stats.daily_census_series(
-            {day: aggregate_instances(day_rows) for day, day_rows in by_date.items()},
+            ((day, aggregate_instances(by_date[day])) for day in sorted(by_date)),
             distances,
             weighting,
         )
@@ -484,7 +486,7 @@ def stage_series(
         logger.warning("fewer than 2 days of instances; daily series skipped")
 
     # Whole-period distance tables.
-    table = stats.class_avg_distance(agg_all, distances, weighting=weighting)
+    table = instances.distance_table(weighting)
     with open(out / "distance_table.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("class,split,km\n")
         for cls in CLASS_ORDER:

@@ -159,24 +159,26 @@ def day_type(day: dt.date) -> str:
 
 
 def daily_census_series(
-    instances_by_day: Mapping[dt.date, Mapping[MotifInstance, InstanceRecord]],
+    days: Iterable[tuple[dt.date, Mapping[MotifInstance, InstanceRecord]]],
     distances: Mapping[MotifInstance, float],
     weighting: str,
 ) -> tuple[dict[MotifClass, DailySeries], dict[MotifClass, DailySeries]]:
     """Per-class daily series of motif counts and of average distances.
 
-    instances_by_day holds each day's instance tally; distances and
+    days yields (date, that day's instance tally) in increasing date order,
+    so a caller can build one day's tally at a time; distances and
     weighting are as in class_avg_distance. Count series carry a point for
     every day (zero when the class is absent); distance series only carry
     days where a distance exists, so calendar gaps are preserved rather
     than filled.
     """
-    if len(instances_by_day) < 2:
-        raise ValueError("need at least 2 days of instances")
     counts: dict[MotifClass, DailySeries] = {c: [] for c in CLASS_ORDER}
     dists: dict[MotifClass, DailySeries] = {c: [] for c in CLASS_ORDER}
-    for day in sorted(instances_by_day):
-        instances = instances_by_day[day]
+    seen: list[dt.date] = []
+    for day, instances in days:
+        if seen and day <= seen[-1]:
+            raise ValueError(f"days out of order: {day} after {seen[-1]}")
+        seen.append(day)
         kind = day_type(day)
         per_class = Counter(inst.motif_class for inst in instances)
         table = class_avg_distance(instances, distances, weighting=weighting)
@@ -185,6 +187,8 @@ def daily_census_series(
             split = table.get(cls)
             if split is not None and split.total_km is not None:
                 dists[cls].append(SeriesPoint(day, split.total_km, kind))
+    if len(seen) < 2:
+        raise ValueError("need at least 2 days of instances")
     return counts, dists
 
 

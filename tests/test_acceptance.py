@@ -31,7 +31,13 @@ from oracles import (
 from placeweave import _fastcount
 from placeweave.attributes import canonical_key
 from placeweave.cli import main as cli_main
-from placeweave.ingest import PoiCatalog, PoiRecord, build_stay_sequences, filter_visits
+from placeweave.ingest import (
+    PoiCatalog,
+    PoiRecord,
+    StopTable,
+    build_stay_sequences,
+    filter_visits,
+)
 from placeweave.metrics import (
     degree_distribution,
     fit_power_law,
@@ -137,7 +143,7 @@ def test_criterion_3_census_identities():
         mix = {cls: 1.0 / 9.0 for cls in CLASS_WALKS}
         traffic = TrafficSpec(2000, mix, (dt.date(2020, 2, 1), dt.date(2020, 2, 28)), seed=32)
         stops = [s for plan in gen_traffic_plan(catalog, traffic) for s in plan_stops(plan)]
-        sequences = build_stay_sequences(filter_visits(stops, 300), 0.0)
+        sequences = build_stay_sequences(filter_visits(StopTable.from_records(stops), 300), 0.0)
         census = classify_trajectories(sequences).census()
         for cls in CLASS_ORDER:
             row = census.classes[cls]
@@ -176,7 +182,7 @@ def test_criterion_4_planted_recovery_50k():
         )
         plans = gen_traffic_plan(catalog, traffic)
         stops = [s for plan in plans for s in plan_stops(plan)]
-        sequences = build_stay_sequences(filter_visits(stops, 300), 0.0)
+        sequences = build_stay_sequences(filter_visits(StopTable.from_records(stops), 300), 0.0)
         assert len(sequences) == 50_000
 
         net = build_network(sequences, mode="consecutive")
@@ -186,7 +192,7 @@ def test_criterion_4_planted_recovery_50k():
         recovered = 0
         for plan in plans:
             seq = by_device[plan.device_id]
-            if trajectory_instance(seq).motif_class is plan.motif_class:
+            if trajectory_instance(seq.stays).motif_class is plan.motif_class:
                 recovered += 1
         assert recovered == 50_000  # 100%, no tolerance
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from placeweave import ingest, motifs, network, pipeline
+from placeweave import ingest, motifs, network, pipeline, stats
 from placeweave.cli import main
 from placeweave.config import RunConfig, validate_config
 from placeweave.errors import ConfigError
@@ -62,6 +62,33 @@ def test_bad_census_mode_rejected(tmp_path):
     path.write_text('{"census_mode": "foo"}')
     with pytest.raises(ConfigError, match="census_mode"):
         validate_config(path)
+
+
+@pytest.mark.parametrize("offset", [24.0, -24.0, 100.0, float("nan"), float("inf")])
+def test_out_of_range_utc_offset_rejected(tmp_path, offset):
+    with pytest.raises(ConfigError, match="utc_offset"):
+        RunConfig(utc_offset=offset).validate()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"utc_offset": offset}))
+    with pytest.raises(ConfigError, match="utc_offset"):
+        validate_config(path)
+    RunConfig(utc_offset=23.75).validate()
+
+
+def test_bad_utc_offset_exits_2_before_any_stage(tmp_path):
+    # a header-only stops file reaches no stop, so only the config check can catch it
+    stops = tmp_path / "stops.csv"
+    stops.write_text("device_id,poi_id,start_time,dwell\n")
+    pois = tmp_path / "pois.csv"
+    pois.write_text("poi_id,name,lat,lon,naics\np1,A,0.0,0.0,44\n")
+    out = tmp_path / "out"
+    inputs = ["--stops", str(stops), "--pois", str(pois), "--out", str(out)]
+    for offset in (24.0, float("nan")):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"utc_offset": offset}))
+        assert main(["run", *inputs, "--config", str(cfg)]) == 2
+        assert main(["ingest", *inputs, "--utc-offset", str(offset)]) == 2
+    assert not out.exists()
 
 
 def test_flags_override_config_file(tmp_path):
@@ -329,3 +356,40 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "placeweave" in capsys.readouterr().out
+
+
+def test_run_builds_no_stop_records_and_no_edge_dicts(synth_dir, tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run built a per-row object")
+
+    monkeypatch.setattr(ingest.StopRecord, "__init__", forbidden)
+    for view in ("edges", "adjacency", "nodes"):
+        monkeypatch.setattr(network.PlaceNetwork, view, property(forbidden))
+    for mode in ("consecutive", "covisitation"):
+        assert main(
+            ["run", "--stops", str(synth_dir / "stops.csv"), "--pois", str(synth_dir / "pois.csv"),
+             "--out", str(tmp_path / mode), "--config", str(_write_config(tmp_path, mode))]
+        ) == 0
+
+
+def _write_config(tmp_path, mode):
+    path = tmp_path / f"{mode}.json"
+    path.write_text(json.dumps({"network_mode": mode}))
+    return path
+
+
+def test_run_computes_the_whole_period_distance_table_once(synth_dir, tmp_path, monkeypatch):
+    real = stats.class_avg_distance
+    whole_period = []
+
+    def spy(instances, distances, weighting="devices", key_fn=None):
+        if key_fn is None and len(instances) == len(distances):
+            whole_period.append(weighting)
+        return real(instances, distances, weighting, key_fn)
+
+    monkeypatch.setattr(stats, "class_avg_distance", spy)
+    assert main(
+        ["run", "--stops", str(synth_dir / "stops.csv"), "--pois", str(synth_dir / "pois.csv"),
+         "--out", str(tmp_path / "out")]
+    ) == 0
+    assert whole_period == ["devices"]

@@ -1,19 +1,23 @@
+import csv
 import datetime as dt
 import io
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from placeweave import ingest
 from placeweave.errors import RowError, SchemaError, UnknownSectorError
 from placeweave.ingest import (
     PoiCatalog,
     PoiRecord,
+    SequenceTable,
+    StaySequence,
     StopRecord,
-    build_stay_sequences,
+    StopTable,
     filter_cataloged,
-    filter_visits,
     load_poi_catalog,
     parse_stops,
     read_sequences,
@@ -25,12 +29,12 @@ STOPS_HEADER = "device_id,poi_id,start_time,dwell\n"
 
 
 def test_parse_stops_maps_fields():
-    records = stops_from_text(STOPS_HEADER + "d1,p1,1580601600,900\n")
+    records = stops_from_text(STOPS_HEADER + "d1,p1,1580601600,900\n").records()
     assert records == [StopRecord("d1", "p1", 1580601600, 900)]
 
 
 def test_parse_stops_header_only_is_empty():
-    assert stops_from_text(STOPS_HEADER) == []
+    assert stops_from_text(STOPS_HEADER).records() == []
 
 
 def test_parse_stops_negative_dwell_reports_line():
@@ -51,6 +55,16 @@ def test_parse_stops_non_integer_field():
 
 def _stop(device="d1", poi="p1", t=0, dwell=600):
     return StopRecord(device, poi, t, dwell)
+
+
+def filter_visits(stops, min_dwell):
+    """ingest.filter_visits over a table of the records; the kept records."""
+    return ingest.filter_visits(StopTable.from_records(stops), min_dwell).records()
+
+
+def build_stay_sequences(stops, utc_offset):
+    """ingest.build_stay_sequences over a table of the records; the sequences as a list."""
+    return list(ingest.build_stay_sequences(StopTable.from_records(stops), utc_offset))
 
 
 def test_filter_visits_threshold():
@@ -155,14 +169,15 @@ def test_sequences_share_no_object_with_stops():
     catalog = PoiCatalog(
         [PoiRecord(f"p{i}", "A", 0.0, 0.0, "44") for i in range(3)]
     )
-    stops = [
+    records = [
         StopRecord("".join(["d", str(k % 2)]), "".join(["p", str(k % 3)]), 3600 * k, 600)
         for k in range(8)
     ]
-    seqs = build_stay_sequences(stops, 0, catalog)
-    assert seqs == build_stay_sequences(stops, 0)
+    stops = StopTable.from_records(records)
+    seqs = list(ingest.build_stay_sequences(filter_cataloged(stops, catalog)[0], 0))
+    assert seqs == build_stay_sequences(records, 0)
     own_ids = {rec.poi_id: rec.poi_id for rec in catalog}
-    stop_devices = {id(s.device_id) for s in stops}
+    stop_devices = {id(s.device_id) for s in records}
     assert all(poi is own_ids[poi] for seq in seqs for poi in seq.stays)
     assert all(id(seq.device_id) not in stop_devices for seq in seqs)
     assert len({id(seq.local_date) for seq in seqs}) == len({seq.local_date for seq in seqs})
@@ -170,9 +185,9 @@ def test_sequences_share_no_object_with_stops():
 
 def test_filter_cataloged_drops_and_counts():
     catalog = PoiCatalog([PoiRecord("p1", "A", 0.0, 0.0, "44")])
-    stops = [_stop(), _stop(poi="ghost")]
+    stops = StopTable.from_records([_stop(), _stop(poi="ghost")])
     kept, dropped = filter_cataloged(stops, catalog)
-    assert [s.poi_id for s in kept] == ["p1"]
+    assert [s.poi_id for s in kept.records()] == ["p1"]
     assert dropped == 1
 
 
@@ -180,9 +195,9 @@ def test_sequences_survive_catalog_join():
     catalog = PoiCatalog(
         [PoiRecord("p1", "A", 0.0, 0.0, "44"), PoiRecord("p2", "B", 0.0, 0.0, "72")]
     )
-    stops = [_stop(t=1), _stop(poi="ghost", t=2), _stop(poi="p2", t=3)]
+    stops = StopTable.from_records([_stop(t=1), _stop(poi="ghost", t=2), _stop(poi="p2", t=3)])
     kept, _ = filter_cataloged(stops, catalog)
-    for seq in build_stay_sequences(kept, 0):
+    for seq in ingest.build_stay_sequences(kept, 0):
         assert all(poi in catalog for poi in seq.stays)
 
 
@@ -193,7 +208,111 @@ def test_sequence_file_round_trip(tmp_path):
         _stop(device="d2", poi="p3", t=5),
         _stop(device="d2", poi="p1", t=9),
     ]
-    seqs = build_stay_sequences(stops, 0)
+    seqs = ingest.build_stay_sequences(StopTable.from_records(stops), 0)
     path = tmp_path / "sequences.csv"
     write_sequences(seqs, path)
     assert read_sequences(path) == seqs
+
+
+OFFSETS = st.one_of(
+    st.sampled_from([0.0, 1 / 3, -1 / 3, 2 / 3, 5.5, -5.5, 5.75, -9.5, 23.99, -23.99]),
+    st.floats(min_value=-23.999, max_value=23.999),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(-5 * 10**10, 10**11), min_size=1, max_size=20), OFFSETS)
+def test_local_days_match_local_date(times, utc_offset):
+    days = ingest.local_days(np.array(times, dtype=np.int64), utc_offset)
+    assert [ingest.day_date(d) for d in days.tolist()] == [
+        ingest.local_date(t, utc_offset) for t in times
+    ]
+
+
+def test_local_days_raise_what_local_date_raises_out_of_range():
+    with pytest.raises(Exception) as expected:
+        ingest.local_date(10**15, 0.0)
+    with pytest.raises(type(expected.value)):
+        ingest.local_days(np.array([0, 10**15], dtype=np.int64), 0.0)
+
+
+def _good_rows(n):
+    return "".join(f"d{i % 97},p{i % 13},{1580601600 + 60 * i},{600 + i % 7}\n" for i in range(n))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("d1,p1,1580601600\n", "wrong number of fields"),
+        ("d1, ,1580601600,600\n", "empty poi_id"),
+        ("d1,p1,1580601600,-1\n", "negative dwell"),
+        ("d1,p1,1e9,600\n", "non-integer"),
+        (f"d1,p1,{2**63},600\n", "64-bit"),
+    ],
+)
+def test_bad_row_deep_in_a_bulk_parsed_file_names_its_line(bad, message):
+    text = STOPS_HEADER + _good_rows(3000) + bad + _good_rows(500)
+    with pytest.raises(RowError, match=message) as err:
+        stops_from_text(text)
+    assert err.value.line == 3002
+
+
+def test_bulk_parse_reads_rows_as_dictreader_does():
+    # blank rows are skipped, extra fields allowed, a repeated column's last field wins
+    text = (
+        "device_id,poi_id,start_time,dwell,dwell\n"
+        "\n"
+        " d1 ,p2,10,5,600,extra\n"
+        "\n"
+        "d2,\"p1\",20,5,0\n"
+    )
+    assert stops_from_text(text).records() == [
+        StopRecord("d1", "p2", 10, 600),
+        StopRecord("d2", "p1", 20, 0),
+    ]
+    assert stops_from_text(text).records() == [
+        StopRecord(r["device_id"].strip(), r["poi_id"], int(r["start_time"]), int(r["dwell"]))
+        for r in csv.DictReader(io.StringIO(text))
+    ]
+
+
+def test_stop_table_round_trips_records():
+    records = [_stop(device="d2", poi="p9", t=-5), _stop(), _stop(device="d2", dwell=0)]
+    table = StopTable.from_records(records)
+    assert table.records() == records
+    assert table.devices == ["d1", "d2"] and table.pois == ["p1", "p9"]
+
+
+@pytest.mark.parametrize("poi_id", ["p|1", "p;1", '"p,1"'])
+def test_catalog_rejects_reserved_separator_in_poi_id(tmp_path, poi_id):
+    path = tmp_path / "pois.csv"
+    path.write_text(POIS_HEADER + "p0,A,0.0,0.0,44\n" + f"{poi_id},B,0.0,0.0,44\n")
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}:3: poi_id 'p.1' contains"):
+        load_poi_catalog(path)
+
+
+# A bare carriage return would end the row: the files' line terminator is "\n".
+DEVICE_IDS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00\r"))
+POI_IDS = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00\r|;,"), min_size=1
+)
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(
+        st.builds(
+            StaySequence,
+            DEVICE_IDS,
+            st.dates(),
+            st.lists(POI_IDS, min_size=2, max_size=6).map(tuple),
+        ),
+        max_size=15,
+    )
+)
+def test_sequence_file_round_trips_any_table(tmp_path_factory, seqs):
+    path = tmp_path_factory.mktemp("seq") / "sequences.csv"
+    table = SequenceTable.from_sequences(seqs)
+    write_sequences(table, path)
+    assert list(read_sequences(path)) == seqs
+    assert read_sequences(path) == table

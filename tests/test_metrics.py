@@ -58,7 +58,7 @@ def test_degree_star_center():
 
 def test_degree_isolated_and_triangle():
     net = triangle()
-    net.nodes.add("lonely")
+    net.add_node("lonely")
     net._adj = None
     assert degree(net, "lonely") == 0
     assert degree(net, "a") == 2
@@ -72,7 +72,8 @@ def test_degree_unknown_node():
 def test_degree_histogram_counts_isolated_nodes_and_matches_adjacency():
     net = triangle()
     net.add_edge("a", "leaf")
-    net.nodes.update({"x", "y"})
+    for node in ("x", "y"):
+        net.add_node(node)
     hist = degree_distribution(net)
     assert hist.counts == {0: 2, 1: 1, 2: 2, 3: 1}
     assert all(type(k) is int and type(c) is int for k, c in hist.counts.items())
@@ -199,7 +200,8 @@ def clique(n: int, wmax: int, seed: int) -> PlaceNetwork:
 def with_leaves_and_isolated(net: PlaceNetwork) -> PlaceNetwork:
     net.add_edge("c0", "pendant0", 3)
     net.add_edge("c1", "pendant1", 10**6)
-    net.nodes.update({"alone0", "alone1"})
+    for node in ("alone0", "alone1"):
+        net.add_node(node)
     return net
 
 

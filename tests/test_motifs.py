@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import brute_force_classify, brute_force_enumerate
 from placeweave import _fastcount, motifs
 from placeweave.errors import InvariantError
-from placeweave.ingest import StaySequence
+from placeweave.ingest import SequenceTable, StaySequence
 from placeweave.motifs import (
     CLASS_ORDER,
     ClassStats,
@@ -252,21 +252,25 @@ def seq(*stays, device="d1", day=MON):
     return StaySequence(device, day, tuple(stays))
 
 
+def classify(seqs):
+    return classify_trajectories(SequenceTable.from_sequences(seqs))
+
+
 def test_two_devices_one_edge_instance():
-    census = classify_trajectories([seq("p1", "p2"), seq("p1", "p2", device="d2")])
+    census = classify([seq("p1", "p2"), seq("p1", "p2", device="d2")])
     stats = census.census().classes[MotifClass.M2_1]
     assert (stats.motif_count, stats.device_count, stats.flow_count) == (1, 2, 2)
 
 
 def test_triangle_walk_flow_identity():
-    census = classify_trajectories([seq("p1", "p2", "p3", "p1")]).census()
+    census = classify([seq("p1", "p2", "p3", "p1")]).census()
     stats = census.classes[MotifClass.M3_2]
     assert stats.flow_count == stats.device_count * MotifClass.M3_2.edge_count == 3
 
 
 def test_oversize_walk_counts_only_in_totals():
     walk = seq("p1", "p2", "p3", "p4", "p5")
-    census = classify_trajectories([walk])
+    census = classify([walk])
     doc = census.census()
     assert doc.total_motifs == 1
     assert doc.total_devices == 1
@@ -291,7 +295,7 @@ def test_flow_identity_holds_for_every_class():
         for i, walk in enumerate(walks.values())
         for j in range(i + 1)
     ]
-    census = classify_trajectories(seqs).census()
+    census = classify(seqs).census()
     for i, cls in enumerate(walks):
         stats = census.classes[cls]
         assert stats.device_count == i + 1, cls
@@ -301,15 +305,15 @@ def test_flow_identity_holds_for_every_class():
 
 def test_distinct_edge_sets_are_distinct_instances():
     # Same POI set, different traversal graph: a path and a star.
-    census = classify_trajectories(
+    census = classify(
         [seq("a", "b", "c"), seq("a", "b", "a", "c", device="d2")]
     )
     assert census.total_instances == 2
 
 
 def test_weekday_weekend_split():
-    census = classify_trajectories([seq("a", "b"), seq("a", "b", device="d2", day=SAT)])
-    rec = census.instances[trajectory_instance(seq("a", "b"))]
+    census = classify([seq("a", "b"), seq("a", "b", device="d2", day=SAT)])
+    rec = census.instances[trajectory_instance(("a", "b"))]
     assert (rec.weekday_count, rec.weekend_count, rec.device_count) == (1, 1, 2)
 
 
@@ -329,13 +333,13 @@ def test_trajectory_rows_tally_like_brute_force(day_walks):
     seqs = [seq(*walk, device=f"d{i}", day=day) for i, (day, walk) in enumerate(day_walks)]
     expected = {}
     for s in seqs:
-        rec = expected.setdefault(trajectory_instance(s), InstanceRecord())
+        rec = expected.setdefault(trajectory_instance(s.stays), InstanceRecord())
         rec.device_count += 1
         if s.local_date.weekday() >= 5:
             rec.weekend_count += 1
         else:
             rec.weekday_count += 1
-    census = classify_trajectories(seqs)
+    census = classify(seqs)
     assert census.instances == expected
     assert sum(count for *_, count in census.rows) == census.total_device_days == len(seqs)
     assert len({(day, inst) for day, inst, _ in census.rows}) == len(census.rows)
@@ -422,7 +426,7 @@ def test_county_coverage_shares():
 
 
 def test_percentage_single_class_census_is_100():
-    census = classify_trajectories([seq("a", "b")]).census()
+    census = classify([seq("a", "b")]).census()
     assert census_percentages(census).classes[MotifClass.M2_1].percentage == 100.0
 
 

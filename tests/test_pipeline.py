@@ -7,7 +7,7 @@ import pytest
 from placeweave import ingest
 from placeweave.cli import main
 from placeweave.errors import SchemaError
-from placeweave.ingest import PoiCatalog, PoiRecord, StaySequence
+from placeweave.ingest import PoiCatalog, PoiRecord, SequenceTable, StaySequence
 from placeweave.motifs import aggregate_instances, instance_from_edges
 from placeweave.pipeline import (
     InstanceTable,
@@ -126,11 +126,11 @@ def test_flow_count_differing_from_network_weight_exits_3(data, tmp_path, monkey
     real = ingest.read_sequences
 
     def one_walk_longer(path):
-        seqs = real(path)
+        seqs = list(real(path))
         first = seqs[0]
         extra = next(p for p in first.stays if p != first.stays[-1])
         seqs[0] = StaySequence(first.device_id, first.local_date, first.stays + (extra,))
-        return seqs
+        return SequenceTable.from_sequences(seqs)
 
     monkeypatch.setattr(ingest, "read_sequences", one_walk_longer)
     assert main(args) == 3

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from placeweave.config import RunConfig
 from placeweave.errors import MissingPoiError, SchemaError
-from placeweave.ingest import PoiCatalog, PoiRecord, StaySequence
+from placeweave.ingest import PoiCatalog, PoiRecord, SequenceTable, StaySequence
 from placeweave.motifs import (
     MotifClass,
     census_percentages,
@@ -144,8 +144,12 @@ MON = dt.date(2020, 2, 3)
 SAT = dt.date(2020, 2, 1)
 
 
+def classify(seqs):
+    return classify_trajectories(SequenceTable.from_sequences(seqs))
+
+
 def _census_instances(seqs):
-    return classify_trajectories(seqs).instances
+    return classify(seqs).instances
 
 
 def test_class_avg_distance_single_instance():
@@ -205,13 +209,13 @@ def instances_of(count_by_class, day):
         for _ in range(count):
             seqs.append(StaySequence(f"d{i}", day, walks[cls]))
             i += 1
-    return classify_trajectories(seqs).instances
+    return classify(seqs).instances
 
 
 def series_of(instances_by_day):
     every = {inst for day_instances in instances_by_day.values() for inst in day_instances}
     distances = instance_distances(every, SERIES_CATALOG)
-    return daily_census_series(instances_by_day, distances, "devices")
+    return daily_census_series(sorted(instances_by_day.items()), distances, "devices")
 
 
 def test_daily_series_constant_counts():
@@ -355,7 +359,7 @@ def test_moving_average_window_too_long():
 
 def _small_census():
     return census_percentages(
-        classify_trajectories(
+        classify(
             [
                 StaySequence("d1", MON, ("a", "b")),
                 StaySequence("d2", MON, ("a", "b", "c", "a")),
@@ -380,7 +384,7 @@ def test_report_validates_and_passes_percentages_through():
     catalog = PoiCatalog(
         [poi("a", 0, 0), poi("b", north_of(0, 1.0), 0), poi("c", 0, 0.01)]
     )
-    instances = classify_trajectories([StaySequence("d1", MON, ("a", "b"))]).instances
+    instances = classify([StaySequence("d1", MON, ("a", "b"))]).instances
     table = class_avg_distance(instances, instance_distances(instances, catalog))
     report = build_report(
         summary=_summary_doc(),

@@ -5,7 +5,7 @@ import pytest
 
 from placeweave.attributes import category_frequency, to_sector
 from placeweave.errors import ConfigError
-from placeweave.ingest import build_stay_sequences, filter_visits, parse_stops
+from placeweave.ingest import StopTable, build_stay_sequences, filter_visits, parse_stops
 from placeweave.motifs import MotifClass, classify_trajectories, trajectory_instance
 from placeweave.stats import haversine_km
 from placeweave.synth import (
@@ -84,7 +84,7 @@ def test_stops_pass_ingest_validation(tmp_path):
     stops = gen_device_days(catalog, traffic(n=50, mix=NINE_WAY_MIX))
     path = tmp_path / "stops.csv"
     write_stops_csv(stops, path)
-    assert parse_stops(path) == stops
+    assert parse_stops(path).records() == stops
 
 
 def test_walks_have_no_consecutive_duplicates():
@@ -96,13 +96,13 @@ def test_every_planted_walk_recovers_its_class():
     catalog = gen_catalog(world())
     plans = gen_traffic_plan(catalog, traffic(n=400, mix=NINE_WAY_MIX, seed=3))
     stops = [s for plan in plans for s in plan_stops(plan)]
-    sequences = build_stay_sequences(filter_visits(stops, 300), 0.0)
+    sequences = build_stay_sequences(filter_visits(StopTable.from_records(stops), 300), 0.0)
     by_device = {seq.device_id: seq for seq in sequences}
     assert len(by_device) == len(plans)
     for plan in plans:
         seq = by_device[plan.device_id]
         assert seq.local_date == plan.local_date
-        assert trajectory_instance(seq).motif_class is plan.motif_class
+        assert trajectory_instance(seq.stays).motif_class is plan.motif_class
 
 
 def test_class_mix_recovered_within_one_percent():
@@ -110,7 +110,7 @@ def test_class_mix_recovered_within_one_percent():
     mix = {MotifClass.M2_1: 0.5, MotifClass.M3_2: 0.3, MotifClass.M4_5: 0.2}
     plans = gen_traffic_plan(catalog, traffic(n=20_000, mix=mix, seed=4))
     stops = [s for plan in plans for s in plan_stops(plan)]
-    sequences = build_stay_sequences(filter_visits(stops, 300), 0.0)
+    sequences = build_stay_sequences(filter_visits(StopTable.from_records(stops), 300), 0.0)
     census = classify_trajectories(sequences).census()
     for cls, target in mix.items():
         share = census.classes[cls].device_count / 20_000
@@ -123,7 +123,7 @@ def test_planted_endpoint_category_share_recovered():
     spec = WorldSpec(20_000, (29.0, 30.5, -96.0, -95.0), {18: 0.3, 7: 0.4, 16: 0.3}, seed=71)
     catalog = gen_catalog(spec)
     stops = gen_device_days(catalog, traffic(n=10_000, seed=72))
-    sequences = build_stay_sequences(filter_visits(stops, 300), 0.0)
+    sequences = build_stay_sequences(filter_visits(StopTable.from_records(stops), 300), 0.0)
     flows = [
         (s.stays[i], s.stays[i + 1]) for s in sequences for i in range(len(s.stays) - 1)
     ]

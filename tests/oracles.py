@@ -7,7 +7,9 @@ the library paths under test.
 
 from __future__ import annotations
 
+import datetime as dt
 import itertools
+from dataclasses import dataclass
 
 from placeweave.motifs import MotifClass
 
@@ -140,3 +142,223 @@ def attributed_isomorphic(cls: MotifClass, labels_a: tuple, labels_b: tuple) -> 
         if all(labels_b[perm[i]] == labels_a[i] for i in range(n)):
             return True
     return False
+
+
+# -- the per-instance dict path -------------------------------------------------
+#
+# One MotifInstance object, dict entry and scalar distance or key per
+# instance: the form the instance table had before it became columnar. Sums
+# run left to right in instance order, so these reproduce the library's
+# floats bit for bit.
+
+
+@dataclass
+class InstanceRecord:
+    device_count: int = 0
+    weekday_count: int = 0
+    weekend_count: int = 0
+
+
+def instance_order(inst) -> tuple:
+    return (inst.motif_class.value, inst.nodes, inst.edges)
+
+
+def trajectory_instance(stays):
+    """Graph traced by one walk: its distinct stays and deduplicated steps."""
+    from placeweave.motifs import instance_from_edges
+
+    return instance_from_edges(stays, zip(stays, stays[1:]))
+
+
+def read_instance_rows(path) -> list:
+    """(local_date, MotifInstance, device_count) rows of an instances.csv, as written."""
+    from placeweave.motifs import MotifInstance
+
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        assert next(fh) == "local_date,motif_class,nodes,edges,device_count\n"
+        for line in fh:
+            day, cls, nodes, edges, count = line.rstrip("\n").split(",")
+            inst = MotifInstance(
+                tuple(nodes.split("|")),
+                tuple(tuple(pair.split("|")) for pair in edges.split(";")),
+                MotifClass(cls),
+            )
+            rows.append((dt.date.fromisoformat(day), inst, int(count)))
+    return rows
+
+
+def aggregate_instances(rows) -> dict:
+    """Per-instance device, weekday and weekend counts, in first-row order."""
+    agg: dict = {}
+    for day, inst, count in rows:
+        rec = agg.setdefault(inst, InstanceRecord())
+        rec.device_count += count
+        if day.weekday() >= 5:
+            rec.weekend_count += count
+        else:
+            rec.weekday_count += count
+    return agg
+
+
+def motif_avg_distance(instance, catalog) -> float:
+    """Sum of edge great-circle lengths divided by the edge count."""
+    from placeweave.errors import MissingPoiError
+    from placeweave.stats import haversine_km
+
+    if not instance.edges:
+        raise ValueError("instance has no edges")
+    total = 0.0
+    for a, b in instance.edges:
+        ra, rb = catalog.get(a), catalog.get(b)
+        if ra is None or rb is None:
+            missing = a if ra is None else b
+            raise MissingPoiError(f"poi_id {missing!r} has no coordinates in the catalog")
+        total += haversine_km(ra.lat, ra.lon, rb.lat, rb.lon)
+    return total / len(instance.edges)
+
+
+def instance_distances(instances, catalog) -> dict:
+    return {
+        inst: motif_avg_distance(inst, catalog)
+        for inst in instances
+        if inst.motif_class is not MotifClass.OTHER
+    }
+
+
+def class_avg_distance(instances, distances, weighting="devices", key_fn=None) -> dict:
+    """key -> (total_km, weekday_km, weekend_km), each None without weight.
+
+    devices weighting counts an instance once per covering device-day,
+    instances weighting once per instance (day-type splits by presence on
+    that day type); key_fn regroups instances, the class by default.
+    """
+    if weighting not in ("devices", "instances"):
+        raise ValueError(f"unknown weighting {weighting!r}")
+    sums: dict = {}
+    for inst in sorted(instances, key=instance_order):
+        if inst.motif_class is MotifClass.OTHER:
+            continue
+        rec = instances[inst]
+        key = inst.motif_class if key_fn is None else key_fn(inst)
+        km = distances[inst]
+        if weighting == "devices":
+            weights = (rec.device_count, rec.weekday_count, rec.weekend_count)
+        else:
+            weights = (1, min(rec.weekday_count, 1), min(rec.weekend_count, 1))
+        acc = sums.setdefault(key, [0.0, 0, 0.0, 0, 0.0, 0])
+        for slot, w in enumerate(weights):
+            acc[2 * slot] += km * w
+            acc[2 * slot + 1] += w
+    return {
+        key: tuple(acc[i] / acc[i + 1] if acc[i + 1] else None for i in (0, 2, 4))
+        for key, acc in sums.items()
+    }
+
+
+def _degrees(instance) -> dict:
+    deg = {v: 0 for v in instance.nodes}
+    for a, b in instance.edges:
+        deg[a] += 1
+        deg[b] += 1
+    return deg
+
+
+def _adjacency(instance) -> dict:
+    adj: dict = {v: set() for v in instance.nodes}
+    for a, b in instance.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
+def _cycle_order(instance) -> list:
+    adj = _adjacency(instance)
+    order = [instance.nodes[0]]
+    prev = None
+    while len(order) < len(instance.nodes):
+        nxt = min(u for u in adj[order[-1]] if u != prev)
+        prev = order[-1]
+        order.append(nxt)
+    return order
+
+
+def _path_order(instance) -> list:
+    adj = _adjacency(instance)
+    deg = _degrees(instance)
+    order = [min(v for v in instance.nodes if deg[v] == 1)]
+    prev = None
+    while len(order) < len(instance.nodes):
+        nxt = next(u for u in adj[order[-1]] if u != prev)
+        prev = order[-1]
+        order.append(nxt)
+    return order
+
+
+def canonical_key(instance, catalog):
+    """Automorphism-invariant sector-label sequence of one instance.
+
+    Chains run end to end (minimum of the sequence and its reverse), stars
+    and tailed shapes order by role (tail, hub, then interchangeable
+    positions sorted), cycles take the minimum over all rotations and
+    reflections, and fully symmetric shapes sort all labels.
+    """
+    from placeweave.attributes import AttributedMotifKey, to_sector
+    from placeweave.errors import MissingPoiError
+
+    label = {}
+    for node in instance.nodes:
+        rec = catalog.get(node)
+        if rec is None:
+            raise MissingPoiError(f"poi_id {node!r} is not in the catalog")
+        label[node] = to_sector(rec.naics).id
+    cls = instance.motif_class
+    deg = _degrees(instance)
+    if cls in (MotifClass.M2_1, MotifClass.M3_2, MotifClass.M4_1):
+        labels = tuple(sorted(label[v] for v in instance.nodes))
+    elif cls is MotifClass.M3_1:
+        center = next(v for v in instance.nodes if deg[v] == 2)
+        ends = sorted(label[v] for v in instance.nodes if deg[v] == 1)
+        labels = (ends[0], label[center], ends[1])
+    elif cls is MotifClass.M4_2:
+        hubs = sorted(label[v] for v in instance.nodes if deg[v] == 3)
+        sides = sorted(label[v] for v in instance.nodes if deg[v] == 2)
+        labels = (*hubs, *sides)
+    elif cls is MotifClass.M4_3:
+        seq = [label[v] for v in _cycle_order(instance)]
+        labels = min(
+            tuple(direction[shift:] + direction[:shift])
+            for direction in (seq, seq[::-1])
+            for shift in range(4)
+        )
+    elif cls is MotifClass.M4_4:
+        tail = next(v for v in instance.nodes if deg[v] == 1)
+        hub = next(v for v in instance.nodes if deg[v] == 3)
+        mids = sorted(label[v] for v in instance.nodes if deg[v] == 2)
+        labels = (label[tail], label[hub], *mids)
+    elif cls is MotifClass.M4_5:
+        seq = [label[v] for v in _path_order(instance)]
+        labels = min(tuple(seq), tuple(seq[::-1]))
+    elif cls is MotifClass.M4_6:
+        hub = next(v for v in instance.nodes if deg[v] == 3)
+        leaves = sorted(label[v] for v in instance.nodes if deg[v] == 1)
+        labels = (label[hub], *leaves)
+    else:
+        raise ValueError(f"cannot canonicalize class {cls}")
+    return AttributedMotifKey(cls, labels)
+
+
+def attributed_census(instances, keys, top_k=10) -> dict:
+    """class -> [(key, device_count, share)], share descending, labels breaking ties."""
+    per_class: dict = {}
+    for inst, rec in instances.items():
+        if inst.motif_class is MotifClass.OTHER:
+            continue
+        bucket = per_class.setdefault(inst.motif_class, {})
+        bucket[keys[inst]] = bucket.get(keys[inst], 0) + rec.device_count
+    result = {}
+    for cls, bucket in per_class.items():
+        total = sum(bucket.values())
+        ranked = sorted(bucket.items(), key=lambda item: (-item[1], item[0].labels))
+        result[cls] = [(key, count, count / total) for key, count in ranked[:top_k]]
+    return result

@@ -3,7 +3,9 @@
 The ingest tree, the network tree and census/instances.csv hold no float
 beyond the echoed utc_offset, so their bytes are fixed by the parsing,
 grouping, network and instance code alone. Any byte drift in them fails
-here. The world mixes a fractional UTC offset (which moves the first stop
+here. The float artifacts of the same run (distances and attributed
+shares) must equal, bit for bit, what the one-instance-at-a-time dict path
+in oracles computes from the run's instances.csv. The world mixes a fractional UTC offset (which moves the first stop
 of every planted walk to the previous local day), a dwell threshold that
 drops stops, one stop at a POI missing from the catalog, a tie in start
 time and stops before 1970.
@@ -15,7 +17,12 @@ from pathlib import Path
 
 import pytest
 
+import oracles
+from placeweave.attributes import sector_by_id
 from placeweave.cli import main
+from placeweave.config import RunConfig
+from placeweave.ingest import load_poi_catalog
+from placeweave.motifs import CLASS_ORDER, MotifClass
 
 WORLD = {
     "n_pois": 60,
@@ -97,3 +104,91 @@ def test_float_free_artifacts_match_pinned_digests(inputs, tmp_path, mode):
     assert meta["dropped_unknown_poi"] == 1 and meta["visits_kept"] < meta["rows_read"]
     assert (out / "networks" / "daily" / "1969-12-30.csv").exists()
     assert {rel: _digest(out, rel) for rel in DIGESTS[mode]} == DIGESTS[mode]
+
+
+def _fmt(value) -> str:
+    return "" if value is None else repr(value)
+
+
+def _lines(path: Path) -> list[str]:
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+@pytest.mark.parametrize("weighting", ["devices", "instances"])
+def test_distance_and_attributed_floats_equal_the_dict_path(inputs, tmp_path, weighting):
+    """Every distance and share of the golden run, recomputed one instance at a time."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CONFIG, "distance_weighting": weighting}))
+    out = tmp_path / "out"
+    pois = inputs / "data" / "pois.csv"
+    assert main(
+        ["run", "--config", str(cfg), "--stops", str(inputs / "data" / "stops.csv"),
+         "--pois", str(pois), "--out", str(out), "--threads", "1"]
+    ) == 0
+    catalog = load_poi_catalog(pois)
+    rows = oracles.read_instance_rows(out / "census" / "instances.csv")
+    for _, inst, _ in rows:
+        if len(inst.nodes) <= 4:
+            slot = {v: i for i, v in enumerate(inst.nodes)}
+            edges = [(slot[a], slot[b]) for a, b in inst.edges]
+            assert oracles.brute_force_classify(len(slot), edges) is inst.motif_class
+    agg = oracles.aggregate_instances(rows)
+    distances = oracles.instance_distances(agg, catalog)
+    keys = {inst: oracles.canonical_key(inst, catalog) for inst in distances}
+    table = oracles.class_avg_distance(agg, distances, weighting)
+
+    census_km = {
+        row["class"]: row["avg_distance_km"]
+        for row in json.loads((out / "census" / "census.json").read_text())["classes"]
+    }
+    assert census_km == {
+        cls.value: table[cls][0] if cls in table else None for cls in CLASS_ORDER
+    }
+    csv_km = {line.split(",")[0]: line.split(",")[5] for line in _lines(out / "census" / "census.csv")[2:]}
+    assert csv_km == {cls.value: _fmt(table[cls][0]) for cls in CLASS_ORDER if cls in table}
+
+    expected = ["class,split,km"] + [
+        f"{cls.value},{name},{_fmt(km)}"
+        for cls in CLASS_ORDER if cls in table
+        for name, km in zip(("total", "weekday", "weekend"), table[cls])
+    ]
+    assert _lines(out / "series" / "distance_table.csv") == expected
+
+    by_day: dict = {}
+    for row in rows:
+        by_day.setdefault(row[0], []).append(row)
+    per_day = {
+        day: oracles.class_avg_distance(oracles.aggregate_instances(day_rows), distances, weighting)
+        for day, day_rows in by_day.items()
+    }
+    written = sorted(p.name for p in (out / "series").glob("distances_*.csv"))
+    assert written == sorted(
+        f"distances_{cls.value}.csv" for cls in CLASS_ORDER
+        if any(cls in t for t in per_day.values())
+    )
+    for name in written:
+        cls = MotifClass(name[len("distances_"):-len(".csv")])
+        weekday = lambda day: "weekend" if day.weekday() >= 5 else "weekday"  # noqa: E731
+        assert _lines(out / "series" / name) == ["date,value,day_type"] + [
+            f"{day.isoformat()},{_fmt(per_day[day][cls][0])},{weekday(day)}"
+            for day in sorted(per_day) if cls in per_day[day]
+        ]
+
+    attr = oracles.class_avg_distance(agg, distances, weighting, key_fn=keys.__getitem__)
+    top = sorted(attr.items(), key=lambda kv: (-(kv[1][0] or 0.0), kv[0].motif_class.value, kv[0].labels))
+    assert _lines(out / "series" / "attributed_distance.csv") == [
+        "class,labels,total_km,weekday_km,weekend_km"
+    ] + [
+        f"{key.motif_class.value},{'|'.join(map(str, key.labels))},"
+        f"{_fmt(t)},{_fmt(wd)},{_fmt(we)}"
+        for key, (t, wd, we) in top[:20]
+    ]
+
+    ranked = oracles.attributed_census(agg, keys, top_k=RunConfig().top_k)
+    assert _lines(out / "attributed" / "attributed_census.csv")[1:] == [
+        f"{cls.value},{'|'.join(map(str, key.labels))},"
+        f"{' + '.join(sector_by_id(i).label for i in key.labels)},{count},{share!r},"
+        f"{'yes' if len(set(key.labels)) == 1 else 'no'}"
+        for cls in CLASS_ORDER
+        for key, count, share in ranked.get(cls, [])
+    ]

@@ -39,6 +39,7 @@ from .metrics import (
 from .motifs import (
     MotifCensus,
     MotifClass,
+    InstanceRows,
     MotifInstance,
     TrajectoryCensus,
     census_percentages,
@@ -52,7 +53,7 @@ from .attributes import (
     AttributedMotifKey,
     SectorCategory,
     attributed_census,
-    canonical_key,
+    canonical_keys,
     category_frequency,
     to_sector,
 )
@@ -63,7 +64,6 @@ from .stats import (
     daily_census_series,
     haversine_km,
     instance_distances,
-    motif_avg_distance,
     moving_average,
     pct_change_series,
 )

@@ -3,18 +3,36 @@
 An attributed motif carries a sector label on every node; two labeled
 occurrences are the same lifestyle exactly when some vertex bijection
 preserves both edges and labels. Each class therefore gets a fixed
-position convention and its label sequence is reduced to the
-lexicographic minimum over the class's automorphism group.
+position convention (KEY_TEMPLATES) and its label sequence is reduced to
+the lexicographic minimum over the class's automorphism group. For every
+connected edge mask of the instance table, KEY_PERMS stores the slot
+permutations that carry the class template onto it; an instance's key is
+the minimum of its sector-id rows under them, packed with its class into
+one integer. The attributed census and the endpoint tally are grouped
+integer sums over those keys and over the instance edges.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
+
+import numpy as np
 
 from .errors import MissingPoiError, UnknownSectorError
 from .ingest import PoiCatalog
-from .motifs import InstanceRecord, MotifClass, MotifInstance
+from .motifs import (
+    INDEX_CLASS,
+    MASK_CLASS,
+    PAIRS,
+    InstanceRows,
+    MotifClass,
+    group_starts,
+    mask_edges,
+)
+from .network import edge_key
 
 
 @dataclass(frozen=True)
@@ -120,108 +138,95 @@ class AttributedMotifKey:
         return len(set(self.labels)) == 1
 
 
-def _degrees(instance: MotifInstance) -> dict[str, int]:
-    deg = {v: 0 for v in instance.nodes}
-    for a, b in instance.edges:
-        deg[a] += 1
-        deg[b] += 1
-    return deg
+# Key positions of each class as edges between positions: chains run end to
+# end, stars and tailed shapes order by role (tail, hub, then the
+# interchangeable positions), cycles run around, and the fully symmetric
+# shapes take any order.
+KEY_TEMPLATES: dict[MotifClass, tuple[tuple[int, int], ...]] = {
+    MotifClass.M2_1: ((0, 1),),
+    MotifClass.M3_1: ((0, 1), (1, 2)),  # end, center, end
+    MotifClass.M3_2: ((0, 1), (0, 2), (1, 2)),
+    MotifClass.M4_1: PAIRS,
+    MotifClass.M4_2: ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)),  # hub, hub, side, side
+    MotifClass.M4_3: ((0, 1), (0, 3), (1, 2), (2, 3)),  # around the cycle
+    MotifClass.M4_4: ((0, 1), (1, 2), (1, 3), (2, 3)),  # tail, hub, mid, mid
+    MotifClass.M4_5: ((0, 1), (1, 2), (2, 3)),  # end to end
+    MotifClass.M4_6: ((0, 1), (0, 2), (0, 3)),  # hub, leaf, leaf, leaf
+}
+_LABEL_BITS = 5  # sector ids run 1..20
 
 
-def _adjacency(instance: MotifInstance) -> dict[str, set[str]]:
-    adj: dict[str, set[str]] = {v: set() for v in instance.nodes}
-    for a, b in instance.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj
+def _key_perms(mask: int) -> list[tuple[int, ...]]:
+    """The maps from key position to node slot that carry the template of
+    the mask's class onto the mask's edges, repeated to 24 rows (identities
+    unless the graph is connected). A connected instance on n nodes uses
+    every slot below n, so its mask alone fixes n."""
+    edges = set(mask_edges(mask))
+    n = 1 + max((b for _, b in edges), default=0)
+    cls = INDEX_CLASS[MASK_CLASS[n, mask]]
+    perms = [
+        perm + tuple(range(n, 4))
+        for perm in itertools.permutations(range(n))
+        if cls in KEY_TEMPLATES
+        and {edge_key(perm[a], perm[b]) for a, b in KEY_TEMPLATES[cls]} == edges
+    ] or [(0, 1, 2, 3)]
+    return (perms * 24)[:24]
 
 
-def _cycle_order(instance: MotifInstance) -> list[str]:
-    adj = _adjacency(instance)
-    start = instance.nodes[0]
-    order = [start]
-    prev = None
-    while len(order) < len(instance.nodes):
-        nxt = min(u for u in adj[order[-1]] if u != prev)
-        prev = order[-1]
-        order.append(nxt)
-    return order
+# KEY_PERMS[mask]: the automorphisms of the graph of each connected mask.
+KEY_PERMS = np.array([_key_perms(mask) for mask in range(64)], dtype=np.int8)
 
 
-def _path_order(instance: MotifInstance) -> list[str]:
-    adj = _adjacency(instance)
-    deg = _degrees(instance)
-    start = min(v for v in instance.nodes if deg[v] == 1)
-    order = [start]
-    prev = None
-    while len(order) < len(instance.nodes):
-        nxt = next(u for u in adj[order[-1]] if u != prev)
-        prev = order[-1]
-        order.append(nxt)
-    return order
+def key_codes(cls: np.ndarray, mask: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The attributed key of each connected instance, as one integer.
 
-
-def canonical_key(instance: MotifInstance, catalog: PoiCatalog) -> AttributedMotifKey:
-    """Automorphism-invariant label sequence of an attributed instance.
-
-    Position conventions per class: chains run end to end (minimum of the
-    sequence and its reverse), stars and tailed shapes order by role
-    (tail, hub, then interchangeable positions sorted), cycles take the
-    minimum over all rotations and reflections, and fully symmetric
-    shapes sort all labels.
+    labels holds each instance's sector id per node slot (0 beyond its
+    size). The key is the class index above the lexicographic minimum,
+    over the mask's KEY_PERMS, of the labels in key-position order, read as
+    base-32 digits (first position highest): keys sort by class, then by
+    label sequence.
     """
-    label: dict[str, int] = {}
-    for node in instance.nodes:
-        rec = catalog.get(node)
+    at = np.take_along_axis(labels.astype(np.int8)[:, None, :], KEY_PERMS[mask], axis=2)
+    code = np.zeros(at.shape[:2], dtype=np.int32)  # small types: this is 24 rows per instance
+    for position in range(4):
+        code = code << _LABEL_BITS | at[..., position]
+    return cls.astype(np.int64) << 4 * _LABEL_BITS | code.min(axis=1)
+
+
+def canonical_keys(rows: InstanceRows, catalog: PoiCatalog) -> np.ndarray:
+    """key_codes of each of rows.instances under the catalog's sectors."""
+    inst = rows.instances
+    sector = np.zeros(len(rows.pois) + 1, dtype=np.int64)  # the last entry labels slot code -1
+    for code in np.unique(inst.nodes[inst.nodes >= 0]).tolist():
+        rec = catalog.get(rows.pois[code])
         if rec is None:
-            raise MissingPoiError(f"poi_id {node!r} is not in the catalog")
-        label[node] = to_sector(rec.naics).id
-    cls = instance.motif_class
-    deg = _degrees(instance)
-
-    if cls in (MotifClass.M2_1, MotifClass.M3_2, MotifClass.M4_1):
-        labels = tuple(sorted(label[v] for v in instance.nodes))
-    elif cls is MotifClass.M3_1:
-        center = next(v for v in instance.nodes if deg[v] == 2)
-        ends = sorted(label[v] for v in instance.nodes if deg[v] == 1)
-        labels = (ends[0], label[center], ends[1])
-    elif cls is MotifClass.M4_2:
-        hubs = sorted(label[v] for v in instance.nodes if deg[v] == 3)
-        sides = sorted(label[v] for v in instance.nodes if deg[v] == 2)
-        labels = (*hubs, *sides)
-    elif cls is MotifClass.M4_3:
-        seq = [label[v] for v in _cycle_order(instance)]
-        variants = []
-        for direction in (seq, seq[::-1]):
-            for shift in range(4):
-                variants.append(tuple(direction[shift:] + direction[:shift]))
-        labels = min(variants)
-    elif cls is MotifClass.M4_4:
-        tail = next(v for v in instance.nodes if deg[v] == 1)
-        hub = next(v for v in instance.nodes if deg[v] == 3)
-        mids = sorted(label[v] for v in instance.nodes if deg[v] == 2)
-        labels = (label[tail], label[hub], *mids)
-    elif cls is MotifClass.M4_5:
-        seq = [label[v] for v in _path_order(instance)]
-        labels = min(tuple(seq), tuple(seq[::-1]))
-    elif cls is MotifClass.M4_6:
-        hub = next(v for v in instance.nodes if deg[v] == 3)
-        leaves = sorted(label[v] for v in instance.nodes if deg[v] == 1)
-        labels = (label[hub], *leaves)
-    else:
-        raise ValueError(f"cannot canonicalize class {cls}")
-    return AttributedMotifKey(cls, labels)
+            raise MissingPoiError(f"poi_id {rows.pois[code]!r} is not in the catalog")
+        sector[code] = to_sector(rec.naics).id
+    return key_codes(inst.cls, inst.mask, sector[inst.nodes])
 
 
-def canonical_keys(
-    instances: Iterable[MotifInstance], catalog: PoiCatalog
-) -> dict[MotifInstance, AttributedMotifKey]:
-    """canonical_key of every non-OTHER instance, for attributed_census and tables."""
-    return {
-        inst: canonical_key(inst, catalog)
-        for inst in instances
-        if inst.motif_class is not MotifClass.OTHER
-    }
+def attributed_key(key: int) -> AttributedMotifKey:
+    """The class and label sequence of a key_codes integer."""
+    cls = INDEX_CLASS[key >> 4 * _LABEL_BITS]
+    return AttributedMotifKey(
+        cls, tuple(key >> _LABEL_BITS * (3 - k) & 31 for k in range(cls.size))
+    )
+
+
+def endpoint_counts(rows: InstanceRows) -> Counter[str]:
+    """Flow endpoints per POI id: each edge of an instance is one flow per
+    covering device-day, so both its ends count its device_count."""
+    inst = rows.instances
+    has, a, b = inst.edges()
+    weight = np.broadcast_to(inst.count[:, None], has.shape)[has]
+    tally = np.zeros(len(rows.pois), dtype=np.int64)
+    np.add.at(tally, np.concatenate([a[has], b[has]]), np.concatenate([weight, weight]))
+    endpoints = Counter({rows.pois[c]: int(tally[c]) for c in np.flatnonzero(tally).tolist()})
+    for _, _, edges, count in rows.other:
+        for u, v in edges:
+            endpoints[u] += count
+            endpoints[v] += count
+    return endpoints
 
 
 @dataclass(frozen=True)
@@ -233,30 +238,29 @@ class AttributedEntry:
 
 
 def attributed_census(
-    instances: Mapping[MotifInstance, InstanceRecord],
-    keys: Mapping[MotifInstance, AttributedMotifKey],
-    top_k: int | None = 10,
+    rows: InstanceRows, keys: np.ndarray, top_k: int | None = 10
 ) -> dict[MotifClass, list[AttributedEntry]]:
     """Rank attributed motifs by frequency within each class.
 
-    keys holds the canonical_keys of the instances. Shares are device
+    keys holds the canonical_keys of rows.instances; device counts are
+    summed per key as integers. Shares are device
     counts over the class total; ordering is share descending with label
     sequence as the deterministic tie-break. OTHER instances are skipped.
     top_k=None keeps every key.
     """
-    if not instances:
+    if not len(rows):
         raise ValueError("no instances to attribute")
-    per_class: dict[MotifClass, dict[AttributedMotifKey, int]] = {}
-    for inst, rec in instances.items():
-        if inst.motif_class is MotifClass.OTHER:
-            continue
-        key = keys[inst]
-        bucket = per_class.setdefault(inst.motif_class, {})
-        bucket[key] = bucket.get(key, 0) + rec.device_count
+    order = np.argsort(keys, kind="stable")
+    start = group_starts(keys[order])
+    counts = np.add.reduceat(rows.instances.count[order], start)
+    per_class: dict[MotifClass, list[tuple[AttributedMotifKey, int]]] = {}
+    for key, count in zip(keys[order[start]].tolist(), counts.tolist()):
+        key = attributed_key(key)
+        per_class.setdefault(key.motif_class, []).append((key, count))
     result: dict[MotifClass, list[AttributedEntry]] = {}
     for cls, bucket in per_class.items():
-        total = sum(bucket.values())
-        ranked = sorted(bucket.items(), key=lambda item: (-item[1], item[0].labels))
+        total = sum(count for _, count in bucket)
+        ranked = sorted(bucket, key=lambda item: (-item[1], item[0].labels))
         if top_k is not None:
             ranked = ranked[:top_k]
         result[cls] = [

@@ -41,8 +41,10 @@ POIS_COLUMNS = ("poi_id", "name", "lat", "lon", "naics")
 
 # Separator used when serializing a stay list into one CSV field.
 STAY_SEPARATOR = "|"
-# Characters the sequence and instance files use as separators; no poi_id may hold one.
-RESERVED_CHARACTERS = (STAY_SEPARATOR, ";", ",")
+# Characters the sequence and instance files use as separators; no poi_id may
+# hold one. No id may hold a line break: csv.writer leaves a bare "\r" unquoted.
+LINE_BREAKS = ("\r", "\n")
+RESERVED_CHARACTERS = (STAY_SEPARATOR, ";", ",", *LINE_BREAKS)
 
 EPOCH = dt.date(1970, 1, 1)
 _US_PER_DAY = 86_400_000_000
@@ -262,6 +264,9 @@ def _check_stop_rows(fh: TextIO) -> None:
             raise RowError(line, "wrong number of fields")
         if not row["device_id"].strip():
             raise RowError(line, "empty device_id")
+        if any(ch in row["device_id"].strip() for ch in LINE_BREAKS):
+            where = getattr(fh, "name", "stops file")
+            raise SchemaError(f"{where}:{line}: device_id {row['device_id']!r} holds a line break")
         if not row["poi_id"].strip():
             raise RowError(line, "empty poi_id")
         try:
@@ -309,6 +314,8 @@ def _bulk_stops(fh: TextIO) -> StopTable | None:
     del poi_ids
     if devices[:1] == [""] or pois[:1] == [""] or (dwell < 0).any():  # "" sorts first
         return None
+    if any(ch in device for device in devices for ch in LINE_BREAKS):
+        return None
     return StopTable(devices, pois, device, poi, start, dwell)
 
 
@@ -320,7 +327,8 @@ def parse_stops(source: str | Path | TextIO) -> StopTable:
     are allowed and a repeated column's last field wins. The columns are
     converted in bulk; on any irregularity the file is read again and
     checked row by row, so a malformed row raises RowError with its line
-    number. A missing column raises SchemaError before any row is parsed.
+    number, and a device_id holding a line break SchemaError naming the file
+    and line. A missing column raises SchemaError before any row is parsed.
     """
     fh, close = _open_text(source)
     try:
@@ -420,9 +428,9 @@ def build_stay_sequences(stops: StopTable, utc_offset: float = 0.0) -> SequenceT
 def load_poi_catalog(source: str | Path | TextIO) -> PoiCatalog:
     """Read a comma-delimited POI file into a catalog keyed by poi_id.
 
-    Duplicate ids, ids holding a reserved separator (| ; ,), out-of-range
-    coordinates, non-digit NAICS codes and codes whose two-digit prefix
-    maps to no sector are fatal.
+    Duplicate ids, ids holding a reserved separator (| ; , or a line
+    break), out-of-range coordinates, non-digit NAICS codes and codes whose
+    two-digit prefix maps to no sector are fatal.
     """
     from .attributes import to_sector  # attributes imports this module
 
@@ -442,7 +450,7 @@ def load_poi_catalog(source: str | Path | TextIO) -> PoiCatalog:
             if any(ch in poi_id for ch in RESERVED_CHARACTERS):
                 raise SchemaError(
                     f"{where}:{line}: poi_id {poi_id!r} contains a reserved separator "
-                    f"({' '.join(RESERVED_CHARACTERS)})"
+                    "(| ; , or a line break)"
                 )
             try:
                 lat = float(row["lat"])

@@ -13,20 +13,25 @@ tested against.
 Trajectory classification is the second counting mode: each device-day's
 stay walk induces a small graph whose identity is (node set, edge set);
 per class, visit flows equal covering device-days times the class edge
-count by construction. Its one table is rows of (local_date, instance,
-device_count), one row per instance seen on a day; instances.csv stores
-exactly these rows, and aggregate_instances is the one place that turns
-them into per-instance device, weekday and weekend counts.
+count by construction. The instance table is integer columns: a walk's
+node slots are its at most four POI codes, sorted; its steps set bits of
+a 6-bit edge mask over the slot pairs, and a (node count, mask) lookup
+table built from classify_graph names its class. One lexsort by (day,
+class, node codes, edge rank) orders and tallies the rows, which is the
+order instances.csv is written in; a second one, without the day, sums
+each instance's device-day and weekend counts. Walks over five or
+more POIs (class OTHER) keep a small row form of names that is only
+written and counted.
 """
 
 from __future__ import annotations
 
-import datetime as dt
 import enum
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .errors import InvariantError
 from .ingest import SequenceTable
@@ -173,16 +178,6 @@ def instance_from_edges(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) 
     return MotifInstance(nodes, edges, cls)
 
 
-def instance_order(inst: MotifInstance) -> tuple:
-    """The canonical sort key of instances: class, then nodes, then edges."""
-    return (inst.motif_class.value, inst.nodes, inst.edges)
-
-
-def trajectory_instance(stays: tuple[str, ...]) -> MotifInstance:
-    """Graph traced by one device-day's stays: distinct stays, deduplicated steps."""
-    return instance_from_edges(stays, zip(stays, stays[1:]))
-
-
 # -- enumeration -------------------------------------------------------------
 
 
@@ -284,6 +279,39 @@ def enumeration_census(
 
 # -- trajectory census -------------------------------------------------------
 
+# Node slots of an instance are its at most four POI codes, sorted. Bit i of
+# an edge mask is the slot pair PAIRS[i]; the pairs are in lexicographic
+# order, so a mask's edges in bit order are its edges sorted.
+PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+PAIR_BIT = np.zeros((4, 4), dtype=np.uint8)
+for _bit, (_a, _b) in enumerate(PAIRS):
+    PAIR_BIT[_a, _b] = PAIR_BIT[_b, _a] = 1 << _bit
+
+
+def mask_edges(mask: int) -> tuple[tuple[int, int], ...]:
+    """The slot pairs of an edge mask, sorted."""
+    return tuple(pair for bit, pair in enumerate(PAIRS) if mask >> bit & 1)
+
+
+def _mask_class(n: int, mask: int) -> int:
+    try:
+        return CLASS_INDEX[classify_graph(n, mask_edges(mask))]
+    except ValueError:  # n outside 2..4, or the mask touches more than n slots
+        return -1
+
+
+# classify_graph of every (node count, edge mask) as a CLASS_INDEX; -1 where
+# it raises.
+MASK_CLASS = np.array([[_mask_class(n, m) for m in range(64)] for n in range(5)], dtype=np.int8)
+# Position of each mask's sorted edge tuple among all 64: sorting instances of
+# one class and node set by it sorts them by their edges.
+EDGE_RANK = np.empty(64, dtype=np.uint8)
+EDGE_RANK[sorted(range(64), key=mask_edges)] = np.arange(64)
+OTHER = CLASS_INDEX[MotifClass.OTHER]
+
+# One OTHER instance-day: (day, sorted node names, sorted edge name pairs, device_count).
+OtherRow = tuple[int, tuple[str, ...], tuple[tuple[str, str], ...], int]
+
 
 @dataclass
 class ClassStats:
@@ -306,78 +334,126 @@ class MotifCensus:
     device_unit: str | None = "device-days"
 
 
-@dataclass
-class InstanceRecord:
-    device_count: int = 0
-    weekday_count: int = 0
-    weekend_count: int = 0
+def group_starts(*columns: np.ndarray) -> np.ndarray:
+    """Indices of the rows whose columns differ from the row before (row 0 included)."""
+    new = np.zeros(len(columns[0]), dtype=bool)
+    new[:1] = True
+    for column in columns:
+        diff = column[1:] != column[:-1]
+        new[1:] |= diff.any(axis=1) if diff.ndim > 1 else diff
+    return np.flatnonzero(new)
 
 
-def is_weekend(day: dt.date) -> bool:
-    return day.weekday() >= 5
+def _instance_order(cls: np.ndarray, nodes: np.ndarray, mask: np.ndarray, *major) -> np.ndarray:
+    """The lexsort of rows by the major keys, then class, node codes and edges."""
+    return np.lexsort((EDGE_RANK[mask], *nodes.T[::-1], cls, *major[::-1]))
 
 
-InstanceRow = tuple[dt.date, MotifInstance, int]
+@dataclass(eq=False)
+class Instances:
+    """Motif instances as columns, one entry per instance.
 
-
-def aggregate_instances(rows: Iterable[InstanceRow]) -> dict[MotifInstance, InstanceRecord]:
-    """Sum (local_date, instance, device_count) rows per instance.
-
-    The only tally of device, weekday and weekend counts; instances come
-    out in order of their first row.
+    Instance i is class INDEX_CLASS[cls[i]] on the POI codes nodes[i] (its
+    sorted node slots, -1 beyond the class size) with the slot pairs of
+    mask[i] as edges. count[i] device-days cover it, weekend[i] of them on a
+    Saturday or Sunday.
     """
-    agg: dict[MotifInstance, InstanceRecord] = {}
-    for day, inst, count in rows:
-        rec = agg.get(inst)
-        if rec is None:
-            rec = agg[inst] = InstanceRecord()
-        rec.device_count += count
-        if is_weekend(day):
-            rec.weekend_count += count
-        else:
-            rec.weekday_count += count
-    return agg
+
+    cls: np.ndarray
+    nodes: np.ndarray
+    mask: np.ndarray
+    count: np.ndarray
+    weekend: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.cls)
+
+    def take(self, rows) -> Instances:
+        return Instances(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per instance and slot pair in bit order: whether it is an edge, and its two POI codes."""
+        has = (self.mask[:, None] >> np.arange(len(PAIRS)) & 1).astype(bool)
+        return has, self.nodes[:, [a for a, _ in PAIRS]], self.nodes[:, [b for _, b in PAIRS]]
+
+
+@dataclass(eq=False)
+class InstanceRows:
+    """The motif-instance table: one row per distinct instance seen on a day.
+
+    Row i is the instance table[i], counted on day[i] (days after
+    1970-01-01) only; its codes index the names pois, and code order is name
+    order. Rows are sorted by (day, class, node codes, edges), the order
+    instances.csv is written in. instances holds the distinct instances in
+    that order without the day, counts summed over days, and of_row[i] is the
+    index of row i's instance there. Class OTHER instances (every walk over
+    five or more POIs) are kept apart as OtherRow tuples in `other`, sorted
+    the same way: they are only written and counted.
+    """
+
+    pois: list[str]
+    day: np.ndarray
+    table: Instances
+    instances: Instances
+    of_row: np.ndarray
+    other: list[OtherRow]
+
+    def __len__(self) -> int:
+        return len(self.day) + len(self.other)
+
+    @classmethod
+    def tally(cls, pois, day, classes, nodes, mask, count, other: Iterable[OtherRow]) -> InstanceRows:
+        """The table of unsorted rows; rows of one instance on one day are summed."""
+        order = _instance_order(classes, nodes, mask, day)
+        day, classes, nodes, mask = day[order], classes[order], nodes[order], mask[order]
+        start = group_starts(day, classes, nodes, mask)
+        count, day = np.add.reduceat(count[order], start), day[start]
+        weekend = np.where((day + 3) % 7 >= 5, count, 0)  # day 0 was a Thursday
+        table = Instances(classes[start], nodes[start], mask[start], count, weekend)
+        order = _instance_order(table.cls, table.nodes, table.mask)
+        start = group_starts(table.cls[order], table.nodes[order], table.mask[order])
+        of_row = np.empty(len(order), dtype=np.int64)
+        of_row[order] = np.repeat(np.arange(len(start)), np.diff(np.append(start, len(order))))
+        instances = table.take(order[start])
+        instances.count, instances.weekend = (
+            np.add.reduceat(column[order], start) for column in (table.count, table.weekend)
+        )
+        others: Counter = Counter()
+        for d, n, e, c in other:
+            others[d, n, e] += c
+        return cls(pois, day, table, instances, of_row, sorted((*k, c) for k, c in others.items()))
+
+    def days(self) -> list[int]:
+        """Every day with a row, OTHER rows included, in increasing order."""
+        return sorted(set(self.day.tolist()) | {row[0] for row in self.other})
 
 
 @dataclass
 class TrajectoryCensus:
-    """The instance table of a set of device-day walks.
+    """The instance rows of a set of device-day walks and the walks' totals.
 
-    rows holds one (local_date, instance, device_count) per distinct
-    instance seen on a day, every walk over more than four POIs included
-    (class OTHER, which contributes to the global totals only); instances
-    is their per-instance tally. total_flows counts every step of every
-    walk, repeats included, matching the total weight of the
-    consecutive-mode network built from the same sequences; the rows
-    cannot recover it, since they keep only distinct edges.
+    total_flows counts every step of every walk, repeats included, matching
+    the total weight of the consecutive-mode network built from the same
+    sequences; the rows cannot recover it, since they keep only distinct
+    edges.
     """
 
-    rows: list[InstanceRow] = field(default_factory=list)
-    total_device_days: int = 0
-    total_flows: int = 0
-
-    @cached_property
-    def instances(self) -> dict[MotifInstance, InstanceRecord]:
-        return aggregate_instances(self.rows)
-
-    @property
-    def total_instances(self) -> int:
-        return len(self.instances)
+    rows: InstanceRows
+    total_device_days: int
+    total_flows: int
 
     def census(self) -> MotifCensus:
-        classes = {c: ClassStats(motif_count=0, device_count=0, flow_count=0) for c in CLASS_ORDER}
-        for inst, rec in self.instances.items():
-            cls = inst.motif_class
-            if cls is MotifClass.OTHER:
-                continue
-            stats = classes[cls]
-            stats.motif_count += 1
-            stats.device_count += rec.device_count
-        for cls, stats in classes.items():
-            stats.flow_count = stats.device_count * cls.edge_count
+        inst = self.rows.instances
+        classes = {}
+        for i, cls in enumerate(CLASS_ORDER):
+            devices = int(inst.count[inst.cls == i].sum())
+            classes[cls] = ClassStats(
+                int((inst.cls == i).sum()), devices, devices * cls.edge_count
+            )
+        others = {(nodes, edges) for _, nodes, edges, _ in self.rows.other}
         return MotifCensus(
             classes=classes,
-            total_motifs=self.total_instances,
+            total_motifs=len(inst) + len(others),
             total_devices=self.total_device_days,
             total_flows=self.total_flows,
             mode="trajectory",
@@ -385,16 +461,40 @@ class TrajectoryCensus:
 
 
 def classify_trajectories(sequences: SequenceTable) -> TrajectoryCensus:
-    """Classify every device-day walk into the (local_date, instance) table."""
-    tally: Counter[tuple[dt.date, MotifInstance]] = Counter()
-    for _, day, stays in sequences.walks():
-        tally[day, trajectory_instance(stays)] += 1
-    flows = len(sequences.stays) - len(sequences)
-    return TrajectoryCensus(
-        rows=[(day, inst, count) for (day, inst), count in tally.items()],
-        total_device_days=sum(tally.values()),
-        total_flows=flows,
+    """Classify every device-day walk into the instance table.
+
+    A walk's node slots are its distinct POI codes, sorted; its steps set the
+    bits of an edge mask over those slots, and MASK_CLASS names its class.
+    Walks over five or more distinct POIs are class OTHER.
+    """
+    n_walks, n_pois, offsets = len(sequences), max(len(sequences.pois), 1), sequences.offsets
+    walk = np.repeat(np.arange(n_walks), np.diff(offsets))
+    distinct, stay_distinct = np.unique(walk * n_pois + sequences.stays, return_inverse=True)
+    distinct_walk = distinct // n_pois
+    first = np.searchsorted(distinct_walk, np.arange(n_walks))
+    n_nodes = np.diff(np.append(first, len(distinct)))
+    slot = np.arange(len(distinct)) - first[distinct_walk]
+    step = walk[:-1] == walk[1:]  # two stays of one walk
+    if (stay_distinct[:-1] == stay_distinct[1:])[step].any():
+        raise ValueError("a walk repeats a stay consecutively; collapse sequences in ingest first")
+    stay_slot = np.minimum(slot[stay_distinct], 3)  # OTHER walks use no slot
+    steps = PAIR_BIT[stay_slot[:-1], stay_slot[1:]][step]
+    mask = np.bitwise_or.reduceat(steps, offsets[:-1] - np.arange(n_walks))
+    small = n_nodes <= 4
+    nodes = np.full((n_walks, 4), -1, dtype=np.int32)
+    kept = small[distinct_walk]
+    nodes[distinct_walk[kept], slot[kept]] = distinct[kept] % n_pois
+    other = []
+    for i in np.flatnonzero(~small).tolist():
+        stays = [sequences.pois[p] for p in sequences.stays[offsets[i] : offsets[i + 1]].tolist()]
+        edges = tuple(sorted({edge_key(a, b) for a, b in zip(stays, stays[1:])}))
+        other.append((int(sequences.day[i]), tuple(sorted(set(stays))), edges, 1))
+    mask = mask[small]
+    rows = InstanceRows.tally(
+        sequences.pois, sequences.day[small], MASK_CLASS[n_nodes[small], mask], nodes[small],
+        mask, np.ones(len(mask), dtype=np.int64), other,
     )
+    return TrajectoryCensus(rows, n_walks, len(sequences.stays) - n_walks)
 
 
 def census_percentages(census: MotifCensus) -> MotifCensus:

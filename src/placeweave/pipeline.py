@@ -16,18 +16,20 @@ import csv
 import datetime as dt
 import json
 import logging
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, attributes, ingest, metrics, motifs, refnets, stats, synth
 from .config import RunConfig
 from .errors import InvariantError, SchemaError
-from .motifs import CLASS_ORDER, InstanceRow, aggregate_instances, instance_order
+from .motifs import CLASS_ORDER, INDEX_CLASS
 from .network import (
     PlaceNetwork,
+    edge_key,
     build_network,
     merge_networks,
     read_network,
@@ -190,40 +192,82 @@ def stage_refnet(kind: str, n: int, avg_degree: float, seed: int, out_file: str 
 # -- motif census -------------------------------------------------------------
 
 
-def write_instances_csv(rows: list[InstanceRow], path: str | Path) -> None:
-    """Rows are (local_date, instance, device_count), one per instance-day."""
+def write_instances_csv(rows: motifs.InstanceRows, path: str | Path) -> None:
+    """One line per row, in the table's order: local_date, motif_class,
+    nodes ('|'-joined), edges (';'-joined 'a|b' pairs) and device_count."""
+    dates = {day: ingest.day_date(day).isoformat() for day in rows.days()}
+    edges_of = [motifs.mask_edges(mask) for mask in range(64)]
+    lines = []
+    table = rows.table
+    for day, cls, nodes, mask, count in zip(
+        rows.day.tolist(), table.cls.tolist(), table.nodes.tolist(), table.mask.tolist(),
+        table.count.tolist(),
+    ):
+        names = [rows.pois[v] for v in nodes if v >= 0]
+        edges = ";".join(f"{names[a]}|{names[b]}" for a, b in edges_of[mask])
+        lines.append((day, f"{dates[day]},{INDEX_CLASS[cls]},{'|'.join(names)},{edges},{count}\n"))
+    for day, names, pairs, count in rows.other:
+        edges = ";".join(f"{a}|{b}" for a, b in pairs)
+        lines.append((day, f"{dates[day]},OTHER,{'|'.join(names)},{edges},{count}\n"))
+    lines.sort(key=lambda line: line[0])  # stable: each day's OTHER rows stay last
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("local_date,motif_class,nodes,edges,device_count\n")
-        for day, inst, count in sorted(rows, key=lambda r: (r[0], instance_order(r[1]))):
-            nodes = "|".join(inst.nodes)
-            edges = ";".join(f"{a}|{b}" for a, b in inst.edges)
-            fh.write(f"{day.isoformat()},{inst.motif_class.value},{nodes},{edges},{count}\n")
+        fh.writelines(text for _, text in lines)
 
 
-def read_instances_csv(path: str | Path) -> list[InstanceRow]:
-    rows = []
+def read_instances_csv(path: str | Path) -> motifs.InstanceRows:
+    """The instance table of an instances.csv file.
+
+    Each row must name its nodes, edges between two distinct of them, a
+    device_count of at least 1 and the class its graph has; a row that does
+    not raises SchemaError naming the file and line.
+    """
+    rows: list[tuple[int, int, list[str], int, int]] = []
+    other: list[motifs.OtherRow] = []
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         expected = {"local_date", "motif_class", "nodes", "edges", "device_count"}
         if reader.fieldnames is None or expected - set(reader.fieldnames):
             raise SchemaError(f"{path}: missing instance columns")
         for row in reader:
+            where = f"{path}:{reader.line_num}"
             try:
-                day = dt.date.fromisoformat(row["local_date"])
+                day = (dt.date.fromisoformat(row["local_date"]) - ingest.EPOCH).days
+                names = sorted(set(row["nodes"].split("|")))
                 edges = []
                 for pair in row["edges"].split(";"):
                     a, b = pair.split("|")
                     edges.append((a, b))
                 count = int(row["device_count"])
-            except (ValueError, TypeError) as exc:
-                raise SchemaError(f"{path}:{reader.line_num}: bad instance row: {exc}") from None
-            inst = motifs.instance_from_edges(row["nodes"].split("|"), edges)
-            if inst.motif_class.value != row["motif_class"]:
+            except (ValueError, TypeError, AttributeError) as exc:
+                raise SchemaError(f"{where}: bad instance row: {exc}") from None
+            slot = {v: i for i, v in enumerate(names)}
+            for a, b in edges:
+                if a == b or a not in slot or b not in slot:
+                    problem = "is a self-loop" if a == b else "has an endpoint outside nodes"
+                    raise SchemaError(f"{where}: edge {a}|{b} {problem}")
+            if count < 1:
+                raise SchemaError(f"{where}: device_count {count} is below 1")
+            cls, mask = motifs.OTHER, 0
+            if len(names) <= 4:
+                mask = sum({int(motifs.PAIR_BIT[slot[a], slot[b]]) for a, b in edges})
+                cls = int(motifs.MASK_CLASS[len(names), mask])
+            if INDEX_CLASS[cls].value != row["motif_class"]:
                 raise SchemaError(
-                    f"{path}: row classifies as {inst.motif_class} but claims {row['motif_class']}"
+                    f"{where}: row classifies as {INDEX_CLASS[cls]} but claims {row['motif_class']}"
                 )
-            rows.append((day, inst, count))
-    return rows
+            if cls == motifs.OTHER:
+                pairs = tuple(sorted({edge_key(a, b) for a, b in edges}))
+                other.append((day, tuple(names), pairs, count))
+            else:
+                rows.append((day, cls, names, mask, count))
+    pois = sorted({v for _, _, names, _, _ in rows for v in names})
+    code = {v: i for i, v in enumerate(pois)}
+    nodes = [[code[v] for v in names] + [-1] * (4 - len(names)) for _, _, names, _, _ in rows]
+    columns = np.array([(d, c, m, n) for d, c, _, m, n in rows], dtype=np.int64).reshape(-1, 4)
+    day, cls, mask, count = columns.T
+    nodes = np.array(nodes, dtype=np.int32).reshape(-1, 4)
+    return motifs.InstanceRows.tally(pois, day, cls, nodes, mask, count, other)
 
 
 def write_census_csv(census: motifs.MotifCensus, path: str | Path, min_count: int = 1) -> None:
@@ -255,42 +299,41 @@ def write_census_csv(census: motifs.MotifCensus, path: str | Path, min_count: in
 
 @dataclass
 class InstanceTable:
-    """Motif-instance rows, their per-instance tally and the POI catalog.
+    """Motif-instance rows and the POI catalog.
 
-    distances and keys are computed on first use and then shared, so each
-    instance's distance and canonical key, and each weighting's
-    whole-period distance table, is computed once per run.
+    distances and keys, one entry per instance in rows.instances, are
+    computed on first use and then shared, as is each weighting's
+    whole-period distance table, so each is computed once per run.
     """
 
-    rows: list[InstanceRow]
-    aggregate: dict[motifs.MotifInstance, motifs.InstanceRecord]
+    rows: motifs.InstanceRows
     catalog: ingest.PoiCatalog
     _distance_tables: dict[str, stats.DistanceTable] = field(
         default_factory=dict, init=False, repr=False
     )
 
     @cached_property
-    def distances(self) -> dict[motifs.MotifInstance, float]:
-        return stats.instance_distances(self.aggregate, self.catalog)
+    def distances(self) -> np.ndarray:
+        return stats.instance_distances(self.rows, self.catalog)
 
     @cached_property
-    def keys(self) -> dict[motifs.MotifInstance, attributes.AttributedMotifKey]:
-        return attributes.canonical_keys(self.aggregate, self.catalog)
+    def keys(self) -> np.ndarray:
+        return attributes.canonical_keys(self.rows, self.catalog)
 
     def distance_table(self, weighting: str) -> stats.DistanceTable:
         """The whole-period per-class distance table under one weighting."""
         if weighting not in self._distance_tables:
             self._distance_tables[weighting] = stats.class_avg_distance(
-                self.aggregate, self.distances, weighting
+                self.rows.instances, self.distances, weighting
             )
         return self._distance_tables[weighting]
 
 
 def load_instance_table(instances_path: str | Path, pois_path: str | Path) -> InstanceTable:
     rows = read_instances_csv(instances_path)
-    if not rows:
+    if not len(rows):
         raise SchemaError(f"no instances in {instances_path}")
-    return InstanceTable(rows, aggregate_instances(rows), ingest.load_poi_catalog(pois_path))
+    return InstanceTable(rows, ingest.load_poi_catalog(pois_path))
 
 
 def load_motifs_inputs(
@@ -345,7 +388,7 @@ def stage_motifs(
                 f"network built from the same sequences has total weight {flow_weight}"
             )
         if catalog is not None:
-            instances = InstanceTable(traj.rows, traj.instances, catalog)
+            instances = InstanceTable(traj.rows, catalog)
 
     if mode == "trajectory":
         if traj is None:
@@ -372,7 +415,7 @@ def stage_motifs(
 
 def stage_attributed(instances: InstanceTable, top_k: int, out_dir: str | Path) -> None:
     out = _ensure_dir(out_dir)
-    ranked = attributes.attributed_census(instances.aggregate, instances.keys, top_k=top_k)
+    ranked = attributes.attributed_census(instances.rows, instances.keys, top_k=top_k)
     with open(out / "attributed_census.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["class", "labels", "label_names", "device_count", "share", "same_category"])
@@ -391,12 +434,7 @@ def stage_attributed(instances: InstanceTable, top_k: int, out_dir: str | Path) 
                         "yes" if entry.same_category else "no",
                     ]
                 )
-    # every edge of an instance is one flow per covering device-day
-    endpoints: Counter[str] = Counter()
-    for inst, rec in instances.aggregate.items():
-        for a, b in inst.edges:
-            endpoints[a] += rec.device_count
-            endpoints[b] += rec.device_count
+    endpoints = attributes.endpoint_counts(instances.rows)
     unresolved_total = 0
     for digits in (2, 4):
         ranked_cats, unresolved = attributes.category_frequency(
@@ -453,18 +491,11 @@ def stage_series(
 ) -> dict:
     out = _ensure_dir(out_dir)
     weighting = config.distance_weighting
-    agg_all, distances = instances.aggregate, instances.distances
-    by_date: dict[dt.date, list[InstanceRow]] = {}
-    for row in instances.rows:
-        by_date.setdefault(row[0], []).append(row)
+    rows, distances = instances.rows, instances.distances
 
     series_files: list[str] = []
-    if len(by_date) >= 2:
-        counts, dists = stats.daily_census_series(
-            ((day, aggregate_instances(by_date[day])) for day in sorted(by_date)),
-            distances,
-            weighting,
-        )
+    if len(rows.days()) >= 2:
+        counts, dists = stats.daily_census_series(rows, distances, weighting)
         for cls in CLASS_ORDER:
             count_series = counts[cls]
             name = f"counts_{cls.value}.csv"
@@ -499,11 +530,13 @@ def stage_series(
                 ("weekend", split.weekend_km),
             ):
                 fh.write(f"{cls.value},{split_name},{_fmt(km)}\n")
+    # per attributed key, its instances in instance order
+    by_key = np.argsort(instances.keys, kind="stable")
     attr_table = stats.class_avg_distance(
-        agg_all, distances, weighting=weighting, key_fn=instances.keys.__getitem__
+        rows.instances.take(by_key), distances[by_key], weighting, groups=instances.keys[by_key]
     )
     top_rows = sorted(
-        attr_table.items(),
+        ((attributes.attributed_key(key), split) for key, split in attr_table.items()),
         key=lambda kv: (-(kv[1].total_km or 0.0), kv[0].motif_class.value, kv[0].labels),
     )[:top_distance]
     with open(out / "attributed_distance.csv", "w", encoding="utf-8", newline="") as fh:

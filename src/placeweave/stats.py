@@ -1,7 +1,12 @@
 """Motif distances, weekday/weekend aggregates, temporal series, reports.
 
 A motif's spatial extent is the mean great-circle length of its edges.
-Percentage-change series follow a weekly pattern: weekday points chain
+Over the instance table, the scalar haversine runs once per distinct
+instance edge; each instance's edge lengths are gathered into columns in
+sorted edge order and added left to right. Every class table (per day,
+whole period, per attributed key) sums km * weight per group with
+np.cumsum in instance order, so its floats equal a left-to-right scalar
+loop over the instances. Percentage-change series follow a weekly pattern: weekday points chain
 against the previous weekday, weekend points against the previous
 weekend, so the two rhythms stay separated.
 """
@@ -12,20 +17,20 @@ import datetime as dt
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 import jsonschema
+import numpy as np
 
 from .errors import MissingPoiError, SchemaError
-from .ingest import PoiCatalog
+from .ingest import PoiCatalog, day_date
 from .motifs import (
     CLASS_ORDER,
-    InstanceRecord,
+    INDEX_CLASS,
+    Instances,
+    InstanceRows,
     MotifCensus,
     MotifClass,
-    MotifInstance,
-    instance_order,
-    is_weekend,
+    group_starts,
 )
 
 # IUGG mean Earth radius; pinned so distance tests are bit-exact.
@@ -49,20 +54,6 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(a)))
 
 
-def motif_avg_distance(instance: MotifInstance, catalog: PoiCatalog) -> float:
-    """Sum of edge great-circle lengths divided by the edge count."""
-    if not instance.edges:
-        raise ValueError("instance has no edges")
-    total = 0.0
-    for a, b in instance.edges:
-        ra, rb = catalog.get(a), catalog.get(b)
-        if ra is None or rb is None:
-            missing = a if ra is None else b
-            raise MissingPoiError(f"poi_id {missing!r} has no coordinates in the catalog")
-        total += haversine_km(ra.lat, ra.lon, rb.lat, rb.lon)
-    return total / len(instance.edges)
-
-
 @dataclass
 class DistanceSplit:
     total_km: float | None
@@ -73,62 +64,67 @@ class DistanceSplit:
 DistanceTable = dict  # key (MotifClass or AttributedMotifKey) -> DistanceSplit
 
 
-def instance_distances(
-    instances: Iterable[MotifInstance], catalog: PoiCatalog
-) -> dict[MotifInstance, float]:
-    """motif_avg_distance of every non-OTHER instance, computed once.
+def instance_distances(rows: InstanceRows, catalog: PoiCatalog) -> np.ndarray:
+    """The motif distance of each of rows.instances: its mean edge length in km.
 
-    One mapping serves every class_avg_distance call over these instances
-    or any subset of them, however they are grouped or split by day.
+    haversine_km runs once per distinct instance edge (numpy's vectorized
+    sin and cos may differ from libm in the last bit). Each instance's edge
+    lengths are added left to right in sorted edge order, then divided by
+    its edge count, as a scalar loop over its edges would.
     """
-    return {
-        inst: motif_avg_distance(inst, catalog)
-        for inst in instances
-        if inst.motif_class is not MotifClass.OTHER
-    }
+    has, a, b = rows.instances.edges()
+    n = len(rows.pois)
+    edges, which = np.unique(a[has].astype(np.int64) * n + b[has], return_inverse=True)
+    ends = np.stack([edges // n, edges % n], axis=1)
+    coords = {}
+    for code in np.unique(ends).tolist():
+        rec = catalog.get(rows.pois[code])
+        if rec is None:
+            raise MissingPoiError(f"poi_id {rows.pois[code]!r} has no coordinates in the catalog")
+        coords[code] = (rec.lat, rec.lon)
+    lengths = [haversine_km(*coords[u], *coords[v]) for u, v in ends.tolist()]
+    ids = np.full(has.shape, len(lengths))  # the 0.0 appended below: no edge
+    ids[has] = which
+    km = np.array(lengths + [0.0], dtype=np.float64)[ids]
+    total = km[:, 0].copy()
+    for column in range(1, km.shape[1]):
+        total += km[:, column]
+    return total / has.sum(axis=1)
 
 
 def class_avg_distance(
-    instances: Mapping[MotifInstance, InstanceRecord],
-    distances: Mapping[MotifInstance, float],
-    weighting: str = "devices",
-    key_fn=None,
+    instances: Instances, km: np.ndarray, weighting: str = "devices", groups=None
 ) -> DistanceTable:
     """Average motif distance per class, split by day type.
 
-    distances maps each non-OTHER instance to its motif_avg_distance (see
-    instance_distances). With devices weighting each instance counts once
-    per covering device-day; instances weighting counts each distinct
-    instance once (day-type splits then use presence on that day type).
-    key_fn can remap instances to other grouping keys, e.g. attributed
-    motif keys; OTHER instances are always skipped.
+    km holds the motif distance of each instance (see instance_distances).
+    With devices weighting each instance counts once per covering
+    device-day; instances weighting counts each distinct instance once
+    (day-type splits then use presence on that day type). groups, one
+    integer per instance, replaces the class as the grouping key and as the
+    table's key. The instances are taken in their order, and each group's
+    must be contiguous: each weighted sum is a np.cumsum, which adds left to
+    right (np.sum adds pairwise, so its last bits would depend on the count).
     """
     if weighting not in WEIGHTING_MODES:
         raise ValueError(f"weighting must be one of {WEIGHTING_MODES}")
-    if not instances:
-        raise ValueError("no instances to measure")
-    sums: dict = {}
-    # fixed accumulation order so float sums never depend on dict history
-    for inst in sorted(instances, key=instance_order):
-        if inst.motif_class is MotifClass.OTHER:
-            continue
-        rec = instances[inst]
-        key = inst.motif_class if key_fn is None else key_fn(inst)
-        km = distances[inst]
-        if weighting == "devices":
-            weights = (rec.device_count, rec.weekday_count, rec.weekend_count)
-        else:
-            weights = (1, min(rec.weekday_count, 1), min(rec.weekend_count, 1))
-        acc = sums.setdefault(key, [0.0, 0, 0.0, 0, 0.0, 0])
-        for slot, w in enumerate(weights):
-            acc[2 * slot] += km * w
-            acc[2 * slot + 1] += w
+    weekday = instances.count - instances.weekend
+    weights = np.stack([instances.count, weekday, instances.weekend], axis=1)
+    if weighting == "instances":
+        weights = np.minimum(weights, 1)
+    keys = instances.cls if groups is None else groups
+    start = group_starts(keys)
+    weighted = km[:, None] * weights
     table: DistanceTable = {}
-    for key, (t_km, t_w, wd_km, wd_w, we_km, we_w) in sums.items():
-        table[key] = DistanceSplit(
-            total_km=t_km / t_w if t_w else None,
-            weekday_km=wd_km / wd_w if wd_w else None,
-            weekend_km=we_km / we_w if we_w else None,
+    for key, lo, hi, totals in zip(
+        keys[start].tolist(),
+        start.tolist(),
+        np.append(start[1:], len(keys)).tolist(),
+        np.add.reduceat(weights, start).tolist(),
+    ):
+        sums = np.cumsum(weighted[lo:hi], axis=0)[-1].tolist()
+        table[INDEX_CLASS[key] if groups is None else key] = DistanceSplit(
+            *(total_km / w if w else None for total_km, w in zip(sums, totals))
         )
     return table
 
@@ -155,40 +151,36 @@ DailySeries = list  # list[SeriesPoint], dates strictly increasing
 
 
 def day_type(day: dt.date) -> str:
-    return "weekend" if is_weekend(day) else "weekday"
+    return "weekend" if day.weekday() >= 5 else "weekday"
 
 
 def daily_census_series(
-    days: Iterable[tuple[dt.date, Mapping[MotifInstance, InstanceRecord]]],
-    distances: Mapping[MotifInstance, float],
-    weighting: str,
+    rows: InstanceRows, km: np.ndarray, weighting: str
 ) -> tuple[dict[MotifClass, DailySeries], dict[MotifClass, DailySeries]]:
     """Per-class daily series of motif counts and of average distances.
 
-    days yields (date, that day's instance tally) in increasing date order,
-    so a caller can build one day's tally at a time; distances and
-    weighting are as in class_avg_distance. Count series carry a point for
-    every day (zero when the class is absent); distance series only carry
-    days where a distance exists, so calendar gaps are preserved rather
-    than filled.
+    km is the motif distance of each of rows.instances; each day's table
+    counts that day's rows as class_avg_distance counts instances under
+    weighting. Count series carry a point for every day with a row (zero
+    when the class is absent); distance series only carry days where a
+    distance exists, so calendar gaps are preserved rather than filled.
     """
+    days = rows.days()
+    if len(days) < 2:
+        raise ValueError("need at least 2 days of instances")
+    day_class = rows.day * len(INDEX_CLASS) + rows.table.cls  # rows sort by day, then class
+    table = class_avg_distance(rows.table, km[rows.of_row], weighting, groups=day_class)
+    per_day = Counter(day_class.tolist())
     counts: dict[MotifClass, DailySeries] = {c: [] for c in CLASS_ORDER}
     dists: dict[MotifClass, DailySeries] = {c: [] for c in CLASS_ORDER}
-    seen: list[dt.date] = []
-    for day, instances in days:
-        if seen and day <= seen[-1]:
-            raise ValueError(f"days out of order: {day} after {seen[-1]}")
-        seen.append(day)
-        kind = day_type(day)
-        per_class = Counter(inst.motif_class for inst in instances)
-        table = class_avg_distance(instances, distances, weighting=weighting)
-        for cls in CLASS_ORDER:
-            counts[cls].append(SeriesPoint(day, float(per_class[cls]), kind))
-            split = table.get(cls)
+    for day in days:
+        date = day_date(day)
+        for i, cls in enumerate(CLASS_ORDER):
+            key = day * len(INDEX_CLASS) + i
+            counts[cls].append(SeriesPoint(date, float(per_day[key]), day_type(date)))
+            split = table.get(key)
             if split is not None and split.total_km is not None:
-                dists[cls].append(SeriesPoint(day, split.total_km, kind))
-    if len(seen) < 2:
-        raise ValueError("need at least 2 days of instances")
+                dists[cls].append(SeriesPoint(date, split.total_km, day_type(date)))
     return counts, dists
 
 

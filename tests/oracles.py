@@ -362,3 +362,72 @@ def attributed_census(instances, keys, top_k=10) -> dict:
         ranked = sorted(bucket.items(), key=lambda item: (-item[1], item[0].labels))
         result[cls] = [(key, count, count / total) for key, count in ranked[:top_k]]
     return result
+
+
+# -- reading the columnar instance table back as objects ---------------------
+
+# The documented bit order of an instance's edge mask over its node slots.
+SLOT_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def decode_instance(pois, cls: int, nodes, mask: int):
+    """The MotifInstance of one table entry (class index, node codes, edge mask)."""
+    from placeweave.motifs import INDEX_CLASS, MotifInstance
+
+    names = tuple(pois[v] for v in nodes if v >= 0)
+    edges = tuple(
+        (names[a], names[b]) for bit, (a, b) in enumerate(SLOT_PAIRS) if mask >> bit & 1
+    )
+    return MotifInstance(names, edges, INDEX_CLASS[cls])
+
+
+def table_rows(rows) -> list:
+    """(local_date, MotifInstance, device_count) of every row, OTHER rows included."""
+    from placeweave.motifs import MotifInstance
+
+    epoch = dt.date(1970, 1, 1)
+    out = [
+        (epoch + dt.timedelta(days=day), decode_instance(rows.pois, cls, nodes, mask), count)
+        for day, cls, nodes, mask, count in zip(
+            rows.day.tolist(), rows.table.cls.tolist(), rows.table.nodes.tolist(),
+            rows.table.mask.tolist(), rows.table.count.tolist(),
+        )
+    ]
+    out += [
+        (epoch + dt.timedelta(days=day), MotifInstance(nodes, edges, MotifClass.OTHER), count)
+        for day, nodes, edges, count in rows.other
+    ]
+    return out
+
+
+def table_instances(rows) -> dict:
+    """The table's per-instance tally as MotifInstance -> InstanceRecord."""
+    inst = rows.instances
+    return {
+        decode_instance(rows.pois, c, n, m): InstanceRecord(d, d - we, we)
+        for c, n, m, d, we in zip(
+            inst.cls.tolist(), inst.nodes.tolist(), inst.mask.tolist(), inst.count.tolist(),
+            inst.weekend.tolist(),
+        )
+    }
+
+
+def covering_walk(edges) -> list:
+    """A walk that steps along every given edge and no other: each edge out and back, depth first."""
+    adj: dict = {}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    walk = [min(adj)]
+    used: set = set()
+
+    def visit(u):
+        for v in sorted(adj[u]):
+            if frozenset((u, v)) not in used:
+                used.add(frozenset((u, v)))
+                walk.append(v)
+                visit(v)
+                walk.append(u)
+
+    visit(walk[0])
+    return walk

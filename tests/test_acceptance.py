@@ -27,13 +27,17 @@ from oracles import (
     brute_force_classify,
     brute_force_enumerate,
     brute_force_unweighted_clustering,
+    covering_walk,
+    trajectory_instance,
 )
 from placeweave import _fastcount
-from placeweave.attributes import canonical_key
+from placeweave.attributes import attributed_key, canonical_keys
 from placeweave.cli import main as cli_main
 from placeweave.ingest import (
     PoiCatalog,
     PoiRecord,
+    SequenceTable,
+    StaySequence,
     StopTable,
     build_stay_sequences,
     filter_visits,
@@ -54,7 +58,6 @@ from placeweave.motifs import (
     classify_trajectories,
     enumerate_induced,
     instance_from_edges,
-    trajectory_instance,
 )
 from placeweave.network import PlaceNetwork, build_network, csr_adjacency
 from placeweave.refnets import RefNetSpec, gen_random_network, gen_scale_free_network
@@ -291,6 +294,8 @@ def test_criterion_8_attributed_canonicalization():
             edges = [(nodes[a], nodes[b]) for a, b in ref_edges]
             inst = instance_from_edges(nodes, edges)
             assert inst.motif_class is cls
+            walk = StaySequence("d", dt.date(2020, 2, 3), tuple(covering_walk(edges)))
+            rows = classify_trajectories(SequenceTable.from_sequences([walk])).rows
             assignments = list(itertools.product(alphabet, repeat=n))
             keys = {}
             for labels in assignments:
@@ -299,7 +304,8 @@ def test_criterion_8_attributed_canonicalization():
                     PoiRecord(node, node, 0.0, 0.0, prefix[lab] + "00")
                     for node, lab in zip(nodes, labels)
                 )
-                keys[labels] = canonical_key(inst, catalog)
+                [key] = canonical_keys(rows, catalog).tolist()
+                keys[labels] = attributed_key(key)
             for la, lb in itertools.product(assignments, repeat=2):
                 assert (keys[la] == keys[lb]) == attributed_isomorphic(cls, la, lb)
         assert time.perf_counter() - start < 10.0

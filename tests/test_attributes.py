@@ -1,3 +1,4 @@
+import datetime as dt
 import itertools
 from collections import Counter
 
@@ -6,20 +7,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import REFERENCE_GRAPHS, attributed_isomorphic
 from placeweave.attributes import (
     SECTORS,
     AttributedMotifKey,
     attributed_census,
-    canonical_key,
+    attributed_key,
     canonical_keys,
     category_frequency,
+    key_codes,
     sector_by_id,
     to_sector,
 )
 from placeweave.errors import MissingPoiError, UnknownSectorError
-from placeweave.ingest import PoiCatalog, PoiRecord
-from placeweave.motifs import InstanceRecord, MotifClass, instance_from_edges
+from placeweave.ingest import PoiCatalog, PoiRecord, SequenceTable, StaySequence
+from placeweave.motifs import (
+    INDEX_CLASS,
+    MASK_CLASS,
+    MotifClass,
+    MotifInstance,
+    classify_trajectories,
+    instance_from_edges,
+)
+
+MON = dt.date(2020, 2, 3)
 
 ALL_PREFIXES = {
     "11", "21", "22", "23", "31", "32", "33", "42", "44", "45", "48", "49",
@@ -41,6 +53,27 @@ def make_instance(cls: MotifClass, node_names: list[str]):
     inst = instance_from_edges(node_names[:n], edges)
     assert inst.motif_class is cls
     return inst
+
+
+def table_of(device_counts):
+    """The instance rows of device_counts[inst] walks tracing each instance, on one day."""
+    walks = [
+        StaySequence(f"d{i}-{j}", MON, tuple(oracles.covering_walk(inst.edges)))
+        for i, (inst, count) in enumerate(device_counts.items())
+        for j in range(count)
+    ]
+    return classify_trajectories(SequenceTable.from_sequences(walks)).rows
+
+
+def canonical_key(inst, catalog) -> AttributedMotifKey:
+    """The production key of one instance."""
+    [key] = canonical_keys(table_of({inst: 1}), catalog).tolist()
+    return attributed_key(key)
+
+
+def census_of(device_counts, catalog, top_k=10):
+    rows = table_of(device_counts)
+    return attributed_census(rows, canonical_keys(rows, catalog), top_k=top_k)
 
 
 # -- sector mapping -----------------------------------------------------------
@@ -198,6 +231,30 @@ def test_canonical_key_equals_attributed_isomorphism(cls):
         assert same_key == attributed_isomorphic(cls, la, lb), (cls, la, lb)
 
 
+def test_key_table_equals_the_oracle_on_every_connected_mask():
+    """Every connected (node count, edge mask), under every labeling over a
+    3-sector alphabet: the table key is the per-instance canonical key."""
+    checked = 0
+    for n in (2, 3, 4):
+        for mask in range(64):
+            pairs = [pair for bit, pair in enumerate(oracles.SLOT_PAIRS) if mask >> bit & 1]
+            cls = int(MASK_CLASS[n, mask])
+            if any(b >= n for _, b in pairs) or INDEX_CLASS[cls] is MotifClass.OTHER:
+                continue  # not the graph of an instance on n nodes
+            nodes = tuple(f"v{i}" for i in range(n))
+            edges = tuple((nodes[a], nodes[b]) for a, b in pairs)
+            inst = MotifInstance(nodes, edges, INDEX_CLASS[cls])
+            labelings = list(itertools.product(ALPHABET, repeat=n))
+            labels = np.array([labeling + (0,) * (4 - n) for labeling in labelings])
+            keys = key_codes(np.full(len(labels), cls), np.full(len(labels), mask), labels)
+            for labeling, key in zip(labelings, keys.tolist()):
+                want = oracles.canonical_key(inst, catalog_for(dict(zip(nodes, labeling))))
+                assert attributed_key(key) == want, (n, mask, labeling)
+                checked += 1
+    # 1 connected labeled graph on 2 nodes, 4 on 3 and 38 on 4
+    assert checked == 1 * 3**2 + 4 * 3**3 + 38 * 3**4
+
+
 @settings(max_examples=40)
 @given(st.permutations(list(range(4))), st.tuples(*[st.sampled_from(ALPHABET)] * 4))
 def test_canonical_key_invariant_under_node_ids(perm, labels):
@@ -218,8 +275,7 @@ def test_canonical_key_invariant_under_node_ids(perm, labels):
 def test_single_instance_census():
     cat = catalog_for({"x": 7, "y": 18})
     inst = make_instance(MotifClass.M2_1, ["x", "y"])
-    records = {inst: InstanceRecord(device_count=3)}
-    ranked = attributed_census(records, canonical_keys(records, cat))
+    ranked = census_of({inst: 3}, cat)
     [entry] = ranked[MotifClass.M2_1]
     assert entry.share == 1.0
     assert entry.device_count == 3
@@ -229,8 +285,7 @@ def test_single_instance_census():
 def test_same_category_flagged():
     cat = catalog_for({"x": 7, "y": 7})
     inst = make_instance(MotifClass.M2_1, ["x", "y"])
-    records = {inst: InstanceRecord(device_count=1)}
-    [entry] = attributed_census(records, canonical_keys(records, cat))[MotifClass.M2_1]
+    [entry] = census_of({inst: 1}, cat)[MotifClass.M2_1]
     assert entry.same_category
     assert entry.key.labels == (7, 7)
 
@@ -245,9 +300,8 @@ def test_planted_mix_shares_recovered():
     ]
     rng = np.random.default_rng(77)
     counts = rng.multinomial(10_000, [0.5, 0.3, 0.2])
-    records = (InstanceRecord(device_count=int(c)) for c in counts)
-    planted = dict(zip(instances, records))
-    ranked = attributed_census(planted, canonical_keys(planted, cat))
+    planted = dict(zip(instances, counts.tolist()))
+    ranked = census_of(planted, cat)
     shares = {entry.key: entry.share for entry in ranked[MotifClass.M2_1]}
     keys = [canonical_key(inst, cat) for inst in instances]
     for key, target in zip(keys, (0.5, 0.3, 0.2)):
@@ -257,11 +311,11 @@ def test_planted_mix_shares_recovered():
 def test_top_k_and_tie_break():
     cat = catalog_for({"a": 7, "b": 18, "c": 16, "d": 19})
     insts = {
-        make_instance(MotifClass.M2_1, ["a", "b"]): InstanceRecord(device_count=2),
-        make_instance(MotifClass.M2_1, ["a", "c"]): InstanceRecord(device_count=2),
-        make_instance(MotifClass.M2_1, ["a", "d"]): InstanceRecord(device_count=1),
+        make_instance(MotifClass.M2_1, ["a", "b"]): 2,
+        make_instance(MotifClass.M2_1, ["a", "c"]): 2,
+        make_instance(MotifClass.M2_1, ["a", "d"]): 1,
     }
-    ranked = attributed_census(insts, canonical_keys(insts, cat), top_k=2)[MotifClass.M2_1]
+    ranked = census_of(insts, cat, top_k=2)[MotifClass.M2_1]
     assert len(ranked) == 2
     # equal shares tie-break on label sequence
     assert ranked[0].key.labels < ranked[1].key.labels
@@ -269,4 +323,4 @@ def test_top_k_and_tie_break():
 
 def test_empty_census_rejected():
     with pytest.raises(ValueError):
-        attributed_census({}, canonical_keys({}, catalog_for({"a": 7})))
+        census_of({}, catalog_for({"a": 7}))

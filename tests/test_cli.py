@@ -380,16 +380,19 @@ def _write_config(tmp_path, mode):
 
 def test_run_computes_the_whole_period_distance_table_once(synth_dir, tmp_path, monkeypatch):
     real = stats.class_avg_distance
-    whole_period = []
+    calls = []
 
-    def spy(instances, distances, weighting="devices", key_fn=None):
-        if key_fn is None and len(instances) == len(distances):
-            whole_period.append(weighting)
-        return real(instances, distances, weighting, key_fn)
+    def spy(instances, km, weighting="devices", groups=None):
+        if groups is None:
+            calls.append((len(instances), weighting))
+        return real(instances, km, weighting, groups)
 
     monkeypatch.setattr(stats, "class_avg_distance", spy)
     assert main(
         ["run", "--stops", str(synth_dir / "stops.csv"), "--pois", str(synth_dir / "pois.csv"),
          "--out", str(tmp_path / "out")]
     ) == 0
+    census = json.loads((tmp_path / "out" / "census" / "census.json").read_text())
+    every = sum(row["motif_count"] for row in census["classes"])
+    whole_period = [weighting for n, weighting in calls if n == every]
     assert whole_period == ["devices"]

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from placeweave import ingest
+from placeweave.cli import main
 from placeweave.errors import RowError, SchemaError, UnknownSectorError
 from placeweave.ingest import (
     PoiCatalog,
@@ -289,6 +290,36 @@ def test_catalog_rejects_reserved_separator_in_poi_id(tmp_path, poi_id):
     path.write_text(POIS_HEADER + "p0,A,0.0,0.0,44\n" + f"{poi_id},B,0.0,0.0,44\n")
     with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}:3: poi_id 'p.1' contains"):
         load_poi_catalog(path)
+
+
+# A quoted field holding a line break spans two lines; errors name the last.
+@pytest.mark.parametrize("poi_id", ["p\r1", "p\n1"])
+def test_catalog_rejects_line_break_in_poi_id(tmp_path, poi_id):
+    path = tmp_path / "pois.csv"
+    path.write_text(POIS_HEADER + "p0,A,0.0,0.0,44\n" + f'"{poi_id}",B,0.0,0.0,44\n', newline="")
+    where = re.escape(f"{path}:4: poi_id {poi_id!r} contains")
+    with pytest.raises(SchemaError, match=f"^{where}"):
+        load_poi_catalog(path)
+    stops = tmp_path / "stops.csv"
+    stops.write_text(STOPS_HEADER + "d1,p0,0,600\n")
+    assert main(["ingest", "--stops", str(stops), "--pois", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("device_id", ["d\r1", "d\n1"])
+def test_stops_reject_line_break_in_device_id(tmp_path, device_id):
+    path = tmp_path / "stops.csv"
+    rows = [f"d{i},p1,{1580601600 + i},600\n" for i in range(50)]
+    path.write_text(
+        STOPS_HEADER + "".join(rows) + f'"{device_id}",p1,1580601600,600\n', newline=""
+    )
+    where = re.escape(f"{path}:53: device_id {device_id!r} holds a line break")
+    with pytest.raises(SchemaError, match=f"^{where}"):
+        parse_stops(path)
+    pois = tmp_path / "pois.csv"
+    pois.write_text(POIS_HEADER + "p1,A,0.0,0.0,44\n")
+    assert main(["ingest", "--stops", str(path), "--pois", str(pois),
+                 "--out", str(tmp_path / "out")]) == 2
 
 
 # A bare carriage return would end the row: the files' line terminator is "\n".

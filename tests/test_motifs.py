@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_classify, brute_force_enumerate
+import oracles
+from oracles import brute_force_classify, brute_force_enumerate, trajectory_instance
 from placeweave import _fastcount, motifs
 from placeweave.errors import InvariantError
 from placeweave.ingest import SequenceTable, StaySequence
 from placeweave.motifs import (
+    CLASS_INDEX,
     CLASS_ORDER,
+    MASK_CLASS,
     ClassStats,
-    InstanceRecord,
     MotifCensus,
     MotifClass,
     census_percentages,
@@ -22,7 +24,6 @@ from placeweave.motifs import (
     enumerate_induced,
     instance_from_edges,
     iter_induced_instances,
-    trajectory_instance,
 )
 from placeweave.network import PlaceNetwork
 
@@ -303,17 +304,23 @@ def test_flow_identity_holds_for_every_class():
     assert sum(s.device_count for s in census.classes.values()) == census.total_devices
 
 
+@pytest.mark.parametrize("walk", [("a", "a", "b"), ("a", "b", "c", "d", "e", "e")])
+def test_consecutive_repeat_in_a_walk_rejected(walk):
+    with pytest.raises(ValueError, match="repeats a stay"):
+        classify([seq(*walk)])
+
+
 def test_distinct_edge_sets_are_distinct_instances():
     # Same POI set, different traversal graph: a path and a star.
     census = classify(
         [seq("a", "b", "c"), seq("a", "b", "a", "c", device="d2")]
     )
-    assert census.total_instances == 2
+    assert census.census().total_motifs == 2
 
 
 def test_weekday_weekend_split():
     census = classify([seq("a", "b"), seq("a", "b", device="d2", day=SAT)])
-    rec = census.instances[trajectory_instance(("a", "b"))]
+    rec = oracles.table_instances(census.rows)[trajectory_instance(("a", "b"))]
     assert (rec.weekday_count, rec.weekend_count, rec.device_count) == (1, 1, 2)
 
 
@@ -333,17 +340,32 @@ def test_trajectory_rows_tally_like_brute_force(day_walks):
     seqs = [seq(*walk, device=f"d{i}", day=day) for i, (day, walk) in enumerate(day_walks)]
     expected = {}
     for s in seqs:
-        rec = expected.setdefault(trajectory_instance(s.stays), InstanceRecord())
+        rec = expected.setdefault(trajectory_instance(s.stays), oracles.InstanceRecord())
         rec.device_count += 1
         if s.local_date.weekday() >= 5:
             rec.weekend_count += 1
         else:
             rec.weekday_count += 1
     census = classify(seqs)
-    assert census.instances == expected
-    assert sum(count for *_, count in census.rows) == census.total_device_days == len(seqs)
-    assert len({(day, inst) for day, inst, _ in census.rows}) == len(census.rows)
+    rows = oracles.table_rows(census.rows)
+    assert oracles.aggregate_instances(rows) == expected
+    assert oracles.table_instances(census.rows) == {
+        inst: rec for inst, rec in expected.items() if inst.motif_class is not MotifClass.OTHER
+    }
+    assert sum(count for *_, count in rows) == census.total_device_days == len(seqs)
+    assert len({(day, inst) for day, inst, _ in rows}) == len(rows)
     assert census.total_flows == sum(len(s.stays) - 1 for s in seqs)
+
+
+def test_mask_class_table_equals_classify_graph():
+    for n in (2, 3, 4):
+        for mask in range(64):
+            edges = [pair for bit, pair in enumerate(oracles.SLOT_PAIRS) if mask >> bit & 1]
+            try:
+                want = CLASS_INDEX[classify_graph(n, edges)]
+            except ValueError:  # more vertices than n
+                want = -1
+            assert MASK_CLASS[n, mask] == want, (n, mask)
 
 
 pairs = st.lists(

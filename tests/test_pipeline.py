@@ -3,18 +3,21 @@ import json
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from placeweave import ingest
 from placeweave.cli import main
 from placeweave.errors import SchemaError
 from placeweave.ingest import PoiCatalog, PoiRecord, SequenceTable, StaySequence
-from placeweave.motifs import aggregate_instances, instance_from_edges
+from placeweave.motifs import classify_trajectories
 from placeweave.pipeline import (
     InstanceTable,
     load_motifs_inputs,
     read_instances_csv,
     stage_attributed,
     stage_motifs,
+    write_instances_csv,
 )
 
 WORLD = {
@@ -92,7 +95,8 @@ def test_instances_csv_round_trip(data, tmp_path):
         ),
     )
     rows = read_instances_csv(out / "instances.csv")
-    assert sum(count for _, _, count in rows) == TRAFFIC["n_device_days"]
+    counts = rows.table.count.tolist() + [count for *_, count in rows.other]
+    assert sum(counts) == TRAFFIC["n_device_days"]
     # row classes agree with their recomputed instances by construction
     census = json.loads((out / "census.json").read_text())
     assert census["totals"]["device_count"] == TRAFFIC["n_device_days"]
@@ -104,6 +108,59 @@ def test_instances_csv_rejects_garbage(tmp_path):
         bad.write_text(f"local_date,motif_class,nodes,edges,device_count\n{row}\n")
         with pytest.raises(SchemaError, match=f"^{re.escape(str(bad))}:2: "):
             read_instances_csv(bad)
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        ("2020-02-01,M2_1,a|b,a|c,1", "edge a|c has an endpoint outside nodes"),
+        ("2020-02-01,M2_1,a|b,a|a,1", "edge a|a is a self-loop"),
+        ("2020-02-01,M2_1,a|b,a|b,-3", "device_count -3 is below 1"),
+        ("2020-02-01,M3_1,a|b,a|b,1", "row classifies as M2_1 but claims M3_1"),
+    ],
+    ids=["endpoint", "self-loop", "device-count", "class"],
+)
+def test_instances_csv_rejects_inconsistent_rows(tmp_path, row, problem):
+    bad = tmp_path / "instances.csv"
+    bad.write_text(
+        "local_date,motif_class,nodes,edges,device_count\n2020-02-01,M2_1,a|b,a|b,1\n" + row + "\n"
+    )
+    with pytest.raises(SchemaError, match=f"^{re.escape(f'{bad}:3: {problem}')}$"):
+        read_instances_csv(bad)
+
+
+def _no_repeats(stays):
+    return tuple(v for i, v in enumerate(stays) if i == 0 or stays[i - 1] != v)
+
+
+SAT, MON = dt.date(2020, 2, 1), dt.date(2020, 2, 3)
+day_walks = st.lists(
+    st.tuples(
+        st.sampled_from([SAT, dt.date(2020, 2, 2), MON]),
+        st.lists(st.sampled_from(["p1", "p2", "p3", "p4", "p5", "p6"]), min_size=2, max_size=9)
+        .map(_no_repeats)
+        .filter(lambda stays: len(stays) >= 2),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@example([  # two days, an OTHER walk over 5 POIs, one node set with two edge sets
+    (SAT, ("p1", "p2", "p3", "p4", "p5")),
+    (MON, ("p1", "p2", "p3")),
+    (MON, ("p1", "p2", "p1", "p3")),
+    (MON, ("p2", "p1", "p3")),
+])
+@given(day_walks)
+def test_instances_csv_round_trips_bytes(tmp_path_factory, walks):
+    seqs = [StaySequence(f"d{i}", day, stays) for i, (day, stays) in enumerate(walks)]
+    rows = classify_trajectories(SequenceTable.from_sequences(seqs)).rows
+    root = tmp_path_factory.mktemp("instances")
+    write_instances_csv(rows, root / "first.csv")
+    write_instances_csv(read_instances_csv(root / "first.csv"), root / "second.csv")
+    assert (root / "first.csv").read_bytes() == (root / "second.csv").read_bytes()
 
 
 def test_motifs_stage_rejects_unknown_mode(tmp_path):
@@ -142,11 +199,10 @@ def test_category_shares_count_each_flow_per_device_day(tmp_path):
          PoiRecord("f1", "f1", 0.0, 0.0, "7225")]
     )
     day = dt.date(2020, 2, 3)
-    rows = [
-        (day, instance_from_edges(["r1", "f1"], [("r1", "f1")]), 3),
-        (day, instance_from_edges(["r1", "r2"], [("r1", "r2")]), 1),
-    ]
-    stage_attributed(InstanceTable(rows, aggregate_instances(rows), catalog), 10, tmp_path)
+    walks = [StaySequence(f"d{i}", day, ("r1", "f1")) for i in range(3)]
+    walks.append(StaySequence("d3", day, ("r1", "r2")))
+    rows = classify_trajectories(SequenceTable.from_sequences(walks)).rows
+    stage_attributed(InstanceTable(rows, catalog), 10, tmp_path)
     # endpoints: r1 3 + 1, r2 1 (retail 5); f1 3 (food 3)
     assert (tmp_path / "category_freq_2digit.csv").read_text().splitlines() == [
         "rank,label,share",

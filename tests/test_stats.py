@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from placeweave.config import RunConfig
 from placeweave.errors import MissingPoiError, SchemaError
 from placeweave.ingest import PoiCatalog, PoiRecord, SequenceTable, StaySequence
@@ -24,12 +25,13 @@ from placeweave.stats import (
     distance_document,
     haversine_km,
     instance_distances,
-    motif_avg_distance,
     moving_average,
     pct_change_series,
 )
 
 KM_PER_DEGREE = math.pi * EARTH_RADIUS_KM / 180.0
+MON = dt.date(2020, 2, 3)
+SAT = dt.date(2020, 2, 1)
 
 
 def poi(poi_id, lat, lon, naics="4400"):
@@ -88,6 +90,17 @@ def test_haversine_triangle_inequality(p, q, r):
 # -- motif distances ----------------------------------------------------------
 
 
+def classify(seqs):
+    return classify_trajectories(SequenceTable.from_sequences(seqs))
+
+
+def motif_avg_distance(inst, catalog) -> float:
+    """The table's distance of one instance, traced by one walk."""
+    walk = StaySequence("d1", MON, tuple(oracles.covering_walk(inst.edges)))
+    [km] = instance_distances(classify([walk]).rows, catalog).tolist()
+    return km
+
+
 def test_single_edge_distance():
     catalog = PoiCatalog([poi("a", 0.0, 0.0), poi("b", north_of(0.0, 4.0), 0.0)])
     inst = instance_from_edges(["a", "b"], [("a", "b")])
@@ -140,22 +153,14 @@ def test_distance_invariant_under_node_relabeling():
     )
 
 
-MON = dt.date(2020, 2, 3)
-SAT = dt.date(2020, 2, 1)
-
-
-def classify(seqs):
-    return classify_trajectories(SequenceTable.from_sequences(seqs))
-
-
-def _census_instances(seqs):
-    return classify(seqs).instances
+def _census_rows(seqs):
+    return classify(seqs).rows
 
 
 def test_class_avg_distance_single_instance():
     catalog = PoiCatalog([poi("a", 0, 0), poi("b", north_of(0, 3.0), 0)])
-    instances = _census_instances([StaySequence("d1", MON, ("a", "b"))])
-    table = class_avg_distance(instances, instance_distances(instances, catalog))
+    rows = _census_rows([StaySequence("d1", MON, ("a", "b"))])
+    table = class_avg_distance(rows.instances, instance_distances(rows, catalog))
     split = table[MotifClass.M2_1]
     assert split.total_km == pytest.approx(3.0, abs=1e-9)
     assert split.weekday_km == pytest.approx(3.0, abs=1e-9)
@@ -172,14 +177,14 @@ def test_class_avg_distance_device_weighting():
         StaySequence("d3", MON, ("a", "b")),
         StaySequence("d4", SAT, ("a", "c")),
     ]
-    instances = _census_instances(seqs)
-    distances = instance_distances(instances, catalog)
-    by_devices = class_avg_distance(instances, distances, weighting="devices")
+    rows = _census_rows(seqs)
+    distances = instance_distances(rows, catalog)
+    by_devices = class_avg_distance(rows.instances, distances, weighting="devices")
     split = by_devices[MotifClass.M2_1]
     assert split.total_km == pytest.approx((3 * 2.0 + 8.0) / 4, abs=1e-9)
     assert split.weekday_km == pytest.approx(2.0, abs=1e-9)
     assert split.weekend_km == pytest.approx(8.0, abs=1e-9)
-    by_instances = class_avg_distance(instances, distances, weighting="instances")
+    by_instances = class_avg_distance(rows.instances, distances, weighting="instances")
     assert by_instances[MotifClass.M2_1].total_km == pytest.approx(5.0, abs=1e-9)
 
 
@@ -189,8 +194,9 @@ def test_weekday_plus_weekend_counts_cover_total():
         StaySequence("d2", SAT, ("a", "b")),
         StaySequence("d3", dt.date(2020, 2, 9), ("a", "b")),  # Sunday
     ]
-    for rec in _census_instances(seqs).values():
-        assert rec.weekday_count + rec.weekend_count == rec.device_count
+    inst = _census_rows(seqs).instances
+    for weekday, weekend, devices in zip(inst.count - inst.weekend, inst.weekend, inst.count):
+        assert weekday + weekend == devices
 
 
 # -- daily series -------------------------------------------------------------
@@ -201,7 +207,7 @@ SERIES_CATALOG = PoiCatalog(
 )
 
 
-def instances_of(count_by_class, day):
+def walks_of(count_by_class, day):
     seqs = []
     i = 0
     walks = {MotifClass.M2_1: ("a", "b"), MotifClass.M3_2: ("a", "b", "c", "a")}
@@ -209,18 +215,17 @@ def instances_of(count_by_class, day):
         for _ in range(count):
             seqs.append(StaySequence(f"d{i}", day, walks[cls]))
             i += 1
-    return classify(seqs).instances
+    return seqs
 
 
 def series_of(instances_by_day):
-    every = {inst for day_instances in instances_by_day.values() for inst in day_instances}
-    distances = instance_distances(every, SERIES_CATALOG)
-    return daily_census_series(sorted(instances_by_day.items()), distances, "devices")
+    rows = classify([s for seqs in instances_by_day.values() for s in seqs]).rows
+    return daily_census_series(rows, instance_distances(rows, SERIES_CATALOG), "devices")
 
 
 def test_daily_series_constant_counts():
     days = [dt.date(2020, 2, d) for d in (3, 4, 5)]
-    by_day = {day: instances_of({MotifClass.M2_1: 2}, day) for day in days}
+    by_day = {day: walks_of({MotifClass.M2_1: 2}, day) for day in days}
     counts, _ = series_of(by_day)
     assert [p.value for p in counts[MotifClass.M2_1]] == [1.0, 1.0, 1.0]
 
@@ -228,8 +233,8 @@ def test_daily_series_constant_counts():
 def test_weekend_only_class_has_zero_weekday_points():
     sat, mon = dt.date(2020, 2, 1), dt.date(2020, 2, 3)
     by_day = {
-        sat: instances_of({MotifClass.M3_2: 1}, sat),
-        mon: instances_of({MotifClass.M2_1: 1}, mon),
+        sat: walks_of({MotifClass.M3_2: 1}, sat),
+        mon: walks_of({MotifClass.M2_1: 1}, mon),
     }
     counts, _ = series_of(by_day)
     series = counts[MotifClass.M3_2]
@@ -241,7 +246,7 @@ def test_february_2020_window_shape():
     days = [dt.date(2020, 2, 1) + dt.timedelta(days=i) for i in range(28)]
     assert days[0].weekday() == 5
     assert len(days) == 28
-    by_day = {day: instances_of({MotifClass.M2_1: 1}, day) for day in days}
+    by_day = {day: walks_of({MotifClass.M2_1: 1}, day) for day in days}
     counts, _ = series_of(by_day)
     series = counts[MotifClass.M2_1]
     assert len(series) == 28
@@ -254,19 +259,20 @@ def test_february_2020_window_shape():
 def test_daily_series_requires_two_days():
     day = dt.date(2020, 2, 3)
     with pytest.raises(ValueError):
-        series_of({day: instances_of({MotifClass.M2_1: 1}, day)})
+        series_of({day: walks_of({MotifClass.M2_1: 1}, day)})
 
 
 def test_distance_series_skips_days_without_the_class():
     mon, tue = dt.date(2020, 2, 3), dt.date(2020, 2, 4)
     by_day = {
-        mon: instances_of({MotifClass.M2_1: 2, MotifClass.M3_2: 3}, mon),
-        tue: instances_of({MotifClass.M2_1: 1}, tue),
+        mon: walks_of({MotifClass.M2_1: 2, MotifClass.M3_2: 3}, mon),
+        tue: walks_of({MotifClass.M2_1: 1}, tue),
     }
     counts, dists = series_of(by_day)
     assert [(p.date, p.value) for p in counts[MotifClass.M3_2]] == [(mon, 1.0), (tue, 0.0)]
-    distances = instance_distances(by_day[mon], SERIES_CATALOG)
-    triangle_km = class_avg_distance(by_day[mon], distances, weighting="devices")
+    mon_rows = classify(by_day[mon]).rows
+    distances = instance_distances(mon_rows, SERIES_CATALOG)
+    triangle_km = class_avg_distance(mon_rows.instances, distances, weighting="devices")
     [point] = dists[MotifClass.M3_2]
     assert (point.date, point.day_type) == (mon, "weekday")
     assert point.value == triangle_km[MotifClass.M3_2].total_km
@@ -384,8 +390,8 @@ def test_report_validates_and_passes_percentages_through():
     catalog = PoiCatalog(
         [poi("a", 0, 0), poi("b", north_of(0, 1.0), 0), poi("c", 0, 0.01)]
     )
-    instances = classify([StaySequence("d1", MON, ("a", "b"))]).instances
-    table = class_avg_distance(instances, instance_distances(instances, catalog))
+    rows = classify([StaySequence("d1", MON, ("a", "b"))]).rows
+    table = class_avg_distance(rows.instances, instance_distances(rows, catalog))
     report = build_report(
         summary=_summary_doc(),
         census=census_document(census),
@@ -424,8 +430,8 @@ def test_census_document_lists_all_classes():
 
 def test_distance_document_shape():
     catalog = PoiCatalog([poi("a", 0, 0), poi("b", north_of(0, 1.0), 0)])
-    instances = _census_instances([StaySequence("d1", MON, ("a", "b"))])
-    table = class_avg_distance(instances, instance_distances(instances, catalog))
+    rows = _census_rows([StaySequence("d1", MON, ("a", "b"))])
+    table = class_avg_distance(rows.instances, instance_distances(rows, catalog))
     doc = distance_document(table, "devices")
     assert doc["weighting"] == "devices"
     assert doc["classes"][0]["class"] == "M2_1"

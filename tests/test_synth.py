@@ -3,10 +3,11 @@ from collections import Counter
 
 import pytest
 
+from oracles import trajectory_instance
 from placeweave.attributes import category_frequency, to_sector
 from placeweave.errors import ConfigError
 from placeweave.ingest import StopTable, build_stay_sequences, filter_visits, parse_stops
-from placeweave.motifs import MotifClass, classify_trajectories, trajectory_instance
+from placeweave.motifs import MotifClass, classify_trajectories
 from placeweave.stats import haversine_km
 from placeweave.synth import (
     CLASS_WALKS,

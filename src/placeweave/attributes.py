@@ -163,12 +163,11 @@ def _key_perms(mask: int) -> list[tuple[int, ...]]:
     every slot below n, so its mask alone fixes n."""
     edges = set(mask_edges(mask))
     n = 1 + max((b for _, b in edges), default=0)
-    cls = INDEX_CLASS[MASK_CLASS[n, mask]]
+    template = KEY_TEMPLATES.get(INDEX_CLASS[MASK_CLASS[n, mask]], ())
     perms = [
         perm + tuple(range(n, 4))
         for perm in itertools.permutations(range(n))
-        if cls in KEY_TEMPLATES
-        and {edge_key(perm[a], perm[b]) for a, b in KEY_TEMPLATES[cls]} == edges
+        if {edge_key(perm[a], perm[b]) for a, b in template} == edges
     ] or [(0, 1, 2, 3)]
     return (perms * 24)[:24]
 
@@ -186,8 +185,8 @@ def key_codes(cls: np.ndarray, mask: np.ndarray, labels: np.ndarray) -> np.ndarr
     base-32 digits (first position highest): keys sort by class, then by
     label sequence.
     """
-    at = np.take_along_axis(labels.astype(np.int8)[:, None, :], KEY_PERMS[mask], axis=2)
-    code = np.zeros(at.shape[:2], dtype=np.int32)  # small types: this is 24 rows per instance
+    at = np.take_along_axis(labels[:, None, :], KEY_PERMS[mask], axis=2)
+    code = np.zeros(at.shape[:2], dtype=np.int32)  # small types: 24 rows per instance
     for position in range(4):
         code = code << _LABEL_BITS | at[..., position]
     return cls.astype(np.int64) << 4 * _LABEL_BITS | code.min(axis=1)
@@ -196,7 +195,7 @@ def key_codes(cls: np.ndarray, mask: np.ndarray, labels: np.ndarray) -> np.ndarr
 def canonical_keys(rows: InstanceRows, catalog: PoiCatalog) -> np.ndarray:
     """key_codes of each of rows.instances under the catalog's sectors."""
     inst = rows.instances
-    sector = np.zeros(len(rows.pois) + 1, dtype=np.int64)  # the last entry labels slot code -1
+    sector = np.zeros(len(rows.pois) + 1, dtype=np.int8)  # the last entry labels slot code -1
     for code in np.unique(inst.nodes[inst.nodes >= 0]).tolist():
         rec = catalog.get(rows.pois[code])
         if rec is None:
@@ -243,10 +242,10 @@ def attributed_census(
     """Rank attributed motifs by frequency within each class.
 
     keys holds the canonical_keys of rows.instances; device counts are
-    summed per key as integers. Shares are device
-    counts over the class total; ordering is share descending with label
-    sequence as the deterministic tie-break. OTHER instances are skipped.
-    top_k=None keeps every key.
+    summed per key as integers. Shares are device counts over the class
+    total; ordering is share descending with label sequence as the
+    deterministic tie-break. OTHER instances are skipped. top_k=None keeps
+    every key.
     """
     if not len(rows):
         raise ValueError("no instances to attribute")

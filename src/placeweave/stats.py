@@ -6,7 +6,9 @@ instance edge; each instance's edge lengths are gathered into columns in
 sorted edge order and added left to right. Every class table (per day,
 whole period, per attributed key) sums km * weight per group with
 np.cumsum in instance order, so its floats equal a left-to-right scalar
-loop over the instances. Percentage-change series follow a weekly pattern: weekday points chain
+loop over the instances.
+
+Percentage-change series follow a weekly pattern: weekday points chain
 against the previous weekday, weekend points against the previous
 weekend, so the two rhythms stay separated.
 """
@@ -93,7 +95,10 @@ def instance_distances(rows: InstanceRows, catalog: PoiCatalog) -> np.ndarray:
 
 
 def class_avg_distance(
-    instances: Instances, km: np.ndarray, weighting: str = "devices", groups=None
+    instances: Instances,
+    km: np.ndarray,
+    weighting: str = "devices",
+    groups: np.ndarray | None = None,
 ) -> DistanceTable:
     """Average motif distance per class, split by day type.
 

@@ -413,7 +413,7 @@ def table_instances(rows) -> dict:
 
 
 def covering_walk(edges) -> list:
-    """A walk that steps along every given edge and no other: each edge out and back, depth first."""
+    """A walk stepping along every given edge and no other: each edge out and back, depth first."""
     adj: dict = {}
     for a, b in edges:
         adj.setdefault(a, []).append(b)

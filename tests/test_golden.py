@@ -3,12 +3,14 @@
 The ingest tree, the network tree and census/instances.csv hold no float
 beyond the echoed utc_offset, so their bytes are fixed by the parsing,
 grouping, network and instance code alone. Any byte drift in them fails
-here. The float artifacts of the same run (distances and attributed
-shares) must equal, bit for bit, what the one-instance-at-a-time dict path
-in oracles computes from the run's instances.csv. The world mixes a fractional UTC offset (which moves the first stop
+here. The world mixes a fractional UTC offset (which moves the first stop
 of every planted walk to the previous local day), a dwell threshold that
 drops stops, one stop at a POI missing from the catalog, a tie in start
 time and stops before 1970.
+
+The float artifacts of the same run (distances and attributed shares)
+must equal, bit for bit, what the one-instance-at-a-time dict path in
+oracles computes from the run's instances.csv.
 """
 
 import hashlib
@@ -144,7 +146,8 @@ def test_distance_and_attributed_floats_equal_the_dict_path(inputs, tmp_path, we
     assert census_km == {
         cls.value: table[cls][0] if cls in table else None for cls in CLASS_ORDER
     }
-    csv_km = {line.split(",")[0]: line.split(",")[5] for line in _lines(out / "census" / "census.csv")[2:]}
+    csv_rows = [line.split(",") for line in _lines(out / "census" / "census.csv")[2:]]
+    csv_km = {row[0]: row[5] for row in csv_rows}
     assert csv_km == {cls.value: _fmt(table[cls][0]) for cls in CLASS_ORDER if cls in table}
 
     expected = ["class,split,km"] + [
@@ -175,7 +178,9 @@ def test_distance_and_attributed_floats_equal_the_dict_path(inputs, tmp_path, we
         ]
 
     attr = oracles.class_avg_distance(agg, distances, weighting, key_fn=keys.__getitem__)
-    top = sorted(attr.items(), key=lambda kv: (-(kv[1][0] or 0.0), kv[0].motif_class.value, kv[0].labels))
+    top = sorted(
+        attr.items(), key=lambda kv: (-(kv[1][0] or 0.0), kv[0].motif_class.value, kv[0].labels)
+    )
     assert _lines(out / "series" / "attributed_distance.csv") == [
         "class,labels,total_km,weekday_km,weekend_km"
     ] + [

@@ -402,7 +402,9 @@ class InstanceRows:
         return len(self.day) + len(self.other)
 
     @classmethod
-    def tally(cls, pois, day, classes, nodes, mask, count, other: Iterable[OtherRow]):
+    def tally(
+        cls, pois, day, classes, nodes, mask, count, other: Iterable[OtherRow]
+    ) -> InstanceRows:
         """The table of unsorted rows; rows of one instance on one day are summed."""
         order = _instance_order(classes, nodes, mask, day)
         day, classes, nodes, mask = day[order], classes[order], nodes[order], mask[order]

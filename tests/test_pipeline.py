@@ -1,11 +1,13 @@
 import datetime as dt
 import json
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from placeweave import ingest
 from placeweave.cli import main
 from placeweave.errors import SchemaError
@@ -134,10 +136,11 @@ def _no_repeats(stays):
 
 
 SAT, MON = dt.date(2020, 2, 1), dt.date(2020, 2, 3)
+# "p" < "p1" as ids, but "p1|q" < "p|q" as joined text: rows must sort by id tuples.
 day_walks = st.lists(
     st.tuples(
         st.sampled_from([SAT, dt.date(2020, 2, 2), MON]),
-        st.lists(st.sampled_from(["p1", "p2", "p3", "p4", "p5", "p6"]), min_size=2, max_size=9)
+        st.lists(st.sampled_from(["p", "p1", "p2", "q", "q1", "r"]), min_size=2, max_size=9)
         .map(_no_repeats)
         .filter(lambda stays: len(stays) >= 2),
     ),
@@ -147,11 +150,13 @@ day_walks = st.lists(
 
 
 @settings(max_examples=100, deadline=None)
-@example([  # two days, an OTHER walk over 5 POIs, one node set with two edge sets
-    (SAT, ("p1", "p2", "p3", "p4", "p5")),
-    (MON, ("p1", "p2", "p3")),
-    (MON, ("p1", "p2", "p1", "p3")),
-    (MON, ("p2", "p1", "p3")),
+@example([  # two days, an OTHER walk over 5 POIs, node sets with two edge sets each
+    (SAT, ("p", "p1", "p2", "q", "q1")),
+    (MON, ("p", "p1", "p2")),
+    (MON, ("p", "p1", "p", "p2")),
+    (MON, ("p1", "p", "p2")),
+    (MON, ("p", "p1", "p2", "q")),  # mask 0b101001: first by sorted edges
+    (MON, ("q", "p", "p2", "p1")),  # mask 0b001110: first by mask value
 ])
 @given(day_walks)
 def test_instances_csv_round_trips_bytes(tmp_path_factory, walks):
@@ -161,6 +166,11 @@ def test_instances_csv_round_trips_bytes(tmp_path_factory, walks):
     write_instances_csv(rows, root / "first.csv")
     write_instances_csv(read_instances_csv(root / "first.csv"), root / "second.csv")
     assert (root / "first.csv").read_bytes() == (root / "second.csv").read_bytes()
+    written = oracles.read_instance_rows(root / "first.csv")
+    order = [(day, oracles.instance_order(inst)) for day, inst, _ in written]
+    assert order == sorted(order)
+    tally = Counter((s.local_date, oracles.trajectory_instance(s.stays)) for s in seqs)
+    assert {(day, inst): count for day, inst, count in written} == tally
 
 
 def test_motifs_stage_rejects_unknown_mode(tmp_path):

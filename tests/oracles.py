@@ -149,7 +149,9 @@ def attributed_isomorphic(cls: MotifClass, labels_a: tuple, labels_b: tuple) -> 
 # One MotifInstance object, dict entry and scalar distance or key per
 # instance: the form the instance table had before it became columnar. Sums
 # run left to right in instance order, so these reproduce the library's
-# floats bit for bit.
+# floats bit for bit. They share with the library only the scalar
+# haversine_km, to_sector and instance_from_edges (the ESU engine's
+# canonical form, itself checked against the permutation oracle).
 
 
 @dataclass

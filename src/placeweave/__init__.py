@@ -40,13 +40,11 @@ from .motifs import (
     MotifCensus,
     MotifClass,
     InstanceRows,
-    MotifInstance,
     TrajectoryCensus,
     census_percentages,
     classify_graph,
     classify_trajectories,
     enumerate_induced,
-    iter_induced_instances,
 )
 from .attributes import (
     SECTORS,

@@ -504,6 +504,8 @@ def read_sequences(source: str | Path | TextIO) -> SequenceTable:
                 stays = tuple(row["stays"].split(STAY_SEPARATOR))
                 if len(stays) < 2:
                     raise RowError(line, "sequence shorter than 2 stays")
+                if any(a == b for a, b in zip(stays, stays[1:])):
+                    raise RowError(line, "a walk repeats a stay consecutively")
                 yield StaySequence(row["device_id"], day, stays)
 
         return SequenceTable.from_sequences(rows())

@@ -28,7 +28,6 @@ import time, and enumeration never needs them.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +92,8 @@ class PowerLawFit:
 
 def degree(net: PlaceNetwork, node: str) -> int:
     """Number of distinct neighbors; weights play no role."""
-    return len(net.neighbors(node))
+    code = net.index(node)
+    return int(np.count_nonzero(net.src == code) + np.count_nonzero(net.dst == code))
 
 
 def degree_distribution(net: PlaceNetwork) -> DegreeHistogram:
@@ -130,10 +130,9 @@ def local_clustering(net: PlaceNetwork) -> tuple[list[str], np.ndarray]:
 
 def local_clustering_weighted(net: PlaceNetwork, node: str) -> float:
     """Barrat weighted clustering of one node; 0 when degree < 2."""
-    if node not in net.nodes:
-        raise KeyError(f"unknown node {node!r}")
-    nodes, local = local_clustering(net)
-    return float(local[bisect_left(nodes, node)])
+    code = net.index(node)
+    _, local = local_clustering(net)
+    return float(local[code])
 
 
 def average_clustering(net: PlaceNetwork) -> float:

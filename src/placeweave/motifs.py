@@ -1,14 +1,11 @@
-"""Classification and exact enumeration of 2- to 4-node motifs.
+"""Classification and exact counting of 2- to 4-node motifs.
 
 Connected graphs on at most four vertices are fully determined up to
 isomorphism by (size, sorted degree sequence), which keeps classification
 a table lookup. Enumeration counts every connected node-induced
-k-subgraph exactly once. The default engine does it in closed form
-(_fastcount): induced counts follow from degrees, triangles, codegrees and
-4-cliques without visiting any subgraph. Pure-Python ESU walks them one by
-one, each rooted at its minimum vertex via the exclusive-neighborhood
-rule; it is the streaming path and the reference the closed form is
-tested against.
+k-subgraph of a network exactly once, in closed form (_fastcount):
+induced counts follow from degrees, triangles, codegrees and 4-cliques
+without visiting any subgraph.
 
 Trajectory classification is the second counting mode: each device-day's
 stay walk induces a small graph whose identity is (node set, edge set);
@@ -29,7 +26,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, fields, replace
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -101,7 +98,7 @@ CLASS_ORDER: tuple[MotifClass, ...] = (
     MotifClass.M4_6,
 )
 
-# Fixed indices for the count arrays of the census engines.
+# Fixed indices for the count arrays of the censuses.
 CLASS_INDEX: dict[MotifClass, int] = {c: i for i, c in enumerate(CLASS_ORDER)}
 CLASS_INDEX[MotifClass.OTHER] = len(CLASS_ORDER)
 INDEX_CLASS: tuple[MotifClass, ...] = CLASS_ORDER + (MotifClass.OTHER,)
@@ -155,98 +152,20 @@ def _connected(adj: dict) -> bool:
     return len(seen) == len(adj)
 
 
-@dataclass(frozen=True)
-class MotifInstance:
-    """One occurrence: a vertex set with its (induced or traversed) edges.
-
-    Canonical form, fixed by instance_from_edges: nodes sorted and
-    distinct, edges a sorted tuple of distinct sorted pairs.
-    """
-
-    nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-    motif_class: MotifClass
-
-
-def instance_from_edges(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> MotifInstance:
-    nodes = tuple(sorted(set(nodes)))
-    edges = tuple(sorted({edge_key(a, b) for a, b in edges}))
-    if 2 <= len(nodes) <= 4:
-        cls = classify_graph(len(nodes), edges)
-    else:
-        cls = MotifClass.OTHER
-    return MotifInstance(nodes, edges, cls)
-
-
 # -- enumeration -------------------------------------------------------------
 
 
-def iter_connected_subsets(adj: Mapping, k: int) -> Iterator[tuple]:
-    """Yield every connected k-subset of the graph exactly once (ESU).
-
-    Nodes must be mutually comparable; subsets come out rooted at their
-    minimum vertex, in deterministic order.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    for v in sorted(adj):
-        if k == 1:
-            yield (v,)
-            continue
-        ext = sorted(u for u in adj[v] if u > v)
-        yield from _esu_extend(adj, (v,), ext, v, k)
-
-
-def _esu_extend(adj: Mapping, sub: tuple, ext: list, root, k: int) -> Iterator[tuple]:
-    if len(sub) + 1 == k:
-        for w in ext:
-            yield sub + (w,)
-        return
-    hood = set(sub)
-    for u in sub:
-        hood.update(adj[u])
-    for i, w in enumerate(ext):
-        grown = ext[i + 1 :] + sorted(
-            u for u in adj[w] if u > root and u not in hood
-        )
-        yield from _esu_extend(adj, sub + (w,), grown, root, k)
-
-
-def iter_induced_instances(net: PlaceNetwork, k: int) -> Iterator[MotifInstance]:
-    """Stream the node-induced connected k-subgraphs of a network."""
-    if k not in (2, 3, 4):
-        raise ValueError(f"k must be 2, 3 or 4, got {k}")
-    adj = net.adjacency
-    for sub in iter_connected_subsets(adj, k):
-        edges = [
-            (a, b)
-            for i, a in enumerate(sub)
-            for b in sub[i + 1 :]
-            if b in adj[a]
-        ]
-        yield instance_from_edges(sub, edges)
-
-
-def enumerate_induced(
-    net: PlaceNetwork, k: int, threads: int = 1, engine: str = "closed"
-) -> dict[MotifClass, int]:
+def enumerate_induced(net: PlaceNetwork, k: int, threads: int = 1) -> dict[MotifClass, int]:
     """Count connected node-induced k-subgraphs per motif class.
 
-    Engines for k = 3 and 4 (k = 2 is the edge count under both):
-    "closed", the default, derives the counts in closed form from degrees,
-    triangles, codegrees and 4-cliques (_fastcount; numpy and scipy, one
-    thread, counts independent of threads); "python" walks the pure ESU
-    generator, the reference the closed form is tested against.
+    k = 2 is the edge count. For k = 3 and 4 the counts follow in closed form
+    from degrees, triangles, codegrees and 4-cliques (_fastcount; numpy and
+    scipy, one thread, counts independent of threads).
     """
     if k not in (2, 3, 4):
         raise ValueError(f"k must be 2, 3 or 4, got {k}")
-    if engine not in ("closed", "python"):
-        raise ValueError(f"unknown engine {engine!r}")
     if k == 2:
         return {MotifClass.M2_1: net.n_edges} if net.n_edges else {}
-    if engine == "python":
-        counts = Counter(inst.motif_class for inst in iter_induced_instances(net, k))
-        return dict(counts)
     from ._fastcount import census_counts
 
     _, indptr, indices = csr_adjacency(net)

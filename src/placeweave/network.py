@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+from bisect import bisect_left
 from pathlib import Path
-from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -59,8 +59,7 @@ class PlaceNetwork:
     names holds the sorted node ids; src and dst the int64 endpoint codes
     of each edge (src < dst, edges sorted by (src, dst)); weights the int64
     weight of each edge. add_node and add_edge queue changes that are
-    folded into the arrays on the next read. edges, nodes and adjacency are
-    views built from the arrays on first use.
+    folded into the arrays on the next read.
     """
 
     def __init__(
@@ -98,19 +97,16 @@ class PlaceNetwork:
         self._src = src.astype(np.int64, copy=False)
         self._dst = dst.astype(np.int64, copy=False)
         self._weights = weights.astype(np.int64, copy=False)
-        self._views: dict = {}
 
     # -- construction ---------------------------------------------------
 
     def add_node(self, node: str) -> None:
         self._queued_nodes.add(node)
-        self._views = {}
 
     def add_edge(self, a: str, b: str, weight: int = 1) -> None:
         if a == b:
             raise ValueError(f"self-loop at {a!r}")
         self._queued_edges.append((a, b, weight))
-        self._views = {}
 
     def _fold(self) -> None:
         """Merge queued nodes and edges into the arrays, summing repeated edges."""
@@ -164,52 +160,13 @@ class PlaceNetwork:
     def total_weight(self) -> int:
         return int(self.weights.sum())
 
-    # -- views --------------------------------------------------------------
-
-    def _view(self, name: str, build):
-        self._fold()
-        if name not in self._views:
-            self._views[name] = build()
-        return self._views[name]
-
-    @property
-    def nodes(self) -> frozenset[str]:
-        return self._view("nodes", lambda: frozenset(self._names))
-
-    @property
-    def edges(self) -> Mapping[tuple[str, str], int]:
-        """Read-only {(poi_a, poi_b): weight} view with poi_a < poi_b."""
-
-        def build():
-            names = self._names
-            pairs = zip(self._src.tolist(), self._dst.tolist(), self._weights.tolist())
-            return MappingProxyType({(names[a], names[b]): w for a, b, w in pairs})
-
-        return self._view("edges", build)
-
-    @property
-    def adjacency(self) -> dict[str, dict[str, int]]:
-        """Neighbor -> weight maps of every node; a view, not to be mutated."""
-
-        def build():
-            adj: dict[str, dict[str, int]] = {n: {} for n in self._names}
-            for (a, b), w in self.edges.items():
-                adj[a][b] = w
-                adj[b][a] = w
-            return adj
-
-        return self._view("adjacency", build)
-
-    def neighbors(self, node: str) -> dict[str, int]:
-        if node not in self.nodes:
+    def index(self, node: str) -> int:
+        """The code of node in names; KeyError for a node not in the network."""
+        names = self.names
+        i = bisect_left(names, node)
+        if i == len(names) or names[i] != node:
             raise KeyError(f"unknown node {node!r}")
-        return self.adjacency[node]
-
-    def weight(self, a: str, b: str) -> int:
-        return self.edges.get(edge_key(a, b), 0)
-
-    def has_edge(self, a: str, b: str) -> bool:
-        return edge_key(a, b) in self.edges
+        return i
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PlaceNetwork):
@@ -426,6 +383,6 @@ def weighted_csr(
 
 
 def csr_adjacency(net: PlaceNetwork) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """(nodes, indptr, indices) of weighted_csr; the census engines' layout."""
+    """(nodes, indptr, indices) of weighted_csr; the closed-form census's layout."""
     nodes, indptr, indices, _ = weighted_csr(net)
     return nodes, indptr, indices

@@ -1,17 +1,42 @@
 """Independent reference implementations the tests check the library against.
 
-Everything here is deliberately brute force: permutation isomorphism,
-full subset scans, direct formula summation. None of it shares code with
-the library paths under test.
+Everything here is deliberately direct: permutation isomorphism, full
+subset scans, the ESU subgraph walk, direct formula summation, over dicts
+built from a network's names, src, dst and weights arrays. None of it
+shares code with the library paths under test.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping
 
-from placeweave.motifs import MotifClass
+from placeweave.motifs import MotifClass, classify_graph
+
+
+# -- dict views of a network ---------------------------------------------------
+
+
+def edge_weights(net) -> dict:
+    """{(poi_a, poi_b): weight} of every edge, poi_a < poi_b, from the network's arrays."""
+    names = net.names
+    return {
+        (names[a], names[b]): w
+        for a, b, w in zip(net.src.tolist(), net.dst.tolist(), net.weights.tolist())
+    }
+
+
+def adjacency(net) -> dict:
+    """Neighbor -> weight map of every node, isolated nodes included."""
+    adj: dict = {v: {} for v in net.names}
+    for (a, b), w in edge_weights(net).items():
+        adj[a][b] = w
+        adj[b][a] = w
+    return adj
+
 
 # Reference edge sets over vertex positions 0..n-1.
 REFERENCE_GRAPHS: dict[MotifClass, tuple[int, frozenset]] = {
@@ -60,11 +85,9 @@ def brute_force_enumerate(net, k: int) -> dict[MotifClass, int]:
     permutation oracle above validates exhaustively; the enumeration logic
     itself (subset scan + induced edges) stays independent.
     """
-    from placeweave.motifs import classify_graph
-
-    adj = net.adjacency
+    adj = adjacency(net)
     counts: dict[MotifClass, int] = {}
-    for subset in itertools.combinations(sorted(net.nodes), k):
+    for subset in itertools.combinations(net.names, k):
         edges = [
             (a, b)
             for i, a in enumerate(subset)
@@ -77,9 +100,88 @@ def brute_force_enumerate(net, k: int) -> dict[MotifClass, int]:
     return counts
 
 
+# -- ESU: the second enumeration oracle ------------------------------------------
+
+
+@dataclass(frozen=True)
+class MotifInstance:
+    """One occurrence: a vertex set with its (induced or traversed) edges.
+
+    Canonical form, fixed by instance_from_edges: nodes sorted and
+    distinct, edges a sorted tuple of distinct sorted pairs.
+    """
+
+    nodes: tuple[str, ...]
+    edges: tuple[tuple[str, str], ...]
+    motif_class: MotifClass
+
+
+def instance_from_edges(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> MotifInstance:
+    nodes = tuple(sorted(set(nodes)))
+    edges = tuple(sorted({(min(a, b), max(a, b)) for a, b in edges}))
+    if 2 <= len(nodes) <= 4:
+        cls = classify_graph(len(nodes), edges)
+    else:
+        cls = MotifClass.OTHER
+    return MotifInstance(nodes, edges, cls)
+
+
+def iter_connected_subsets(adj: Mapping, k: int) -> Iterator[tuple]:
+    """Yield every connected k-subset of the graph exactly once (ESU).
+
+    Nodes must be mutually comparable; subsets come out rooted at their
+    minimum vertex via the exclusive-neighborhood rule, in deterministic
+    order.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    for v in sorted(adj):
+        if k == 1:
+            yield (v,)
+            continue
+        ext = sorted(u for u in adj[v] if u > v)
+        yield from _esu_extend(adj, (v,), ext, v, k)
+
+
+def _esu_extend(adj: Mapping, sub: tuple, ext: list, root, k: int) -> Iterator[tuple]:
+    if len(sub) + 1 == k:
+        for w in ext:
+            yield sub + (w,)
+        return
+    hood = set(sub)
+    for u in sub:
+        hood.update(adj[u])
+    for i, w in enumerate(ext):
+        grown = ext[i + 1 :] + sorted(
+            u for u in adj[w] if u > root and u not in hood
+        )
+        yield from _esu_extend(adj, sub + (w,), grown, root, k)
+
+
+def iter_induced_instances(net, k: int) -> Iterator[MotifInstance]:
+    """Stream the node-induced connected k-subgraphs of a network."""
+    if k not in (2, 3, 4):
+        raise ValueError(f"k must be 2, 3 or 4, got {k}")
+    adj = adjacency(net)
+    for sub in iter_connected_subsets(adj, k):
+        edges = [
+            (a, b)
+            for i, a in enumerate(sub)
+            for b in sub[i + 1 :]
+            if b in adj[a]
+        ]
+        yield instance_from_edges(sub, edges)
+
+
+def esu_enumerate(net, k: int) -> dict[MotifClass, int]:
+    """Per-class counts of the ESU stream: enumerate_induced's contract, one subgraph at a time."""
+    return dict(Counter(inst.motif_class for inst in iter_induced_instances(net, k)))
+
+
 def brute_force_barrat(net, node: str) -> float:
     """Direct ordered-pair evaluation of the weighted clustering formula."""
-    nbrs = net.adjacency[node]
+    adj = adjacency(net)
+    nbrs = adj[node]
     k = len(nbrs)
     if k < 2:
         return 0.0
@@ -89,7 +191,7 @@ def brute_force_barrat(net, node: str) -> float:
         for h in nbrs:
             if j == h:
                 continue
-            if net.has_edge(j, h):
+            if h in adj[j]:
                 acc += (nbrs[j] + nbrs[h]) / 2.0
     return acc / (strength * (k - 1))
 
@@ -101,28 +203,30 @@ def exact_barrat(net, node: str) -> float:
     and divides once, so the result is the correctly rounded quotient: the
     bits any exact evaluation of the formula must reproduce.
     """
-    nbrs = net.adjacency[node]
+    adj = adjacency(net)
+    nbrs = adj[node]
     k = len(nbrs)
     if k < 2:
         return 0.0
     numerator = sum(
         nbrs[j] + nbrs[h]
         for j, h in itertools.combinations(sorted(nbrs), 2)
-        if net.has_edge(j, h)
+        if h in adj[j]
     )
     return numerator / (sum(nbrs.values()) * (k - 1))
 
 
 def brute_force_unweighted_clustering(net, node: str) -> float:
     """Triangle count over possible neighbor pairs, ignoring weights."""
-    nbrs = sorted(net.adjacency[node])
+    adj = adjacency(net)
+    nbrs = sorted(adj[node])
     k = len(nbrs)
     if k < 2:
         return 0.0
     triangles = sum(
         1
         for i, j in itertools.combinations(nbrs, 2)
-        if net.has_edge(i, j)
+        if j in adj[i]
     )
     return triangles / (k * (k - 1) / 2)
 
@@ -149,9 +253,9 @@ def attributed_isomorphic(cls: MotifClass, labels_a: tuple, labels_b: tuple) -> 
 # One MotifInstance object, dict entry and scalar distance or key per
 # instance: the form the instance table had before it became columnar. Sums
 # run left to right in instance order, so these reproduce the library's
-# floats bit for bit. They share with the library only the scalar
-# haversine_km, to_sector and instance_from_edges (the ESU engine's
-# canonical form, itself checked against the permutation oracle).
+# floats bit for bit. They share with the library only classify_graph
+# (through instance_from_edges; checked against the permutation oracle),
+# the scalar haversine_km and to_sector.
 
 
 @dataclass
@@ -167,15 +271,11 @@ def instance_order(inst) -> tuple:
 
 def trajectory_instance(stays):
     """Graph traced by one walk: its distinct stays and deduplicated steps."""
-    from placeweave.motifs import instance_from_edges
-
     return instance_from_edges(stays, zip(stays, stays[1:]))
 
 
 def read_instance_rows(path) -> list:
     """(local_date, MotifInstance, device_count) rows of an instances.csv, as written."""
-    from placeweave.motifs import MotifInstance
-
     rows = []
     with open(path, encoding="utf-8") as fh:
         assert next(fh) == "local_date,motif_class,nodes,edges,device_count\n"
@@ -374,7 +474,7 @@ SLOT_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 def decode_instance(pois, cls: int, nodes, mask: int):
     """The MotifInstance of one table entry (class index, node codes, edge mask)."""
-    from placeweave.motifs import INDEX_CLASS, MotifInstance
+    from placeweave.motifs import INDEX_CLASS
 
     names = tuple(pois[v] for v in nodes if v >= 0)
     edges = tuple(
@@ -385,8 +485,6 @@ def decode_instance(pois, cls: int, nodes, mask: int):
 
 def table_rows(rows) -> list:
     """(local_date, MotifInstance, device_count) of every row, OTHER rows included."""
-    from placeweave.motifs import MotifInstance
-
     epoch = dt.date(1970, 1, 1)
     out = [
         (epoch + dt.timedelta(days=day), decode_instance(rows.pois, cls, nodes, mask), count)

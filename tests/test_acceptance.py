@@ -28,6 +28,7 @@ from oracles import (
     brute_force_enumerate,
     brute_force_unweighted_clustering,
     covering_walk,
+    instance_from_edges,
     trajectory_instance,
 )
 from placeweave import _fastcount
@@ -57,7 +58,6 @@ from placeweave.motifs import (
     classify_graph,
     classify_trajectories,
     enumerate_induced,
-    instance_from_edges,
 )
 from placeweave.network import PlaceNetwork, build_network, csr_adjacency
 from placeweave.refnets import RefNetSpec, gen_random_network, gen_scale_free_network
@@ -114,7 +114,7 @@ def test_criterion_2_enumeration_exact():
             n = rng.randint(8, 25)
             p = rng.choice((0.12, 0.2, 0.3, 0.45))
             net = PlaceNetwork(nodes=[f"p{i:02d}" for i in range(n)])
-            for a, b in itertools.combinations(sorted(net.nodes), 2):
+            for a, b in itertools.combinations(net.names, 2):
                 if rng.random() < p:
                     net.add_edge(a, b)
             for k in (2, 3, 4):
@@ -248,10 +248,10 @@ def test_criterion_6_weighted_clustering():
             rng = random.Random(seed)
             n = rng.randint(20, 50)
             net = PlaceNetwork(nodes=[f"p{i:02d}" for i in range(n)])
-            for a, b in itertools.combinations(sorted(net.nodes), 2):
+            for a, b in itertools.combinations(net.names, 2):
                 if rng.random() < 0.2:
                     net.add_edge(a, b, rng.randint(1, 9))
-            for node in sorted(net.nodes):
+            for node in net.names:
                 got = local_clustering_weighted(net, node)
                 want = brute_force_barrat(net, node)
                 assert abs(got - want) <= 1e-12, (seed, node)
@@ -259,10 +259,10 @@ def test_criterion_6_weighted_clustering():
         # equal weights reduce to the unweighted coefficient
         rng = random.Random(99)
         net = PlaceNetwork(nodes=[f"p{i:02d}" for i in range(40)])
-        for a, b in itertools.combinations(sorted(net.nodes), 2):
+        for a, b in itertools.combinations(net.names, 2):
             if rng.random() < 0.25:
                 net.add_edge(a, b)
-        for node in sorted(net.nodes):
+        for node in net.names:
             got = local_clustering_weighted(net, node)
             want = brute_force_unweighted_clustering(net, node)
             assert abs(got - want) <= 1e-12

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import REFERENCE_GRAPHS, attributed_isomorphic
+from oracles import REFERENCE_GRAPHS, MotifInstance, attributed_isomorphic, instance_from_edges
 from placeweave.attributes import (
     SECTORS,
     AttributedMotifKey,
@@ -26,9 +26,7 @@ from placeweave.motifs import (
     INDEX_CLASS,
     MASK_CLASS,
     MotifClass,
-    MotifInstance,
     classify_trajectories,
-    instance_from_edges,
 )
 
 MON = dt.date(2020, 2, 3)

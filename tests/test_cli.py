@@ -363,8 +363,8 @@ def test_run_builds_no_stop_records_and_no_edge_dicts(synth_dir, tmp_path, monke
         raise AssertionError("run built a per-row object")
 
     monkeypatch.setattr(ingest.StopRecord, "__init__", forbidden)
-    for view in ("edges", "adjacency", "nodes"):
-        monkeypatch.setattr(network.PlaceNetwork, view, property(forbidden))
+    for view in ("nodes", "edges", "adjacency", "neighbors", "weight", "has_edge"):
+        assert not hasattr(network.PlaceNetwork, view), view
     for mode in ("consecutive", "covisitation"):
         assert main(
             ["run", "--stops", str(synth_dir / "stops.csv"), "--pois", str(synth_dir / "pois.csv"),
@@ -376,6 +376,18 @@ def _write_config(tmp_path, mode):
     path = tmp_path / f"{mode}.json"
     path.write_text(json.dumps({"network_mode": mode}))
     return path
+
+
+def test_motifs_rejects_a_repeated_stay_naming_its_line(tmp_path, caplog):
+    sequences = tmp_path / "sequences.csv"
+    sequences.write_text("device_id,local_date,stays\nd1,2020-02-03,a|a|b\n")
+    pois = tmp_path / "pois.csv"
+    pois.write_text("poi_id,name,lat,lon,naics\na,a,0,0,4400\nb,b,0,1,4400\n")
+    code = main(
+        ["motifs", "--sequences", str(sequences), "--pois", str(pois), "--out", str(tmp_path / "c")]
+    )
+    assert code == 2
+    assert "line 2: a walk repeats a stay consecutively" in caplog.text
 
 
 def test_run_computes_the_whole_period_distance_table_once(synth_dir, tmp_path, monkeypatch):

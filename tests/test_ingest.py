@@ -215,6 +215,17 @@ def test_sequence_file_round_trip(tmp_path):
     assert read_sequences(path) == seqs
 
 
+@pytest.mark.parametrize(
+    "stays, message",
+    [("a", "shorter than 2 stays"), ("a|b|b", "repeats a stay consecutively")],
+)
+def test_read_sequences_names_the_bad_row(stays, message):
+    text = f"device_id,local_date,stays\nd1,2020-02-03,a|b\nd2,2020-02-03,{stays}\n"
+    with pytest.raises(RowError, match=f"line 3: .*{message}") as err:
+        read_sequences(io.StringIO(text))
+    assert err.value.line == 3
+
+
 OFFSETS = st.one_of(
     st.sampled_from([0.0, 1 / 3, -1 / 3, 2 / 3, 5.5, -5.5, 5.75, -9.5, 23.99, -23.99]),
     st.floats(min_value=-23.999, max_value=23.999),
@@ -327,6 +338,12 @@ DEVICE_IDS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_chara
 POI_IDS = st.text(
     st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00\r|;,"), min_size=1
 )
+# A walk never repeats a stay consecutively: read_sequences rejects that row.
+WALKS = (
+    st.lists(POI_IDS, min_size=2, max_size=6)
+    .map(lambda stays: tuple(v for i, v in enumerate(stays) if i == 0 or stays[i - 1] != v))
+    .filter(lambda stays: len(stays) >= 2)
+)
 
 
 @settings(max_examples=100)
@@ -336,7 +353,7 @@ POI_IDS = st.text(
             StaySequence,
             DEVICE_IDS,
             st.dates(),
-            st.lists(POI_IDS, min_size=2, max_size=6).map(tuple),
+            WALKS,
         ),
         max_size=15,
     )

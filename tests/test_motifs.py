@@ -7,8 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import brute_force_classify, brute_force_enumerate, trajectory_instance
-from placeweave import _fastcount, motifs
+from oracles import (
+    brute_force_classify,
+    brute_force_enumerate,
+    esu_enumerate,
+    instance_from_edges,
+    iter_induced_instances,
+    trajectory_instance,
+)
+from placeweave import _fastcount
 from placeweave.errors import InvariantError
 from placeweave.ingest import SequenceTable, StaySequence
 from placeweave.motifs import (
@@ -22,12 +29,13 @@ from placeweave.motifs import (
     classify_graph,
     classify_trajectories,
     enumerate_induced,
-    instance_from_edges,
-    iter_induced_instances,
 )
 from placeweave.network import PlaceNetwork
 
-ENGINES = ("python", "closed")
+# The closed-form census and the ESU oracle, each checked on the same graphs.
+COUNTERS = pytest.mark.parametrize(
+    "count", [enumerate_induced, esu_enumerate], ids=["closed", "python"]
+)
 
 
 def ring(n):
@@ -54,7 +62,7 @@ def star(leaves):
 def random_net(n, p, seed):
     rng = random.Random(seed)
     net = PlaceNetwork(nodes=[f"p{i:02d}" for i in range(n)])
-    for a, b in itertools.combinations(sorted(net.nodes), 2):
+    for a, b in itertools.combinations(net.names, 2):
         if rng.random() < p:
             net.add_edge(a, b)
     return net
@@ -105,34 +113,34 @@ def test_class_attributes():
 # -- enumeration --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_enumerate_complete_graph(engine):
+@COUNTERS
+def test_enumerate_complete_graph(count):
     k4 = complete(4)
-    assert enumerate_induced(k4, 4, engine=engine) == {MotifClass.M4_1: 1}
-    assert enumerate_induced(k4, 3, engine=engine) == {MotifClass.M3_2: 4}
-    assert enumerate_induced(k4, 2, engine=engine) == {MotifClass.M2_1: 6}
+    assert count(k4, 4) == {MotifClass.M4_1: 1}
+    assert count(k4, 3) == {MotifClass.M3_2: 4}
+    assert count(k4, 2) == {MotifClass.M2_1: 6}
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_enumerate_five_cycle(engine):
+@COUNTERS
+def test_enumerate_five_cycle(count):
     c5 = ring(5)
     expected3 = brute_force_enumerate(c5, 3)
     expected4 = brute_force_enumerate(c5, 4)
     assert expected3 == {MotifClass.M3_1: 5}
     assert expected4 == {MotifClass.M4_5: 5}
-    assert enumerate_induced(c5, 3, engine=engine) == expected3
-    assert enumerate_induced(c5, 4, engine=engine) == expected4
+    assert count(c5, 3) == expected3
+    assert count(c5, 4) == expected4
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_enumerate_four_star(engine):
+@COUNTERS
+def test_enumerate_four_star(count):
     k14 = star(4)
     expected3 = brute_force_enumerate(k14, 3)
     expected4 = brute_force_enumerate(k14, 4)
     assert expected3 == {MotifClass.M3_1: 6}
     assert expected4 == {MotifClass.M4_6: 4}
-    assert enumerate_induced(k14, 3, engine=engine) == expected3
-    assert enumerate_induced(k14, 4, engine=engine) == expected4
+    assert count(k14, 3) == expected3
+    assert count(k14, 4) == expected4
 
 
 def single_edge():
@@ -148,24 +156,25 @@ BRUTE_FORCE_NETS = [
 ]
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@COUNTERS
 @pytest.mark.parametrize("net", BRUTE_FORCE_NETS)
-def test_enumerate_matches_brute_force(engine, net):
+def test_enumerate_matches_brute_force(count, net):
     for k in (2, 3, 4):
-        assert enumerate_induced(net, k, engine=engine) == brute_force_enumerate(net, k)
+        assert count(net, k) == brute_force_enumerate(net, k)
 
 
 def test_enumerate_invariant_under_relabeling():
     net = random_net(12, 0.3, 5)
     rng = random.Random(1)
-    names = sorted(net.nodes)
+    names = net.names
     shuffled = names[:]
     rng.shuffle(shuffled)
     mapping = dict(zip(names, shuffled))
     relabeled = PlaceNetwork(
-        nodes=[mapping[n] for n in net.nodes],
+        nodes=[mapping[n] for n in names],
         edges={
-            tuple(sorted((mapping[a], mapping[b]))): w for (a, b), w in net.edges.items()
+            tuple(sorted((mapping[a], mapping[b]))): w
+            for (a, b), w in oracles.edge_weights(net).items()
         },
     )
     for k in (3, 4):
@@ -190,26 +199,20 @@ def test_closed_engine_matches_brute_force_on_any_small_graph(graph):
         if coin:
             net.add_edge(f"p{a}", f"p{b}")
     for k in (3, 4):
-        assert enumerate_induced(net, k, engine="closed") == brute_force_enumerate(net, k)
+        assert enumerate_induced(net, k) == brute_force_enumerate(net, k)
 
 
-def test_auto_engine_is_closed_form_and_never_walks_esu(monkeypatch):
+def test_closed_form_equals_esu_oracle():
     net = random_net(14, 0.3, 2)
-    expected = {k: enumerate_induced(net, k, engine="python") for k in (3, 4)}
-
-    def no_esu(*args, **kwargs):
-        raise AssertionError("default engine walked ESU")
-
-    monkeypatch.setattr(motifs, "iter_induced_instances", no_esu)
     for k in (3, 4):
-        assert enumerate_induced(net, k) == expected[k]
+        assert enumerate_induced(net, k) == esu_enumerate(net, k)
 
 
 def test_closed_engine_rejects_negative_induced_count(monkeypatch):
     # One 4-clique more than the graph holds drives the diamond count below 0.
     monkeypatch.setattr(_fastcount, "_four_cliques", lambda *args: 1)
     with pytest.raises(InvariantError):
-        enumerate_induced(ring(5), 4, engine="closed")
+        enumerate_induced(ring(5), 4)
 
 
 def test_closed_engine_exact_when_terms_leave_int64(monkeypatch):
@@ -219,7 +222,7 @@ def test_closed_engine_exact_when_terms_leave_int64(monkeypatch):
     monkeypatch.setattr(_fastcount, "_EXACT_DEGREE", 1)
     monkeypatch.setattr(_fastcount, "_INT64_MAX", 7)
     for k in (3, 4):
-        assert enumerate_induced(net, k, engine="closed") == expected[k]
+        assert enumerate_induced(net, k) == expected[k]
 
 
 def test_instance_stream_matches_counts():
@@ -229,18 +232,12 @@ def test_instance_stream_matches_counts():
     counts = {}
     for inst in insts:
         counts[inst.motif_class] = counts.get(inst.motif_class, 0) + 1
-    assert counts == enumerate_induced(net, 3, engine="python")
+    assert counts == enumerate_induced(net, 3)
 
 
 def test_enumerate_rejects_bad_k():
     with pytest.raises(ValueError):
         enumerate_induced(complete(3), 5)
-
-
-@pytest.mark.parametrize("engine", ["auto", "esu"])
-def test_enumerate_rejects_unknown_engine(engine):
-    with pytest.raises(ValueError, match="unknown engine"):
-        enumerate_induced(complete(3), 3, engine=engine)
 
 
 # -- trajectory census --------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import adjacency, edge_weights
 from placeweave.errors import SchemaError
 from placeweave.ingest import SequenceTable, StaySequence
 from placeweave.network import (
@@ -32,23 +33,23 @@ def table(seqs):
 
 def test_consecutive_chain():
     net = build_network(table([seq("p1", "p2", "p3")]), mode="consecutive")
-    assert net.edges == {("p1", "p2"): 1, ("p2", "p3"): 1}
+    assert edge_weights(net) == {("p1", "p2"): 1, ("p2", "p3"): 1}
 
 
 def test_covisitation_clique():
     net = build_network(table([seq("p1", "p2", "p3")]), mode="covisitation")
-    assert net.edges == {("p1", "p2"): 1, ("p1", "p3"): 1, ("p2", "p3"): 1}
+    assert edge_weights(net) == {("p1", "p2"): 1, ("p1", "p3"): 1, ("p2", "p3"): 1}
 
 
 def test_ten_coinciding_trips_weigh_ten():
     seqs = [seq("pA", "pB", device=f"d{i}") for i in range(10)]
     net = build_network(table(seqs), mode="consecutive")
-    assert net.edges == {("pA", "pB"): 10}
+    assert edge_weights(net) == {("pA", "pB"): 10}
 
 
 def test_covisitation_counts_pair_once_per_sequence():
     net = build_network(table([seq("p1", "p2", "p1")]), mode="covisitation")
-    assert net.edges == {("p1", "p2"): 1}
+    assert edge_weights(net) == {("p1", "p2"): 1}
 
 
 def test_short_sequence_rejected():
@@ -90,19 +91,19 @@ def test_total_weight_equals_steps(walks):
         return
     net = build_network(table(seqs), mode="consecutive")
     assert net.total_weight == sum(len(s.stays) - 1 for s in seqs)
-    assert all(a != b for a, b in net.edges)  # no self-loops
+    assert all(a != b for a, b in edge_weights(net))  # no self-loops
 
 
 def test_merge_identity_and_disjoint_and_additive():
     n1 = build_network(table([seq("a", "b")]))
-    assert merge_networks([n1]).edges == n1.edges
+    assert edge_weights(merge_networks([n1])) == edge_weights(n1)
 
     n2 = build_network(table([seq("c", "d")]))
     merged = merge_networks([n1, n2])
-    assert merged.edges == {("a", "b"): 1, ("c", "d"): 1}
+    assert edge_weights(merged) == {("a", "b"): 1, ("c", "d"): 1}
 
     n3 = build_network(table([seq("a", "b", device=f"x{i}") for i in range(3)]))
-    assert merge_networks([n3, n3]).edges == {("a", "b"): 6}
+    assert edge_weights(merge_networks([n3, n3])) == {("a", "b"): 6}
 
 
 def test_merge_associative_commutative_up_to_label():
@@ -113,9 +114,17 @@ def test_merge_associative_commutative_up_to_label():
     left = merge_networks([merge_networks(nets[:2]), nets[2]])
     right = merge_networks([nets[0], merge_networks(nets[1:])])
     swapped = merge_networks(nets[::-1])
-    assert left.edges == right.edges == swapped.edges
-    assert left.nodes == right.nodes == swapped.nodes
+    assert edge_weights(left) == edge_weights(right) == edge_weights(swapped)
+    assert left.names == right.names == swapped.names
     assert swapped.label == "2020-02-01..2020-02-03"
+
+
+def test_index_is_the_code_in_names():
+    net = PlaceNetwork(nodes=["c", "a", "lonely"], edges={("a", "c"): 2})
+    assert [net.index(v) for v in ("a", "c", "lonely")] == [0, 1, 2]
+    for unknown in ("", "b", "zz"):
+        with pytest.raises(KeyError, match="unknown node"):
+            net.index(unknown)
 
 
 def test_merge_empty_rejected():
@@ -140,7 +149,7 @@ def test_file_round_trip_isolated_nodes(tmp_path):
     net = PlaceNetwork(nodes={"a", "b", "lonely"}, edges={("a", "b"): 2}, label="x")
     path = tmp_path / "net.csv"
     write_network(net, path)
-    assert read_network(path).nodes == {"a", "b", "lonely"}
+    assert read_network(path).names == ["a", "b", "lonely"]
 
 
 def test_read_network_rejects_bad_header(tmp_path):
@@ -152,29 +161,31 @@ def test_read_network_rejects_bad_header(tmp_path):
 
 def test_csr_adjacency_matches_network():
     built = build_network(table([seq("p1", "p2", "p3", "p1"), seq("p4", "p2", device="d2")]))
-    isolated = PlaceNetwork(nodes=["p0", "p5"], edges=dict(built.edges))
+    isolated = PlaceNetwork(nodes=["p0", "p5"], edges=edge_weights(built))
     for net in (built, PlaceNetwork(), isolated):
         nodes, indptr, indices = csr_adjacency(net)
-        assert nodes == sorted(net.nodes)
+        adj = adjacency(net)
+        assert nodes == sorted(net.names)
         assert indptr.dtype == indices.dtype == np.int64
         assert indptr.size == len(nodes) + 1 and indptr[-1] == indices.size
         for i, node in enumerate(nodes):
             neighbors = [nodes[j] for j in indices[indptr[i] : indptr[i + 1]]]
-            assert neighbors == sorted(net.adjacency[node])
+            assert neighbors == sorted(adj[node])
 
 
 def test_weighted_csr_weights_follow_indices():
     built = build_network(table([seq("p1", "p2", "p3", "p1", "p2"), seq("p4", "p2", device="d2")]))
-    isolated = PlaceNetwork(nodes=["p0", "p5"], edges=dict(built.edges))
+    isolated = PlaceNetwork(nodes=["p0", "p5"], edges=edge_weights(built))
     for net in (built, PlaceNetwork(), isolated):
         nodes, indptr, indices, weights = weighted_csr(net)
         csr_nodes, csr_indptr, csr_indices = csr_adjacency(net)
+        adj = adjacency(net)
         assert nodes == csr_nodes
         assert np.array_equal(indptr, csr_indptr) and np.array_equal(indices, csr_indices)
         assert weights.dtype == np.int64 and weights.size == indices.size
         for i, node in enumerate(nodes):
             row = range(indptr[i], indptr[i + 1])
-            assert [weights[e] for e in row] == [net.weight(node, nodes[indices[e]]) for e in row]
+            assert [weights[e] for e in row] == [adj[node][nodes[indices[e]]] for e in row]
     assert weighted_csr(built)[3].sum() == 2 * built.total_weight
 
 
@@ -210,8 +221,8 @@ def test_build_network_matches_brute_force(walks, mode):
     if not seqs:
         return
     net = build_network(table(seqs), mode=mode)
-    assert dict(net.edges) == _brute_force_edges(seqs, mode)
-    assert net.nodes == {p for s in seqs for p in s.stays}
+    assert edge_weights(net) == _brute_force_edges(seqs, mode)
+    assert set(net.names) == {p for s in seqs for p in s.stays}
     assert net.total_weight == sum(_brute_force_edges(seqs, mode).values())
 
 
@@ -242,9 +253,9 @@ def test_network_file_round_trips_any_network(tmp_path_factory, net):
     write_network(net, path, extra_meta={"days": 3})
     back = read_network(path)
     assert back == net
-    assert (back.label, back.mode, back.nodes) == (net.label, net.mode, net.nodes)
+    assert (back.label, back.mode, back.names) == (net.label, net.mode, net.names)
     meta = json.loads(sidecar_path(path).read_text())
-    isolated = sorted(net.nodes - {v for edge in net.edges for v in edge})
+    isolated = sorted(set(net.names) - {v for edge in edge_weights(net) for v in edge})
     assert meta["isolated_nodes"] == isolated and meta["days"] == 3
     assert (meta["nodes"], meta["edges"], meta["total_weight"]) == (
         net.n_nodes, net.n_edges, net.total_weight

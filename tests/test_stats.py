@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import instance_from_edges
 from placeweave.config import RunConfig
 from placeweave.errors import MissingPoiError, SchemaError
 from placeweave.ingest import PoiCatalog, PoiRecord, SequenceTable, StaySequence
@@ -13,7 +14,6 @@ from placeweave.motifs import (
     MotifClass,
     census_percentages,
     classify_trajectories,
-    instance_from_edges,
 )
 from placeweave.stats import (
     EARTH_RADIUS_KM,

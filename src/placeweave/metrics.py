@@ -22,12 +22,15 @@ between the empirical and fitted tail CCDFs.
 
 scipy is imported inside the functions that use it, so `import placeweave`
 loads none of it: scipy.stats and scipy.optimize were most of the package's
-import time, and enumeration never needs them.
+import time, and enumeration never needs them. The fit's root finder is a
+Python port of scipy.optimize.brentq, so a run never imports
+scipy.optimize at all.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,8 +163,60 @@ def network_summary(net: PlaceNetwork) -> NetworkSummary:
     )
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float = 4 * sys.float_info.epsilon,
+            maxiter: int = 100) -> float:
+    """A root of f in [xa, xb] by the steps of scipy.optimize.brentq, so the same bits.
+
+    Raises ValueError when f(xa) and f(xb) have the same sign or f returns
+    NaN, and RuntimeError when maxiter steps do not converge.
+    """
+
+    def call(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def _fit_tail(ks: list[int], counts: list[int], xmin: int) -> PowerLawFit:
-    from scipy.optimize import brentq
     from scipy.special import zeta
 
     n_tail = sum(counts)
@@ -177,7 +232,7 @@ def _fit_tail(ks: list[int], counts: list[int], xmin: int) -> PowerLawFit:
         # Tail heavier than any alpha in range; clamp at the boundary.
         alpha = lo
     else:
-        alpha = brentq(score, lo, hi, xtol=1e-9)
+        alpha = _brentq(score, lo, hi, xtol=1e-9)
     z_norm = zeta(alpha, xmin)
     ks_dist = 0.0
     seen = 0

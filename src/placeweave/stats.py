@@ -20,7 +20,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-import jsonschema
 import numpy as np
 
 from .errors import MissingPoiError, SchemaError
@@ -337,6 +336,8 @@ def build_report(
         "distances": distances,
         "series_files": sorted(series_files),
     }
+    import jsonschema  # only here, so the stages that write no report never load it
+
     try:
         jsonschema.validate(report, REPORT_SCHEMA)
     except jsonschema.ValidationError as exc:

@@ -3,22 +3,28 @@
 Each synthetic device-day draws a motif class and walks a fixed canonical
 traversal of that class's edge set over freshly sampled POIs, so the
 trajectory graph recovered downstream equals the planted class exactly.
-Sub-seeds derive from (seed, device-day index), making generation order-
-and parallelism-independent.
+Device-day i draws from its own generator, default_rng([seed, i]), which
+makes generation order- and parallelism-independent. Those generators are
+not built one by one: numpy's SeedSequence hash runs over a block of
+indices at once in uint32 columns, and each resulting PCG64 state is loaded
+into one reused generator. The draws go straight into the columns of
+ingest's StopTable.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .attributes import sector_by_id
 from .errors import ConfigError, UnknownSectorError
-from .ingest import PoiCatalog, PoiRecord, StopRecord
+from .ingest import EPOCH, PoiCatalog, PoiRecord, StopTable, day_date
 from .motifs import MotifClass
 from .stats import EARTH_RADIUS_KM
 
@@ -39,6 +45,16 @@ CLASS_WALKS: dict[MotifClass, tuple[int, ...]] = {
 
 _STOP_SPACING_S = 900
 _DAY_START_HOUR = 8
+_BLOCK = 1 << 16  # device-days seeded together; stop rows formatted per write
+
+# numpy's SeedSequence (a pool of four uint32 words) and PCG64 seeding constants
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 2**32 - 1
+_MASK128 = 2**128 - 1
 
 
 @dataclass(frozen=True)
@@ -67,6 +83,8 @@ class WorldSpec:
                 raise ConfigError(f"negative share for category {cat_id}")
         if abs(sum(self.category_shares.values()) - 1.0) > 1e-9:
             raise ConfigError("category shares must sum to 1")
+        if self.seed < 0:
+            raise ConfigError(f"world spec: seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -97,6 +115,8 @@ class TrafficSpec:
             raise ConfigError(f"bad dwell range {self.dwell_range}")
         if self.max_sample_km is not None and self.max_sample_km <= 0:
             raise ConfigError("max_sample_km must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"traffic spec: seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -141,8 +161,84 @@ def _candidate_indices(
     return np.flatnonzero(d <= radius_km / 2.0)
 
 
-def gen_traffic_plan(catalog: PoiCatalog, spec: TrafficSpec) -> list[DeviceDayPlan]:
-    """Draw the per-device-day classes, POI sets, walks and dwell times."""
+# -- per-device-day generators, seeded in bulk ----------------------------------
+
+
+def _uint32_words(n: int) -> list[int]:
+    """A non-negative int as SeedSequence reads it: little-endian 32-bit words."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_constants(init: int, mult: int) -> Iterator[tuple[np.uint32, np.uint32]]:
+    """The (xor, multiplier) pair of each successive SeedSequence hash step."""
+    value = init
+    while True:
+        following = value * mult & _MASK32
+        yield np.uint32(value), np.uint32(following)
+        value = following
+
+
+def _hash(column: np.ndarray, constants: Iterator) -> np.ndarray:
+    xor, mult = next(constants)
+    column = (column ^ xor) * mult
+    return column ^ (column >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    column = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return column ^ (column >> 16)
+
+
+def _pcg64_states(seed: int, index: np.ndarray) -> list[tuple[int, int]]:
+    """(state, inc) of default_rng([seed, i]).bit_generator for each i in index.
+
+    This is numpy's SeedSequence hash over the entropy words of seed and
+    then of i, run on uint32 columns, followed by PCG64's seeding from the
+    four uint64 words of generate_state(4, np.uint64): the first two are the
+    128-bit initial state, the last two the stream. Every i must have as many
+    32-bit words as index[-1].
+    """
+    n = len(index)
+    entropy = [np.full(n, word, dtype=np.uint32) for word in _uint32_words(seed)]
+    entropy += [
+        (index >> 32 * k & _MASK32).astype(np.uint32)
+        for k in range(len(_uint32_words(int(index[-1]))))
+    ]
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [_hash(entropy[k] if k < len(entropy) else zero, constants) for k in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], constants))
+    for extra in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hash(extra, constants))
+    constants = _hash_constants(_INIT_B, _MULT_B)
+    words = [_hash(pool[k % _POOL_SIZE], constants).astype(np.uint64) for k in range(8)]
+    halves = [(words[2 * k] | words[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)]
+    states = []
+    for state_hi, state_lo, seq_hi, seq_lo in zip(*halves):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
+def _draw(catalog: PoiCatalog, spec: TrafficSpec) -> tuple[list[MotifClass], np.ndarray, StopTable]:
+    """The classes, each device-day's class code into them, and the stop table.
+
+    Device-day i draws from default_rng([spec.seed, i]) in this order: its
+    class (the bits choice(len(classes), p=mix) takes), its day
+    (integers(n_days)), its POIs (choice without replacement, from the
+    catalog or from the POIs near an anchor drawn first), and one dwell per
+    stop (integers(lo, hi + 1, size=len(walk))). Generators are seeded a
+    block of device-days at a time and loaded into one reused PCG64. Stops
+    follow device-day order, 15 minutes apart from 08:00 UTC.
+    """
     spec.validate()
     classes = sorted(spec.class_mix, key=lambda c: c.value)
     max_size = max(c.size for c in classes)
@@ -152,59 +248,88 @@ def gen_traffic_plan(catalog: PoiCatalog, spec: TrafficSpec) -> list[DeviceDayPl
         )
     probs = np.array([spec.class_mix[c] for c in classes], dtype=float)
     probs = probs / probs.sum()
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
+    sizes = [c.size for c in classes]
+    walks = [np.array(CLASS_WALKS[c]) for c in classes]
+    lengths = np.array([len(w) for w in walks])
     poi_ids = catalog.poi_ids()
     n_pois = len(poi_ids)
     lats = np.array([catalog[p].lat for p in poi_ids])
     lons = np.array([catalog[p].lon for p in poi_ids])
     start, end = spec.date_range
     n_days = (end - start).days + 1
+    first_day = (start - EPOCH).days
     lo, hi = spec.dwell_range
-    width = max(7, len(str(spec.n_device_days - 1)))
-    plans = []
-    for i in range(spec.n_device_days):
-        rng = np.random.default_rng([spec.seed, i])
-        cls = classes[int(rng.choice(len(classes), p=probs))]
-        day = start + dt.timedelta(days=int(rng.integers(n_days)))
-        if spec.max_sample_km is None:
-            idxs = rng.choice(n_pois, size=cls.size, replace=False)
-        else:
-            anchor = int(rng.integers(n_pois))
-            candidates = _candidate_indices(lats, lons, anchor, spec.max_sample_km)
-            if candidates.size < cls.size:
-                raise ConfigError(
-                    f"only {candidates.size} POIs within {spec.max_sample_km / 2} km "
-                    f"of {poi_ids[anchor]}; class {cls} needs {cls.size}"
-                )
-            idxs = candidates[rng.choice(candidates.size, size=cls.size, replace=False)]
-        pois = [poi_ids[int(j)] for j in idxs]
-        walk = tuple(pois[pos] for pos in CLASS_WALKS[cls])
-        dwells = tuple(int(d) for d in rng.integers(lo, hi + 1, size=len(walk)))
-        plans.append(DeviceDayPlan(f"d{i:0{width}d}", day, cls, walk, dwells))
-    return plans
 
-
-def plan_stops(plan: DeviceDayPlan) -> list[StopRecord]:
-    base = int(
-        dt.datetime(
-            plan.local_date.year,
-            plan.local_date.month,
-            plan.local_date.day,
-            _DAY_START_HOUR,
-            tzinfo=dt.timezone.utc,
-        ).timestamp()
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    state = {"state": 0, "inc": 0}
+    full_state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+    n = spec.n_device_days
+    codes = np.empty(n, dtype=np.int8)
+    starts, pois, dwells = [], [], []
+    for block in range(0, n, _BLOCK):
+        index = np.arange(block, min(block + _BLOCK, n))
+        days, block_pois, block_dwells = [], [], []
+        for i, (pcg_state, pcg_inc) in enumerate(_pcg64_states(spec.seed, index), block):
+            state["state"], state["inc"] = pcg_state, pcg_inc
+            bit_generator.state = full_state
+            code = bisect_right(cdf, rng.random())
+            codes[i] = code
+            days.append(rng.integers(n_days))
+            if spec.max_sample_km is None:
+                idxs = rng.choice(n_pois, size=sizes[code], replace=False)
+            else:
+                anchor = int(rng.integers(n_pois))
+                candidates = _candidate_indices(lats, lons, anchor, spec.max_sample_km)
+                if candidates.size < sizes[code]:
+                    raise ConfigError(
+                        f"only {candidates.size} POIs within {spec.max_sample_km / 2} km "
+                        f"of {poi_ids[anchor]}; class {classes[code]} needs {sizes[code]}"
+                    )
+                idxs = candidates[rng.choice(candidates.size, size=sizes[code], replace=False)]
+            walk = walks[code]
+            block_pois.append(idxs[walk])
+            block_dwells.append(rng.integers(lo, hi + 1, size=len(walk)))
+        per_day = lengths[codes[index]]
+        step = np.arange(per_day.sum()) - np.repeat(np.cumsum(per_day) - per_day, per_day)
+        day_start = (first_day + np.array(days, dtype=np.int64)) * 86_400 + _DAY_START_HOUR * 3600
+        starts.append(np.repeat(day_start, per_day) + step * _STOP_SPACING_S)
+        pois.append(np.concatenate(block_pois).astype(np.int32))
+        dwells.append(np.concatenate(block_dwells))
+    width = max(7, len(str(n - 1)))
+    table = StopTable(
+        devices=[f"d{i:0{width}d}" for i in range(n)],
+        pois=poi_ids,
+        device=np.repeat(np.arange(n, dtype=np.int32), lengths[codes]),
+        poi=np.concatenate(pois),
+        start_time=np.concatenate(starts),
+        dwell=np.concatenate(dwells),
     )
+    return classes, codes, table
+
+
+def gen_traffic_plan(catalog: PoiCatalog, spec: TrafficSpec) -> list[DeviceDayPlan]:
+    """Each device-day's class, date, walk over POI ids and dwell times."""
+    classes, codes, table = _draw(catalog, spec)
+    bounds = np.zeros(len(codes) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(table.device, minlength=len(codes)), out=bounds[1:])
+    bounds = bounds.tolist()
+    walks = [table.pois[p] for p in table.poi.tolist()]
+    dwells = table.dwell.tolist()
+    days = (table.start_time[bounds[:-1]] // 86_400).tolist()
+    dates = {day: day_date(day) for day in set(days)}
     return [
-        StopRecord(plan.device_id, poi, base + k * _STOP_SPACING_S, dwell)
-        for k, (poi, dwell) in enumerate(zip(plan.walk, plan.dwells))
+        DeviceDayPlan(device, dates[day], classes[code], tuple(walks[a:b]), tuple(dwells[a:b]))
+        for device, day, code, a, b in zip(table.devices, days, codes.tolist(), bounds, bounds[1:])
     ]
 
 
-def gen_device_days(catalog: PoiCatalog, spec: TrafficSpec) -> list[StopRecord]:
-    """Stop records whose per-device-day trajectory graphs are the planted classes."""
-    stops = []
-    for plan in gen_traffic_plan(catalog, spec):
-        stops.extend(plan_stops(plan))
-    return stops
+def gen_device_days(catalog: PoiCatalog, spec: TrafficSpec) -> StopTable:
+    """Stops whose per-device-day trajectory graphs are the planted classes."""
+    return _draw(catalog, spec)[2]
 
 
 # -- spec files and output formats -------------------------------------------
@@ -273,8 +398,18 @@ def write_catalog_csv(catalog: PoiCatalog, path: str | Path) -> None:
             fh.write(f"{rec.poi_id},{rec.name},{rec.lat!r},{rec.lon!r},{rec.naics}\n")
 
 
-def write_stops_csv(stops: list[StopRecord], path: str | Path) -> None:
+def write_stops_csv(stops: StopTable, path: str | Path) -> None:
+    """Write the stops in table order, a bounded block of rows at a time."""
+    devices = np.array(stops.devices, dtype=object)
+    pois = np.array(stops.pois, dtype=object)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("device_id,poi_id,start_time,dwell\n")
-        for s in stops:
-            fh.write(f"{s.device_id},{s.poi_id},{s.start_time},{s.dwell}\n")
+        for lo in range(0, len(stops), _BLOCK):
+            rows = slice(lo, lo + _BLOCK)
+            columns = (
+                devices[stops.device[rows]].tolist(),
+                pois[stops.poi[rows]].tolist(),
+                stops.start_time[rows].tolist(),
+                stops.dwell[rows].tolist(),
+            )
+            fh.write("".join(f"{d},{p},{t},{w}\n" for d, p, t, w in zip(*columns)))

@@ -2,7 +2,8 @@
 
 Everything here is deliberately direct: permutation isomorphism, full
 subset scans, the ESU subgraph walk, direct formula summation, over dicts
-built from a network's names, src, dst and weights arrays. None of it
+built from a network's names, src, dst and weights arrays, and synthetic
+traffic drawn from one default_rng([seed, i]) per device-day. None of it
 shares code with the library paths under test.
 """
 
@@ -14,7 +15,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
+import numpy as np
+
+from placeweave.ingest import StopRecord
 from placeweave.motifs import MotifClass, classify_graph
+from placeweave.stats import EARTH_RADIUS_KM
+from placeweave.synth import CLASS_WALKS, DeviceDayPlan
 
 
 # -- dict views of a network ---------------------------------------------------
@@ -531,3 +537,69 @@ def covering_walk(edges) -> list:
 
     visit(walk[0])
     return walk
+
+
+# -- synthetic traffic, one generator per device-day -------------------------------
+# The generator's byte oracle: every device-day builds default_rng([seed, i])
+# and draws with numpy's own choice calls, one object per device-day.
+
+
+def _candidate_indices(lats, lons, anchor: int, radius_km: float):
+    phi = np.radians(lats)
+    dphi = np.radians(lats - lats[anchor]) / 2.0
+    dlam = np.radians(lons - lons[anchor]) / 2.0
+    a = np.sin(dphi) ** 2 + np.cos(phi[anchor]) * np.cos(phi) * np.sin(dlam) ** 2
+    d = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(a)))
+    return np.flatnonzero(d <= radius_km / 2.0)
+
+
+def traffic_plan(catalog, spec, indices=None) -> list[DeviceDayPlan]:
+    """The classes, POI sets, walks and dwell times of the given device-days (default all)."""
+    spec.validate()
+    classes = sorted(spec.class_mix, key=lambda c: c.value)
+    probs = np.array([spec.class_mix[c] for c in classes], dtype=float)
+    probs = probs / probs.sum()
+    poi_ids = catalog.poi_ids()
+    n_pois = len(poi_ids)
+    lats = np.array([catalog[p].lat for p in poi_ids])
+    lons = np.array([catalog[p].lon for p in poi_ids])
+    start, end = spec.date_range
+    n_days = (end - start).days + 1
+    lo, hi = spec.dwell_range
+    width = max(7, len(str(spec.n_device_days - 1)))
+    plans = []
+    for i in range(spec.n_device_days) if indices is None else indices:
+        rng = np.random.default_rng([spec.seed, i])
+        cls = classes[int(rng.choice(len(classes), p=probs))]
+        day = start + dt.timedelta(days=int(rng.integers(n_days)))
+        if spec.max_sample_km is None:
+            idxs = rng.choice(n_pois, size=cls.size, replace=False)
+        else:
+            anchor = int(rng.integers(n_pois))
+            candidates = _candidate_indices(lats, lons, anchor, spec.max_sample_km)
+            idxs = candidates[rng.choice(candidates.size, size=cls.size, replace=False)]
+        pois = [poi_ids[int(j)] for j in idxs]
+        walk = tuple(pois[pos] for pos in CLASS_WALKS[cls])
+        dwells = tuple(int(d) for d in rng.integers(lo, hi + 1, size=len(walk)))
+        plans.append(DeviceDayPlan(f"d{i:0{width}d}", day, cls, walk, dwells))
+    return plans
+
+
+def plan_stops(plan: DeviceDayPlan) -> list[StopRecord]:
+    """One stop per walk step, 15 minutes apart from 08:00 UTC on the plan's date."""
+    base = int(
+        dt.datetime(
+            plan.local_date.year, plan.local_date.month, plan.local_date.day, 8,
+            tzinfo=dt.timezone.utc,
+        ).timestamp()
+    )
+    return [
+        StopRecord(plan.device_id, poi, base + k * 900, dwell)
+        for k, (poi, dwell) in enumerate(zip(plan.walk, plan.dwells))
+    ]
+
+
+def stops_csv_text(stops) -> str:
+    """stops.csv holding these StopRecords, one row each, in order."""
+    rows = [f"{s.device_id},{s.poi_id},{s.start_time},{s.dwell}\n" for s in stops]
+    return "device_id,poi_id,start_time,dwell\n" + "".join(rows)

@@ -39,7 +39,6 @@ from placeweave.ingest import (
     PoiRecord,
     SequenceTable,
     StaySequence,
-    StopTable,
     build_stay_sequences,
     filter_visits,
 )
@@ -67,8 +66,8 @@ from placeweave.synth import (
     TrafficSpec,
     WorldSpec,
     gen_catalog,
+    gen_device_days,
     gen_traffic_plan,
-    plan_stops,
 )
 
 COUNTY_NODES = 15_931
@@ -145,8 +144,8 @@ def test_criterion_3_census_identities():
         catalog = gen_catalog(world)
         mix = {cls: 1.0 / 9.0 for cls in CLASS_WALKS}
         traffic = TrafficSpec(2000, mix, (dt.date(2020, 2, 1), dt.date(2020, 2, 28)), seed=32)
-        stops = [s for plan in gen_traffic_plan(catalog, traffic) for s in plan_stops(plan)]
-        sequences = build_stay_sequences(filter_visits(StopTable.from_records(stops), 300), 0.0)
+        stops = gen_device_days(catalog, traffic)
+        sequences = build_stay_sequences(filter_visits(stops, 300), 0.0)
         census = classify_trajectories(sequences).census()
         for cls in CLASS_ORDER:
             row = census.classes[cls]
@@ -184,8 +183,8 @@ def test_criterion_4_planted_recovery_50k():
             50_000, mix, (dt.date(2020, 2, 1), dt.date(2020, 2, 28)), seed=42
         )
         plans = gen_traffic_plan(catalog, traffic)
-        stops = [s for plan in plans for s in plan_stops(plan)]
-        sequences = build_stay_sequences(filter_visits(StopTable.from_records(stops), 300), 0.0)
+        stops = gen_device_days(catalog, traffic)
+        sequences = build_stay_sequences(filter_visits(stops, 300), 0.0)
         assert len(sequences) == 50_000
 
         net = build_network(sequences, mode="consecutive")

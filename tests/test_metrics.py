@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import random
@@ -14,6 +15,7 @@ from scipy.stats import zipf
 import placeweave
 from oracles import adjacency, brute_force_barrat, brute_force_unweighted_clustering, exact_barrat
 from placeweave.metrics import (
+    _brentq,
     DegreeHistogram,
     average_clustering,
     degree,
@@ -393,17 +395,109 @@ def test_poisson_reference_equals_scipy_pmf_exactly():
     assert [p for _, p in default] == [float(poisson.pmf(k, 3.0)) for k, _ in default]
 
 
-def test_import_loads_neither_scipy_stats_nor_scipy_optimize():
-    code = (
-        "import sys, placeweave; "
-        "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
-    )
+def loaded_modules(code: str, cwd=None) -> str:
+    """What a fresh interpreter prints after running code with placeweave importable."""
     src = str(Path(placeweave.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, cwd=cwd
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_import_loads_neither_scipy_stats_nor_scipy_optimize():
+    code = (
+        "import sys, placeweave; "
+        "print([m for m in ('scipy.stats', 'scipy.optimize', 'jsonschema') if m in sys.modules])"
+    )
+    assert loaded_modules(code) == "[]"
+
+
+def test_run_loads_no_scipy_optimize(tmp_path):
+    world = {"n_pois": 60, "bbox": [29.5, 30.0, -95.8, -95.2],
+             "category_shares": {"7": 0.5, "18": 0.5}, "seed": 1}
+    traffic = {"n_device_days": 600, "class_mix": {"M2_1": 0.5, "M3_2": 0.5},
+               "date_range": ["2020-02-01", "2020-02-07"], "seed": 2}
+    (tmp_path / "world.json").write_text(json.dumps(world), encoding="utf-8")
+    (tmp_path / "traffic.json").write_text(json.dumps(traffic), encoding="utf-8")
+    code = (
+        "import sys; from placeweave import cli, metrics; "
+        "calls = []; brentq = metrics._brentq; "
+        "metrics._brentq = lambda *a, **k: calls.append(1) or brentq(*a, **k); "
+        "assert cli.main(['synth', '--world', 'world.json', '--traffic', 'traffic.json', "
+        "'--out', 'data']) == 0; "
+        "assert cli.main(['run', '--stops', 'data/stops.csv', '--pois', 'data/pois.csv', "
+        "'--out', 'out']) == 0; "
+        "print(len(calls), 'scipy.optimize' in sys.modules, 'jsonschema' in sys.modules)"
+    )
+    # the fit ran its root finder; the report was validated
+    assert loaded_modules(code, cwd=tmp_path) == "1 False True"
+
+
+def power_law_score(ks, counts, xmin):
+    """_fit_tail's score function of one tail."""
+    from scipy.special import zeta
+
+    mean_log = sum(c * math.log(k) for k, c in zip(ks, counts)) / sum(counts)
+
+    def score(alpha, h=1e-5):
+        dlogz = (math.log(zeta(alpha + h, xmin)) - math.log(zeta(alpha - h, xmin))) / (2 * h)
+        return dlogz + mean_log
+
+    return score
+
+
+def test_brentq_port_equals_scipy_on_random_tails():
+    from scipy.optimize import brentq
+
+    rng = random.Random(17)
+    compared = 0
+    for _ in range(300):
+        xmin = rng.randint(1, 5)
+        ks = sorted(rng.sample(range(xmin, xmin + 200), rng.randint(2, 30)))
+        counts = [max(1, int(1000 * k ** -rng.uniform(1.2, 3.5))) for k in ks]
+        score = power_law_score(ks, counts, xmin)
+        if score(1.01) > 0:
+            continue
+        assert _brentq(score, 1.01, 50.0, xtol=1e-9) == brentq(score, 1.01, 50.0, xtol=1e-9)
+        compared += 1
+    assert compared > 250
+
+
+def test_brentq_port_equals_scipy_on_varied_functions():
+    from scipy.optimize import brentq
+
+    rng = random.Random(19)
+    for _ in range(400):
+        root, power = rng.uniform(-3, 3), rng.choice([1, 3, 5])
+        scale = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-3, 3)
+        xtol = rng.choice([1e-12, 1e-9, 1e-4])
+
+        def f(x):
+            return scale * ((x - root) ** power + 0.1 * math.atan(x - root))
+
+        lo, hi = root - rng.uniform(0.01, 5), root + rng.uniform(0.01, 5)
+        assert _brentq(f, lo, hi, xtol=xtol) == brentq(f, lo, hi, xtol=xtol)
+    assert _brentq(lambda x: x - 2.0, 2.0, 5.0, xtol=1e-9) == 2.0  # root at an end
+
+
+def test_brentq_port_raises_as_scipy_does():
+    from scipy.optimize import brentq
+
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq(lambda x: x * x + 1, -1.0, 1.0, xtol=1e-9)
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(lambda x: x * x + 1, -1.0, 1.0, xtol=1e-9)
+    with pytest.raises(ValueError, match="NaN"):
+        _brentq(lambda x: math.nan if x > 0.25 else x - 0.5, 0.0, 1.0, xtol=1e-9)
+
+    def slow(x):
+        return math.copysign(abs(x - 1 / 3) ** 0.05, x - 1 / 3)
+
+    with pytest.raises(RuntimeError, match="converge"):
+        brentq(slow, 0.0, 1.0, xtol=1e-15, maxiter=3)
+    with pytest.raises(RuntimeError, match="converge"):
+        _brentq(slow, 0.0, 1.0, xtol=1e-15, maxiter=3)
 
 
 def test_poisson_rejects_nonpositive():

@@ -2,22 +2,24 @@ import datetime as dt
 import hashlib
 from collections import Counter
 
+import numpy as np
 import pytest
 
+import oracles
 from oracles import trajectory_instance
 from placeweave.attributes import category_frequency, to_sector
 from placeweave.errors import ConfigError
-from placeweave.ingest import StopTable, build_stay_sequences, filter_visits, parse_stops
+from placeweave.ingest import build_stay_sequences, filter_visits, parse_stops
 from placeweave.motifs import MotifClass, classify_trajectories
 from placeweave.stats import haversine_km
 from placeweave.synth import (
     CLASS_WALKS,
+    _pcg64_states,
     TrafficSpec,
     WorldSpec,
     gen_catalog,
     gen_device_days,
     gen_traffic_plan,
-    plan_stops,
     write_catalog_csv,
     write_stops_csv,
 )
@@ -86,7 +88,7 @@ def test_stops_pass_ingest_validation(tmp_path):
     stops = gen_device_days(catalog, traffic(n=50, mix=NINE_WAY_MIX))
     path = tmp_path / "stops.csv"
     write_stops_csv(stops, path)
-    assert parse_stops(path).records() == stops
+    assert parse_stops(path).records() == stops.records()
 
 
 def test_walks_have_no_consecutive_duplicates():
@@ -96,9 +98,10 @@ def test_walks_have_no_consecutive_duplicates():
 
 def test_every_planted_walk_recovers_its_class():
     catalog = gen_catalog(world())
-    plans = gen_traffic_plan(catalog, traffic(n=400, mix=NINE_WAY_MIX, seed=3))
-    stops = [s for plan in plans for s in plan_stops(plan)]
-    sequences = build_stay_sequences(filter_visits(StopTable.from_records(stops), 300), 0.0)
+    spec = traffic(n=400, mix=NINE_WAY_MIX, seed=3)
+    plans = gen_traffic_plan(catalog, spec)
+    stops = gen_device_days(catalog, spec)
+    sequences = build_stay_sequences(filter_visits(stops, 300), 0.0)
     by_device = {seq.device_id: seq for seq in sequences}
     assert len(by_device) == len(plans)
     for plan in plans:
@@ -110,9 +113,8 @@ def test_every_planted_walk_recovers_its_class():
 def test_class_mix_recovered_within_one_percent():
     catalog = gen_catalog(world(n_pois=100))
     mix = {MotifClass.M2_1: 0.5, MotifClass.M3_2: 0.3, MotifClass.M4_5: 0.2}
-    plans = gen_traffic_plan(catalog, traffic(n=20_000, mix=mix, seed=4))
-    stops = [s for plan in plans for s in plan_stops(plan)]
-    sequences = build_stay_sequences(filter_visits(StopTable.from_records(stops), 300), 0.0)
+    stops = gen_device_days(catalog, traffic(n=20_000, mix=mix, seed=4))
+    sequences = build_stay_sequences(filter_visits(stops, 300), 0.0)
     census = classify_trajectories(sequences).census()
     for cls, target in mix.items():
         share = census.classes[cls].device_count / 20_000
@@ -125,7 +127,7 @@ def test_planted_endpoint_category_share_recovered():
     spec = WorldSpec(20_000, (29.0, 30.5, -96.0, -95.0), {18: 0.3, 7: 0.4, 16: 0.3}, seed=71)
     catalog = gen_catalog(spec)
     stops = gen_device_days(catalog, traffic(n=10_000, seed=72))
-    sequences = build_stay_sequences(filter_visits(StopTable.from_records(stops), 300), 0.0)
+    sequences = build_stay_sequences(filter_visits(stops, 300), 0.0)
     flows = [
         (s.stays[i], s.stays[i + 1]) for s in sequences for i in range(len(s.stays) - 1)
     ]
@@ -148,7 +150,7 @@ def test_traffic_deterministic_bytes(tmp_path):
 def test_dwells_within_range():
     catalog = gen_catalog(world())
     stops = gen_device_days(catalog, traffic(n=30, dwell_range=(450, 500)))
-    assert all(450 <= s.dwell <= 500 for s in stops)
+    assert all(450 <= s.dwell <= 500 for s in stops.records())
 
 
 def test_dates_within_range():
@@ -181,6 +183,16 @@ def test_traffic_spec_validation():
         TrafficSpec(5, {MotifClass.M2_1: 1.0}, FEB, dwell_range=(500, 100)).validate()
     with pytest.raises(ConfigError):
         TrafficSpec(5, {MotifClass.OTHER: 1.0}, FEB).validate()
+
+
+def test_negative_seeds_rejected_naming_the_spec():
+    with pytest.raises(ConfigError, match="world spec: seed"):
+        WorldSpec(5, BBOX, {7: 1.0}, -1).validate()
+    with pytest.raises(ConfigError, match="traffic spec: seed"):
+        TrafficSpec(5, {MotifClass.M2_1: 1.0}, FEB, seed=-1).validate()
+    catalog = gen_catalog(world())
+    with pytest.raises(ConfigError, match="traffic spec: seed"):
+        gen_device_days(catalog, traffic(seed=-3))
 
 
 def test_catalog_too_small_rejected():
@@ -234,5 +246,68 @@ def test_stops_csv_round_trips_through_parse_stops(tmp_path):
     write_stops_csv(stops, first)
     parsed = parse_stops(first)
     assert len(parsed) == len(stops)
-    write_stops_csv(parsed.records(), second)
+    write_stops_csv(parsed, second)
     assert second.read_bytes() == first.read_bytes()
+
+
+# -- bulk seeding against one generator per device-day ---------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**100])
+def test_bulk_states_equal_default_rng_per_device_day(seed):
+    index = np.array([0, 1, 2**16])
+    for i, (state, inc) in zip(index.tolist(), _pcg64_states(seed, index)):
+        expected = np.random.default_rng([seed, i]).bit_generator.state["state"]
+        assert (state, inc) == (expected["state"], expected["inc"]), (seed, i)
+
+
+def test_bulk_states_past_the_first_block_and_two_word_indices():
+    for index in (np.arange(70_000, 70_050), np.array([2**32, 2**32 + 5, 2**40])):
+        for i, (state, inc) in zip(index.tolist(), _pcg64_states(2, index)):
+            expected = np.random.default_rng([2, i]).bit_generator.state["state"]
+            assert (state, inc) == (expected["state"], expected["inc"]), i
+
+
+ORACLE_SPECS = {
+    "nine_way": (world(n_pois=50), traffic(n=500, mix=NINE_WAY_MIX, seed=21)),
+    "skewed_mix_zero_share": (
+        world(n_pois=30),
+        traffic(
+            n=300,
+            mix={MotifClass.M2_1: 0.7, MotifClass.M3_2: 0.0, MotifClass.M4_1: 0.3},
+            seed=2**33 + 1,
+            dwell_range=(0, 0),
+        ),
+    ),
+    "anchor": (
+        world(n_pois=600, seed=5),
+        traffic(n=300, mix=NINE_WAY_MIX, seed=22, max_sample_km=25.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+def test_stops_and_plans_equal_the_per_device_day_oracle(tmp_path, name):
+    world_spec, traffic_spec = ORACLE_SPECS[name]
+    catalog = gen_catalog(world_spec)
+    expected = oracles.traffic_plan(catalog, traffic_spec)
+    assert gen_traffic_plan(catalog, traffic_spec) == expected
+    write_stops_csv(gen_device_days(catalog, traffic_spec), tmp_path / "stops.csv")
+    text = (tmp_path / "stops.csv").read_text(encoding="utf-8")
+    assert text == oracles.stops_csv_text(s for plan in expected for s in oracles.plan_stops(plan))
+
+
+def test_device_days_past_the_first_block_equal_the_oracle(tmp_path):
+    # 66,000 device-days: two seeding blocks and more than one block of written rows
+    catalog = gen_catalog(world(n_pois=40))
+    spec = traffic(n=66_000, mix={MotifClass.M2_1: 0.5, MotifClass.M3_1: 0.5}, seed=23)
+    stops = gen_device_days(catalog, spec)
+    write_stops_csv(stops, tmp_path / "stops.csv")
+    text = (tmp_path / "stops.csv").read_text(encoding="utf-8")
+    assert text == oracles.stops_csv_text(stops.records())
+    edge = oracles.traffic_plan(catalog, spec, range(65_530, 65_542))
+    expected = oracles.stops_csv_text(s for plan in edge for s in oracles.plan_stops(plan))
+    lines = text.splitlines(keepends=True)
+    assert [line for line in lines if "d0065530" <= line[:8] <= "d0065541"] == (
+        expected.splitlines(keepends=True)[1:]
+    )

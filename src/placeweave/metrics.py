@@ -163,8 +163,9 @@ def network_summary(net: PlaceNetwork) -> NetworkSummary:
     )
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float = 4 * sys.float_info.epsilon,
-            maxiter: int = 100) -> float:
+def _brentq(
+    f, xa: float, xb: float, xtol: float, rtol: float = 4 * sys.float_info.epsilon, maxiter=100
+) -> float:
     """A root of f in [xa, xb] by the steps of scipy.optimize.brentq, so the same bits.
 
     Raises ValueError when f(xa) and f(xb) have the same sign or f returns

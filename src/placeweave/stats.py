@@ -327,6 +327,8 @@ def build_report(
     census and distances are the census_document and distance_document
     of the run.
     """
+    import jsonschema  # imported here, so only the stage that writes the report loads it
+
     report = {
         "schema_version": 1,
         "tool": {"name": "placeweave", "version": tool_version},
@@ -336,8 +338,6 @@ def build_report(
         "distances": distances,
         "series_files": sorted(series_files),
     }
-    import jsonschema  # only here, so the stages that write no report never load it
-
     try:
         jsonschema.validate(report, REPORT_SCHEMA)
     except jsonschema.ValidationError as exc:

@@ -270,6 +270,7 @@ def _draw(catalog: PoiCatalog, spec: TrafficSpec) -> tuple[list[MotifClass], np.
     n = spec.n_device_days
     codes = np.empty(n, dtype=np.int8)
     starts, pois, dwells = [], [], []
+    # blocks start at multiples of 2**16, so the indices in one have equally many 32-bit words
     for block in range(0, n, _BLOCK):
         index = np.arange(block, min(block + _BLOCK, n))
         days, block_pois, block_dwells = [], [], []

@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+import re
 
 import numpy as np
 import pytest
@@ -157,6 +158,54 @@ def test_read_network_rejects_bad_header(tmp_path):
     path.write_text("a,b,c\n")
     with pytest.raises(SchemaError):
         read_network(path)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("b,c", "expected 3 fields"),
+        ("b,c,2,9", "expected 3 fields"),
+        ("b,c,1.5", "non-integer weight '1.5'"),
+        ("b,c,0", "weight must be >= 1"),
+        ("c,b,2", "rows must satisfy poi_a < poi_b"),
+        ("a,a,2", "rows must satisfy poi_a < poi_b"),
+        ("a,b,3", "duplicate edge a,b"),
+    ],
+)
+def test_read_network_names_the_bad_row(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"poi_a,poi_b,weight\na,b,1\n\nb,d,2\n{row}\nc,d,1\n")
+    with pytest.raises(SchemaError, match=re.escape(f"{path}:5: {message}")):
+        read_network(path)
+
+
+def test_read_network_bad_header_names_the_file(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("poi_a,poi_b\na,b\n")
+    with pytest.raises(SchemaError, match=re.escape(f"bad network header 'poi_a,poi_b' in {path}")):
+        read_network(path)
+
+
+def test_sidecar_isolated_nodes_label_and_mode_survive_round_trip(tmp_path):
+    net = PlaceNetwork.from_arrays(
+        ["a", "b", "lonely", "z"],
+        np.array([0, 0]),
+        np.array([1, 3]),
+        np.array([2, 5]),
+        label="2020-02-03..2020-02-05",
+        mode="covisitation",
+    )
+    path = tmp_path / "net.csv"
+    write_network(net, path)
+    back = read_network(path)
+    assert back == net
+    assert (back.names, back.label, back.mode) == (
+        ["a", "b", "lonely", "z"], "2020-02-03..2020-02-05", "covisitation"
+    )
+    sidecar_path(path).unlink()  # without the sidecar only the edge list remains
+    bare = read_network(path)
+    assert (bare.names, bare.label, bare.mode) == (["a", "b", "z"], "", None)
+    assert edge_weights(bare) == {("a", "b"): 2, ("a", "z"): 5}
 
 
 def test_csr_adjacency_matches_network():

@@ -1,9 +1,13 @@
 
+import hashlib
+
 import pytest
 from scipy import stats as ss
 
 from oracles import edge_weights
+from placeweave.cli import main
 from placeweave.metrics import degree_distribution, fit_power_law
+from placeweave.network import sidecar_path
 from placeweave.refnets import RefNetSpec, gen_random_network, gen_scale_free_network
 
 
@@ -129,3 +133,43 @@ def test_kind_mismatch_rejected():
         gen_random_network(RefNetSpec("scale_free", 10, 2.0, 0))
     with pytest.raises(ValueError):
         gen_scale_free_network(RefNetSpec("random", 10, 2.0, 0))
+
+
+# sha256 of the refnet CSV and its sidecar: the generators' edges, names,
+# isolated nodes, label and mode, byte for byte.
+REFNET_DIGESTS = {
+    "random-sparse": (
+        ["--kind", "random", "--n", "60", "--avg-degree", "4", "--seed", "3"],
+        "669351694d919e1012e015297c14889a8676bc105626fad41fe2db4a1f65a075",
+        "c105a2ea72d1d9448ee07d9085cb414ee188da38a55e5faac252a75424146af1",
+    ),
+    "random-complete": (
+        ["--kind", "random", "--n", "7", "--avg-degree", "6", "--seed", "1"],
+        "f641ccef7e3f3aca49e9d7b7f1af73a4e26be6630eba864a523fcc143645e7de",
+        "b49181f553d3b483704bc36d6edc49e1f323362c3f534d118d618eb58dd3e9a5",
+    ),
+    "scale-free-m1": (
+        ["--kind", "scale-free", "--n", "40", "--avg-degree", "2", "--seed", "2"],
+        "509a863e5cc1a8ce17a47a704b3f848c43ada181e5bebe932e95843855007534",
+        "6233b66465d170dbd218ab906c4bc088d6fa3d19e171aa59f70d09ac005221b1",
+    ),
+    "scale-free-m3": (
+        ["--kind", "scale-free", "--n", "80", "--avg-degree", "6", "--seed", "4"],
+        "f2c354425385f7fb31c0ebfadc9d51639ee6c78d0f6e849633b78578045c0e25",
+        "b22e9f5949ee0ffea5b1e11057f7590d2638516f533ff3ed077a3691b3c7ed53",
+    ),
+    "scale-free-saturated": (
+        ["--kind", "scale-free", "--n", "4", "--avg-degree", "6", "--seed", "7"],
+        "b69a4e24e59b4a3d00b25657cd62208812ebe547cac73c77bf1ae6246d4cbc66",
+        "7f2971376d8a17cda6150cc9794f4b8c8c9c067c29a18a2e5e5c07da5c1974ad",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFNET_DIGESTS))
+def test_refnet_files_match_pinned_digests(tmp_path, name):
+    args, csv_digest, meta_digest = REFNET_DIGESTS[name]
+    out = tmp_path / "ref.csv"
+    assert main(["refnet", *args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest
+    assert hashlib.sha256(sidecar_path(out).read_bytes()).hexdigest() == meta_digest

@@ -15,8 +15,6 @@ from .ingest import (
     PoiCatalog,
     PoiRecord,
     SequenceTable,
-    StaySequence,
-    StopRecord,
     StopTable,
     build_stay_sequences,
     filter_visits,

@@ -188,10 +188,3 @@ def _total(terms) -> int:
         terms = terms.astype(object)
     return int(terms.sum())
 
-
-def warmup() -> None:
-    """Run the census once on a toy graph so timings exclude first-call costs."""
-    indptr = np.array([0, 1, 2], dtype=np.int64)
-    indices = np.array([1, 0], dtype=np.int64)
-    for k in (3, 4):
-        census_counts(indptr, indices, k, threads=1)

@@ -96,14 +96,12 @@ def category_frequency(
     endpoints: Mapping[str, int],
     catalog: PoiCatalog,
     digits: int = 2,
-    names: Mapping[str, str] | None = None,
 ) -> tuple[list[tuple[str, float]], int]:
     """Rank visit-flow endpoints by category share.
 
     endpoints maps each POI id to the number of flow endpoints at it.
     digits=2 buckets by sector label, digits=4 by the leading four NAICS
-    digits (resolved through `names` when provided, else the digit string
-    itself). Returns the ranked (label, share) list, shares summing to 1,
+    digits. Returns the ranked (label, share) list, shares summing to 1,
     plus the number of endpoints whose POI id was absent from the catalog.
     """
     if digits not in (2, 4):
@@ -116,11 +114,7 @@ def category_frequency(
         if rec is None:
             unresolved += count
             continue
-        if digits == 2:
-            label = to_sector(rec.naics).label
-        else:
-            code = rec.naics[:4]
-            label = names.get(code, code) if names else code
+        label = to_sector(rec.naics).label if digits == 2 else rec.naics[:4]
         counts[label] = counts.get(label, 0) + count
         total += count
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
@@ -237,15 +231,15 @@ class AttributedEntry:
 
 
 def attributed_census(
-    rows: InstanceRows, keys: np.ndarray, top_k: int | None = 10
+    rows: InstanceRows, keys: np.ndarray, top_k: int = 10
 ) -> dict[MotifClass, list[AttributedEntry]]:
     """Rank attributed motifs by frequency within each class.
 
     keys holds the canonical_keys of rows.instances; device counts are
     summed per key as integers. Shares are device counts over the class
     total; ordering is share descending with label sequence as the
-    deterministic tie-break. OTHER instances are skipped. top_k=None keeps
-    every key.
+    deterministic tie-break; each class keeps its top_k keys. OTHER
+    instances are skipped.
     """
     if not len(rows):
         raise ValueError("no instances to attribute")
@@ -260,10 +254,8 @@ def attributed_census(
     for cls, bucket in per_class.items():
         total = sum(count for _, count in bucket)
         ranked = sorted(bucket, key=lambda item: (-item[1], item[0].labels))
-        if top_k is not None:
-            ranked = ranked[:top_k]
         result[cls] = [
             AttributedEntry(key, count, count / total, key.same_category())
-            for key, count in ranked
+            for key, count in ranked[:top_k]
         ]
     return result

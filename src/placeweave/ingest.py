@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import io
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -52,32 +51,12 @@ _INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
-class StopRecord:
-    device_id: str
-    poi_id: str
-    start_time: int  # UTC epoch seconds
-    dwell: int  # seconds, >= 0
-
-
-@dataclass(frozen=True)
 class PoiRecord:
     poi_id: str
     name: str
     lat: float
     lon: float
     naics: str
-
-
-@dataclass(frozen=True)
-class StaySequence:
-    """Ordered distinct-consecutive POI visits of one device on one local day."""
-
-    device_id: str
-    local_date: dt.date
-    stays: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.stays)
 
 
 class PoiCatalog:
@@ -154,22 +133,6 @@ class StopTable:
             dwell=self.dwell[rows],
         )
 
-    @classmethod
-    def from_records(cls, records: Iterable[StopRecord]) -> StopTable:
-        records = list(records)
-        devices, device = _intern([r.device_id for r in records])
-        pois, poi = _intern([r.poi_id for r in records])
-        start = np.array([r.start_time for r in records], dtype=np.int64)
-        dwell = np.array([r.dwell for r in records], dtype=np.int64)
-        return cls(devices, pois, device, poi, start, dwell)
-
-    def records(self) -> list[StopRecord]:
-        columns = (self.device, self.poi, self.start_time, self.dwell)
-        return [
-            StopRecord(self.devices[d], self.pois[p], t, w)
-            for d, p, t, w in zip(*(column.tolist() for column in columns))
-        ]
-
 
 @dataclass(eq=False)
 class SequenceTable:
@@ -178,7 +141,7 @@ class SequenceTable:
     Sequence i is device devices[device[i]] on local day day[i] (days after
     1970-01-01) visiting pois[stays[offsets[i]:offsets[i + 1]]] in order.
     Both name lists are sorted; device is int32, day and offsets int64,
-    stays int32. Iterating yields StaySequence views.
+    stays int32.
     """
 
     devices: list[str]
@@ -212,32 +175,6 @@ class SequenceTable:
         bounds = self.offsets.tolist()
         for i, (device, day) in enumerate(zip(self.device.tolist(), days)):
             yield self.devices[device], dates[day], tuple(names[bounds[i] : bounds[i + 1]])
-
-    def __iter__(self) -> Iterator[StaySequence]:
-        return (StaySequence(*walk) for walk in self.walks())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SequenceTable):
-            return NotImplemented
-        return list(self) == list(other)
-
-    @classmethod
-    def from_sequences(cls, sequences: Iterable[StaySequence]) -> SequenceTable:
-        """The table of the given sequences, in their order."""
-        device_ids: list[str] = []
-        days: list[int] = []
-        lengths: list[int] = []
-        flat: list[str] = []
-        for seq in sequences:
-            device_ids.append(seq.device_id)
-            days.append((seq.local_date - EPOCH).days)
-            lengths.append(len(seq.stays))
-            flat.extend(seq.stays)
-        devices, device = _intern(device_ids)
-        pois, stays = _intern(flat)
-        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        return cls(devices, pois, device, np.array(days, dtype=np.int64), offsets, stays)
 
 
 def _open_text(source: str | Path | TextIO):
@@ -489,31 +426,39 @@ def write_sequences(sequences: SequenceTable, path: str | Path) -> None:
 
 
 def read_sequences(source: str | Path | TextIO) -> SequenceTable:
+    """Read a sequences file into a SequenceTable, one sequence per row in file order.
+
+    A bad date, a walk of fewer than two stays and a stay repeated
+    consecutively each raise RowError with the row's line number.
+    """
+    device_ids: list[str] = []
+    days: list[int] = []
+    lengths: list[int] = []
+    flat: list[str] = []
     fh, close = _open_text(source)
     try:
         reader = csv.DictReader(fh)
         _check_header(reader.fieldnames, ("device_id", "local_date", "stays"), "sequences")
-
-        def rows() -> Iterator[StaySequence]:
-            for row in reader:
-                line = reader.line_num
-                try:
-                    day = dt.date.fromisoformat(row["local_date"])
-                except (ValueError, TypeError):
-                    raise RowError(line, f"bad date {row.get('local_date')!r}") from None
-                stays = tuple(row["stays"].split(STAY_SEPARATOR))
-                if len(stays) < 2:
-                    raise RowError(line, "sequence shorter than 2 stays")
-                if any(a == b for a, b in zip(stays, stays[1:])):
-                    raise RowError(line, "a walk repeats a stay consecutively")
-                yield StaySequence(row["device_id"], day, stays)
-
-        return SequenceTable.from_sequences(rows())
+        for row in reader:
+            line = reader.line_num
+            try:
+                day = dt.date.fromisoformat(row["local_date"])
+            except (ValueError, TypeError):
+                raise RowError(line, f"bad date {row.get('local_date')!r}") from None
+            stays = row["stays"].split(STAY_SEPARATOR)
+            if len(stays) < 2:
+                raise RowError(line, "sequence shorter than 2 stays")
+            if any(a == b for a, b in zip(stays, stays[1:])):
+                raise RowError(line, "a walk repeats a stay consecutively")
+            device_ids.append(row["device_id"])
+            days.append((day - EPOCH).days)
+            lengths.append(len(stays))
+            flat.extend(stays)
     finally:
         if close:
             fh.close()
-
-
-def stops_from_text(text: str) -> StopTable:
-    """Convenience wrapper: parse stops from an in-memory CSV string."""
-    return parse_stops(io.StringIO(text))
+    devices, device = _intern(device_ids)
+    pois, stays = _intern(flat)
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return SequenceTable(devices, pois, device, np.array(days, dtype=np.int64), offsets, stays)

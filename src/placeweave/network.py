@@ -6,11 +6,12 @@ code pair) and each edge's int64 weight. Because the node ids are sorted,
 code order is string order, so the edge order is the order of the
 (poi_a, poi_b) string pairs. Weights count visit flows.
 
-Networks are built from a SequenceTable's integer stays: each step (or
-co-visited pair) becomes a pair of POI codes, and one lexsort over the
-pairs groups them into edges whose weights are the group sizes. Merging
-concatenates the edge arrays of several networks and groups them the same
-way. Names are attached only when a network is written.
+Every network is built by PlaceNetwork.from_arrays, which sorts edge
+code pairs with one lexsort and sums the weights of repeated pairs. From
+a SequenceTable's integer stays, each step (or co-visited pair) becomes a
+pair of POI codes of weight one; merging concatenates the edge arrays of
+several networks; a network file is read into arrays first. Names are
+attached only when a network is written.
 
 The on-disk format is a CSV edge list (poi_a,poi_b,weight, poi_a < poi_b,
 rows sorted) plus a JSON sidecar carrying the label, node count, build mode
@@ -22,9 +23,8 @@ from __future__ import annotations
 import datetime as dt
 import json
 from bisect import bisect_left
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
-
 import numpy as np
 
 from .errors import SchemaError
@@ -53,29 +53,21 @@ def _sum_edges(
     return src[last], dst[last], np.diff(total, prepend=0)
 
 
+@dataclass(eq=False)
 class PlaceNetwork:
     """Simple undirected graph over POI ids with positive integer weights.
 
     names holds the sorted node ids; src and dst the int64 endpoint codes
     of each edge (src < dst, edges sorted by (src, dst)); weights the int64
-    weight of each edge. add_node and add_edge queue changes that are
-    folded into the arrays on the next read.
+    weight of each edge. from_arrays builds a network from unsorted edges.
     """
 
-    def __init__(
-        self,
-        nodes: Iterable[str] = (),
-        edges: Mapping[tuple[str, str], int] | None = None,
-        label: str = "",
-        mode: str | None = None,
-    ):
-        self.label = label
-        self.mode = mode
-        self._set([], _empty(), _empty(), _empty())
-        self._queued_nodes: set[str] = set(nodes)
-        self._queued_edges: list[tuple[str, str, int]] = []
-        for (a, b), w in (edges or {}).items():
-            self.add_edge(a, b, w)
+    names: list[str] = field(default_factory=list)
+    src: np.ndarray = field(default_factory=_empty)
+    dst: np.ndarray = field(default_factory=_empty)
+    weights: np.ndarray = field(default_factory=_empty)
+    label: str = ""
+    mode: str | None = None
 
     @classmethod
     def from_arrays(
@@ -88,65 +80,24 @@ class PlaceNetwork:
         mode: str | None = None,
     ) -> PlaceNetwork:
         """A network over sorted distinct names; repeated edges (src < dst) add up."""
-        net = cls(label=label, mode=mode)
-        net._set(names, *_sum_edges(src, dst, weights))
-        return net
-
-    def _set(self, names: list[str], src: np.ndarray, dst: np.ndarray, weights: np.ndarray) -> None:
-        self._names = names
-        self._src = src.astype(np.int64, copy=False)
-        self._dst = dst.astype(np.int64, copy=False)
-        self._weights = weights.astype(np.int64, copy=False)
-
-    # -- construction ---------------------------------------------------
-
-    def add_node(self, node: str) -> None:
-        self._queued_nodes.add(node)
+        src, dst, weights = (
+            np.asarray(column).astype(np.int64, copy=False) for column in (src, dst, weights)
+        )
+        return cls(names, *_sum_edges(src, dst, weights), label=label, mode=mode)
 
     def add_edge(self, a: str, b: str, weight: int = 1) -> None:
+        """Add weight to the edge (a, b) and its nodes, rebuilding the arrays at once.
+
+        No library path calls it; perfbench/test_perfbench.py builds its
+        one-edge network with it.
+        """
         if a == b:
             raise ValueError(f"self-loop at {a!r}")
-        self._queued_edges.append((a, b, weight))
-
-    def _fold(self) -> None:
-        """Merge queued nodes and edges into the arrays, summing repeated edges."""
-        if not (self._queued_nodes or self._queued_edges):
-            return
-        queued = self._queued_edges
-        names = sorted(
-            self._queued_nodes.union(self._names, (v for a, b, _ in queued for v in (a, b)))
+        edge = PlaceNetwork.from_arrays(sorted((a, b)), [0], [1], [weight])
+        merged = merge_networks([self, edge])
+        self.names, self.src, self.dst, self.weights = (
+            merged.names, merged.src, merged.dst, merged.weights
         )
-        index = {v: i for i, v in enumerate(names)}
-        old = np.array([index[v] for v in self._names], dtype=np.int64)
-        a = np.fromiter((index[e[0]] for e in queued), dtype=np.int64, count=len(queued))
-        b = np.fromiter((index[e[1]] for e in queued), dtype=np.int64, count=len(queued))
-        w = np.fromiter((e[2] for e in queued), dtype=np.int64, count=len(queued))
-        src = np.concatenate((old[self._src], np.minimum(a, b)))
-        dst = np.concatenate((old[self._dst], np.maximum(a, b)))
-        self._queued_nodes, self._queued_edges = set(), []
-        self._set(names, *_sum_edges(src, dst, np.concatenate((self._weights, w))))
-
-    # -- arrays -----------------------------------------------------------
-
-    @property
-    def names(self) -> list[str]:
-        self._fold()
-        return self._names
-
-    @property
-    def src(self) -> np.ndarray:
-        self._fold()
-        return self._src
-
-    @property
-    def dst(self) -> np.ndarray:
-        self._fold()
-        return self._dst
-
-    @property
-    def weights(self) -> np.ndarray:
-        self._fold()
-        return self._weights
 
     @property
     def n_nodes(self) -> int:
@@ -328,7 +279,9 @@ def write_network(net: PlaceNetwork, path: str | Path, extra_meta: dict | None =
 
 def read_network(path: str | Path) -> PlaceNetwork:
     path = Path(path)
-    net = PlaceNetwork()
+    a_ids: list[str] = []
+    b_ids: list[str] = []
+    weights: list[int] = []
     seen: set[tuple[str, str]] = set()
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -353,15 +306,21 @@ def read_network(path: str | Path) -> PlaceNetwork:
             if (a, b) in seen:
                 raise SchemaError(f"{path}:{lineno}: duplicate edge {a},{b}")
             seen.add((a, b))
-            net.add_edge(a, b, w)
+            a_ids.append(a)
+            b_ids.append(b)
+            weights.append(w)
     meta_file = sidecar_path(path)
-    if meta_file.exists():
-        meta = json.loads(meta_file.read_text(encoding="utf-8"))
-        net.label = meta.get("label", "")
-        net.mode = meta.get("mode")
-        for node in meta.get("isolated_nodes", []):
-            net.add_node(node)
-    return net
+    meta = json.loads(meta_file.read_text(encoding="utf-8")) if meta_file.exists() else {}
+    names = sorted(set(a_ids).union(b_ids, meta.get("isolated_nodes", [])))
+    index = {v: i for i, v in enumerate(names)}
+    return PlaceNetwork.from_arrays(
+        names,
+        np.fromiter(map(index.__getitem__, a_ids), dtype=np.int64, count=len(a_ids)),
+        np.fromiter(map(index.__getitem__, b_ids), dtype=np.int64, count=len(b_ids)),
+        np.array(weights, dtype=np.int64),
+        label=meta.get("label", ""),
+        mode=meta.get("mode"),
+    )
 
 
 def weighted_csr(

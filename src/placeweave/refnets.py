@@ -45,9 +45,17 @@ class RefNetSpec:
             )
 
 
-def _node_names(n: int) -> list[str]:
+def _reference_network(n: int, src, dst, label: str) -> PlaceNetwork:
+    """Unit-weight network on nodes v0..v{n-1}, zero-padded so code order is name order."""
     width = len(str(n - 1))
-    return [f"v{i:0{width}d}" for i in range(n)]
+    return PlaceNetwork.from_arrays(
+        [f"v{i:0{width}d}" for i in range(n)],
+        src,
+        dst,
+        np.ones(len(src), dtype=np.int64),
+        label=label,
+        mode="reference",
+    )
 
 
 def gen_random_network(spec: RefNetSpec) -> PlaceNetwork:
@@ -57,17 +65,14 @@ def gen_random_network(spec: RefNetSpec) -> PlaceNetwork:
         raise ValueError(f"spec kind is {spec.kind!r}, expected 'random'")
     n = spec.n
     p = spec.target_average_degree / (n - 1)
-    names = _node_names(n)
-    net = PlaceNetwork(nodes=names, mode="reference")
-    net.label = f"random-n{n}-seed{spec.seed}"
+    label = f"random-n{n}-seed{spec.seed}"
     rng = np.random.default_rng(spec.seed)
     if p >= 1.0:
-        for i in range(n):
-            for j in range(i + 1, n):
-                net.add_edge(names[i], names[j])
-        return net
+        return _reference_network(n, *np.triu_indices(n, 1), label)
     # Batagelj-Brandes skip sampling: geometric jumps through the pair order.
     log_q = math.log1p(-p)
+    src: list[int] = []
+    dst: list[int] = []
     v, w = 1, -1
     while v < n:
         r = rng.random()
@@ -76,8 +81,9 @@ def gen_random_network(spec: RefNetSpec) -> PlaceNetwork:
             w -= v
             v += 1
         if v < n:
-            net.add_edge(names[w], names[v])
-    return net
+            src.append(w)
+            dst.append(v)
+    return _reference_network(n, src, dst, label)
 
 
 def gen_scale_free_network(spec: RefNetSpec) -> PlaceNetwork:
@@ -98,26 +104,23 @@ def gen_scale_free_network(spec: RefNetSpec) -> PlaceNetwork:
     n = spec.n
     if n <= m:
         raise ValueError(f"need n > m, got n={n}, m={m}")
-    names = _node_names(n)
-    net = PlaceNetwork(nodes=names, mode="reference")
-    net.label = f"scale-free-n{n}-m{m}-seed{spec.seed}"
     rng = np.random.default_rng(spec.seed)
-    repeated: list[int] = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            net.add_edge(names[i], names[j])
-        repeated.extend([i] * (m - 1))
+    seed_src, seed_dst = np.triu_indices(m, 1)
+    src: list[int] = seed_src.tolist()
+    dst: list[int] = seed_dst.tolist()
+    repeated = [i for i in range(m) for _ in range(m - 1)]
     if m == 1:
         repeated = [0]  # lone seed node has degree 0; give it unit mass
-    for src in range(m, n):
+    for new in range(m, n):
         targets: set[int] = set()
         while len(targets) < m:
             targets.add(repeated[int(rng.integers(len(repeated)))])
-        for tgt in sorted(targets):
-            net.add_edge(names[tgt], names[src])
-            repeated.append(tgt)
-        repeated.extend([src] * m)
-    return net
+        chosen = sorted(targets)
+        src.extend(chosen)
+        dst.extend([new] * m)
+        repeated.extend(chosen)
+        repeated.extend([new] * m)
+    return _reference_network(n, src, dst, f"scale-free-n{n}-m{m}-seed{spec.seed}")
 
 
 def generate(spec: RefNetSpec) -> PlaceNetwork:

@@ -52,7 +52,15 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     dphi = phi2 - phi1
     dlam = math.radians(lon2 - lon1)
     a = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(a)))
+    if a <= 0.5:
+        return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(a)))
+    # Beyond a quarter circle asin of a value near 1 loses digits; use Vincenty's atan2 form.
+    y = math.hypot(
+        math.cos(phi2) * math.sin(dlam),
+        math.cos(phi1) * math.sin(phi2) - math.sin(phi1) * math.cos(phi2) * math.cos(dlam),
+    )
+    x = math.sin(phi1) * math.sin(phi2) + math.cos(phi1) * math.cos(phi2) * math.cos(dlam)
+    return EARTH_RADIUS_KM * math.atan2(y, x)
 
 
 @dataclass

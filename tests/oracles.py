@@ -13,14 +13,84 @@ import datetime as dt
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+import io
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from placeweave.ingest import StopRecord
+from placeweave.ingest import EPOCH, SequenceTable, parse_stops
 from placeweave.motifs import MotifClass, classify_graph
+from placeweave.network import PlaceNetwork
 from placeweave.stats import EARTH_RADIUS_KM
 from placeweave.synth import CLASS_WALKS, DeviceDayPlan
+
+
+# -- tables built through the library's constructors -------------------------------
+
+
+class Walk(NamedTuple):
+    """One sequence as SequenceTable.walks() yields it (and equal to that tuple)."""
+
+    device_id: str
+    local_date: dt.date
+    stays: tuple
+
+
+class Stop(NamedTuple):
+    """One stop as stop_rows gives it (and equal to that tuple)."""
+
+    device_id: str
+    poi_id: str
+    start_time: int
+    dwell: int
+
+
+def network(edges: Mapping, nodes: Iterable[str] = (), label="", mode=None) -> PlaceNetwork:
+    """PlaceNetwork.from_arrays over {(a, b): weight} (ends in either order) plus nodes."""
+    names = sorted({*nodes, *(v for edge in edges for v in edge)})
+    code = {v: i for i, v in enumerate(names)}
+    ends = np.array([sorted((code[a], code[b])) for a, b in edges], dtype=np.int64).reshape(-1, 2)
+    weights = np.array(list(edges.values()), dtype=np.int64)
+    return PlaceNetwork.from_arrays(names, ends[:, 0], ends[:, 1], weights, label=label, mode=mode)
+
+
+def sequence_table(walks: Iterable) -> SequenceTable:
+    """The SequenceTable of (device_id, local_date, stays) walks, in their order."""
+    walks = list(walks)
+    devices = sorted({device for device, _, _ in walks})
+    pois = sorted({poi for _, _, stays in walks for poi in stays})
+    device_code = {v: i for i, v in enumerate(devices)}
+    poi_code = {v: i for i, v in enumerate(pois)}
+    offsets = np.zeros(len(walks) + 1, dtype=np.int64)
+    np.cumsum([len(stays) for _, _, stays in walks], out=offsets[1:])
+    return SequenceTable(
+        devices,
+        pois,
+        np.array([device_code[device] for device, _, _ in walks], dtype=np.int32),
+        np.array([(day - EPOCH).days for _, day, _ in walks], dtype=np.int64),
+        offsets,
+        np.array([poi_code[poi] for _, _, stays in walks for poi in stays], dtype=np.int32),
+    )
+
+
+def stop_table(stops: Iterable):
+    """The StopTable parse_stops reads from these (device_id, poi_id, start_time, dwell) rows."""
+    return parse_stops(io.StringIO(stops_csv_text(stops)))
+
+
+def stop_rows(table) -> list[tuple]:
+    """(device_id, poi_id, start_time, dwell) of each stop of a StopTable, in order."""
+    columns = (table.device, table.poi, table.start_time, table.dwell)
+    return [
+        (table.devices[d], table.pois[p], t, w)
+        for d, p, t, w in zip(*(column.tolist() for column in columns))
+    ]
+
+
+def stops_csv_text(stops: Iterable) -> str:
+    """stops.csv holding these (device_id, poi_id, start_time, dwell) rows, in order."""
+    rows = [f"{device},{poi},{start},{dwell}\n" for device, poi, start, dwell in stops]
+    return "device_id,poi_id,start_time,dwell\n" + "".join(rows)
 
 
 # -- dict views of a network ---------------------------------------------------
@@ -585,7 +655,7 @@ def traffic_plan(catalog, spec, indices=None) -> list[DeviceDayPlan]:
     return plans
 
 
-def plan_stops(plan: DeviceDayPlan) -> list[StopRecord]:
+def plan_stops(plan: DeviceDayPlan) -> list[Stop]:
     """One stop per walk step, 15 minutes apart from 08:00 UTC on the plan's date."""
     base = int(
         dt.datetime(
@@ -594,12 +664,7 @@ def plan_stops(plan: DeviceDayPlan) -> list[StopRecord]:
         ).timestamp()
     )
     return [
-        StopRecord(plan.device_id, poi, base + k * 900, dwell)
+        Stop(plan.device_id, poi, base + k * 900, dwell)
         for k, (poi, dwell) in enumerate(zip(plan.walk, plan.dwells))
     ]
 
-
-def stops_csv_text(stops) -> str:
-    """stops.csv holding these StopRecords, one row each, in order."""
-    rows = [f"{s.device_id},{s.poi_id},{s.start_time},{s.dwell}\n" for s in stops]
-    return "device_id,poi_id,start_time,dwell\n" + "".join(rows)

@@ -27,8 +27,11 @@ from oracles import (
     brute_force_classify,
     brute_force_enumerate,
     brute_force_unweighted_clustering,
+    Walk,
     covering_walk,
     instance_from_edges,
+    network,
+    sequence_table,
     trajectory_instance,
 )
 from placeweave import _fastcount
@@ -37,8 +40,6 @@ from placeweave.cli import main as cli_main
 from placeweave.ingest import (
     PoiCatalog,
     PoiRecord,
-    SequenceTable,
-    StaySequence,
     build_stay_sequences,
     filter_visits,
 )
@@ -112,10 +113,9 @@ def test_criterion_2_enumeration_exact():
         for trial in range(50):
             n = rng.randint(8, 25)
             p = rng.choice((0.12, 0.2, 0.3, 0.45))
-            net = PlaceNetwork(nodes=[f"p{i:02d}" for i in range(n)])
-            for a, b in itertools.combinations(net.names, 2):
-                if rng.random() < p:
-                    net.add_edge(a, b)
+            nodes = [f"p{i:02d}" for i in range(n)]
+            pairs = itertools.combinations(nodes, 2)
+            net = network({(a, b): 1 for a, b in pairs if rng.random() < p}, nodes=nodes)
             for k in (2, 3, 4):
                 assert enumerate_induced(net, k) == brute_force_enumerate(net, k), (trial, k)
         assert time.perf_counter() - start < 30.0
@@ -188,13 +188,12 @@ def test_criterion_4_planted_recovery_50k():
         assert len(sequences) == 50_000
 
         net = build_network(sequences, mode="consecutive")
-        assert net.total_weight == sum(len(s.stays) - 1 for s in sequences)
+        assert net.total_weight == sum(len(stays) - 1 for _, _, stays in sequences.walks())
 
-        by_device = {seq.device_id: seq for seq in sequences}
+        by_device = {device: stays for device, _, stays in sequences.walks()}
         recovered = 0
         for plan in plans:
-            seq = by_device[plan.device_id]
-            if trajectory_instance(seq.stays).motif_class is plan.motif_class:
+            if trajectory_instance(by_device[plan.device_id]).motif_class is plan.motif_class:
                 recovered += 1
         assert recovered == 50_000  # 100%, no tolerance
 
@@ -246,10 +245,12 @@ def test_criterion_6_weighted_clustering():
         for seed in range(20):
             rng = random.Random(seed)
             n = rng.randint(20, 50)
-            net = PlaceNetwork(nodes=[f"p{i:02d}" for i in range(n)])
-            for a, b in itertools.combinations(net.names, 2):
+            nodes = [f"p{i:02d}" for i in range(n)]
+            edges = {}
+            for a, b in itertools.combinations(nodes, 2):
                 if rng.random() < 0.2:
-                    net.add_edge(a, b, rng.randint(1, 9))
+                    edges[a, b] = rng.randint(1, 9)
+            net = network(edges, nodes=nodes)
             for node in net.names:
                 got = local_clustering_weighted(net, node)
                 want = brute_force_barrat(net, node)
@@ -257,10 +258,9 @@ def test_criterion_6_weighted_clustering():
 
         # equal weights reduce to the unweighted coefficient
         rng = random.Random(99)
-        net = PlaceNetwork(nodes=[f"p{i:02d}" for i in range(40)])
-        for a, b in itertools.combinations(net.names, 2):
-            if rng.random() < 0.25:
-                net.add_edge(a, b)
+        nodes = [f"p{i:02d}" for i in range(40)]
+        pairs = itertools.combinations(nodes, 2)
+        net = network({(a, b): 1 for a, b in pairs if rng.random() < 0.25}, nodes=nodes)
         for node in net.names:
             got = local_clustering_weighted(net, node)
             want = brute_force_unweighted_clustering(net, node)
@@ -293,8 +293,8 @@ def test_criterion_8_attributed_canonicalization():
             edges = [(nodes[a], nodes[b]) for a, b in ref_edges]
             inst = instance_from_edges(nodes, edges)
             assert inst.motif_class is cls
-            walk = StaySequence("d", dt.date(2020, 2, 3), tuple(covering_walk(edges)))
-            rows = classify_trajectories(SequenceTable.from_sequences([walk])).rows
+            walk = Walk("d", dt.date(2020, 2, 3), tuple(covering_walk(edges)))
+            rows = classify_trajectories(sequence_table([walk])).rows
             assignments = list(itertools.product(alphabet, repeat=n))
             keys = {}
             for labels in assignments:
@@ -327,11 +327,10 @@ def _county_scale_graph(seed: int = 99) -> PlaceNetwork:
         chosen.pop()
     width = len(str(n - 1))
     names = [f"v{i:0{width}d}" for i in range(n)]
-    net = PlaceNetwork(nodes=names)
-    for idx in chosen:
-        i = int((1 + math.isqrt(1 + 8 * idx)) // 2)
-        j = idx - i * (i - 1) // 2
-        net.add_edge(names[i], names[j])
+    idx = np.fromiter(chosen, dtype=np.int64, count=len(chosen))
+    i = np.array([(1 + math.isqrt(1 + 8 * x)) // 2 for x in idx.tolist()], dtype=np.int64)
+    j = idx - i * (i - 1) // 2
+    net = PlaceNetwork.from_arrays(names, j, i, np.ones(m, dtype=np.int64))
     assert net.n_edges == m
     return net
 
@@ -340,7 +339,10 @@ def _county_scale_graph(seed: int = 99) -> PlaceNetwork:
 def county_graph_csr():
     net = _county_scale_graph()
     _, indptr, indices = csr_adjacency(net)
-    _fastcount.warmup()
+    # one call per k on a one-edge graph, so the timings exclude first-call costs
+    for k in (3, 4):
+        toy = np.array([0, 1, 2], dtype=np.int64), np.array([1, 0], dtype=np.int64)
+        _fastcount.census_counts(*toy, k, threads=1)
     return indptr, indices
 
 

@@ -21,7 +21,7 @@ from placeweave.attributes import (
     to_sector,
 )
 from placeweave.errors import MissingPoiError, UnknownSectorError
-from placeweave.ingest import PoiCatalog, PoiRecord, SequenceTable, StaySequence
+from placeweave.ingest import PoiCatalog, PoiRecord
 from placeweave.motifs import (
     INDEX_CLASS,
     MASK_CLASS,
@@ -56,11 +56,11 @@ def make_instance(cls: MotifClass, node_names: list[str]):
 def table_of(device_counts):
     """The instance rows of device_counts[inst] walks tracing each instance, on one day."""
     walks = [
-        StaySequence(f"d{i}-{j}", MON, tuple(oracles.covering_walk(inst.edges)))
+        (f"d{i}-{j}", MON, tuple(oracles.covering_walk(inst.edges)))
         for i, (inst, count) in enumerate(device_counts.items())
         for j in range(count)
     ]
-    return classify_trajectories(SequenceTable.from_sequences(walks)).rows
+    return classify_trajectories(oracles.sequence_table(walks)).rows
 
 
 def canonical_key(inst, catalog) -> AttributedMotifKey:
@@ -147,13 +147,6 @@ def test_category_frequency_four_digit_uses_code_with_name_fallback():
     catalog = PoiCatalog([PoiRecord("a", "a", 0, 0, "722511"), PoiRecord("b", "b", 0, 0, "4411")])
     ranked, _ = category_frequency(endpoints([("a", "b")]), catalog, digits=4)
     assert dict(ranked) == {"7225": 0.5, "4411": 0.5}
-    named, _ = category_frequency(
-        endpoints([("a", "b")]),
-        catalog,
-        digits=4,
-        names={"7225": "Restaurants and Other Eating Places"},
-    )
-    assert dict(named) == {"Restaurants and Other Eating Places": 0.5, "4411": 0.5}
 
 
 def test_category_frequency_weights_endpoints_by_count():

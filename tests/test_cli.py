@@ -360,9 +360,14 @@ def test_version_flag(capsys):
 
 def test_run_builds_no_stop_records_and_no_edge_dicts(synth_dir, tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("run built a per-row object")
+        raise AssertionError("run built a network edge by edge")
 
-    monkeypatch.setattr(ingest.StopRecord, "__init__", forbidden)
+    for record in ("StopRecord", "StaySequence"):
+        assert not hasattr(ingest, record), record
+    for queue in ("add_node", "_fold"):
+        assert not hasattr(network.PlaceNetwork, queue), queue
+    # add_edge stays for perfbench/test_perfbench.py; run must not call it
+    monkeypatch.setattr(network.PlaceNetwork, "add_edge", forbidden)
     for view in ("nodes", "edges", "adjacency", "neighbors", "weight", "has_edge"):
         assert not hasattr(network.PlaceNetwork, view), view
     for mode in ("consecutive", "covisitation"):

@@ -8,34 +8,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import Stop, Walk, sequence_table, stop_rows, stop_table
 from placeweave import ingest
 from placeweave.cli import main
 from placeweave.errors import RowError, SchemaError, UnknownSectorError
 from placeweave.ingest import (
     PoiCatalog,
     PoiRecord,
-    SequenceTable,
-    StaySequence,
-    StopRecord,
-    StopTable,
     filter_cataloged,
     load_poi_catalog,
     parse_stops,
     read_sequences,
-    stops_from_text,
     write_sequences,
 )
 
 STOPS_HEADER = "device_id,poi_id,start_time,dwell\n"
 
 
+def stops_from_text(text):
+    return parse_stops(io.StringIO(text))
+
+
 def test_parse_stops_maps_fields():
-    records = stops_from_text(STOPS_HEADER + "d1,p1,1580601600,900\n").records()
-    assert records == [StopRecord("d1", "p1", 1580601600, 900)]
+    rows = stop_rows(stops_from_text(STOPS_HEADER + "d1,p1,1580601600,900\n"))
+    assert rows == [("d1", "p1", 1580601600, 900)]
 
 
 def test_parse_stops_header_only_is_empty():
-    assert stops_from_text(STOPS_HEADER).records() == []
+    assert stop_rows(stops_from_text(STOPS_HEADER)) == []
 
 
 def test_parse_stops_negative_dwell_reports_line():
@@ -55,17 +55,18 @@ def test_parse_stops_non_integer_field():
 
 
 def _stop(device="d1", poi="p1", t=0, dwell=600):
-    return StopRecord(device, poi, t, dwell)
+    return Stop(device, poi, t, dwell)
 
 
 def filter_visits(stops, min_dwell):
-    """ingest.filter_visits over a table of the records; the kept records."""
-    return ingest.filter_visits(StopTable.from_records(stops), min_dwell).records()
+    """ingest.filter_visits over a table of the rows; the kept rows."""
+    return stop_rows(ingest.filter_visits(stop_table(stops), min_dwell))
 
 
 def build_stay_sequences(stops, utc_offset):
-    """ingest.build_stay_sequences over a table of the records; the sequences as a list."""
-    return list(ingest.build_stay_sequences(StopTable.from_records(stops), utc_offset))
+    """ingest.build_stay_sequences over a table of the rows; its walks as Walk tuples."""
+    sequences = ingest.build_stay_sequences(stop_table(stops), utc_offset)
+    return [Walk(*walk) for walk in sequences.walks()]
 
 
 def test_filter_visits_threshold():
@@ -171,11 +172,12 @@ def test_sequences_share_no_object_with_stops():
         [PoiRecord(f"p{i}", "A", 0.0, 0.0, "44") for i in range(3)]
     )
     records = [
-        StopRecord("".join(["d", str(k % 2)]), "".join(["p", str(k % 3)]), 3600 * k, 600)
+        Stop("".join(["d", str(k % 2)]), "".join(["p", str(k % 3)]), 3600 * k, 600)
         for k in range(8)
     ]
-    stops = StopTable.from_records(records)
-    seqs = list(ingest.build_stay_sequences(filter_cataloged(stops, catalog)[0], 0))
+    stops = stop_table(records)
+    sequences = ingest.build_stay_sequences(filter_cataloged(stops, catalog)[0], 0)
+    seqs = [Walk(*walk) for walk in sequences.walks()]
     assert seqs == build_stay_sequences(records, 0)
     own_ids = {rec.poi_id: rec.poi_id for rec in catalog}
     stop_devices = {id(s.device_id) for s in records}
@@ -186,9 +188,9 @@ def test_sequences_share_no_object_with_stops():
 
 def test_filter_cataloged_drops_and_counts():
     catalog = PoiCatalog([PoiRecord("p1", "A", 0.0, 0.0, "44")])
-    stops = StopTable.from_records([_stop(), _stop(poi="ghost")])
+    stops = stop_table([_stop(), _stop(poi="ghost")])
     kept, dropped = filter_cataloged(stops, catalog)
-    assert [s.poi_id for s in kept.records()] == ["p1"]
+    assert [poi for _, poi, _, _ in stop_rows(kept)] == ["p1"]
     assert dropped == 1
 
 
@@ -196,10 +198,10 @@ def test_sequences_survive_catalog_join():
     catalog = PoiCatalog(
         [PoiRecord("p1", "A", 0.0, 0.0, "44"), PoiRecord("p2", "B", 0.0, 0.0, "72")]
     )
-    stops = StopTable.from_records([_stop(t=1), _stop(poi="ghost", t=2), _stop(poi="p2", t=3)])
+    stops = stop_table([_stop(t=1), _stop(poi="ghost", t=2), _stop(poi="p2", t=3)])
     kept, _ = filter_cataloged(stops, catalog)
-    for seq in ingest.build_stay_sequences(kept, 0):
-        assert all(poi in catalog for poi in seq.stays)
+    for _, _, stays in ingest.build_stay_sequences(kept, 0).walks():
+        assert all(poi in catalog for poi in stays)
 
 
 def test_sequence_file_round_trip(tmp_path):
@@ -209,10 +211,10 @@ def test_sequence_file_round_trip(tmp_path):
         _stop(device="d2", poi="p3", t=5),
         _stop(device="d2", poi="p1", t=9),
     ]
-    seqs = ingest.build_stay_sequences(StopTable.from_records(stops), 0)
+    seqs = ingest.build_stay_sequences(stop_table(stops), 0)
     path = tmp_path / "sequences.csv"
     write_sequences(seqs, path)
-    assert read_sequences(path) == seqs
+    assert list(read_sequences(path).walks()) == list(seqs.walks())
 
 
 @pytest.mark.parametrize(
@@ -278,20 +280,20 @@ def test_bulk_parse_reads_rows_as_dictreader_does():
         "\n"
         "d2,\"p1\",20,5,0\n"
     )
-    assert stops_from_text(text).records() == [
-        StopRecord("d1", "p2", 10, 600),
-        StopRecord("d2", "p1", 20, 0),
+    assert stop_rows(stops_from_text(text)) == [
+        ("d1", "p2", 10, 600),
+        ("d2", "p1", 20, 0),
     ]
-    assert stops_from_text(text).records() == [
-        StopRecord(r["device_id"].strip(), r["poi_id"], int(r["start_time"]), int(r["dwell"]))
+    assert stop_rows(stops_from_text(text)) == [
+        (r["device_id"].strip(), r["poi_id"], int(r["start_time"]), int(r["dwell"]))
         for r in csv.DictReader(io.StringIO(text))
     ]
 
 
 def test_stop_table_round_trips_records():
     records = [_stop(device="d2", poi="p9", t=-5), _stop(), _stop(device="d2", dwell=0)]
-    table = StopTable.from_records(records)
-    assert table.records() == records
+    table = stop_table(records)
+    assert stop_rows(table) == records
     assert table.devices == ["d1", "d2"] and table.pois == ["p1", "p9"]
 
 
@@ -350,7 +352,7 @@ WALKS = (
 @given(
     st.lists(
         st.builds(
-            StaySequence,
+            Walk,
             DEVICE_IDS,
             st.dates(),
             WALKS,
@@ -360,7 +362,7 @@ WALKS = (
 )
 def test_sequence_file_round_trips_any_table(tmp_path_factory, seqs):
     path = tmp_path_factory.mktemp("seq") / "sequences.csv"
-    table = SequenceTable.from_sequences(seqs)
+    table = sequence_table(seqs)
     write_sequences(table, path)
-    assert list(read_sequences(path)) == seqs
-    assert read_sequences(path) == table
+    assert list(read_sequences(path).walks()) == seqs
+    assert list(read_sequences(path).walks()) == list(table.walks())

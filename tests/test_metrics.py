@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 from scipy.stats import zipf
 
 import placeweave
-from oracles import adjacency, brute_force_barrat, brute_force_unweighted_clustering, exact_barrat
+from oracles import (
+    adjacency,
+    brute_force_barrat,
+    brute_force_unweighted_clustering,
+    edge_weights,
+    exact_barrat,
+    network,
+)
 from placeweave.metrics import (
     _brentq,
     DegreeHistogram,
@@ -31,37 +38,30 @@ from placeweave.refnets import RefNetSpec, gen_random_network
 
 
 def triangle(weights=(1, 1, 1)):
-    net = PlaceNetwork()
-    net.add_edge("a", "b", weights[0])
-    net.add_edge("b", "c", weights[1])
-    net.add_edge("a", "c", weights[2])
-    return net
+    return network({("a", "b"): weights[0], ("b", "c"): weights[1], ("a", "c"): weights[2]})
 
 
 def weighted_random_net(n, p, seed, wmax=9):
     rng = random.Random(seed)
-    net = PlaceNetwork(nodes=[f"p{i:02d}" for i in range(n)])
-    for a, b in itertools.combinations(net.names, 2):
+    nodes = [f"p{i:02d}" for i in range(n)]
+    edges = {}
+    for a, b in itertools.combinations(nodes, 2):
         if rng.random() < p:
-            net.add_edge(a, b, rng.randint(1, wmax))
-    return net
+            edges[a, b] = rng.randint(1, wmax)
+    return network(edges, nodes=nodes)
 
 
 # -- degree and distribution --------------------------------------------------
 
 
 def test_degree_star_center():
-    net = PlaceNetwork()
-    for leaf in "bcd":
-        net.add_edge("a", leaf)
+    net = network({("a", leaf): 1 for leaf in "bcd"})
     assert degree(net, "a") == 3
     assert degree(net, "b") == 1
 
 
 def test_degree_isolated_and_triangle():
-    net = triangle()
-    net.add_node("lonely")
-    net._adj = None
+    net = network(edge_weights(triangle()), nodes=["lonely"])
     assert degree(net, "lonely") == 0
     assert degree(net, "a") == 2
 
@@ -72,10 +72,7 @@ def test_degree_unknown_node():
 
 
 def test_degree_histogram_counts_isolated_nodes_and_matches_adjacency():
-    net = triangle()
-    net.add_edge("a", "leaf")
-    for node in ("x", "y"):
-        net.add_node(node)
+    net = network({**edge_weights(triangle()), ("a", "leaf"): 1}, nodes=("x", "y"))
     hist = degree_distribution(net)
     assert hist.counts == {0: 2, 1: 1, 2: 2, 3: 1}
     assert all(type(k) is int and type(c) is int for k, c in hist.counts.items())
@@ -97,14 +94,12 @@ def test_histogram_triangle():
 
 
 def test_histogram_path():
-    net = PlaceNetwork()
-    net.add_edge("a", "b")
-    net.add_edge("b", "c")
+    net = network({("a", "b"): 1, ("b", "c"): 1})
     assert degree_distribution(net).counts == {1: 2, 2: 1}
 
 
 def test_histogram_includes_degree_zero():
-    net = PlaceNetwork(nodes={"a", "b", "lonely"}, edges={("a", "b"): 1})
+    net = network({("a", "b"): 1}, nodes={"a", "b", "lonely"})
     hist = degree_distribution(net)
     assert hist.counts == {0: 1, 1: 2}
     assert hist.ccdf_at(0) == 1.0
@@ -147,9 +142,7 @@ def test_clustering_unit_triangle_is_one():
 
 
 def test_clustering_path_center_is_zero():
-    net = PlaceNetwork()
-    net.add_edge("a", "b")
-    net.add_edge("b", "c")
+    net = network({("a", "b"): 1, ("b", "c"): 1})
     assert local_clustering_weighted(net, "b") == 0.0
     assert local_clustering_weighted(net, "a") == 0.0
 
@@ -157,11 +150,7 @@ def test_clustering_path_center_is_zero():
 def test_clustering_weighted_example():
     # triangle 1-2-3 with w12=1, w13=3, plus pendant w14=2 hanging off node 1:
     # direct Barrat evaluation gives ((1+3)) / (6 * 2) = 1/3
-    net = PlaceNetwork()
-    net.add_edge("n1", "n2", 1)
-    net.add_edge("n1", "n3", 3)
-    net.add_edge("n2", "n3", 1)
-    net.add_edge("n1", "n4", 2)
+    net = network({("n1", "n2"): 1, ("n1", "n3"): 3, ("n2", "n3"): 1, ("n1", "n4"): 2})
     assert local_clustering_weighted(net, "n1") == pytest.approx(brute_force_barrat(net, "n1"), abs=1e-15)
     assert local_clustering_weighted(net, "n1") == pytest.approx(1.0 / 3.0, abs=1e-12)
 
@@ -185,30 +174,22 @@ def test_equal_weights_reduce_to_unweighted():
 
 
 def star(leaves: int) -> PlaceNetwork:
-    net = PlaceNetwork()
-    for i in range(leaves):
-        net.add_edge("hub", f"leaf{i}", i + 1)
-    return net
+    return network({("hub", f"leaf{i}"): i + 1 for i in range(leaves)})
 
 
 def clique(n: int, wmax: int, seed: int) -> PlaceNetwork:
     rng = random.Random(seed)
-    net = PlaceNetwork()
-    for a, b in itertools.combinations([f"c{i}" for i in range(n)], 2):
-        net.add_edge(a, b, rng.randint(1, wmax))
-    return net
+    pairs = itertools.combinations([f"c{i}" for i in range(n)], 2)
+    return network({(a, b): rng.randint(1, wmax) for a, b in pairs})
 
 
 def with_leaves_and_isolated(net: PlaceNetwork) -> PlaceNetwork:
-    net.add_edge("c0", "pendant0", 3)
-    net.add_edge("c1", "pendant1", 10**6)
-    for node in ("alone0", "alone1"):
-        net.add_node(node)
-    return net
+    edges = {**edge_weights(net), ("c0", "pendant0"): 3, ("c1", "pendant1"): 10**6}
+    return network(edges, nodes=[*net.names, "alone0", "alone1"])
 
 
 EDGE_CASES = {
-    "no-edges": PlaceNetwork(nodes=["a", "b", "c"]),
+    "no-edges": network({}, nodes=["a", "b", "c"]),
     "isolated-and-leaves": with_leaves_and_isolated(clique(4, 9, 1)),
     "star": star(7),
     "clique": clique(7, 9, 2),
@@ -222,11 +203,11 @@ def weighted_graphs(draw):
     n = draw(st.integers(1, 12))
     nodes = [f"v{i:02d}" for i in range(n)]
     wmax = draw(st.sampled_from([1, 9, 10**6]))
-    net = PlaceNetwork(nodes=nodes)
+    edges = {}
     for a, b in itertools.combinations(nodes, 2):
         if draw(st.booleans()):
-            net.add_edge(a, b, draw(st.integers(1, wmax)))
-    return net
+            edges[a, b] = draw(st.integers(1, wmax))
+    return network(edges, nodes=nodes)
 
 
 def check_clustering_against_oracles(net: PlaceNetwork) -> None:
@@ -269,22 +250,15 @@ def test_local_clustering_unknown_node():
 
 
 def test_average_clustering_extremes():
-    tree = PlaceNetwork()
-    for child in "bcd":
-        tree.add_edge("a", child)
-    tree.add_edge("b", "e")
+    tree = network({**{("a", child): 1 for child in "bcd"}, ("b", "e"): 1})
     assert average_clustering(tree) == 0.0
 
-    k4 = PlaceNetwork()
-    for a, b in itertools.combinations("abcd", 2):
-        k4.add_edge(a, b)
+    k4 = network({pair: 1 for pair in itertools.combinations("abcd", 2)})
     assert average_clustering(k4) == 1.0
 
 
 def test_star_average_clustering_zero():
-    net = PlaceNetwork()
-    for leaf in "bcd":
-        net.add_edge("a", leaf)
+    net = network({("a", leaf): 1 for leaf in "bcd"})
     assert average_clustering(net) == 0.0
 
 
@@ -311,9 +285,7 @@ def test_summary_schema_columns():
 
 
 def test_summary_single_edge():
-    net = PlaceNetwork()
-    net.add_edge("a", "b", 5)
-    summary = network_summary(net)
+    summary = network_summary(network({("a", "b"): 5}))
     assert (summary.nodes, summary.edges, summary.total_weight) == (2, 1, 5)
     assert summary.average_degree == 1.0
     assert summary.average_clustering == 0.0

@@ -13,11 +13,11 @@ from oracles import (
     esu_enumerate,
     instance_from_edges,
     iter_induced_instances,
+    network,
     trajectory_instance,
 )
 from placeweave import _fastcount
 from placeweave.errors import InvariantError
-from placeweave.ingest import SequenceTable, StaySequence
 from placeweave.motifs import (
     CLASS_INDEX,
     CLASS_ORDER,
@@ -39,33 +39,22 @@ COUNTERS = pytest.mark.parametrize(
 
 
 def ring(n):
-    net = PlaceNetwork()
-    for i in range(n):
-        net.add_edge(f"p{i}", f"p{(i + 1) % n}")
-    return net
+    return network({(f"p{i}", f"p{(i + 1) % n}"): 1 for i in range(n)})
 
 
 def complete(n):
-    net = PlaceNetwork()
-    for i, j in itertools.combinations(range(n), 2):
-        net.add_edge(f"p{i}", f"p{j}")
-    return net
+    return network({(f"p{i}", f"p{j}"): 1 for i, j in itertools.combinations(range(n), 2)})
 
 
 def star(leaves):
-    net = PlaceNetwork()
-    for i in range(leaves):
-        net.add_edge("hub", f"leaf{i}")
-    return net
+    return network({("hub", f"leaf{i}"): 1 for i in range(leaves)})
 
 
 def random_net(n, p, seed):
     rng = random.Random(seed)
-    net = PlaceNetwork(nodes=[f"p{i:02d}" for i in range(n)])
-    for a, b in itertools.combinations(net.names, 2):
-        if rng.random() < p:
-            net.add_edge(a, b)
-    return net
+    nodes = [f"p{i:02d}" for i in range(n)]
+    pairs = itertools.combinations(nodes, 2)
+    return network({(a, b): 1 for a, b in pairs if rng.random() < p}, nodes=nodes)
 
 
 # -- classification -----------------------------------------------------------
@@ -143,16 +132,10 @@ def test_enumerate_four_star(count):
     assert count(k14, 4) == expected4
 
 
-def single_edge():
-    net = PlaceNetwork()
-    net.add_edge("a", "b")
-    return net
-
-
 BRUTE_FORCE_NETS = [
     *(pytest.param(random_net(14, 0.22, seed), id=str(seed)) for seed in range(6)),
     pytest.param(PlaceNetwork(), id="empty"),
-    pytest.param(single_edge(), id="edge"),
+    pytest.param(network({("a", "b"): 1}), id="edge"),
 ]
 
 
@@ -170,12 +153,12 @@ def test_enumerate_invariant_under_relabeling():
     shuffled = names[:]
     rng.shuffle(shuffled)
     mapping = dict(zip(names, shuffled))
-    relabeled = PlaceNetwork(
-        nodes=[mapping[n] for n in names],
-        edges={
+    relabeled = network(
+        {
             tuple(sorted((mapping[a], mapping[b]))): w
             for (a, b), w in oracles.edge_weights(net).items()
         },
+        nodes=[mapping[n] for n in names],
     )
     for k in (3, 4):
         assert enumerate_induced(net, k) == enumerate_induced(relabeled, k)
@@ -194,10 +177,11 @@ def test_closed_engine_matches_brute_force_on_any_small_graph(graph):
     # One coin per node pair: dense draws (cliques, diamonds) and isolated
     # nodes both occur.
     n, coins = graph
-    net = PlaceNetwork(nodes=[f"p{i}" for i in range(n)])
-    for (a, b), coin in zip(itertools.combinations(range(n), 2), coins):
-        if coin:
-            net.add_edge(f"p{a}", f"p{b}")
+    pairs = itertools.combinations(range(n), 2)
+    net = network(
+        {(f"p{a}", f"p{b}"): 1 for (a, b), coin in zip(pairs, coins) if coin},
+        nodes=[f"p{i}" for i in range(n)],
+    )
     for k in (3, 4):
         assert enumerate_induced(net, k) == brute_force_enumerate(net, k)
 
@@ -247,11 +231,11 @@ SAT = dt.date(2020, 2, 1)
 
 
 def seq(*stays, device="d1", day=MON):
-    return StaySequence(device, day, tuple(stays))
+    return oracles.Walk(device, day, tuple(stays))
 
 
 def classify(seqs):
-    return classify_trajectories(SequenceTable.from_sequences(seqs))
+    return classify_trajectories(oracles.sequence_table(seqs))
 
 
 def test_two_devices_one_edge_instance():

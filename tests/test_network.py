@@ -7,9 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import adjacency, edge_weights
+from oracles import Walk, adjacency, edge_weights, network, sequence_table
 from placeweave.errors import SchemaError
-from placeweave.ingest import SequenceTable, StaySequence
 from placeweave.network import (
     PlaceNetwork,
     build_network,
@@ -25,11 +24,11 @@ DAY = dt.date(2020, 2, 3)
 
 
 def seq(*stays, device="d1", day=DAY):
-    return StaySequence(device, day, tuple(stays))
+    return Walk(device, day, tuple(stays))
 
 
 def table(seqs):
-    return SequenceTable.from_sequences(seqs)
+    return sequence_table(seqs)
 
 
 def test_consecutive_chain():
@@ -55,7 +54,7 @@ def test_covisitation_counts_pair_once_per_sequence():
 
 def test_short_sequence_rejected():
     with pytest.raises(ValueError):
-        build_network(table([StaySequence("d1", DAY, ("p1",))]))
+        build_network(table([Walk("d1", DAY, ("p1",))]))
 
 
 def test_consecutive_duplicate_rejected():
@@ -87,7 +86,7 @@ def test_total_weight_equals_steps(walks):
             if poi != collapsed[-1]:
                 collapsed.append(poi)
         if len(collapsed) >= 2:
-            seqs.append(StaySequence(f"d{i}", DAY, tuple(collapsed)))
+            seqs.append(Walk(f"d{i}", DAY, tuple(collapsed)))
     if not seqs:
         return
     net = build_network(table(seqs), mode="consecutive")
@@ -121,7 +120,7 @@ def test_merge_associative_commutative_up_to_label():
 
 
 def test_index_is_the_code_in_names():
-    net = PlaceNetwork(nodes=["c", "a", "lonely"], edges={("a", "c"): 2})
+    net = network({("a", "c"): 2}, nodes=["c", "a", "lonely"])
     assert [net.index(v) for v in ("a", "c", "lonely")] == [0, 1, 2]
     for unknown in ("", "b", "zz"):
         with pytest.raises(KeyError, match="unknown node"):
@@ -147,7 +146,7 @@ def test_file_round_trip(tmp_path):
 
 
 def test_file_round_trip_isolated_nodes(tmp_path):
-    net = PlaceNetwork(nodes={"a", "b", "lonely"}, edges={("a", "b"): 2}, label="x")
+    net = network({("a", "b"): 2}, nodes={"a", "b", "lonely"}, label="x")
     path = tmp_path / "net.csv"
     write_network(net, path)
     assert read_network(path).names == ["a", "b", "lonely"]
@@ -210,7 +209,7 @@ def test_sidecar_isolated_nodes_label_and_mode_survive_round_trip(tmp_path):
 
 def test_csr_adjacency_matches_network():
     built = build_network(table([seq("p1", "p2", "p3", "p1"), seq("p4", "p2", device="d2")]))
-    isolated = PlaceNetwork(nodes=["p0", "p5"], edges=edge_weights(built))
+    isolated = network(edge_weights(built), nodes=["p0", "p5"])
     for net in (built, PlaceNetwork(), isolated):
         nodes, indptr, indices = csr_adjacency(net)
         adj = adjacency(net)
@@ -224,7 +223,7 @@ def test_csr_adjacency_matches_network():
 
 def test_weighted_csr_weights_follow_indices():
     built = build_network(table([seq("p1", "p2", "p3", "p1", "p2"), seq("p4", "p2", device="d2")]))
-    isolated = PlaceNetwork(nodes=["p0", "p5"], edges=edge_weights(built))
+    isolated = network(edge_weights(built), nodes=["p0", "p5"])
     for net in (built, PlaceNetwork(), isolated):
         nodes, indptr, indices, weights = weighted_csr(net)
         csr_nodes, csr_indptr, csr_indices = csr_adjacency(net)
@@ -281,21 +280,20 @@ NODE_NAMES = st.text("abcxyz019_-.", min_size=1, max_size=4)
 @st.composite
 def networks(draw):
     nodes = draw(st.lists(NODE_NAMES, unique=True, max_size=8))
-    net = PlaceNetwork(
-        nodes=nodes,
-        label=draw(st.text(max_size=12)),
-        mode=draw(st.sampled_from([None, "consecutive", "covisitation", "reference"])),
-    )
+    label = draw(st.text(max_size=12))
+    mode = draw(st.sampled_from([None, "consecutive", "covisitation", "reference"]))
     ends = st.sampled_from(nodes) if nodes else st.nothing()
+    edges: dict = {}
     for a, b in draw(st.lists(st.tuples(ends, ends))):
         if a != b:
-            net.add_edge(a, b, draw(st.integers(1, 10**12)))
-    return net
+            edge = (min(a, b), max(a, b))
+            edges[edge] = edges.get(edge, 0) + draw(st.integers(1, 10**12))
+    return network(edges, nodes=nodes, label=label, mode=mode)
 
 
 @settings(max_examples=100)
 @example(PlaceNetwork())
-@example(PlaceNetwork(nodes=["lonely"], label="2020-02-03", mode="consecutive"))
+@example(network({}, nodes=["lonely"], label="2020-02-03", mode="consecutive"))
 @given(networks())
 def test_network_file_round_trips_any_network(tmp_path_factory, net):
     path = tmp_path_factory.mktemp("net") / "net.csv"

@@ -11,7 +11,7 @@ import oracles
 from placeweave import ingest
 from placeweave.cli import main
 from placeweave.errors import SchemaError
-from placeweave.ingest import PoiCatalog, PoiRecord, SequenceTable, StaySequence
+from placeweave.ingest import PoiCatalog, PoiRecord
 from placeweave.motifs import classify_trajectories
 from placeweave.pipeline import (
     InstanceTable,
@@ -160,8 +160,8 @@ day_walks = st.lists(
 ])
 @given(day_walks)
 def test_instances_csv_round_trips_bytes(tmp_path_factory, walks):
-    seqs = [StaySequence(f"d{i}", day, stays) for i, (day, stays) in enumerate(walks)]
-    rows = classify_trajectories(SequenceTable.from_sequences(seqs)).rows
+    seqs = [oracles.Walk(f"d{i}", day, stays) for i, (day, stays) in enumerate(walks)]
+    rows = classify_trajectories(oracles.sequence_table(seqs)).rows
     root = tmp_path_factory.mktemp("instances")
     write_instances_csv(rows, root / "first.csv")
     write_instances_csv(read_instances_csv(root / "first.csv"), root / "second.csv")
@@ -193,11 +193,11 @@ def test_flow_count_differing_from_network_weight_exits_3(data, tmp_path, monkey
     real = ingest.read_sequences
 
     def one_walk_longer(path):
-        seqs = list(real(path))
+        seqs = [oracles.Walk(*walk) for walk in real(path).walks()]
         first = seqs[0]
         extra = next(p for p in first.stays if p != first.stays[-1])
-        seqs[0] = StaySequence(first.device_id, first.local_date, first.stays + (extra,))
-        return SequenceTable.from_sequences(seqs)
+        seqs[0] = first._replace(stays=first.stays + (extra,))
+        return oracles.sequence_table(seqs)
 
     monkeypatch.setattr(ingest, "read_sequences", one_walk_longer)
     assert main(args) == 3
@@ -209,9 +209,9 @@ def test_category_shares_count_each_flow_per_device_day(tmp_path):
          PoiRecord("f1", "f1", 0.0, 0.0, "7225")]
     )
     day = dt.date(2020, 2, 3)
-    walks = [StaySequence(f"d{i}", day, ("r1", "f1")) for i in range(3)]
-    walks.append(StaySequence("d3", day, ("r1", "r2")))
-    rows = classify_trajectories(SequenceTable.from_sequences(walks)).rows
+    walks = [(f"d{i}", day, ("r1", "f1")) for i in range(3)]
+    walks.append(("d3", day, ("r1", "r2")))
+    rows = classify_trajectories(oracles.sequence_table(walks)).rows
     stage_attributed(InstanceTable(rows, catalog), 10, tmp_path)
     # endpoints: r1 3 + 1, r2 1 (retail 5); f1 3 (food 3)
     assert (tmp_path / "category_freq_2digit.csv").read_text().splitlines() == [

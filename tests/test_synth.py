@@ -88,7 +88,7 @@ def test_stops_pass_ingest_validation(tmp_path):
     stops = gen_device_days(catalog, traffic(n=50, mix=NINE_WAY_MIX))
     path = tmp_path / "stops.csv"
     write_stops_csv(stops, path)
-    assert parse_stops(path).records() == stops.records()
+    assert oracles.stop_rows(parse_stops(path)) == oracles.stop_rows(stops)
 
 
 def test_walks_have_no_consecutive_duplicates():
@@ -102,7 +102,7 @@ def test_every_planted_walk_recovers_its_class():
     plans = gen_traffic_plan(catalog, spec)
     stops = gen_device_days(catalog, spec)
     sequences = build_stay_sequences(filter_visits(stops, 300), 0.0)
-    by_device = {seq.device_id: seq for seq in sequences}
+    by_device = {walk[0]: oracles.Walk(*walk) for walk in sequences.walks()}
     assert len(by_device) == len(plans)
     for plan in plans:
         seq = by_device[plan.device_id]
@@ -129,7 +129,7 @@ def test_planted_endpoint_category_share_recovered():
     stops = gen_device_days(catalog, traffic(n=10_000, seed=72))
     sequences = build_stay_sequences(filter_visits(stops, 300), 0.0)
     flows = [
-        (s.stays[i], s.stays[i + 1]) for s in sequences for i in range(len(s.stays) - 1)
+        (stays[i], stays[i + 1]) for _, _, stays in sequences.walks() for i in range(len(stays) - 1)
     ]
     ranked, unresolved = category_frequency(Counter(poi for flow in flows for poi in flow), catalog)
     assert unresolved == 0
@@ -150,7 +150,7 @@ def test_traffic_deterministic_bytes(tmp_path):
 def test_dwells_within_range():
     catalog = gen_catalog(world())
     stops = gen_device_days(catalog, traffic(n=30, dwell_range=(450, 500)))
-    assert all(450 <= s.dwell <= 500 for s in stops.records())
+    assert all(450 <= dwell <= 500 for dwell in stops.dwell.tolist())
 
 
 def test_dates_within_range():
@@ -304,7 +304,7 @@ def test_device_days_past_the_first_block_equal_the_oracle(tmp_path):
     stops = gen_device_days(catalog, spec)
     write_stops_csv(stops, tmp_path / "stops.csv")
     text = (tmp_path / "stops.csv").read_text(encoding="utf-8")
-    assert text == oracles.stops_csv_text(stops.records())
+    assert text == oracles.stops_csv_text(oracles.stop_rows(stops))
     edge = oracles.traffic_plan(catalog, spec, range(65_530, 65_542))
     expected = oracles.stops_csv_text(s for plan in edge for s in oracles.plan_stops(plan))
     lines = text.splitlines(keepends=True)

@@ -279,10 +279,7 @@ def write_network(net: PlaceNetwork, path: str | Path, extra_meta: dict | None =
 
 def read_network(path: str | Path) -> PlaceNetwork:
     path = Path(path)
-    a_ids: list[str] = []
-    b_ids: list[str] = []
-    weights: list[int] = []
-    seen: set[tuple[str, str]] = set()
+    edges: dict[tuple[str, str], int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "poi_a,poi_b,weight":
@@ -303,21 +300,19 @@ def read_network(path: str | Path) -> PlaceNetwork:
                 raise SchemaError(f"{path}:{lineno}: weight must be >= 1")
             if not a < b:
                 raise SchemaError(f"{path}:{lineno}: rows must satisfy poi_a < poi_b")
-            if (a, b) in seen:
+            if (a, b) in edges:
                 raise SchemaError(f"{path}:{lineno}: duplicate edge {a},{b}")
-            seen.add((a, b))
-            a_ids.append(a)
-            b_ids.append(b)
-            weights.append(w)
+            edges[a, b] = w
     meta_file = sidecar_path(path)
     meta = json.loads(meta_file.read_text(encoding="utf-8")) if meta_file.exists() else {}
-    names = sorted(set(a_ids).union(b_ids, meta.get("isolated_nodes", [])))
+    names = sorted({v for edge in edges for v in edge}.union(meta.get("isolated_nodes", [])))
     index = {v: i for i, v in enumerate(names)}
+    n = len(edges)
     return PlaceNetwork.from_arrays(
         names,
-        np.fromiter(map(index.__getitem__, a_ids), dtype=np.int64, count=len(a_ids)),
-        np.fromiter(map(index.__getitem__, b_ids), dtype=np.int64, count=len(b_ids)),
-        np.array(weights, dtype=np.int64),
+        np.fromiter((index[a] for a, _ in edges), dtype=np.int64, count=n),
+        np.fromiter((index[b] for _, b in edges), dtype=np.int64, count=n),
+        np.fromiter(edges.values(), dtype=np.int64, count=n),
         label=meta.get("label", ""),
         mode=meta.get("mode"),
     )

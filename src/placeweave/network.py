@@ -25,6 +25,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
+
 import numpy as np
 
 from .errors import SchemaError
@@ -80,10 +81,8 @@ class PlaceNetwork:
         mode: str | None = None,
     ) -> PlaceNetwork:
         """A network over sorted distinct names; repeated edges (src < dst) add up."""
-        src, dst, weights = (
-            np.asarray(column).astype(np.int64, copy=False) for column in (src, dst, weights)
-        )
-        return cls(names, *_sum_edges(src, dst, weights), label=label, mode=mode)
+        columns = (np.asarray(column, dtype=np.int64) for column in (src, dst, weights))
+        return cls(names, *_sum_edges(*columns), label=label, mode=mode)
 
     def add_edge(self, a: str, b: str, weight: int = 1) -> None:
         """Add weight to the edge (a, b) and its nodes, rebuilding the arrays at once.

@@ -5,15 +5,20 @@ subset scans, the ESU subgraph walk, direct formula summation, over dicts
 built from a network's names, src, dst and weights arrays, and synthetic
 traffic drawn from one default_rng([seed, i]) per device-day. None of it
 shares code with the library paths under test.
+
+The table builders at the top are not oracles: they let tests state a
+network, sequences or stops as plain tuples and build the table through
+the library's own constructors (PlaceNetwork.from_arrays, the
+SequenceTable fields, parse_stops).
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import io
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-import io
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -25,7 +30,7 @@ from placeweave.stats import EARTH_RADIUS_KM
 from placeweave.synth import CLASS_WALKS, DeviceDayPlan
 
 
-# -- tables built through the library's constructors -------------------------------
+# -- tables built through the library's constructors ---------------------------
 
 
 class Walk(NamedTuple):

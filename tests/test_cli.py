@@ -6,7 +6,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from placeweave import ingest, motifs, network, pipeline, stats
+from placeweave import attributes, ingest, motifs, network, pipeline, stats
 from placeweave.cli import main
 from placeweave.config import RunConfig, validate_config
 from placeweave.errors import ConfigError
@@ -362,7 +362,7 @@ def test_run_builds_no_stop_records_and_no_edge_dicts(synth_dir, tmp_path, monke
     def forbidden(*args, **kwargs):
         raise AssertionError("run built a network edge by edge")
 
-    for record in ("StopRecord", "StaySequence"):
+    for record in ("StopRecord", "StaySequence", "PoiRecord"):
         assert not hasattr(ingest, record), record
     for queue in ("add_node", "_fold"):
         assert not hasattr(network.PlaceNetwork, queue), queue
@@ -375,6 +375,23 @@ def test_run_builds_no_stop_records_and_no_edge_dicts(synth_dir, tmp_path, monke
             ["run", "--stops", str(synth_dir / "stops.csv"), "--pois", str(synth_dir / "pois.csv"),
              "--out", str(tmp_path / mode), "--config", str(_write_config(tmp_path, mode))]
         ) == 0
+
+
+def test_run_resolves_each_poi_sector_once(synth_dir, tmp_path, monkeypatch):
+    real = attributes.to_sector
+    calls = []
+
+    def spy(naics):
+        calls.append(naics)
+        return real(naics)
+
+    monkeypatch.setattr(attributes, "to_sector", spy)
+    assert main(
+        ["run", "--stops", str(synth_dir / "stops.csv"), "--pois", str(synth_dir / "pois.csv"),
+         "--out", str(tmp_path / "out")]
+    ) == 0
+    rows = (synth_dir / "pois.csv").read_text().splitlines()[1:]
+    assert sorted(calls) == sorted(row.rsplit(",", 1)[1] for row in rows)
 
 
 def _write_config(tmp_path, mode):

@@ -9,7 +9,7 @@ import oracles
 from oracles import trajectory_instance
 from placeweave.attributes import category_frequency, to_sector
 from placeweave.errors import ConfigError
-from placeweave.ingest import build_stay_sequences, filter_visits, parse_stops
+from placeweave.ingest import build_stay_sequences, filter_visits, load_poi_catalog, parse_stops
 from placeweave.motifs import MotifClass, classify_trajectories
 from placeweave.stats import haversine_km
 from placeweave.synth import (
@@ -247,6 +247,13 @@ def test_stops_csv_round_trips_through_parse_stops(tmp_path):
     parsed = parse_stops(first)
     assert len(parsed) == len(stops)
     write_stops_csv(parsed, second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_catalog_csv_round_trips_through_load_poi_catalog(tmp_path):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_catalog_csv(gen_catalog(world(n_pois=600, seed=5)), first)
+    write_catalog_csv(load_poi_catalog(first), second)
     assert second.read_bytes() == first.read_bytes()
 
 

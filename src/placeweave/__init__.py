@@ -13,7 +13,6 @@ from .errors import (
 )
 from .ingest import (
     PoiCatalog,
-    PoiRecord,
     SequenceTable,
     StopTable,
     build_stay_sequences,

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -93,32 +92,28 @@ def sector_by_id(sector_id: int) -> SectorCategory:
 
 
 def category_frequency(
-    endpoints: Mapping[str, int],
-    catalog: PoiCatalog,
-    digits: int = 2,
-) -> tuple[list[tuple[str, float]], int]:
-    """Rank visit-flow endpoints by category share.
+    tally: np.ndarray, catalog: PoiCatalog, digits: int = 2
+) -> list[tuple[str, float]]:
+    """Rank categories by their share of visit-flow endpoints.
 
-    endpoints maps each POI id to the number of flow endpoints at it.
-    digits=2 buckets by sector label, digits=4 by the leading four NAICS
-    digits. Returns the ranked (label, share) list, shares summing to 1,
-    plus the number of endpoints whose POI id was absent from the catalog.
+    tally holds the number of flow endpoints at each catalog row (see
+    endpoint_counts). digits=2 buckets by sector label, digits=4 by the
+    leading four NAICS digits. Returns the ranked (label, share) list,
+    shares summing to 1.
     """
     if digits not in (2, 4):
         raise ValueError(f"digits must be 2 or 4, got {digits}")
-    counts: dict[str, int] = {}
-    unresolved = 0
-    total = 0
-    for poi_id, count in endpoints.items():
-        rec = catalog.get(poi_id)
-        if rec is None:
-            unresolved += count
-            continue
-        label = to_sector(rec.naics).label if digits == 2 else rec.naics[:4]
-        counts[label] = counts.get(label, 0) + count
-        total += count
+    rows = np.flatnonzero(tally).tolist()
+    if digits == 2:
+        labels = [_ID_SECTOR[s].label for s in catalog.sector[rows].tolist()]
+    else:
+        labels = [catalog.naics[i][:4] for i in rows]
+    counts: Counter[str] = Counter()
+    for label, count in zip(labels, tally[rows].tolist()):
+        counts[label] += count
+    total = sum(counts.values())
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return [(label, count / total) for label, count in ranked], unresolved
+    return [(label, count / total) for label, count in ranked]
 
 
 @dataclass(frozen=True)
@@ -189,12 +184,12 @@ def key_codes(cls: np.ndarray, mask: np.ndarray, labels: np.ndarray) -> np.ndarr
 def canonical_keys(rows: InstanceRows, catalog: PoiCatalog) -> np.ndarray:
     """key_codes of each of rows.instances under the catalog's sectors."""
     inst = rows.instances
+    used = np.unique(inst.nodes[inst.nodes >= 0])
+    at = catalog.codes(rows.pois)[used]
+    if (at < 0).any():
+        raise MissingPoiError(f"poi_id {rows.pois[used[at < 0][0]]!r} is not in the catalog")
     sector = np.zeros(len(rows.pois) + 1, dtype=np.int8)  # the last entry labels slot code -1
-    for code in np.unique(inst.nodes[inst.nodes >= 0]).tolist():
-        rec = catalog.get(rows.pois[code])
-        if rec is None:
-            raise MissingPoiError(f"poi_id {rows.pois[code]!r} is not in the catalog")
-        sector[code] = to_sector(rec.naics).id
+    sector[used] = catalog.sector[at]
     return key_codes(inst.cls, inst.mask, sector[inst.nodes])
 
 
@@ -206,20 +201,21 @@ def attributed_key(key: int) -> AttributedMotifKey:
     )
 
 
-def endpoint_counts(rows: InstanceRows) -> Counter[str]:
-    """Flow endpoints per POI id: each edge of an instance is one flow per
-    covering device-day, so both its ends count its device_count."""
+def endpoint_counts(rows: InstanceRows, catalog: PoiCatalog) -> tuple[np.ndarray, int]:
+    """Flow endpoints at each catalog row, and the number at POIs absent
+    from the catalog. Each edge of an instance is one flow per covering
+    device-day, so both its ends count its device_count."""
     inst = rows.instances
     has, a, b = inst.edges()
     weight = np.broadcast_to(inst.count[:, None], has.shape)[has]
-    tally = np.zeros(len(rows.pois), dtype=np.int64)
-    np.add.at(tally, np.concatenate([a[has], b[has]]), np.concatenate([weight, weight]))
-    endpoints = Counter({rows.pois[c]: int(tally[c]) for c in np.flatnonzero(tally).tolist()})
-    for _, _, edges, count in rows.other:
-        for u, v in edges:
-            endpoints[u] += count
-            endpoints[v] += count
-    return endpoints
+    other = [(end, count) for _, _, edges, count in rows.other for edge in edges for end in edge]
+    ends = catalog.codes(rows.pois)[np.concatenate([a[has], b[has]])]
+    at = np.concatenate([ends, catalog.codes([end for end, _ in other])])
+    weight = np.concatenate([weight, weight, np.array([c for _, c in other], dtype=np.int64)])
+    known = at >= 0
+    tally = np.zeros(len(catalog), dtype=np.int64)
+    np.add.at(tally, at[known], weight[known])
+    return tally, int(weight[~known].sum())
 
 
 @dataclass(frozen=True)

@@ -109,7 +109,10 @@ def validate_config(path: str | Path | None) -> RunConfig:
     }
     for key, value in doc.items():
         cast = casts.get(key)
-        if cast is not None:
+        # int() would read true as 1 and truncate 299.9; value % 1 is nan for inf and nan
+        if cast is int and (isinstance(value, bool) or isinstance(value, float) and value % 1):
+            problems.append(f"{key} must be an integer, got {value!r}")
+        elif cast is not None:
             try:
                 coerced[key] = cast(value)
             except (TypeError, ValueError):

@@ -4,7 +4,11 @@ Device ids and POI ids are interned once: each becomes an int32 code into a
 sorted list of names, so integer order equals string order and every sort
 by name is a sort by code. Names are attached again only when a file is
 written. Stops are held as a StopTable of columns; after the catalog join
-their POI codes index the catalog's sorted poi_ids.
+their POI codes index the catalog's poi_ids.
+
+The POI catalog is columns in poi_id order, each POI's sector resolved
+once when the catalog is built; consumers find an id's row through
+PoiCatalog.codes. A repeated poi_id is fatal, naming the file and line.
 
 A stop becomes a visit when its dwell time reaches the configured
 threshold. Visits are grouped per device and local calendar day, ordered
@@ -26,8 +30,9 @@ import csv
 import datetime as dt
 import logging
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -37,6 +42,7 @@ logger = logging.getLogger(__name__)
 
 STOPS_COLUMNS = ("device_id", "poi_id", "start_time", "dwell")
 POIS_COLUMNS = ("poi_id", "name", "lat", "lon", "naics")
+SEQUENCES_COLUMNS = ("device_id", "local_date", "stays")
 
 # Separator used when serializing a stay list into one CSV field.
 STAY_SEPARATOR = "|"
@@ -50,42 +56,44 @@ _US_PER_DAY = 86_400_000_000
 _INT64 = np.iinfo(np.int64)
 
 
-@dataclass(frozen=True)
-class PoiRecord:
-    poi_id: str
-    name: str
-    lat: float
-    lon: float
-    naics: str
-
-
+@dataclass(eq=False)
 class PoiCatalog:
-    """POI id -> record lookup with uniqueness enforced at construction."""
+    """POIs as columns in poi_id order; the ids are distinct.
 
-    def __init__(self, records: Iterable[PoiRecord] = ()):
-        self._records: dict[str, PoiRecord] = {}
-        for rec in records:
-            if rec.poi_id in self._records:
-                raise SchemaError(f"duplicate poi_id {rec.poi_id!r} in catalog")
-            self._records[rec.poi_id] = rec
+    lat and lon are float64; sector is each POI's int8 sector id, resolved
+    once when the catalog is built.
+    """
+
+    poi_ids: list[str]
+    names: list[str]
+    lat: np.ndarray
+    lon: np.ndarray
+    naics: list[str]
+    sector: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows: list[tuple[str, str, float, float, str, int]]) -> PoiCatalog:
+        """The catalog of (poi_id, name, lat, lon, naics, sector id) rows with distinct ids."""
+        poi_ids, names, lat, lon, naics, sector = zip(*sorted(rows)) if rows else [()] * 6
+        return cls(
+            list(poi_ids),
+            list(names),
+            np.array(lat, dtype=np.float64),
+            np.array(lon, dtype=np.float64),
+            list(naics),
+            np.array(sector, dtype=np.int8),
+        )
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.poi_ids)
 
-    def __contains__(self, poi_id: str) -> bool:
-        return poi_id in self._records
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {poi: i for i, poi in enumerate(self.poi_ids)}
 
-    def __getitem__(self, poi_id: str) -> PoiRecord:
-        return self._records[poi_id]
-
-    def get(self, poi_id: str) -> PoiRecord | None:
-        return self._records.get(poi_id)
-
-    def __iter__(self) -> Iterator[PoiRecord]:
-        return iter(self._records.values())
-
-    def poi_ids(self) -> list[str]:
-        return sorted(self._records)
+    def codes(self, ids: Sequence[str]) -> np.ndarray:
+        """The int32 row of each id in the catalog, -1 for an absent id."""
+        return np.fromiter((self._index.get(p, -1) for p in ids), dtype=np.int32, count=len(ids))
 
 
 def day_date(day: int) -> dt.date:
@@ -192,13 +200,20 @@ def _check_header(fieldnames: list[str] | None, required: tuple[str, ...], what:
         raise SchemaError(f"{what} file is missing column(s): {', '.join(missing)}")
 
 
+def _dict_rows(fh: TextIO, columns: tuple[str, ...], what: str) -> Iterator[tuple[int, dict]]:
+    """(line number, row) of each row as csv.DictReader reads and numbers it,
+    after the header check; a row missing a field raises RowError."""
+    reader = csv.DictReader(fh)
+    _check_header(reader.fieldnames, columns, what)
+    for row in reader:
+        if any(row.get(c) is None for c in columns):
+            raise RowError(reader.line_num, "wrong number of fields")
+        yield reader.line_num, row
+
+
 def _check_stop_rows(fh: TextIO) -> None:
     """Raise RowError at the first malformed stop row, numbered as csv.DictReader numbers it."""
-    reader = csv.DictReader(fh)
-    for row in reader:
-        line = reader.line_num
-        if any(row.get(c) is None for c in STOPS_COLUMNS):
-            raise RowError(line, "wrong number of fields")
+    for line, row in _dict_rows(fh, STOPS_COLUMNS, "stops"):
         if not row["device_id"].strip():
             raise RowError(line, "empty device_id")
         if any(ch in row["device_id"].strip() for ch in LINE_BREAKS):
@@ -291,14 +306,11 @@ def filter_visits(stops: StopTable, min_dwell: int) -> StopTable:
 def filter_cataloged(stops: StopTable, catalog: PoiCatalog) -> tuple[StopTable, int]:
     """Drop stops whose POI is not in the catalog; returns (kept, dropped).
 
-    The kept stops' POI codes index the catalog's sorted poi_ids, whose
-    strings are the catalog's own.
+    The kept stops' POI codes index the catalog's poi_ids.
     """
-    poi_ids = catalog.poi_ids()
-    index = {poi: i for i, poi in enumerate(poi_ids)}
-    code = np.array([index.get(p, -1) for p in stops.pois], dtype=np.int32)[stops.poi]
+    code = catalog.codes(stops.pois)[stops.poi]
     known = code >= 0
-    kept = replace(stops.take(known), pois=poi_ids, poi=code[known])
+    kept = replace(stops.take(known), pois=catalog.poi_ids, poi=code[known])
     dropped = len(stops) - len(kept)
     if dropped:
         logger.warning("dropped %d stop(s) with POI ids absent from the catalog", dropped)
@@ -363,7 +375,7 @@ def build_stay_sequences(stops: StopTable, utc_offset: float = 0.0) -> SequenceT
 
 
 def load_poi_catalog(source: str | Path | TextIO) -> PoiCatalog:
-    """Read a comma-delimited POI file into a catalog keyed by poi_id.
+    """Read a comma-delimited POI file into a catalog in poi_id order.
 
     Duplicate ids, ids holding a reserved separator (| ; , or a line
     break), out-of-range coordinates, non-digit NAICS codes and codes whose
@@ -374,13 +386,9 @@ def load_poi_catalog(source: str | Path | TextIO) -> PoiCatalog:
     fh, close = _open_text(source)
     where = getattr(fh, "name", "POI file")
     try:
-        reader = csv.DictReader(fh)
-        _check_header(reader.fieldnames, POIS_COLUMNS, "POI")
-        records: list[PoiRecord] = []
-        for row in reader:
-            line = reader.line_num
-            if any(row.get(c) is None for c in POIS_COLUMNS):
-                raise RowError(line, "wrong number of fields")
+        rows: list[tuple[str, str, float, float, str, int]] = []
+        first_line: dict[str, int] = {}
+        for line, row in _dict_rows(fh, POIS_COLUMNS, "POI"):
             poi_id = row["poi_id"].strip()
             if not poi_id:
                 raise RowError(line, "empty poi_id")
@@ -389,6 +397,8 @@ def load_poi_catalog(source: str | Path | TextIO) -> PoiCatalog:
                     f"{where}:{line}: poi_id {poi_id!r} contains a reserved separator "
                     "(| ; , or a line break)"
                 )
+            if first_line.setdefault(poi_id, line) != line:
+                raise SchemaError(f"{where}:{line}: duplicate poi_id {poi_id!r}")
             try:
                 lat = float(row["lat"])
                 lon = float(row["lon"])
@@ -404,11 +414,11 @@ def load_poi_catalog(source: str | Path | TextIO) -> PoiCatalog:
             if not 2 <= len(naics) <= 6:
                 raise RowError(line, f"NAICS code {naics!r} must have 2-6 digits")
             try:
-                to_sector(naics)
+                sector = to_sector(naics).id
             except UnknownSectorError as exc:
                 raise UnknownSectorError(f"{where}:{line}: poi_id {poi_id!r}: {exc}") from None
-            records.append(PoiRecord(poi_id, row["name"], lat, lon, naics))
-        return PoiCatalog(records)
+            rows.append((poi_id, row["name"], lat, lon, naics, sector))
+        return PoiCatalog.from_rows(rows)
     finally:
         if close:
             fh.close()
@@ -418,7 +428,7 @@ def write_sequences(sequences: SequenceTable, path: str | Path) -> None:
     """Write sequences as CSV: device_id,local_date,stays (stays '|'-joined)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["device_id", "local_date", "stays"])
+        writer.writerow(SEQUENCES_COLUMNS)
         writer.writerows(
             (device, day.isoformat(), STAY_SEPARATOR.join(stays))
             for device, day, stays in sequences.walks()
@@ -428,8 +438,8 @@ def write_sequences(sequences: SequenceTable, path: str | Path) -> None:
 def read_sequences(source: str | Path | TextIO) -> SequenceTable:
     """Read a sequences file into a SequenceTable, one sequence per row in file order.
 
-    A bad date, a walk of fewer than two stays and a stay repeated
-    consecutively each raise RowError with the row's line number.
+    A missing field, a bad date, a walk of fewer than two stays and a stay
+    repeated consecutively each raise RowError with the row's line number.
     """
     device_ids: list[str] = []
     days: list[int] = []
@@ -437,14 +447,11 @@ def read_sequences(source: str | Path | TextIO) -> SequenceTable:
     flat: list[str] = []
     fh, close = _open_text(source)
     try:
-        reader = csv.DictReader(fh)
-        _check_header(reader.fieldnames, ("device_id", "local_date", "stays"), "sequences")
-        for row in reader:
-            line = reader.line_num
+        for line, row in _dict_rows(fh, SEQUENCES_COLUMNS, "sequences"):
             try:
                 day = dt.date.fromisoformat(row["local_date"])
-            except (ValueError, TypeError):
-                raise RowError(line, f"bad date {row.get('local_date')!r}") from None
+            except ValueError:
+                raise RowError(line, f"bad date {row['local_date']!r}") from None
             stays = row["stays"].split(STAY_SEPARATOR)
             if len(stays) < 2:
                 raise RowError(line, "sequence shorter than 2 stays")

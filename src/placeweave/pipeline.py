@@ -434,19 +434,15 @@ def stage_attributed(instances: InstanceTable, top_k: int, out_dir: str | Path) 
                         "yes" if entry.same_category else "no",
                     ]
                 )
-    endpoints = attributes.endpoint_counts(instances.rows)
-    unresolved_total = 0
+    tally, unresolved = attributes.endpoint_counts(instances.rows, instances.catalog)
     for digits in (2, 4):
-        ranked_cats, unresolved = attributes.category_frequency(
-            endpoints, instances.catalog, digits=digits
-        )
-        unresolved_total = max(unresolved_total, unresolved)
+        ranked_cats = attributes.category_frequency(tally, instances.catalog, digits=digits)
         with open(out / f"category_freq_{digits}digit.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["rank", "label", "share"])
             for rank, (label, share) in enumerate(ranked_cats, start=1):
                 writer.writerow([rank, label, repr(share)])
-    write_json({"top_k": top_k, "unresolved_endpoints": unresolved_total}, out / "attributed_meta.json")
+    write_json({"top_k": top_k, "unresolved_endpoints": unresolved}, out / "attributed_meta.json")
 
 
 # -- series and report --------------------------------------------------------

@@ -85,13 +85,12 @@ def instance_distances(rows: InstanceRows, catalog: PoiCatalog) -> np.ndarray:
     n = len(rows.pois)
     edges, which = np.unique(a[has].astype(np.int64) * n + b[has], return_inverse=True)
     ends = np.stack([edges // n, edges % n], axis=1)
-    coords = {}
-    for code in np.unique(ends).tolist():
-        rec = catalog.get(rows.pois[code])
-        if rec is None:
-            raise MissingPoiError(f"poi_id {rows.pois[code]!r} has no coordinates in the catalog")
-        coords[code] = (rec.lat, rec.lon)
-    lengths = [haversine_km(*coords[u], *coords[v]) for u, v in ends.tolist()]
+    at = catalog.codes(rows.pois)[ends]
+    if (at < 0).any():
+        missing = rows.pois[ends[at < 0].min()]
+        raise MissingPoiError(f"poi_id {missing!r} has no coordinates in the catalog")
+    lat, lon = catalog.lat.tolist(), catalog.lon.tolist()
+    lengths = [haversine_km(lat[u], lon[u], lat[v], lon[v]) for u, v in at.tolist()]
     ids = np.full(has.shape, len(lengths))  # the 0.0 appended below: no edge
     ids[has] = which
     km = np.array(lengths + [0.0], dtype=np.float64)[ids]

@@ -24,7 +24,7 @@ import numpy as np
 
 from .attributes import sector_by_id
 from .errors import ConfigError, UnknownSectorError
-from .ingest import EPOCH, PoiCatalog, PoiRecord, StopTable, day_date
+from .ingest import EPOCH, PoiCatalog, StopTable, day_date
 from .motifs import MotifClass
 from .stats import EARTH_RADIUS_KM
 
@@ -137,16 +137,15 @@ def gen_catalog(spec: WorldSpec) -> PoiCatalog:
     probs = np.array([spec.category_shares[c] for c in cat_ids], dtype=float)
     probs = probs / probs.sum()
     width = max(6, len(str(spec.n_pois - 1)))
-    records = []
+    rows = []
     for i in range(spec.n_pois):
         lat = float(rng.uniform(lat_min, lat_max))
         lon = float(rng.uniform(lon_min, lon_max))
         cat = sector_by_id(cat_ids[int(rng.choice(len(cat_ids), p=probs))])
         prefix = sorted(cat.prefixes)[int(rng.integers(len(cat.prefixes)))]
         naics = prefix + f"{int(rng.integers(100)):02d}"
-        poi_id = f"p{i:0{width}d}"
-        records.append(PoiRecord(poi_id, f"place-{i:0{width}d}", lat, lon, naics))
-    return PoiCatalog(records)
+        rows.append((f"p{i:0{width}d}", f"place-{i:0{width}d}", lat, lon, naics, cat.id))
+    return PoiCatalog.from_rows(rows)
 
 
 def _candidate_indices(
@@ -254,10 +253,7 @@ def _draw(catalog: PoiCatalog, spec: TrafficSpec) -> tuple[list[MotifClass], np.
     sizes = [c.size for c in classes]
     walks = [np.array(CLASS_WALKS[c]) for c in classes]
     lengths = np.array([len(w) for w in walks])
-    poi_ids = catalog.poi_ids()
-    n_pois = len(poi_ids)
-    lats = np.array([catalog[p].lat for p in poi_ids])
-    lons = np.array([catalog[p].lon for p in poi_ids])
+    n_pois, lats, lons = len(catalog), catalog.lat, catalog.lon
     start, end = spec.date_range
     n_days = (end - start).days + 1
     first_day = (start - EPOCH).days
@@ -288,7 +284,7 @@ def _draw(catalog: PoiCatalog, spec: TrafficSpec) -> tuple[list[MotifClass], np.
                 if candidates.size < sizes[code]:
                     raise ConfigError(
                         f"only {candidates.size} POIs within {spec.max_sample_km / 2} km "
-                        f"of {poi_ids[anchor]}; class {classes[code]} needs {sizes[code]}"
+                        f"of {catalog.poi_ids[anchor]}; class {classes[code]} needs {sizes[code]}"
                     )
                 idxs = candidates[rng.choice(candidates.size, size=sizes[code], replace=False)]
             walk = walks[code]
@@ -303,7 +299,7 @@ def _draw(catalog: PoiCatalog, spec: TrafficSpec) -> tuple[list[MotifClass], np.
     width = max(7, len(str(n - 1)))
     table = StopTable(
         devices=[f"d{i:0{width}d}" for i in range(n)],
-        pois=poi_ids,
+        pois=catalog.poi_ids,
         device=np.repeat(np.arange(n, dtype=np.int32), lengths[codes]),
         poi=np.concatenate(pois),
         start_time=np.concatenate(starts),
@@ -395,8 +391,9 @@ def load_traffic_spec(path: str | Path) -> TrafficSpec:
 def write_catalog_csv(catalog: PoiCatalog, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("poi_id,name,lat,lon,naics\n")
-        for rec in sorted(catalog, key=lambda r: r.poi_id):
-            fh.write(f"{rec.poi_id},{rec.name},{rec.lat!r},{rec.lon!r},{rec.naics}\n")
+        lat, lon = catalog.lat.tolist(), catalog.lon.tolist()
+        for row in zip(catalog.poi_ids, catalog.names, lat, lon, catalog.naics):
+            fh.write("%s,%s,%r,%r,%s\n" % row)
 
 
 def write_stops_csv(stops: StopTable, path: str | Path) -> None:

@@ -7,14 +7,15 @@ traffic drawn from one default_rng([seed, i]) per device-day. None of it
 shares code with the library paths under test.
 
 The table builders at the top are not oracles: they let tests state a
-network, sequences or stops as plain tuples and build the table through
-the library's own constructors (PlaceNetwork.from_arrays, the
-SequenceTable fields, parse_stops).
+network, sequences, stops or a POI catalog as plain tuples and build the
+table through the library's own constructors (PlaceNetwork.from_arrays,
+the SequenceTable fields, parse_stops, load_poi_catalog).
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import io
 import itertools
 from collections import Counter
@@ -23,7 +24,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from placeweave.ingest import EPOCH, SequenceTable, parse_stops
+from placeweave.ingest import EPOCH, SequenceTable, load_poi_catalog, parse_stops
 from placeweave.motifs import MotifClass, classify_graph
 from placeweave.network import PlaceNetwork
 from placeweave.stats import EARTH_RADIUS_KM
@@ -96,6 +97,12 @@ def stops_csv_text(stops: Iterable) -> str:
     """stops.csv holding these (device_id, poi_id, start_time, dwell) rows, in order."""
     rows = [f"{device},{poi},{start},{dwell}\n" for device, poi, start, dwell in stops]
     return "device_id,poi_id,start_time,dwell\n" + "".join(rows)
+
+
+def catalog(rows: Iterable):
+    """The PoiCatalog load_poi_catalog reads from these (poi_id, name, lat, lon, naics) rows."""
+    lines = [f"{poi},{name},{lat!r},{lon!r},{naics}\n" for poi, name, lat, lon, naics in rows]
+    return load_poi_catalog(io.StringIO("poi_id,name,lat,lon,naics\n" + "".join(lines)))
 
 
 # -- dict views of a network ---------------------------------------------------
@@ -336,7 +343,16 @@ def attributed_isomorphic(cls: MotifClass, labels_a: tuple, labels_b: tuple) -> 
 # run left to right in instance order, so these reproduce the library's
 # floats bit for bit. They share with the library only classify_graph
 # (through instance_from_edges; checked against the permutation oracle),
-# the scalar haversine_km and to_sector.
+# the scalar haversine_km and to_sector. A POI's coordinates and sector are
+# looked up by name in a dict of the catalog's id, coordinate and NAICS
+# columns, never through its sector column.
+
+
+@functools.lru_cache(maxsize=4)
+def poi_by_name(catalog) -> dict:
+    """poi_id -> (lat, lon, naics) of each POI in a PoiCatalog."""
+    columns = (catalog.lat.tolist(), catalog.lon.tolist(), catalog.naics)
+    return dict(zip(catalog.poi_ids, zip(*columns)))
 
 
 @dataclass
@@ -391,13 +407,14 @@ def motif_avg_distance(instance, catalog) -> float:
 
     if not instance.edges:
         raise ValueError("instance has no edges")
+    pois = poi_by_name(catalog)
     total = 0.0
     for a, b in instance.edges:
-        ra, rb = catalog.get(a), catalog.get(b)
+        ra, rb = pois.get(a), pois.get(b)
         if ra is None or rb is None:
             missing = a if ra is None else b
             raise MissingPoiError(f"poi_id {missing!r} has no coordinates in the catalog")
-        total += haversine_km(ra.lat, ra.lon, rb.lat, rb.lon)
+        total += haversine_km(ra[0], ra[1], rb[0], rb[1])
     return total / len(instance.edges)
 
 
@@ -489,12 +506,12 @@ def canonical_key(instance, catalog):
     from placeweave.attributes import AttributedMotifKey, to_sector
     from placeweave.errors import MissingPoiError
 
+    pois = poi_by_name(catalog)
     label = {}
     for node in instance.nodes:
-        rec = catalog.get(node)
-        if rec is None:
+        if node not in pois:
             raise MissingPoiError(f"poi_id {node!r} is not in the catalog")
-        label[node] = to_sector(rec.naics).id
+        label[node] = to_sector(pois[node][2]).id
     cls = instance.motif_class
     deg = _degrees(instance)
     if cls in (MotifClass.M2_1, MotifClass.M3_2, MotifClass.M4_1):
@@ -634,10 +651,9 @@ def traffic_plan(catalog, spec, indices=None) -> list[DeviceDayPlan]:
     classes = sorted(spec.class_mix, key=lambda c: c.value)
     probs = np.array([spec.class_mix[c] for c in classes], dtype=float)
     probs = probs / probs.sum()
-    poi_ids = catalog.poi_ids()
+    poi_ids = catalog.poi_ids
     n_pois = len(poi_ids)
-    lats = np.array([catalog[p].lat for p in poi_ids])
-    lons = np.array([catalog[p].lon for p in poi_ids])
+    lats, lons = catalog.lat, catalog.lon
     start, end = spec.date_range
     n_days = (end - start).days + 1
     lo, hi = spec.dwell_range

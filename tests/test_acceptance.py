@@ -28,6 +28,7 @@ from oracles import (
     brute_force_enumerate,
     brute_force_unweighted_clustering,
     Walk,
+    catalog,
     covering_walk,
     instance_from_edges,
     network,
@@ -37,12 +38,7 @@ from oracles import (
 from placeweave import _fastcount
 from placeweave.attributes import attributed_key, canonical_keys
 from placeweave.cli import main as cli_main
-from placeweave.ingest import (
-    PoiCatalog,
-    PoiRecord,
-    build_stay_sequences,
-    filter_visits,
-)
+from placeweave.ingest import build_stay_sequences, filter_visits
 from placeweave.metrics import (
     degree_distribution,
     fit_power_law,
@@ -299,11 +295,10 @@ def test_criterion_8_attributed_canonicalization():
             keys = {}
             for labels in assignments:
                 prefix = {7: "44", 16: "62", 18: "72"}
-                catalog = PoiCatalog(
-                    PoiRecord(node, node, 0.0, 0.0, prefix[lab] + "00")
-                    for node, lab in zip(nodes, labels)
+                labeled = catalog(
+                    (node, node, 0.0, 0.0, prefix[lab] + "00") for node, lab in zip(nodes, labels)
                 )
-                [key] = canonical_keys(rows, catalog).tolist()
+                [key] = canonical_keys(rows, labeled).tolist()
                 keys[labels] = attributed_key(key)
             for la, lb in itertools.product(assignments, repeat=2):
                 assert (keys[la] == keys[lb]) == attributed_isomorphic(cls, la, lb)

@@ -1,6 +1,5 @@
 import datetime as dt
 import itertools
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,12 +15,12 @@ from placeweave.attributes import (
     attributed_key,
     canonical_keys,
     category_frequency,
+    endpoint_counts,
     key_codes,
     sector_by_id,
     to_sector,
 )
 from placeweave.errors import MissingPoiError, UnknownSectorError
-from placeweave.ingest import PoiCatalog, PoiRecord
 from placeweave.motifs import (
     INDEX_CLASS,
     MASK_CLASS,
@@ -37,12 +36,11 @@ ALL_PREFIXES = {
 }
 
 
-def catalog_for(labels_by_node: dict[str, int]) -> PoiCatalog:
-    records = []
-    for node, sector_id in labels_by_node.items():
-        prefix = sorted(sector_by_id(sector_id).prefixes)[0]
-        records.append(PoiRecord(node, node, 0.0, 0.0, prefix + "00"))
-    return PoiCatalog(records)
+def catalog_for(labels_by_node: dict[str, int]):
+    return oracles.catalog(
+        (node, node, 0.0, 0.0, sorted(sector_by_id(sector_id).prefixes)[0] + "00")
+        for node, sector_id in labels_by_node.items()
+    )
 
 
 def make_instance(cls: MotifClass, node_names: list[str]):
@@ -116,49 +114,62 @@ def test_retail_groups_44_and_45():
 # -- category frequency -------------------------------------------------------
 
 
-def endpoints(flows):
-    """Per-POI endpoint counts of a list of flows, each flow counted once."""
-    return Counter(poi for flow in flows for poi in flow)
+def endpoints(walks, catalog):
+    """endpoint_counts of the instances of these walks, one device-day each."""
+    walks = [(f"d{i}", MON, tuple(stays)) for i, stays in enumerate(walks)]
+    return endpoint_counts(classify_trajectories(oracles.sequence_table(walks)).rows, catalog)
 
 
 def test_all_retail_flows_share_one():
     catalog = catalog_for({"r1": 7, "r2": 7})
-    ranked, unresolved = category_frequency(endpoints([("r1", "r2")]), catalog)
-    assert ranked == [("Retail Trade", 1.0)]
+    tally, unresolved = endpoints([("r1", "r2")], catalog)
+    assert category_frequency(tally, catalog) == [("Retail Trade", 1.0)]
     assert unresolved == 0
 
 
 def test_category_shares_sum_to_one():
     catalog = catalog_for({"a": 7, "b": 18, "c": 16, "d": 19})
-    flows = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c")]
+    tally, _ = endpoints([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c")], catalog)
     for digits in (2, 4):
-        ranked, _ = category_frequency(endpoints(flows), catalog, digits=digits)
+        ranked = category_frequency(tally, catalog, digits=digits)
         assert abs(sum(share for _, share in ranked) - 1.0) < 1e-12
 
 
 def test_category_frequency_counts_unresolved():
     catalog = catalog_for({"a": 7})
-    ranked, unresolved = category_frequency(endpoints([("a", "ghost")]), catalog)
+    tally, unresolved = endpoints([("a", "ghost")], catalog)
     assert unresolved == 1
-    assert ranked == [("Retail Trade", 1.0)]
+    assert category_frequency(tally, catalog) == [("Retail Trade", 1.0)]
 
 
 def test_category_frequency_four_digit_uses_code_with_name_fallback():
-    catalog = PoiCatalog([PoiRecord("a", "a", 0, 0, "722511"), PoiRecord("b", "b", 0, 0, "4411")])
-    ranked, _ = category_frequency(endpoints([("a", "b")]), catalog, digits=4)
-    assert dict(ranked) == {"7225": 0.5, "4411": 0.5}
+    catalog = oracles.catalog([("a", "a", 0, 0, "722511"), ("b", "b", 0, 0, "4411")])
+    tally, _ = endpoints([("a", "b")], catalog)
+    assert dict(category_frequency(tally, catalog, digits=4)) == {"7225": 0.5, "4411": 0.5}
 
 
 def test_category_frequency_weights_endpoints_by_count():
     catalog = catalog_for({"r1": 7, "f1": 18})
-    ranked, unresolved = category_frequency({"r1": 3, "f1": 1, "ghost": 2}, catalog)
-    assert ranked == [("Retail Trade", 0.75), ("Accommodation and Food Services", 0.25)]
+    tally, unresolved = endpoints([("r1", "f1"), ("r1", "ghost"), ("r1", "ghost")], catalog)
+    assert tally.tolist() == [1, 3]  # f1, r1
+    assert category_frequency(tally, catalog) == [
+        ("Retail Trade", 0.75), ("Accommodation and Food Services", 0.25)
+    ]
     assert unresolved == 2
+
+
+def test_endpoint_counts_include_other_rows():
+    catalog = catalog_for({"a": 7, "b": 18, "c": 7, "d": 18})
+    # five POIs make an OTHER row; its four steps give eight endpoints, one at ghost
+    tally, unresolved = endpoints([("a", "b", "c", "d", "ghost"), ("a", "b")], catalog)
+    assert tally.tolist() == [2, 3, 2, 2]
+    assert unresolved == 1
 
 
 def test_category_frequency_ranks_by_share_then_label():
     catalog = catalog_for({"a": 7, "b": 18, "c": 18})
-    ranked, _ = category_frequency(endpoints([("a", "b"), ("b", "c"), ("c", "a")]), catalog)
+    tally, _ = endpoints([("a", "b"), ("b", "c"), ("c", "a")], catalog)
+    ranked = category_frequency(tally, catalog)
     assert ranked[0][0] == "Accommodation and Food Services"
     assert ranked[0][1] == pytest.approx(4 / 6)
 

@@ -91,6 +91,25 @@ def test_bad_utc_offset_exits_2_before_any_stage(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "doc", [{"min_dwell": 299.9}, {"top_k": 2.5}, {"threads": True}, {"seed": False}]
+)
+def test_config_integer_key_rejects_bool_and_fraction(tmp_path, doc):
+    stops = tmp_path / "stops.csv"
+    stops.write_text("device_id,poi_id,start_time,dwell\n")
+    pois = tmp_path / "pois.csv"
+    pois.write_text("poi_id,name,lat,lon,naics\np1,A,0.0,0.0,44\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    args = ["run", "--stops", str(stops), "--pois", str(pois), "--out", str(out)]
+    assert main([*args, "--config", str(cfg)]) == 2
+    assert not out.exists()
+    [key] = doc
+    cfg.write_text(json.dumps({key: 2.0}))  # an integral float still reads as an integer
+    assert getattr(validate_config(cfg), key) == 2
+
+
 def test_flags_override_config_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{"min_dwell": 120}')
@@ -410,6 +429,13 @@ def test_motifs_rejects_a_repeated_stay_naming_its_line(tmp_path, caplog):
     )
     assert code == 2
     assert "line 2: a walk repeats a stay consecutively" in caplog.text
+
+
+def test_network_rejects_a_row_missing_a_field(tmp_path, caplog):
+    sequences = tmp_path / "sequences.csv"
+    sequences.write_text("device_id,local_date,stays\nd1,2020-02-03,a|b\nd2,2020-02-03\n")
+    assert main(["network", "--sequences", str(sequences), "--out", str(tmp_path / "n")]) == 2
+    assert "line 3: wrong number of fields" in caplog.text
 
 
 def test_run_computes_the_whole_period_distance_table_once(synth_dir, tmp_path, monkeypatch):

@@ -8,13 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import Stop, Walk, sequence_table, stop_rows, stop_table
+from oracles import Stop, Walk, catalog, sequence_table, stop_rows, stop_table
 from placeweave import ingest
 from placeweave.cli import main
 from placeweave.errors import RowError, SchemaError, UnknownSectorError
 from placeweave.ingest import (
-    PoiCatalog,
-    PoiRecord,
     filter_cataloged,
     load_poi_catalog,
     parse_stops,
@@ -143,15 +141,20 @@ POIS_HEADER = "poi_id,name,lat,lon,naics\n"
 
 
 def test_load_poi_catalog_maps_fields():
-    catalog = load_poi_catalog(io.StringIO(POIS_HEADER + "p1,Cafe,29.76,-95.37,7225\n"))
-    assert len(catalog) == 1
-    assert catalog["p1"] == PoiRecord("p1", "Cafe", 29.76, -95.37, "7225")
+    text = POIS_HEADER + "p2,Bar,0.5,1.5,4411\np1,Cafe,29.76,-95.37,7225\n"
+    pois = load_poi_catalog(io.StringIO(text))
+    assert len(pois) == 2
+    columns = (pois.poi_ids, pois.names, pois.lat.tolist(), pois.lon.tolist(), pois.naics)
+    assert columns == (["p1", "p2"], ["Cafe", "Bar"], [29.76, 0.5], [-95.37, 1.5], ["7225", "4411"])
+    assert pois.sector.dtype == np.int8 and pois.sector.tolist() == [18, 7]
+    assert pois.codes(["p2", "ghost", "p1"]).tolist() == [1, -1, 0]
 
 
-def test_load_poi_catalog_duplicate_id_fatal():
-    text = POIS_HEADER + "p1,A,1.0,2.0,44\np1,B,1.0,2.0,45\n"
-    with pytest.raises(SchemaError, match="duplicate"):
-        load_poi_catalog(io.StringIO(text))
+def test_load_poi_catalog_duplicate_id_fatal(tmp_path):
+    path = tmp_path / "pois.csv"
+    path.write_text(POIS_HEADER + "p1,A,1.0,2.0,44\np2,B,1.0,2.0,45\np1,C,1.0,2.0,45\n")
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}:4: duplicate poi_id 'p1'"):
+        load_poi_catalog(path)
 
 
 def test_load_poi_catalog_rejects_bad_rows():
@@ -168,18 +171,16 @@ def test_load_poi_catalog_rejects_unknown_sector(tmp_path):
 
 
 def test_sequences_share_no_object_with_stops():
-    catalog = PoiCatalog(
-        [PoiRecord(f"p{i}", "A", 0.0, 0.0, "44") for i in range(3)]
-    )
+    pois = catalog([(f"p{i}", "A", 0.0, 0.0, "44") for i in range(3)])
     records = [
         Stop("".join(["d", str(k % 2)]), "".join(["p", str(k % 3)]), 3600 * k, 600)
         for k in range(8)
     ]
     stops = stop_table(records)
-    sequences = ingest.build_stay_sequences(filter_cataloged(stops, catalog)[0], 0)
+    sequences = ingest.build_stay_sequences(filter_cataloged(stops, pois)[0], 0)
     seqs = [Walk(*walk) for walk in sequences.walks()]
     assert seqs == build_stay_sequences(records, 0)
-    own_ids = {rec.poi_id: rec.poi_id for rec in catalog}
+    own_ids = {poi_id: poi_id for poi_id in pois.poi_ids}
     stop_devices = {id(s.device_id) for s in records}
     assert all(poi is own_ids[poi] for seq in seqs for poi in seq.stays)
     assert all(id(seq.device_id) not in stop_devices for seq in seqs)
@@ -187,21 +188,18 @@ def test_sequences_share_no_object_with_stops():
 
 
 def test_filter_cataloged_drops_and_counts():
-    catalog = PoiCatalog([PoiRecord("p1", "A", 0.0, 0.0, "44")])
     stops = stop_table([_stop(), _stop(poi="ghost")])
-    kept, dropped = filter_cataloged(stops, catalog)
+    kept, dropped = filter_cataloged(stops, catalog([("p1", "A", 0.0, 0.0, "44")]))
     assert [poi for _, poi, _, _ in stop_rows(kept)] == ["p1"]
     assert dropped == 1
 
 
 def test_sequences_survive_catalog_join():
-    catalog = PoiCatalog(
-        [PoiRecord("p1", "A", 0.0, 0.0, "44"), PoiRecord("p2", "B", 0.0, 0.0, "72")]
-    )
+    pois = catalog([("p1", "A", 0.0, 0.0, "44"), ("p2", "B", 0.0, 0.0, "72")])
     stops = stop_table([_stop(t=1), _stop(poi="ghost", t=2), _stop(poi="p2", t=3)])
-    kept, _ = filter_cataloged(stops, catalog)
+    kept, _ = filter_cataloged(stops, pois)
     for _, _, stays in ingest.build_stay_sequences(kept, 0).walks():
-        assert all(poi in catalog for poi in stays)
+        assert all(poi in pois.poi_ids for poi in stays)
 
 
 def test_sequence_file_round_trip(tmp_path):
@@ -219,10 +217,15 @@ def test_sequence_file_round_trip(tmp_path):
 
 @pytest.mark.parametrize(
     "stays, message",
-    [("a", "shorter than 2 stays"), ("a|b|b", "repeats a stay consecutively")],
+    [
+        ("a", "shorter than 2 stays"),
+        ("a|b|b", "repeats a stay consecutively"),
+        (None, "wrong number of fields"),
+    ],
 )
 def test_read_sequences_names_the_bad_row(stays, message):
-    text = f"device_id,local_date,stays\nd1,2020-02-03,a|b\nd2,2020-02-03,{stays}\n"
+    row = "d2,2020-02-03" if stays is None else f"d2,2020-02-03,{stays}"  # None: no stays field
+    text = f"device_id,local_date,stays\nd1,2020-02-03,a|b\n{row}\n"
     with pytest.raises(RowError, match=f"line 3: .*{message}") as err:
         read_sequences(io.StringIO(text))
     assert err.value.line == 3

@@ -11,7 +11,6 @@ import oracles
 from placeweave import ingest
 from placeweave.cli import main
 from placeweave.errors import SchemaError
-from placeweave.ingest import PoiCatalog, PoiRecord
 from placeweave.motifs import classify_trajectories
 from placeweave.pipeline import (
     InstanceTable,
@@ -204,9 +203,9 @@ def test_flow_count_differing_from_network_weight_exits_3(data, tmp_path, monkey
 
 
 def test_category_shares_count_each_flow_per_device_day(tmp_path):
-    catalog = PoiCatalog(
-        [PoiRecord("r1", "r1", 0.0, 0.0, "4411"), PoiRecord("r2", "r2", 0.0, 0.0, "4412"),
-         PoiRecord("f1", "f1", 0.0, 0.0, "7225")]
+    catalog = oracles.catalog(
+        [("r1", "r1", 0.0, 0.0, "4411"), ("r2", "r2", 0.0, 0.0, "4412"),
+         ("f1", "f1", 0.0, 0.0, "7225")]
     )
     day = dt.date(2020, 2, 3)
     walks = [(f"d{i}", day, ("r1", "f1")) for i in range(3)]

@@ -9,7 +9,6 @@ import oracles
 from oracles import Walk, instance_from_edges, sequence_table
 from placeweave.config import RunConfig
 from placeweave.errors import MissingPoiError, SchemaError
-from placeweave.ingest import PoiCatalog, PoiRecord
 from placeweave.motifs import (
     MotifClass,
     census_percentages,
@@ -35,7 +34,7 @@ SAT = dt.date(2020, 2, 1)
 
 
 def poi(poi_id, lat, lon, naics="4400"):
-    return PoiRecord(poi_id, poi_id, lat, lon, naics)
+    return (poi_id, poi_id, lat, lon, naics)
 
 
 def north_of(base_lat, km):
@@ -103,13 +102,13 @@ def motif_avg_distance(inst, catalog) -> float:
 
 
 def test_single_edge_distance():
-    catalog = PoiCatalog([poi("a", 0.0, 0.0), poi("b", north_of(0.0, 4.0), 0.0)])
+    catalog = oracles.catalog([poi("a", 0.0, 0.0), poi("b", north_of(0.0, 4.0), 0.0)])
     inst = instance_from_edges(["a", "b"], [("a", "b")])
     assert motif_avg_distance(inst, catalog) == pytest.approx(4.0, abs=1e-9)
 
 
 def test_star_distance_is_mean_of_legs():
-    catalog = PoiCatalog(
+    catalog = oracles.catalog(
         [
             poi("hub", 0.0, 0.0),
             poi("l1", north_of(0.0, 1.0), 0.0),
@@ -125,7 +124,7 @@ def test_star_distance_is_mean_of_legs():
 
 
 def test_triangle_distance_is_mean_of_sides():
-    catalog = PoiCatalog([poi("a", 0.0, 0.0), poi("b", 0.02, 0.01), poi("c", -0.01, 0.025)])
+    catalog = oracles.catalog([poi("a", 0.0, 0.0), poi("b", 0.02, 0.01), poi("c", -0.01, 0.025)])
     inst = instance_from_edges(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
     sides = [
         haversine_km(*pq)
@@ -135,7 +134,7 @@ def test_triangle_distance_is_mean_of_sides():
 
 
 def test_distance_missing_poi_rejected():
-    catalog = PoiCatalog([poi("a", 0, 0)])
+    catalog = oracles.catalog([poi("a", 0, 0)])
     inst = instance_from_edges(["a", "b"], [("a", "b")])
     with pytest.raises(MissingPoiError):
         motif_avg_distance(inst, catalog)
@@ -145,8 +144,8 @@ def test_distance_invariant_under_node_relabeling():
     coords = {"a": (0.0, 0.0), "b": (0.02, 0.01), "c": (-0.01, 0.02), "d": (0.03, -0.02)}
     edges = [("a", "b"), ("b", "c"), ("c", "d")]
     renamed = {"a": "z9", "b": "m", "c": "q", "d": "b1"}
-    cat_a = PoiCatalog([poi(k, *v) for k, v in coords.items()])
-    cat_b = PoiCatalog([poi(renamed[k], *v) for k, v in coords.items()])
+    cat_a = oracles.catalog([poi(k, *v) for k, v in coords.items()])
+    cat_b = oracles.catalog([poi(renamed[k], *v) for k, v in coords.items()])
     inst_a = instance_from_edges(coords, edges)
     inst_b = instance_from_edges(renamed.values(), [(renamed[a], renamed[b]) for a, b in edges])
     assert motif_avg_distance(inst_a, cat_a) == pytest.approx(
@@ -159,7 +158,7 @@ def _census_rows(seqs):
 
 
 def test_class_avg_distance_single_instance():
-    catalog = PoiCatalog([poi("a", 0, 0), poi("b", north_of(0, 3.0), 0)])
+    catalog = oracles.catalog([poi("a", 0, 0), poi("b", north_of(0, 3.0), 0)])
     rows = _census_rows([Walk("d1", MON, ("a", "b"))])
     table = class_avg_distance(rows.instances, instance_distances(rows, catalog))
     split = table[MotifClass.M2_1]
@@ -169,7 +168,7 @@ def test_class_avg_distance_single_instance():
 
 
 def test_class_avg_distance_device_weighting():
-    catalog = PoiCatalog(
+    catalog = oracles.catalog(
         [poi("a", 0, 0), poi("b", north_of(0, 2.0), 0), poi("c", north_of(0, 8.0), 0)]
     )
     seqs = [
@@ -203,7 +202,7 @@ def test_weekday_plus_weekend_counts_cover_total():
 # -- daily series -------------------------------------------------------------
 
 
-SERIES_CATALOG = PoiCatalog(
+SERIES_CATALOG = oracles.catalog(
     [poi("a", 0, 0), poi("b", north_of(0, 1.0), 0), poi("c", 0, 0.01)]
 )
 
@@ -388,7 +387,7 @@ def _summary_doc():
 
 def test_report_validates_and_passes_percentages_through():
     census = _small_census()
-    catalog = PoiCatalog(
+    catalog = oracles.catalog(
         [poi("a", 0, 0), poi("b", north_of(0, 1.0), 0), poi("c", 0, 0.01)]
     )
     rows = classify([Walk("d1", MON, ("a", "b"))]).rows
@@ -430,7 +429,7 @@ def test_census_document_lists_all_classes():
 
 
 def test_distance_document_shape():
-    catalog = PoiCatalog([poi("a", 0, 0), poi("b", north_of(0, 1.0), 0)])
+    catalog = oracles.catalog([poi("a", 0, 0), poi("b", north_of(0, 1.0), 0)])
     rows = _census_rows([Walk("d1", MON, ("a", "b"))])
     table = class_avg_distance(rows.instances, instance_distances(rows, catalog))
     doc = distance_document(table, "devices")

@@ -1,13 +1,12 @@
 import datetime as dt
 import hashlib
-from collections import Counter
 
 import numpy as np
 import pytest
 
 import oracles
 from oracles import trajectory_instance
-from placeweave.attributes import category_frequency, to_sector
+from placeweave.attributes import category_frequency, endpoint_counts, to_sector
 from placeweave.errors import ConfigError
 from placeweave.ingest import build_stay_sequences, filter_visits, load_poi_catalog, parse_stops
 from placeweave.motifs import MotifClass, classify_trajectories
@@ -43,21 +42,21 @@ def traffic(n=100, mix=None, seed=2, **kw):
 
 def test_catalog_single_poi_inside_bbox():
     catalog = gen_catalog(world(n_pois=1))
-    [rec] = list(catalog)
-    assert BBOX[0] <= rec.lat <= BBOX[1]
-    assert BBOX[2] <= rec.lon <= BBOX[3]
+    [lat], [lon] = catalog.lat.tolist(), catalog.lon.tolist()
+    assert BBOX[0] <= lat <= BBOX[1]
+    assert BBOX[2] <= lon <= BBOX[3]
 
 
 def test_point_mass_retail_prefixes():
     catalog = gen_catalog(world(n_pois=200, shares={7: 1.0}))
-    assert {rec.naics[:2] for rec in catalog} <= {"44", "45"}
+    assert {naics[:2] for naics in catalog.naics} <= {"44", "45"}
 
 
 def test_planted_retail_share_recovered():
     # retail planted at 0.22, the scale of the most-visited category share
     shares = {7: 0.22, 18: 0.40, 16: 0.20, 19: 0.18}
     catalog = gen_catalog(world(n_pois=10_000, shares=shares, seed=9))
-    retail = sum(1 for rec in catalog if to_sector(rec.naics).id == 7)
+    retail = sum(1 for naics in catalog.naics if to_sector(naics).id == 7)
     assert abs(retail / 10_000 - 0.22) <= 0.02
 
 
@@ -128,12 +127,9 @@ def test_planted_endpoint_category_share_recovered():
     catalog = gen_catalog(spec)
     stops = gen_device_days(catalog, traffic(n=10_000, seed=72))
     sequences = build_stay_sequences(filter_visits(stops, 300), 0.0)
-    flows = [
-        (stays[i], stays[i + 1]) for _, _, stays in sequences.walks() for i in range(len(stays) - 1)
-    ]
-    ranked, unresolved = category_frequency(Counter(poi for flow in flows for poi in flow), catalog)
+    tally, unresolved = endpoint_counts(classify_trajectories(sequences).rows, catalog)
     assert unresolved == 0
-    shares = dict(ranked)
+    shares = dict(category_frequency(tally, catalog))
     assert abs(shares["Accommodation and Food Services"] - 0.30) <= 0.01
     assert abs(shares["Retail Trade"] - 0.40) <= 0.01
 
@@ -164,12 +160,13 @@ def test_distance_bounded_sampling():
     plans = gen_traffic_plan(
         catalog, traffic(n=100, mix={MotifClass.M4_1: 1.0}, max_sample_km=20.0)
     )
+    coords = oracles.poi_by_name(catalog)
     for plan in plans:
         pois = sorted(set(plan.walk))
         for i, a in enumerate(pois):
             for b in pois[i + 1 :]:
-                ra, rb = catalog[a], catalog[b]
-                assert haversine_km(ra.lat, ra.lon, rb.lat, rb.lon) <= 20.0
+                ra, rb = coords[a], coords[b]
+                assert haversine_km(ra[0], ra[1], rb[0], rb[1]) <= 20.0
 
 
 def test_traffic_spec_validation():

@@ -1,4 +1,5 @@
 import datetime as dt
+import hashlib
 import itertools
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import REFERENCE_GRAPHS, MotifInstance, attributed_isomorphic, instance_from_edges
 from placeweave.attributes import (
+    KEY_PERMS,
     SECTORS,
     AttributedMotifKey,
     attributed_census,
@@ -255,6 +257,15 @@ def test_key_table_equals_the_oracle_on_every_connected_mask():
                 checked += 1
     # 1 connected labeled graph on 2 nodes, 4 on 3 and 38 on 4
     assert checked == 1 * 3**2 + 4 * 3**3 + 38 * 3**4
+
+
+def test_key_perm_rows_are_pinned():
+    """Each mask's set of key-position maps, as it was when they were found
+    by testing every slot permutation against the class template."""
+    assert (KEY_PERMS.dtype, KEY_PERMS.shape) == (np.int8, (64, 24, 4))
+    rows = [sorted(set(map(tuple, KEY_PERMS[mask].tolist()))) for mask in range(64)]
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "35d9486f987c53d73e3351dfe65f0dcd60efdc19a1bd44179e66979b1f5def7c"
 
 
 @settings(max_examples=40)

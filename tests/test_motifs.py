@@ -1,7 +1,9 @@
 import datetime as dt
+import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -347,6 +349,14 @@ def test_mask_class_table_equals_classify_graph():
             except ValueError:  # more vertices than n
                 want = -1
             assert MASK_CLASS[n, mask] == want, (n, mask)
+
+
+def test_mask_class_table_bytes_are_pinned():
+    """The (node count, edge mask) class table, byte for byte as it was
+    when classify_graph went by degree sequence."""
+    digest = hashlib.sha256(MASK_CLASS.tobytes()).hexdigest()
+    assert (MASK_CLASS.dtype, MASK_CLASS.shape) == (np.int8, (5, 64))
+    assert digest == "08b51e5b4260b171c72cae05a88ceda2372b10d9b15e108ffe07b071c998226e"
 
 
 pairs = st.lists(

@@ -2,11 +2,11 @@
 
 An attributed motif carries a sector label on every node; two labeled
 occurrences are the same lifestyle exactly when some vertex bijection
-preserves both edges and labels. Each class therefore gets a fixed
-position convention (KEY_TEMPLATES) and its label sequence is reduced to
-the lexicographic minimum over the class's automorphism group. For every
-connected edge mask of the instance table, KEY_PERMS stores the slot
-permutations that carry the class template onto it; an instance's key is
+preserves both edges and labels. The key positions of each class are
+those of its shape in motifs.CLASS_SHAPES, and its label sequence is
+reduced to the lexicographic minimum over the class's automorphism group.
+For every connected edge mask of the instance table, KEY_PERMS stores the
+slot permutations that carry the class shape onto it; an instance's key is
 the minimum of its sector-id rows under them, packed with its class into
 one integer. The attributed census and the endpoint tally are grouped
 integer sums over those keys and over the instance edges.
@@ -14,7 +14,6 @@ integer sums over those keys and over the instance edges.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -22,16 +21,7 @@ import numpy as np
 
 from .errors import MissingPoiError, UnknownSectorError
 from .ingest import PoiCatalog
-from .motifs import (
-    INDEX_CLASS,
-    MASK_CLASS,
-    PAIRS,
-    InstanceRows,
-    MotifClass,
-    group_starts,
-    mask_edges,
-)
-from .network import edge_key
+from .motifs import EMBEDDINGS, INDEX_CLASS, InstanceRows, MotifClass, group_starts
 
 
 @dataclass(frozen=True)
@@ -127,42 +117,15 @@ class AttributedMotifKey:
         return len(set(self.labels)) == 1
 
 
-# Key positions of each class as edges between positions: chains run end to
-# end, stars and tailed shapes order by role (tail, hub, then the
-# interchangeable positions), cycles run around, and the fully symmetric
-# shapes take any order.
-KEY_TEMPLATES: dict[MotifClass, tuple[tuple[int, int], ...]] = {
-    MotifClass.M2_1: ((0, 1),),
-    MotifClass.M3_1: ((0, 1), (1, 2)),  # end, center, end
-    MotifClass.M3_2: ((0, 1), (0, 2), (1, 2)),
-    MotifClass.M4_1: PAIRS,
-    MotifClass.M4_2: ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)),  # hub, hub, side, side
-    MotifClass.M4_3: ((0, 1), (0, 3), (1, 2), (2, 3)),  # around the cycle
-    MotifClass.M4_4: ((0, 1), (1, 2), (1, 3), (2, 3)),  # tail, hub, mid, mid
-    MotifClass.M4_5: ((0, 1), (1, 2), (2, 3)),  # end to end
-    MotifClass.M4_6: ((0, 1), (0, 2), (0, 3)),  # hub, leaf, leaf, leaf
-}
 _LABEL_BITS = 5  # sector ids run 1..20
 
-
-def _key_perms(mask: int) -> list[tuple[int, ...]]:
-    """The maps from key position to node slot that carry the template of
-    the mask's class onto the mask's edges, repeated to 24 rows (identities
-    unless the graph is connected). A connected instance on n nodes uses
-    every slot below n, so its mask alone fixes n."""
-    edges = set(mask_edges(mask))
-    n = 1 + max((b for _, b in edges), default=0)
-    template = KEY_TEMPLATES.get(INDEX_CLASS[MASK_CLASS[n, mask]], ())
-    perms = [
-        perm + tuple(range(n, 4))
-        for perm in itertools.permutations(range(n))
-        if {edge_key(perm[a], perm[b]) for a, b in template} == edges
-    ] or [(0, 1, 2, 3)]
-    return (perms * 24)[:24]
-
-
-# KEY_PERMS[mask]: the automorphisms of the graph of each connected mask.
-KEY_PERMS = np.array([_key_perms(mask) for mask in range(64)], dtype=np.int8)
+# KEY_PERMS[mask]: the maps from key position to slot that carry the class
+# shape onto each connected mask (its automorphisms, read through the key
+# positions), repeated to 24 rows; the identity for every other mask.
+KEY_PERMS = np.array(
+    [(EMBEDDINGS.get(mask, (None, [(0, 1, 2, 3)]))[1] * 24)[:24] for mask in range(64)],
+    dtype=np.int8,
+)
 
 
 def key_codes(cls: np.ndarray, mask: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Classification and exact counting of 2- to 4-node motifs.
 
-Connected graphs on at most four vertices are fully determined up to
-isomorphism by (size, sorted degree sequence), which keeps classification
-a table lookup. Enumeration counts every connected node-induced
+CLASS_SHAPES writes each of the nine classes once, as edges between its
+key positions. Placing those positions on node slots in every order gives
+every connected graph on up to four slots with its class (EMBEDDINGS), so
+classification maps a graph's vertices to slots and looks its edge mask
+up. Enumeration counts every connected node-induced
 k-subgraph of a network exactly once, in closed form (_fastcount):
 induced counts follow from degrees, triangles, codegrees and 4-cliques
 without visiting any subgraph.
@@ -24,6 +26,7 @@ written and counted.
 from __future__ import annotations
 
 import enum
+import itertools
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from typing import Iterable
@@ -49,41 +52,15 @@ class MotifClass(enum.Enum):
 
     @property
     def size(self) -> int:
-        return _CLASS_SIZE[self]
+        return len(set().union(*CLASS_SHAPES.get(self, ())))
 
     @property
     def edge_count(self) -> int:
-        return _CLASS_EDGES[self]
+        return len(CLASS_SHAPES.get(self, ()))
 
     def __str__(self) -> str:
         return self.value
 
-
-_CLASS_SIZE = {
-    MotifClass.M2_1: 2,
-    MotifClass.M3_1: 3,
-    MotifClass.M3_2: 3,
-    MotifClass.M4_1: 4,
-    MotifClass.M4_2: 4,
-    MotifClass.M4_3: 4,
-    MotifClass.M4_4: 4,
-    MotifClass.M4_5: 4,
-    MotifClass.M4_6: 4,
-    MotifClass.OTHER: 0,
-}
-
-_CLASS_EDGES = {
-    MotifClass.M2_1: 1,
-    MotifClass.M3_1: 2,
-    MotifClass.M3_2: 3,
-    MotifClass.M4_1: 6,
-    MotifClass.M4_2: 5,
-    MotifClass.M4_3: 4,
-    MotifClass.M4_4: 4,
-    MotifClass.M4_5: 3,
-    MotifClass.M4_6: 3,
-    MotifClass.OTHER: 0,
-}
 
 # The nine classes in report order.
 CLASS_ORDER: tuple[MotifClass, ...] = (
@@ -103,17 +80,45 @@ CLASS_INDEX: dict[MotifClass, int] = {c: i for i, c in enumerate(CLASS_ORDER)}
 CLASS_INDEX[MotifClass.OTHER] = len(CLASS_ORDER)
 INDEX_CLASS: tuple[MotifClass, ...] = CLASS_ORDER + (MotifClass.OTHER,)
 
-_DEGSEQ_CLASS: dict[tuple[int, tuple[int, ...]], MotifClass] = {
-    (2, (1, 1)): MotifClass.M2_1,
-    (3, (1, 1, 2)): MotifClass.M3_1,
-    (3, (2, 2, 2)): MotifClass.M3_2,
-    (4, (3, 3, 3, 3)): MotifClass.M4_1,
-    (4, (2, 2, 3, 3)): MotifClass.M4_2,
-    (4, (2, 2, 2, 2)): MotifClass.M4_3,
-    (4, (1, 2, 2, 3)): MotifClass.M4_4,
-    (4, (1, 1, 2, 2)): MotifClass.M4_5,
-    (4, (1, 1, 1, 3)): MotifClass.M4_6,
+# Node slots of an instance are its at most four POI codes, sorted. Bit i of
+# an edge mask is the slot pair PAIRS[i]; the pairs are in lexicographic
+# order, so a mask's edges in bit order are its edges sorted.
+PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+PAIR_BIT = np.zeros((4, 4), dtype=np.uint8)
+for _bit, (_a, _b) in enumerate(PAIRS):
+    PAIR_BIT[_a, _b] = PAIR_BIT[_b, _a] = 1 << _bit
+
+# Each class's shape as edges between its key positions: chains run end to
+# end, stars and tailed shapes order by role (tail, hub, then the
+# interchangeable positions), cycles run around, and the fully symmetric
+# shapes take any order. The positions fix the order of attributed keys.
+CLASS_SHAPES: dict[MotifClass, tuple[tuple[int, int], ...]] = {
+    MotifClass.M2_1: ((0, 1),),
+    MotifClass.M3_1: ((0, 1), (1, 2)),  # end, center, end
+    MotifClass.M3_2: ((0, 1), (0, 2), (1, 2)),
+    MotifClass.M4_1: PAIRS,
+    MotifClass.M4_2: ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)),  # hub, hub, side, side
+    MotifClass.M4_3: ((0, 1), (0, 3), (1, 2), (2, 3)),  # around the cycle
+    MotifClass.M4_4: ((0, 1), (1, 2), (1, 3), (2, 3)),  # tail, hub, mid, mid
+    MotifClass.M4_5: ((0, 1), (1, 2), (2, 3)),  # end to end
+    MotifClass.M4_6: ((0, 1), (0, 2), (0, 3)),  # hub, leaf, leaf, leaf
 }
+
+
+def _embeddings() -> dict[int, tuple[MotifClass, list[tuple[int, ...]]]]:
+    table: dict[int, tuple[MotifClass, list[tuple[int, ...]]]] = {}
+    for cls, shape in CLASS_SHAPES.items():
+        n = cls.size
+        for perm in itertools.permutations(range(n)):
+            mask = sum(int(PAIR_BIT[perm[a], perm[b]]) for a, b in shape)
+            table.setdefault(mask, (cls, []))[1].append(perm + tuple(range(n, 4)))
+    return table
+
+
+# Every connected graph on the slots below its size, as an edge mask: its
+# class and each map from key position to slot (padded with the unused
+# slots) that carries the class shape onto it.
+EMBEDDINGS = _embeddings()
 
 
 def classify_graph(n: int, edges: Iterable[tuple]) -> MotifClass:
@@ -124,32 +129,19 @@ def classify_graph(n: int, edges: Iterable[tuple]) -> MotifClass:
     """
     if n not in (2, 3, 4):
         raise ValueError(f"motif size must be 2, 3 or 4, got {n}")
-    adj: dict = {}
+    edges = list(edges)
+    slot: dict = {}
     for a, b in edges:
         if a == b:
             raise ValueError(f"self-loop at {a!r}: motif graphs are simple")
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    if len(adj) > n:
-        raise ValueError(f"edge set references {len(adj)} vertices but n={n}")
-    if len(adj) < n:
+        slot.setdefault(a, len(slot))
+        slot.setdefault(b, len(slot))
+    if len(slot) > n:
+        raise ValueError(f"edge set references {len(slot)} vertices but n={n}")
+    if len(slot) < n:
         return MotifClass.OTHER  # isolated vertex present
-    if not _connected(adj):
-        return MotifClass.OTHER
-    degseq = tuple(sorted(len(nbrs) for nbrs in adj.values()))
-    return _DEGSEQ_CLASS[(n, degseq)]
-
-
-def _connected(adj: dict) -> bool:
-    start = next(iter(adj))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for u in adj[stack.pop()]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(adj)
+    mask = sum({int(PAIR_BIT[slot[a], slot[b]]) for a, b in edges})
+    return EMBEDDINGS.get(mask, (MotifClass.OTHER,))[0]
 
 
 # -- enumeration -------------------------------------------------------------
@@ -197,14 +189,6 @@ def enumeration_census(
 
 
 # -- trajectory census -------------------------------------------------------
-
-# Node slots of an instance are its at most four POI codes, sorted. Bit i of
-# an edge mask is the slot pair PAIRS[i]; the pairs are in lexicographic
-# order, so a mask's edges in bit order are its edges sorted.
-PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-PAIR_BIT = np.zeros((4, 4), dtype=np.uint8)
-for _bit, (_a, _b) in enumerate(PAIRS):
-    PAIR_BIT[_a, _b] = PAIR_BIT[_b, _a] = 1 << _bit
 
 
 def mask_edges(mask: int) -> tuple[tuple[int, int], ...]:

@@ -260,8 +260,8 @@ def test_key_table_equals_the_oracle_on_every_connected_mask():
 
 
 def test_key_perm_rows_are_pinned():
-    """Each mask's set of key-position maps, as it was when they were found
-    by testing every slot permutation against the class template."""
+    """Each mask's set of key-position maps, pinned: the attributed keys
+    are their minimum, so the set fixes every key (row order does not)."""
     assert (KEY_PERMS.dtype, KEY_PERMS.shape) == (np.int8, (64, 24, 4))
     rows = [sorted(set(map(tuple, KEY_PERMS[mask].tolist()))) for mask in range(64)]
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()

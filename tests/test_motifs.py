@@ -352,8 +352,8 @@ def test_mask_class_table_equals_classify_graph():
 
 
 def test_mask_class_table_bytes_are_pinned():
-    """The (node count, edge mask) class table, byte for byte as it was
-    when classify_graph went by degree sequence."""
+    """The (node count, edge mask) class table, pinned byte for byte:
+    instances.csv rows and their order depend on it."""
     digest = hashlib.sha256(MASK_CLASS.tobytes()).hexdigest()
     assert (MASK_CLASS.dtype, MASK_CLASS.shape) == (np.int8, (5, 64))
     assert digest == "08b51e5b4260b171c72cae05a88ceda2372b10d9b15e108ffe07b071c998226e"

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields
 
 from . import __version__, ingest, pipeline
 from .config import CENSUS_MODES, NETWORK_MODES, WEIGHTING_MODES, RunConfig, validate_config
@@ -86,27 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args: argparse.Namespace, **extra) -> RunConfig:
+def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = validate_config(getattr(args, "config", None))
-    overrides = {
-        key: getattr(args, key, None)
-        for key in (
-            "min_dwell",
-            "utc_offset",
-            "network_mode",
-            "census_mode",
-            "distance_weighting",
-            "top_k",
-            "seed",
-            "threads",
-            "stops",
-            "pois",
-            "out",
-        )
-        if getattr(args, key, None) is not None
-    }
-    overrides.update({k: v for k, v in extra.items() if v is not None})
-    return cfg.with_overrides(**overrides)
+    return cfg.with_overrides(**{f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
 
 
 def _require_out(cfg: RunConfig) -> str:

@@ -100,27 +100,22 @@ def validate_config(path: str | Path | None) -> RunConfig:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     coerced = {}
     problems = []
-    casts = {
-        "min_dwell": int,
-        "utc_offset": float,
-        "top_k": int,
-        "seed": int,
-        "threads": int,
-    }
+    numbers = {"min_dwell": int, "utc_offset": float, "top_k": int, "seed": int, "threads": int}
     for key, value in doc.items():
-        cast = casts.get(key)
-        # int() would read true as 1 and truncate 299.9; value % 1 is nan for inf and nan
-        if cast is int and (isinstance(value, bool) or isinstance(value, float) and value % 1):
+        cast = numbers.get(key)
+        if cast is None:
+            if value is not None and not isinstance(value, str):
+                problems.append(f"{key} must be a string, got {value!r}")
+            else:
+                coerced[key] = value
+        # a JSON number only: true is a bool and "300" a string
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            problems.append(f"{key} must be a number, got {value!r}")
+        # int() would truncate 299.9; value % 1 is nan for inf and nan
+        elif cast is int and value % 1:
             problems.append(f"{key} must be an integer, got {value!r}")
-        elif cast is not None:
-            try:
-                coerced[key] = cast(value)
-            except (TypeError, ValueError):
-                problems.append(f"{key} must be a number, got {value!r}")
-        elif value is not None and not isinstance(value, str):
-            problems.append(f"{key} must be a string, got {value!r}")
         else:
-            coerced[key] = value
+            coerced[key] = cast(value)
     if problems:
         raise ConfigError("; ".join(problems))
     cfg = RunConfig(**coerced)

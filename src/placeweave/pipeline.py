@@ -31,7 +31,6 @@ from .network import (
     PlaceNetwork,
     edge_key,
     build_network,
-    merge_networks,
     read_network,
     sidecar_path,
     write_network,
@@ -125,14 +124,13 @@ def stage_network(sequences: ingest.SequenceTable, mode: str, out_dir: str | Pat
         raise SchemaError("no stay sequences to build networks from")
     out = _ensure_dir(out_dir)
     daily_dir = _ensure_dir(out / "daily")
-    daily = []
-    for day in sorted(set(sequences.day.tolist())):
+    days = sorted(set(sequences.day.tolist()))
+    for day in days:
         label = ingest.day_date(day).isoformat()
         net = build_network(sequences.select(sequences.day == day), mode=mode, label=label)
         write_network(net, daily_dir / f"{label}.csv")
-        daily.append(net)
-    merged = merge_networks(daily)
-    write_network(merged, out / "merged.csv", extra_meta={"days": len(daily)})
+    merged = build_network(sequences, mode)
+    write_network(merged, out / "merged.csv", extra_meta={"days": len(days)})
     return merged
 
 
@@ -231,6 +229,8 @@ def read_instances_csv(path: str | Path) -> motifs.InstanceRows:
             raise SchemaError(f"{path}: missing instance columns")
         for row in reader:
             where = f"{path}:{reader.line_num}"
+            if any(row[column] is None for column in expected):
+                raise SchemaError(f"{where}: wrong number of fields")
             try:
                 day = (dt.date.fromisoformat(row["local_date"]) - ingest.EPOCH).days
                 names = sorted(set(row["nodes"].split("|")))
@@ -239,7 +239,7 @@ def read_instances_csv(path: str | Path) -> motifs.InstanceRows:
                     a, b = pair.split("|")
                     edges.append((a, b))
                 count = int(row["device_count"])
-            except (ValueError, TypeError, AttributeError) as exc:
+            except ValueError as exc:
                 raise SchemaError(f"{where}: bad instance row: {exc}") from None
             slot = {v: i for i, v in enumerate(names)}
             for a, b in edges:

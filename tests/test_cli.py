@@ -92,7 +92,15 @@ def test_bad_utc_offset_exits_2_before_any_stage(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "doc", [{"min_dwell": 299.9}, {"top_k": 2.5}, {"threads": True}, {"seed": False}]
+    "doc",
+    [
+        {"min_dwell": 299.9},
+        {"top_k": 2.5},
+        {"threads": True},
+        {"seed": False},
+        {"utc_offset": True},
+        {"min_dwell": "300"},
+    ],
 )
 def test_config_integer_key_rejects_bool_and_fraction(tmp_path, doc):
     stops = tmp_path / "stops.csv"

@@ -118,8 +118,9 @@ def test_instances_csv_rejects_garbage(tmp_path):
         ("2020-02-01,M2_1,a|b,a|a,1", "edge a|a is a self-loop"),
         ("2020-02-01,M2_1,a|b,a|b,-3", "device_count -3 is below 1"),
         ("2020-02-01,M3_1,a|b,a|b,1", "row classifies as M2_1 but claims M3_1"),
+        ("2020-02-03,M2_1,a|b", "wrong number of fields"),
     ],
-    ids=["endpoint", "self-loop", "device-count", "class"],
+    ids=["endpoint", "self-loop", "device-count", "class", "missing-field"],
 )
 def test_instances_csv_rejects_inconsistent_rows(tmp_path, row, problem):
     bad = tmp_path / "instances.csv"

@@ -115,7 +115,10 @@ def validate_config(path: str | Path | None) -> RunConfig:
         elif cast is int and value % 1:
             problems.append(f"{key} must be an integer, got {value!r}")
         else:
-            coerced[key] = cast(value)
+            try:
+                coerced[key] = cast(value)
+            except OverflowError:  # an integer beyond the float range
+                problems.append(f"{key} is out of range for a number, got {value!r}")
     if problems:
         raise ConfigError("; ".join(problems))
     cfg = RunConfig(**coerced)

@@ -100,6 +100,7 @@ def test_bad_utc_offset_exits_2_before_any_stage(tmp_path):
         {"seed": False},
         {"utc_offset": True},
         {"min_dwell": "300"},
+        {"utc_offset": 10**400},
     ],
 )
 def test_config_integer_key_rejects_bool_and_fraction(tmp_path, doc):

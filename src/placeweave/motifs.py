@@ -106,7 +106,7 @@ CLASS_SHAPES: dict[MotifClass, tuple[tuple[int, int], ...]] = {
 
 
 def _embeddings() -> dict[int, tuple[MotifClass, list[tuple[int, ...]]]]:
-    table: dict[int, tuple[MotifClass, list[tuple[int, ...]]]] = {}
+    table: dict = {}
     for cls, shape in CLASS_SHAPES.items():
         n = cls.size
         for perm in itertools.permutations(range(n)):

@@ -356,6 +356,27 @@ def test_criterion_9_county_scale_time_and_thread_independence(county_graph_csr)
               f"{int(counts_single.sum()):,} subgraphs", flush=True)
 
 
+def test_criterion_9_county_scale_census_is_pinned(county_graph_csr):
+    # Per-class counts of the county graph, so any change to the census
+    # kernels must reproduce every class exactly, not just a large total.
+    indptr, indices = county_graph_csr
+    expected = {
+        3: {MotifClass.M3_1: 2_496_990, MotifClass.M3_2: 995},
+        4: {
+            MotifClass.M4_2: 31,
+            MotifClass.M4_3: 13_746,
+            MotifClass.M4_4: 55_529,
+            MotifClass.M4_5: 45_325_305,
+            MotifClass.M4_6: 15_477_780,
+        },
+    }
+    for k, classes in expected.items():
+        counts = _fastcount.census_counts(indptr, indices, k, threads=1)
+        assert {cls: int(counts[CLASS_INDEX[cls]]) for cls in CLASS_INDEX} == {
+            cls: classes.get(cls, 0) for cls in CLASS_INDEX
+        }
+
+
 @pytest.mark.xfail(
     (os.cpu_count() or 1) < 8,
     reason=f"host exposes {os.cpu_count()} hardware threads; a 3x speedup "

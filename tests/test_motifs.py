@@ -23,6 +23,7 @@ from placeweave.errors import InvariantError
 from placeweave.motifs import (
     CLASS_INDEX,
     CLASS_ORDER,
+    INDEX_CLASS,
     MASK_CLASS,
     ClassStats,
     MotifCensus,
@@ -32,7 +33,8 @@ from placeweave.motifs import (
     classify_trajectories,
     enumerate_induced,
 )
-from placeweave.network import PlaceNetwork
+from placeweave.network import PlaceNetwork, csr_adjacency
+from placeweave.refnets import RefNetSpec, gen_scale_free_network
 
 # The closed-form census and the ESU oracle, each checked on the same graphs.
 COUNTERS = pytest.mark.parametrize(
@@ -209,6 +211,38 @@ def test_closed_engine_exact_when_terms_leave_int64(monkeypatch):
     monkeypatch.setattr(_fastcount, "_INT64_MAX", 7)
     for k in (3, 4):
         assert enumerate_induced(net, k) == expected[k]
+
+
+def complete_bipartite(a, b):
+    return network({(f"l{i}", f"r{j}"): 1 for i in range(a) for j in range(b)})
+
+
+def grid(side):
+    cell = [[f"g{r}{c}" for c in range(side)] for r in range(side)]
+    right = {(cell[r][c], cell[r][c + 1]): 1 for r in range(side) for c in range(side - 1)}
+    down = {(cell[r][c], cell[r + 1][c]): 1 for r in range(side - 1) for c in range(side)}
+    return network({**right, **down})
+
+
+@pytest.mark.parametrize(
+    "net",
+    [
+        pytest.param(complete_bipartite(5, 6), id="K5,6"),
+        pytest.param(grid(6), id="grid6x6"),
+        pytest.param(gen_scale_free_network(RefNetSpec("scale_free", 30, 6, 3)), id="scale-free"),
+    ],
+)
+def test_closed_engine_slices_give_the_unsliced_counts(monkeypatch, net):
+    # Slices of 64 candidates split every kernel's pass over the graph into
+    # many blocks, so each block's offsets must line up with the whole.
+    _, indptr, indices = csr_adjacency(net)
+    whole = _fastcount.census_counts(indptr, indices, 4)
+    monkeypatch.setattr(_fastcount, "_SLICE", 64)
+    sliced = _fastcount.census_counts(indptr, indices, 4)
+    assert sliced.tolist() == whole.tolist()
+    expected = brute_force_enumerate(net, 4)
+    assert expected[MotifClass.M4_3] > 0
+    assert {INDEX_CLASS[i]: int(c) for i, c in enumerate(sliced) if c} == expected
 
 
 def test_instance_stream_matches_counts():

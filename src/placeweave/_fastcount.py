@@ -11,18 +11,17 @@ are counted in well under a second.
 Nodes are ranked by degree and every edge points from the lower to the
 higher rank (Chiba & Nishizeki 1985). A node then has at most sqrt(2m)
 out-neighbours, which bounds triangle listing, the 4-clique search and the
-4-cycle codegree product by O(m sqrt m) however heavy the hubs; their
+4-cycle wedge listing by O(m sqrt m) however heavy the hubs; their
 candidate arrays are processed in slices of bounded length.
 
-All work runs in the calling thread: scipy's sparse products hold the
-GIL, so more threads would not make it faster. The counts are exact
-integers and never depend on the thread count.
+Everything is numpy, so the census imports no scipy. All work runs in the
+calling thread; the counts are exact integers and never depend on the
+thread count.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InvariantError
 from .motifs import CLASS_INDEX, INDEX_CLASS, MotifClass
@@ -140,18 +139,29 @@ def _four_cliques(uptr, tail, head, keys, n, ab, bc) -> int:
 def _four_cycles(uptr, tail, head, deg, n) -> int:
     """Count each 4-cycle once, from its highest-ranked node v.
 
-    With w the node opposite v, the cycle is a pair of common neighbours of
-    v and w ranked below v: sum C(c, 2) over pairs w < v, where c counts
-    the u -> v with u adjacent to w.
+    With w the node opposite v, the cycle is a pair of wedges w - u - v with
+    u -> v and w < v: sum C(c, 2) over pairs w < v, where c counts those
+    wedges. The w of u lie below u (u's down list) or between u and v
+    (u's up list up to the edge u -> v), so every listed wedge counts.
     """
-    up = sp.csr_matrix((np.ones(head.size, dtype=np.int64), head, uptr), shape=(n, n))
-    adj = (up + up.T).tocsr()
-    down = up.T.tocsr()  # row v lists the u -> v
+    by_head = np.argsort(head, kind="stable")  # edge ids grouped by head
+    dptr = np.searchsorted(head[by_head], np.arange(n + 1))
+    below, indeg = tail[by_head], np.diff(dptr)  # row x of below lists the w -> x
     work = np.bincount(head, weights=deg[tail], minlength=n)
     total = 0
     for lo, hi in _slices(work):
-        block = (down[lo:hi] @ adj).tocoo()
-        c = block.data[block.col < block.row + lo]
+        edge = by_head[dptr[lo] : dptr[hi]]  # the u -> v with lo <= v < hi
+        u, offset = tail[edge], (head[edge] - lo) * n
+        low, mid = indeg[u], edge - uptr[u]
+        split = int(low.sum())
+        keys = np.empty(split + int(mid.sum()), dtype=np.int64)
+        keys[:split] = below[_ranges(dptr[u], low)]
+        keys[:split] += np.repeat(offset, low)
+        keys[split:] = head[_ranges(uptr[u], mid)]
+        keys[split:] += np.repeat(offset, mid)
+        keys.sort()  # one run per pair (v, w); its length is c
+        ends = np.flatnonzero(np.append(keys[1:] != keys[:-1], True))
+        c = np.diff(ends, prepend=-1)
         total += _total(c * (c - 1) // 2)
     return total
 

@@ -151,8 +151,8 @@ def enumerate_induced(net: PlaceNetwork, k: int, threads: int = 1) -> dict[Motif
     """Count connected node-induced k-subgraphs per motif class.
 
     k = 2 is the edge count. For k = 3 and 4 the counts follow in closed form
-    from degrees, triangles, codegrees and 4-cliques (_fastcount; numpy and
-    scipy, one thread, counts independent of threads).
+    from degrees, triangles, codegrees and 4-cliques (_fastcount; numpy
+    only, one thread, counts independent of threads).
     """
     if k not in (2, 3, 4):
         raise ValueError(f"k must be 2, 3 or 4, got {k}")

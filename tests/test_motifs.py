@@ -35,6 +35,7 @@ from placeweave.motifs import (
 )
 from placeweave.network import PlaceNetwork, csr_adjacency
 from placeweave.refnets import RefNetSpec, gen_scale_free_network
+from test_metrics import loaded_modules
 
 # The closed-form census and the ESU oracle, each checked on the same graphs.
 COUNTERS = pytest.mark.parametrize(
@@ -243,6 +244,21 @@ def test_closed_engine_slices_give_the_unsliced_counts(monkeypatch, net):
     expected = brute_force_enumerate(net, 4)
     assert expected[MotifClass.M4_3] > 0
     assert {INDEX_CLASS[i]: int(c) for i, c in enumerate(sliced) if c} == expected
+
+
+def test_enumeration_loads_no_scipy(tmp_path):
+    # The closed-form census is numpy only; scipy is for the metrics stage.
+    code = (
+        "import sys; from placeweave import cli, motifs, refnets; "
+        "motifs.enumerate_induced(refnets.gen_scale_free_network("
+        "refnets.RefNetSpec('scale_free', 60, 4, 9)), 4); "
+        "assert cli.main(['refnet', '--kind', 'scale-free', '--n', '60', '--avg-degree', '4', "
+        "'--seed', '9', '--out', 'ref.csv']) == 0; "
+        "assert cli.main(['motifs', '--network', 'ref.csv', '--mode', 'enumerate', "
+        "'--out', 'census']) == 0; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    assert loaded_modules(code, cwd=tmp_path).splitlines()[-1] == "[]"
 
 
 def test_instance_stream_matches_counts():

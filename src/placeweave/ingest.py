@@ -438,8 +438,9 @@ def write_sequences(sequences: SequenceTable, path: str | Path) -> None:
 def read_sequences(source: str | Path | TextIO) -> SequenceTable:
     """Read a sequences file into a SequenceTable, one sequence per row in file order.
 
-    A missing field, a bad date, a walk of fewer than two stays and a stay
-    repeated consecutively each raise RowError with the row's line number.
+    A missing or extra field, a bad date, a walk of fewer than two stays and
+    a stay repeated consecutively each raise RowError with the row's line
+    number.
     """
     device_ids: list[str] = []
     days: list[int] = []
@@ -448,6 +449,8 @@ def read_sequences(source: str | Path | TextIO) -> SequenceTable:
     fh, close = _open_text(source)
     try:
         for line, row in _dict_rows(fh, SEQUENCES_COLUMNS, "sequences"):
+            if None in row:  # csv.DictReader's key for fields past the header
+                raise RowError(line, "wrong number of fields")
             try:
                 day = dt.date.fromisoformat(row["local_date"])
             except ValueError:

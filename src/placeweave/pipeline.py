@@ -229,7 +229,7 @@ def read_instances_csv(path: str | Path) -> motifs.InstanceRows:
             raise SchemaError(f"{path}: missing instance columns")
         for row in reader:
             where = f"{path}:{reader.line_num}"
-            if any(row[column] is None for column in expected):
+            if None in row or any(row[column] is None for column in expected):
                 raise SchemaError(f"{where}: wrong number of fields")
             try:
                 day = (dt.date.fromisoformat(row["local_date"]) - ingest.EPOCH).days

@@ -221,6 +221,7 @@ def test_sequence_file_round_trip(tmp_path):
         ("a", "shorter than 2 stays"),
         ("a|b|b", "repeats a stay consecutively"),
         (None, "wrong number of fields"),
+        ("a|b,junk", "wrong number of fields"),
     ],
 )
 def test_read_sequences_names_the_bad_row(stays, message):

@@ -119,8 +119,9 @@ def test_instances_csv_rejects_garbage(tmp_path):
         ("2020-02-01,M2_1,a|b,a|b,-3", "device_count -3 is below 1"),
         ("2020-02-01,M3_1,a|b,a|b,1", "row classifies as M2_1 but claims M3_1"),
         ("2020-02-03,M2_1,a|b", "wrong number of fields"),
+        ("2020-02-03,M2_1,a|b,a|b,1,junk", "wrong number of fields"),
     ],
-    ids=["endpoint", "self-loop", "device-count", "class", "missing-field"],
+    ids=["endpoint", "self-loop", "device-count", "class", "missing-field", "extra-field"],
 )
 def test_instances_csv_rejects_inconsistent_rows(tmp_path, row, problem):
     bad = tmp_path / "instances.csv"

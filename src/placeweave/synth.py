@@ -46,6 +46,7 @@ CLASS_WALKS: dict[MotifClass, tuple[int, ...]] = {
 _STOP_SPACING_S = 900
 _DAY_START_HOUR = 8
 _BLOCK = 1 << 16  # device-days seeded together; stop rows formatted per write
+_NEAR_CACHE = 1 << 23  # candidate indices kept across device-days (64 MB of int64)
 
 # numpy's SeedSequence (a pool of four uint32 words) and PCG64 seeding constants
 _POOL_SIZE = 4
@@ -151,13 +152,19 @@ def gen_catalog(spec: WorldSpec) -> PoiCatalog:
 def _candidate_indices(
     lats: np.ndarray, lons: np.ndarray, anchor: int, radius_km: float
 ) -> np.ndarray:
-    """Indices within radius/2 of the anchor: pairwise distances <= radius."""
-    phi = np.radians(lats)
-    dphi = np.radians(lats - lats[anchor]) / 2.0
-    dlam = np.radians(lons - lons[anchor]) / 2.0
-    a = np.sin(dphi) ** 2 + np.cos(phi[anchor]) * np.cos(phi) * np.sin(dlam) ** 2
+    """Indices within radius/2 of the anchor: pairwise distances <= radius.
+
+    A POI whose latitude alone is more than radius/2 away is farther than
+    that, so the haversine runs only over the latitude band of the anchor.
+    """
+    band = np.degrees(radius_km / 2.0 / EARTH_RADIUS_KM) * (1.0 + 1e-6)
+    near = np.flatnonzero(np.abs(lats - lats[anchor]) <= band)
+    phi = np.radians(lats[near])
+    dphi = np.radians(lats[near] - lats[anchor]) / 2.0
+    dlam = np.radians(lons[near] - lons[anchor]) / 2.0
+    a = np.sin(dphi) ** 2 + np.cos(np.radians(lats[anchor])) * np.cos(phi) * np.sin(dlam) ** 2
     d = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(a)))
-    return np.flatnonzero(d <= radius_km / 2.0)
+    return near[d <= radius_km / 2.0]
 
 
 # -- per-device-day generators, seeded in bulk ----------------------------------
@@ -236,7 +243,8 @@ def _draw(catalog: PoiCatalog, spec: TrafficSpec) -> tuple[list[MotifClass], np.
     catalog or from the POIs near an anchor drawn first), and one dwell per
     stop (integers(lo, hi + 1, size=len(walk))). Generators are seeded a
     block of device-days at a time and loaded into one reused PCG64. Stops
-    follow device-day order, 15 minutes apart from 08:00 UTC.
+    follow device-day order, 15 minutes apart from 08:00 UTC. Each anchor's
+    candidates are computed once and reused while the cache has room.
     """
     spec.validate()
     classes = sorted(spec.class_mix, key=lambda c: c.value)
@@ -265,6 +273,8 @@ def _draw(catalog: PoiCatalog, spec: TrafficSpec) -> tuple[list[MotifClass], np.
     full_state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
     n = spec.n_device_days
     codes = np.empty(n, dtype=np.int8)
+    near: dict[int, np.ndarray] = {}  # anchor -> its candidates, up to _NEAR_CACHE in all
+    near_size = 0
     starts, pois, dwells = [], [], []
     # blocks start at multiples of 2**16, so the indices in one have equally many 32-bit words
     for block in range(0, n, _BLOCK):
@@ -280,7 +290,12 @@ def _draw(catalog: PoiCatalog, spec: TrafficSpec) -> tuple[list[MotifClass], np.
                 idxs = rng.choice(n_pois, size=sizes[code], replace=False)
             else:
                 anchor = int(rng.integers(n_pois))
-                candidates = _candidate_indices(lats, lons, anchor, spec.max_sample_km)
+                candidates = near.get(anchor)
+                if candidates is None:
+                    candidates = _candidate_indices(lats, lons, anchor, spec.max_sample_km)
+                    if near_size + candidates.size <= _NEAR_CACHE:
+                        near[anchor] = candidates
+                        near_size += candidates.size
                 if candidates.size < sizes[code]:
                     raise ConfigError(
                         f"only {candidates.size} POIs within {spec.max_sample_km / 2} km "

@@ -10,9 +10,11 @@ from placeweave.attributes import category_frequency, endpoint_counts, to_sector
 from placeweave.errors import ConfigError
 from placeweave.ingest import build_stay_sequences, filter_visits, load_poi_catalog, parse_stops
 from placeweave.motifs import MotifClass, classify_trajectories
+from placeweave import synth
 from placeweave.stats import haversine_km
 from placeweave.synth import (
     CLASS_WALKS,
+    _candidate_indices,
     _pcg64_states,
     TrafficSpec,
     WorldSpec,
@@ -167,6 +169,24 @@ def test_distance_bounded_sampling():
             for b in pois[i + 1 :]:
                 ra, rb = coords[a], coords[b]
                 assert haversine_km(ra[0], ra[1], rb[0], rb[1]) <= 20.0
+
+
+@pytest.mark.parametrize("radius_km", [0.5, 3.0, 20.0, 200.0])
+def test_candidates_equal_the_haversine_over_the_whole_catalog(radius_km):
+    # The latitude band may skip only POIs the full haversine rejects.
+    catalog = gen_catalog(world(n_pois=2000, seed=5))
+    for anchor in range(len(catalog)):
+        got = _candidate_indices(catalog.lat, catalog.lon, anchor, radius_km)
+        want = oracles._candidate_indices(catalog.lat, catalog.lon, anchor, radius_km)
+        assert got.tolist() == want.tolist()
+
+
+def test_anchor_draws_do_not_depend_on_the_cache_size(monkeypatch):
+    catalog = gen_catalog(world(n_pois=600, seed=5))
+    spec = traffic(n=400, mix=NINE_WAY_MIX, max_sample_km=20.0)
+    cached = gen_device_days(catalog, spec)
+    monkeypatch.setattr(synth, "_NEAR_CACHE", 1000)  # room for a few anchors only
+    assert oracles.stop_rows(gen_device_days(catalog, spec)) == oracles.stop_rows(cached)
 
 
 def test_traffic_spec_validation():

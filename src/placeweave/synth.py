@@ -150,15 +150,17 @@ def gen_catalog(spec: WorldSpec) -> PoiCatalog:
 
 
 def _candidate_indices(
-    lats: np.ndarray, lons: np.ndarray, anchor: int, radius_km: float
+    lats: np.ndarray, lons: np.ndarray, anchor: int, radius_km: float, by_lat: np.ndarray
 ) -> np.ndarray:
     """Indices within radius/2 of the anchor: pairwise distances <= radius.
 
     A POI whose latitude alone is more than radius/2 away is farther than
-    that, so the haversine runs only over the latitude band of the anchor.
+    that, so the haversine runs only over the latitude band of the anchor,
+    found by bisection in by_lat, the indices of lats in ascending order.
     """
     band = np.degrees(radius_km / 2.0 / EARTH_RADIUS_KM) * (1.0 + 1e-6)
-    near = np.flatnonzero(np.abs(lats - lats[anchor]) <= band)
+    lo, hi = np.searchsorted(lats, lats[anchor] + np.array([-band, band]), sorter=by_lat)
+    near = np.sort(by_lat[lo:hi])
     phi = np.radians(lats[near])
     dphi = np.radians(lats[near] - lats[anchor]) / 2.0
     dlam = np.radians(lons[near] - lons[anchor]) / 2.0
@@ -273,6 +275,7 @@ def _draw(catalog: PoiCatalog, spec: TrafficSpec) -> tuple[list[MotifClass], np.
     full_state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
     n = spec.n_device_days
     codes = np.empty(n, dtype=np.int8)
+    by_lat = np.argsort(lats, kind="stable")
     near: dict[int, np.ndarray] = {}  # anchor -> its candidates, up to _NEAR_CACHE in all
     near_size = 0
     starts, pois, dwells = [], [], []
@@ -292,7 +295,7 @@ def _draw(catalog: PoiCatalog, spec: TrafficSpec) -> tuple[list[MotifClass], np.
                 anchor = int(rng.integers(n_pois))
                 candidates = near.get(anchor)
                 if candidates is None:
-                    candidates = _candidate_indices(lats, lons, anchor, spec.max_sample_km)
+                    candidates = _candidate_indices(lats, lons, anchor, spec.max_sample_km, by_lat)
                     if near_size + candidates.size <= _NEAR_CACHE:
                         near[anchor] = candidates
                         near_size += candidates.size

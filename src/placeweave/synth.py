@@ -159,7 +159,8 @@ def _candidate_indices(
     found by bisection in by_lat, the indices of lats in ascending order.
     """
     band = np.degrees(radius_km / 2.0 / EARTH_RADIUS_KM) * (1.0 + 1e-6)
-    lo, hi = np.searchsorted(lats, lats[anchor] + np.array([-band, band]), sorter=by_lat)
+    lo = np.searchsorted(lats, lats[anchor] - band, side="left", sorter=by_lat)
+    hi = np.searchsorted(lats, lats[anchor] + band, side="right", sorter=by_lat)
     near = np.sort(by_lat[lo:hi])
     phi = np.radians(lats[near])
     dphi = np.radians(lats[near] - lats[anchor]) / 2.0

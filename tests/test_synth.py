@@ -6,11 +6,11 @@ import pytest
 
 import oracles
 from oracles import trajectory_instance
+from placeweave import synth
 from placeweave.attributes import category_frequency, endpoint_counts, to_sector
 from placeweave.errors import ConfigError
 from placeweave.ingest import build_stay_sequences, filter_visits, load_poi_catalog, parse_stops
 from placeweave.motifs import MotifClass, classify_trajectories
-from placeweave import synth
 from placeweave.stats import haversine_km
 from placeweave.synth import (
     CLASS_WALKS,

@@ -46,7 +46,7 @@ CLASS_WALKS: dict[MotifClass, tuple[int, ...]] = {
 _STOP_SPACING_S = 900
 _DAY_START_HOUR = 8
 _BLOCK = 1 << 16  # device-days seeded together; stop rows formatted per write
-_NEAR_CACHE = 1 << 23  # candidate indices kept across device-days (64 MB of int64)
+_NEAR_CACHE = 1 << 23  # candidate indices kept across device-days (32 MB of int32)
 
 # numpy's SeedSequence (a pool of four uint32 words) and PCG64 seeding constants
 _POOL_SIZE = 4
@@ -150,24 +150,29 @@ def gen_catalog(spec: WorldSpec) -> PoiCatalog:
 
 
 def _candidate_indices(
-    lats: np.ndarray, lons: np.ndarray, anchor: int, radius_km: float, by_lat: np.ndarray
+    by_lat: np.ndarray,
+    lats: np.ndarray,
+    lons: np.ndarray,
+    lat: float,
+    lon: float,
+    radius_km: float,
 ) -> np.ndarray:
-    """Indices within radius/2 of the anchor: pairwise distances <= radius.
+    """Catalog indices within radius/2 of (lat, lon): pairwise distances <= radius.
 
-    A POI whose latitude alone is more than radius/2 away is farther than
-    that, so the haversine runs only over the latitude band of the anchor,
-    found by bisection in by_lat, the indices of lats in ascending order.
+    by_lat lists the catalog indices by ascending latitude; lats and lons
+    are the coordinates in that order. A POI whose latitude alone is more
+    than radius/2 away is farther than that, so the haversine runs only over
+    the latitude band around lat.
     """
     band = np.degrees(radius_km / 2.0 / EARTH_RADIUS_KM) * (1.0 + 1e-6)
-    lo = np.searchsorted(lats, lats[anchor] - band, side="left", sorter=by_lat)
-    hi = np.searchsorted(lats, lats[anchor] + band, side="right", sorter=by_lat)
-    near = np.sort(by_lat[lo:hi])
-    phi = np.radians(lats[near])
-    dphi = np.radians(lats[near] - lats[anchor]) / 2.0
-    dlam = np.radians(lons[near] - lons[anchor]) / 2.0
-    a = np.sin(dphi) ** 2 + np.cos(np.radians(lats[anchor])) * np.cos(phi) * np.sin(dlam) ** 2
+    lo = np.searchsorted(lats, lat - band, side="left")
+    hi = np.searchsorted(lats, lat + band, side="right")
+    phi = np.radians(lats[lo:hi])
+    dphi = np.radians(lats[lo:hi] - lat) / 2.0
+    dlam = np.radians(lons[lo:hi] - lon) / 2.0
+    a = np.sin(dphi) ** 2 + np.cos(np.radians(lat)) * np.cos(phi) * np.sin(dlam) ** 2
     d = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(a)))
-    return near[d <= radius_km / 2.0]
+    return np.sort(by_lat[lo:hi][d <= radius_km / 2.0])
 
 
 # -- per-device-day generators, seeded in bulk ----------------------------------
@@ -276,7 +281,8 @@ def _draw(catalog: PoiCatalog, spec: TrafficSpec) -> tuple[list[MotifClass], np.
     full_state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
     n = spec.n_device_days
     codes = np.empty(n, dtype=np.int8)
-    by_lat = np.argsort(lats, kind="stable")
+    by_lat = np.argsort(lats, kind="stable").astype(np.int32)
+    lats_by_lat, lons_by_lat = lats[by_lat], lons[by_lat]
     near: dict[int, np.ndarray] = {}  # anchor -> its candidates, up to _NEAR_CACHE in all
     near_size = 0
     starts, pois, dwells = [], [], []
@@ -296,7 +302,10 @@ def _draw(catalog: PoiCatalog, spec: TrafficSpec) -> tuple[list[MotifClass], np.
                 anchor = int(rng.integers(n_pois))
                 candidates = near.get(anchor)
                 if candidates is None:
-                    candidates = _candidate_indices(lats, lons, anchor, spec.max_sample_km, by_lat)
+                    candidates = _candidate_indices(
+                        by_lat, lats_by_lat, lons_by_lat, lats[anchor], lons[anchor],
+                        spec.max_sample_km,
+                    )
                     if near_size + candidates.size <= _NEAR_CACHE:
                         near[anchor] = candidates
                         near_size += candidates.size

@@ -176,8 +176,10 @@ def test_candidates_equal_the_haversine_over_the_whole_catalog(radius_km):
     # The latitude band may skip only POIs the full haversine rejects.
     catalog = gen_catalog(world(n_pois=2000, seed=5))
     by_lat = np.argsort(catalog.lat)
+    lats, lons = catalog.lat[by_lat], catalog.lon[by_lat]
     for anchor in range(len(catalog)):
-        got = _candidate_indices(catalog.lat, catalog.lon, anchor, radius_km, by_lat)
+        lat, lon = catalog.lat[anchor], catalog.lon[anchor]
+        got = _candidate_indices(by_lat, lats, lons, lat, lon, radius_km)
         want = oracles._candidate_indices(catalog.lat, catalog.lon, anchor, radius_km)
         assert got.tolist() == want.tolist()
 

@@ -14,10 +14,10 @@ class SchemaError(PlaceweaveError):
 
 
 class RowError(SchemaError):
-    """A single malformed data row; carries the 1-based line number."""
+    """A single malformed data row; carries the 1-based line, and its message starts FILE:LINE:."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, where: str, line: int, message: str):
+        super().__init__(f"{where}:{line}: {message}")
         self.line = line
 
 

@@ -10,6 +10,10 @@ The POI catalog is columns in poi_id order, each POI's sector resolved
 once when the catalog is built; consumers find an id's row through
 PoiCatalog.codes. A repeated poi_id is fatal, naming the file and line.
 
+Every CSV file the package reads goes through CsvRows: a bad row raises
+RowError starting FILE:LINE:. Stops and POIs may carry further columns and
+trailing fields; the files the program writes must match their header.
+
 A stop becomes a visit when its dwell time reaches the configured
 threshold. Visits are grouped per device and local calendar day, ordered
 by start time with poi_id breaking ties, collapsed over consecutive
@@ -29,6 +33,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import logging
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -99,6 +104,11 @@ class PoiCatalog:
 def day_date(day: int) -> dt.date:
     """The date of a day number (days after 1970-01-01)."""
     return EPOCH + dt.timedelta(days=int(day))
+
+
+def is_weekend(day: int | np.ndarray) -> bool | np.ndarray:
+    """Whether a day number (an int or an int array) is a Saturday or Sunday."""
+    return (day + 3) % 7 >= 5  # day 0, 1970-01-01, was a Thursday
 
 
 def _intern(values: list[str]) -> tuple[list[str], np.ndarray]:
@@ -185,68 +195,86 @@ class SequenceTable:
             yield self.devices[device], dates[day], tuple(names[bounds[i] : bounds[i + 1]])
 
 
-def _open_text(source: str | Path | TextIO):
-    """Return (file object, should_close). Accepts a path or an open stream."""
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
-    return source, False
+class CsvRows(AbstractContextManager):
+    """The data rows of a comma-delimited file with a header row.
+
+    A context manager over a path or a seekable stream; it closes only a
+    file it opened. Errors name the file as where: the path, the stream's
+    name or "<what> file". The header must hold every one of columns, and
+    with exact be columns, in order. Iterating yields (line, fields) per
+    non-blank row, fields in columns order (a repeated column's last field
+    wins); a row with fewer fields than the header, or with exact more,
+    raises RowError. quoting is csv.reader's; QUOTE_NONE reads unquoted files.
+    """
+
+    def __init__(
+        self, source: str | Path | TextIO, columns: tuple[str, ...], what: str,
+        exact: bool = False, quoting: int = csv.QUOTE_MINIMAL,
+    ):
+        self.columns, self.exact, self.quoting = columns, exact, quoting
+        self._owned = isinstance(source, (str, Path))
+        self._fh = open(source, "r", encoding="utf-8", newline="") if self._owned else source
+        self.where = str(source) if self._owned else getattr(source, "name", f"{what} file")
+        self._begin = self._fh.tell()
+
+    def __exit__(self, *exc) -> None:
+        if self._owned:
+            self._fh.close()
+
+    def error(self, line: int, message: str) -> RowError:
+        return RowError(self.where, line, message)
+
+    def reader(self) -> tuple[Iterator[list[str]], list[int], int]:
+        """A csv.reader from the start of the file, past its checked header,
+        each column's field position and the number of header fields."""
+        self._fh.seek(self._begin)
+        reader = csv.reader(self._fh, quoting=self.quoting)
+        header = next(reader, [])
+        missing = [c for c in self.columns if c not in header]
+        if missing:
+            raise SchemaError(f"{self.where}: missing column(s): {', '.join(missing)}")
+        if self.exact and header != list(self.columns):
+            raise SchemaError(f"{self.where}: the header must be {','.join(self.columns)}")
+        last = {name: i for i, name in enumerate(header)}
+        return reader, [last[c] for c in self.columns], len(header)
+
+    def __iter__(self) -> Iterator[tuple[int, list[str]]]:
+        reader, index, width = self.reader()
+        for row in reader:
+            if len(row) == width or (len(row) > width and not self.exact):
+                yield reader.line_num, row if self.exact else [row[i] for i in index]
+            elif row:
+                raise self.error(reader.line_num, "wrong number of fields")
 
 
-def _check_header(fieldnames: list[str] | None, required: tuple[str, ...], what: str) -> None:
-    if fieldnames is None:
-        raise SchemaError(f"{what} file is empty (no header row)")
-    missing = [c for c in required if c not in fieldnames]
-    if missing:
-        raise SchemaError(f"{what} file is missing column(s): {', '.join(missing)}")
-
-
-def _dict_rows(fh: TextIO, columns: tuple[str, ...], what: str) -> Iterator[tuple[int, dict]]:
-    """(line number, row) of each row as csv.DictReader reads and numbers it,
-    after the header check; a row missing a field raises RowError."""
-    reader = csv.DictReader(fh)
-    _check_header(reader.fieldnames, columns, what)
-    for row in reader:
-        if any(row.get(c) is None for c in columns):
-            raise RowError(reader.line_num, "wrong number of fields")
-        yield reader.line_num, row
-
-
-def _check_stop_rows(fh: TextIO) -> None:
-    """Raise RowError at the first malformed stop row, numbered as csv.DictReader numbers it."""
-    for line, row in _dict_rows(fh, STOPS_COLUMNS, "stops"):
-        if not row["device_id"].strip():
-            raise RowError(line, "empty device_id")
-        if any(ch in row["device_id"].strip() for ch in LINE_BREAKS):
-            where = getattr(fh, "name", "stops file")
-            raise SchemaError(f"{where}:{line}: device_id {row['device_id']!r} holds a line break")
-        if not row["poi_id"].strip():
-            raise RowError(line, "empty poi_id")
+def _check_stop_rows(rows: CsvRows) -> None:
+    """Raise RowError at the first malformed stop row."""
+    for line, (device_id, poi_id, start_time, dwell) in rows:
+        if not device_id.strip():
+            raise rows.error(line, "empty device_id")
+        if any(ch in device_id.strip() for ch in LINE_BREAKS):
+            raise rows.error(line, f"device_id {device_id!r} holds a line break")
+        if not poi_id.strip():
+            raise rows.error(line, "empty poi_id")
         try:
-            start_time = int(row["start_time"])
-            dwell = int(row["dwell"])
+            start_time, dwell = int(start_time), int(dwell)
         except ValueError as exc:
-            raise RowError(line, f"non-integer field: {exc}") from None
+            raise rows.error(line, f"non-integer field: {exc}") from None
         if dwell < 0:
-            raise RowError(line, f"negative dwell {dwell}")
+            raise rows.error(line, f"negative dwell {dwell}")
         if not (_INT64.min <= start_time <= _INT64.max and dwell <= _INT64.max):
-            raise RowError(line, "integer field outside the 64-bit range")
+            raise rows.error(line, "integer field outside the 64-bit range")
 
 
-def _bulk_stops(fh: TextIO) -> StopTable | None:
+def _bulk_stops(rows: CsvRows) -> StopTable | None:
     """The stops file's table, or None when some row needs the row check."""
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    _check_header(header, STOPS_COLUMNS, "stops")
-    # dict(zip(header, row)) keeps a repeated column's last field
-    last = {name: i for i, name in enumerate(header)}
-    i_dev, i_poi, i_start, i_dwell = (last[c] for c in STOPS_COLUMNS)
-    need = max(i_dev, i_poi, i_start, i_dwell) + 1
+    reader, (i_dev, i_poi, i_start, i_dwell), width = rows.reader()
     device_ids: list[str] = []
     poi_ids: list[str] = []
     starts: list[str] = []
     dwells: list[str] = []
     for row in reader:
-        if len(row) >= need:
+        if len(row) >= width:
             device_ids.append(row[i_dev])
             poi_ids.append(row[i_poi])
             starts.append(row[i_start])
@@ -274,26 +302,17 @@ def _bulk_stops(fh: TextIO) -> StopTable | None:
 def parse_stops(source: str | Path | TextIO) -> StopTable:
     """Read a comma-delimited stops file into a StopTable.
 
-    The header must carry device_id, poi_id, start_time and dwell. Rows are
-    read as csv.DictReader reads them: blank rows are skipped, extra fields
-    are allowed and a repeated column's last field wins. The columns are
-    converted in bulk; on any irregularity the file is read again and
-    checked row by row, so a malformed row raises RowError with its line
-    number, and a device_id holding a line break SchemaError naming the file
-    and line. A missing column raises SchemaError before any row is parsed.
+    The header must carry device_id, poi_id, start_time and dwell. The
+    columns are converted in bulk; on any irregularity the file is read
+    again and checked row by row, so a malformed row raises RowError naming
+    the file and line.
     """
-    fh, close = _open_text(source)
-    try:
-        begin = fh.tell()
-        table = _bulk_stops(fh)
+    with CsvRows(source, STOPS_COLUMNS, "stops") as rows:
+        table = _bulk_stops(rows)
         if table is None:
-            fh.seek(begin)
-            _check_stop_rows(fh)
+            _check_stop_rows(rows)
             raise InvariantError("the bulk stop parse rejected a file the row check accepts")
-        return table
-    finally:
-        if close:
-            fh.close()
+    return table
 
 
 def filter_visits(stops: StopTable, min_dwell: int) -> StopTable:
@@ -379,49 +398,42 @@ def load_poi_catalog(source: str | Path | TextIO) -> PoiCatalog:
 
     Duplicate ids, ids holding a reserved separator (| ; , or a line
     break), out-of-range coordinates, non-digit NAICS codes and codes whose
-    two-digit prefix maps to no sector are fatal.
+    two-digit prefix maps to no sector are fatal, naming the file and line.
     """
     from .attributes import to_sector  # attributes imports this module
 
-    fh, close = _open_text(source)
-    where = getattr(fh, "name", "POI file")
-    try:
-        rows: list[tuple[str, str, float, float, str, int]] = []
-        first_line: dict[str, int] = {}
-        for line, row in _dict_rows(fh, POIS_COLUMNS, "POI"):
-            poi_id = row["poi_id"].strip()
+    entries: list[tuple[str, str, float, float, str, int]] = []
+    first_line: dict[str, int] = {}
+    with CsvRows(source, POIS_COLUMNS, "POI") as rows:
+        for line, (poi_id, name, lat, lon, naics) in rows:
+            poi_id = poi_id.strip()
             if not poi_id:
-                raise RowError(line, "empty poi_id")
+                raise rows.error(line, "empty poi_id")
             if any(ch in poi_id for ch in RESERVED_CHARACTERS):
-                raise SchemaError(
-                    f"{where}:{line}: poi_id {poi_id!r} contains a reserved separator "
-                    "(| ; , or a line break)"
+                raise rows.error(
+                    line, f"poi_id {poi_id!r} contains a reserved separator (| ; , or a line break)"
                 )
             if first_line.setdefault(poi_id, line) != line:
-                raise SchemaError(f"{where}:{line}: duplicate poi_id {poi_id!r}")
+                raise rows.error(line, f"duplicate poi_id {poi_id!r}")
             try:
-                lat = float(row["lat"])
-                lon = float(row["lon"])
+                lat, lon = float(lat), float(lon)
             except ValueError as exc:
-                raise RowError(line, f"non-numeric coordinate: {exc}") from None
+                raise rows.error(line, f"non-numeric coordinate: {exc}") from None
             if not (-90.0 <= lat <= 90.0):
-                raise RowError(line, f"latitude {lat} out of range [-90, 90]")
+                raise rows.error(line, f"latitude {lat} out of range [-90, 90]")
             if not (-180.0 <= lon <= 180.0):
-                raise RowError(line, f"longitude {lon} out of range [-180, 180]")
-            naics = row["naics"].strip()
+                raise rows.error(line, f"longitude {lon} out of range [-180, 180]")
+            naics = naics.strip()
             if not naics.isdigit():
-                raise RowError(line, f"NAICS code {naics!r} is not all digits")
+                raise rows.error(line, f"NAICS code {naics!r} is not all digits")
             if not 2 <= len(naics) <= 6:
-                raise RowError(line, f"NAICS code {naics!r} must have 2-6 digits")
+                raise rows.error(line, f"NAICS code {naics!r} must have 2-6 digits")
             try:
                 sector = to_sector(naics).id
             except UnknownSectorError as exc:
-                raise UnknownSectorError(f"{where}:{line}: poi_id {poi_id!r}: {exc}") from None
-            rows.append((poi_id, row["name"], lat, lon, naics, sector))
-        return PoiCatalog.from_rows(rows)
-    finally:
-        if close:
-            fh.close()
+                raise UnknownSectorError(f"{rows.where}:{line}: poi_id {poi_id!r}: {exc}") from None
+            entries.append((poi_id, name, lat, lon, naics, sector))
+    return PoiCatalog.from_rows(entries)
 
 
 def write_sequences(sequences: SequenceTable, path: str | Path) -> None:
@@ -438,35 +450,29 @@ def write_sequences(sequences: SequenceTable, path: str | Path) -> None:
 def read_sequences(source: str | Path | TextIO) -> SequenceTable:
     """Read a sequences file into a SequenceTable, one sequence per row in file order.
 
-    A missing or extra field, a bad date, a walk of fewer than two stays and
-    a stay repeated consecutively each raise RowError with the row's line
-    number.
+    A missing or extra field, a bad date, a walk of fewer than two stays
+    and a stay repeated consecutively each raise RowError naming the file
+    and line.
     """
     device_ids: list[str] = []
     days: list[int] = []
     lengths: list[int] = []
     flat: list[str] = []
-    fh, close = _open_text(source)
-    try:
-        for line, row in _dict_rows(fh, SEQUENCES_COLUMNS, "sequences"):
-            if None in row:  # csv.DictReader's key for fields past the header
-                raise RowError(line, "wrong number of fields")
+    with CsvRows(source, SEQUENCES_COLUMNS, "sequences", exact=True) as rows:
+        for line, (device_id, local_date, stay_field) in rows:
             try:
-                day = dt.date.fromisoformat(row["local_date"])
+                day = dt.date.fromisoformat(local_date)
             except ValueError:
-                raise RowError(line, f"bad date {row['local_date']!r}") from None
-            stays = row["stays"].split(STAY_SEPARATOR)
+                raise rows.error(line, f"bad date {local_date!r}") from None
+            stays = stay_field.split(STAY_SEPARATOR)
             if len(stays) < 2:
-                raise RowError(line, "sequence shorter than 2 stays")
+                raise rows.error(line, "sequence shorter than 2 stays")
             if any(a == b for a, b in zip(stays, stays[1:])):
-                raise RowError(line, "a walk repeats a stay consecutively")
-            device_ids.append(row["device_id"])
+                raise rows.error(line, "a walk repeats a stay consecutively")
+            device_ids.append(device_id)
             days.append((day - EPOCH).days)
             lengths.append(len(stays))
             flat.extend(stays)
-    finally:
-        if close:
-            fh.close()
     devices, device = _intern(device_ids)
     pois, stays = _intern(flat)
     offsets = np.zeros(len(lengths) + 1, dtype=np.int64)

@@ -34,7 +34,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InvariantError
-from .ingest import SequenceTable
+from .ingest import SequenceTable, is_weekend
 from .network import PlaceNetwork, csr_adjacency, edge_key
 
 
@@ -161,7 +161,11 @@ def enumerate_induced(net: PlaceNetwork, k: int, threads: int = 1) -> dict[Motif
     from ._fastcount import census_counts
 
     _, indptr, indices = csr_adjacency(net)
-    raw = census_counts(indptr, indices, k, threads=threads)
+    return _class_counts(census_counts(indptr, indices, k, threads=threads))
+
+
+def _class_counts(raw: np.ndarray) -> dict[MotifClass, int]:
+    """The nonzero classes of a census_counts array, whose OTHER slot must be 0."""
     result = {INDEX_CLASS[i]: int(c) for i, c in enumerate(raw) if c}
     if result.pop(MotifClass.OTHER, 0):
         raise InvariantError("enumeration emitted a disconnected subset")
@@ -171,16 +175,21 @@ def enumerate_induced(net: PlaceNetwork, k: int, threads: int = 1) -> dict[Motif
 def enumeration_census(
     net: PlaceNetwork, ks: tuple[int, ...] = (2, 3, 4), threads: int = 1
 ) -> "MotifCensus":
-    """Whole-network census over the requested subgraph sizes."""
+    """Whole-network census over the requested subgraph sizes, from one CSR adjacency."""
+    from ._fastcount import census_counts
+
+    _, indptr, indices = csr_adjacency(net)
     classes = {c: ClassStats() for c in CLASS_ORDER}
-    total = 0
     for k in ks:
-        for cls, count in enumerate_induced(net, k, threads=threads).items():
+        if k == 2:
+            counts = enumerate_induced(net, 2)
+        else:
+            counts = _class_counts(census_counts(indptr, indices, k, threads=threads))
+        for cls, count in counts.items():
             classes[cls].motif_count += count
-            total += count
     return MotifCensus(
         classes=classes,
-        total_motifs=total,
+        total_motifs=sum(c.motif_count for c in classes.values()),
         total_devices=None,
         total_flows=None,
         mode="enumerate",
@@ -313,7 +322,7 @@ class InstanceRows:
         day, classes, nodes, mask = day[order], classes[order], nodes[order], mask[order]
         start = group_starts(day, classes, nodes, mask)
         count, day = np.add.reduceat(count[order], start), day[start]
-        weekend = np.where((day + 3) % 7 >= 5, count, 0)  # day 0 was a Thursday
+        weekend = np.where(is_weekend(day), count, 0)
         table = Instances(classes[start], nodes[start], mask[start], count, weekend)
         order = _instance_order(table.cls, table.nodes, table.mask)
         start = group_starts(table.cls[order], table.nodes[order], table.mask[order])

@@ -14,12 +14,13 @@ several networks; a network file is read into arrays first. Names are
 attached only when a network is written.
 
 The on-disk format is a CSV edge list (poi_a,poi_b,weight, poi_a < poi_b,
-rows sorted) plus a JSON sidecar carrying the label, node count, build mode
-and any isolated nodes.
+rows sorted, fields unquoted) plus a JSON sidecar carrying the label, node
+count, build mode and any isolated nodes.
 """
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
 import json
 from bisect import bisect_left
@@ -28,10 +29,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError
-from .ingest import SequenceTable, day_date
+from .ingest import CsvRows, SequenceTable, day_date
 
 NETWORK_MODES = ("consecutive", "covisitation")
+NETWORK_COLUMNS = ("poi_a", "poi_b", "weight")
 
 
 def edge_key(a: str, b: str) -> tuple[str, str]:
@@ -256,7 +257,7 @@ def write_network(net: PlaceNetwork, path: str | Path, extra_meta: dict | None =
     isolated[net.src] = False
     isolated[net.dst] = False
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("poi_a,poi_b,weight\n")
+        fh.write(",".join(NETWORK_COLUMNS) + "\n")
         fh.writelines(
             f"{names[a]},{names[b]},{w}\n"
             for a, b, w in zip(net.src.tolist(), net.dst.tolist(), net.weights.tolist())
@@ -277,30 +278,20 @@ def write_network(net: PlaceNetwork, path: str | Path, extra_meta: dict | None =
 
 
 def read_network(path: str | Path) -> PlaceNetwork:
-    path = Path(path)
+    """The network of an edge-list file, read as write_network writes it, and its sidecar."""
     edges: dict[tuple[str, str], int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "poi_a,poi_b,weight":
-            raise SchemaError(f"bad network header {header!r} in {path}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise SchemaError(f"{path}:{lineno}: expected 3 fields")
-            a, b, w_str = parts
+    with CsvRows(path, NETWORK_COLUMNS, "network", exact=True, quoting=csv.QUOTE_NONE) as rows:
+        for line, (a, b, w) in rows:
             try:
-                w = int(w_str)
+                w = int(w)
             except ValueError:
-                raise SchemaError(f"{path}:{lineno}: non-integer weight {w_str!r}") from None
+                raise rows.error(line, f"non-integer weight {w!r}") from None
             if w < 1:
-                raise SchemaError(f"{path}:{lineno}: weight must be >= 1")
+                raise rows.error(line, "weight must be >= 1")
             if not a < b:
-                raise SchemaError(f"{path}:{lineno}: rows must satisfy poi_a < poi_b")
+                raise rows.error(line, "rows must satisfy poi_a < poi_b")
             if (a, b) in edges:
-                raise SchemaError(f"{path}:{lineno}: duplicate edge {a},{b}")
+                raise rows.error(line, f"duplicate edge {a},{b}")
             edges[a, b] = w
     meta_file = sidecar_path(path)
     meta = json.loads(meta_file.read_text(encoding="utf-8")) if meta_file.exists() else {}

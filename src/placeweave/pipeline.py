@@ -3,11 +3,11 @@
 Each stage's core, `stage_<name>`, takes typed values, writes the stage's
 artifact files and returns what the next stage needs. A stage subcommand
 first reads its input files into those values with the stage's loader
-(`ingest.read_sequences`, `read_network` or a `load_*` function here);
-ingest parses the raw stops and POI files itself. `run` calls the cores
-only and hands each one's values to the next, reading no artifact back,
-so a manually chained pipeline writes byte-identical artifacts to it. No
-artifact embeds wall-clock state.
+(`ingest.read_sequences`, `read_network` or a `load_*` function here; all
+read CSV through ingest.CsvRows); ingest parses the raw stops and POI
+files itself. `run` calls the cores only and hands each one's values to
+the next, reading no artifact back, so a manually chained pipeline writes
+byte-identical artifacts to it. No artifact embeds wall-clock state.
 """
 
 from __future__ import annotations
@@ -190,72 +190,68 @@ def stage_refnet(kind: str, n: int, avg_degree: float, seed: int, out_file: str 
 # -- motif census -------------------------------------------------------------
 
 
+INSTANCES_COLUMNS = ("local_date", "motif_class", "nodes", "edges", "device_count")
+
+
 def write_instances_csv(rows: motifs.InstanceRows, path: str | Path) -> None:
     """One line per row, in the table's order: local_date, motif_class,
-    nodes ('|'-joined), edges (';'-joined 'a|b' pairs) and device_count."""
-    dates = {day: ingest.day_date(day).isoformat() for day in rows.days()}
+    nodes ('|'-joined), edges (';'-joined 'a|b' pairs) and device_count,
+    written a day at a time: the day's table rows, then its OTHER rows."""
     edges_of = [motifs.mask_edges(mask) for mask in range(64)]
-    lines = []
     table = rows.table
-    for day, cls, nodes, mask, count in zip(
-        rows.day.tolist(), table.cls.tolist(), table.nodes.tolist(), table.mask.tolist(),
-        table.count.tolist(),
-    ):
-        names = [rows.pois[v] for v in nodes if v >= 0]
-        edges = ";".join(f"{names[a]}|{names[b]}" for a, b in edges_of[mask])
-        lines.append((day, f"{dates[day]},{INDEX_CLASS[cls]},{'|'.join(names)},{edges},{count}\n"))
-    for day, names, pairs, count in rows.other:
-        edges = ";".join(f"{a}|{b}" for a, b in pairs)
-        lines.append((day, f"{dates[day]},OTHER,{'|'.join(names)},{edges},{count}\n"))
-    lines.sort(key=lambda line: line[0])  # stable: each day's OTHER rows stay last
+    columns = [c.tolist() for c in (table.cls, table.nodes, table.mask, table.count)]
+    other_days = np.array([row[0] for row in rows.other], dtype=np.int64)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("local_date,motif_class,nodes,edges,device_count\n")
-        fh.writelines(text for _, text in lines)
+        fh.write(",".join(INSTANCES_COLUMNS) + "\n")
+        for day in rows.days():
+            date = ingest.day_date(day).isoformat()
+            lines = []
+            lo, hi = np.searchsorted(rows.day, [day, day + 1]).tolist()
+            for cls, nodes, mask, count in zip(*(column[lo:hi] for column in columns)):
+                names = [rows.pois[v] for v in nodes if v >= 0]
+                edges = ";".join(f"{names[a]}|{names[b]}" for a, b in edges_of[mask])
+                lines.append(f"{date},{INDEX_CLASS[cls]},{'|'.join(names)},{edges},{count}\n")
+            lo, hi = np.searchsorted(other_days, [day, day + 1]).tolist()
+            for _, names, pairs, count in rows.other[lo:hi]:
+                edges = ";".join(f"{a}|{b}" for a, b in pairs)
+                lines.append(f"{date},OTHER,{'|'.join(names)},{edges},{count}\n")
+            fh.writelines(lines)
 
 
 def read_instances_csv(path: str | Path) -> motifs.InstanceRows:
-    """The instance table of an instances.csv file.
+    """The instance table of an instances.csv file, read as write_instances_csv writes it.
 
     Each row must name its nodes, edges between two distinct of them, a
     device_count of at least 1 and the class its graph has; a row that does
-    not raises SchemaError naming the file and line.
+    not raises RowError naming the file and line.
     """
     rows: list[tuple[int, int, list[str], int, int]] = []
     other: list[motifs.OtherRow] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"local_date", "motif_class", "nodes", "edges", "device_count"}
-        if reader.fieldnames is None or expected - set(reader.fieldnames):
-            raise SchemaError(f"{path}: missing instance columns")
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            if None in row or any(row[column] is None for column in expected):
-                raise SchemaError(f"{where}: wrong number of fields")
+    with ingest.CsvRows(
+        path, INSTANCES_COLUMNS, "instances", exact=True, quoting=csv.QUOTE_NONE
+    ) as lines:
+        for line, (local_date, motif_class, node_field, edge_field, device_count) in lines:
             try:
-                day = (dt.date.fromisoformat(row["local_date"]) - ingest.EPOCH).days
-                names = sorted(set(row["nodes"].split("|")))
-                edges = []
-                for pair in row["edges"].split(";"):
-                    a, b = pair.split("|")
-                    edges.append((a, b))
-                count = int(row["device_count"])
+                day = (dt.date.fromisoformat(local_date) - ingest.EPOCH).days
+                names = sorted(set(node_field.split("|")))
+                edges = [(a, b) for a, b in (pair.split("|") for pair in edge_field.split(";"))]
+                count = int(device_count)
             except ValueError as exc:
-                raise SchemaError(f"{where}: bad instance row: {exc}") from None
+                raise lines.error(line, f"bad instance row: {exc}") from None
             slot = {v: i for i, v in enumerate(names)}
             for a, b in edges:
                 if a == b or a not in slot or b not in slot:
                     problem = "is a self-loop" if a == b else "has an endpoint outside nodes"
-                    raise SchemaError(f"{where}: edge {a}|{b} {problem}")
+                    raise lines.error(line, f"edge {a}|{b} {problem}")
             if count < 1:
-                raise SchemaError(f"{where}: device_count {count} is below 1")
+                raise lines.error(line, f"device_count {count} is below 1")
             cls, mask = motifs.OTHER, 0
             if len(names) <= 4:
                 mask = sum({int(motifs.PAIR_BIT[slot[a], slot[b]]) for a, b in edges})
                 cls = int(motifs.MASK_CLASS[len(names), mask])
-            if INDEX_CLASS[cls].value != row["motif_class"]:
-                raise SchemaError(
-                    f"{where}: row classifies as {INDEX_CLASS[cls]} but claims {row['motif_class']}"
-                )
+            if INDEX_CLASS[cls].value != motif_class:
+                problem = f"row classifies as {INDEX_CLASS[cls]} but claims {motif_class}"
+                raise lines.error(line, problem)
             if cls == motifs.OTHER:
                 pairs = tuple(sorted({edge_key(a, b) for a, b in edges}))
                 other.append((day, tuple(names), pairs, count))

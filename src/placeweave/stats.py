@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingPoiError, SchemaError
-from .ingest import PoiCatalog, day_date
+from .errors import InvariantError, MissingPoiError
+from .ingest import PoiCatalog, day_date, is_weekend
 from .motifs import (
     CLASS_ORDER,
     INDEX_CLASS,
@@ -161,10 +161,6 @@ class SeriesPoint:
 DailySeries = list  # list[SeriesPoint], dates strictly increasing
 
 
-def day_type(day: dt.date) -> str:
-    return "weekend" if day.weekday() >= 5 else "weekday"
-
-
 def daily_census_series(
     rows: InstanceRows, km: np.ndarray, weighting: str
 ) -> tuple[dict[MotifClass, DailySeries], dict[MotifClass, DailySeries]]:
@@ -185,13 +181,13 @@ def daily_census_series(
     counts: dict[MotifClass, DailySeries] = {c: [] for c in CLASS_ORDER}
     dists: dict[MotifClass, DailySeries] = {c: [] for c in CLASS_ORDER}
     for day in days:
-        date = day_date(day)
+        date, kind = day_date(day), "weekend" if is_weekend(day) else "weekday"
         for i, cls in enumerate(CLASS_ORDER):
             key = day * len(INDEX_CLASS) + i
-            counts[cls].append(SeriesPoint(date, float(per_day[key]), day_type(date)))
+            counts[cls].append(SeriesPoint(date, float(per_day[key]), kind))
             split = table.get(key)
             if split is not None and split.total_km is not None:
-                dists[cls].append(SeriesPoint(date, split.total_km, day_type(date)))
+                dists[cls].append(SeriesPoint(date, split.total_km, kind))
     return counts, dists
 
 
@@ -348,5 +344,5 @@ def build_report(
     try:
         jsonschema.validate(report, REPORT_SCHEMA)
     except jsonschema.ValidationError as exc:
-        raise SchemaError(f"report failed schema validation: {exc.message}") from None
+        raise InvariantError(f"report failed schema validation: {exc.message}") from None
     return report

@@ -24,7 +24,7 @@ import numpy as np
 
 from .attributes import sector_by_id
 from .errors import ConfigError, UnknownSectorError
-from .ingest import EPOCH, PoiCatalog, StopTable, day_date
+from .ingest import EPOCH, POIS_COLUMNS, STOPS_COLUMNS, PoiCatalog, StopTable, day_date
 from .motifs import MotifClass
 from .stats import EARTH_RADIUS_KM
 
@@ -418,7 +418,7 @@ def load_traffic_spec(path: str | Path) -> TrafficSpec:
 
 def write_catalog_csv(catalog: PoiCatalog, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("poi_id,name,lat,lon,naics\n")
+        fh.write(",".join(POIS_COLUMNS) + "\n")
         lat, lon = catalog.lat.tolist(), catalog.lon.tolist()
         for row in zip(catalog.poi_ids, catalog.names, lat, lon, catalog.naics):
             fh.write("%s,%s,%r,%r,%s\n" % row)
@@ -429,7 +429,7 @@ def write_stops_csv(stops: StopTable, path: str | Path) -> None:
     devices = np.array(stops.devices, dtype=object)
     pois = np.array(stops.pois, dtype=object)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("device_id,poi_id,start_time,dwell\n")
+        fh.write(",".join(STOPS_COLUMNS) + "\n")
         for lo in range(0, len(stops), _BLOCK):
             rows = slice(lo, lo + _BLOCK)
             columns = (

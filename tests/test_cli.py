@@ -379,6 +379,21 @@ def test_run_flow_check_uses_the_in_hand_network(synth_dir, tmp_path, monkeypatc
     )
 
 
+def test_report_failing_its_own_schema_exits_3(synth_dir, tmp_path, monkeypatch):
+    schema = dict(REPORT_SCHEMA, required=[*REPORT_SCHEMA["required"], "no_such_section"])
+    monkeypatch.setattr(stats, "REPORT_SCHEMA", schema)
+    out = tmp_path / "out"
+    code = main(
+        ["run", "--stops", str(synth_dir / "stops.csv"), "--pois", str(synth_dir / "pois.csv"),
+         "--out", str(out)]
+    )
+    assert code == 3
+    failed = json.loads((out / "manifest.json").read_text())["artifacts"][-1]
+    assert (failed["stage"], failed["status"], failed["error"]) == (
+        "series", "failed", "InvariantError"
+    )
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -437,14 +452,14 @@ def test_motifs_rejects_a_repeated_stay_naming_its_line(tmp_path, caplog):
         ["motifs", "--sequences", str(sequences), "--pois", str(pois), "--out", str(tmp_path / "c")]
     )
     assert code == 2
-    assert "line 2: a walk repeats a stay consecutively" in caplog.text
+    assert f"{sequences}:2: a walk repeats a stay consecutively" in caplog.text
 
 
 def test_network_rejects_a_row_missing_a_field(tmp_path, caplog):
     sequences = tmp_path / "sequences.csv"
     sequences.write_text("device_id,local_date,stays\nd1,2020-02-03,a|b\nd2,2020-02-03\n")
     assert main(["network", "--sequences", str(sequences), "--out", str(tmp_path / "n")]) == 2
-    assert "line 3: wrong number of fields" in caplog.text
+    assert f"{sequences}:3: wrong number of fields" in caplog.text
 
 
 def test_run_computes_the_whole_period_distance_table_once(synth_dir, tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import Stop, Walk, catalog, sequence_table, stop_rows, stop_table
+from oracles import Stop, Walk, catalog, network, sequence_table, stop_rows, stop_table
 from placeweave import ingest
 from placeweave.cli import main
 from placeweave.errors import RowError, SchemaError, UnknownSectorError
@@ -19,6 +19,9 @@ from placeweave.ingest import (
     read_sequences,
     write_sequences,
 )
+from placeweave.motifs import classify_trajectories
+from placeweave.network import read_network, write_network
+from placeweave.pipeline import read_instances_csv, write_instances_csv
 
 STOPS_HEADER = "device_id,poi_id,start_time,dwell\n"
 
@@ -227,9 +230,84 @@ def test_sequence_file_round_trip(tmp_path):
 def test_read_sequences_names_the_bad_row(stays, message):
     row = "d2,2020-02-03" if stays is None else f"d2,2020-02-03,{stays}"  # None: no stays field
     text = f"device_id,local_date,stays\nd1,2020-02-03,a|b\n{row}\n"
-    with pytest.raises(RowError, match=f"line 3: .*{message}") as err:
+    with pytest.raises(RowError, match=f"^sequences file:3: .*{message}") as err:
         read_sequences(io.StringIO(text))
     assert err.value.line == 3
+
+
+def test_is_weekend_matches_the_calendar():
+    days = np.arange(-800, 800)
+    expected = [ingest.day_date(day).weekday() >= 5 for day in days.tolist()]
+    assert ingest.is_weekend(days).tolist() == expected
+    assert [ingest.is_weekend(day) for day in days.tolist()] == expected
+
+
+# Each reader with its file's header and one good row.
+READERS = [
+    (parse_stops, "stops.csv", "device_id,poi_id,start_time,dwell", "d1,p1,0,600"),
+    (load_poi_catalog, "pois.csv", "poi_id,name,lat,lon,naics", "p1,A,0.0,0.0,44"),
+    (read_sequences, "sequences.csv", "device_id,local_date,stays", "d1,2020-02-03,a|b"),
+    (
+        read_instances_csv,
+        "instances.csv",
+        "local_date,motif_class,nodes,edges,device_count",
+        "2020-02-03,M2_1,a|b,a|b,1",
+    ),
+    (read_network, "merged.csv", "poi_a,poi_b,weight", "a,b,1"),
+]
+READER_IDS = ["stops", "pois", "sequences", "instances", "network"]
+
+
+@pytest.mark.parametrize("read, name, header, good", READERS, ids=READER_IDS)
+def test_every_reader_names_the_file_and_line(tmp_path, read, name, header, good):
+    path = tmp_path / name
+    path.write_text(f"{header}\n{good}\n{good.rsplit(',', 1)[0]}\n")  # line 3 lacks a field
+    with pytest.raises(RowError) as err:
+        read(path)
+    assert str(err.value).startswith(f"{path}:3: ") and err.value.line == 3
+    kept, dropped = header.rsplit(",", 1)
+    path.write_text(f"{kept}\n{good}\n")
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: missing column(s): {dropped}")):
+        read(path)
+
+
+@pytest.mark.parametrize("read, name, header, good", READERS[:2], ids=READER_IDS[:2])
+def test_external_feeds_reject_a_row_shorter_than_the_header(tmp_path, read, name, header, good):
+    # extra trailing fields stay allowed, but every header column needs a field
+    path = tmp_path / name
+    path.write_text(f"{header},note\n{good},x,extra\n{good}\n")
+    with pytest.raises(RowError, match=f"^{re.escape(str(path))}:3: wrong number of fields"):
+        read(path)
+
+
+@pytest.mark.parametrize("read, name, header, good", READERS[2:], ids=READER_IDS[2:])
+def test_written_files_need_their_exact_header(tmp_path, read, name, header, good):
+    path = tmp_path / name
+    message = re.escape(f"{path}: the header must be {header}")
+    for text in (f"{header},note\n{good},x\n", ",".join(header.split(",")[::-1]) + "\n"):
+        path.write_text(text)
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            read(path)
+
+
+def test_network_file_rejects_a_whitespace_only_line(tmp_path):
+    path = tmp_path / "merged.csv"
+    path.write_text("poi_a,poi_b,weight\na,b,1\n  \nb,c,2\n")
+    with pytest.raises(RowError, match=f"^{re.escape(str(path))}:3: wrong number of fields"):
+        read_network(path)
+
+
+def test_unquoted_files_read_back_an_id_that_starts_with_a_quote(tmp_path):
+    net = network({('"p', "q"): 2, ("q", "r"): 1}, label="x")
+    write_network(net, tmp_path / "net.csv")
+    assert read_network(tmp_path / "net.csv") == net
+    walks = [
+        Walk("d1", dt.date(2020, 2, 3), ('"p', "q", "r")),
+        Walk("d2", dt.date(2020, 2, 4), ('"p', "q")),
+    ]
+    write_instances_csv(classify_trajectories(sequence_table(walks)).rows, tmp_path / "first.csv")
+    write_instances_csv(read_instances_csv(tmp_path / "first.csv"), tmp_path / "second.csv")
+    assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
 
 
 OFFSETS = st.one_of(

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import Walk, instance_from_edges, sequence_table
 from placeweave.config import RunConfig
-from placeweave.errors import MissingPoiError, SchemaError
+from placeweave.errors import InvariantError, MissingPoiError
 from placeweave.motifs import (
     MotifClass,
     census_percentages,
@@ -407,7 +407,7 @@ def test_report_validates_and_passes_percentages_through():
 
 
 def test_report_missing_section_rejected():
-    with pytest.raises(SchemaError):
+    with pytest.raises(InvariantError):
         build_report(
             summary={"nodes": 1},  # missing mandatory summary fields
             census=census_document(_small_census()),

@@ -20,7 +20,7 @@ from .ingest import (
     load_poi_catalog,
     parse_stops,
 )
-from .network import PlaceNetwork, build_network, merge_networks, read_network, write_network
+from .network import PlaceNetwork, build_network, read_network, write_network
 from .metrics import (
     DegreeHistogram,
     NetworkSummary,

@@ -4,15 +4,18 @@ The induced count of every motif class follows by a fixed linear
 inversion from counts of non-induced pattern copies, and those need only
 degrees, per-edge and per-node triangle counts, pair codegrees and the
 number of 4-cliques (ESCAPE: Pinar, Seshadhri & Vishal, WWW 2017; ORCA:
-Hocevar & Demsar, Bioinformatics 2014). No subgraph is visited one by
-one, so the tens of millions of 4-node subgraphs of a county-scale graph
-are counted in well under a second.
+Hocevar & Demsar, Bioinformatics 2014); the two 3-node classes need only
+the degrees and the triangle count. No subgraph is visited one by one, so
+the tens of millions of 4-node subgraphs of a county-scale graph are
+counted in well under a second.
 
 Nodes are ranked by degree and every edge points from the lower to the
-higher rank (Chiba & Nishizeki 1985). A node then has at most sqrt(2m)
-out-neighbours, which bounds triangle listing, the 4-clique search and the
-4-cycle wedge listing by O(m sqrt m) however heavy the hubs; their
-candidate arrays are processed in slices of bounded length.
+higher rank (Chiba & Nishizeki 1985); _orient is the only place that does
+so. A node then has at most sqrt(2m) out-neighbours, which bounds triangle
+listing, the 4-clique search and the 4-cycle wedge listing by O(m sqrt m)
+however heavy the hubs; their candidate arrays are processed in slices of
+bounded length. full_census orients the graph and lists its triangles once
+and derives every 3- and 4-node class from them.
 
 Everything is numpy, so the census imports no scipy. All work runs in the
 calling thread; the counts are exact integers and never depend on the
@@ -38,73 +41,92 @@ def census_counts(
 ) -> np.ndarray:
     """Count classes of connected induced k-subgraphs; returns int64[10].
 
-    indptr and indices hold a simple undirected graph as symmetric CSR
-    adjacency (the csr_adjacency layout). Slots follow CLASS_INDEX; OTHER
-    is always 0. threads is kept because the README's criterion 9 calls
-    census_counts with a thread count; it changes neither the counts nor
-    the work.
+    The size-k slots of full_census; every other slot is 0. threads is kept
+    because the README's criterion 9 calls census_counts with a thread
+    count; it changes neither the counts nor the work.
     """
     if k not in (3, 4):
         raise ValueError(f"closed-form census supports k in (3, 4), got {k}")
+    counts = full_census(indptr, indices)
+    counts[[cls.size != k for cls in INDEX_CLASS]] = 0
+    return counts
+
+
+def full_census(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Count every 3- and 4-node class of connected induced subgraphs; returns int64[10].
+
+    indptr and indices hold a simple undirected graph as symmetric CSR
+    adjacency (the csr_adjacency layout). Slots follow CLASS_INDEX; the
+    M2_1 and OTHER slots are 0. One orientation and one triangle list serve
+    every class.
+    """
     counts = np.zeros(N_CLASS_SLOTS, dtype=np.int64)
     n = indptr.size - 1
     if n == 0:
         return counts
+    uptr, tail, head, keys, deg = _orient(indptr, indices)
+    d = deg.astype(object) if deg.max() >= _EXACT_DEGREE else deg
+
+    ab, bc, ac = _triangles(uptr, tail, head, keys, n)
+    triangles = ab.size
+    t_edge = np.bincount(np.concatenate((ab, bc, ac)), minlength=keys.size)
+    t_node = np.bincount(np.concatenate((tail[ab], head[ab], head[bc])), minlength=n)
+    clique = _four_cliques(uptr, tail, head, keys, n, ab, bc)
+    diamond = _total(t_edge * (t_edge - 1) // 2)
+    cycle = _four_cycles(uptr, tail, head, deg, n)
+    tailed = _total(t_node * (d - 2))
+    path = _total((d[tail] - 1) * (d[head] - 1)) - 3 * triangles
+    star = _total(d * (d - 1) * (d - 2) // 6)
+    # Non-induced copies of each pattern (rows) inside one induced
+    # subgraph of each class (columns); the inversion below solves this
+    # unit lower-triangular system top to bottom.
+    #            K4  diamond  C4  tailed  path  star
+    #   K4        1
+    #   diamond   6     1
+    #   C4        3     1      1
+    #   tailed   12     4      0    1
+    #   path     12     6      4    2      1
+    #   star      4     2      0    1      0     1
+    k4 = clique
+    dia = diamond - 6 * k4
+    c4 = cycle - dia - 3 * k4
+    tt = tailed - 4 * dia - 12 * k4
+    induced = {
+        MotifClass.M3_1: _total(d * (d - 1) // 2) - 3 * triangles,
+        MotifClass.M3_2: triangles,
+        MotifClass.M4_1: k4,
+        MotifClass.M4_2: dia,
+        MotifClass.M4_3: c4,
+        MotifClass.M4_4: tt,
+        MotifClass.M4_5: path - 2 * tt - 4 * c4 - 6 * dia - 12 * k4,
+        MotifClass.M4_6: star - tt - 2 * dia - 4 * k4,
+    }
+    for cls, count in induced.items():
+        if count < 0:
+            raise InvariantError(f"closed-form census gave {cls} = {count} < 0")
+        counts[CLASS_INDEX[cls]] = count
+    return counts
+
+
+def _orient(indptr, indices):
+    """Rank nodes by degree and point every edge from the lower to the higher rank.
+
+    Returns (uptr, tail, head, keys, deg) over ranks: the oriented edges
+    a -> b as sorted keys a * n + b, whose positions are the edge ids, with
+    their tails and heads; uptr[a]:uptr[a + 1] the ids of a's out-edges;
+    and each rank's degree.
+    """
+    n = indptr.size - 1
     deg = np.diff(indptr)
     order = np.argsort(deg, kind="stable")
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     src, dst = rank[np.repeat(np.arange(n), deg)], rank[indices]
     up = src < dst
-    keys = np.sort(src[up] * n + dst[up])  # oriented edges; position = edge id
+    keys = np.sort(src[up] * n + dst[up])
     tail, head = keys // n, keys % n
     uptr = np.searchsorted(tail, np.arange(n + 1))
-    deg = deg[order]  # degree by rank
-    d = deg.astype(object) if deg.max() >= _EXACT_DEGREE else deg
-
-    ab, bc, ac = _triangles(uptr, tail, head, keys, n)
-    triangles = ab.size
-    if k == 3:
-        induced = {
-            MotifClass.M3_2: triangles,
-            MotifClass.M3_1: _total(d * (d - 1) // 2) - 3 * triangles,
-        }
-    else:
-        t_edge = np.bincount(np.concatenate((ab, bc, ac)), minlength=keys.size)
-        t_node = np.bincount(np.concatenate((tail[ab], head[ab], head[bc])), minlength=n)
-        clique = _four_cliques(uptr, tail, head, keys, n, ab, bc)
-        diamond = _total(t_edge * (t_edge - 1) // 2)
-        cycle = _four_cycles(uptr, tail, head, deg, n)
-        tailed = _total(t_node * (d - 2))
-        path = _total((d[tail] - 1) * (d[head] - 1)) - 3 * triangles
-        star = _total(d * (d - 1) * (d - 2) // 6)
-        # Non-induced copies of each pattern (rows) inside one induced
-        # subgraph of each class (columns); the inversion below solves this
-        # unit lower-triangular system top to bottom.
-        #            K4  diamond  C4  tailed  path  star
-        #   K4        1
-        #   diamond   6     1
-        #   C4        3     1      1
-        #   tailed   12     4      0    1
-        #   path     12     6      4    2      1
-        #   star      4     2      0    1      0     1
-        k4 = clique
-        dia = diamond - 6 * k4
-        c4 = cycle - dia - 3 * k4
-        tt = tailed - 4 * dia - 12 * k4
-        induced = {
-            MotifClass.M4_1: k4,
-            MotifClass.M4_2: dia,
-            MotifClass.M4_3: c4,
-            MotifClass.M4_4: tt,
-            MotifClass.M4_5: path - 2 * tt - 4 * c4 - 6 * dia - 12 * k4,
-            MotifClass.M4_6: star - tt - 2 * dia - 4 * k4,
-        }
-    for cls, count in induced.items():
-        if count < 0:
-            raise InvariantError(f"closed-form census gave {cls} = {count} < 0")
-        counts[CLASS_INDEX[cls]] = count
-    return counts
+    return uptr, tail, head, keys, deg[order]
 
 
 def _triangles(uptr, tail, head, keys, n):

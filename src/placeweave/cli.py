@@ -22,7 +22,10 @@ logger = logging.getLogger("placeweave")
 def _global_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override its values")
-    common.add_argument("--threads", type=int, help="worker thread cap (default: all cores)")
+    common.add_argument(
+        "--threads", type=int,
+        help="thread count, at least 1 (default: 1); changes neither the output nor the work",
+    )
     common.add_argument("--seed", type=int, help="seed recorded in reports and used by generators")
     common.add_argument("--out", help="output directory (or file for refnet)")
     return common
@@ -120,7 +123,6 @@ def _dispatch(args: argparse.Namespace) -> None:
         pipeline.stage_motifs(
             _require_out(cfg),
             mode=cfg.census_mode,
-            threads=cfg.threads,
             min_count=args.min_count,
             weighting=cfg.distance_weighting,
             **pipeline.load_motifs_inputs(cfg.census_mode, args.network, args.sequences, args.pois),

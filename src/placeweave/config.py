@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -13,10 +12,6 @@ from .network import NETWORK_MODES
 from .stats import WEIGHTING_MODES
 
 CENSUS_MODES = ("trajectory", "enumerate")
-
-
-def default_threads() -> int:
-    return os.cpu_count() or 1
 
 
 @dataclass
@@ -28,7 +23,7 @@ class RunConfig:
     distance_weighting: str = "devices"
     top_k: int = 10
     seed: int = 0
-    threads: int = field(default_factory=default_threads)
+    threads: int = 1  # validated; changes neither the output nor the work
     stops: str | None = None
     pois: str | None = None
     out: str | None = None
@@ -55,9 +50,6 @@ class RunConfig:
             problems.append(f"threads must be >= 1, got {self.threads}")
         if problems:
             raise ConfigError("; ".join(problems))
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def analysis_dict(self) -> dict:
         """The parameters that shape results; excludes I/O paths and thread

@@ -147,12 +147,13 @@ def classify_graph(n: int, edges: Iterable[tuple]) -> MotifClass:
 # -- enumeration -------------------------------------------------------------
 
 
-def enumerate_induced(net: PlaceNetwork, k: int, threads: int = 1) -> dict[MotifClass, int]:
+def enumerate_induced(net: PlaceNetwork, k: int) -> dict[MotifClass, int]:
     """Count connected node-induced k-subgraphs per motif class.
 
-    k = 2 is the edge count. For k = 3 and 4 the counts follow in closed form
-    from degrees, triangles, codegrees and 4-cliques (_fastcount; numpy
-    only, one thread, counts independent of threads).
+    k = 2 is the edge count. For k = 3 and 4 the counts are the size-k
+    classes of the closed-form census (_fastcount.census_counts): 3-node
+    classes from degrees and the triangle count, 4-node classes from
+    degrees, triangles, codegrees and 4-cliques; numpy only, one thread.
     """
     if k not in (2, 3, 4):
         raise ValueError(f"k must be 2, 3 or 4, got {k}")
@@ -161,35 +162,32 @@ def enumerate_induced(net: PlaceNetwork, k: int, threads: int = 1) -> dict[Motif
     from ._fastcount import census_counts
 
     _, indptr, indices = csr_adjacency(net)
-    return _class_counts(census_counts(indptr, indices, k, threads=threads))
+    return _class_counts(census_counts(indptr, indices, k))
 
 
 def _class_counts(raw: np.ndarray) -> dict[MotifClass, int]:
-    """The nonzero classes of a census_counts array, whose OTHER slot must be 0."""
+    """The nonzero classes of a census count array, whose OTHER slot must be 0."""
     result = {INDEX_CLASS[i]: int(c) for i, c in enumerate(raw) if c}
     if result.pop(MotifClass.OTHER, 0):
         raise InvariantError("enumeration emitted a disconnected subset")
     return result
 
 
-def enumeration_census(
-    net: PlaceNetwork, ks: tuple[int, ...] = (2, 3, 4), threads: int = 1
-) -> "MotifCensus":
-    """Whole-network census over the requested subgraph sizes, from one CSR adjacency."""
-    from ._fastcount import census_counts
+def enumeration_census(net: PlaceNetwork) -> "MotifCensus":
+    """Whole-network census of the 2-, 3- and 4-node classes.
+
+    M2_1 is the edge count; every other class comes from one closed-form
+    census (_fastcount.full_census) of one CSR adjacency.
+    """
+    from ._fastcount import full_census
 
     _, indptr, indices = csr_adjacency(net)
-    classes = {c: ClassStats() for c in CLASS_ORDER}
-    for k in ks:
-        if k == 2:
-            counts = enumerate_induced(net, 2)
-        else:
-            counts = _class_counts(census_counts(indptr, indices, k, threads=threads))
-        for cls, count in counts.items():
-            classes[cls].motif_count += count
+    raw = full_census(indptr, indices)
+    raw[CLASS_INDEX[MotifClass.M2_1]] = net.n_edges
+    counts = _class_counts(raw)
     return MotifCensus(
-        classes=classes,
-        total_motifs=sum(c.motif_count for c in classes.values()),
+        classes={c: ClassStats(counts.get(c, 0)) for c in CLASS_ORDER},
+        total_motifs=sum(counts.values()),
         total_devices=None,
         total_flows=None,
         mode="enumerate",

@@ -9,9 +9,9 @@ code order is string order, so the edge order is the order of the
 Every network is built by PlaceNetwork.from_arrays, which sorts edge
 code pairs with one lexsort and sums the weights of repeated pairs. From
 a SequenceTable's integer stays, each step (or co-visited pair) becomes a
-pair of POI codes of weight one; merging concatenates the edge arrays of
-several networks; a network file is read into arrays first. Names are
-attached only when a network is written.
+pair of POI codes of weight one, so a whole-period network is built from
+the whole period's sequences in one call; a network file is read into
+arrays first. Names are attached only when a network is written.
 
 The on-disk format is a CSV edge list (poi_a,poi_b,weight, poi_a < poi_b,
 rows sorted, fields unquoted) plus a JSON sidecar carrying the label, node
@@ -93,11 +93,17 @@ class PlaceNetwork:
         """
         if a == b:
             raise ValueError(f"self-loop at {a!r}")
-        edge = PlaceNetwork.from_arrays(sorted((a, b)), [0], [1], [weight])
-        merged = merge_networks([self, edge])
-        self.names, self.src, self.dst, self.weights = (
-            merged.names, merged.src, merged.dst, merged.weights
+        names = sorted(set(self.names).union((a, b)))
+        index = {v: i for i, v in enumerate(names)}
+        code = np.array([index[v] for v in self.names], dtype=np.int64)
+        lo, hi = sorted((index[a], index[b]))
+        net = PlaceNetwork.from_arrays(
+            names,
+            np.append(code[self.src], lo),
+            np.append(code[self.dst], hi),
+            np.append(self.weights, weight),
         )
+        self.names, self.src, self.dst, self.weights = net.names, net.src, net.dst, net.weights
 
     @property
     def n_nodes(self) -> int:
@@ -204,42 +210,6 @@ def build_network(
 
 def _date_range_label(start: dt.date, end: dt.date) -> str:
     return start.isoformat() if start == end else f"{start.isoformat()}..{end.isoformat()}"
-
-
-def _parse_label_range(label: str) -> tuple[dt.date, dt.date] | None:
-    try:
-        if ".." in label:
-            a, b = label.split("..", 1)
-            return dt.date.fromisoformat(a), dt.date.fromisoformat(b)
-        d = dt.date.fromisoformat(label)
-        return d, d
-    except ValueError:
-        return None
-
-
-def merge_networks(nets: list[PlaceNetwork]) -> PlaceNetwork:
-    """Node union and edge-weight sum; label covers the merged date range."""
-    if not nets:
-        raise ValueError("cannot merge an empty list of networks")
-    names = sorted(set().union(*(net.names for net in nets)))
-    index = {v: i for i, v in enumerate(names)}
-    src, dst, weights = [_empty()], [_empty()], [_empty()]
-    for net in nets:
-        code = np.array([index[v] for v in net.names], dtype=np.int64)
-        src.append(code[net.src])
-        dst.append(code[net.dst])
-        weights.append(net.weights)
-    merged = PlaceNetwork.from_arrays(
-        names, np.concatenate(src), np.concatenate(dst), np.concatenate(weights), mode=nets[0].mode
-    )
-    ranges = [_parse_label_range(net.label) for net in nets]
-    if all(r is not None for r in ranges):
-        merged.label = _date_range_label(
-            min(r[0] for r in ranges), max(r[1] for r in ranges)
-        )
-    else:
-        merged.label = "merged"
-    return merged
 
 
 # -- serialization ---------------------------------------------------------

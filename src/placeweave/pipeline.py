@@ -361,7 +361,6 @@ def stage_motifs(
     catalog: ingest.PoiCatalog | None = None,
     network: PlaceNetwork | None = None,
     flow_weight: int | None = None,
-    threads: int = 1,
     min_count: int = 1,
     weighting: str = "devices",
 ) -> tuple[dict, InstanceTable | None]:
@@ -395,7 +394,7 @@ def stage_motifs(
     elif mode == "enumerate":
         if network is None:
             raise SchemaError("enumeration census requires --network")
-        census = motifs.census_percentages(motifs.enumeration_census(network, threads=threads))
+        census = motifs.census_percentages(motifs.enumeration_census(network))
     else:
         raise SchemaError(f"unknown census mode {mode!r}")
 
@@ -604,7 +603,6 @@ def run_pipeline(config: RunConfig) -> Path:
             catalog=catalog,
             network=network,
             flow_weight=flow_weight,
-            threads=config.threads,
             weighting=config.distance_weighting,
         )
     del sequences, network  # no later stage reads them

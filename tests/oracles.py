@@ -126,6 +126,35 @@ def adjacency(net) -> dict:
     return adj
 
 
+def _parse_label_range(label: str) -> tuple[dt.date, dt.date] | None:
+    """(first, last) date of a "DATE" or "DATE..DATE" label, or None."""
+    try:
+        if ".." in label:
+            a, b = label.split("..", 1)
+            return dt.date.fromisoformat(a), dt.date.fromisoformat(b)
+        d = dt.date.fromisoformat(label)
+        return d, d
+    except ValueError:
+        return None
+
+
+def merge_networks(nets: list) -> PlaceNetwork:
+    """Node union and edge-weight sum; label covers the merged date range, else "merged"."""
+    if not nets:
+        raise ValueError("cannot merge an empty list of networks")
+    weights: Counter = Counter()
+    for net in nets:
+        weights.update(edge_weights(net))
+    ranges = [_parse_label_range(net.label) for net in nets]
+    if all(r is not None for r in ranges):
+        first, last = min(r[0] for r in ranges), max(r[1] for r in ranges)
+        label = first.isoformat() if first == last else f"{first.isoformat()}..{last.isoformat()}"
+    else:
+        label = "merged"
+    nodes = set().union(*(net.names for net in nets))
+    return network(weights, nodes=nodes, label=label, mode=nets[0].mode)
+
+
 # Reference edge sets over vertex positions 0..n-1.
 REFERENCE_GRAPHS: dict[MotifClass, tuple[int, frozenset]] = {
     MotifClass.M2_1: (2, frozenset({(0, 1)})),

@@ -32,6 +32,7 @@ from placeweave.motifs import (
     classify_graph,
     classify_trajectories,
     enumerate_induced,
+    enumeration_census,
 )
 from placeweave.network import PlaceNetwork, csr_adjacency
 from placeweave.refnets import RefNetSpec, gen_scale_free_network
@@ -269,6 +270,34 @@ def test_instance_stream_matches_counts():
     for inst in insts:
         counts[inst.motif_class] = counts.get(inst.motif_class, 0) + 1
     assert counts == enumerate_induced(net, 3)
+
+
+@pytest.mark.parametrize(
+    "net",
+    [
+        *(pytest.param(random_net(11, p, seed), id=f"random-{p}-{seed}")
+          for p, seed in ((0.2, 4), (0.45, 5), (0.8, 6))),
+        pytest.param(network({}, nodes=["a", "b", "c"]), id="edge-free"),
+        pytest.param(PlaceNetwork(), id="empty"),
+    ],
+)
+def test_enumeration_census_lists_triangles_once(monkeypatch, net):
+    calls = []
+
+    def triangles(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = _fastcount._triangles
+    monkeypatch.setattr(_fastcount, "_triangles", triangles)
+    census = enumeration_census(net)
+    assert len(calls) == (1 if net.n_nodes else 0)
+    expected = {}
+    for k in (2, 3, 4):
+        expected.update(brute_force_enumerate(net, k))
+    assert {c: s.motif_count for c, s in census.classes.items() if s.motif_count} == expected
+    assert list(census.classes) == list(CLASS_ORDER)
+    assert census.total_motifs == sum(expected.values())
 
 
 def test_enumerate_rejects_bad_k():

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import Walk, adjacency, edge_weights, network, sequence_table
+from oracles import Walk, adjacency, edge_weights, merge_networks, network, sequence_table
 from placeweave.errors import SchemaError
 from placeweave.network import (
     PlaceNetwork,
     build_network,
     csr_adjacency,
-    merge_networks,
     read_network,
     sidecar_path,
     weighted_csr,
@@ -130,6 +129,24 @@ def test_index_is_the_code_in_names():
 def test_merge_empty_rejected():
     with pytest.raises(ValueError):
         merge_networks([])
+
+
+def test_add_edge_adds_nodes_and_weights_in_place():
+    net = network({("b", "d"): 2}, nodes=["lonely"], label="2020-02-03", mode="covisitation")
+    net.add_edge("c", "a")  # two new nodes, placed in name order
+    assert net.names == ["a", "b", "c", "d", "lonely"]
+    assert edge_weights(net) == {("a", "c"): 1, ("b", "d"): 2}
+    net.add_edge("d", "b", weight=3)  # a repeated edge adds its weight
+    net.add_edge("lonely", "a")  # an existing node gains an edge
+    assert net.names == ["a", "b", "c", "d", "lonely"]
+    assert edge_weights(net) == {("a", "c"): 1, ("a", "lonely"): 1, ("b", "d"): 5}
+    assert (net.label, net.mode) == ("2020-02-03", "covisitation")
+    with pytest.raises(ValueError, match="self-loop"):
+        net.add_edge("a", "a")
+    assert edge_weights(net) == {("a", "c"): 1, ("a", "lonely"): 1, ("b", "d"): 5}
+    empty = PlaceNetwork()
+    empty.add_edge("x", "y", weight=4)
+    assert empty == network({("x", "y"): 4})
 
 
 def test_file_round_trip(tmp_path):

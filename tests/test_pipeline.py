@@ -12,12 +12,15 @@ from placeweave import ingest
 from placeweave.cli import main
 from placeweave.errors import SchemaError
 from placeweave.motifs import classify_trajectories
+from placeweave.network import NETWORK_MODES, read_network
 from placeweave.pipeline import (
     InstanceTable,
     load_motifs_inputs,
     read_instances_csv,
     stage_attributed,
+    stage_ingest,
     stage_motifs,
+    stage_network,
     write_instances_csv,
 )
 
@@ -64,6 +67,22 @@ def test_run_with_enumerate_census_mode(data, tmp_path):
     assert (out / "attributed" / "attributed_census.csv").exists()
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["census_mode"] == "enumerate"
+
+
+@pytest.mark.parametrize("mode", NETWORK_MODES)
+def test_daily_networks_merge_into_the_merged_network(data, tmp_path, mode):
+    _, sequences = stage_ingest(
+        data / "data" / "stops.csv", data / "data" / "pois.csv", 300, 0.0, tmp_path / "ingest"
+    )
+    built = stage_network(sequences, mode, tmp_path / "networks")
+    daily = sorted((tmp_path / "networks" / "daily").glob("*.csv"))
+    assert len(daily) > 1
+    from_days = oracles.merge_networks([read_network(path) for path in daily])
+    merged = read_network(tmp_path / "networks" / "merged.csv")
+    assert merged == built
+    assert from_days.names == merged.names
+    assert oracles.edge_weights(from_days) == oracles.edge_weights(merged)
+    assert (from_days.label, from_days.mode) == (merged.label, merged.mode)
 
 
 def test_distance_weighting_flag_lands_in_report(data, tmp_path):

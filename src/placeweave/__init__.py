@@ -10,6 +10,7 @@ from .errors import (
     RowError,
     SchemaError,
     UnknownSectorError,
+    WalkError,
 )
 from .ingest import (
     PoiCatalog,

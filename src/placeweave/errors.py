@@ -33,5 +33,13 @@ class UnknownSectorError(SchemaError):
     """NAICS prefix outside the 20 known sector categories."""
 
 
+class WalkError(PlaceweaveError, ValueError):
+    """A stay sequence breaking a walk rule; sequence is its index in its table."""
+
+    def __init__(self, sequence: int, message: str):
+        super().__init__(message)
+        self.sequence = sequence
+
+
 class InvariantError(PlaceweaveError):
     """Internal consistency violation; indicates a pipeline bug."""

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import json
 import logging
 from contextlib import AbstractContextManager
 from dataclasses import dataclass, replace
@@ -41,7 +42,7 @@ from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .errors import InvariantError, RowError, SchemaError, UnknownSectorError
+from .errors import InvariantError, RowError, SchemaError, UnknownSectorError, WalkError
 
 logger = logging.getLogger(__name__)
 
@@ -51,10 +52,12 @@ SEQUENCES_COLUMNS = ("device_id", "local_date", "stays")
 
 # Separator used when serializing a stay list into one CSV field.
 STAY_SEPARATOR = "|"
+# Separator of the edges in an instance file's edges field.
+EDGE_SEPARATOR = ";"
 # Characters the sequence and instance files use as separators; no poi_id may
 # hold one. No id may hold a line break: csv.writer leaves a bare "\r" unquoted.
 LINE_BREAKS = ("\r", "\n")
-RESERVED_CHARACTERS = (STAY_SEPARATOR, ";", ",", *LINE_BREAKS)
+RESERVED_CHARACTERS = (STAY_SEPARATOR, EDGE_SEPARATOR, ",", *LINE_BREAKS)
 
 EPOCH = dt.date(1970, 1, 1)
 _US_PER_DAY = 86_400_000_000
@@ -172,18 +175,24 @@ class SequenceTable:
     def __len__(self) -> int:
         return len(self.device)
 
-    def select(self, rows: np.ndarray) -> SequenceTable:
-        """The sequences a boolean mask selects, in order; names unchanged."""
-        lengths = np.diff(self.offsets)
-        offsets = np.zeros(np.count_nonzero(rows) + 1, dtype=np.int64)
-        np.cumsum(lengths[rows], out=offsets[1:])
-        return replace(
-            self,
-            device=self.device[rows],
-            day=self.day[rows],
-            offsets=offsets,
-            stays=self.stays[np.repeat(rows, lengths)],
-        )
+    def steps(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sequence of each stay, and the position of each step: stays[position]
+        then stays[position + 1] of one sequence. A walk of fewer than 2 stays or
+        with a stay repeated consecutively raises WalkError naming its device and
+        date, and for a repeat the POI."""
+        sequence = np.repeat(np.arange(len(self)), np.diff(self.offsets))
+        position = np.flatnonzero(sequence[:-1] == sequence[1:])
+        short = np.flatnonzero(np.diff(self.offsets) < 2)[:1].tolist()
+        repeat = position[self.stays[position] == self.stays[position + 1]][:1].tolist()
+        broken = [(i, "is shorter than 2 stays") for i in short]
+        for i in repeat:
+            poi = self.pois[self.stays[i]]
+            broken.append((sequence[i], f"repeats a stay consecutively (duplicate stay {poi!r})"))
+        if broken:
+            i, rule = min(broken)
+            device, date = self.devices[self.device[i]], day_date(self.day[i])
+            raise WalkError(i, f"a walk {rule}: device {device!r} on {date}")
+        return sequence, position
 
     def walks(self) -> Iterator[tuple[str, dt.date, tuple[str, ...]]]:
         """(device_id, local_date, stays) per sequence; one date object per day."""
@@ -245,6 +254,13 @@ class CsvRows(AbstractContextManager):
                 yield reader.line_num, row if self.exact else [row[i] for i in index]
             elif row:
                 raise self.error(reader.line_num, "wrong number of fields")
+
+
+def write_json(doc: dict, path: str | Path) -> None:
+    """Write doc as JSON: indent 2, sorted keys, a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _check_stop_rows(rows: CsvRows) -> None:
@@ -450,14 +466,15 @@ def write_sequences(sequences: SequenceTable, path: str | Path) -> None:
 def read_sequences(source: str | Path | TextIO) -> SequenceTable:
     """Read a sequences file into a SequenceTable, one sequence per row in file order.
 
-    A missing or extra field, a bad date, a walk of fewer than two stays
-    and a stay repeated consecutively each raise RowError naming the file
-    and line.
+    A missing or extra field and a bad date raise RowError naming the file
+    and line; so does a walk that breaks a walk rule (SequenceTable.steps),
+    once every row is read.
     """
     device_ids: list[str] = []
     days: list[int] = []
     lengths: list[int] = []
     flat: list[str] = []
+    lines: list[int] = []
     with CsvRows(source, SEQUENCES_COLUMNS, "sequences", exact=True) as rows:
         for line, (device_id, local_date, stay_field) in rows:
             try:
@@ -465,16 +482,18 @@ def read_sequences(source: str | Path | TextIO) -> SequenceTable:
             except ValueError:
                 raise rows.error(line, f"bad date {local_date!r}") from None
             stays = stay_field.split(STAY_SEPARATOR)
-            if len(stays) < 2:
-                raise rows.error(line, "sequence shorter than 2 stays")
-            if any(a == b for a, b in zip(stays, stays[1:])):
-                raise rows.error(line, "a walk repeats a stay consecutively")
             device_ids.append(device_id)
             days.append((day - EPOCH).days)
             lengths.append(len(stays))
             flat.extend(stays)
+            lines.append(line)
     devices, device = _intern(device_ids)
     pois, stays = _intern(flat)
     offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
-    return SequenceTable(devices, pois, device, np.array(days, dtype=np.int64), offsets, stays)
+    table = SequenceTable(devices, pois, device, np.array(days, dtype=np.int64), offsets, stays)
+    try:
+        table.steps()
+    except WalkError as exc:
+        raise rows.error(lines[exc.sequence], str(exc)) from None
+    return table

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import PlaceNetwork, csr_adjacency, weighted_csr
+from .network import PlaceNetwork, weighted_csr
 
 
 @dataclass
@@ -102,8 +102,8 @@ def degree(net: PlaceNetwork, node: str) -> int:
 def degree_distribution(net: PlaceNetwork) -> DegreeHistogram:
     if not net.n_nodes:
         raise ValueError("cannot build a degree distribution of an empty network")
-    _, indptr, _ = csr_adjacency(net)
-    counts = np.bincount(np.diff(indptr)).tolist()
+    degrees = np.bincount(np.concatenate((net.src, net.dst)), minlength=net.n_nodes)
+    counts = np.bincount(degrees).tolist()
     return DegreeHistogram({k: c for k, c in enumerate(counts) if c}, net.n_nodes)
 
 

@@ -375,22 +375,21 @@ class TrajectoryCensus:
 def classify_trajectories(sequences: SequenceTable) -> TrajectoryCensus:
     """Classify every device-day walk into the instance table.
 
-    A walk's node slots are its distinct POI codes, sorted; its steps set the
-    bits of an edge mask over those slots, and MASK_CLASS names its class.
-    Walks over five or more distinct POIs are class OTHER.
+    A walk's node slots are its distinct POI codes, sorted; its steps
+    (SequenceTable.steps, which checks the walk rules) set the bits of an
+    edge mask over those slots, and MASK_CLASS names its class. Walks over
+    five or more distinct POIs are class OTHER.
     """
     n_walks, n_pois, offsets = len(sequences), max(len(sequences.pois), 1), sequences.offsets
-    walk = np.repeat(np.arange(n_walks), np.diff(offsets))
+    walk, position = sequences.steps()
     distinct, stay_distinct = np.unique(walk * n_pois + sequences.stays, return_inverse=True)
     distinct_walk = distinct // n_pois
     first = np.searchsorted(distinct_walk, np.arange(n_walks))
     n_nodes = np.diff(np.append(first, len(distinct)))
     slot = np.arange(len(distinct)) - first[distinct_walk]
-    step = walk[:-1] == walk[1:]  # two stays of one walk
-    if (stay_distinct[:-1] == stay_distinct[1:])[step].any():
-        raise ValueError("a walk repeats a stay consecutively; collapse sequences in ingest first")
     stay_slot = np.minimum(slot[stay_distinct], 3)  # OTHER walks use no slot
-    steps = PAIR_BIT[stay_slot[:-1], stay_slot[1:]][step]
+    steps = PAIR_BIT[stay_slot[position], stay_slot[position + 1]]
+    # walk i's steps start at offsets[i] - i: each walk has one step fewer than stays
     mask = np.bitwise_or.reduceat(steps, offsets[:-1] - np.arange(n_walks))
     small = n_nodes <= 4
     nodes = np.full((n_walks, 4), -1, dtype=np.int32)

@@ -7,11 +7,13 @@ code order is string order, so the edge order is the order of the
 (poi_a, poi_b) string pairs. Weights count visit flows.
 
 Every network is built by PlaceNetwork.from_arrays, which sorts edge
-code pairs with one lexsort and sums the weights of repeated pairs. From
-a SequenceTable's integer stays, each step (or co-visited pair) becomes a
-pair of POI codes of weight one, so a whole-period network is built from
-the whole period's sequences in one call; a network file is read into
-arrays first. Names are attached only when a network is written.
+code pairs with one lexsort and sums the weights of repeated pairs.
+poi_pairs turns a SequenceTable's steps, or its co-visited POIs, into
+pairs of POI codes of weight one, each tagged with its sequence;
+pair_network builds the network of any subset of them, so the daily
+networks and the whole-period network share one derivation. A network
+file is read into arrays first. Names are attached only when a network
+is written.
 
 The on-disk format is a CSV edge list (poi_a,poi_b,weight, poi_a < poi_b,
 rows sorted, fields unquoted) plus a JSON sidecar carrying the label, node
@@ -21,7 +23,6 @@ count, build mode and any isolated nodes.
 from __future__ import annotations
 
 import csv
-import datetime as dt
 import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import CsvRows, SequenceTable, day_date
+from .ingest import CsvRows, SequenceTable, day_date, write_json
 
 NETWORK_MODES = ("consecutive", "covisitation")
 NETWORK_COLUMNS = ("poi_a", "poi_b", "weight")
@@ -142,12 +143,24 @@ class PlaceNetwork:
         )
 
 
-def _covisitation_pairs(sequences: SequenceTable) -> tuple[np.ndarray, np.ndarray]:
-    """POI codes (a, b), a < b, of every distinct POI pair of each sequence."""
-    seq = np.repeat(np.arange(len(sequences)), np.diff(sequences.offsets))
-    poi = sequences.stays.astype(np.int64)
-    order = np.lexsort((poi, seq))
-    seq, poi = seq[order], poi[order]
+def poi_pairs(
+    sequences: SequenceTable, mode: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sequence, a, b) of every weight-one pair of POI codes a < b.
+
+    consecutive mode gives one pair per step, so one per traversal;
+    covisitation mode one per unordered pair of distinct POIs a sequence
+    visits. SequenceTable.steps checks the walk rules.
+    """
+    if mode not in NETWORK_MODES:
+        raise ValueError(f"mode must be one of {NETWORK_MODES}, got {mode!r}")
+    seq, position = sequences.steps()
+    stays = sequences.stays.astype(np.int64)
+    if mode == "consecutive":
+        a, b = stays[position], stays[position + 1]
+        return seq[position], np.minimum(a, b), np.maximum(a, b)
+    order = np.lexsort((stays, seq))
+    seq, poi = seq[order], stays[order]
     distinct = np.ones(len(poi), dtype=bool)
     distinct[1:] = (seq[1:] != seq[:-1]) | (poi[1:] != poi[:-1])
     seq, poi = seq[distinct], poi[distinct]
@@ -155,7 +168,24 @@ def _covisitation_pairs(sequences: SequenceTable) -> tuple[np.ndarray, np.ndarra
     later = np.searchsorted(seq, seq, side="right") - np.arange(len(seq)) - 1
     first = np.repeat(np.arange(len(seq)), later)
     second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
-    return poi[first], poi[second]
+    return seq[first], poi[first], poi[second]
+
+
+def pair_network(
+    pois: list[str], a: np.ndarray, b: np.ndarray, mode: str, label: str
+) -> PlaceNetwork:
+    """The network of weight-one pairs (a, b) of codes into the POI names pois.
+
+    Its nodes are the POIs the pairs touch: under the walk rules every stay
+    of a sequence is in one of its pairs.
+    """
+    touched = np.zeros(len(pois), dtype=bool)
+    touched[a] = True
+    touched[b] = True
+    code = np.cumsum(touched) - 1  # POI code -> node code
+    names = [pois[i] for i in np.flatnonzero(touched).tolist()]
+    ones = np.ones(len(a), dtype=np.int64)
+    return PlaceNetwork.from_arrays(names, code[a], code[b], ones, label=label, mode=mode)
 
 
 def build_network(
@@ -163,53 +193,20 @@ def build_network(
     mode: str = "consecutive",
     label: str | None = None,
 ) -> PlaceNetwork:
-    """Aggregate stay sequences into one weighted network.
+    """Aggregate stay sequences into one weighted network (see poi_pairs).
 
-    consecutive mode increments the edge of every successive stay pair by
-    one per traversal; covisitation mode increments every unordered pair
-    of distinct POIs seen in the same sequence by one per sequence. The
-    nodes are the POIs the sequences visit.
+    The label defaults to the sequences' date range.
     """
-    if mode not in NETWORK_MODES:
-        raise ValueError(f"mode must be one of {NETWORK_MODES}, got {mode!r}")
-    short = np.flatnonzero(np.diff(sequences.offsets) < 2)
-    if short.size:
-        i = short[0]
-        raise ValueError(
-            f"sequence for {sequences.devices[sequences.device[i]]} on "
-            f"{day_date(sequences.day[i])} has fewer than 2 stays"
-        )
-    stays = sequences.stays.astype(np.int64)
-    if mode == "consecutive":
-        step = np.ones(max(len(stays) - 1, 0), dtype=bool)
-        step[sequences.offsets[1:-1] - 1] = False  # no step from one sequence into the next
-        a, b = stays[:-1][step], stays[1:][step]
-        repeat = np.flatnonzero(a == b)
-        if repeat.size:
-            raise ValueError(
-                f"consecutive duplicate stay {sequences.pois[a[repeat[0]]]!r}; "
-                "collapse sequences in ingest first"
-            )
-        a, b = np.minimum(a, b), np.maximum(a, b)
-    else:
-        a, b = _covisitation_pairs(sequences)
-    visited = np.zeros(len(sequences.pois), dtype=bool)
-    visited[stays] = True
-    code = np.cumsum(visited) - 1  # POI code -> node code
+    _, a, b = poi_pairs(sequences, mode)
     if label is None and len(sequences):
-        label = _date_range_label(day_date(sequences.day.min()), day_date(sequences.day.max()))
-    return PlaceNetwork.from_arrays(
-        [sequences.pois[i] for i in np.flatnonzero(visited).tolist()],
-        code[a],
-        code[b],
-        np.ones(len(a), dtype=np.int64),
-        label=label or "",
-        mode=mode,
-    )
+        label = date_range_label(sequences.day.min(), sequences.day.max())
+    return pair_network(sequences.pois, a, b, mode, label or "")
 
 
-def _date_range_label(start: dt.date, end: dt.date) -> str:
-    return start.isoformat() if start == end else f"{start.isoformat()}..{end.isoformat()}"
+def date_range_label(first: int, last: int) -> str:
+    """The ISO date of day first, or 'first..last' when the days differ."""
+    start = day_date(first).isoformat()
+    return start if first == last else f"{start}..{day_date(last).isoformat()}"
 
 
 # -- serialization ---------------------------------------------------------
@@ -242,9 +239,7 @@ def write_network(net: PlaceNetwork, path: str | Path, extra_meta: dict | None =
     }
     if extra_meta:
         meta.update(extra_meta)
-    with open(sidecar_path(path), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(meta, sidecar_path(path))
 
 
 def read_network(path: str | Path) -> PlaceNetwork:

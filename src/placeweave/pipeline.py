@@ -25,24 +25,21 @@ import numpy as np
 
 from . import __version__, attributes, ingest, metrics, motifs, refnets, stats, synth
 from .config import RunConfig
-from .errors import InvariantError, SchemaError
+from .errors import ConfigError, InvariantError, SchemaError
+from .ingest import EDGE_SEPARATOR, write_json
 from .motifs import CLASS_ORDER, INDEX_CLASS
 from .network import (
     PlaceNetwork,
+    date_range_label,
     edge_key,
-    build_network,
+    pair_network,
+    poi_pairs,
     read_network,
     sidecar_path,
     write_network,
 )
 
 logger = logging.getLogger(__name__)
-
-
-def write_json(doc: dict, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _fmt(value) -> str:
@@ -119,17 +116,24 @@ def stage_ingest(
 
 
 def stage_network(sequences: ingest.SequenceTable, mode: str, out_dir: str | Path) -> PlaceNetwork:
-    """Write one network per local date and the merged whole-period network; returns the latter."""
+    """Write one network per local date and the merged whole-period network; returns the latter.
+
+    Each day's network is built from its slice of the day-sorted POI pairs.
+    """
     if not len(sequences):
         raise SchemaError("no stay sequences to build networks from")
     out = _ensure_dir(out_dir)
     daily_dir = _ensure_dir(out / "daily")
-    days = sorted(set(sequences.day.tolist()))
-    for day in days:
-        label = ingest.day_date(day).isoformat()
-        net = build_network(sequences.select(sequences.day == day), mode=mode, label=label)
+    sequence, a, b = poi_pairs(sequences, mode)
+    day = sequences.day[sequence]
+    order = np.argsort(day)
+    day, a, b = day[order], a[order], b[order]
+    days, first = np.unique(day, return_index=True)
+    for d, lo, hi in zip(days.tolist(), first.tolist(), [*first[1:].tolist(), len(day)]):
+        label = date_range_label(d, d)
+        net = pair_network(sequences.pois, a[lo:hi], b[lo:hi], mode, label)
         write_network(net, daily_dir / f"{label}.csv")
-    merged = build_network(sequences, mode)
+    merged = pair_network(sequences.pois, a, b, mode, date_range_label(days[0], days[-1]))
     write_network(merged, out / "merged.csv", extra_meta={"days": len(days)})
     return merged
 
@@ -198,6 +202,7 @@ def write_instances_csv(rows: motifs.InstanceRows, path: str | Path) -> None:
     nodes ('|'-joined), edges (';'-joined 'a|b' pairs) and device_count,
     written a day at a time: the day's table rows, then its OTHER rows."""
     edges_of = [motifs.mask_edges(mask) for mask in range(64)]
+    other = motifs.MotifClass.OTHER.value
     table = rows.table
     columns = [c.tolist() for c in (table.cls, table.nodes, table.mask, table.count)]
     other_days = np.array([row[0] for row in rows.other], dtype=np.int64)
@@ -209,12 +214,12 @@ def write_instances_csv(rows: motifs.InstanceRows, path: str | Path) -> None:
             lo, hi = np.searchsorted(rows.day, [day, day + 1]).tolist()
             for cls, nodes, mask, count in zip(*(column[lo:hi] for column in columns)):
                 names = [rows.pois[v] for v in nodes if v >= 0]
-                edges = ";".join(f"{names[a]}|{names[b]}" for a, b in edges_of[mask])
+                edges = EDGE_SEPARATOR.join(f"{names[a]}|{names[b]}" for a, b in edges_of[mask])
                 lines.append(f"{date},{INDEX_CLASS[cls]},{'|'.join(names)},{edges},{count}\n")
             lo, hi = np.searchsorted(other_days, [day, day + 1]).tolist()
             for _, names, pairs, count in rows.other[lo:hi]:
-                edges = ";".join(f"{a}|{b}" for a, b in pairs)
-                lines.append(f"{date},OTHER,{'|'.join(names)},{edges},{count}\n")
+                edges = EDGE_SEPARATOR.join(f"{a}|{b}" for a, b in pairs)
+                lines.append(f"{date},{other},{'|'.join(names)},{edges},{count}\n")
             fh.writelines(lines)
 
 
@@ -234,7 +239,8 @@ def read_instances_csv(path: str | Path) -> motifs.InstanceRows:
             try:
                 day = (dt.date.fromisoformat(local_date) - ingest.EPOCH).days
                 names = sorted(set(node_field.split("|")))
-                edges = [(a, b) for a, b in (pair.split("|") for pair in edge_field.split(";"))]
+                pairs = (pair.split("|") for pair in edge_field.split(EDGE_SEPARATOR))
+                edges = [(a, b) for a, b in pairs]
                 count = int(device_count)
             except ValueError as exc:
                 raise lines.error(line, f"bad instance row: {exc}") from None
@@ -443,6 +449,10 @@ def stage_attributed(instances: InstanceTable, top_k: int, out_dir: str | Path) 
 # -- series and report --------------------------------------------------------
 
 
+# Rows of attributed_distance.csv: the attributed keys of the longest distances.
+TOP_DISTANCE = 20
+
+
 def _write_series_csv(series, path: Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("date,value,day_type\n")
@@ -478,8 +488,9 @@ def stage_series(
     out_dir: str | Path,
     config: RunConfig,
     window: int = 7,
-    top_distance: int = 20,
 ) -> dict:
+    if window < 1:
+        raise ConfigError(f"window must be at least 1, got {window}")
     out = _ensure_dir(out_dir)
     weighting = config.distance_weighting
     rows, distances = instances.rows, instances.distances
@@ -529,7 +540,7 @@ def stage_series(
     top_rows = sorted(
         ((attributes.attributed_key(key), split) for key, split in attr_table.items()),
         key=lambda kv: (-(kv[1].total_km or 0.0), kv[0].motif_class.value, kv[0].labels),
-    )[:top_distance]
+    )[:TOP_DISTANCE]
     with open(out / "attributed_distance.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("class,labels,total_km,weekday_km,weekend_km\n")
         for key, split in top_rows:

@@ -480,3 +480,46 @@ def test_run_computes_the_whole_period_distance_table_once(synth_dir, tmp_path, 
     every = sum(row["motif_count"] for row in census["classes"])
     whole_period = [weighting for n, weighting in calls if n == every]
     assert whole_period == ["devices"]
+
+
+@pytest.mark.parametrize("mode", network.NETWORK_MODES)
+def test_run_derives_the_walk_steps_once_in_each_stage_that_reads_walks(
+    synth_dir, tmp_path, monkeypatch, mode
+):
+    log = []
+    steps = ingest.SequenceTable.steps
+
+    def counted(self):
+        log.append("steps")
+        return steps(self)
+
+    monkeypatch.setattr(ingest.SequenceTable, "steps", counted)
+    for stage in ("stage_network", "stage_motifs"):
+
+        def entered(*args, _stage=stage, _real=getattr(pipeline, stage), **kwargs):
+            log.append(_stage)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, stage, entered)
+    assert main(
+        ["run", "--config", str(_write_config(tmp_path, mode)), "--stops",
+         str(synth_dir / "stops.csv"), "--pois", str(synth_dir / "pois.csv"),
+         "--out", str(tmp_path / "out")]
+    ) == 0
+    assert log == ["stage_network", "steps", "stage_motifs", "steps"]
+
+
+def test_series_window_below_one_exits_2_before_writing(synth_dir, tmp_path, caplog):
+    run = tmp_path / "run"
+    assert main(
+        ["run", "--stops", str(synth_dir / "stops.csv"), "--pois", str(synth_dir / "pois.csv"),
+         "--out", str(run)]
+    ) == 0
+    out = tmp_path / "series"
+    code = main(
+        ["series", "--census-dir", str(run / "census"), "--pois", str(synth_dir / "pois.csv"),
+         "--summary", str(run / "metrics" / "summary.json"), "--window", "0", "--out", str(out)]
+    )
+    assert code == 2
+    assert "window must be at least 1, got 0" in caplog.text
+    assert [p for p in out.rglob("*") if p.is_file()] == []

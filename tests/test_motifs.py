@@ -372,6 +372,12 @@ def test_consecutive_repeat_in_a_walk_rejected(walk):
         classify([seq(*walk)])
 
 
+def test_one_stay_walk_rejected():
+    # walk 0 has no step; it must not take walk 1's step bits as its own
+    with pytest.raises(ValueError, match="shorter than 2 stays: device 'd1' on 2020-02-03"):
+        classify([seq("p0"), seq("p1", "p2", device="d2")])
+
+
 def test_distinct_edge_sets_are_distinct_instances():
     # Same POI set, different traversal graph: a path and a star.
     census = classify(

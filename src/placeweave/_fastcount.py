@@ -17,9 +17,9 @@ however heavy the hubs; their candidate arrays are processed in slices of
 bounded length. full_census orients the graph and lists its triangles once
 and derives every 3- and 4-node class from them.
 
-Everything is numpy, so the census imports no scipy. All work runs in the
-calling thread; the counts are exact integers and never depend on the
-thread count.
+Everything is numpy. All work runs in the calling thread; the counts are
+exact integers and never depend on the thread count. The triangle form of
+metrics.local_clustering shares _orient and _triangles.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def full_census(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     n = indptr.size - 1
     if n == 0:
         return counts
-    uptr, tail, head, keys, deg = _orient(indptr, indices)
+    uptr, tail, head, keys, deg, _ = _orient(indptr, indices)
     d = deg.astype(object) if deg.max() >= _EXACT_DEGREE else deg
 
     ab, bc, ac = _triangles(uptr, tail, head, keys, n)
@@ -111,10 +111,10 @@ def full_census(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
 def _orient(indptr, indices):
     """Rank nodes by degree and point every edge from the lower to the higher rank.
 
-    Returns (uptr, tail, head, keys, deg) over ranks: the oriented edges
-    a -> b as sorted keys a * n + b, whose positions are the edge ids, with
-    their tails and heads; uptr[a]:uptr[a + 1] the ids of a's out-edges;
-    and each rank's degree.
+    Returns (uptr, tail, head, keys, deg, rank): over ranks, the oriented
+    edges a -> b as sorted keys a * n + b, whose positions are the edge ids,
+    with their tails and heads; uptr[a]:uptr[a + 1] the ids of a's
+    out-edges; and each rank's degree. rank maps each node to its rank.
     """
     n = indptr.size - 1
     deg = np.diff(indptr)
@@ -126,7 +126,7 @@ def _orient(indptr, indices):
     keys = np.sort(src[up] * n + dst[up])
     tail, head = keys // n, keys % n
     uptr = np.searchsorted(tail, np.arange(n + 1))
-    return uptr, tail, head, keys, deg[order]
+    return uptr, tail, head, keys, deg[order], rank
 
 
 def _triangles(uptr, tail, head, keys, n):

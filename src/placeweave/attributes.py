@@ -147,7 +147,7 @@ def key_codes(cls: np.ndarray, mask: np.ndarray, labels: np.ndarray) -> np.ndarr
 def canonical_keys(rows: InstanceRows, catalog: PoiCatalog) -> np.ndarray:
     """key_codes of each of rows.instances under the catalog's sectors."""
     inst = rows.instances
-    used = np.unique(inst.nodes[inst.nodes >= 0])
+    used = np.flatnonzero(np.bincount(inst.nodes[inst.nodes >= 0], minlength=len(rows.pois)))
     at = catalog.codes(rows.pois)[used]
     if (at < 0).any():
         raise MissingPoiError(f"poi_id {rows.pois[used[at < 0][0]]!r} is not in the catalog")

@@ -274,6 +274,63 @@ REPORT_SCHEMA = {
 }
 
 
+_SCHEMA_KEYWORDS = {"$schema", "type", "required", "properties", "items", "const", "enum"}
+_JSON_TYPES = {"object": dict, "array": list, "string": str}
+
+
+def _check_schema(doc, schema: dict) -> None:
+    """Raise InvariantError unless doc is valid under schema.
+
+    A JSON Schema checker for the keywords REPORT_SCHEMA uses: type (object,
+    array or string), required, properties, items, const and enum; $schema
+    is ignored. A subschema with any other keyword or type raises, wherever
+    it sits, so that an addition to the schema is never silently skipped.
+    """
+    stack = [schema]
+    while stack:
+        sub = stack.pop()
+        unknown = sub.keys() - _SCHEMA_KEYWORDS
+        if unknown:
+            raise InvariantError(f"report schema keywords {sorted(unknown)} are not supported")
+        if "type" in sub and sub["type"] not in tuple(_JSON_TYPES):  # a tuple also takes a list
+            raise InvariantError(f"report schema type {sub['type']!r} is not supported")
+        stack.extend(sub.get("properties", {}).values())
+        if "items" in sub:
+            stack.append(sub["items"])
+    problem = _schema_problem(doc, schema, "report")
+    if problem:
+        raise InvariantError(f"report failed schema validation: {problem}")
+
+
+def _schema_problem(doc, schema: dict, at: str) -> str | None:
+    """The first way doc breaks schema, or None; at names doc's place."""
+    if "type" in schema and not isinstance(doc, _JSON_TYPES[schema["type"]]):
+        return f"{at}: {doc!r} is not of type {schema['type']!r}"
+    if "const" in schema and not _json_equal(doc, schema["const"]):
+        return f"{at}: {schema['const']!r} was expected"
+    if "enum" in schema and not any(_json_equal(doc, v) for v in schema["enum"]):
+        return f"{at}: {doc!r} is not one of {schema['enum']!r}"
+    parts = []
+    if isinstance(doc, dict):
+        for key in schema.get("required", ()):
+            if key not in doc:
+                return f"{at}: {key!r} is a required property"
+        properties = schema.get("properties", {})
+        parts = [(doc[k], sub, f"{at}.{k}") for k, sub in properties.items() if k in doc]
+    elif isinstance(doc, list) and "items" in schema:
+        parts = [(item, schema["items"], f"{at}[{i}]") for i, item in enumerate(doc)]
+    for value, sub, where in parts:
+        problem = _schema_problem(value, sub, where)
+        if problem:
+            return problem
+    return None
+
+
+def _json_equal(a, b) -> bool:
+    """JSON equality of scalars: 1 equals 1.0, but true is not 1 and false is not 0."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
 def census_document(census: MotifCensus) -> dict:
     rows = []
     for cls in CLASS_ORDER:
@@ -330,8 +387,6 @@ def build_report(
     census and distances are the census_document and distance_document
     of the run.
     """
-    import jsonschema  # imported here, so only the stage that writes the report loads it
-
     report = {
         "schema_version": 1,
         "tool": {"name": "placeweave", "version": tool_version},
@@ -341,8 +396,5 @@ def build_report(
         "distances": distances,
         "series_files": sorted(series_files),
     }
-    try:
-        jsonschema.validate(report, REPORT_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise InvariantError(f"report failed schema validation: {exc.message}") from None
+    _check_schema(report, REPORT_SCHEMA)
     return report

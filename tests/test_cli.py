@@ -9,7 +9,7 @@ import pytest
 from placeweave import attributes, ingest, motifs, network, pipeline, stats
 from placeweave.cli import main
 from placeweave.config import RunConfig, validate_config
-from placeweave.errors import ConfigError
+from placeweave.errors import ConfigError, InvariantError
 from placeweave.network import read_network
 from placeweave.stats import REPORT_SCHEMA
 
@@ -377,6 +377,68 @@ def test_run_flow_check_uses_the_in_hand_network(synth_dir, tmp_path, monkeypatc
     assert (failed["stage"], failed["status"], failed["error"]) == (
         "motifs", "failed", "InvariantError"
     )
+
+
+@pytest.fixture(scope="module")
+def real_report(synth_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("report") / "out"
+    assert main(
+        ["run", "--stops", str(synth_dir / "stops.csv"), "--pois", str(synth_dir / "pois.csv"),
+         "--out", str(out)]
+    ) == 0
+    return json.loads((out / "report.json").read_text())
+
+
+# a change to the real report -> whether the report stays valid; every
+# keyword the checker supports has a change that breaks it
+SCHEMA_CHANGES = {
+    "none": (lambda r: None, True),
+    "type": (lambda r: r.update(config=[]), False),
+    "required": (lambda r: r["census"].pop("totals"), False),
+    "properties": (lambda r: r["tool"].update(name=1), False),
+    "items": (lambda r: r["series_files"].append(3), False),
+    "const": (lambda r: r.update(schema_version=2), False),
+    "const-true": (lambda r: r.update(schema_version=True), False),  # JSON's true is not 1
+    "const-float": (lambda r: r.update(schema_version=1.0), True),  # but 1.0 is
+    "enum": (lambda r: r["census"].update(mode="sampled"), False),
+}
+
+
+def jsonschema_accepts(doc) -> bool:
+    try:
+        jsonschema.validate(doc, REPORT_SCHEMA)
+    except jsonschema.ValidationError:
+        return False
+    return True
+
+
+def checker_accepts(doc) -> bool:
+    try:
+        stats._check_schema(doc, REPORT_SCHEMA)
+    except InvariantError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("change", sorted(SCHEMA_CHANGES))
+def test_schema_checker_agrees_with_jsonschema(real_report, change):
+    mutate, valid = SCHEMA_CHANGES[change]
+    doc = json.loads(json.dumps(real_report))
+    mutate(doc)
+    assert checker_accepts(doc) == jsonschema_accepts(doc) == valid
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        {**REPORT_SCHEMA, "additionalProperties": False},
+        {"type": "object", "properties": {"absent": {"minimum": 0}}},
+        {"type": "object", "properties": {"series_files": {"type": ["array", "null"]}}},
+    ],
+)
+def test_schema_checker_raises_on_what_it_does_not_support(real_report, schema):
+    with pytest.raises(InvariantError, match="not supported"):
+        stats._check_schema(real_report, schema)
 
 
 def test_report_failing_its_own_schema_exits_3(synth_dir, tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,9 @@ from oracles import (
     edge_weights,
     exact_barrat,
     network,
+    scipy_local_clustering,
 )
+from placeweave import metrics
 from placeweave.metrics import (
     _brentq,
     DegreeHistogram,
@@ -35,6 +38,7 @@ from placeweave.metrics import (
 )
 from placeweave.network import PlaceNetwork
 from placeweave.refnets import RefNetSpec, gen_random_network
+from test_acceptance import _county_scale_graph
 
 
 def triangle(weights=(1, 1, 1)):
@@ -233,6 +237,54 @@ def test_vectorized_clustering_matches_oracle(net):
     check_clustering_against_oracles(net)
 
 
+def random_net(n: int, p: float, seed: int) -> PlaceNetwork:
+    """G(n, p) with weights drawn from 1..49."""
+    rng = np.random.default_rng(seed)
+    a, b = np.nonzero(np.triu(rng.random((n, n), dtype=np.float32) < p, 1))
+    names = [f"v{i:04d}" for i in range(n)]
+    return PlaceNetwork.from_arrays(names, a, b, rng.integers(1, 50, a.size))
+
+
+def county_net() -> PlaceNetwork:
+    """The criterion-9 county graph with weights drawn from 1..49."""
+    net = _county_scale_graph()
+    weights = np.random.default_rng(7).integers(1, 50, net.n_edges)
+    return PlaceNetwork.from_arrays(list(net.names), net.src, net.dst, weights)
+
+
+CAP = metrics._DENSE_MAX_NODES
+# name -> (graph, whether the rule picks the dense form)
+FORM_CASES = {
+    "sparse-300": (lambda: random_net(300, 0.01, 1), False),
+    "dense-300": (lambda: random_net(300, 0.3, 2), True),
+    "readme-like-500": (lambda: random_net(500, 0.4, 3), True),
+    "sparse-2048": (lambda: random_net(2048, 0.003, 4), False),
+    "dense-2048": (lambda: random_net(2048, 0.05, 5), True),
+    "at-the-cap": (lambda: random_net(CAP, 0.04, 6), True),
+    "past-the-cap": (lambda: random_net(CAP + 1, 0.04, 7), False),
+    "county": (county_net, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORM_CASES))
+def test_both_clustering_forms_give_the_scipy_oracle_bits(name, monkeypatch):
+    build, dense = FORM_CASES[name]
+    net = build()
+    nodes, oracle = scipy_local_clustering(net)
+    picked = []
+    dense_pays = metrics._dense_pays
+    monkeypatch.setattr(
+        metrics, "_dense_pays", lambda *a: picked.append(dense_pays(*a)) or picked[-1]
+    )
+    got_nodes, local = local_clustering(net)
+    assert picked == [dense]  # a drift in the cost constants or the cap shows here
+    assert (got_nodes, local.tobytes()) == (nodes, oracle.tobytes())
+    if not dense and net.n_nodes > CAP + 1:
+        return  # the dense matrices of the county graph would take 2 GB
+    monkeypatch.setattr(metrics, "_dense_pays", lambda *a: not dense)
+    assert local_clustering(net)[1].tobytes() == oracle.tobytes()
+
+
 def test_average_clustering_is_sequential_sum_in_node_order():
     # on this network a pairwise (np.sum) or compensated (math.fsum) sum of
     # the same values gives different bits
@@ -393,17 +445,58 @@ def test_run_loads_no_scipy_optimize(tmp_path):
     (tmp_path / "world.json").write_text(json.dumps(world), encoding="utf-8")
     (tmp_path / "traffic.json").write_text(json.dumps(traffic), encoding="utf-8")
     code = (
-        "import sys; from placeweave import cli, metrics; "
-        "calls = []; brentq = metrics._brentq; "
-        "metrics._brentq = lambda *a, **k: calls.append(1) or brentq(*a, **k); "
+        "import sys; from placeweave import cli, metrics, stats; "
+        "calls = []; brentq, check = metrics._brentq, stats._check_schema; "
+        "metrics._brentq = lambda *a, **k: calls.append('brentq') or brentq(*a, **k); "
+        "stats._check_schema = lambda *a: calls.append('schema') or check(*a); "
         "assert cli.main(['synth', '--world', 'world.json', '--traffic', 'traffic.json', "
         "'--out', 'data']) == 0; "
         "assert cli.main(['run', '--stops', 'data/stops.csv', '--pois', 'data/pois.csv', "
         "'--out', 'out']) == 0; "
-        "print(len(calls), 'scipy.optimize' in sys.modules, 'jsonschema' in sys.modules)"
+        "print(calls, [m for m in sys.modules if m.startswith(('scipy', 'jsonschema'))])"
     )
-    # the fit ran its root finder; the report was validated
-    assert loaded_modules(code, cwd=tmp_path) == "1 False True"
+    # the fit ran its root finder and the report was validated, with neither
+    # scipy nor jsonschema loaded
+    assert loaded_modules(code, cwd=tmp_path) == "['brentq', 'schema'] []"
+
+
+def test_zeta_port_equals_scipy_at_random_points():
+    from scipy.special import zeta
+
+    rng = np.random.default_rng(29)
+    x = rng.uniform(1, 51, 200_000)
+    q = rng.integers(1, 2001, x.size).astype(np.float64)
+    got = np.array([metrics._zeta(*point) for point in zip(x.tolist(), q.tolist())])
+    assert got.tobytes() == zeta(x, q).tobytes()
+
+
+def test_zeta_port_equals_scipy_on_a_grid():
+    from scipy.special import zeta
+
+    x = np.linspace(1, 51, 300)[1:, None]
+    q = np.concatenate((np.arange(1, 301), [0.25, 1.5, 3.7, 12.5, 2e8]))[None, :]
+    x, q = np.broadcast_arrays(x, q)
+    got = np.array([metrics._zeta(*point) for point in zip(x.ravel().tolist(), q.ravel().tolist())])
+    assert got.tobytes() == zeta(x, q).ravel().tobytes()
+
+
+def test_lgam_port_equals_scipy_gammaln_at_every_factorial():
+    from scipy.special import gammaln
+
+    k = np.arange(200_001)
+    got = np.array([metrics._lgam(float(v)) for v in (k + 1).tolist()])
+    assert got.tobytes() == gammaln(k + 1).tobytes()
+    x = np.geomspace(1e-3, 1e9, 5000)  # every branch, non-integers too
+    assert np.array([metrics._lgam(v) for v in x.tolist()]).tobytes() == gammaln(x).tobytes()
+
+
+def test_xlogy_port_equals_scipy_on_a_grid():
+    from scipy.special import xlogy
+
+    k, lam = np.meshgrid(np.arange(401), np.geomspace(1e-3, 2e3, 500), indexing="ij")
+    points = zip(k.ravel().tolist(), lam.ravel().tolist())
+    got = np.array([metrics._xlogy(*point) for point in points])
+    assert got.tobytes() == xlogy(k, lam).ravel().tobytes()
 
 
 def power_law_score(ks, counts, xmin):

@@ -310,6 +310,22 @@ ORACLE_SPECS = {
         world(n_pois=600, seed=5),
         traffic(n=300, mix=NINE_WAY_MIX, seed=22, max_sample_km=25.0),
     ),
+    # a range of one draws nothing: one day, one dwell, a catalog of 4 for 4 POIs
+    "one_day": (
+        world(),
+        TrafficSpec(300, NINE_WAY_MIX, (dt.date(2020, 2, 29), dt.date(2020, 2, 29)), seed=24),
+    ),
+    "catalog_of_largest_class": (world(n_pois=4), traffic(n=300, mix=NINE_WAY_MIX, seed=25)),
+    "fixed_dwell": (world(), traffic(n=300, mix=NINE_WAY_MIX, seed=26, dwell_range=(900, 900))),
+    # about 30% of 32-bit draws over this range are rejected and redrawn
+    "wide_dwell": (
+        world(),
+        traffic(n=300, mix=NINE_WAY_MIX, seed=27, dwell_range=(0, 3_000_000_000)),
+    ),
+    "anchor_exact_size": (
+        world(n_pois=200, seed=11),
+        traffic(n=600, mix=NINE_WAY_MIX, seed=28, max_sample_km=17.5),
+    ),
 }
 
 
@@ -338,3 +354,44 @@ def test_device_days_past_the_first_block_equal_the_oracle(tmp_path):
     assert [line for line in lines if "d0065530" <= line[:8] <= "d0065541"] == (
         expected.splitlines(keepends=True)[1:]
     )
+
+
+def _anchors(catalog, spec):
+    """Each device-day's class and anchor, drawn as default_rng([seed, i]) draws them."""
+    classes = sorted(spec.class_mix, key=lambda c: c.value)
+    probs = np.array([spec.class_mix[c] for c in classes])
+    n_days = (spec.date_range[1] - spec.date_range[0]).days + 1
+    drawn = []
+    for i in range(spec.n_device_days):
+        rng = np.random.default_rng([spec.seed, i])
+        cls = classes[int(rng.choice(len(classes), p=probs / probs.sum()))]
+        rng.integers(n_days)
+        drawn.append((cls, int(rng.integers(len(catalog)))))
+    return drawn
+
+
+def test_anchor_oracle_spec_draws_anchors_with_exactly_their_class_size():
+    world_spec, traffic_spec = ORACLE_SPECS["anchor_exact_size"]
+    catalog = gen_catalog(world_spec)
+    sizes = [
+        oracles._candidate_indices(catalog.lat, catalog.lon, anchor, 17.5).size
+        for anchor in range(len(catalog))
+    ]
+    exact = [cls for cls, anchor in _anchors(catalog, traffic_spec) if sizes[anchor] == cls.size]
+    assert len(exact) == 8  # all of class size 4: no anchor has fewer than 4 candidates
+
+
+def test_radius_too_small_names_the_earliest_failing_device_day():
+    # 12 of these 300 device-days fail; device-day 37 is the first
+    catalog = gen_catalog(world(n_pois=200, seed=11))
+    spec = traffic(n=300, mix=NINE_WAY_MIX, max_sample_km=14.0)
+    fails = [
+        (cls, anchor)
+        for cls, anchor in _anchors(catalog, spec)
+        if oracles._candidate_indices(catalog.lat, catalog.lon, anchor, 14.0).size < cls.size
+    ]
+    assert len(fails) == 12
+    message = "only 1 POIs within 7.0 km of p000150; class M4_5 needs 4"
+    with pytest.raises(ConfigError) as info:
+        gen_device_days(catalog, spec)
+    assert str(info.value) == message

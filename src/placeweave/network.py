@@ -287,7 +287,7 @@ def weighted_csr(
     dst = np.concatenate((net.dst, net.src))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    order = np.lexsort((dst, src))
+    order = np.argsort(src * n + dst, kind="stable")  # the (src, dst) order, one sort key
     return list(net.names), indptr, dst[order], np.concatenate((net.weights, net.weights))[order]
 
 

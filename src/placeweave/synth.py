@@ -5,23 +5,25 @@ traversal of that class's edge set over freshly sampled POIs, so the
 trajectory graph recovered downstream equals the planted class exactly.
 Device-day i draws from its own generator, default_rng([seed, i]), which
 makes generation order- and parallelism-independent. Those generators are
-not built one by one: numpy's SeedSequence hash runs over a block of
-indices at once in uint32 columns, and each resulting PCG64 state is loaded
-into one reused generator. The draws go straight into the columns of
-ingest's StopTable.
+not built one by one. For a block of device-days at once, numpy's
+SeedSequence hash runs in uint32 columns, PCG64 (O'Neill's XSL-RR output
+over a 128-bit LCG) steps in uint64 halves, and each of numpy's draws,
+from random() to Lemire's bounded integers and choice's Floyd loop, is made
+for every lane of the block, giving the bits each generator would. The
+draws go straight into the columns of ingest's StopTable.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
+from . import _pcg64
 from .attributes import sector_by_id
 from .errors import ConfigError, UnknownSectorError
 from .ingest import EPOCH, POIS_COLUMNS, STOPS_COLUMNS, PoiCatalog, StopTable, day_date
@@ -48,14 +50,12 @@ _DAY_START_HOUR = 8
 _BLOCK = 1 << 16  # device-days seeded together; stop rows formatted per write
 _NEAR_CACHE = 1 << 23  # candidate indices kept across device-days (32 MB of int32)
 
-# numpy's SeedSequence (a pool of four uint32 words) and PCG64 seeding constants
+# numpy's SeedSequence constants (a pool of four uint32 words)
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = 2**32 - 1
-_MASK128 = 2**128 - 1
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,8 @@ class TrafficSpec:
         lo, hi = self.dwell_range
         if lo < 0 or hi < lo:
             raise ConfigError(f"bad dwell range {self.dwell_range}")
+        if hi - lo >= _MASK32:  # numpy draws from 2**32 or more values by another rule
+            raise ConfigError(f"dwell range {self.dwell_range} holds 2**32 or more values")
         if self.max_sample_km is not None and self.max_sample_km <= 0:
             raise ConfigError("max_sample_km must be positive")
         if self.seed < 0:
@@ -175,7 +177,7 @@ def _candidate_indices(
     return np.sort(by_lat[lo:hi][d <= radius_km / 2.0])
 
 
-# -- per-device-day generators, seeded in bulk ----------------------------------
+# -- per-device-day generators, drawn in bulk ---------------------------------
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -206,14 +208,15 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return column ^ (column >> 16)
 
 
-def _pcg64_states(seed: int, index: np.ndarray) -> list[tuple[int, int]]:
-    """(state, inc) of default_rng([seed, i]).bit_generator for each i in index.
+def _pcg64_states(seed: int, index: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(state_hi, state_lo, inc_hi, inc_lo) of default_rng([seed, i]) for each i in index.
 
-    This is numpy's SeedSequence hash over the entropy words of seed and
-    then of i, run on uint32 columns, followed by PCG64's seeding from the
-    four uint64 words of generate_state(4, np.uint64): the first two are the
-    128-bit initial state, the last two the stream. Every i must have as many
-    32-bit words as index[-1].
+    The uint64 columns are the halves of each generator's 128-bit state and
+    increment. This is numpy's SeedSequence hash over the entropy words of
+    seed and then of i, run on uint32 columns, followed by PCG64's seeding
+    from the four uint64 words of generate_state(4, np.uint64): the first two
+    are the 128-bit initial state, the last two the stream. Every i must have
+    as many 32-bit words as index[-1].
     """
     n = len(index)
     entropy = [np.full(n, word, dtype=np.uint32) for word in _uint32_words(seed)]
@@ -233,24 +236,21 @@ def _pcg64_states(seed: int, index: np.ndarray) -> list[tuple[int, int]]:
             pool[dst] = _mix(pool[dst], _hash(extra, constants))
     constants = _hash_constants(_INIT_B, _MULT_B)
     words = [_hash(pool[k % _POOL_SIZE], constants).astype(np.uint64) for k in range(8)]
-    halves = [(words[2 * k] | words[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)]
-    states = []
-    for state_hi, state_lo, seq_hi, seq_lo in zip(*halves):
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append((state, inc))
-    return states
+    return _pcg64.seed(*(words[2 * k] | words[2 * k + 1] << np.uint64(32) for k in range(4)))
 
 
 def _draw(catalog: PoiCatalog, spec: TrafficSpec) -> tuple[list[MotifClass], np.ndarray, StopTable]:
     """The classes, each device-day's class code into them, and the stop table.
 
-    Device-day i draws from default_rng([spec.seed, i]) in this order: its
-    class (the bits choice(len(classes), p=mix) takes), its day
-    (integers(n_days)), its POIs (choice without replacement, from the
-    catalog or from the POIs near an anchor drawn first), and one dwell per
-    stop (integers(lo, hi + 1, size=len(walk))). Generators are seeded a
-    block of device-days at a time and loaded into one reused PCG64. Stops
+    Device-day i draws from default_rng([spec.seed, i]) in this order:
+    1. its class: the random() double that choice(len(classes), p=mix) takes;
+    2. its day: integers(n_days);
+    3. its POIs: choice without replacement, from the catalog or from the
+       POIs near an anchor drawn first with integers(n_pois);
+    4. one dwell per stop: integers(lo, hi + 1, size=len(walk)).
+    The draws are not made generator by generator: _pcg64.Streams runs
+    PCG64 over a block of device-days at once and makes each draw for every
+    lane of the block with numpy's algorithms, giving the same bits. Stops
     follow device-day order, 15 minutes apart from 08:00 UTC. Each anchor's
     candidates are computed once and reused while the cache has room.
     """
@@ -265,73 +265,87 @@ def _draw(catalog: PoiCatalog, spec: TrafficSpec) -> tuple[list[MotifClass], np.
     probs = probs / probs.sum()
     cdf = probs.cumsum()
     cdf /= cdf[-1]
-    cdf = cdf.tolist()
-    sizes = [c.size for c in classes]
-    walks = [np.array(CLASS_WALKS[c]) for c in classes]
-    lengths = np.array([len(w) for w in walks])
+    sizes = np.array([c.size for c in classes])
+    lengths = np.array([len(CLASS_WALKS[c]) for c in classes])
+    walks = np.zeros((len(classes), lengths.max()), dtype=np.int64)  # padded past each walk
+    for code, cls in enumerate(classes):
+        walks[code, : lengths[code]] = CLASS_WALKS[cls]
+    # PCG64 words a device-day takes without redraws: a uint32 each for day, anchor,
+    # choice (2 * size - 1) and dwells, two to a word
+    words = (2 + 2 * sizes - 1 + lengths).max() // 2 + 1
     n_pois, lats, lons = len(catalog), catalog.lat, catalog.lon
     start, end = spec.date_range
     n_days = (end - start).days + 1
     first_day = (start - EPOCH).days
     lo, hi = spec.dwell_range
 
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    state = {"state": 0, "inc": 0}
-    full_state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
-    n = spec.n_device_days
-    codes = np.empty(n, dtype=np.int8)
     by_lat = np.argsort(lats, kind="stable").astype(np.int32)
     lats_by_lat, lons_by_lat = lats[by_lat], lons[by_lat]
     near: dict[int, np.ndarray] = {}  # anchor -> its candidates, up to _NEAR_CACHE in all
     near_size = 0
-    starts, pois, dwells = [], [], []
+
+    def candidates(anchor: int) -> np.ndarray:
+        nonlocal near_size
+        found = near.get(anchor)
+        if found is None:
+            found = _candidate_indices(
+                by_lat, lats_by_lat, lons_by_lat, lats[anchor], lons[anchor], spec.max_sample_km
+            )
+            if near_size + found.size <= _NEAR_CACHE:
+                near[anchor] = found
+                near_size += found.size
+        return found
+
+    def draw_block(index: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The class codes, and the stops' start times, POIs and dwells, of index's device-days."""
+        lanes = np.arange(len(index))
+        streams = _pcg64.Streams(_pcg64_states(spec.seed, index), words)
+        code = np.searchsorted(cdf, streams.random(), side="right")
+        days = streams.integers(lanes, n_days)
+        size, length = sizes[code], lengths[code]
+        if spec.max_sample_km is None:
+            picks = streams.choice(np.full(len(lanes), n_pois), size)
+        else:
+            anchors, which = np.unique(streams.integers(lanes, n_pois), return_inverse=True)
+            pop = np.array([candidates(a).size for a in anchors.tolist()])[which]
+            short = np.flatnonzero(pop < size)
+            if short.size:
+                i = short[0]
+                raise ConfigError(
+                    f"only {pop[i]} POIs within {spec.max_sample_km / 2} km of "
+                    f"{catalog.poi_ids[anchors[which[i]]]}; class {classes[code[i]]} needs {size[i]}"
+                )
+            picks = streams.choice(pop, size)
+            by_anchor = np.argsort(which, kind="stable")
+            bounds = np.cumsum(np.bincount(which)).tolist()
+            for a, first, last in zip(anchors.tolist(), [0] + bounds, bounds):
+                rows = by_anchor[first:last]
+                picks[rows] = candidates(a)[picks[rows]]
+        first_stop = np.cumsum(length) - length
+        pois = np.empty(length.sum(), dtype=np.int32)
+        dwells = np.empty(length.sum(), dtype=np.int64)
+        for step in range(lengths.max()):
+            rows = np.flatnonzero(length > step)
+            pois[first_stop[rows] + step] = picks[rows, walks[code[rows], step]]
+            dwells[first_stop[rows] + step] = lo + streams.integers(rows, hi - lo + 1)
+        step = np.arange(length.sum()) - np.repeat(first_stop, length)
+        day_start = (first_day + days) * 86_400 + _DAY_START_HOUR * 3600
+        starts = np.repeat(day_start, length) + step * _STOP_SPACING_S
+        return code.astype(np.int8), starts, pois, dwells
+
+    n = spec.n_device_days
     # blocks start at multiples of 2**16, so the indices in one have equally many 32-bit words
-    for block in range(0, n, _BLOCK):
-        index = np.arange(block, min(block + _BLOCK, n))
-        days, block_pois, block_dwells = [], [], []
-        for i, (pcg_state, pcg_inc) in enumerate(_pcg64_states(spec.seed, index), block):
-            state["state"], state["inc"] = pcg_state, pcg_inc
-            bit_generator.state = full_state
-            code = bisect_right(cdf, rng.random())
-            codes[i] = code
-            days.append(rng.integers(n_days))
-            if spec.max_sample_km is None:
-                idxs = rng.choice(n_pois, size=sizes[code], replace=False)
-            else:
-                anchor = int(rng.integers(n_pois))
-                candidates = near.get(anchor)
-                if candidates is None:
-                    candidates = _candidate_indices(
-                        by_lat, lats_by_lat, lons_by_lat, lats[anchor], lons[anchor],
-                        spec.max_sample_km,
-                    )
-                    if near_size + candidates.size <= _NEAR_CACHE:
-                        near[anchor] = candidates
-                        near_size += candidates.size
-                if candidates.size < sizes[code]:
-                    raise ConfigError(
-                        f"only {candidates.size} POIs within {spec.max_sample_km / 2} km "
-                        f"of {catalog.poi_ids[anchor]}; class {classes[code]} needs {sizes[code]}"
-                    )
-                idxs = candidates[rng.choice(candidates.size, size=sizes[code], replace=False)]
-            walk = walks[code]
-            block_pois.append(idxs[walk])
-            block_dwells.append(rng.integers(lo, hi + 1, size=len(walk)))
-        per_day = lengths[codes[index]]
-        step = np.arange(per_day.sum()) - np.repeat(np.cumsum(per_day) - per_day, per_day)
-        day_start = (first_day + np.array(days, dtype=np.int64)) * 86_400 + _DAY_START_HOUR * 3600
-        starts.append(np.repeat(day_start, per_day) + step * _STOP_SPACING_S)
-        pois.append(np.concatenate(block_pois).astype(np.int32))
-        dwells.append(np.concatenate(block_dwells))
+    blocks = [draw_block(np.arange(b, min(b + _BLOCK, n))) for b in range(0, n, _BLOCK)]
+    codes, starts, pois, dwells = (np.concatenate(column) for column in zip(*blocks))
+    del blocks  # each column is whole now; free the per-block pieces before the ids
     width = max(7, len(str(n - 1)))
     table = StopTable(
         devices=[f"d{i:0{width}d}" for i in range(n)],
         pois=catalog.poi_ids,
         device=np.repeat(np.arange(n, dtype=np.int32), lengths[codes]),
-        poi=np.concatenate(pois),
-        start_time=np.concatenate(starts),
-        dwell=np.concatenate(dwells),
+        poi=pois,
+        start_time=starts,
+        dwell=dwells,
     )
     return classes, codes, table
 

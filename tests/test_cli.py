@@ -39,6 +39,14 @@ def synth_dir(tmp_path_factory):
     return root / "data"
 
 
+def test_dwell_range_of_2_32_values_exits_2(tmp_path):
+    (tmp_path / "world.json").write_text(json.dumps(WORLD))
+    (tmp_path / "traffic.json").write_text(json.dumps({**TRAFFIC, "dwell_range": [0, 2**32 - 1]}))
+    args = ["--world", str(tmp_path / "world.json"), "--traffic", str(tmp_path / "traffic.json")]
+    assert main(["synth", *args, "--out", str(tmp_path / "data")]) == 2
+    assert not (tmp_path / "data" / "stops.csv").exists()
+
+
 # -- config -------------------------------------------------------------------
 
 

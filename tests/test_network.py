@@ -248,6 +248,21 @@ def test_weighted_csr_weights_follow_indices():
     assert weighted_csr(built)[3].sum() == 2 * built.total_weight
 
 
+@pytest.mark.parametrize("n, p, seed", [(2, 1.0, 0), (40, 0.3, 1), (300, 0.05, 2), (500, 0.4, 3)])
+def test_weighted_csr_order_equals_the_lexsort_order(n, p, seed):
+    rng = np.random.default_rng(seed)
+    src, dst = np.triu_indices(n, 1)
+    kept = rng.random(src.size) < p
+    src, dst = src[kept], dst[kept]
+    weights = rng.integers(1, 50, size=src.size)
+    net = PlaceNetwork.from_arrays([f"p{i:04d}" for i in range(n)], src, dst, weights)
+    _, _, indices, csr_weights = weighted_csr(net)
+    ends = np.concatenate((net.src, net.dst)), np.concatenate((net.dst, net.src))
+    order = np.lexsort((ends[1], ends[0]))
+    assert np.array_equal(indices, ends[1][order])
+    assert np.array_equal(csr_weights, np.concatenate((net.weights, net.weights))[order])
+
+
 def _brute_force_edges(seqs, mode):
     edges = {}
     for s in seqs:

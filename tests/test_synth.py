@@ -205,6 +205,14 @@ def test_traffic_spec_validation():
         TrafficSpec(5, {MotifClass.OTHER: 1.0}, FEB).validate()
 
 
+def test_dwell_range_of_2_32_values_or_more_rejected():
+    spec = traffic(dwell_range=(7, 7 + 2**32 - 2))
+    spec.validate()
+    for dwell_range in ((0, 2**32 - 1), (7, 7 + 2**32 - 1), (0, 2**40)):
+        with pytest.raises(ConfigError, match="dwell range"):
+            traffic(dwell_range=dwell_range).validate()
+
+
 def test_negative_seeds_rejected_naming_the_spec():
     with pytest.raises(ConfigError, match="world spec: seed"):
         WorldSpec(5, BBOX, {7: 1.0}, -1).validate()
@@ -280,17 +288,23 @@ def test_catalog_csv_round_trips_through_load_poi_catalog(tmp_path):
 # -- bulk seeding against one generator per device-day ---------------------------
 
 
+def _joined_states(seed, index):
+    """(state, inc) of each index as ints, joined from _pcg64_states's uint64 halves."""
+    halves = zip(*(column.tolist() for column in _pcg64_states(seed, index)))
+    return [(s_hi << 64 | s_lo, i_hi << 64 | i_lo) for s_hi, s_lo, i_hi, i_lo in halves]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**100])
 def test_bulk_states_equal_default_rng_per_device_day(seed):
     index = np.array([0, 1, 2**16])
-    for i, (state, inc) in zip(index.tolist(), _pcg64_states(seed, index)):
+    for i, (state, inc) in zip(index.tolist(), _joined_states(seed, index)):
         expected = np.random.default_rng([seed, i]).bit_generator.state["state"]
         assert (state, inc) == (expected["state"], expected["inc"]), (seed, i)
 
 
 def test_bulk_states_past_the_first_block_and_two_word_indices():
     for index in (np.arange(70_000, 70_050), np.array([2**32, 2**32 + 5, 2**40])):
-        for i, (state, inc) in zip(index.tolist(), _pcg64_states(2, index)):
+        for i, (state, inc) in zip(index.tolist(), _joined_states(2, index)):
             expected = np.random.default_rng([2, i]).bit_generator.state["state"]
             assert (state, inc) == (expected["state"], expected["inc"]), i
 
@@ -382,7 +396,7 @@ def test_anchor_oracle_spec_draws_anchors_with_exactly_their_class_size():
 
 
 def test_radius_too_small_names_the_earliest_failing_device_day():
-    # 12 of these 300 device-days fail; device-day 37 is the first
+    # 12 of these 300 device-days fail, over several anchors and classes; device-day 37 is first
     catalog = gen_catalog(world(n_pois=200, seed=11))
     spec = traffic(n=300, mix=NINE_WAY_MIX, max_sample_km=14.0)
     fails = [
@@ -390,7 +404,7 @@ def test_radius_too_small_names_the_earliest_failing_device_day():
         for cls, anchor in _anchors(catalog, spec)
         if oracles._candidate_indices(catalog.lat, catalog.lon, anchor, 14.0).size < cls.size
     ]
-    assert len(fails) == 12
+    assert len(fails) == 12 and len(set(fails)) > 1
     message = "only 1 POIs within 7.0 km of p000150; class M4_5 needs 4"
     with pytest.raises(ConfigError) as info:
         gen_device_days(catalog, spec)

@@ -14,6 +14,7 @@ the SequenceTable fields, parse_stops, load_poi_catalog).
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
 import functools
 import io
@@ -24,6 +25,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
+from placeweave.errors import RowError
 from placeweave.ingest import EPOCH, SequenceTable, load_poi_catalog, parse_stops
 from placeweave.motifs import MotifClass, classify_graph
 from placeweave.network import PlaceNetwork
@@ -103,6 +105,90 @@ def catalog(rows: Iterable):
     """The PoiCatalog load_poi_catalog reads from these (poi_id, name, lat, lon, naics) rows."""
     lines = [f"{poi},{name},{lat!r},{lon!r},{naics}\n" for poi, name, lat, lon, naics in rows]
     return load_poi_catalog(io.StringIO("poi_id,name,lat,lon,naics\n" + "".join(lines)))
+
+
+# -- CSV files read and formatted one row at a time --------------------------------
+# The stops parse with csv.reader and the row formatters the file writers had
+# before they became token gathers; the writers must give these bytes.
+
+
+def csv_stop_rows(text: str, where: str = "stops file") -> list[Stop]:
+    """The stops of a stops file's text as parse_stops gives them, read with
+    csv.reader one row at a time.
+
+    Ids are stripped of surrounding whitespace and a repeated column's last
+    field wins. A row that is not blank and has fewer fields than the header,
+    an empty id, a device id holding a line break, a field int() rejects, a
+    negative dwell or a value outside int64 raises RowError(where, line).
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, [])
+    last = {name: i for i, name in enumerate(header)}
+    index = [last[c] for c in ("device_id", "poi_id", "start_time", "dwell")]
+    stops = []
+    for row in reader:
+        if not row:
+            continue
+        line = reader.line_num
+        if len(row) < len(header):
+            raise RowError(where, line, "wrong number of fields")
+        device, poi, start, dwell = (row[i] for i in index)
+        device, poi = device.strip(), poi.strip()
+        if not device or "\r" in device or "\n" in device or not poi:
+            raise RowError(where, line, "bad id")
+        try:
+            start, dwell = int(start), int(dwell)
+        except ValueError:
+            raise RowError(where, line, "non-integer field") from None
+        if dwell < 0 or not -(2**63) <= start < 2**63 or dwell >= 2**63:
+            raise RowError(where, line, "integer field out of range")
+        stops.append(Stop(device, poi, start, dwell))
+    return stops
+
+
+def format_sequences(sequences) -> str:
+    """sequences.csv of a SequenceTable: csv.writer rows of device, date and '|'-joined stays."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("device_id", "local_date", "stays"))
+    writer.writerows(
+        (device, day.isoformat(), "|".join(stays)) for device, day, stays in sequences.walks()
+    )
+    return out.getvalue()
+
+
+def format_network(net) -> str:
+    """A network's edge-list file: one 'poi_a,poi_b,weight' line per edge in table order."""
+    names = net.names
+    rows = zip(net.src.tolist(), net.dst.tolist(), net.weights.tolist())
+    return "poi_a,poi_b,weight\n" + "".join(f"{names[a]},{names[b]},{w}\n" for a, b, w in rows)
+
+
+def format_instances(rows) -> str:
+    """instances.csv of an InstanceRows, a day at a time: its table rows, then its OTHER rows."""
+    from placeweave.motifs import INDEX_CLASS
+
+    lines = ["local_date,motif_class,nodes,edges,device_count\n"]
+    table = rows.table
+    columns = [c.tolist() for c in (table.cls, table.nodes, table.mask, table.count)]
+    for day in sorted(set(rows.day.tolist()) | {row[0] for row in rows.other}):
+        date = (EPOCH + dt.timedelta(days=day)).isoformat()
+        for d, cls, nodes, mask, count in zip(rows.day.tolist(), *columns):
+            if d == day:
+                names = [rows.pois[v] for v in nodes if v >= 0]
+                pairs = [SLOT_PAIRS[bit] for bit in range(6) if mask >> bit & 1]
+                edges = ";".join(f"{names[a]}|{names[b]}" for a, b in pairs)
+                lines.append(f"{date},{INDEX_CLASS[cls]},{'|'.join(names)},{edges},{count}\n")
+        for d, names, pairs, count in rows.other:
+            if d == day:
+                edges = ";".join(f"{a}|{b}" for a, b in pairs)
+                lines.append(f"{date},OTHER,{'|'.join(names)},{edges},{count}\n")
+    return "".join(lines)
+
+
+def format_stops(stops) -> str:
+    """stops.csv of a StopTable: one 'device_id,poi_id,start_time,dwell' line per stop."""
+    return stops_csv_text(stop_rows(stops))
 
 
 # -- dict views of a network ---------------------------------------------------

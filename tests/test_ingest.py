@@ -2,12 +2,14 @@ import csv
 import datetime as dt
 import io
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import Stop, Walk, catalog, network, sequence_table, stop_rows, stop_table
 from placeweave import ingest
 from placeweave.cli import main
@@ -431,6 +433,11 @@ WALKS = (
 
 
 @settings(max_examples=100)
+@example([  # csv.writer quotes these device ids and the stays holding the quoted POI id
+    Walk('d,1', dt.date(2020, 2, 3), ('a', 'b')),
+    Walk('d"2', dt.date(2020, 2, 3), ('p"1', 'b', '"q')),
+    Walk("", dt.date(2020, 2, 4), ("a", "b\nc")),
+])
 @given(
     st.lists(
         st.builds(
@@ -446,5 +453,93 @@ def test_sequence_file_round_trips_any_table(tmp_path_factory, seqs):
     path = tmp_path_factory.mktemp("seq") / "sequences.csv"
     table = sequence_table(seqs)
     write_sequences(table, path)
+    assert path.read_bytes() == oracles.format_sequences(table).encode()
     assert list(read_sequences(path).walks()) == seqs
     assert list(read_sequences(path).walks()) == list(table.walks())
+
+
+# Stops files that read alike and differently under csv.reader and a columnar parse:
+# quoting, surrounding spaces, long ids, blank lines, CRLF, extra and missing fields,
+# int()-only integer forms and values outside int64.
+STOP_HEADERS = [
+    ("device_id", "poi_id", "start_time", "dwell"),
+    ("poi_id", "dwell", "device_id", "start_time"),
+    ("device_id", "poi_id", "start_time", "dwell", "note"),
+    ("note", "device_id", "poi_id", "start_time", "dwell", "dwell"),
+]
+STOP_IDS = st.text(
+    st.sampled_from(list("abcdé1 ,\"\t")), min_size=1, max_size=40
+).filter(str.strip)
+ODD_IDS = st.sampled_from(["", "  ", "d\n1", "d\r1", "a\x00"]) | st.text(
+    st.characters(blacklist_categories=("Cs",)), max_size=6
+)
+ODD_INTEGERS = ["+5", "1_000", " 7 ", "-0", "", "x", "1e3", "5.0", "\u0665", "-5",
+                str(2**63), str(-(2**63)), str(2**63 - 1), str(-(2**63) - 1)]
+
+
+@st.composite
+def stops_files(draw):
+    """A stops file's text; about half the files break or stretch one row."""
+    header = draw(st.sampled_from(STOP_HEADERS))
+    rows = []
+    for _ in range(draw(st.integers(0, 14))):
+        rows.append({
+            "device_id": draw(STOP_IDS),
+            "poi_id": draw(STOP_IDS),
+            "start_time": str(draw(st.integers(-(10**12), 10**12))),
+            "dwell": str(draw(st.integers(0, 10**6))),
+            "note": draw(st.sampled_from(["", "n", "x,y"])),
+        })
+    odd = draw(st.sampled_from(["", "", "", "id", "integer", "short", "blank"])) if rows else ""
+    at = draw(st.integers(0, len(rows) - 1)) if rows else 0
+    if odd == "id":
+        rows[at][draw(st.sampled_from(["device_id", "poi_id"]))] = draw(ODD_IDS)
+    elif odd == "integer":
+        column = draw(st.sampled_from(["start_time", "dwell"]))
+        rows[at][column] = draw(st.sampled_from(ODD_INTEGERS))
+    lines = [",".join(header)]
+    for i, fields in enumerate(rows):
+        row = []
+        for column in header:  # fields csv.writer would quote are quoted, most others not
+            value = fields[column]
+            if any(ch in value for ch in ',"\r\n') or draw(st.integers(0, 4)) == 0:
+                value = '"' + value.replace('"', '""') + '"'
+            row.append(value)
+        row += draw(st.lists(st.sampled_from(["", "extra", '"q,q"']), max_size=2))
+        lines.append(",".join(row[:-1] if odd == "short" and i == at else row))
+        if draw(st.integers(0, 7)) == 0:
+            lines.append("  " if odd == "blank" else "")
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from([ending, ""]))
+
+
+def _parse_outcome(parse, text):
+    """A parse's stops and sorted name lists, or its error's type and FILE:LINE."""
+    try:
+        return parse(text)
+    except RowError as exc:
+        return type(exc), str(exc).split(": ", 1)[0]
+
+
+def _library_stops(text):
+    table = parse_stops(io.StringIO(text, newline=""))  # as a file opened with newline=""
+    return stop_rows(table), table.devices, table.pois
+
+
+def _oracle_stops(text):
+    rows = oracles.csv_stop_rows(text)
+    return rows, sorted({r.device_id for r in rows}), sorted({r.poi_id for r in rows})
+
+
+@settings(max_examples=200, deadline=None)
+@example(STOPS_HEADER + '"d,""1",p1,10,5\n d2 ,  "p2",20,0\n\n')
+@example(STOPS_HEADER + "d1,p1,1_000,5\nd2,p2,+7,\u0665\n")
+@example(STOPS_HEADER + "d" * 40 + ",p1,10,5\r\n" + "e" * 17 + ",p" + "9" * 30 + ",20,0\r\n")
+@example(STOPS_HEADER + "d1,p1,10,5\nd2,p2,20\n")
+@example(STOPS_HEADER + "a\x00,p1,10,5\na,p1,20,5\n")
+@given(stops_files())
+def test_parse_stops_matches_a_csv_reader_parse(text):
+    # a three-row block puts most generated rows past the first block
+    with mock.patch.object(ingest, "_STOP_BLOCK", 3, create=True):
+        got = _parse_outcome(_library_stops, text)
+    assert got == _parse_outcome(_oracle_stops, text)

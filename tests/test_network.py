@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import Walk, adjacency, edge_weights, merge_networks, network, sequence_table
 from placeweave.errors import SchemaError
 from placeweave.network import (
@@ -167,6 +168,30 @@ def test_file_round_trip_isolated_nodes(tmp_path):
     path = tmp_path / "net.csv"
     write_network(net, path)
     assert read_network(path).names == ["a", "b", "lonely"]
+    assert path.read_text(encoding="utf-8") == oracles.format_network(net)
+
+
+NETWORK_NAMES = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=",\n\r"))
+
+
+@settings(max_examples=60, deadline=None)
+@example({}, set())  # an empty network: the header alone
+@example({}, {"a", "b"})  # isolated nodes only
+@example({("a", "b"): 2**62, ("b", "é"): 1, ("a", "é"): 7}, {"lonely"})
+@given(
+    st.dictionaries(
+        st.tuples(NETWORK_NAMES, NETWORK_NAMES).filter(lambda e: e[0] != e[1]),
+        st.integers(1, 2**63 - 1),
+        max_size=30,
+    ),
+    st.sets(NETWORK_NAMES, max_size=4),
+)
+def test_network_file_matches_the_row_formatter(tmp_path_factory, edges, nodes):
+    edges = {tuple(sorted(e)): w for e, w in edges.items()}
+    net = network(edges, nodes=nodes, label="x")
+    path = tmp_path_factory.mktemp("net") / "net.csv"
+    write_network(net, path)
+    assert path.read_bytes() == oracles.format_network(net).encode()
 
 
 def test_read_network_rejects_bad_header(tmp_path):

@@ -184,6 +184,7 @@ def test_instances_csv_round_trips_bytes(tmp_path_factory, walks):
     rows = classify_trajectories(oracles.sequence_table(seqs)).rows
     root = tmp_path_factory.mktemp("instances")
     write_instances_csv(rows, root / "first.csv")
+    assert (root / "first.csv").read_bytes() == oracles.format_instances(rows).encode()
     write_instances_csv(read_instances_csv(root / "first.csv"), root / "second.csv")
     assert (root / "first.csv").read_bytes() == (root / "second.csv").read_bytes()
     written = oracles.read_instance_rows(root / "first.csv")

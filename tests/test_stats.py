@@ -1,6 +1,7 @@
 import datetime as dt
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -99,6 +100,26 @@ def motif_avg_distance(inst, catalog) -> float:
     walk = Walk("d1", MON, tuple(oracles.covering_walk(inst.edges)))
     [km] = instance_distances(classify([walk]).rows, catalog).tolist()
     return km
+
+
+def test_edge_distances_equal_haversine_km_on_random_pairs():
+    rng = np.random.default_rng(7)
+    lat = rng.uniform(-90.0, 90.0, 40)
+    lon = rng.uniform(-180.0, 180.0, 40)
+    lat[20:30], lon[20:30] = -lat[:10], lon[:10] - np.copysign(180.0, lon[:10])  # antipodes
+    lat[30:], lon[30:] = -lat[10:20] * 0.9, lon[10:20] - np.copysign(150.0, lon[10:20])
+    ids = [f"p{i:02d}" for i in range(40)]
+    catalog = oracles.catalog(poi(p, a, b) for p, a, b in zip(ids, lat.tolist(), lon.tolist()))
+    pairs = [(i, i + 20) for i in range(20)]
+    pairs += [tuple(rng.choice(40, 2, replace=False)) for _ in range(60)]
+    walks = [Walk(f"d{k}", MON, (ids[i], ids[j])) for k, (i, j) in enumerate(pairs)]
+    rows = classify(walks).rows
+    got = instance_distances(rows, catalog).tolist()
+    ends = [[rows.pois[v] for v in nodes[:2]] for nodes in rows.instances.nodes.tolist()]
+    coords = dict(zip(catalog.poi_ids, zip(catalog.lat.tolist(), catalog.lon.tolist())))
+    want = [haversine_km(*coords[u], *coords[v]) for u, v in ends]
+    assert got == want
+    assert max(want) > 0.5 * math.pi * EARTH_RADIUS_KM  # the atan2 branch ran
 
 
 def test_single_edge_distance():

@@ -272,10 +272,25 @@ def test_stops_csv_round_trips_through_parse_stops(tmp_path):
     stops = gen_device_days(catalog, traffic(n=80, mix=NINE_WAY_MIX, seed=13))
     first, second = tmp_path / "first.csv", tmp_path / "second.csv"
     write_stops_csv(stops, first)
+    assert first.read_bytes() == oracles.format_stops(stops).encode()
     parsed = parse_stops(first)
     assert len(parsed) == len(stops)
     write_stops_csv(parsed, second)
     assert second.read_bytes() == first.read_bytes()
+
+
+def test_stops_csv_matches_the_row_formatter_on_any_integers(tmp_path):
+    stops = oracles.stop_table([
+        ("d2", "p9", -(2**63), 0),
+        ("d10", "é", 2**63 - 1, 2**63 - 1),
+        ("d2", "p9", 0, 7),
+        ("d2", "é", -5, 7),
+    ])
+    write_stops_csv(stops, tmp_path / "stops.csv")
+    assert (tmp_path / "stops.csv").read_bytes() == oracles.format_stops(stops).encode()
+    empty = stops.take(np.zeros(len(stops), dtype=bool))
+    write_stops_csv(empty, tmp_path / "empty.csv")
+    assert (tmp_path / "empty.csv").read_bytes() == oracles.format_stops(empty).encode()
 
 
 def test_catalog_csv_round_trips_through_load_poi_catalog(tmp_path):

@@ -13,6 +13,10 @@ PoiCatalog.codes. A repeated poi_id is fatal, naming the file and line.
 Every CSV file the package reads goes through CsvRows: a bad row raises
 RowError starting FILE:LINE:. Stops and POIs may carry further columns and
 trailing fields; the files the program writes must match their header.
+The stops file is read in np.loadtxt blocks from the file CsvRows opened;
+a file the blocks cannot read is read again row by row. The bulk files the
+program writes are int32 tokens over a vocabulary of strings that carry
+their separators, written by write_tokens as one byte gather.
 
 A stop becomes a visit when its dwell time reaches the configured
 threshold. Visits are grouped per device and local calendar day, ordered
@@ -34,15 +38,17 @@ import csv
 import datetime as dt
 import json
 import logging
+import warnings
 from contextlib import AbstractContextManager
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from types import SimpleNamespace
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .errors import InvariantError, RowError, SchemaError, UnknownSectorError, WalkError
+from .errors import RowError, SchemaError, UnknownSectorError, WalkError
 
 logger = logging.getLogger(__name__)
 
@@ -62,6 +68,12 @@ RESERVED_CHARACTERS = (STAY_SEPARATOR, EDGE_SEPARATOR, ",", *LINE_BREAKS)
 EPOCH = dt.date(1970, 1, 1)
 _US_PER_DAY = 86_400_000_000
 _INT64 = np.iinfo(np.int64)
+# Rows per token block a file writer builds, and tokens per byte gather of
+# write_tokens: together they bound the memory a written file takes.
+TOKEN_ROWS = 8_192
+_GATHER = 1 << 16
+# Stop rows per np.loadtxt block: the parse holds one block's strings at a time.
+_STOP_BLOCK = 65_536
 
 
 @dataclass(eq=False)
@@ -263,14 +275,75 @@ def write_json(doc: dict, path: str | Path) -> None:
         fh.write("\n")
 
 
-def _check_stop_rows(rows: CsvRows) -> None:
-    """Raise RowError at the first malformed stop row."""
+def write_tokens(
+    path: str | Path, columns: Sequence[str], vocab: Sequence[str], blocks: Iterable[np.ndarray]
+) -> None:
+    """Write a CSV file: the header of columns, then for each int32 token t of
+    each block, in order, the UTF-8 bytes of vocab[t].
+
+    A writer folds the separators and line ends into its vocabulary ("p1,",
+    "p1|", "7\n", and "" for an absent slot of a fixed-width row), so the file
+    is one gather from the vocabulary's bytes, _GATHER tokens at a time.
+    """
+    text = "".join(vocab)
+    data = np.frombuffer(text.encode(), dtype=np.uint8)
+    size = np.fromiter(map(len, vocab), dtype=np.int64, count=len(vocab))
+    if len(data) != len(text):  # a token beyond ASCII: count each token's UTF-8 bytes
+        size = np.fromiter((len(v.encode()) for v in vocab), dtype=np.int64, count=len(vocab))
+    del text
+    start = np.cumsum(size) - size
+    with open(path, "wb") as fh:
+        fh.write((",".join(columns) + "\n").encode())
+        for block in blocks:
+            for lo in range(0, len(block), _GATHER):
+                tokens = block[lo : lo + _GATHER]
+                n = size[tokens]
+                at = np.repeat(start[tokens] - (np.cumsum(n) - n), n)
+                at += np.arange(len(at))  # in place: one byte-index array at a time
+                fh.write(data[at])
+
+
+def token_rows(columns: Sequence[np.ndarray], starts: Sequence[int]) -> Iterator[np.ndarray]:
+    """Row-major int32 tokens of equal-length code columns, each code shifted by
+    its column's start in the vocabulary, TOKEN_ROWS rows at a time."""
+    shift = np.array(starts, dtype=np.int64)
+    for lo in range(0, len(columns[0]), TOKEN_ROWS):
+        rows = np.stack([column[lo : lo + TOKEN_ROWS] for column in columns], axis=1)
+        yield (rows + shift).astype(np.int32).ravel()
+
+
+def int_tokens(values: np.ndarray, end: str) -> tuple[list[str], np.ndarray]:
+    """Each distinct integer as str() followed by end, and the int32 index of
+    each value into them."""
+    distinct, index = np.unique(values, return_inverse=True)
+    return [str(v) + end for v in distinct.tolist()], index.astype(np.int32)
+
+
+def _csv_fields(values: Sequence[str]) -> list[str]:
+    """Each value as csv.writer writes it as one field of a row.
+
+    csv.writer quotes a field only when it holds the delimiter, the quote or
+    a line-end character, so values holding none are kept as they are.
+    """
+    if not any(ch in "".join(values) for ch in ',"\r\n'):
+        return list(values)
+    row = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow  # returns the line
+    return [row((v, ""))[:-2] for v in values]
+
+
+def _checked_stops(rows: CsvRows) -> StopTable:
+    """The stops file's table read row by row; the first malformed row raises RowError."""
+    device_ids: list[str] = []
+    poi_ids: list[str] = []
+    starts: list[int] = []
+    dwells: list[int] = []
     for line, (device_id, poi_id, start_time, dwell) in rows:
-        if not device_id.strip():
+        device_id, poi_id = device_id.strip(), poi_id.strip()
+        if not device_id:
             raise rows.error(line, "empty device_id")
-        if any(ch in device_id.strip() for ch in LINE_BREAKS):
+        if any(ch in device_id for ch in LINE_BREAKS):
             raise rows.error(line, f"device_id {device_id!r} holds a line break")
-        if not poi_id.strip():
+        if not poi_id:
             raise rows.error(line, "empty poi_id")
         try:
             start_time, dwell = int(start_time), int(dwell)
@@ -280,55 +353,94 @@ def _check_stop_rows(rows: CsvRows) -> None:
             raise rows.error(line, f"negative dwell {dwell}")
         if not (_INT64.min <= start_time <= _INT64.max and dwell <= _INT64.max):
             raise rows.error(line, "integer field outside the 64-bit range")
+        device_ids.append(device_id)
+        poi_ids.append(poi_id)
+        starts.append(start_time)
+        dwells.append(dwell)
+    devices, device = _intern(device_ids)
+    pois, poi = _intern(poi_ids)
+    start, dwell = (np.array(column, dtype=np.int64) for column in (starts, dwells))
+    return StopTable(devices, pois, device, poi, start, dwell)
+
+
+def _block_codes(index: dict[str, int], values: np.ndarray) -> np.ndarray:
+    """The int32 code of each of a block's values, numbering the values not yet
+    in index from len(index) on."""
+    values = values.tolist()
+    new = set(values).difference(index)
+    index.update(zip(new, range(len(index), len(index) + len(new))))
+    return np.fromiter(map(index.__getitem__, values), dtype=np.int32, count=len(values))
+
+
+def _sorted_codes(index: dict[str, int], codes: list[np.ndarray]) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct stripped values of index, and the blocks' codes mapped into them."""
+    stripped = [v.strip() for v in index]
+    names = sorted(set(stripped))
+    position = {v: i for i, v in enumerate(names)}
+    remap = np.fromiter(map(position.__getitem__, stripped), dtype=np.int32, count=len(stripped))
+    return [v.encode().decode() for v in names], remap[np.concatenate(codes)]
 
 
 def _bulk_stops(rows: CsvRows) -> StopTable | None:
-    """The stops file's table, or None when some row needs the row check."""
-    reader, (i_dev, i_poi, i_start, i_dwell), width = rows.reader()
-    device_ids: list[str] = []
-    poi_ids: list[str] = []
-    starts: list[str] = []
-    dwells: list[str] = []
-    for row in reader:
-        if len(row) >= width:
-            device_ids.append(row[i_dev])
-            poi_ids.append(row[i_poi])
-            starts.append(row[i_start])
-            dwells.append(row[i_dwell])
-        elif row:
-            return None
-    n = len(device_ids)
-    try:
-        start = np.fromiter(map(int, starts), dtype=np.int64, count=n)
-        dwell = np.fromiter(map(int, dwells), dtype=np.int64, count=n)
-    except (ValueError, OverflowError):
+    """The stops file's table read in np.loadtxt blocks of _STOP_BLOCK rows, or
+    None when a row needs the row check or holds an integer only int() reads.
+
+    The id fields are Python strings, so no id is cut to a field width or loses
+    a trailing NUL; each block's ids are interned and the blocks merged at the
+    end. The header's last field is always read, so a row shorter than the
+    header fails as in csv.reader's count.
+    """
+    _, index, width = rows.reader()  # checks the header and leaves the file past it
+    usecols = [*index, width - 1] if width - 1 not in index else index
+    dtype = np.dtype(
+        [("device", object), ("poi", object), ("start", np.int64), ("dwell", np.int64)]
+        + [("last", object)] * (len(usecols) - 4)
+    )
+    device_index: dict[str, int] = {}
+    poi_index: dict[str, int] = {}
+    devices, pois, starts, dwells = [], [], [], []
+    with warnings.catch_warnings():
+        # blank lines and an empty tail are skipped, as csv.reader's empty rows are
+        warnings.filterwarnings("ignore", r"(loadtxt: input|Input line \d+) contained no data")
+        while True:
+            try:
+                block = np.loadtxt(
+                    rows._fh, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                    usecols=usecols, max_rows=_STOP_BLOCK, ndmin=1,
+                )
+            except ValueError:
+                return None
+            devices.append(_block_codes(device_index, block["device"]))
+            pois.append(_block_codes(poi_index, block["poi"]))
+            starts.append(block["start"].copy())
+            dwells.append(block["dwell"].copy())
+            if len(block) < _STOP_BLOCK:
+                break
+            del block  # the next block's strings replace this one's
+    start, dwell = np.concatenate(starts), np.concatenate(dwells)
+    del starts, dwells
+    device_names, device = _sorted_codes(device_index, devices)
+    poi_names, poi = _sorted_codes(poi_index, pois)
+    if device_names[:1] == [""] or poi_names[:1] == [""] or (dwell < 0).any():  # "" sorts first
         return None
-    del starts, dwells  # free each column once it is converted
-    devices, device = _intern(list(map(str.strip, device_ids)))
-    del device_ids
-    pois, poi = _intern(list(map(str.strip, poi_ids)))
-    del poi_ids
-    if devices[:1] == [""] or pois[:1] == [""] or (dwell < 0).any():  # "" sorts first
+    if any(ch in "".join(device_names) for ch in LINE_BREAKS):
         return None
-    if any(ch in device for device in devices for ch in LINE_BREAKS):
-        return None
-    return StopTable(devices, pois, device, poi, start, dwell)
+    return StopTable(device_names, poi_names, device, poi, start, dwell)
 
 
 def parse_stops(source: str | Path | TextIO) -> StopTable:
     """Read a comma-delimited stops file into a StopTable.
 
-    The header must carry device_id, poi_id, start_time and dwell. The
-    columns are converted in bulk; on any irregularity the file is read
-    again and checked row by row, so a malformed row raises RowError naming
-    the file and line.
+    The header must carry device_id, poi_id, start_time and dwell; rows may
+    carry further fields. Ids are stripped of surrounding whitespace. The
+    columns are read in np.loadtxt blocks; a file with an irregular row, or
+    an integer written in a form only int() reads (such as 1_000), is read
+    again row by row with csv.reader, so a malformed row raises RowError
+    naming the file and line.
     """
     with CsvRows(source, STOPS_COLUMNS, "stops") as rows:
         table = _bulk_stops(rows)
-        if table is None:
-            _check_stop_rows(rows)
-            raise InvariantError("the bulk stop parse rejected a file the row check accepts")
-    return table
+        return _checked_stops(rows) if table is None else table
 
 
 def filter_visits(stops: StopTable, min_dwell: int) -> StopTable:
@@ -453,14 +565,49 @@ def load_poi_catalog(source: str | Path | TextIO) -> PoiCatalog:
 
 
 def write_sequences(sequences: SequenceTable, path: str | Path) -> None:
-    """Write sequences as CSV: device_id,local_date,stays (stays '|'-joined)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SEQUENCES_COLUMNS)
-        writer.writerows(
-            (device, day.isoformat(), STAY_SEPARATOR.join(stays))
-            for device, day, stays in sequences.walks()
-        )
+    """Write sequences as CSV: device_id,local_date,stays (stays '|'-joined),
+    quoted as csv.writer quotes them.
+
+    Device and POI ids go through _csv_fields once each; a stays field is
+    quoted, its quotes doubled, when one of its POI ids needs quoting. A row
+    is tokens (write_tokens): its device field, its date, '"' or "" to open
+    the stays field, and one token per stay carrying '|' or the line end.
+    The rows are built TOKEN_ROWS sequences at a time.
+    """
+    devices = [field + "," for field in _csv_fields(sequences.devices)]
+    days, day = np.unique(sequences.day, return_inverse=True)
+    dates = [day_date(d).isoformat() + "," for d in days.tolist()]
+    pois = sequences.pois
+    quote = np.array([f != p for f, p in zip(_csv_fields(pois), pois)], dtype=np.int64)
+    escaped = [p.replace('"', '""') for p in pois]
+    vocab = [
+        *devices, *dates, "", '"',
+        *(p + STAY_SEPARATOR for p in pois), *(p + "\n" for p in pois),
+        *(e + STAY_SEPARATOR for e in escaped), *(e + '"\n' for e in escaped),
+    ]
+    opening = len(devices) + len(dates)  # "" and '"' follow
+    offsets = sequences.offsets
+    quotes = np.concatenate([[0], np.cumsum(quote[sequences.stays])])
+    quoted = (quotes[offsets[1:]] > quotes[offsets[:-1]]).astype(np.int64)
+
+    def blocks() -> Iterator[np.ndarray]:
+        for lo in range(0, len(sequences), TOKEN_ROWS):
+            hi = min(lo + TOKEN_ROWS, len(sequences))
+            a, b = offsets[lo], offsets[hi]
+            width = 3 + np.diff(offsets[lo : hi + 1])
+            first = np.cumsum(width) - width  # each row's first token
+            tokens = np.empty(width.sum(), dtype=np.int32)
+            tokens[first] = sequences.device[lo:hi]
+            tokens[first + 1] = len(devices) + day[lo:hi]
+            tokens[first + 2] = opening + quoted[lo:hi]
+            last = np.zeros(b - a, dtype=np.int64)
+            last[offsets[lo + 1 : hi + 1] - a - 1] = 1
+            variant = last + 2 * np.repeat(quoted[lo:hi], width - 3)  # '|', end, quoted '|', end
+            at = np.arange(b - a) + np.repeat(first + 3 - (offsets[lo:hi] - a), width - 3)
+            tokens[at] = opening + 2 + variant * len(pois) + sequences.stays[a:b]
+            yield tokens
+
+    write_tokens(path, SEQUENCES_COLUMNS, vocab, blocks())
 
 
 def read_sequences(source: str | Path | TextIO) -> SequenceTable:

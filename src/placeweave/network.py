@@ -30,7 +30,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import CsvRows, SequenceTable, day_date, write_json
+from .ingest import (
+    CsvRows,
+    SequenceTable,
+    day_date,
+    int_tokens,
+    token_rows,
+    write_json,
+    write_tokens,
+)
 
 NETWORK_MODES = ("consecutive", "covisitation")
 NETWORK_COLUMNS = ("poi_a", "poi_b", "weight")
@@ -218,17 +226,20 @@ def sidecar_path(path: str | Path) -> Path:
 
 
 def write_network(net: PlaceNetwork, path: str | Path, extra_meta: dict | None = None) -> None:
+    """Write the edge list, one poi_a,poi_b,weight line per edge in table order,
+    and its sidecar (extra_meta added to it).
+
+    The lines are tokens over one vocabulary (ingest.write_tokens): 'name,'
+    for each node, used for both ends, and 'weight\n' for each distinct weight.
+    """
     path = Path(path)
     names = net.names
     isolated = np.ones(len(names), dtype=bool)
     isolated[net.src] = False
     isolated[net.dst] = False
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(NETWORK_COLUMNS) + "\n")
-        fh.writelines(
-            f"{names[a]},{names[b]},{w}\n"
-            for a, b, w in zip(net.src.tolist(), net.dst.tolist(), net.weights.tolist())
-        )
+    weights, weight = int_tokens(net.weights, "\n")
+    rows = token_rows((net.src, net.dst, weight), (0, 0, len(names)))
+    write_tokens(path, NETWORK_COLUMNS, [name + "," for name in names] + weights, rows)
     meta = {
         "label": net.label,
         "mode": net.mode,

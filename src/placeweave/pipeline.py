@@ -20,6 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -200,27 +201,61 @@ INSTANCES_COLUMNS = ("local_date", "motif_class", "nodes", "edges", "device_coun
 def write_instances_csv(rows: motifs.InstanceRows, path: str | Path) -> None:
     """One line per row, in the table's order: local_date, motif_class,
     nodes ('|'-joined), edges (';'-joined 'a|b' pairs) and device_count,
-    written a day at a time: the day's table rows, then its OTHER rows."""
-    edges_of = [motifs.mask_edges(mask) for mask in range(64)]
-    other = motifs.MotifClass.OTHER.value
-    table = rows.table
-    columns = [c.tolist() for c in (table.cls, table.nodes, table.mask, table.count)]
+    written a day at a time: the day's table rows, then its OTHER rows.
+
+    The lines are tokens over one vocabulary (ingest.write_tokens). A table
+    row is 19 tokens: its date and class, four node slots ('name|', the last
+    'name,'), six edge slots of two tokens ('a|' then 'b;', the last 'b,'),
+    "" in each absent slot, and its count ('7\n'). An OTHER row is one
+    whole-line token.
+    """
+    pois, n, table = rows.pois, len(rows.pois), rows.table
+    days = rows.days()
+    dates = [ingest.day_date(day).isoformat() + "," for day in days]
+    counts, count = ingest.int_tokens(table.count, "\n")
+    date_of = dict(zip(days, dates))
+    other = [
+        date_of[day] + ",".join((
+            motifs.MotifClass.OTHER.value, "|".join(names),
+            EDGE_SEPARATOR.join(map("|".join, pairs)), str(c),
+        )) + "\n"
+        for day, names, pairs, c in rows.other
+    ]
     other_days = np.array([row[0] for row in rows.other], dtype=np.int64)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(INSTANCES_COLUMNS) + "\n")
-        for day in rows.days():
-            date = ingest.day_date(day).isoformat()
-            lines = []
+    vocab = [
+        *(p + "|" for p in pois), *(p + "," for p in pois), *(p + EDGE_SEPARATOR for p in pois),
+        "", *(f"{cls}," for cls in INDEX_CLASS), *dates, *counts, *other,
+    ]
+    empty = 3 * n
+    first_class = empty + 1
+    first_date = first_class + len(INDEX_CLASS)
+    first_count = first_date + len(dates)
+    first_other = first_count + len(counts)
+
+    def table_tokens(lo: int, hi: int, date: int) -> np.ndarray:
+        block = table.take(slice(lo, hi))
+        nodes = block.nodes.astype(np.int64)
+        last_node = (nodes >= 0).sum(axis=1, keepdims=True) - 1
+        slot = np.arange(4)
+        node = np.where(slot < last_node, nodes, np.where(slot == last_node, n + nodes, empty))
+        has, a, b = block.edges()
+        last_edge = np.where(has, np.arange(has.shape[1]), -1).max(axis=1, keepdims=True)
+        end = np.where(np.arange(has.shape[1]) == last_edge, n, 2 * n)
+        edge = np.stack([np.where(has, a, empty), np.where(has, end + b, empty)], axis=2)
+        return np.column_stack((
+            np.full(hi - lo, date), first_class + block.cls.astype(np.int64), node,
+            edge.reshape(hi - lo, -1), first_count + count[lo:hi],
+        )).astype(np.int32).ravel()
+
+    def blocks() -> Iterator[np.ndarray]:
+        for i, day in enumerate(days):
             lo, hi = np.searchsorted(rows.day, [day, day + 1]).tolist()
-            for cls, nodes, mask, count in zip(*(column[lo:hi] for column in columns)):
-                names = [rows.pois[v] for v in nodes if v >= 0]
-                edges = EDGE_SEPARATOR.join(f"{names[a]}|{names[b]}" for a, b in edges_of[mask])
-                lines.append(f"{date},{INDEX_CLASS[cls]},{'|'.join(names)},{edges},{count}\n")
+            for start in range(lo, hi, ingest.TOKEN_ROWS):
+                yield table_tokens(start, min(start + ingest.TOKEN_ROWS, hi), first_date + i)
             lo, hi = np.searchsorted(other_days, [day, day + 1]).tolist()
-            for _, names, pairs, count in rows.other[lo:hi]:
-                edges = EDGE_SEPARATOR.join(f"{a}|{b}" for a, b in pairs)
-                lines.append(f"{date},{other},{'|'.join(names)},{edges},{count}\n")
-            fh.writelines(lines)
+            yield np.arange(first_other + lo, first_other + hi, dtype=np.int32)
+
+    ingest.write_tokens(path, INSTANCES_COLUMNS, vocab, blocks())
 
 
 def read_instances_csv(path: str | Path) -> motifs.InstanceRows:

@@ -49,17 +49,23 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
         if not (math.isfinite(lon) and -180.0 <= lon <= 180.0):
             raise ValueError(f"longitude {lon} out of range [-180, 180]")
     phi1, phi2 = math.radians(lat1), math.radians(lat2)
-    dphi = phi2 - phi1
+    return _great_circle_km(phi1, math.cos(phi1), lon1, phi2, math.cos(phi2), lon2)
+
+
+def _great_circle_km(
+    phi1: float, cos1: float, lon1: float, phi2: float, cos2: float, lon2: float
+) -> float:
+    """haversine_km of checked points given as latitude in radians, its cosine
+    and longitude in degrees."""
     dlam = math.radians(lon2 - lon1)
-    a = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
+    a = math.sin((phi2 - phi1) / 2.0) ** 2 + cos1 * cos2 * math.sin(dlam / 2.0) ** 2
     if a <= 0.5:
         return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(a)))
     # Beyond a quarter circle asin of a value near 1 loses digits; use Vincenty's atan2 form.
     y = math.hypot(
-        math.cos(phi2) * math.sin(dlam),
-        math.cos(phi1) * math.sin(phi2) - math.sin(phi1) * math.cos(phi2) * math.cos(dlam),
+        cos2 * math.sin(dlam), cos1 * math.sin(phi2) - math.sin(phi1) * cos2 * math.cos(dlam)
     )
-    x = math.sin(phi1) * math.sin(phi2) + math.cos(phi1) * math.cos(phi2) * math.cos(dlam)
+    x = math.sin(phi1) * math.sin(phi2) + cos1 * cos2 * math.cos(dlam)
     return EARTH_RADIUS_KM * math.atan2(y, x)
 
 
@@ -76,8 +82,10 @@ DistanceTable = dict  # key (MotifClass or AttributedMotifKey) -> DistanceSplit
 def instance_distances(rows: InstanceRows, catalog: PoiCatalog) -> np.ndarray:
     """The motif distance of each of rows.instances: its mean edge length in km.
 
-    haversine_km runs once per distinct instance edge (numpy's vectorized
-    sin and cos may differ from libm in the last bit). Each instance's edge
+    haversine_km's formula runs once per distinct instance edge, in math's
+    scalar functions (numpy's vectorized sin and cos may differ from libm in
+    the last bit); each POI's radians and cosine are computed, and the
+    coordinates of the POIs in use checked, once. Each instance's edge
     lengths are added left to right in sorted edge order, then divided by
     its edge count, as a scalar loop over its edges would.
     """
@@ -89,8 +97,17 @@ def instance_distances(rows: InstanceRows, catalog: PoiCatalog) -> np.ndarray:
     if (at < 0).any():
         missing = rows.pois[ends[at < 0].min()]
         raise MissingPoiError(f"poi_id {missing!r} has no coordinates in the catalog")
-    lat, lon = catalog.lat.tolist(), catalog.lon.tolist()
-    lengths = [haversine_km(lat[u], lon[u], lat[v], lon[v]) for u, v in at.tolist()]
+    for name, values, bound in (("latitude", catalog.lat, 90.0), ("longitude", catalog.lon, 180.0)):
+        bad = values[at][~(np.abs(values[at]) <= bound)]  # NaN fails the test too
+        if bad.size:
+            raise ValueError(f"{name} {bad[0]} out of range [-{bound:g}, {bound:g}]")
+    phi = [math.radians(x) for x in catalog.lat.tolist()]
+    cos_phi = [math.cos(x) for x in phi]
+    lon = catalog.lon.tolist()
+    lengths = [
+        _great_circle_km(phi[u], cos_phi[u], lon[u], phi[v], cos_phi[v], lon[v])
+        for u, v in at.tolist()
+    ]
     ids = np.full(has.shape, len(lengths))  # the 0.0 appended below: no edge
     ids[has] = which
     km = np.array(lengths + [0.0], dtype=np.float64)[ids]

@@ -26,7 +26,17 @@ import numpy as np
 from . import _pcg64
 from .attributes import sector_by_id
 from .errors import ConfigError, UnknownSectorError
-from .ingest import EPOCH, POIS_COLUMNS, STOPS_COLUMNS, PoiCatalog, StopTable, day_date
+from .ingest import (
+    EPOCH,
+    POIS_COLUMNS,
+    STOPS_COLUMNS,
+    PoiCatalog,
+    StopTable,
+    day_date,
+    int_tokens,
+    token_rows,
+    write_tokens,
+)
 from .motifs import MotifClass
 from .stats import EARTH_RADIUS_KM
 
@@ -47,7 +57,7 @@ CLASS_WALKS: dict[MotifClass, tuple[int, ...]] = {
 
 _STOP_SPACING_S = 900
 _DAY_START_HOUR = 8
-_BLOCK = 1 << 16  # device-days seeded together; stop rows formatted per write
+_BLOCK = 1 << 16  # device-days seeded together
 _NEAR_CACHE = 1 << 23  # candidate indices kept across device-days (32 MB of int32)
 
 # numpy's SeedSequence constants (a pool of four uint32 words)
@@ -340,7 +350,7 @@ def _draw(catalog: PoiCatalog, spec: TrafficSpec) -> tuple[list[MotifClass], np.
     del blocks  # each column is whole now; free the per-block pieces before the ids
     width = max(7, len(str(n - 1)))
     table = StopTable(
-        devices=[f"d{i:0{width}d}" for i in range(n)],
+        devices=["d%0*d" % (width, i) for i in range(n)],
         pois=catalog.poi_ids,
         device=np.repeat(np.arange(n, dtype=np.int32), lengths[codes]),
         poi=pois,
@@ -439,17 +449,12 @@ def write_catalog_csv(catalog: PoiCatalog, path: str | Path) -> None:
 
 
 def write_stops_csv(stops: StopTable, path: str | Path) -> None:
-    """Write the stops in table order, a bounded block of rows at a time."""
-    devices = np.array(stops.devices, dtype=object)
-    pois = np.array(stops.pois, dtype=object)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(STOPS_COLUMNS) + "\n")
-        for lo in range(0, len(stops), _BLOCK):
-            rows = slice(lo, lo + _BLOCK)
-            columns = (
-                devices[stops.device[rows]].tolist(),
-                pois[stops.poi[rows]].tolist(),
-                stops.start_time[rows].tolist(),
-                stops.dwell[rows].tolist(),
-            )
-            fh.write("".join(f"{d},{p},{t},{w}\n" for d, p, t, w in zip(*columns)))
+    """Write the stops in table order, as tokens over one vocabulary
+    (ingest.write_tokens): 'device,' and 'poi,' per name, 'start,' per distinct
+    start time and 'dwell\n' per distinct dwell."""
+    starts, start = int_tokens(stops.start_time, ",")
+    dwells, dwell = int_tokens(stops.dwell, "\n")
+    vocab = [*(d + "," for d in stops.devices), *(p + "," for p in stops.pois), *starts, *dwells]
+    offsets = np.cumsum([0, len(stops.devices), len(stops.pois), len(starts)])
+    rows = token_rows((stops.device, stops.poi, start, dwell), offsets.tolist())
+    write_tokens(path, STOPS_COLUMNS, vocab, rows)

@@ -540,6 +540,6 @@ def _oracle_stops(text):
 @given(stops_files())
 def test_parse_stops_matches_a_csv_reader_parse(text):
     # a three-row block puts most generated rows past the first block
-    with mock.patch.object(ingest, "_STOP_BLOCK", 3, create=True):
+    with mock.patch.object(ingest, "_STOP_BLOCK", 3):
         got = _parse_outcome(_library_stops, text)
     assert got == _parse_outcome(_oracle_stops, text)

@@ -178,6 +178,7 @@ day_walks = st.lists(
     (MON, ("p", "p1", "p2", "q")),  # mask 0b101001: first by sorted edges
     (MON, ("q", "p", "p2", "p1")),  # mask 0b001110: first by mask value
 ])
+@example([(MON, (f"p{i:02d}", f"p{i + 1:02d}")) for i in range(0, 80, 2)])  # 80 POIs
 @given(day_walks)
 def test_instances_csv_round_trips_bytes(tmp_path_factory, walks):
     seqs = [oracles.Walk(f"d{i}", day, stays) for i, (day, stays) in enumerate(walks)]

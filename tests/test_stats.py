@@ -10,6 +10,7 @@ import oracles
 from oracles import Walk, instance_from_edges, sequence_table
 from placeweave.config import RunConfig
 from placeweave.errors import InvariantError, MissingPoiError
+from placeweave.ingest import PoiCatalog
 from placeweave.motifs import (
     MotifClass,
     census_percentages,
@@ -120,6 +121,24 @@ def test_edge_distances_equal_haversine_km_on_random_pairs():
     want = [haversine_km(*coords[u], *coords[v]) for u, v in ends]
     assert got == want
     assert max(want) > 0.5 * math.pi * EARTH_RADIUS_KM  # the atan2 branch ran
+
+
+@pytest.mark.parametrize(
+    "lat, lon, message",
+    [
+        (91.0, 0.0, "latitude 91.0"),
+        (0.0, -181.0, "longitude -181.0"),
+        (0.0, math.nan, "longitude nan"),
+    ],
+)
+def test_edge_distances_reject_what_haversine_km_rejects(lat, lon, message):
+    catalog = PoiCatalog.from_rows([("a", "a", 0.0, 0.0, "44", 0), ("b", "b", lat, lon, "44", 0)])
+    rows = classify([Walk("d1", MON, ("a", "b"))]).rows
+    with pytest.raises(ValueError, match=f"^{message} out of range") as err:
+        instance_distances(rows, catalog)
+    with pytest.raises(ValueError) as expected:
+        haversine_km(0.0, 0.0, lat, lon)
+    assert str(err.value) == str(expected.value)
 
 
 def test_single_edge_distance():

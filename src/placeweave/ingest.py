@@ -372,9 +372,10 @@ def _block_codes(index: dict[str, int], values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(index.__getitem__, values), dtype=np.int32, count=len(values))
 
 
-def _sorted_codes(index: dict[str, int], codes: list[np.ndarray]) -> tuple[list[str], np.ndarray]:
-    """The sorted distinct stripped values of index, and the blocks' codes mapped into them."""
-    stripped = [v.strip() for v in index]
+def _sorted_codes(values: list[str], codes: list[np.ndarray]) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct stripped values, as fresh copies that pin none of
+    the parsed blocks' memory, and the blocks' codes into values mapped into them."""
+    stripped = [v.strip() for v in values]
     names = sorted(set(stripped))
     position = {v: i for i, v in enumerate(names)}
     remap = np.fromiter(map(position.__getitem__, stripped), dtype=np.int32, count=len(stripped))
@@ -419,8 +420,10 @@ def _bulk_stops(rows: CsvRows) -> StopTable | None:
             del block  # the next block's strings replace this one's
     start, dwell = np.concatenate(starts), np.concatenate(dwells)
     del starts, dwells
-    device_names, device = _sorted_codes(device_index, devices)
-    poi_names, poi = _sorted_codes(poi_index, pois)
+    device_ids, poi_ids = list(device_index), list(poi_index)  # in code order
+    del device_index, poi_index  # free the dicts before the sorted names are indexed
+    device_names, device = _sorted_codes(device_ids, devices)
+    poi_names, poi = _sorted_codes(poi_ids, pois)
     if device_names[:1] == [""] or poi_names[:1] == [""] or (dwell < 0).any():  # "" sorts first
         return None
     if any(ch in "".join(device_names) for ch in LINE_BREAKS):

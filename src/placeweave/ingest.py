@@ -387,9 +387,9 @@ def _bulk_stops(rows: CsvRows) -> StopTable | None:
     None when a row needs the row check or holds an integer only int() reads.
 
     The id fields are Python strings, so no id is cut to a field width or loses
-    a trailing NUL; each block's ids are interned and the blocks merged at the
-    end. The header's last field is always read, so a row shorter than the
-    header fails as in csv.reader's count.
+    a trailing NUL; ids are interned through one dict per column across the
+    blocks and sorted once at the end. The header's last field is always read,
+    so a row shorter than the header fails as in csv.reader's count.
     """
     _, index, width = rows.reader()  # checks the header and leaves the file past it
     usecols = [*index, width - 1] if width - 1 not in index else index

@@ -11,10 +11,9 @@ import logging
 import sys
 from dataclasses import fields
 
-from . import __version__, ingest, pipeline
+from . import __version__
 from .config import CENSUS_MODES, NETWORK_MODES, WEIGHTING_MODES, RunConfig, validate_config
 from .errors import InvariantError, SchemaError
-from .network import read_network
 
 logger = logging.getLogger("placeweave")
 
@@ -102,6 +101,9 @@ def _require_out(cfg: RunConfig) -> str:
 
 
 def _dispatch(args: argparse.Namespace) -> None:
+    from . import ingest, pipeline  # here, so that building the parser loads no numpy
+    from .network import read_network
+
     cfg = _resolve_config(args)
     if args.command == "synth":
         pipeline.stage_synth(args.world, args.traffic, _require_out(cfg))

@@ -8,10 +8,10 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
-from .network import NETWORK_MODES
-from .stats import WEIGHTING_MODES
 
+NETWORK_MODES = ("consecutive", "covisitation")
 CENSUS_MODES = ("trajectory", "enumerate")
+WEIGHTING_MODES = ("devices", "instances")
 
 
 @dataclass

@@ -283,7 +283,9 @@ def write_tokens(
 
     A writer folds the separators and line ends into its vocabulary ("p1,",
     "p1|", "7\n", and "" for an absent slot of a fixed-width row), so the file
-    is one gather from the vocabulary's bytes, _GATHER tokens at a time.
+    is one gather from the vocabulary's bytes, _GATHER tokens at a time. The
+    byte indices are int32 when the vocabulary's bytes, and those of any one
+    gather, fit it.
     """
     text = "".join(vocab)
     data = np.frombuffer(text.encode(), dtype=np.uint8)
@@ -291,15 +293,17 @@ def write_tokens(
     if len(data) != len(text):  # a token beyond ASCII: count each token's UTF-8 bytes
         size = np.fromiter((len(v.encode()) for v in vocab), dtype=np.int64, count=len(vocab))
     del text
-    start = np.cumsum(size) - size
+    index = np.int32 if max(len(data), _GATHER * int(size.max(initial=0))) < 2**31 else np.int64
+    start = (np.cumsum(size) - size).astype(index)
+    size = size.astype(index)
     with open(path, "wb") as fh:
         fh.write((",".join(columns) + "\n").encode())
         for block in blocks:
             for lo in range(0, len(block), _GATHER):
                 tokens = block[lo : lo + _GATHER]
                 n = size[tokens]
-                at = np.repeat(start[tokens] - (np.cumsum(n) - n), n)
-                at += np.arange(len(at))  # in place: one byte-index array at a time
+                at = np.repeat(start[tokens] - (np.cumsum(n, dtype=index) - n), n)
+                at += np.arange(len(at), dtype=index)  # in place: one byte-index array at a time
                 fh.write(data[at])
 
 

@@ -101,12 +101,6 @@ class PowerLawFit:
     ks_distance: float
 
 
-def degree(net: PlaceNetwork, node: str) -> int:
-    """Number of distinct neighbors; weights play no role."""
-    code = net.index(node)
-    return int(np.count_nonzero(net.src == code) + np.count_nonzero(net.dst == code))
-
-
 def degree_distribution(net: PlaceNetwork) -> DegreeHistogram:
     if not net.n_nodes:
         raise ValueError("cannot build a degree distribution of an empty network")
@@ -180,13 +174,6 @@ def local_clustering(net: PlaceNetwork) -> tuple[list[str], np.ndarray]:
     local = np.zeros(n)
     np.divide(numerator, denominator, out=local, where=deg >= 2)
     return nodes, local
-
-
-def local_clustering_weighted(net: PlaceNetwork, node: str) -> float:
-    """Barrat weighted clustering of one node; 0 when degree < 2."""
-    code = net.index(node)
-    _, local = local_clustering(net)
-    return float(local[code])
 
 
 def average_clustering(net: PlaceNetwork) -> float:

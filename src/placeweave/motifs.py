@@ -244,6 +244,32 @@ class MotifCensus:
     device_unit: str | None = "device-days"
 
 
+def census_document(census: MotifCensus) -> dict:
+    rows = []
+    for cls in CLASS_ORDER:
+        stats = census.classes[cls]
+        rows.append(
+            {
+                "class": cls.value,
+                "motif_count": stats.motif_count,
+                "device_count": stats.device_count,
+                "flow_count": stats.flow_count,
+                "percentage": stats.percentage,
+                "avg_distance_km": stats.avg_distance_km,
+            }
+        )
+    return {
+        "mode": census.mode,
+        "device_unit": census.device_unit,
+        "totals": {
+            "motif_count": census.total_motifs,
+            "device_count": census.total_devices,
+            "flow_count": census.total_flows,
+        },
+        "classes": rows,
+    }
+
+
 def group_starts(*columns: np.ndarray) -> np.ndarray:
     """Indices of the rows whose columns differ from the row before (row 0 included)."""
     new = np.zeros(len(columns[0]), dtype=bool)

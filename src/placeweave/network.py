@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import NETWORK_MODES
 from .ingest import (
     CsvRows,
     SequenceTable,
@@ -40,7 +41,6 @@ from .ingest import (
     write_tokens,
 )
 
-NETWORK_MODES = ("consecutive", "covisitation")
 NETWORK_COLUMNS = ("poi_a", "poi_b", "weight")
 
 

@@ -8,6 +8,10 @@ read CSV through ingest.CsvRows); ingest parses the raw stops and POI
 files itself. `run` calls the cores only and hands each one's values to
 the next, reading no artifact back, so a manually chained pipeline writes
 byte-identical artifacts to it. No artifact embeds wall-clock state.
+
+Each stage imports the modules it uses in its own body, so a subcommand
+loads only its stage's modules: `refnet` loads no census code, and an
+enumeration census no distance, attribute or metric code.
 """
 
 from __future__ import annotations
@@ -24,11 +28,10 @@ from typing import Iterator
 
 import numpy as np
 
-from . import __version__, attributes, ingest, metrics, motifs, refnets, stats, synth
+from . import __version__, ingest
 from .config import RunConfig
 from .errors import ConfigError, InvariantError, SchemaError
 from .ingest import EDGE_SEPARATOR, write_json
-from .motifs import CLASS_ORDER, INDEX_CLASS
 from .network import (
     PlaceNetwork,
     date_range_label,
@@ -61,6 +64,8 @@ def _ensure_dir(path: str | Path) -> Path:
 
 
 def stage_synth(world_path: str | Path, traffic_path: str | Path, out_dir: str | Path) -> dict:
+    from . import refnets, synth
+
     out = _ensure_dir(out_dir)
     world = synth.load_world_spec(world_path)
     traffic = synth.load_traffic_spec(traffic_path)
@@ -143,6 +148,8 @@ def stage_network(sequences: ingest.SequenceTable, mode: str, out_dir: str | Pat
 
 
 def stage_metrics(net: PlaceNetwork, out_dir: str | Path) -> dict:
+    from . import metrics
+
     out = _ensure_dir(out_dir)
     summary = metrics.network_summary(net)
     write_json(summary.as_dict(), out / "summary.json")
@@ -176,6 +183,8 @@ def stage_metrics(net: PlaceNetwork, out_dir: str | Path) -> dict:
 
 
 def stage_refnet(kind: str, n: int, avg_degree: float, seed: int, out_file: str | Path) -> None:
+    from . import refnets
+
     spec = refnets.RefNetSpec(kind=kind, n=n, target_average_degree=avg_degree, seed=seed)
     net = refnets.generate(spec)
     out_file = Path(out_file)
@@ -209,6 +218,8 @@ def write_instances_csv(rows: motifs.InstanceRows, path: str | Path) -> None:
     "" in each absent slot, and its count ('7\n'). An OTHER row is one
     whole-line token.
     """
+    from . import motifs
+
     pois, n, table = rows.pois, len(rows.pois), rows.table
     days = rows.days()
     dates = [ingest.day_date(day).isoformat() + "," for day in days]
@@ -224,11 +235,11 @@ def write_instances_csv(rows: motifs.InstanceRows, path: str | Path) -> None:
     other_days = np.array([row[0] for row in rows.other], dtype=np.int64)
     vocab = [
         *(p + "|" for p in pois), *(p + "," for p in pois), *(p + EDGE_SEPARATOR for p in pois),
-        "", *(f"{cls}," for cls in INDEX_CLASS), *dates, *counts, *other,
+        "", *(f"{cls}," for cls in motifs.INDEX_CLASS), *dates, *counts, *other,
     ]
     empty = 3 * n
     first_class = empty + 1
-    first_date = first_class + len(INDEX_CLASS)
+    first_date = first_class + len(motifs.INDEX_CLASS)
     first_count = first_date + len(dates)
     first_other = first_count + len(counts)
 
@@ -265,6 +276,8 @@ def read_instances_csv(path: str | Path) -> motifs.InstanceRows:
     device_count of at least 1 and the class its graph has; a row that does
     not raises RowError naming the file and line.
     """
+    from . import motifs
+
     rows: list[tuple[int, int, list[str], int, int]] = []
     other: list[motifs.OtherRow] = []
     with ingest.CsvRows(
@@ -290,8 +303,8 @@ def read_instances_csv(path: str | Path) -> motifs.InstanceRows:
             if len(names) <= 4:
                 mask = sum({int(motifs.PAIR_BIT[slot[a], slot[b]]) for a, b in edges})
                 cls = int(motifs.MASK_CLASS[len(names), mask])
-            if INDEX_CLASS[cls].value != motif_class:
-                problem = f"row classifies as {INDEX_CLASS[cls]} but claims {motif_class}"
+            if motifs.INDEX_CLASS[cls].value != motif_class:
+                problem = f"row classifies as {motifs.INDEX_CLASS[cls]} but claims {motif_class}"
                 raise lines.error(line, problem)
             if cls == motifs.OTHER:
                 pairs = tuple(sorted({edge_key(a, b) for a, b in edges}))
@@ -308,6 +321,8 @@ def read_instances_csv(path: str | Path) -> motifs.InstanceRows:
 
 
 def write_census_csv(census: motifs.MotifCensus, path: str | Path, min_count: int = 1) -> None:
+    from .motifs import CLASS_ORDER
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("class,motif_count,device_count,flow_count,percentage,avg_distance_km\n")
         fh.write(
@@ -351,14 +366,20 @@ class InstanceTable:
 
     @cached_property
     def distances(self) -> np.ndarray:
+        from . import stats
+
         return stats.instance_distances(self.rows, self.catalog)
 
     @cached_property
     def keys(self) -> np.ndarray:
+        from . import attributes
+
         return attributes.canonical_keys(self.rows, self.catalog)
 
     def distance_table(self, weighting: str) -> stats.DistanceTable:
         """The whole-period per-class distance table under one weighting."""
+        from . import stats
+
         if weighting not in self._distance_tables:
             self._distance_tables[weighting] = stats.class_avg_distance(
                 self.rows.instances, self.distances, weighting
@@ -412,6 +433,8 @@ def stage_motifs(
     from the same sequences: one unit per walk step, so it must equal the
     census's flow count (InvariantError otherwise).
     """
+    from . import motifs
+
     out = _ensure_dir(out_dir)
     traj: motifs.TrajectoryCensus | None = None
     instances: InstanceTable | None = None
@@ -431,6 +454,8 @@ def stage_motifs(
             raise SchemaError("trajectory census requires --sequences")
         census = motifs.census_percentages(traj.census())
         if instances is not None:
+            from . import stats
+
             stats.attach_distances(census, instances.distance_table(weighting))
     elif mode == "enumerate":
         if network is None:
@@ -440,7 +465,7 @@ def stage_motifs(
         raise SchemaError(f"unknown census mode {mode!r}")
 
     write_census_csv(census, out / "census.csv", min_count=min_count)
-    doc = stats.census_document(census)
+    doc = motifs.census_document(census)
     doc["min_count"] = min_count
     write_json(doc, out / "census.json")
     return doc, instances
@@ -450,12 +475,14 @@ def stage_motifs(
 
 
 def stage_attributed(instances: InstanceTable, top_k: int, out_dir: str | Path) -> None:
+    from . import attributes, motifs
+
     out = _ensure_dir(out_dir)
     ranked = attributes.attributed_census(instances.rows, instances.keys, top_k=top_k)
     with open(out / "attributed_census.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["class", "labels", "label_names", "device_count", "share", "same_category"])
-        for cls in CLASS_ORDER:
+        for cls in motifs.CLASS_ORDER:
             for entry in ranked.get(cls, []):
                 names = " + ".join(
                     attributes.sector_by_id(i).label for i in entry.key.labels
@@ -524,6 +551,8 @@ def stage_series(
     config: RunConfig,
     window: int = 7,
 ) -> dict:
+    from . import attributes, motifs, stats
+
     if window < 1:
         raise ConfigError(f"window must be at least 1, got {window}")
     out = _ensure_dir(out_dir)
@@ -533,7 +562,7 @@ def stage_series(
     series_files: list[str] = []
     if len(rows.days()) >= 2:
         counts, dists = stats.daily_census_series(rows, distances, weighting)
-        for cls in CLASS_ORDER:
+        for cls in motifs.CLASS_ORDER:
             count_series = counts[cls]
             name = f"counts_{cls.value}.csv"
             _write_series_csv(count_series, out / name)
@@ -557,7 +586,7 @@ def stage_series(
     table = instances.distance_table(weighting)
     with open(out / "distance_table.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("class,split,km\n")
-        for cls in CLASS_ORDER:
+        for cls in motifs.CLASS_ORDER:
             split = table.get(cls)
             if split is None:
                 continue

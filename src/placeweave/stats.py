@@ -1,12 +1,12 @@
 """Motif distances, weekday/weekend aggregates, temporal series, reports.
 
 A motif's spatial extent is the mean great-circle length of its edges.
-Over the instance table, the scalar haversine runs once per distinct
-instance edge; each instance's edge lengths are gathered into columns in
-sorted edge order and added left to right. Every class table (per day,
-whole period, per attributed key) sums km * weight per group with
-np.cumsum in instance order, so its floats equal a left-to-right scalar
-loop over the instances.
+Over the instance table, the haversine runs once per distinct instance
+edge, as array code with the scalar's bits; each instance's edge lengths
+are gathered into columns in sorted edge order and added left to right.
+Every class table (per day, whole period, per attributed key) sums
+km * weight per group with np.cumsum in instance order, so its floats
+equal a left-to-right scalar loop over the instances.
 
 Percentage-change series follow a weekly pattern: weekday points chain
 against the previous weekday, weekend points against the previous
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import WEIGHTING_MODES
 from .errors import InvariantError, MissingPoiError
 from .ingest import PoiCatalog, day_date, is_weekend
 from .motifs import (
@@ -36,8 +37,6 @@ from .motifs import (
 
 # IUGG mean Earth radius; pinned so distance tests are bit-exact.
 EARTH_RADIUS_KM = 6371.0088
-
-WEIGHTING_MODES = ("devices", "instances")
 
 
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -79,15 +78,49 @@ class DistanceSplit:
 DistanceTable = dict  # key (MotifClass or AttributedMotifKey) -> DistanceSplit
 
 
+def _libm(fn, values: np.ndarray) -> np.ndarray:
+    """fn, a function of math's scalar calls, applied to each value."""
+    return np.fromiter(map(fn, values.tolist()), dtype=np.float64, count=len(values))
+
+
+def _sin_squared(x: float) -> float:
+    return math.sin(x) ** 2
+
+
+def _great_circle_lengths(
+    phi: np.ndarray, cos_phi: np.ndarray, lon: np.ndarray, ends: np.ndarray
+) -> np.ndarray:
+    """_great_circle_km of each row (u, v) of ends, point u first, bit for bit.
+
+    numpy does the IEEE operations (+, -, *, /, sqrt, minimum), which round
+    as Python's do. The transcendental steps run in math's libm calls: numpy's
+    sin and arcsin may differ from libm in the last bit, and x ** 2 is libm's
+    pow, not x * x. The Vincenty branch, beyond a quarter circle, runs per edge.
+    """
+    u, v = ends.T
+    dlam = _libm(math.radians, lon[v] - lon[u])
+    sin2_dphi = _libm(_sin_squared, (phi[v] - phi[u]) / 2.0)
+    a = sin2_dphi + cos_phi[u] * cos_phi[v] * _libm(_sin_squared, dlam / 2.0)
+    near = a <= 0.5
+    km = np.empty(len(a))
+    km[near] = 2.0 * EARTH_RADIUS_KM * _libm(math.asin, np.minimum(1.0, np.sqrt(a[near])))
+    far = np.flatnonzero(~near)
+    if far.size:
+        point = np.stack([phi, cos_phi, lon], axis=1).tolist()  # as Python floats
+        for i, (p, q) in zip(far.tolist(), ends[far].tolist()):
+            km[i] = _great_circle_km(*point[p], *point[q])
+    return km
+
+
 def instance_distances(rows: InstanceRows, catalog: PoiCatalog) -> np.ndarray:
     """The motif distance of each of rows.instances: its mean edge length in km.
 
-    haversine_km's formula runs once per distinct instance edge, in math's
-    scalar functions (numpy's vectorized sin and cos may differ from libm in
-    the last bit); each POI's radians and cosine are computed, and the
-    coordinates of the POIs in use checked, once. Each instance's edge
-    lengths are added left to right in sorted edge order, then divided by
-    its edge count, as a scalar loop over its edges would.
+    haversine_km's formula runs once per distinct instance edge, as array
+    code with its bits (_great_circle_lengths); each POI's radians and
+    cosine are computed, and the coordinates of the POIs in use checked,
+    once. Each instance's edge lengths are added left to right in sorted
+    edge order, then divided by its edge count, as a scalar loop over its
+    edges would.
     """
     has, a, b = rows.instances.edges()
     n = len(rows.pois)
@@ -101,16 +134,11 @@ def instance_distances(rows: InstanceRows, catalog: PoiCatalog) -> np.ndarray:
         bad = values[at][~(np.abs(values[at]) <= bound)]  # NaN fails the test too
         if bad.size:
             raise ValueError(f"{name} {bad[0]} out of range [-{bound:g}, {bound:g}]")
-    phi = [math.radians(x) for x in catalog.lat.tolist()]
-    cos_phi = [math.cos(x) for x in phi]
-    lon = catalog.lon.tolist()
-    lengths = [
-        _great_circle_km(phi[u], cos_phi[u], lon[u], phi[v], cos_phi[v], lon[v])
-        for u, v in at.tolist()
-    ]
+    phi = _libm(math.radians, catalog.lat)
+    lengths = _great_circle_lengths(phi, _libm(math.cos, phi), catalog.lon, at)
     ids = np.full(has.shape, len(lengths))  # the 0.0 appended below: no edge
     ids[has] = which
-    km = np.array(lengths + [0.0], dtype=np.float64)[ids]
+    km = np.append(lengths, 0.0)[ids]
     total = km[:, 0].copy()
     for column in range(1, km.shape[1]):
         total += km[:, column]
@@ -348,32 +376,6 @@ def _json_equal(a, b) -> bool:
     return a == b and isinstance(a, bool) == isinstance(b, bool)
 
 
-def census_document(census: MotifCensus) -> dict:
-    rows = []
-    for cls in CLASS_ORDER:
-        stats = census.classes[cls]
-        rows.append(
-            {
-                "class": cls.value,
-                "motif_count": stats.motif_count,
-                "device_count": stats.device_count,
-                "flow_count": stats.flow_count,
-                "percentage": stats.percentage,
-                "avg_distance_km": stats.avg_distance_km,
-            }
-        )
-    return {
-        "mode": census.mode,
-        "device_unit": census.device_unit,
-        "totals": {
-            "motif_count": census.total_motifs,
-            "device_count": census.total_devices,
-            "flow_count": census.total_flows,
-        },
-        "classes": rows,
-    }
-
-
 def distance_document(table: DistanceTable, weighting: str) -> dict:
     rows = []
     for cls in CLASS_ORDER:
@@ -401,8 +403,8 @@ def build_report(
 ) -> dict:
     """Assemble and validate the run report document.
 
-    census and distances are the census_document and distance_document
-    of the run.
+    census and distances are the run's motifs.census_document and
+    distance_document.
     """
     report = {
         "schema_version": 1,

@@ -9,7 +9,10 @@ shares code with the library paths under test.
 The table builders at the top are not oracles: they let tests state a
 network, sequences, stops or a POI catalog as plain tuples and build the
 table through the library's own constructors (PlaceNetwork.from_arrays,
-the SequenceTable fields, parse_stops, load_poi_catalog).
+the SequenceTable fields, parse_stops, load_poi_catalog). Nor are the
+one-node helpers after them: degree counts a node's entries in the edge
+arrays, and local_clustering_weighted reads one node's value from the
+library's local_clustering.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import numpy as np
 
 from placeweave.errors import RowError
 from placeweave.ingest import EPOCH, SequenceTable, load_poi_catalog, parse_stops
+from placeweave.metrics import local_clustering
 from placeweave.motifs import MotifClass, classify_graph
 from placeweave.network import PlaceNetwork
 from placeweave.stats import EARTH_RADIUS_KM
@@ -105,6 +109,22 @@ def catalog(rows: Iterable):
     """The PoiCatalog load_poi_catalog reads from these (poi_id, name, lat, lon, naics) rows."""
     lines = [f"{poi},{name},{lat!r},{lon!r},{naics}\n" for poi, name, lat, lon, naics in rows]
     return load_poi_catalog(io.StringIO("poi_id,name,lat,lon,naics\n" + "".join(lines)))
+
+
+# -- one node's degree and clustering --------------------------------------------
+
+
+def degree(net: PlaceNetwork, node: str) -> int:
+    """Number of distinct neighbors; weights play no role."""
+    code = net.index(node)
+    return int(np.count_nonzero(net.src == code) + np.count_nonzero(net.dst == code))
+
+
+def local_clustering_weighted(net: PlaceNetwork, node: str) -> float:
+    """Barrat weighted clustering of one node; 0 when degree < 2."""
+    code = net.index(node)
+    _, local = local_clustering(net)
+    return float(local[code])
 
 
 # -- CSV files read and formatted one row at a time --------------------------------

@@ -31,6 +31,7 @@ from oracles import (
     catalog,
     covering_walk,
     instance_from_edges,
+    local_clustering_weighted,
     network,
     sequence_table,
     trajectory_instance,
@@ -39,11 +40,7 @@ from placeweave import _fastcount
 from placeweave.attributes import attributed_key, canonical_keys
 from placeweave.cli import main as cli_main
 from placeweave.ingest import build_stay_sequences, filter_visits
-from placeweave.metrics import (
-    degree_distribution,
-    fit_power_law,
-    local_clustering_weighted,
-)
+from placeweave.metrics import degree_distribution, fit_power_law
 from placeweave.motifs import (
     CLASS_INDEX,
     CLASS_ORDER,

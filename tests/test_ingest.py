@@ -458,6 +458,20 @@ def test_sequence_file_round_trips_any_table(tmp_path_factory, seqs):
     assert list(read_sequences(path).walks()) == list(table.walks())
 
 
+def test_write_tokens_gathers_the_same_bytes_with_int32_or_int64_indices(tmp_path, monkeypatch):
+    vocab = ["", "p1,", "p22|", "é;", "7\n", "x" * 300 + "\n"]
+    tokens = np.random.default_rng(3).integers(0, len(vocab), 5_000).astype(np.int32)
+    want = ("a,b\n" + "".join(vocab[t] for t in tokens.tolist())).encode()
+    written = []
+    # several gathers of int32 byte indices, then one gather too wide for int32
+    for gather in (7, 1 << 31):
+        monkeypatch.setattr(ingest, "_GATHER", gather)
+        path = tmp_path / f"{gather}.csv"
+        ingest.write_tokens(path, ("a", "b"), vocab, [tokens[:1_234], tokens[1_234:]])
+        written.append(path.read_bytes())
+    assert written == [want, want]
+
+
 # Stops files that read alike and differently under csv.reader and a columnar parse:
 # quoting, surrounding spaces, long ids, blank lines, CRLF, extra and missing fields,
 # int()-only integer forms and values outside int64.

@@ -18,8 +18,10 @@ from oracles import (
     adjacency,
     brute_force_barrat,
     brute_force_unweighted_clustering,
+    degree,
     edge_weights,
     exact_barrat,
+    local_clustering_weighted,
     network,
     scipy_local_clustering,
 )
@@ -28,11 +30,9 @@ from placeweave.metrics import (
     _brentq,
     DegreeHistogram,
     average_clustering,
-    degree,
     degree_distribution,
     fit_power_law,
     local_clustering,
-    local_clustering_weighted,
     network_summary,
     poisson_reference,
 )

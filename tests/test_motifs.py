@@ -262,6 +262,37 @@ def test_enumeration_loads_no_scipy(tmp_path):
     assert loaded_modules(code, cwd=tmp_path).splitlines()[-1] == "[]"
 
 
+def placeweave_modules(statements: str, cwd) -> set[str]:
+    """The placeweave submodules a fresh interpreter holds after running statements."""
+    code = (
+        f"import sys; {statements}; "
+        "print(*sorted(m.partition('.')[2] for m in sys.modules if m.startswith('placeweave.')))"
+    )
+    return set(loaded_modules(code, cwd=cwd).split())
+
+
+def test_each_command_loads_only_its_own_stage_modules(tmp_path):
+    # The package namespace is empty and each stage imports its modules where it runs.
+    assert placeweave_modules("import placeweave", tmp_path) == set()
+    parser = "from placeweave import cli; cli.build_parser(); assert 'numpy' not in sys.modules"
+    assert placeweave_modules(parser, tmp_path) == {"cli", "config", "errors"}
+    refnet = placeweave_modules(
+        "from placeweave.cli import main; assert main(['refnet', '--kind', 'scale-free', "
+        "'--n', '60', '--avg-degree', '4', '--seed', '9', '--out', 'ref.csv']) == 0",
+        tmp_path,
+    )
+    assert "refnets" in refnet
+    assert not refnet & {"motifs", "_fastcount", "stats", "metrics", "attributes", "synth",
+                         "_pcg64"}
+    census = placeweave_modules(
+        "from placeweave.cli import main; assert main(['motifs', '--network', 'ref.csv', "
+        "'--mode', 'enumerate', '--out', 'census']) == 0",
+        tmp_path,
+    )
+    assert {"motifs", "_fastcount"} <= census
+    assert not census & {"stats", "metrics", "attributes", "synth", "_pcg64", "refnets"}
+
+
 def test_instance_stream_matches_counts():
     net = random_net(12, 0.3, 3)
     insts = list(iter_induced_instances(net, 3))

@@ -13,6 +13,7 @@ from placeweave.errors import InvariantError, MissingPoiError
 from placeweave.ingest import PoiCatalog
 from placeweave.motifs import (
     MotifClass,
+    census_document,
     census_percentages,
     classify_trajectories,
 )
@@ -20,7 +21,6 @@ from placeweave.stats import (
     EARTH_RADIUS_KM,
     SeriesPoint,
     build_report,
-    census_document,
     class_avg_distance,
     daily_census_series,
     distance_document,
@@ -103,24 +103,43 @@ def motif_avg_distance(inst, catalog) -> float:
     return km
 
 
+def pair_distances(lat, lon, pairs) -> tuple[list[float], list[float]]:
+    """instance_distances over one two-POI walk per pair of POI indices, and
+    haversine_km of each instance's two POIs."""
+    ids = [f"p{i:04d}" for i in range(len(lat))]
+    catalog = oracles.catalog(poi(p, a, b) for p, a, b in zip(ids, lat.tolist(), lon.tolist()))
+    walks = [Walk(f"d{k}", MON, (ids[i], ids[j])) for k, (i, j) in enumerate(pairs)]
+    rows = classify(walks).rows
+    got = instance_distances(rows, catalog).tolist()
+    ends = [[rows.pois[v] for v in nodes[:2]] for nodes in rows.instances.nodes.tolist()]
+    coords = dict(zip(catalog.poi_ids, zip(catalog.lat.tolist(), catalog.lon.tolist())))
+    return got, [haversine_km(*coords[u], *coords[v]) for u, v in ends]
+
+
 def test_edge_distances_equal_haversine_km_on_random_pairs():
     rng = np.random.default_rng(7)
     lat = rng.uniform(-90.0, 90.0, 40)
     lon = rng.uniform(-180.0, 180.0, 40)
     lat[20:30], lon[20:30] = -lat[:10], lon[:10] - np.copysign(180.0, lon[:10])  # antipodes
     lat[30:], lon[30:] = -lat[10:20] * 0.9, lon[10:20] - np.copysign(150.0, lon[10:20])
-    ids = [f"p{i:02d}" for i in range(40)]
-    catalog = oracles.catalog(poi(p, a, b) for p, a, b in zip(ids, lat.tolist(), lon.tolist()))
     pairs = [(i, i + 20) for i in range(20)]
     pairs += [tuple(rng.choice(40, 2, replace=False)) for _ in range(60)]
-    walks = [Walk(f"d{k}", MON, (ids[i], ids[j])) for k, (i, j) in enumerate(pairs)]
-    rows = classify(walks).rows
-    got = instance_distances(rows, catalog).tolist()
-    ends = [[rows.pois[v] for v in nodes[:2]] for nodes in rows.instances.nodes.tolist()]
-    coords = dict(zip(catalog.poi_ids, zip(catalog.lat.tolist(), catalog.lon.tolist())))
-    want = [haversine_km(*coords[u], *coords[v]) for u, v in ends]
+    got, want = pair_distances(lat, lon, pairs)
     assert got == want
-    assert max(want) > 0.5 * math.pi * EARTH_RADIUS_KM  # the atan2 branch ran
+    # one call took both branches: asin within a quarter circle, atan2 beyond it
+    assert min(want) < 0.5 * math.pi * EARTH_RADIUS_KM < max(want)
+
+
+def test_edge_distances_equal_haversine_km_on_city_pairs():
+    # Thousands of short edges: a squared sine taken as x * x, or an arcsine
+    # from numpy instead of libm, changes the last bit of some of them.
+    rng = np.random.default_rng(11)
+    lat = rng.uniform(29.4, 30.2, 600)
+    lon = rng.uniform(-95.9, -95.0, 600)
+    pairs = {tuple(sorted(rng.choice(600, 2, replace=False).tolist())) for _ in range(3_000)}
+    got, want = pair_distances(lat, lon, sorted(pairs))
+    assert len(want) == len(pairs)
+    assert got == want
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,8 @@ from .errors import ConfigError
 NETWORK_MODES = ("consecutive", "covisitation")
 CENSUS_MODES = ("trajectory", "enumerate")
 WEIGHTING_MODES = ("devices", "instances")
+# The generator behind every seeded draw, named in the synth and refnet outputs.
+RNG_ALGORITHM = "numpy-pcg64"
 
 
 @dataclass

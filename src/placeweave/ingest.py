@@ -66,6 +66,9 @@ LINE_BREAKS = ("\r", "\n")
 RESERVED_CHARACTERS = (STAY_SEPARATOR, EDGE_SEPARATOR, ",", *LINE_BREAKS)
 
 EPOCH = dt.date(1970, 1, 1)
+# IUGG mean Earth radius of the catalog's great-circle distances (stats,
+# synth); pinned so distance tests are bit-exact.
+EARTH_RADIUS_KM = 6371.0088
 _US_PER_DAY = 86_400_000_000
 _INT64 = np.iinfo(np.int64)
 # Rows per token block a file writer builds, and tokens per byte gather of
@@ -273,6 +276,15 @@ def write_json(doc: dict, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a small CSV file, the header of columns and then rows, as csv.writer
+    writes them: None as an empty field, a float as its repr, "\n" line ends."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def write_tokens(

@@ -10,15 +10,10 @@ With equal weights this reduces to the ordinary triangle fraction.
 
 A pair {j, h} adds w_ij once for j and w_ih once for h, so the sum over
 pairs is sum_j w_ij * codeg(i, j), where codeg(i, j) counts the common
-neighbors of i and j. That numerator is an exact int64, the same value a
-per-pair float loop reaches, and one float64 division by s_i * (k_i - 1)
-gives each C(i). Two exact forms give codeg at every edge, and the input's
-size picks the cheaper one:
-
-- dense: A @ A over the n x n 0/1 adjacency, for small or dense graphs;
-- triangles: codeg(i, j) is the number of triangles on edge {i, j}, listed
-  over the census's degree-ranked orientation (_fastcount), for large
-  sparse graphs.
+neighbors of i and j. _fastcount.codegrees gives codeg at every edge of
+the network's edge arrays. The numerator and the strength are then exact
+int64 sums over both ends of each edge, the same values a per-pair float
+loop reaches, and one float64 division by s_i * (k_i - 1) gives each C(i).
 
 The mean over nodes adds the values with Python's left-to-right sum in
 ascending node order, never with np.sum's pairwise sum, so its float bits do
@@ -42,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fastcount import _orient, _triangles
-from .network import PlaceNetwork, weighted_csr
+from ._fastcount import codegrees
+from .network import PlaceNetwork
 
 
 @dataclass
@@ -109,71 +104,22 @@ def degree_distribution(net: PlaceNetwork) -> DegreeHistogram:
     return DegreeHistogram({k: c for k, c in enumerate(counts) if c}, net.n_nodes)
 
 
-# Costs of the two codegree forms, measured on a 2-core x86-64 host (numpy
-# 2.4.6, OpenBLAS), in-process, best of 3:
-# - dense, per n**3: 0.030 ns on the README-world merged network (n = 500,
-#   49,955 edges), 0.014 ns at n = 1,000 and 0.010-0.012 ns at n = 2,048;
-# - triangles, per candidate (see _dense_pays): 79-139 ns on graphs with
-#   0.4M-5.3M candidates, the 15,931-node county graph included; 300-660 ns
-#   on sparse graphs with 1k-13k candidates, where the whole form takes
-#   under 4 ms.
-# The constants sit inside those ranges. With them the rule picks the faster
-# form on each graph above, and on G(n, p) at n = 1,000, p = 0.05 (dense
-# 14 ms, triangles 34 ms) and at n = 3,000, p = 0.02 (dense 302 ms,
-# triangles 167 ms). The dense form holds A and A @ A as float32 (8 n**2
-# bytes); every entry of A @ A is an integer at most n < 2**24, so the
-# product is exact.
-_DENSE_NS_PER_CUBE = 0.02
-_TRIANGLE_NS_PER_CANDIDATE = 100
-_DENSE_MAX_NODES = math.isqrt((64 << 20) // 8)  # A and A @ A within 64 MiB: n <= 2,896
-
-
-def _dense_pays(n: int, candidates: int) -> bool:
-    """Whether the dense form fits its memory cap and costs less than listing triangles.
-
-    candidates is the number of pairs of consecutive oriented edges a -> b -> c
-    that triangle listing checks, sum over edges a -> b of out(b).
-    """
-    dense_ns = n**3 * _DENSE_NS_PER_CUBE
-    return n <= _DENSE_MAX_NODES and dense_ns <= candidates * _TRIANGLE_NS_PER_CANDIDATE
-
-
-def _row_sums(indptr: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """Exact int64 sum of each CSR row's terms.
-
-    The running sum may wrap past int64; its differences are exact wherever
-    a row's sum fits.
-    """
-    total = np.concatenate(([0], np.cumsum(terms)))
-    return total[indptr[1:]] - total[indptr[:-1]]
-
-
 def local_clustering(net: PlaceNetwork) -> tuple[list[str], np.ndarray]:
     """Barrat weighted clustering of every node: (sorted nodes, float64 values).
 
-    Nodes of degree < 2 get 0. codeg(i, j) at each adjacency entry comes
-    from A @ A when _dense_pays, else from the triangles on each edge; both
-    are exact, so the values do not depend on the form.
+    Nodes of degree < 2 get 0. Each node's sums are taken with np.add.at in
+    int64, exact wherever the sum fits, never in float64.
     """
-    nodes, indptr, indices, weights = weighted_csr(net)
-    n = len(nodes)
-    deg = np.diff(indptr)
-    rows = np.repeat(np.arange(n), deg)
-    uptr, tail, head, keys, _, rank = _orient(indptr, indices)
-    if _dense_pays(n, int(np.diff(uptr)[head].sum())):
-        adj = np.zeros((n, n), dtype=np.float32)
-        adj[rows, indices] = 1
-        codeg = (adj @ adj)[rows, indices].astype(np.int64)
-    else:
-        triangles = np.concatenate(_triangles(uptr, tail, head, keys, n))
-        on_edge = np.bincount(triangles, minlength=keys.size)  # triangles on each oriented edge
-        a, b = rank[rows], rank[indices]
-        codeg = on_edge[np.searchsorted(keys, np.minimum(a, b) * n + np.maximum(a, b))]
-    numerator = _row_sums(indptr, weights * codeg)
-    denominator = _row_sums(indptr, weights) * (deg - 1)
+    n, w = net.n_nodes, net.weights
+    ends = np.concatenate((net.src, net.dst))
+    numerator = np.zeros(n, dtype=np.int64)
+    np.add.at(numerator, ends, np.tile(w * codegrees(n, net.src, net.dst), 2))
+    strength = np.zeros(n, dtype=np.int64)
+    np.add.at(strength, ends, np.tile(w, 2))
+    deg = np.bincount(ends, minlength=n)
     local = np.zeros(n)
-    np.divide(numerator, denominator, out=local, where=deg >= 2)
-    return nodes, local
+    np.divide(numerator, strength * (deg - 1), out=local, where=deg >= 2)
+    return list(net.names), local
 
 
 def average_clustering(net: PlaceNetwork) -> float:

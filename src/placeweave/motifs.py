@@ -177,12 +177,11 @@ def enumeration_census(net: PlaceNetwork) -> "MotifCensus":
     """Whole-network census of the 2-, 3- and 4-node classes.
 
     M2_1 is the edge count; every other class comes from one closed-form
-    census (_fastcount.full_census) of one CSR adjacency.
+    census (_fastcount.full_census) of the network's edge arrays.
     """
     from ._fastcount import full_census
 
-    _, indptr, indices = csr_adjacency(net)
-    raw = full_census(indptr, indices)
+    raw = full_census(net.n_nodes, net.src, net.dst)
     raw[CLASS_INDEX[MotifClass.M2_1]] = net.n_edges
     counts = _class_counts(raw)
     return MotifCensus(

@@ -13,7 +13,9 @@ pairs of POI codes of weight one, each tagged with its sequence;
 pair_network builds the network of any subset of them, so the daily
 networks and the whole-period network share one derivation. A network
 file is read into arrays first. Names are attached only when a network
-is written.
+is written. The census and the clustering read the edge arrays as they
+are; csr_adjacency builds the symmetric CSR layout for callers of
+_fastcount.census_counts.
 
 The on-disk format is a CSV edge list (poi_a,poi_b,weight, poi_a < poi_b,
 rows sorted, fields unquoted) plus a JSON sidecar carrying the label, node
@@ -284,25 +286,15 @@ def read_network(path: str | Path) -> PlaceNetwork:
     )
 
 
-def weighted_csr(
-    net: PlaceNetwork,
-) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """Index nodes in sorted order and return (nodes, indptr, indices, weights).
+def csr_adjacency(net: PlaceNetwork) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """(nodes, indptr, indices): symmetric CSR adjacency over the sorted nodes.
 
-    Symmetric CSR adjacency: row i lists node i's neighbors as sorted int64
-    positions in indices, and weights holds the int64 edge weight of each
-    entry. Degrees are np.diff(indptr).
+    Row i lists node i's neighbors as sorted int64 codes in indices; degrees
+    are np.diff(indptr). It is the layout of _fastcount.census_counts.
     """
     n = net.n_nodes
     src = np.concatenate((net.src, net.dst))
     dst = np.concatenate((net.dst, net.src))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    order = np.argsort(src * n + dst, kind="stable")  # the (src, dst) order, one sort key
-    return list(net.names), indptr, dst[order], np.concatenate((net.weights, net.weights))[order]
-
-
-def csr_adjacency(net: PlaceNetwork) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """(nodes, indptr, indices) of weighted_csr; the closed-form census's layout."""
-    nodes, indptr, indices, _ = weighted_csr(net)
-    return nodes, indptr, indices
+    return list(net.names), indptr, dst[np.argsort(src * n + dst)]

@@ -29,9 +29,9 @@ from typing import Iterator
 import numpy as np
 
 from . import __version__, ingest
-from .config import RunConfig
+from .config import RNG_ALGORITHM, RunConfig
 from .errors import ConfigError, InvariantError, SchemaError
-from .ingest import EDGE_SEPARATOR, write_json
+from .ingest import EDGE_SEPARATOR, write_csv, write_json
 from .network import (
     PlaceNetwork,
     date_range_label,
@@ -46,14 +46,6 @@ from .network import (
 logger = logging.getLogger(__name__)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _ensure_dir(path: str | Path) -> Path:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
@@ -64,7 +56,7 @@ def _ensure_dir(path: str | Path) -> Path:
 
 
 def stage_synth(world_path: str | Path, traffic_path: str | Path, out_dir: str | Path) -> dict:
-    from . import refnets, synth
+    from . import synth
 
     out = _ensure_dir(out_dir)
     world = synth.load_world_spec(world_path)
@@ -79,7 +71,7 @@ def stage_synth(world_path: str | Path, traffic_path: str | Path, out_dir: str |
         "n_device_days": traffic.n_device_days,
         "world_seed": world.seed,
         "traffic_seed": traffic.seed,
-        "rng": refnets.RNG_ALGORITHM,
+        "rng": RNG_ALGORITHM,
     }
     write_json(meta, out / "synth_meta.json")
     return meta
@@ -154,10 +146,7 @@ def stage_metrics(net: PlaceNetwork, out_dir: str | Path) -> dict:
     summary = metrics.network_summary(net)
     write_json(summary.as_dict(), out / "summary.json")
     hist = metrics.degree_distribution(net)
-    with open(out / "degree_hist.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("k,count,pdf,ccdf\n")
-        for k, count, pdf, ccdf in hist.curve():
-            fh.write(f"{k},{count},{pdf!r},{ccdf!r}\n")
+    write_csv(out / "degree_hist.csv", ("k", "count", "pdf", "ccdf"), hist.curve())
     try:
         fit = metrics.fit_power_law(hist)
         fit_doc = {
@@ -193,7 +182,7 @@ def stage_refnet(kind: str, n: int, avg_degree: float, seed: int, out_file: str 
         net,
         out_file,
         extra_meta={
-            "rng": refnets.RNG_ALGORITHM,
+            "rng": RNG_ALGORITHM,
             "seed": seed,
             "kind": kind,
             "target_average_degree": avg_degree,
@@ -323,30 +312,15 @@ def read_instances_csv(path: str | Path) -> motifs.InstanceRows:
 def write_census_csv(census: motifs.MotifCensus, path: str | Path, min_count: int = 1) -> None:
     from .motifs import CLASS_ORDER
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("class,motif_count,device_count,flow_count,percentage,avg_distance_km\n")
-        fh.write(
-            "GLOBAL,{},{},{},,\n".format(
-                census.total_motifs, _fmt(census.total_devices), _fmt(census.total_flows)
-            )
-        )
-        for cls in CLASS_ORDER:
-            row = census.classes[cls]
-            if row.motif_count < min_count:
-                continue
-            fh.write(
-                ",".join(
-                    [
-                        cls.value,
-                        str(row.motif_count),
-                        _fmt(row.device_count),
-                        _fmt(row.flow_count),
-                        _fmt(row.percentage),
-                        _fmt(row.avg_distance_km),
-                    ]
-                )
-                + "\n"
-            )
+    columns = ("class", "motif_count", "device_count", "flow_count", "percentage",
+               "avg_distance_km")
+    rows = [("GLOBAL", census.total_motifs, census.total_devices, census.total_flows, None, None)]
+    for cls in CLASS_ORDER:
+        row = census.classes[cls]
+        if row.motif_count >= min_count:
+            rows.append((cls.value, row.motif_count, row.device_count, row.flow_count,
+                         row.percentage, row.avg_distance_km))
+    write_csv(path, columns, rows)
 
 
 @dataclass
@@ -479,32 +453,20 @@ def stage_attributed(instances: InstanceTable, top_k: int, out_dir: str | Path) 
 
     out = _ensure_dir(out_dir)
     ranked = attributes.attributed_census(instances.rows, instances.keys, top_k=top_k)
-    with open(out / "attributed_census.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["class", "labels", "label_names", "device_count", "share", "same_category"])
-        for cls in motifs.CLASS_ORDER:
-            for entry in ranked.get(cls, []):
-                names = " + ".join(
-                    attributes.sector_by_id(i).label for i in entry.key.labels
-                )
-                writer.writerow(
-                    [
-                        cls.value,
-                        "|".join(str(i) for i in entry.key.labels),
-                        names,
-                        entry.device_count,
-                        repr(entry.share),
-                        "yes" if entry.same_category else "no",
-                    ]
-                )
+    columns = ("class", "labels", "label_names", "device_count", "share", "same_category")
+    rows = [
+        (cls.value, "|".join(map(str, entry.key.labels)),
+         " + ".join(attributes.sector_by_id(i).label for i in entry.key.labels),
+         entry.device_count, entry.share, "yes" if entry.same_category else "no")
+        for cls in motifs.CLASS_ORDER
+        for entry in ranked.get(cls, [])
+    ]
+    write_csv(out / "attributed_census.csv", columns, rows)
     tally, unresolved = attributes.endpoint_counts(instances.rows, instances.catalog)
     for digits in (2, 4):
         ranked_cats = attributes.category_frequency(tally, instances.catalog, digits=digits)
-        with open(out / f"category_freq_{digits}digit.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["rank", "label", "share"])
-            for rank, (label, share) in enumerate(ranked_cats, start=1):
-                writer.writerow([rank, label, repr(share)])
+        rows = ((rank, *pair) for rank, pair in enumerate(ranked_cats, start=1))
+        write_csv(out / f"category_freq_{digits}digit.csv", ("rank", "label", "share"), rows)
     write_json({"top_k": top_k, "unresolved_endpoints": unresolved}, out / "attributed_meta.json")
 
 
@@ -516,10 +478,8 @@ TOP_DISTANCE = 20
 
 
 def _write_series_csv(series, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("date,value,day_type\n")
-        for point in series:
-            fh.write(f"{point.date.isoformat()},{_fmt(point.value)},{point.day_type}\n")
+    rows = ((point.date.isoformat(), point.value, point.day_type) for point in series)
+    write_csv(path, ("date", "value", "day_type"), rows)
 
 
 def load_series_inputs(
@@ -584,18 +544,14 @@ def stage_series(
 
     # Whole-period distance tables.
     table = instances.distance_table(weighting)
-    with open(out / "distance_table.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("class,split,km\n")
-        for cls in motifs.CLASS_ORDER:
-            split = table.get(cls)
-            if split is None:
-                continue
-            for split_name, km in (
-                ("total", split.total_km),
-                ("weekday", split.weekday_km),
-                ("weekend", split.weekend_km),
-            ):
-                fh.write(f"{cls.value},{split_name},{_fmt(km)}\n")
+    km_rows = []
+    for cls in motifs.CLASS_ORDER:
+        if cls in table:
+            split = table[cls]
+            km_rows += [(cls.value, "total", split.total_km),
+                        (cls.value, "weekday", split.weekday_km),
+                        (cls.value, "weekend", split.weekend_km)]
+    write_csv(out / "distance_table.csv", ("class", "split", "km"), km_rows)
     # per attributed key, its instances in instance order
     by_key = np.argsort(instances.keys, kind="stable")
     attr_table = stats.class_avg_distance(
@@ -605,14 +561,12 @@ def stage_series(
         ((attributes.attributed_key(key), split) for key, split in attr_table.items()),
         key=lambda kv: (-(kv[1].total_km or 0.0), kv[0].motif_class.value, kv[0].labels),
     )[:TOP_DISTANCE]
-    with open(out / "attributed_distance.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("class,labels,total_km,weekday_km,weekend_km\n")
-        for key, split in top_rows:
-            labels = "|".join(str(i) for i in key.labels)
-            fh.write(
-                f"{key.motif_class.value},{labels},{_fmt(split.total_km)},"
-                f"{_fmt(split.weekday_km)},{_fmt(split.weekend_km)}\n"
-            )
+    columns = ("class", "labels", "total_km", "weekday_km", "weekend_km")
+    write_csv(out / "attributed_distance.csv", columns, [
+        (key.motif_class.value, "|".join(map(str, key.labels)), split.total_km,
+         split.weekday_km, split.weekend_km)
+        for key, split in top_rows
+    ])
 
     report = stats.build_report(
         summary=summary_doc,

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RNG_ALGORITHM  # noqa: F401 - kept importable from here
 from .network import PlaceNetwork
-
-RNG_ALGORITHM = "numpy-pcg64"
 
 REFNET_KINDS = ("random", "scale_free")
 

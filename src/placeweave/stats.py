@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import WEIGHTING_MODES
 from .errors import InvariantError, MissingPoiError
-from .ingest import PoiCatalog, day_date, is_weekend
+from .ingest import EARTH_RADIUS_KM, PoiCatalog, day_date, is_weekend
 from .motifs import (
     CLASS_ORDER,
     INDEX_CLASS,
@@ -34,9 +34,6 @@ from .motifs import (
     MotifClass,
     group_starts,
 )
-
-# IUGG mean Earth radius; pinned so distance tests are bit-exact.
-EARTH_RADIUS_KM = 6371.0088
 
 
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:

@@ -27,6 +27,7 @@ from . import _pcg64
 from .attributes import sector_by_id
 from .errors import ConfigError, UnknownSectorError
 from .ingest import (
+    EARTH_RADIUS_KM,
     EPOCH,
     POIS_COLUMNS,
     STOPS_COLUMNS,
@@ -35,10 +36,10 @@ from .ingest import (
     day_date,
     int_tokens,
     token_rows,
+    write_csv,
     write_tokens,
 )
 from .motifs import MotifClass
-from .stats import EARTH_RADIUS_KM
 
 # Canonical walk per class, as positions into the sampled POI list. Every
 # walk's consecutive-pair set equals the class's edge set; classes without
@@ -441,11 +442,8 @@ def load_traffic_spec(path: str | Path) -> TrafficSpec:
 
 
 def write_catalog_csv(catalog: PoiCatalog, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(POIS_COLUMNS) + "\n")
-        lat, lon = catalog.lat.tolist(), catalog.lon.tolist()
-        for row in zip(catalog.poi_ids, catalog.names, lat, lon, catalog.naics):
-            fh.write("%s,%s,%r,%r,%s\n" % row)
+    lat, lon = catalog.lat.tolist(), catalog.lon.tolist()
+    write_csv(path, POIS_COLUMNS, zip(catalog.poi_ids, catalog.names, lat, lon, catalog.naics))
 
 
 def write_stops_csv(stops: StopTable, path: str | Path) -> None:

@@ -25,7 +25,7 @@ from oracles import (
     network,
     scipy_local_clustering,
 )
-from placeweave import metrics
+from placeweave import _fastcount, metrics
 from placeweave.metrics import (
     _brentq,
     DegreeHistogram,
@@ -252,7 +252,7 @@ def county_net() -> PlaceNetwork:
     return PlaceNetwork.from_arrays(list(net.names), net.src, net.dst, weights)
 
 
-CAP = metrics._DENSE_MAX_NODES
+CAP = _fastcount._DENSE_MAX_NODES
 # name -> (graph, whether the rule picks the dense form)
 FORM_CASES = {
     "sparse-300": (lambda: random_net(300, 0.01, 1), False),
@@ -272,17 +272,41 @@ def test_both_clustering_forms_give_the_scipy_oracle_bits(name, monkeypatch):
     net = build()
     nodes, oracle = scipy_local_clustering(net)
     picked = []
-    dense_pays = metrics._dense_pays
+    dense_pays = _fastcount._dense_pays
     monkeypatch.setattr(
-        metrics, "_dense_pays", lambda *a: picked.append(dense_pays(*a)) or picked[-1]
+        _fastcount, "_dense_pays", lambda *a: picked.append(dense_pays(*a)) or picked[-1]
     )
     got_nodes, local = local_clustering(net)
     assert picked == [dense]  # a drift in the cost constants or the cap shows here
     assert (got_nodes, local.tobytes()) == (nodes, oracle.tobytes())
     if not dense and net.n_nodes > CAP + 1:
         return  # the dense matrices of the county graph would take 2 GB
-    monkeypatch.setattr(metrics, "_dense_pays", lambda *a: not dense)
+    monkeypatch.setattr(_fastcount, "_dense_pays", lambda *a: not dense)
     assert local_clustering(net)[1].tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "triangles"])
+def test_clustering_is_exact_past_2_to_the_53(dense, monkeypatch):
+    # A hub joined to the 150 nodes of a path, weights near 2**47: its sum of
+    # w * codeg passes 2**55, where a float64 sum of such terms rounds, while
+    # its denominator still fits int64.
+    leaves = 150
+    src = np.concatenate((np.zeros(leaves, dtype=np.int64), np.arange(1, leaves)))
+    dst = np.concatenate((np.arange(1, leaves + 1), np.arange(2, leaves + 1)))
+    weights = 2**47 + np.random.default_rng(11).integers(0, 2**20, src.size)
+    net = PlaceNetwork.from_arrays([f"v{i:03d}" for i in range(leaves + 1)], src, dst, weights)
+    monkeypatch.setattr(_fastcount, "_dense_pays", lambda *a: dense)
+    adj = adjacency(net)
+    expected = []
+    for node in net.names:
+        nbrs = adj[node]
+        num = sum(w * len(nbrs.keys() & adj[j].keys()) for j, w in nbrs.items())
+        den = sum(nbrs.values()) * (len(nbrs) - 1)
+        expected.append(np.float64(num) / np.float64(den) if len(nbrs) >= 2 else 0.0)
+    hub = adj[net.names[0]]
+    assert sum(w * len(hub.keys() & adj[j].keys()) for j, w in hub.items()) > 2**55
+    assert sum(hub.values()) * (len(hub) - 1) < 2**63
+    assert local_clustering(net)[1].tolist() == expected
 
 
 def test_average_clustering_is_sequential_sum_in_node_order():

@@ -1,6 +1,7 @@
 import datetime as dt
 import hashlib
 import itertools
+import json
 import random
 
 import numpy as np
@@ -291,6 +292,19 @@ def test_each_command_loads_only_its_own_stage_modules(tmp_path):
     )
     assert {"motifs", "_fastcount"} <= census
     assert not census & {"stats", "metrics", "attributes", "synth", "_pcg64", "refnets"}
+    world = {"n_pois": 40, "bbox": [29.5, 30.0, -95.8, -95.2],
+             "category_shares": {"7": 0.5, "18": 0.5}, "seed": 1}
+    traffic = {"n_device_days": 50, "class_mix": {"M2_1": 0.5, "M4_3": 0.5},
+               "date_range": ["2020-02-01", "2020-02-02"], "seed": 2}
+    (tmp_path / "world.json").write_text(json.dumps(world), encoding="utf-8")
+    (tmp_path / "traffic.json").write_text(json.dumps(traffic), encoding="utf-8")
+    synth = placeweave_modules(
+        "from placeweave.cli import main; assert main(['synth', '--world', 'world.json', "
+        "'--traffic', 'traffic.json', '--out', 'data']) == 0",
+        tmp_path,
+    )
+    assert {"synth", "_pcg64"} <= synth
+    assert not synth & {"stats", "refnets", "metrics", "_fastcount"}
 
 
 def test_instance_stream_matches_counts():
@@ -310,6 +324,11 @@ def test_instance_stream_matches_counts():
           for p, seed in ((0.2, 4), (0.45, 5), (0.8, 6))),
         pytest.param(network({}, nodes=["a", "b", "c"]), id="edge-free"),
         pytest.param(PlaceNetwork(), id="empty"),
+        pytest.param(
+            network({(a, b): 1 for a, b in ("bc", "bd", "cd", "cf", "df", "fg")},
+                    nodes=["a", "e", "h"]),
+            id="isolated-nodes",
+        ),
     ],
 )
 def test_enumeration_census_lists_triangles_once(monkeypatch, net):
@@ -329,6 +348,14 @@ def test_enumeration_census_lists_triangles_once(monkeypatch, net):
     assert {c: s.motif_count for c, s in census.classes.items() if s.motif_count} == expected
     assert list(census.classes) == list(CLASS_ORDER)
     assert census.total_motifs == sum(expected.values())
+    # the CSR entry point of criterion 9 gives the same 3- and 4-node slots
+    _, indptr, indices = csr_adjacency(net)
+    for k in (3, 4):
+        size_k = [c for c in CLASS_ORDER if c.size == k]
+        slots = _fastcount.census_counts(indptr, indices, k)
+        assert [slots[CLASS_INDEX[c]] for c in size_k] == [
+            census.classes[c].motif_count for c in size_k
+        ]
 
 
 def test_enumerate_rejects_bad_k():

@@ -16,7 +16,6 @@ from placeweave.network import (
     csr_adjacency,
     read_network,
     sidecar_path,
-    weighted_csr,
     write_network,
 )
 
@@ -245,8 +244,11 @@ def test_sidecar_isolated_nodes_label_and_mode_survive_round_trip(tmp_path):
 
 def test_csr_adjacency_matches_network():
     built = build_network(table([seq("p1", "p2", "p3", "p1"), seq("p4", "p2", device="d2")]))
+    repeated = build_network(
+        table([seq("p1", "p2", "p3", "p1", "p2"), seq("p4", "p2", device="d2")])
+    )
     isolated = network(edge_weights(built), nodes=["p0", "p5"])
-    for net in (built, PlaceNetwork(), isolated):
+    for net in (built, repeated, PlaceNetwork(), isolated):
         nodes, indptr, indices = csr_adjacency(net)
         adj = adjacency(net)
         assert nodes == sorted(net.names)
@@ -257,35 +259,20 @@ def test_csr_adjacency_matches_network():
             assert neighbors == sorted(adj[node])
 
 
-def test_weighted_csr_weights_follow_indices():
-    built = build_network(table([seq("p1", "p2", "p3", "p1", "p2"), seq("p4", "p2", device="d2")]))
-    isolated = network(edge_weights(built), nodes=["p0", "p5"])
-    for net in (built, PlaceNetwork(), isolated):
-        nodes, indptr, indices, weights = weighted_csr(net)
-        csr_nodes, csr_indptr, csr_indices = csr_adjacency(net)
-        adj = adjacency(net)
-        assert nodes == csr_nodes
-        assert np.array_equal(indptr, csr_indptr) and np.array_equal(indices, csr_indices)
-        assert weights.dtype == np.int64 and weights.size == indices.size
-        for i, node in enumerate(nodes):
-            row = range(indptr[i], indptr[i + 1])
-            assert [weights[e] for e in row] == [adj[node][nodes[indices[e]]] for e in row]
-    assert weighted_csr(built)[3].sum() == 2 * built.total_weight
-
-
 @pytest.mark.parametrize("n, p, seed", [(2, 1.0, 0), (40, 0.3, 1), (300, 0.05, 2), (500, 0.4, 3)])
 def test_weighted_csr_order_equals_the_lexsort_order(n, p, seed):
+    # csr_adjacency of a weighted network lists both ends of every edge in (src, dst) order
     rng = np.random.default_rng(seed)
     src, dst = np.triu_indices(n, 1)
     kept = rng.random(src.size) < p
     src, dst = src[kept], dst[kept]
     weights = rng.integers(1, 50, size=src.size)
     net = PlaceNetwork.from_arrays([f"p{i:04d}" for i in range(n)], src, dst, weights)
-    _, _, indices, csr_weights = weighted_csr(net)
+    _, indptr, indices = csr_adjacency(net)
     ends = np.concatenate((net.src, net.dst)), np.concatenate((net.dst, net.src))
     order = np.lexsort((ends[1], ends[0]))
     assert np.array_equal(indices, ends[1][order])
-    assert np.array_equal(csr_weights, np.concatenate((net.weights, net.weights))[order])
+    assert np.array_equal(np.repeat(np.arange(n), np.diff(indptr)), ends[0][order])
 
 
 def _brute_force_edges(seqs, mode):

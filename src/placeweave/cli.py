@@ -1,13 +1,19 @@
 """placeweave command line: pipeline stages as subcommands.
 
 Exit codes: 0 success, 2 input or schema error, 3 invariant violation.
-Logs go to stderr; data only to files.
+A missing input, a directory where a file belongs, or an --out that is a
+file exits 2 naming the path. Logs go to stderr; data only to files.
+
+main lets OpenBLAS's idle worker threads sleep at once
+(OPENBLAS_THREAD_TIMEOUT=4) unless the environment already sets that
+variable; the pool size is left to OpenBLAS.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from dataclasses import fields
 
@@ -153,6 +159,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser = build_parser()
     args = parser.parse_args(argv)
+    # numpy first loads in _dispatch, and with it OpenBLAS, whose nproc - 1
+    # workers busy-wait 2**28 cycles (about 0.1 s) after the load and after
+    # each BLAS call. The one call, codegrees' dense A @ A, still runs on
+    # the whole pool; 4 (2**4 cycles, OpenBLAS's minimum) only puts the
+    # workers to sleep at once. On 2 cores this took the readme benchmark
+    # job from 1.05 to 0.80 s of CPU (medians of 10 runs) at equal wall time.
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
     try:
         _dispatch(args)
     except SchemaError as exc:
@@ -160,6 +173,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except FileNotFoundError as exc:
         logger.error("missing input: %s", exc)
+        return 2
+    except (IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
+        # a bad path, not a failing disk, so no bare OSError here
+        logger.error("%s: %s", exc.strerror, exc.filename)
         return 2
     except ValueError as exc:
         logger.error("%s", exc)

@@ -19,6 +19,7 @@ import datetime as dt
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -80,10 +81,6 @@ def _libm(fn, values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, values.tolist()), dtype=np.float64, count=len(values))
 
 
-def _sin_squared(x: float) -> float:
-    return math.sin(x) ** 2
-
-
 def _great_circle_lengths(
     phi: np.ndarray, cos_phi: np.ndarray, lon: np.ndarray, ends: np.ndarray
 ) -> np.ndarray:
@@ -96,8 +93,10 @@ def _great_circle_lengths(
     """
     u, v = ends.T
     dlam = _libm(math.radians, lon[v] - lon[u])
-    sin2_dphi = _libm(_sin_squared, (phi[v] - phi[u]) / 2.0)
-    a = sin2_dphi + cos_phi[u] * cos_phi[v] * _libm(_sin_squared, dlam / 2.0)
+    half = np.concatenate([(phi[v] - phi[u]) / 2.0, dlam / 2.0]).tolist()
+    sin2 = np.fromiter(map(math.pow, map(math.sin, half), repeat(2.0)), np.float64, len(half))
+    sin2_dphi, sin2_dlam = np.split(sin2, 2)
+    a = sin2_dphi + cos_phi[u] * cos_phi[v] * sin2_dlam
     near = a <= 0.5
     km = np.empty(len(a))
     km[near] = 2.0 * EARTH_RADIUS_KM * _libm(math.asin, np.minimum(1.0, np.sqrt(a[near])))

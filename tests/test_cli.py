@@ -205,6 +205,28 @@ def test_missing_input_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command, bad",
+    [
+        (["run", "--stops", "{dir}", "--pois", "{pois}", "--out", "{out}"], "dir"),
+        (["metrics", "--network", "{dir}", "--out", "{out}"], "dir"),
+        (["run", "--config", "{dir}", "--stops", "{stops}", "--pois", "{pois}", "--out", "{out}"],
+         "dir"),
+        (["run", "--stops", "{stops}", "--pois", "{pois}", "--out", "{file}"], "file"),
+        (["run", "--stops", "{stops}", "--pois", "{pois}", "--out", "{file}/o"], "file"),
+    ],
+    ids=["run-stops-dir", "metrics-network-dir", "run-config-dir", "run-out-file",
+         "run-out-under-file"],
+)
+def test_unusable_path_exits_2_naming_it(synth_dir, tmp_path, caplog, command, bad):
+    paths = {"dir": tmp_path / "a_dir", "file": tmp_path / "a_file", "out": tmp_path / "o",
+             "stops": synth_dir / "stops.csv", "pois": synth_dir / "pois.csv"}
+    paths["dir"].mkdir()
+    paths["file"].write_text("x\n")
+    assert main([arg.format(**paths) for arg in command]) == 2
+    assert str(paths[bad]) in caplog.text
+
+
 def test_enumerate_mode_needs_only_network(synth_dir, tmp_path):
     ingest_out = tmp_path / "ing"
     assert main(

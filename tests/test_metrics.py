@@ -36,7 +36,7 @@ from placeweave.metrics import (
     network_summary,
     poisson_reference,
 )
-from placeweave.network import PlaceNetwork
+from placeweave.network import PlaceNetwork, write_network
 from placeweave.refnets import RefNetSpec, gen_random_network
 from test_acceptance import _county_scale_graph
 
@@ -307,6 +307,34 @@ def test_clustering_is_exact_past_2_to_the_53(dense, monkeypatch):
     assert sum(w * len(hub.keys() & adj[j].keys()) for j, w in hub.items()) > 2**55
     assert sum(hub.values()) * (len(hub) - 1) < 2**63
     assert local_clustering(net)[1].tolist() == expected
+
+
+def test_blas_thread_count_changes_no_metrics_bytes(tmp_path, monkeypatch):
+    # The dense form's A @ A is the program's one BLAS call and may run on
+    # several threads; its entries are integers below 2**24, exact in any order.
+    net = FORM_CASES["readme-like-500"][0]()
+    picked = []
+    dense_pays = _fastcount._dense_pays
+    monkeypatch.setattr(
+        _fastcount, "_dense_pays", lambda *a: picked.append(dense_pays(*a)) or picked[-1]
+    )
+    local_clustering(net)
+    assert picked == [True]
+    write_network(net, tmp_path / "net.csv")
+    src = str(Path(placeweave.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)  # the timeout main sets applies
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "placeweave.cli", "metrics", "--network", "net.csv",
+             "--out", out.name],
+            env=dict(env, OPENBLAS_NUM_THREADS=threads), cwd=tmp_path, check=True,
+        )
+        trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert trees[0] == trees[1]
+    assert json.loads(trees[0]["summary.json"])["average_clustering"] > 0
 
 
 def test_average_clustering_is_sequential_sum_in_node_order():

@@ -307,6 +307,45 @@ def test_each_command_loads_only_its_own_stage_modules(tmp_path):
     assert not synth & {"stats", "refnets", "metrics", "_fastcount"}
 
 
+# Prints the OpenBLAS idle timeout in the environment when numpy first loads.
+WATCH_NUMPY_IMPORT = """
+import os, sys
+
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print("at numpy import:", os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+
+sys.meta_path.insert(0, Watch())
+"""
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "4"), ("9", "9")], ids=["unset", "preset"])
+def test_main_sets_the_blas_idle_timeout_before_numpy_loads(tmp_path, preset, expected):
+    setup = (f"os.environ['OPENBLAS_THREAD_TIMEOUT'] = {preset!r}" if preset
+             else "os.environ.pop('OPENBLAS_THREAD_TIMEOUT', None)")
+    code = WATCH_NUMPY_IMPORT + (
+        f"{setup}\n"
+        "from placeweave.cli import main\n"
+        "assert main(['refnet', '--kind', 'scale-free', '--n', '60', '--avg-degree', '4', "
+        "'--seed', '9', '--out', 'ref.csv']) == 0\n"
+        "print('after main:', os.environ['OPENBLAS_THREAD_TIMEOUT'])\n"
+    )
+    # numpy loads once, inside main, and the value set by then is kept
+    assert loaded_modules(code, cwd=tmp_path).splitlines() == [
+        f"at numpy import: {expected}", f"after main: {expected}"
+    ]
+
+
+def test_imports_and_parser_leave_the_environment_untouched(tmp_path):
+    code = (
+        "import os; os.environ.pop('OPENBLAS_THREAD_TIMEOUT', None); before = dict(os.environ); "
+        "import placeweave, placeweave.pipeline; from placeweave import cli; cli.build_parser(); "
+        "print(dict(os.environ) == before)"
+    )
+    assert loaded_modules(code, cwd=tmp_path) == "True"
+
+
 def test_instance_stream_matches_counts():
     net = random_net(12, 0.3, 3)
     insts = list(iter_induced_instances(net, 3))

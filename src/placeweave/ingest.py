@@ -27,9 +27,11 @@ stop is
     (start_time * 10**6 + off_us) // 86_400_000_000
 
 days after 1970-01-01, where off_us is the UTC offset in whole
-microseconds as datetime.timedelta rounds it; that is the date local_date
-returns. The sequences are one SequenceTable: a device code and day number
-per sequence and one flat array of POI codes cut by offsets.
+microseconds as datetime.timedelta rounds it; that is the date of
+datetime.fromtimestamp in a timezone of that offset. A stop whose local
+date falls outside 0001-01-01..9999-12-31 is bad input (SchemaError). The
+sequences are one SequenceTable: a device code and day number per sequence
+and one flat array of POI codes cut by offsets.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ EPOCH = dt.date(1970, 1, 1)
 # synth); pinned so distance tests are bit-exact.
 EARTH_RADIUS_KM = 6371.0088
 _US_PER_DAY = 86_400_000_000
+_MIN_DAY, _MAX_DAY = ((day - EPOCH).days for day in (dt.date.min, dt.date.max))
 _INT64 = np.iinfo(np.int64)
 # Rows per token block a file writer builds, and tokens per byte gather of
 # write_tokens: together they bound the memory a written file takes.
@@ -208,15 +211,6 @@ class SequenceTable:
             device, date = self.devices[self.device[i]], day_date(self.day[i])
             raise WalkError(i, f"a walk {rule}: device {device!r} on {date}")
         return sequence, position
-
-    def walks(self) -> Iterator[tuple[str, dt.date, tuple[str, ...]]]:
-        """(device_id, local_date, stays) per sequence; one date object per day."""
-        days = self.day.tolist()
-        dates = {d: day_date(d) for d in set(days)}
-        names = np.array(self.pois, dtype=object)[self.stays].tolist()
-        bounds = self.offsets.tolist()
-        for i, (device, day) in enumerate(zip(self.device.tolist(), days)):
-            yield self.devices[device], dates[day], tuple(names[bounds[i] : bounds[i + 1]])
 
 
 class CsvRows(AbstractContextManager):
@@ -483,22 +477,22 @@ def filter_cataloged(stops: StopTable, catalog: PoiCatalog) -> tuple[StopTable, 
     return kept, dropped
 
 
-def local_date(start_time: int, utc_offset: float) -> dt.date:
-    tz = dt.timezone(dt.timedelta(hours=utc_offset))
-    return dt.datetime.fromtimestamp(start_time, tz).date()
-
-
 def local_days(start_time: np.ndarray, utc_offset: float) -> np.ndarray:
     """Local day numbers (days after 1970-01-01) of int64 UTC epoch seconds.
 
-    Day d is local_date's date EPOCH + d. local_date runs on the earliest
-    and latest time first, so an out-of-range time or offset raises what
-    local_date raises for it.
+    The earliest and latest time are checked first in Python ints, so a
+    time whose local date falls outside 0001-01-01..9999-12-31 raises
+    SchemaError naming it and the offset, before the int64 product could
+    overflow.
     """
-    if start_time.size:
-        local_date(int(start_time.min()), utc_offset)
-        local_date(int(start_time.max()), utc_offset)
     off_us = dt.timedelta(hours=utc_offset) // dt.timedelta(microseconds=1)
+    ends = (int(start_time.min()), int(start_time.max())) if start_time.size else ()
+    for t in ends:
+        if not _MIN_DAY <= (t * 1_000_000 + off_us) // _US_PER_DAY <= _MAX_DAY:
+            raise SchemaError(
+                f"start_time {t} at UTC offset {utc_offset:+g} h has a local date "
+                f"outside {dt.date.min}..{dt.date.max}"
+            )
     return (start_time * 1_000_000 + off_us) // _US_PER_DAY
 
 

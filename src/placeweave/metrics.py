@@ -49,15 +49,6 @@ class DegreeHistogram:
     def support(self) -> list[int]:
         return sorted(self.counts)
 
-    def pdf_at(self, k: int) -> float:
-        return self.counts.get(k, 0) / self.n
-
-    def ccdf_at(self, k: int) -> float:
-        return sum(c for kk, c in self.counts.items() if kk >= k) / self.n
-
-    def mean(self) -> float:
-        return sum(k * c for k, c in self.counts.items()) / self.n
-
     def curve(self) -> list[tuple[int, int, float, float]]:
         """Rows (k, count, pdf, ccdf) over the observed support, ascending."""
         rows = []
@@ -104,8 +95,8 @@ def degree_distribution(net: PlaceNetwork) -> DegreeHistogram:
     return DegreeHistogram({k: c for k, c in enumerate(counts) if c}, net.n_nodes)
 
 
-def local_clustering(net: PlaceNetwork) -> tuple[list[str], np.ndarray]:
-    """Barrat weighted clustering of every node: (sorted nodes, float64 values).
+def local_clustering(net: PlaceNetwork) -> np.ndarray:
+    """Barrat weighted clustering of every node as float64, in net.names order.
 
     Nodes of degree < 2 get 0. Each node's sums are taken with np.add.at in
     int64, exact wherever the sum fits, never in float64.
@@ -119,7 +110,7 @@ def local_clustering(net: PlaceNetwork) -> tuple[list[str], np.ndarray]:
     deg = np.bincount(ends, minlength=n)
     local = np.zeros(n)
     np.divide(numerator, strength * (deg - 1), out=local, where=deg >= 2)
-    return list(net.names), local
+    return local
 
 
 def average_clustering(net: PlaceNetwork) -> float:
@@ -130,8 +121,7 @@ def average_clustering(net: PlaceNetwork) -> float:
     """
     if not net.n_nodes:
         raise ValueError("empty network")
-    _, local = local_clustering(net)
-    return sum(local.tolist()) / net.n_nodes
+    return sum(local_clustering(net).tolist()) / net.n_nodes
 
 
 def network_summary(net: PlaceNetwork) -> NetworkSummary:
@@ -354,18 +344,10 @@ def fit_power_law(
     return best
 
 
-def poisson_reference(
-    average_degree: float, ks: list[int] | None = None
-) -> list[tuple[int, float]]:
-    """Poisson pmf with lambda = average_degree over the given degrees.
-
-    Without explicit degrees the curve spans 0 .. lambda + 10*sqrt(lambda).
-    """
+def poisson_reference(average_degree: float, ks: list[int]) -> list[tuple[int, float]]:
+    """Poisson pmf with lambda = average_degree over the given degrees."""
     if average_degree <= 0:
         raise ValueError("average degree must be positive")
-    if ks is None:
-        upper = int(math.ceil(average_degree + 10 * math.sqrt(average_degree)))
-        ks = list(range(upper + 1))
     # scipy.stats.poisson's own pmf formula and order of operations
     pmf = np.exp([_xlogy(k, average_degree) - _lgam(float(k + 1)) - average_degree for k in ks])
     return list(zip(ks, pmf.tolist()))

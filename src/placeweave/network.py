@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import csv
 import json
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -128,14 +127,6 @@ class PlaceNetwork:
     def total_weight(self) -> int:
         return int(self.weights.sum())
 
-    def index(self, node: str) -> int:
-        """The code of node in names; KeyError for a node not in the network."""
-        names = self.names
-        i = bisect_left(names, node)
-        if i == len(names) or names[i] != node:
-            raise KeyError(f"unknown node {node!r}")
-        return i
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PlaceNetwork):
             return NotImplemented
@@ -196,21 +187,6 @@ def pair_network(
     names = [pois[i] for i in np.flatnonzero(touched).tolist()]
     ones = np.ones(len(a), dtype=np.int64)
     return PlaceNetwork.from_arrays(names, code[a], code[b], ones, label=label, mode=mode)
-
-
-def build_network(
-    sequences: SequenceTable,
-    mode: str = "consecutive",
-    label: str | None = None,
-) -> PlaceNetwork:
-    """Aggregate stay sequences into one weighted network (see poi_pairs).
-
-    The label defaults to the sequences' date range.
-    """
-    _, a, b = poi_pairs(sequences, mode)
-    if label is None and len(sequences):
-        label = date_range_label(sequences.day.min(), sequences.day.max())
-    return pair_network(sequences.pois, a, b, mode, label or "")
 
 
 def date_range_label(first: int, last: int) -> str:

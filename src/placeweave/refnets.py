@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RNG_ALGORITHM  # noqa: F401 - kept importable from here
 from .network import PlaceNetwork
 
 REFNET_KINDS = ("random", "scale_free")
@@ -32,6 +31,10 @@ class RefNetSpec:
             raise ValueError(f"kind must be one of {REFNET_KINDS}, got {self.kind!r}")
         if self.n < 2:
             raise ValueError(f"need at least 2 nodes, got {self.n}")
+        if not math.isfinite(self.target_average_degree):
+            raise ValueError(
+                f"target average degree must be finite, got {self.target_average_degree}"
+            )
         if self.target_average_degree <= 0:
             raise ValueError(
                 f"target average degree must be positive, got {self.target_average_degree}"

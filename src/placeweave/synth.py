@@ -386,6 +386,8 @@ def gen_device_days(catalog: PoiCatalog, spec: TrafficSpec) -> StopTable:
 
 
 def _require_keys(doc: dict, required: set[str], optional: set[str], what: str) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what}: must be a JSON object, got {type(doc).__name__}")
     unknown = set(doc) - required - optional
     if unknown:
         raise ConfigError(f"{what}: unknown key(s) {sorted(unknown)}")
@@ -394,47 +396,58 @@ def _require_keys(doc: dict, required: set[str], optional: set[str], what: str) 
         raise ConfigError(f"{what}: missing key(s) {sorted(missing)}")
 
 
-def load_world_spec(path: str | Path) -> WorldSpec:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    _require_keys(doc, {"n_pois", "bbox", "category_shares", "seed"}, set(), "world spec")
+def _field(doc: dict, key: str, convert, what: str):
+    """convert(doc[key]); a value of the wrong JSON type or form raises
+    ConfigError naming the spec and the key."""
     try:
-        shares = {int(k): float(v) for k, v in doc["category_shares"].items()}
-    except (ValueError, AttributeError):
-        raise ConfigError("world spec: category_shares must map ids to numbers") from None
+        return convert(doc[key])
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"{what}: bad {key} ({exc})") from None
+
+
+def _pair(convert, values) -> tuple:
+    first, last = values
+    return convert(first), convert(last)
+
+
+def load_world_spec(path: str | Path) -> WorldSpec:
+    what = "world spec"
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    _require_keys(doc, {"n_pois", "bbox", "category_shares", "seed"}, set(), what)
     spec = WorldSpec(
-        n_pois=int(doc["n_pois"]),
-        bbox=tuple(float(x) for x in doc["bbox"]),
-        category_shares=shares,
-        seed=int(doc["seed"]),
+        n_pois=_field(doc, "n_pois", int, what),
+        bbox=_field(doc, "bbox", lambda bbox: tuple(float(x) for x in bbox), what),
+        category_shares=_field(
+            doc, "category_shares", lambda mix: {int(k): float(v) for k, v in mix.items()}, what
+        ),
+        seed=_field(doc, "seed", int, what),
     )
     spec.validate()
     return spec
 
 
 def load_traffic_spec(path: str | Path) -> TrafficSpec:
+    what = "traffic spec"
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     _require_keys(
         doc,
         {"n_device_days", "class_mix", "date_range", "seed"},
         {"dwell_range", "max_sample_km"},
-        "traffic spec",
+        what,
     )
-    try:
-        mix = {MotifClass(k): float(v) for k, v in doc["class_mix"].items()}
-    except ValueError as exc:
-        raise ConfigError(f"traffic spec: bad class name ({exc})") from None
-    try:
-        start, end = (dt.date.fromisoformat(d) for d in doc["date_range"])
-    except ValueError as exc:
-        raise ConfigError(f"traffic spec: bad date_range ({exc})") from None
+    doc = {"dwell_range": (600, 3600), "max_sample_km": None, **doc}
     spec = TrafficSpec(
-        n_device_days=int(doc["n_device_days"]),
-        class_mix=mix,
-        date_range=(start, end),
-        dwell_range=tuple(int(x) for x in doc.get("dwell_range", (600, 3600))),
-        seed=int(doc["seed"]),
-        max_sample_km=(
-            float(doc["max_sample_km"]) if doc.get("max_sample_km") is not None else None
+        n_device_days=_field(doc, "n_device_days", int, what),
+        class_mix=_field(
+            doc, "class_mix", lambda mix: {MotifClass(k): float(v) for k, v in mix.items()}, what
+        ),
+        date_range=_field(
+            doc, "date_range", lambda dates: _pair(dt.date.fromisoformat, dates), what
+        ),
+        dwell_range=_field(doc, "dwell_range", lambda dwell: _pair(int, dwell), what),
+        seed=_field(doc, "seed", int, what),
+        max_sample_km=_field(
+            doc, "max_sample_km", lambda km: None if km is None else float(km), what
         ),
     )
     spec.validate()

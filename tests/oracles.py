@@ -9,10 +9,14 @@ shares code with the library paths under test.
 The table builders at the top are not oracles: they let tests state a
 network, sequences, stops or a POI catalog as plain tuples and build the
 table through the library's own constructors (PlaceNetwork.from_arrays,
-the SequenceTable fields, parse_stops, load_poi_catalog). Nor are the
-one-node helpers after them: degree counts a node's entries in the edge
-arrays, and local_clustering_weighted reads one node's value from the
-library's local_clustering.
+the SequenceTable fields, parse_stops, load_poi_catalog), and walks reads
+a SequenceTable back as tuples. Nor are the helpers after them: build_network
+is the library's poi_pairs and pair_network over a whole table, labelled
+with its date range; node_code finds a node in a network's sorted names;
+degree counts a node's entries in the edge arrays; and
+local_clustering_weighted reads one node's value from the library's
+local_clustering. local_date is the datetime reading of a stop's local
+date that ingest.local_days computes in bulk.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import datetime as dt
 import functools
 import io
 import itertools
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -32,7 +37,7 @@ from placeweave.errors import RowError
 from placeweave.ingest import EPOCH, SequenceTable, load_poi_catalog, parse_stops
 from placeweave.metrics import local_clustering
 from placeweave.motifs import MotifClass, classify_graph
-from placeweave.network import PlaceNetwork
+from placeweave.network import PlaceNetwork, date_range_label, pair_network, poi_pairs
 from placeweave.stats import EARTH_RADIUS_KM
 from placeweave.synth import CLASS_WALKS, DeviceDayPlan
 
@@ -41,7 +46,7 @@ from placeweave.synth import CLASS_WALKS, DeviceDayPlan
 
 
 class Walk(NamedTuple):
-    """One sequence as SequenceTable.walks() yields it (and equal to that tuple)."""
+    """One sequence as walks gives it (and equal to that tuple)."""
 
     device_id: str
     local_date: dt.date
@@ -85,6 +90,18 @@ def sequence_table(walks: Iterable) -> SequenceTable:
     )
 
 
+def walks(table: SequenceTable) -> list[Walk]:
+    """(device_id, local_date, stays) per sequence of a SequenceTable; one date object per day."""
+    days = table.day.tolist()
+    dates = {d: EPOCH + dt.timedelta(days=d) for d in set(days)}
+    names = np.array(table.pois, dtype=object)[table.stays].tolist()
+    bounds = table.offsets.tolist()
+    return [
+        Walk(table.devices[device], dates[day], tuple(names[bounds[i] : bounds[i + 1]]))
+        for i, (device, day) in enumerate(zip(table.device.tolist(), days))
+    ]
+
+
 def stop_table(stops: Iterable):
     """The StopTable parse_stops reads from these (device_id, poi_id, start_time, dwell) rows."""
     return parse_stops(io.StringIO(stops_csv_text(stops)))
@@ -111,20 +128,43 @@ def catalog(rows: Iterable):
     return load_poi_catalog(io.StringIO("poi_id,name,lat,lon,naics\n" + "".join(lines)))
 
 
-# -- one node's degree and clustering --------------------------------------------
+# -- whole-table networks, one node's degree and clustering, local dates ---------
+
+
+def build_network(
+    sequences: SequenceTable, mode: str = "consecutive", label: str | None = None
+) -> PlaceNetwork:
+    """The network of every pair poi_pairs gives; the label defaults to the date range."""
+    _, a, b = poi_pairs(sequences, mode)
+    if label is None and len(sequences):
+        label = date_range_label(sequences.day.min(), sequences.day.max())
+    return pair_network(sequences.pois, a, b, mode, label or "")
+
+
+def node_code(net: PlaceNetwork, node: str) -> int:
+    """The code of node in net.names; KeyError for a node not in the network."""
+    names = net.names
+    i = bisect_left(names, node)
+    if i == len(names) or names[i] != node:
+        raise KeyError(f"unknown node {node!r}")
+    return i
 
 
 def degree(net: PlaceNetwork, node: str) -> int:
     """Number of distinct neighbors; weights play no role."""
-    code = net.index(node)
+    code = node_code(net, node)
     return int(np.count_nonzero(net.src == code) + np.count_nonzero(net.dst == code))
 
 
 def local_clustering_weighted(net: PlaceNetwork, node: str) -> float:
     """Barrat weighted clustering of one node; 0 when degree < 2."""
-    code = net.index(node)
-    _, local = local_clustering(net)
-    return float(local[code])
+    return float(local_clustering(net)[node_code(net, node)])
+
+
+def local_date(start_time: int, utc_offset: float) -> dt.date:
+    """The date of start_time (UTC epoch seconds) in the timezone utc_offset hours from UTC."""
+    tz = dt.timezone(dt.timedelta(hours=utc_offset))
+    return dt.datetime.fromtimestamp(start_time, tz).date()
 
 
 # -- CSV files read and formatted one row at a time --------------------------------
@@ -172,7 +212,7 @@ def format_sequences(sequences) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(("device_id", "local_date", "stays"))
     writer.writerows(
-        (device, day.isoformat(), "|".join(stays)) for device, day, stays in sequences.walks()
+        (device, day.isoformat(), "|".join(stays)) for device, day, stays in walks(sequences)
     )
     return out.getvalue()
 

@@ -27,6 +27,7 @@ from oracles import (
     brute_force_classify,
     brute_force_enumerate,
     brute_force_unweighted_clustering,
+    build_network,
     Walk,
     catalog,
     covering_walk,
@@ -35,6 +36,7 @@ from oracles import (
     network,
     sequence_table,
     trajectory_instance,
+    walks,
 )
 from placeweave import _fastcount
 from placeweave.attributes import attributed_key, canonical_keys
@@ -52,7 +54,7 @@ from placeweave.motifs import (
     classify_trajectories,
     enumerate_induced,
 )
-from placeweave.network import PlaceNetwork, build_network, csr_adjacency
+from placeweave.network import PlaceNetwork, csr_adjacency
 from placeweave.refnets import RefNetSpec, gen_random_network, gen_scale_free_network
 from placeweave.stats import EARTH_RADIUS_KM, haversine_km
 from placeweave.synth import (
@@ -181,9 +183,9 @@ def test_criterion_4_planted_recovery_50k():
         assert len(sequences) == 50_000
 
         net = build_network(sequences, mode="consecutive")
-        assert net.total_weight == sum(len(stays) - 1 for _, _, stays in sequences.walks())
+        assert net.total_weight == sum(len(stays) - 1 for _, _, stays in walks(sequences))
 
-        by_device = {device: stays for device, _, stays in sequences.walks()}
+        by_device = {device: stays for device, _, stays in walks(sequences)}
         recovered = 0
         for plan in plans:
             if trajectory_instance(by_device[plan.device_id]).motif_class is plan.motif_class:

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from placeweave import attributes, ingest, motifs, network, pipeline, stats
+from placeweave import attributes, ingest, metrics, motifs, network, pipeline, refnets, stats
 from placeweave.cli import main
 from placeweave.config import RunConfig, validate_config
 from placeweave.errors import ConfigError, InvariantError
@@ -44,6 +45,26 @@ def test_dwell_range_of_2_32_values_exits_2(tmp_path):
     (tmp_path / "traffic.json").write_text(json.dumps({**TRAFFIC, "dwell_range": [0, 2**32 - 1]}))
     args = ["--world", str(tmp_path / "world.json"), "--traffic", str(tmp_path / "traffic.json")]
     assert main(["synth", *args, "--out", str(tmp_path / "data")]) == 2
+    assert not (tmp_path / "data" / "stops.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "spec, doc, message",
+    [
+        ("traffic", {**TRAFFIC, "class_mix": []}, "bad class_mix"),
+        ("traffic", {**TRAFFIC, "n_device_days": None}, "bad n_device_days"),
+        ("traffic", {**TRAFFIC, "dwell_range": None}, "bad dwell_range"),
+        ("world", {**WORLD, "seed": None}, "bad seed"),
+        ("world", 5, "must be a JSON object, got int"),
+        ("traffic", 5, "must be a JSON object, got int"),
+    ],
+)
+def test_spec_value_of_a_wrong_json_type_exits_2_naming_it(tmp_path, caplog, spec, doc, message):
+    for name, content in {"world": WORLD, "traffic": TRAFFIC, spec: doc}.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(content))
+    args = ["--world", str(tmp_path / "world.json"), "--traffic", str(tmp_path / "traffic.json")]
+    assert main(["synth", *args, "--out", str(tmp_path / "data")]) == 2
+    assert f"{spec} spec: {message}" in caplog.text
     assert not (tmp_path / "data" / "stops.csv").exists()
 
 
@@ -491,6 +512,53 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "placeweave" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", ["random", "scale-free"])
+@pytest.mark.parametrize("degree", ["inf", "nan"])
+def test_refnet_of_a_non_finite_degree_exits_2_naming_it(tmp_path, caplog, kind, degree):
+    out_file = tmp_path / "ref.csv"
+    assert main(
+        ["refnet", "--kind", kind, "--n", "10", "--avg-degree", degree, "--out", str(out_file)]
+    ) == 2
+    assert f"target average degree must be finite, got {degree}" in caplog.text
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "time, offset", [(9_000_000_000_000_000_000, 0), (253_402_300_000, 1), (10**15, 0)]
+)
+def test_out_of_range_start_time_exits_2_at_ingest(tmp_path, caplog, time, offset):
+    stops = tmp_path / "stops.csv"
+    stops.write_text(f"device_id,poi_id,start_time,dwell\nd1,a,0,600\nd1,b,{time},600\n")
+    pois = tmp_path / "pois.csv"
+    pois.write_text("poi_id,name,lat,lon,naics\na,a,0,0,4400\nb,b,0,1,4400\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"utc_offset": offset}))
+    out = tmp_path / "out"
+    assert main(
+        ["run", "--stops", str(stops), "--pois", str(pois), "--out", str(out),
+         "--config", str(cfg)]
+    ) == 2
+    assert f"start_time {time} at UTC offset +{offset} h" in caplog.text
+    failed = json.loads((out / "manifest.json").read_text())["artifacts"][-1]
+    assert (failed["stage"], failed["error"]) == ("ingest", "SchemaError")
+
+
+def test_test_only_helpers_are_not_in_the_package():
+    removed = {
+        ingest: ["local_date"],
+        ingest.SequenceTable: ["walks"],
+        network: ["build_network", "bisect_left"],
+        network.PlaceNetwork: ["index"],
+        metrics.DegreeHistogram: ["pdf_at", "ccdf_at", "mean"],
+        refnets: ["RNG_ALGORITHM"],
+    }
+    for owner, names in removed.items():
+        for name in names:
+            assert not hasattr(owner, name), (owner, name)
+    ks = inspect.signature(metrics.poisson_reference).parameters["ks"]
+    assert ks.default is inspect.Parameter.empty
 
 
 def test_run_builds_no_stop_records_and_no_edge_dicts(synth_dir, tmp_path, monkeypatch):

@@ -68,8 +68,7 @@ def filter_visits(stops, min_dwell):
 
 def build_stay_sequences(stops, utc_offset):
     """ingest.build_stay_sequences over a table of the rows; its walks as Walk tuples."""
-    sequences = ingest.build_stay_sequences(stop_table(stops), utc_offset)
-    return [Walk(*walk) for walk in sequences.walks()]
+    return oracles.walks(ingest.build_stay_sequences(stop_table(stops), utc_offset))
 
 
 def test_filter_visits_threshold():
@@ -183,7 +182,7 @@ def test_sequences_share_no_object_with_stops():
     ]
     stops = stop_table(records)
     sequences = ingest.build_stay_sequences(filter_cataloged(stops, pois)[0], 0)
-    seqs = [Walk(*walk) for walk in sequences.walks()]
+    seqs = oracles.walks(sequences)
     assert seqs == build_stay_sequences(records, 0)
     own_ids = {poi_id: poi_id for poi_id in pois.poi_ids}
     stop_devices = {id(s.device_id) for s in records}
@@ -203,7 +202,7 @@ def test_sequences_survive_catalog_join():
     pois = catalog([("p1", "A", 0.0, 0.0, "44"), ("p2", "B", 0.0, 0.0, "72")])
     stops = stop_table([_stop(t=1), _stop(poi="ghost", t=2), _stop(poi="p2", t=3)])
     kept, _ = filter_cataloged(stops, pois)
-    for _, _, stays in ingest.build_stay_sequences(kept, 0).walks():
+    for _, _, stays in oracles.walks(ingest.build_stay_sequences(kept, 0)):
         assert all(poi in pois.poi_ids for poi in stays)
 
 
@@ -217,7 +216,7 @@ def test_sequence_file_round_trip(tmp_path):
     seqs = ingest.build_stay_sequences(stop_table(stops), 0)
     path = tmp_path / "sequences.csv"
     write_sequences(seqs, path)
-    assert list(read_sequences(path).walks()) == list(seqs.walks())
+    assert oracles.walks(read_sequences(path)) == oracles.walks(seqs)
 
 
 @pytest.mark.parametrize(
@@ -323,15 +322,30 @@ OFFSETS = st.one_of(
 def test_local_days_match_local_date(times, utc_offset):
     days = ingest.local_days(np.array(times, dtype=np.int64), utc_offset)
     assert [ingest.day_date(d) for d in days.tolist()] == [
-        ingest.local_date(t, utc_offset) for t in times
+        oracles.local_date(t, utc_offset) for t in times
     ]
 
 
-def test_local_days_raise_what_local_date_raises_out_of_range():
-    with pytest.raises(Exception) as expected:
-        ingest.local_date(10**15, 0.0)
-    with pytest.raises(type(expected.value)):
-        ingest.local_days(np.array([0, 10**15], dtype=np.int64), 0.0)
+@pytest.mark.parametrize(
+    "time, utc_offset",
+    [
+        (9_000_000_000_000_000_000, 0.0),
+        (253_402_300_000, 1.0),
+        (10**15, 0.0),
+        (2**62, 0.0),
+        (-(2**62), 0.0),
+        (-62_135_596_800, -1.0),
+    ],
+)
+def test_local_days_reject_a_time_whose_local_date_is_out_of_range(time, utc_offset):
+    with pytest.raises(SchemaError, match=re.escape(f"start_time {time} at UTC offset {utc_offset:+g} h")):
+        ingest.local_days(np.array([0, time], dtype=np.int64), utc_offset)
+
+
+@pytest.mark.parametrize("time", [-62_135_596_800, 253_402_300_799])  # 0001-01-01, 9999-12-31
+def test_local_days_keep_the_first_and_last_dates(time):
+    (day,) = ingest.local_days(np.array([time], dtype=np.int64), 0.0).tolist()
+    assert ingest.day_date(day) == oracles.local_date(time, 0.0)
 
 
 def _good_rows(n):
@@ -454,8 +468,8 @@ def test_sequence_file_round_trips_any_table(tmp_path_factory, seqs):
     table = sequence_table(seqs)
     write_sequences(table, path)
     assert path.read_bytes() == oracles.format_sequences(table).encode()
-    assert list(read_sequences(path).walks()) == seqs
-    assert list(read_sequences(path).walks()) == list(table.walks())
+    assert oracles.walks(read_sequences(path)) == seqs
+    assert oracles.walks(read_sequences(path)) == oracles.walks(table)
 
 
 def test_write_tokens_gathers_the_same_bytes_with_int32_or_int64_indices(tmp_path, monkeypatch):

@@ -8,11 +8,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import Walk, adjacency, edge_weights, merge_networks, network, sequence_table
+from oracles import (
+    Walk,
+    adjacency,
+    build_network,
+    edge_weights,
+    merge_networks,
+    network,
+    node_code,
+    sequence_table,
+)
 from placeweave.errors import SchemaError
 from placeweave.network import (
     PlaceNetwork,
-    build_network,
     csr_adjacency,
     read_network,
     sidecar_path,
@@ -120,10 +128,10 @@ def test_merge_associative_commutative_up_to_label():
 
 def test_index_is_the_code_in_names():
     net = network({("a", "c"): 2}, nodes=["c", "a", "lonely"])
-    assert [net.index(v) for v in ("a", "c", "lonely")] == [0, 1, 2]
+    assert [node_code(net, v) for v in ("a", "c", "lonely")] == [0, 1, 2]
     for unknown in ("", "b", "zz"):
         with pytest.raises(KeyError, match="unknown node"):
-            net.index(unknown)
+            node_code(net, unknown)
 
 
 def test_merge_empty_rejected():

@@ -215,7 +215,7 @@ def test_flow_count_differing_from_network_weight_exits_3(data, tmp_path, monkey
     real = ingest.read_sequences
 
     def one_walk_longer(path):
-        seqs = [oracles.Walk(*walk) for walk in real(path).walks()]
+        seqs = oracles.walks(real(path))
         first = seqs[0]
         extra = next(p for p in first.stays if p != first.stays[-1])
         seqs[0] = first._replace(stays=first.stays + (extra,))

@@ -103,7 +103,7 @@ def test_every_planted_walk_recovers_its_class():
     plans = gen_traffic_plan(catalog, spec)
     stops = gen_device_days(catalog, spec)
     sequences = build_stay_sequences(filter_visits(stops, 300), 0.0)
-    by_device = {walk[0]: oracles.Walk(*walk) for walk in sequences.walks()}
+    by_device = {walk.device_id: walk for walk in oracles.walks(sequences)}
     assert len(by_device) == len(plans)
     for plan in plans:
         seq = by_device[plan.device_id]

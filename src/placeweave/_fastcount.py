@@ -33,6 +33,7 @@ import math
 import numpy as np
 
 from .errors import InvariantError
+from .ingest import group_starts
 from .motifs import CLASS_INDEX, INDEX_CLASS, MotifClass
 
 N_CLASS_SLOTS = len(INDEX_CLASS)  # nine motif classes plus OTHER
@@ -240,8 +241,7 @@ def _four_cycles(uptr, tail, head, deg, n) -> int:
         keys[split:] = head[_ranges(uptr[u], mid)]
         keys[split:] += np.repeat(offset, mid)
         keys.sort()  # one run per pair (v, w); its length is c
-        ends = np.flatnonzero(np.append(keys[1:] != keys[:-1], True))
-        c = np.diff(ends, prepend=-1)
+        c = np.diff(group_starts(keys), append=keys.size)
         total += _total(c * (c - 1) // 2)
     return total
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingPoiError, UnknownSectorError
-from .ingest import PoiCatalog
-from .motifs import EMBEDDINGS, INDEX_CLASS, InstanceRows, MotifClass, group_starts
+from .ingest import PoiCatalog, group_starts
+from .motifs import EMBEDDINGS, INDEX_CLASS, InstanceRows, MotifClass
 
 
 @dataclass(frozen=True)

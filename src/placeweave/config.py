@@ -74,6 +74,20 @@ class RunConfig:
         return cfg
 
 
+def json_number(value, cast: type):
+    """cast(value), cast int or float, for a JSON number value; else TypeError or ValueError."""
+    # a JSON number only: true is a bool and "300" a string
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"must be a number, got {value!r}")
+    # int() would truncate 299.9; value % 1 is nan for inf and nan
+    if cast is int and value % 1:
+        raise ValueError(f"must be an integer, got {value!r}")
+    try:
+        return cast(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"is out of range for a number, got {value!r}") from None
+
+
 def validate_config(path: str | Path | None) -> RunConfig:
     """Load a config file, applying defaults; unknown keys are rejected."""
     if path is None:
@@ -102,17 +116,11 @@ def validate_config(path: str | Path | None) -> RunConfig:
                 problems.append(f"{key} must be a string, got {value!r}")
             else:
                 coerced[key] = value
-        # a JSON number only: true is a bool and "300" a string
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            problems.append(f"{key} must be a number, got {value!r}")
-        # int() would truncate 299.9; value % 1 is nan for inf and nan
-        elif cast is int and value % 1:
-            problems.append(f"{key} must be an integer, got {value!r}")
         else:
             try:
-                coerced[key] = cast(value)
-            except OverflowError:  # an integer beyond the float range
-                problems.append(f"{key} is out of range for a number, got {value!r}")
+                coerced[key] = json_number(value, cast)
+            except (TypeError, ValueError) as exc:
+                problems.append(f"{key} {exc}")
     if problems:
         raise ConfigError("; ".join(problems))
     cfg = RunConfig(**coerced)

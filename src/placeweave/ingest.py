@@ -144,6 +144,16 @@ def _intern(values: list[str]) -> tuple[list[str], np.ndarray]:
     return [v.encode().decode() for v in names], codes
 
 
+def group_starts(*columns: np.ndarray) -> np.ndarray:
+    """Indices of the rows whose columns differ from the row before (row 0 included)."""
+    new = np.zeros(len(columns[0]), dtype=bool)
+    new[:1] = True
+    for column in columns:
+        diff = column[1:] != column[:-1]
+        new[1:] |= diff.any(axis=1) if diff.ndim > 1 else diff
+    return np.flatnonzero(new)
+
+
 @dataclass(eq=False)
 class StopTable:
     """Stops as columns, one entry per stop in file order.
@@ -385,11 +395,8 @@ def _block_codes(index: dict[str, int], values: np.ndarray) -> np.ndarray:
 def _sorted_codes(values: list[str], codes: list[np.ndarray]) -> tuple[list[str], np.ndarray]:
     """The sorted distinct stripped values, as fresh copies that pin none of
     the parsed blocks' memory, and the blocks' codes into values mapped into them."""
-    stripped = [v.strip() for v in values]
-    names = sorted(set(stripped))
-    position = {v: i for i, v in enumerate(names)}
-    remap = np.fromiter(map(position.__getitem__, stripped), dtype=np.int32, count=len(stripped))
-    return [v.encode().decode() for v in names], remap[np.concatenate(codes)]
+    names, remap = _intern([v.strip() for v in values])
+    return names, remap[np.concatenate(codes)]
 
 
 def _bulk_stops(rows: CsvRows) -> StopTable | None:
@@ -511,12 +518,9 @@ def build_stay_sequences(stops: StopTable, utc_offset: float = 0.0) -> SequenceT
     order = np.lexsort((stops.poi, stops.start_time, days, stops.device))
     device, day, poi = stops.device[order], days[order], stops.poi[order]
     del days, order  # the sort's temporaries go before the table is built
-    first = np.ones(len(poi), dtype=bool)  # first stop of its device-day
-    first[1:] = (device[1:] != device[:-1]) | (day[1:] != day[:-1])
-    keep = first.copy()
-    keep[1:] |= poi[1:] != poi[:-1]
-    device, day, poi, first = device[keep], day[keep], poi[keep], first[keep]
-    starts = np.flatnonzero(first)
+    keep = group_starts(device, day, poi)  # drops each consecutive repeat
+    device, day, poi = device[keep], day[keep], poi[keep]
+    starts = group_starts(device, day)  # the first stay of each device-day
     lengths = np.diff(np.append(starts, len(poi)))
     long = lengths >= 2
     starts = starts[long]

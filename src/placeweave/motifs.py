@@ -34,7 +34,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InvariantError
-from .ingest import SequenceTable, is_weekend
+from .ingest import SequenceTable, group_starts, is_weekend
 from .network import PlaceNetwork, csr_adjacency, edge_key
 
 
@@ -267,16 +267,6 @@ def census_document(census: MotifCensus) -> dict:
         },
         "classes": rows,
     }
-
-
-def group_starts(*columns: np.ndarray) -> np.ndarray:
-    """Indices of the rows whose columns differ from the row before (row 0 included)."""
-    new = np.zeros(len(columns[0]), dtype=bool)
-    new[:1] = True
-    for column in columns:
-        diff = column[1:] != column[:-1]
-        new[1:] |= diff.any(axis=1) if diff.ndim > 1 else diff
-    return np.flatnonzero(new)
 
 
 def _instance_order(cls: np.ndarray, nodes: np.ndarray, mask: np.ndarray, *major) -> np.ndarray:

@@ -6,8 +6,8 @@ code pair) and each edge's int64 weight. Because the node ids are sorted,
 code order is string order, so the edge order is the order of the
 (poi_a, poi_b) string pairs. Weights count visit flows.
 
-Every network is built by PlaceNetwork.from_arrays, which sorts edge
-code pairs with one lexsort and sums the weights of repeated pairs.
+Every network is built by PlaceNetwork.from_arrays, which sorts edges by
+the one int64 key src * n + dst and sums the weights of repeated pairs.
 poi_pairs turns a SequenceTable's steps, or its co-visited POIs, into
 pairs of POI codes of weight one, each tagged with its sequence;
 pair_network builds the network of any subset of them, so the daily
@@ -36,6 +36,7 @@ from .ingest import (
     CsvRows,
     SequenceTable,
     day_date,
+    group_starts,
     int_tokens,
     token_rows,
     write_json,
@@ -54,15 +55,17 @@ def _empty() -> np.ndarray:
 
 
 def _sum_edges(
-    src: np.ndarray, dst: np.ndarray, weights: np.ndarray
+    n: int, src: np.ndarray, dst: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort edges by (src, dst) with one lexsort and sum the weights of repeated pairs."""
-    order = np.lexsort((dst, src))
-    src, dst, total = src[order], dst[order], np.cumsum(weights[order])
-    last = np.ones(len(src), dtype=bool)  # last entry of its pair
-    last[:-1] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-    total = total[last]
-    return src[last], dst[last], np.diff(total, prepend=0)
+    """Sort edges over n nodes by the int64 key src * n + dst and sum each key's weights.
+
+    Codes below n <= 2**31 keep the key below 2**62; equal keys may sort in
+    any order, since their integer sum does not depend on it."""
+    key = src * n + dst
+    order = np.argsort(key)
+    start = group_starts(key[order])
+    first = order[start]
+    return src[first], dst[first], np.add.reduceat(weights[order], start)
 
 
 @dataclass(eq=False)
@@ -91,9 +94,9 @@ class PlaceNetwork:
         label: str = "",
         mode: str | None = None,
     ) -> PlaceNetwork:
-        """A network over sorted distinct names; repeated edges (src < dst) add up."""
+        """A network over sorted distinct names; repeated int64 edges (src < dst) add up."""
         columns = (np.asarray(column, dtype=np.int64) for column in (src, dst, weights))
-        return cls(names, *_sum_edges(*columns), label=label, mode=mode)
+        return cls(names, *_sum_edges(len(names), *columns), label=label, mode=mode)
 
     def add_edge(self, a: str, b: str, weight: int = 1) -> None:
         """Add weight to the edge (a, b) and its nodes, rebuilding the arrays at once.
@@ -160,11 +163,12 @@ def poi_pairs(
     if mode == "consecutive":
         a, b = stays[position], stays[position + 1]
         return seq[position], np.minimum(a, b), np.maximum(a, b)
-    order = np.lexsort((stays, seq))
-    seq, poi = seq[order], stays[order]
-    distinct = np.ones(len(poi), dtype=bool)
-    distinct[1:] = (seq[1:] != seq[:-1]) | (poi[1:] != poi[:-1])
-    seq, poi = seq[distinct], poi[distinct]
+    n_pois = max(len(sequences.pois), 1)
+    # np.unique with no index output uses a hash table: 0.66 s against 0.012 s
+    # for this sort on 878,895 keys (numpy 2.4, 2-core host)
+    key = np.sort(seq * n_pois + stays)
+    key = key[group_starts(key)]  # each (sequence, POI) once
+    seq, poi = key // n_pois, key % n_pois
     # each distinct POI pairs with every larger one of its sequence
     later = np.searchsorted(seq, seq, side="right") - np.arange(len(seq)) - 1
     first = np.repeat(np.arange(len(seq)), later)

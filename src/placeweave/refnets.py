@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .network import PlaceNetwork
 
 REFNET_KINDS = ("random", "scale_free")
@@ -28,20 +29,20 @@ class RefNetSpec:
 
     def validate(self) -> None:
         if self.kind not in REFNET_KINDS:
-            raise ValueError(f"kind must be one of {REFNET_KINDS}, got {self.kind!r}")
+            raise ConfigError(f"kind must be one of {REFNET_KINDS}, got {self.kind!r}")
         if self.n < 2:
-            raise ValueError(f"need at least 2 nodes, got {self.n}")
+            raise ConfigError(f"need at least 2 nodes, got {self.n}")
         if not math.isfinite(self.target_average_degree):
-            raise ValueError(
+            raise ConfigError(
                 f"target average degree must be finite, got {self.target_average_degree}"
             )
         if self.target_average_degree <= 0:
-            raise ValueError(
+            raise ConfigError(
                 f"target average degree must be positive, got {self.target_average_degree}"
             )
         # G(n, p) needs p <= 1; attachment instead caps edges-per-node below n.
         if self.kind == "random" and self.target_average_degree > self.n - 1:
-            raise ValueError(
+            raise ConfigError(
                 f"target average degree must lie in (0, {self.n - 1}] for a "
                 f"random network, got {self.target_average_degree}"
             )
@@ -100,12 +101,12 @@ def gen_scale_free_network(spec: RefNetSpec) -> PlaceNetwork:
         raise ValueError(f"spec kind is {spec.kind!r}, expected 'scale_free'")
     m = round(spec.target_average_degree / 2)
     if m < 1:
-        raise ValueError(
+        raise ConfigError(
             f"target average degree {spec.target_average_degree} rounds to m=0 edges per node"
         )
     n = spec.n
     if n <= m:
-        raise ValueError(f"need n > m, got n={n}, m={m}")
+        raise ConfigError(f"need n > m, got n={n}, m={m}")
     rng = np.random.default_rng(spec.seed)
     seed_src, seed_dst = np.triu_indices(m, 1)
     src: list[int] = seed_src.tolist()

@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import WEIGHTING_MODES
 from .errors import InvariantError, MissingPoiError
-from .ingest import EARTH_RADIUS_KM, PoiCatalog, day_date, is_weekend
+from .ingest import EARTH_RADIUS_KM, PoiCatalog, day_date, group_starts, is_weekend
 from .motifs import (
     CLASS_ORDER,
     INDEX_CLASS,
@@ -33,7 +33,6 @@ from .motifs import (
     InstanceRows,
     MotifCensus,
     MotifClass,
-    group_starts,
 )
 
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import _pcg64
 from .attributes import sector_by_id
+from .config import json_number
 from .errors import ConfigError, UnknownSectorError
 from .ingest import (
     EARTH_RADIUS_KM,
@@ -405,6 +406,11 @@ def _field(doc: dict, key: str, convert, what: str):
         raise ConfigError(f"{what}: bad {key} ({exc})") from None
 
 
+def _integer(value) -> int:
+    """A JSON integer: a bool or a fraction raises, 2.0 loads as 2."""
+    return json_number(value, int)
+
+
 def _pair(convert, values) -> tuple:
     first, last = values
     return convert(first), convert(last)
@@ -415,12 +421,12 @@ def load_world_spec(path: str | Path) -> WorldSpec:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     _require_keys(doc, {"n_pois", "bbox", "category_shares", "seed"}, set(), what)
     spec = WorldSpec(
-        n_pois=_field(doc, "n_pois", int, what),
+        n_pois=_field(doc, "n_pois", _integer, what),
         bbox=_field(doc, "bbox", lambda bbox: tuple(float(x) for x in bbox), what),
         category_shares=_field(
             doc, "category_shares", lambda mix: {int(k): float(v) for k, v in mix.items()}, what
         ),
-        seed=_field(doc, "seed", int, what),
+        seed=_field(doc, "seed", _integer, what),
     )
     spec.validate()
     return spec
@@ -437,15 +443,15 @@ def load_traffic_spec(path: str | Path) -> TrafficSpec:
     )
     doc = {"dwell_range": (600, 3600), "max_sample_km": None, **doc}
     spec = TrafficSpec(
-        n_device_days=_field(doc, "n_device_days", int, what),
+        n_device_days=_field(doc, "n_device_days", _integer, what),
         class_mix=_field(
             doc, "class_mix", lambda mix: {MotifClass(k): float(v) for k, v in mix.items()}, what
         ),
         date_range=_field(
             doc, "date_range", lambda dates: _pair(dt.date.fromisoformat, dates), what
         ),
-        dwell_range=_field(doc, "dwell_range", lambda dwell: _pair(int, dwell), what),
-        seed=_field(doc, "seed", int, what),
+        dwell_range=_field(doc, "dwell_range", lambda dwell: _pair(_integer, dwell), what),
+        seed=_field(doc, "seed", _integer, what),
         max_sample_km=_field(
             doc, "max_sample_km", lambda km: None if km is None else float(km), what
         ),

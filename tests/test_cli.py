@@ -13,6 +13,7 @@ from placeweave.config import RunConfig, validate_config
 from placeweave.errors import ConfigError, InvariantError
 from placeweave.network import read_network
 from placeweave.stats import REPORT_SCHEMA
+from placeweave.synth import load_traffic_spec, load_world_spec
 
 WORLD = {
     "n_pois": 40,
@@ -57,6 +58,17 @@ def test_dwell_range_of_2_32_values_exits_2(tmp_path):
         ("world", {**WORLD, "seed": None}, "bad seed"),
         ("world", 5, "must be a JSON object, got int"),
         ("traffic", 5, "must be a JSON object, got int"),
+        # integers: a bool or a fraction is not truncated to one
+        ("world", {**WORLD, "seed": 1.5}, "bad seed (must be an integer, got 1.5)"),
+        ("world", {**WORLD, "seed": True}, "bad seed (must be a number, got True)"),
+        ("world", {**WORLD, "n_pois": True}, "bad n_pois (must be a number"),
+        ("world", {**WORLD, "n_pois": 40.5}, "bad n_pois (must be an integer"),
+        ("traffic", {**TRAFFIC, "n_device_days": 50.7}, "bad n_device_days (must be an integer"),
+        ("traffic", {**TRAFFIC, "n_device_days": True}, "bad n_device_days (must be a number"),
+        ("traffic", {**TRAFFIC, "seed": 22.5}, "bad seed (must be an integer"),
+        ("traffic", {**TRAFFIC, "seed": False}, "bad seed (must be a number"),
+        ("traffic", {**TRAFFIC, "dwell_range": [600.9, 3600]}, "bad dwell_range (must be an integer"),
+        ("traffic", {**TRAFFIC, "dwell_range": [600, True]}, "bad dwell_range (must be a number"),
     ],
 )
 def test_spec_value_of_a_wrong_json_type_exits_2_naming_it(tmp_path, caplog, spec, doc, message):
@@ -66,6 +78,18 @@ def test_spec_value_of_a_wrong_json_type_exits_2_naming_it(tmp_path, caplog, spe
     assert main(["synth", *args, "--out", str(tmp_path / "data")]) == 2
     assert f"{spec} spec: {message}" in caplog.text
     assert not (tmp_path / "data" / "stops.csv").exists()
+
+
+def test_spec_integers_written_as_integral_floats_load_as_ints(tmp_path):
+    world = {**WORLD, "n_pois": 40.0, "seed": 21.0}
+    traffic = {**TRAFFIC, "n_device_days": 150.0, "seed": 22.0, "dwell_range": [600.0, 3600.0]}
+    (tmp_path / "world.json").write_text(json.dumps(world))
+    (tmp_path / "traffic.json").write_text(json.dumps(traffic))
+    w, t = load_world_spec(tmp_path / "world.json"), load_traffic_spec(tmp_path / "traffic.json")
+    ints = (w.n_pois, w.seed, t.n_device_days, t.seed, *t.dwell_range)
+    assert ints == (40, 21, 150, 22, 600, 3600)
+    assert all(type(v) is int for v in ints)
+    assert set(w.category_shares) == {7, 16, 18}  # ids from JSON object keys
 
 
 # -- config -------------------------------------------------------------------

@@ -21,6 +21,7 @@ from oracles import (
 from placeweave.errors import SchemaError
 from placeweave.network import (
     PlaceNetwork,
+    _sum_edges,
     csr_adjacency,
     read_network,
     sidecar_path,
@@ -281,6 +282,32 @@ def test_weighted_csr_order_equals_the_lexsort_order(n, p, seed):
     order = np.lexsort((ends[1], ends[0]))
     assert np.array_equal(indices, ends[1][order])
     assert np.array_equal(np.repeat(np.arange(n), np.diff(indptr)), ends[0][order])
+
+
+@pytest.mark.parametrize("n, m, seed", [(2, 5, 0), (12, 400, 1), (40, 3000, 2)])
+def test_from_arrays_sums_shuffled_repeated_edges_as_a_dict_does(n, m, seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.integers(0, n, m), rng.integers(0, n, m)
+    a, b = a[a != b], b[a != b]
+    src, dst, weights = np.minimum(a, b), np.maximum(a, b), rng.integers(1, 9, a.size)
+    sums = {}
+    for edge, w in zip(zip(src.tolist(), dst.tolist()), weights.tolist()):
+        sums[edge] = sums.get(edge, 0) + w
+    assert len(sums) < a.size  # some pairs repeat
+    net = PlaceNetwork.from_arrays([f"p{i:02d}" for i in range(n)], src, dst, weights)
+    assert net.src.dtype == net.dst.dtype == net.weights.dtype == np.int64
+    assert list(zip(net.src.tolist(), net.dst.tolist())) == sorted(sums)
+    assert net.weights.tolist() == [sums[edge] for edge in sorted(sums)]
+
+
+def test_sum_edges_keeps_codes_just_below_2_31():
+    n = 2**31
+    src = np.array([n - 2, 0, n - 2, 1, 0], dtype=np.int64)
+    dst = np.array([n - 1, n - 1, n - 1, n - 2, n - 1], dtype=np.int64)
+    src, dst, weights = _sum_edges(n, src, dst, np.array([3, 4, 5, 6, 7], dtype=np.int64))
+    assert src.tolist() == [0, 1, n - 2]
+    assert dst.tolist() == [n - 1, n - 2, n - 1]
+    assert weights.tolist() == [11, 6, 8]
 
 
 def _brute_force_edges(seqs, mode):

@@ -3,6 +3,7 @@ import json
 import re
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -83,6 +84,69 @@ def test_daily_networks_merge_into_the_merged_network(data, tmp_path, mode):
     assert from_days.names == merged.names
     assert oracles.edge_weights(from_days) == oracles.edge_weights(merged)
     assert (from_days.label, from_days.mode) == (merged.label, merged.mode)
+
+
+@pytest.mark.parametrize("mode", NETWORK_MODES)
+def test_each_daily_network_is_the_network_of_its_days_sequences(data, tmp_path, mode):
+    _, sequences = stage_ingest(
+        data / "data" / "stops.csv", data / "data" / "pois.csv", 300, 0.0, tmp_path / "ingest"
+    )
+    stage_network(sequences, mode, tmp_path / "networks")
+    by_day = {}
+    for walk in oracles.walks(sequences):
+        by_day.setdefault(walk.local_date, []).append(walk)
+    days = sorted(by_day)
+    daily = sorted((tmp_path / "networks" / "daily").glob("*.csv"))
+    assert [path.stem for path in daily] == [day.isoformat() for day in days]
+    for path, day in zip(daily, days):
+        expected = oracles.build_network(oracles.sequence_table(by_day[day]), mode)
+        net = read_network(path)
+        assert net == expected
+        assert (net.label, net.mode) == (expected.label, expected.mode)
+
+
+README_WORLD = {
+    "n_pois": 500,
+    "bbox": [29.5, 30.0, -95.8, -95.2],
+    "category_shares": {"7": 0.4, "18": 0.3, "16": 0.3},
+    "seed": 1,
+}
+README_TRAFFIC = {
+    "n_device_days": 2000,
+    "class_mix": {"M2_1": 0.2, "M3_1": 0.1, "M3_2": 0.1, "M4_1": 0.1, "M4_2": 0.1,
+                  "M4_3": 0.1, "M4_4": 0.1, "M4_5": 0.1, "M4_6": 0.1},
+    "date_range": ["2020-02-01", "2020-02-28"],
+    "seed": 2,
+}
+
+
+def test_shuffled_stops_rows_give_the_same_sequence_and_network_bytes(tmp_path):
+    (tmp_path / "world.json").write_text(json.dumps(README_WORLD))
+    (tmp_path / "traffic.json").write_text(json.dumps(README_TRAFFIC))
+    data = tmp_path / "data"
+    assert main(
+        ["synth", "--world", str(tmp_path / "world.json"), "--traffic", str(tmp_path / "traffic.json"),
+         "--out", str(data)]
+    ) == 0
+    header, *rows = (data / "stops.csv").read_text().splitlines(keepends=True)
+    order = np.random.default_rng(26).permutation(len(rows))
+    (data / "shuffled.csv").write_text(header + "".join(rows[i] for i in order))
+    trees = {}
+    for stops in ("stops", "shuffled"):
+        out = tmp_path / stops
+        pois = str(data / "pois.csv")
+        assert main(["ingest", "--stops", str(data / f"{stops}.csv"), "--pois", pois,
+                     "--out", str(out)]) == 0
+        for mode in NETWORK_MODES:
+            assert main(["network", "--sequences", str(out / "sequences.csv"), "--mode", mode,
+                         "--out", str(out / mode)]) == 0
+        trees[stops] = {
+            path.relative_to(out): path.read_bytes()
+            for path in sorted(out.rglob("*"))
+            if path.is_file()
+        }
+    assert len(trees["stops"]) > 2 * 28
+    assert trees["shuffled"] == trees["stops"]
 
 
 def test_distance_weighting_flag_lands_in_report(data, tmp_path):

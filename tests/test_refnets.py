@@ -6,19 +6,20 @@ from scipy import stats as ss
 
 from oracles import edge_weights
 from placeweave.cli import main
+from placeweave.errors import ConfigError
 from placeweave.metrics import degree_distribution, fit_power_law
 from placeweave.network import sidecar_path
 from placeweave.refnets import RefNetSpec, gen_random_network, gen_scale_free_network
 
 
 def test_random_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         RefNetSpec("random", 1, 0.5, 0).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         RefNetSpec("random", 10, 0.0, 0).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         RefNetSpec("random", 10, 9.5, 0).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         RefNetSpec("walk", 10, 2.0, 0).validate()
 
 
@@ -122,9 +123,9 @@ def test_er_tail_fits_power_law_worse_than_ba():
 
 
 def test_scale_free_rejects_tiny_targets():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         gen_scale_free_network(RefNetSpec("scale_free", 10, 0.5, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         gen_scale_free_network(RefNetSpec("scale_free", 3, 6.0, 0))
 
 

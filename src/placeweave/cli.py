@@ -1,8 +1,9 @@
 """placeweave command line: pipeline stages as subcommands.
 
-Exit codes: 0 success, 2 input or schema error, 3 invariant violation.
-A missing input, a directory where a file belongs, or an --out that is a
-file exits 2 naming the path. Logs go to stderr; data only to files.
+Exit codes: 0 success, 2 bad input, 3 invariant violation. Exit 2 names
+the file (and line), the path that is missing or unusable, the value out
+of range, or the empty network or sequences. Any other error is internal:
+a traceback and exit 1. Logs go to stderr; data only to files.
 
 main lets OpenBLAS's idle worker threads sleep at once
 (OPENBLAS_THREAD_TIMEOUT=4) unless the environment already sets that
@@ -177,9 +178,6 @@ def main(argv: list[str] | None = None) -> int:
     except (IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
         # a bad path, not a failing disk, so no bare OSError here
         logger.error("%s: %s", exc.strerror, exc.filename)
-        return 2
-    except ValueError as exc:
-        logger.error("%s", exc)
         return 2
     except InvariantError as exc:
         logger.error("invariant violation: %s", exc)

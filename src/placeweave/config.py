@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, SchemaError
 
 NETWORK_MODES = ("consecutive", "covisitation")
 CENSUS_MODES = ("trajectory", "enumerate")
@@ -88,6 +88,18 @@ def json_number(value, cast: type):
         raise ValueError(f"is out of range for a number, got {value!r}") from None
 
 
+def read_json(path: str | Path, what: str, error: type[SchemaError] = SchemaError) -> dict:
+    """The JSON object in a UTF-8 file; text that is not one raises error naming what."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        json.dumps(doc, ensure_ascii=False).encode()  # a lone surrogate escape is not text
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer past int()'s digit limit
+        raise error(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{what}: must be a JSON object, got {type(doc).__name__} in {path}")
+    return doc
+
+
 def validate_config(path: str | Path | None) -> RunConfig:
     """Load a config file, applying defaults; unknown keys are rejected."""
     if path is None:
@@ -95,13 +107,9 @@ def validate_config(path: str | Path | None) -> RunConfig:
         cfg.validate()
         return cfg
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = read_json(path, "config file", ConfigError)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
     known = {f.name for f in fields(RunConfig)}
     unknown = set(doc) - known
     if unknown:
@@ -112,8 +120,8 @@ def validate_config(path: str | Path | None) -> RunConfig:
     for key, value in doc.items():
         cast = numbers.get(key)
         if cast is None:
-            if value is not None and not isinstance(value, str):
-                problems.append(f"{key} must be a string, got {value!r}")
+            if value is not None and (not isinstance(value, str) or "\0" in value):
+                problems.append(f"{key} must be a string without NUL, got {value!r}")
             else:
                 coerced[key] = value
         else:

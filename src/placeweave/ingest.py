@@ -228,7 +228,8 @@ class CsvRows(AbstractContextManager):
 
     A context manager over a path or a seekable stream; it closes only a
     file it opened. Errors name the file as where: the path, the stream's
-    name or "<what> file". The header must hold every one of columns, and
+    name or "<what> file"; an opened file that is not UTF-8 raises RowError
+    at its first bad byte. The header must hold every one of columns, and
     with exact be columns, in order. Iterating yields (line, fields) per
     non-blank row, fields in columns order (a repeated column's last field
     wins); a row with fewer fields than the header, or with exact more,
@@ -245,9 +246,16 @@ class CsvRows(AbstractContextManager):
         self.where = str(source) if self._owned else getattr(source, "name", f"{what} file")
         self._begin = self._fh.tell()
 
-    def __exit__(self, *exc) -> None:
+    def __exit__(self, kind, exc, traceback) -> None:
         if self._owned:
             self._fh.close()
+            if isinstance(exc, UnicodeDecodeError):
+                data = Path(self.where).read_bytes()
+                try:
+                    data.decode("utf-8")
+                except UnicodeDecodeError as bad:
+                    line = data.count(b"\n", 0, bad.start) + 1
+                    raise self.error(line, f"not UTF-8: {bad.reason} at byte {bad.start}") from None
 
     def error(self, line: int, message: str) -> RowError:
         return RowError(self.where, line, message)

@@ -25,16 +25,16 @@ count, build mode and any isolated nodes.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .config import NETWORK_MODES
+from .config import NETWORK_MODES, read_json
 from .ingest import (
     CsvRows,
     SequenceTable,
+    _intern,
     day_date,
     group_starts,
     int_tokens,
@@ -252,17 +252,12 @@ def read_network(path: str | Path) -> PlaceNetwork:
                 raise rows.error(line, f"duplicate edge {a},{b}")
             edges[a, b] = w
     meta_file = sidecar_path(path)
-    meta = json.loads(meta_file.read_text(encoding="utf-8")) if meta_file.exists() else {}
-    names = sorted({v for edge in edges for v in edge}.union(meta.get("isolated_nodes", [])))
-    index = {v: i for i, v in enumerate(names)}
-    n = len(edges)
+    meta = read_json(meta_file, "network sidecar") if meta_file.exists() else {}
+    names, codes = _intern([v for edge in edges for v in edge] + meta.get("isolated_nodes", []))
+    ends = codes[: 2 * len(edges)].reshape(-1, 2)
     return PlaceNetwork.from_arrays(
-        names,
-        np.fromiter((index[a] for a, _ in edges), dtype=np.int64, count=n),
-        np.fromiter((index[b] for _, b in edges), dtype=np.int64, count=n),
-        np.fromiter(edges.values(), dtype=np.int64, count=n),
-        label=meta.get("label", ""),
-        mode=meta.get("mode"),
+        names, ends[:, 0], ends[:, 1], list(edges.values()),
+        label=meta.get("label", ""), mode=meta.get("mode"),
     )
 
 

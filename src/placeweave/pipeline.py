@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import json
 import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -29,7 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from . import __version__, ingest
-from .config import RNG_ALGORITHM, RunConfig
+from .config import RNG_ALGORITHM, RunConfig, read_json
 from .errors import ConfigError, InvariantError, SchemaError
 from .ingest import EDGE_SEPARATOR, write_csv, write_json
 from .network import (
@@ -142,6 +141,8 @@ def stage_network(sequences: ingest.SequenceTable, mode: str, out_dir: str | Pat
 def stage_metrics(net: PlaceNetwork, out_dir: str | Path) -> dict:
     from . import metrics
 
+    if not net.n_edges:
+        raise SchemaError(f"network {net.label!r} has no edges; its degree metrics are undefined")
     out = _ensure_dir(out_dir)
     summary = metrics.network_summary(net)
     write_json(summary.as_dict(), out / "summary.json")
@@ -381,7 +382,7 @@ def load_motifs_inputs(
     """
     meta: dict = {}
     if network_path and sequences_path and sidecar_path(network_path).exists():
-        meta = json.loads(sidecar_path(network_path).read_text(encoding="utf-8"))
+        meta = read_json(sidecar_path(network_path), "network sidecar")
     return {
         "sequences": ingest.read_sequences(sequences_path) if sequences_path else None,
         "catalog": ingest.load_poi_catalog(pois_path) if pois_path else None,
@@ -426,6 +427,8 @@ def stage_motifs(
     if mode == "trajectory":
         if traj is None:
             raise SchemaError("trajectory census requires --sequences")
+        if not len(sequences):
+            raise SchemaError("no stay sequences to census")
         census = motifs.census_percentages(traj.census())
         if instances is not None:
             from . import stats
@@ -434,6 +437,8 @@ def stage_motifs(
     elif mode == "enumerate":
         if network is None:
             raise SchemaError("enumeration census requires --network")
+        if not network.n_edges:
+            raise SchemaError(f"network {network.label!r} has no edges to census")
         census = motifs.census_percentages(motifs.enumeration_census(network))
     else:
         raise SchemaError(f"unknown census mode {mode!r}")
@@ -492,15 +497,10 @@ def load_series_inputs(
     summary defaults to the metrics stage's next to out_dir."""
     census_dir = Path(census_dir)
     instances = load_instance_table(census_dir / "instances.csv", pois_path)
-    census_doc = json.loads((census_dir / "census.json").read_text(encoding="utf-8"))
+    census_doc = read_json(census_dir / "census.json", "census")
     if summary_path is None:
         summary_path = Path(out_dir).parent / "metrics" / "summary.json"
-    summary_path = Path(summary_path)
-    if not summary_path.exists():
-        raise SchemaError(
-            f"summary not found at {summary_path}; run the metrics stage first"
-        )
-    return instances, census_doc, json.loads(summary_path.read_text(encoding="utf-8"))
+    return instances, census_doc, read_json(summary_path, "summary")
 
 
 def stage_series(

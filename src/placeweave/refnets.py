@@ -32,6 +32,8 @@ class RefNetSpec:
             raise ConfigError(f"kind must be one of {REFNET_KINDS}, got {self.kind!r}")
         if self.n < 2:
             raise ConfigError(f"need at least 2 nodes, got {self.n}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not math.isfinite(self.target_average_degree):
             raise ConfigError(
                 f"target average degree must be finite, got {self.target_average_degree}"
@@ -73,13 +75,13 @@ def gen_random_network(spec: RefNetSpec) -> PlaceNetwork:
     if p >= 1.0:
         return _reference_network(n, *np.triu_indices(n, 1), label)
     # Batagelj-Brandes skip sampling: geometric jumps through the pair order.
-    log_q = math.log1p(-p)
+    log_q = math.log1p(-p) or -math.ulp(0.0)  # a p that underflows to 0 skips every pair
     src: list[int] = []
     dst: list[int] = []
     v, w = 1, -1
     while v < n:
         r = rng.random()
-        w = w + 1 + int(math.log1p(-r) / log_q)
+        w = w + 1 + int(min(math.log1p(-r) / log_q, n * n))  # a jump past the end may be inf
         while w >= v and v < n:
             w -= v
             v += 1
@@ -127,7 +129,6 @@ def gen_scale_free_network(spec: RefNetSpec) -> PlaceNetwork:
 
 
 def generate(spec: RefNetSpec) -> PlaceNetwork:
-    spec.validate()
     if spec.kind == "random":
         return gen_random_network(spec)
     return gen_scale_free_network(spec)

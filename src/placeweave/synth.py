@@ -16,7 +16,6 @@ draws go straight into the columns of ingest's StopTable.
 from __future__ import annotations
 
 import datetime as dt
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import _pcg64
 from .attributes import sector_by_id
-from .config import json_number
+from .config import json_number, read_json
 from .errors import ConfigError, UnknownSectorError
 from .ingest import (
     EARTH_RADIUS_KM,
@@ -386,78 +385,69 @@ def gen_device_days(catalog: PoiCatalog, spec: TrafficSpec) -> StopTable:
 # -- spec files and output formats -------------------------------------------
 
 
-def _require_keys(doc: dict, required: set[str], optional: set[str], what: str) -> None:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{what}: must be a JSON object, got {type(doc).__name__}")
-    unknown = set(doc) - required - optional
-    if unknown:
-        raise ConfigError(f"{what}: unknown key(s) {sorted(unknown)}")
-    missing = required - set(doc)
-    if missing:
-        raise ConfigError(f"{what}: missing key(s) {sorted(missing)}")
-
-
-def _field(doc: dict, key: str, convert, what: str):
-    """convert(doc[key]); a value of the wrong JSON type or form raises
-    ConfigError naming the spec and the key."""
-    try:
-        return convert(doc[key])
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ConfigError(f"{what}: bad {key} ({exc})") from None
-
-
 def _integer(value) -> int:
     """A JSON integer: a bool or a fraction raises, 2.0 loads as 2."""
     return json_number(value, int)
 
 
-def _pair(convert, values) -> tuple:
-    first, last = values
-    return convert(first), convert(last)
+def _real(value) -> float:
+    """A finite JSON number: a bool, a string, NaN or Infinity raises, 2 loads as 2.0."""
+    value = json_number(value, float)
+    if not np.isfinite(value):
+        raise ValueError(f"must be finite, got {value!r}")
+    return value
+
+
+def _tuple(convert, values, size: int) -> tuple:
+    """convert of each value; a list of another size raises ValueError."""
+    if len(values) != size:
+        raise ValueError(f"must hold {size} values, got {len(values)}")
+    return tuple(map(convert, values))
+
+
+def _load_spec(cls, path: str | Path, what: str, convert: dict, optional: tuple = ()):
+    """The validated cls of a JSON spec file, each key's value read by convert[key].
+
+    Every key of convert not in optional is required, and no other key is
+    allowed; an absent optional key takes cls's default. A value of the
+    wrong JSON type or form raises ConfigError naming the spec and the key.
+    """
+    doc = read_json(path, what, ConfigError)
+    unknown = set(doc) - set(convert)
+    if unknown:
+        raise ConfigError(f"{what}: unknown key(s) {sorted(unknown)}")
+    missing = set(convert) - set(optional) - set(doc)
+    if missing:
+        raise ConfigError(f"{what}: missing key(s) {sorted(missing)}")
+    values = {}
+    for key in filter(doc.__contains__, convert):  # in convert's order
+        try:
+            values[key] = convert[key](doc[key])
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ConfigError(f"{what}: bad {key} ({exc})") from None
+    spec = cls(**values)
+    spec.validate()
+    return spec
 
 
 def load_world_spec(path: str | Path) -> WorldSpec:
-    what = "world spec"
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    _require_keys(doc, {"n_pois", "bbox", "category_shares", "seed"}, set(), what)
-    spec = WorldSpec(
-        n_pois=_field(doc, "n_pois", _integer, what),
-        bbox=_field(doc, "bbox", lambda bbox: tuple(float(x) for x in bbox), what),
-        category_shares=_field(
-            doc, "category_shares", lambda mix: {int(k): float(v) for k, v in mix.items()}, what
-        ),
-        seed=_field(doc, "seed", _integer, what),
-    )
-    spec.validate()
-    return spec
+    return _load_spec(WorldSpec, path, "world spec", {
+        "n_pois": _integer,
+        "bbox": lambda bbox: _tuple(_real, bbox, 4),
+        "category_shares": lambda mix: {int(k): _real(v) for k, v in mix.items()},
+        "seed": _integer,
+    })
 
 
 def load_traffic_spec(path: str | Path) -> TrafficSpec:
-    what = "traffic spec"
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    _require_keys(
-        doc,
-        {"n_device_days", "class_mix", "date_range", "seed"},
-        {"dwell_range", "max_sample_km"},
-        what,
-    )
-    doc = {"dwell_range": (600, 3600), "max_sample_km": None, **doc}
-    spec = TrafficSpec(
-        n_device_days=_field(doc, "n_device_days", _integer, what),
-        class_mix=_field(
-            doc, "class_mix", lambda mix: {MotifClass(k): float(v) for k, v in mix.items()}, what
-        ),
-        date_range=_field(
-            doc, "date_range", lambda dates: _pair(dt.date.fromisoformat, dates), what
-        ),
-        dwell_range=_field(doc, "dwell_range", lambda dwell: _pair(_integer, dwell), what),
-        seed=_field(doc, "seed", _integer, what),
-        max_sample_km=_field(
-            doc, "max_sample_km", lambda km: None if km is None else float(km), what
-        ),
-    )
-    spec.validate()
-    return spec
+    return _load_spec(TrafficSpec, path, "traffic spec", {
+        "n_device_days": _integer,
+        "class_mix": lambda mix: {MotifClass(k): _real(v) for k, v in mix.items()},
+        "date_range": lambda dates: _tuple(dt.date.fromisoformat, dates, 2),
+        "dwell_range": lambda dwell: _tuple(_integer, dwell, 2),
+        "seed": _integer,
+        "max_sample_km": lambda km: None if km is None else _real(km),
+    }, optional=("dwell_range", "max_sample_km"))
 
 
 def write_catalog_csv(catalog: PoiCatalog, path: str | Path) -> None:

@@ -1,6 +1,7 @@
 import csv
 import inspect
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -69,6 +70,13 @@ def test_dwell_range_of_2_32_values_exits_2(tmp_path):
         ("traffic", {**TRAFFIC, "seed": False}, "bad seed (must be a number"),
         ("traffic", {**TRAFFIC, "dwell_range": [600.9, 3600]}, "bad dwell_range (must be an integer"),
         ("traffic", {**TRAFFIC, "dwell_range": [600, True]}, "bad dwell_range (must be a number"),
+        # numbers: a string or a bool is not read as one
+        ("world", {**WORLD, "bbox": [29.5, "30.0", -95.8, -95.2]}, "bad bbox (must be a number"),
+        ("world", {**WORLD, "category_shares": {"7": "1.0"}}, "bad category_shares (must be a"),
+        ("traffic", {**TRAFFIC, "class_mix": {"M2_1": True}}, "bad class_mix (must be a number"),
+        ("traffic", {**TRAFFIC, "max_sample_km": True}, "bad max_sample_km (must be a number"),
+        ("world", {**WORLD, "category_shares": {"7": float("nan")}}, "bad category_shares (must be"
+         " finite, got nan)"),
     ],
 )
 def test_spec_value_of_a_wrong_json_type_exits_2_naming_it(tmp_path, caplog, spec, doc, message):
@@ -707,3 +715,135 @@ def test_series_window_below_one_exits_2_before_writing(synth_dir, tmp_path, cap
     assert code == 2
     assert "window must be at least 1, got 0" in caplog.text
     assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
+@pytest.fixture(scope="module")
+def run_dir(synth_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("run") / "out"
+    assert main(
+        ["run", "--stops", str(synth_dir / "stops.csv"), "--pois", str(synth_dir / "pois.csv"),
+         "--out", str(out)]
+    ) == 0
+    return out
+
+
+def _with_bad_byte(line: int):
+    """A file's bytes with a byte that is not UTF-8 at the end of line (1-based)."""
+    def edit(data: bytes) -> bytes:
+        lines = data.split(b"\n")
+        lines[line - 1] += b"\xff"
+        return b"\n".join(lines)
+    return edit
+
+
+HEADER_ONLY = b"poi_a,poi_b,weight\n"
+EDGELESS = {"label": "2020-02-03", "isolated_nodes": ["p1", "p2"]}
+# command -> {input file: its new bytes or an edit of them}, what the error names;
+# {name} is the path of that input under the test's directory, {name:N} also a line
+BAD_INPUTS = {
+    "metrics-sidecar-json": (["metrics", "--network", "{net.csv}"], {"net.meta.json": b"{"},
+                             "{net.meta.json} is not valid JSON"),
+    "enumerate-sidecar-json": (["motifs", "--mode", "enumerate", "--network", "{net.csv}"],
+                               {"net.meta.json": b"{"}, "{net.meta.json} is not valid JSON"),
+    "motifs-sidecar-json": (["motifs", "--sequences", "{sequences.csv}", "--network", "{net.csv}"],
+                            {"net.meta.json": b"{"}, "{net.meta.json} is not valid JSON"),
+    "world-json": (["synth", "--world", "{world.json}", "--traffic", "{traffic.json}"],
+                   {"world.json": b'{"n_pois": 40,'}, "world spec {world.json} is not valid JSON"),
+    # json.loads raises a plain ValueError for an integer past int()'s 4300-digit limit
+    "world-json-long-integer": (["synth", "--world", "{world.json}", "--traffic", "{traffic.json}"],
+                                {"world.json": b'{"n_pois": 1' + b"0" * 5000 + b"}"},
+                                "world spec {world.json} is not valid JSON"),
+    # a lone surrogate escape is valid JSON but no text: it cannot be written as UTF-8
+    "sidecar-lone-surrogate": (["metrics", "--network", "{net.csv}"],
+                               {"net.meta.json": b'{"isolated_nodes": ["p\\ud800"]}'},
+                               "network sidecar {net.meta.json} is not valid JSON"),
+    # open() raises a plain ValueError for a path holding NUL
+    "config-path-nul": (["run", "--config", "{config.json}"],
+                        {"config.json": json.dumps({"stops": "a\0b", "pois": "b"})},
+                        "stops must be a string without NUL"),
+    "sidecar-not-an-object": (["metrics", "--network", "{net.csv}"], {"net.meta.json": b"[]"},
+                              "network sidecar: must be a JSON object, got list in "
+                              "{net.meta.json}"),
+    "traffic-json": (["synth", "--world", "{world.json}", "--traffic", "{traffic.json}"],
+                     {"traffic.json": b"[1,"}, "traffic spec {traffic.json} is not valid JSON"),
+    "census-json": (["series", "--census-dir", "{census}", "--pois", "{pois.csv}", "--summary",
+                     "{summary.json}"], {"census/census.json": b"{"},
+                    "census {census/census.json} is not valid JSON"),
+    "summary-json": (["series", "--census-dir", "{census}", "--pois", "{pois.csv}", "--summary",
+                      "{summary.json}"], {"summary.json": b"}"},
+                     "summary {summary.json} is not valid JSON"),
+    "stops-utf8": (["ingest", "--stops", "{stops.csv}", "--pois", "{pois.csv}"],
+                   {"stops.csv": _with_bad_byte(3)}, "{stops.csv:3}: not UTF-8"),
+    "pois-utf8": (["ingest", "--stops", "{stops.csv}", "--pois", "{pois.csv}"],
+                  {"pois.csv": _with_bad_byte(2)}, "{pois.csv:2}: not UTF-8"),
+    "sequences-utf8": (["network", "--sequences", "{sequences.csv}"],
+                       {"sequences.csv": _with_bad_byte(4)}, "{sequences.csv:4}: not UTF-8"),
+    "network-utf8": (["metrics", "--network", "{net.csv}"], {"net.csv": _with_bad_byte(5)},
+                     "{net.csv:5}: not UTF-8"),
+    "instances-utf8": (["attributed", "--instances", "{census/instances.csv}", "--pois",
+                        "{pois.csv}"], {"census/instances.csv": _with_bad_byte(2)},
+                       "{census/instances.csv:2}: not UTF-8"),
+    "spec-utf8": (["synth", "--world", "{world.json}", "--traffic", "{traffic.json}"],
+                  {"traffic.json": lambda data: data.replace(b"M2_1", b"M2_\xff")},
+                  "traffic spec {traffic.json} is not valid JSON: 'utf-8' codec"),
+    "metrics-no-nodes": (["metrics", "--network", "{net.csv}"],
+                         {"net.csv": HEADER_ONLY, "net.meta.json": b'{"label": "2020-02-03"}'},
+                         "network '2020-02-03' has no edges"),
+    "metrics-isolated-nodes": (["metrics", "--network", "{net.csv}"],
+                               {"net.csv": HEADER_ONLY, "net.meta.json": json.dumps(EDGELESS)},
+                               "network '2020-02-03' has no edges"),
+    "enumerate-edgeless": (["motifs", "--mode", "enumerate", "--network", "{net.csv}"],
+                           {"net.csv": HEADER_ONLY, "net.meta.json": json.dumps(EDGELESS)},
+                           "network '2020-02-03' has no edges"),
+    "motifs-no-sequences": (["motifs", "--sequences", "{sequences.csv}"],
+                            {"sequences.csv": b"device_id,local_date,stays\n"},
+                            "no stay sequences to census"),
+    # numpy's default_rng raises a plain ValueError for a negative seed
+    "refnet-random-negative-seed": (["refnet", "--kind", "random", "--n", "10", "--avg-degree", "2",
+                                     "--seed", "-1"], {}, "seed must be >= 0, got -1"),
+    "refnet-scale-free-negative-seed": (["refnet", "--kind", "scale-free", "--n", "10",
+                                         "--avg-degree", "2", "--seed", "-1"], {},
+                                        "seed must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_error_naming_it(synth_dir, run_dir, tmp_path, caplog, case):
+    command, edits, named = BAD_INPUTS[case]
+    inputs = {
+        "stops.csv": synth_dir / "stops.csv", "pois.csv": synth_dir / "pois.csv",
+        "sequences.csv": run_dir / "ingest" / "sequences.csv",
+        "net.csv": run_dir / "networks" / "merged.csv",
+        "net.meta.json": run_dir / "networks" / "merged.meta.json",
+        "census/instances.csv": run_dir / "census" / "instances.csv",
+        "census/census.json": run_dir / "census" / "census.json",
+        "summary.json": run_dir / "metrics" / "summary.json",
+    }
+    (tmp_path / "census").mkdir()
+    for name, source in inputs.items():
+        (tmp_path / name).write_bytes(source.read_bytes())
+    (tmp_path / "world.json").write_text(json.dumps(WORLD))
+    (tmp_path / "traffic.json").write_text(json.dumps(TRAFFIC))
+    for name, edit in edits.items():
+        path = tmp_path / name
+        content = edit(path.read_bytes()) if callable(edit) else edit
+        path.write_bytes(content.encode() if isinstance(content, str) else content)
+
+    def fill(text: str) -> str:
+        return re.sub(r"\{([^}:]+)(:\d+)?\}", lambda m: str(tmp_path / m[1]) + (m[2] or ""), text)
+
+    caplog.clear()
+    assert main([fill(arg) for arg in command] + ["--out", str(tmp_path / "out")]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and fill(named) in errors[0], errors
+    assert "Traceback" not in caplog.text and all(r.exc_info is None for r in caplog.records)
+
+
+def test_an_internal_value_error_is_not_bad_input(run_dir, tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("a pipeline bug")
+
+    monkeypatch.setattr(pipeline, "stage_metrics", broken)
+    network = run_dir / "networks" / "merged.csv"
+    with pytest.raises(ValueError, match="a pipeline bug"):
+        main(["metrics", "--network", str(network), "--out", str(tmp_path / "out")])

@@ -397,6 +397,49 @@ def test_enumeration_census_lists_triangles_once(monkeypatch, net):
         ]
 
 
+def _census_of_size(net, k):
+    census = enumeration_census(net)
+    return {c: s.motif_count for c, s in census.classes.items() if c.size == k and s.motif_count}
+
+
+# Dense graphs, where 4-cliques and diamonds dominate: seeded G(n, p) over a
+# range of sizes and densities, and complete graphs.
+DENSE_NETS = [
+    *(pytest.param(random_net(n, p, seed), id=f"G({n},{p})")
+      for n, p, seed in ((12, 0.95, 1), (16, 0.75, 2), (20, 0.5, 3), (30, 0.9, 4), (40, 0.3, 5))),
+    *(pytest.param(complete(n), id=f"K{n}") for n in (12, 25)),
+]
+
+
+@pytest.mark.parametrize("net", DENSE_NETS)
+def test_enumeration_census_matches_brute_force_on_dense_graphs(net):
+    for k in (3, 4):
+        assert _census_of_size(net, k) == brute_force_enumerate(net, k)
+
+
+@pytest.fixture(scope="module")
+def readme_like_sequences():
+    """Sequences of the README world and traffic mix, cut to 30 POIs and 3,000 device-days."""
+    from placeweave.ingest import build_stay_sequences, filter_visits
+    from placeweave.synth import CLASS_WALKS, TrafficSpec, WorldSpec, gen_catalog, gen_device_days
+
+    world = WorldSpec(30, (29.5, 30.0, -95.8, -95.2), {7: 0.4, 18: 0.3, 16: 0.3}, seed=1)
+    mix = {cls: 0.2 if cls is MotifClass.M2_1 else 0.1 for cls in CLASS_WALKS}
+    traffic = TrafficSpec(3000, mix, (dt.date(2020, 2, 1), dt.date(2020, 2, 28)), seed=2)
+    stops = gen_device_days(gen_catalog(world), traffic)
+    return build_stay_sequences(filter_visits(stops, 300), 0.0)
+
+
+@pytest.mark.parametrize("mode", ["consecutive", "covisitation"])
+def test_enumeration_census_matches_brute_force_on_readme_like_merged_networks(
+    readme_like_sequences, mode
+):
+    net = oracles.build_network(readme_like_sequences, mode)
+    assert net.n_nodes == 30 and net.n_edges > 0.8 * 30 * 29 / 2  # dense
+    for k in (3, 4):
+        assert _census_of_size(net, k) == brute_force_enumerate(net, k)
+
+
 def test_enumerate_rejects_bad_k():
     with pytest.raises(ValueError):
         enumerate_induced(complete(3), 5)

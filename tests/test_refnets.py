@@ -29,6 +29,13 @@ def test_random_n2_forced_edge():
     assert net.n_nodes == 2
 
 
+@pytest.mark.parametrize("degree", [5e-324, 1e-310])
+def test_random_degree_below_the_float_range_gives_no_edges(degree):
+    # p underflows to 0, or the first jump overflows int(): either way past every pair
+    net = gen_random_network(RefNetSpec("random", 10, degree, 0))
+    assert (net.n_nodes, net.n_edges) == (10, 0)
+
+
 def test_random_deterministic_under_seed():
     a = gen_random_network(RefNetSpec("random", 200, 6.0, 42))
     b = gen_random_network(RefNetSpec("random", 200, 6.0, 42))

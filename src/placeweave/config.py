@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 from .errors import ConfigError, SchemaError
@@ -100,6 +101,50 @@ def read_json(path: str | Path, what: str, error: type[SchemaError] = SchemaErro
     return doc
 
 
+def read_spec(cls, path: str | Path, what: str, convert: dict, optional: tuple = ()):
+    """The validated cls of a user-written JSON spec, each key's value read by convert[key].
+
+    Every key of convert not in optional is required, and no other key is
+    allowed; an absent optional key takes cls's default. Every unknown or
+    missing key and every value of the wrong JSON type or form goes into one
+    ConfigError: "<what>: unknown key(s) [...]; bad <key> (<reason>)".
+    """
+    doc = read_json(path, what, ConfigError)
+    problems = []
+    unknown = set(doc) - set(convert)
+    if unknown:
+        problems.append(f"unknown key(s) {sorted(unknown)}")
+    missing = set(convert) - set(optional) - set(doc)
+    if missing:
+        problems.append(f"missing key(s) {sorted(missing)}")
+    values = {}
+    for key in filter(doc.__contains__, convert):  # in convert's order
+        try:
+            values[key] = convert[key](doc[key])
+        except (TypeError, ValueError, AttributeError) as exc:
+            problems.append(f"bad {key} ({exc})")
+    if problems:
+        raise ConfigError(f"{what}: {'; '.join(problems)}")
+    spec = cls(**values)
+    spec.validate()
+    return spec
+
+
+def _text(value: str | None) -> str | None:
+    """A JSON string without NUL, or null."""
+    if value is not None and (not isinstance(value, str) or "\0" in value):
+        raise TypeError(f"must be a string without NUL, got {value!r}")
+    return value
+
+
+# RunConfig's fields in order: a JSON number for each int and float, a string or null else
+_NUMBERS = {"int": int, "float": float}
+_CONFIG_KEYS = {
+    f.name: partial(json_number, cast=_NUMBERS[f.type]) if f.type in _NUMBERS else _text
+    for f in fields(RunConfig)
+}
+
+
 def validate_config(path: str | Path | None) -> RunConfig:
     """Load a config file, applying defaults; unknown keys are rejected."""
     if path is None:
@@ -107,30 +152,6 @@ def validate_config(path: str | Path | None) -> RunConfig:
         cfg.validate()
         return cfg
     try:
-        doc = read_json(path, "config file", ConfigError)
+        return read_spec(RunConfig, path, "config file", _CONFIG_KEYS, optional=tuple(_CONFIG_KEYS))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    coerced = {}
-    problems = []
-    numbers = {"min_dwell": int, "utc_offset": float, "top_k": int, "seed": int, "threads": int}
-    for key, value in doc.items():
-        cast = numbers.get(key)
-        if cast is None:
-            if value is not None and (not isinstance(value, str) or "\0" in value):
-                problems.append(f"{key} must be a string without NUL, got {value!r}")
-            else:
-                coerced[key] = value
-        else:
-            try:
-                coerced[key] = json_number(value, cast)
-            except (TypeError, ValueError) as exc:
-                problems.append(f"{key} {exc}")
-    if problems:
-        raise ConfigError("; ".join(problems))
-    cfg = RunConfig(**coerced)
-    cfg.validate()
-    return cfg

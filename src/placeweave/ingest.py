@@ -73,7 +73,7 @@ EPOCH = dt.date(1970, 1, 1)
 EARTH_RADIUS_KM = 6371.0088
 _US_PER_DAY = 86_400_000_000
 _MIN_DAY, _MAX_DAY = ((day - EPOCH).days for day in (dt.date.min, dt.date.max))
-_INT64 = np.iinfo(np.int64)
+INT64 = np.iinfo(np.int64)
 # Rows per token block a file writer builds, and tokens per byte gather of
 # write_tokens: together they bound the memory a written file takes.
 TOKEN_ROWS = 8_192
@@ -379,7 +379,7 @@ def _checked_stops(rows: CsvRows) -> StopTable:
             raise rows.error(line, f"non-integer field: {exc}") from None
         if dwell < 0:
             raise rows.error(line, f"negative dwell {dwell}")
-        if not (_INT64.min <= start_time <= _INT64.max and dwell <= _INT64.max):
+        if not (INT64.min <= start_time <= INT64.max and dwell <= INT64.max):
             raise rows.error(line, "integer field outside the 64-bit range")
         device_ids.append(device_id)
         poi_ids.append(poi_id)

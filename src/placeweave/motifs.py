@@ -410,6 +410,8 @@ def classify_trajectories(sequences: SequenceTable) -> TrajectoryCensus:
     nodes = np.full((n_walks, 4), -1, dtype=np.int32)
     kept = small[distinct_walk]
     nodes[distinct_walk[kept], slot[kept]] = distinct[kept] % n_pois
+    # the per-stay temporaries are done: free them before the tally's own
+    del walk, position, distinct, stay_distinct, distinct_walk, slot, stay_slot, steps, kept
     other = []
     for i in np.flatnonzero(~small).tolist():
         stays = [sequences.pois[p] for p in sequences.stays[offsets[i] : offsets[i + 1]].tolist()]

@@ -31,7 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import NETWORK_MODES, read_json
+from .errors import SchemaError
 from .ingest import (
+    INT64,
     CsvRows,
     SequenceTable,
     _intern,
@@ -235,8 +237,46 @@ def write_network(net: PlaceNetwork, path: str | Path, extra_meta: dict | None =
     write_json(meta, sidecar_path(path))
 
 
+# The sidecar fields the readers use: what each must be, and its check
+_SIDECAR_FIELDS = {
+    "label": ("a string", lambda v: isinstance(v, str)),
+    "mode": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "isolated_nodes": ("a list of strings",
+                       lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+    "total_weight": ("an integer", lambda v: type(v) is int),  # a bool is no integer
+}
+
+
+def read_sidecar(path: str | Path) -> dict:
+    """The sidecar of the network file path, or {} when it has none.
+
+    Each field of _SIDECAR_FIELDS may be absent, but one that is present
+    must have its type, and a consecutive-mode sidecar must hold
+    total_weight, which the flow check of the motifs stage reads. A bad or
+    missing field raises SchemaError naming the sidecar and the key.
+    """
+    meta_file = sidecar_path(path)
+    if not meta_file.exists():
+        return {}
+    meta = read_json(meta_file, "network sidecar")
+    problems = [
+        f"bad {key} (must be {kind}, got {meta[key]!r})"
+        for key, (kind, check) in _SIDECAR_FIELDS.items()
+        if key in meta and not check(meta[key])
+    ]
+    if meta.get("mode") == "consecutive" and "total_weight" not in meta:
+        problems.append("missing total_weight")
+    if problems:
+        raise SchemaError(f"network sidecar {meta_file}: {'; '.join(problems)}")
+    return meta
+
+
 def read_network(path: str | Path) -> PlaceNetwork:
-    """The network of an edge-list file, read as write_network writes it, and its sidecar."""
+    """The network of an edge-list file, read as write_network writes it, and its sidecar.
+
+    Each weight, and total_weight * (nodes - 1), must fit in int64: that
+    product bounds every int64 sum metrics.local_clustering takes.
+    """
     edges: dict[tuple[str, str], int] = {}
     with CsvRows(path, NETWORK_COLUMNS, "network", exact=True, quoting=csv.QUOTE_NONE) as rows:
         for line, (a, b, w) in rows:
@@ -246,14 +286,21 @@ def read_network(path: str | Path) -> PlaceNetwork:
                 raise rows.error(line, f"non-integer weight {w!r}") from None
             if w < 1:
                 raise rows.error(line, "weight must be >= 1")
+            if w > INT64.max:
+                raise rows.error(line, f"weight {w} exceeds 2**63 - 1")
             if not a < b:
                 raise rows.error(line, "rows must satisfy poi_a < poi_b")
             if (a, b) in edges:
                 raise rows.error(line, f"duplicate edge {a},{b}")
             edges[a, b] = w
-    meta_file = sidecar_path(path)
-    meta = read_json(meta_file, "network sidecar") if meta_file.exists() else {}
+    meta = read_sidecar(path)
     names, codes = _intern([v for edge in edges for v in edge] + meta.get("isolated_nodes", []))
+    total = sum(edges.values())
+    if total * (len(names) - 1) > INT64.max:
+        raise SchemaError(
+            f"network {path}: total weight {total} times {len(names) - 1} (nodes - 1) "
+            "exceeds 2**63 - 1"
+        )
     ends = codes[: 2 * len(edges)].reshape(-1, 2)
     return PlaceNetwork.from_arrays(
         names, ends[:, 0], ends[:, 1], list(edges.values()),

@@ -38,7 +38,7 @@ from .network import (
     pair_network,
     poi_pairs,
     read_network,
-    sidecar_path,
+    read_sidecar,
     write_network,
 )
 
@@ -263,13 +263,15 @@ def read_instances_csv(path: str | Path) -> motifs.InstanceRows:
     """The instance table of an instances.csv file, read as write_instances_csv writes it.
 
     Each row must name its nodes, edges between two distinct of them, a
-    device_count of at least 1 and the class its graph has; a row that does
-    not raises RowError naming the file and line.
+    device_count in [1, 2**63 - 1] and the class its graph has; a row that
+    does not raises RowError naming the file and line. The counts must
+    total at most 2**63 - 1, so that every int64 sum of them is exact.
     """
     from . import motifs
 
     rows: list[tuple[int, int, list[str], int, int]] = []
     other: list[motifs.OtherRow] = []
+    total = 0
     with ingest.CsvRows(
         path, INSTANCES_COLUMNS, "instances", exact=True, quoting=csv.QUOTE_NONE
     ) as lines:
@@ -289,6 +291,9 @@ def read_instances_csv(path: str | Path) -> motifs.InstanceRows:
                     raise lines.error(line, f"edge {a}|{b} {problem}")
             if count < 1:
                 raise lines.error(line, f"device_count {count} is below 1")
+            if count > ingest.INT64.max:
+                raise lines.error(line, f"device_count {count} exceeds 2**63 - 1")
+            total += count
             cls, mask = motifs.OTHER, 0
             if len(names) <= 4:
                 mask = sum({int(motifs.PAIR_BIT[slot[a], slot[b]]) for a, b in edges})
@@ -301,6 +306,8 @@ def read_instances_csv(path: str | Path) -> motifs.InstanceRows:
                 other.append((day, tuple(names), pairs, count))
             else:
                 rows.append((day, cls, names, mask, count))
+    if total > ingest.INT64.max:
+        raise SchemaError(f"instances {path}: device counts total {total}, more than 2**63 - 1")
     pois = sorted({v for _, _, names, _, _ in rows for v in names})
     code = {v: i for i, v in enumerate(pois)}
     nodes = [[code[v] for v in names] + [-1] * (4 - len(names)) for _, _, names, _, _ in rows]
@@ -380,9 +387,7 @@ def load_motifs_inputs(
     Only an enumeration census reads the network; the flow check reads its
     sidecar alone.
     """
-    meta: dict = {}
-    if network_path and sequences_path and sidecar_path(network_path).exists():
-        meta = read_json(sidecar_path(network_path), "network sidecar")
+    meta = read_sidecar(network_path) if network_path and sequences_path else {}
     return {
         "sequences": ingest.read_sequences(sequences_path) if sequences_path else None,
         "catalog": ingest.load_poi_catalog(pois_path) if pois_path else None,
@@ -487,6 +492,17 @@ def _write_series_csv(series, path: Path) -> None:
     write_csv(path, ("date", "value", "day_type"), rows)
 
 
+def _read_report_part(path: str | Path, part: str) -> dict:
+    """The JSON object at path, checked against the report schema's part of that name."""
+    from . import stats
+
+    doc = read_json(path, part)
+    problem = stats._schema_problem(doc, stats.REPORT_SCHEMA["properties"][part], part)
+    if problem:
+        raise SchemaError(f"{part} {path} does not fit the report: {problem}")
+    return doc
+
+
 def load_series_inputs(
     census_dir: str | Path,
     pois_path: str | Path,
@@ -494,13 +510,14 @@ def load_series_inputs(
     summary_path: str | Path | None = None,
 ) -> tuple[InstanceTable, dict, dict]:
     """The instance table, census document and summary document; the
-    summary defaults to the metrics stage's next to out_dir."""
+    summary defaults to the metrics stage's next to out_dir. Each document
+    must fit its part of stats.REPORT_SCHEMA (SchemaError otherwise)."""
     census_dir = Path(census_dir)
     instances = load_instance_table(census_dir / "instances.csv", pois_path)
-    census_doc = read_json(census_dir / "census.json", "census")
+    census_doc = _read_report_part(census_dir / "census.json", "census")
     if summary_path is None:
         summary_path = Path(out_dir).parent / "metrics" / "summary.json"
-    return instances, census_doc, read_json(summary_path, "summary")
+    return instances, census_doc, _read_report_part(summary_path, "summary")
 
 
 def stage_series(

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _pcg64
 from .attributes import sector_by_id
-from .config import json_number, read_json
+from .config import json_number, read_spec
 from .errors import ConfigError, UnknownSectorError
 from .ingest import (
     EARTH_RADIUS_KM,
@@ -405,33 +405,8 @@ def _tuple(convert, values, size: int) -> tuple:
     return tuple(map(convert, values))
 
 
-def _load_spec(cls, path: str | Path, what: str, convert: dict, optional: tuple = ()):
-    """The validated cls of a JSON spec file, each key's value read by convert[key].
-
-    Every key of convert not in optional is required, and no other key is
-    allowed; an absent optional key takes cls's default. A value of the
-    wrong JSON type or form raises ConfigError naming the spec and the key.
-    """
-    doc = read_json(path, what, ConfigError)
-    unknown = set(doc) - set(convert)
-    if unknown:
-        raise ConfigError(f"{what}: unknown key(s) {sorted(unknown)}")
-    missing = set(convert) - set(optional) - set(doc)
-    if missing:
-        raise ConfigError(f"{what}: missing key(s) {sorted(missing)}")
-    values = {}
-    for key in filter(doc.__contains__, convert):  # in convert's order
-        try:
-            values[key] = convert[key](doc[key])
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise ConfigError(f"{what}: bad {key} ({exc})") from None
-    spec = cls(**values)
-    spec.validate()
-    return spec
-
-
 def load_world_spec(path: str | Path) -> WorldSpec:
-    return _load_spec(WorldSpec, path, "world spec", {
+    return read_spec(WorldSpec, path, "world spec", {
         "n_pois": _integer,
         "bbox": lambda bbox: _tuple(_real, bbox, 4),
         "category_shares": lambda mix: {int(k): _real(v) for k, v in mix.items()},
@@ -440,7 +415,7 @@ def load_world_spec(path: str | Path) -> WorldSpec:
 
 
 def load_traffic_spec(path: str | Path) -> TrafficSpec:
-    return _load_spec(TrafficSpec, path, "traffic spec", {
+    return read_spec(TrafficSpec, path, "traffic spec", {
         "n_device_days": _integer,
         "class_mix": lambda mix: {MotifClass(k): _real(v) for k, v in mix.items()},
         "date_range": lambda dates: _tuple(dt.date.fromisoformat, dates, 2),

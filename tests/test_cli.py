@@ -738,6 +738,8 @@ def _with_bad_byte(line: int):
 
 HEADER_ONLY = b"poi_a,poi_b,weight\n"
 EDGELESS = {"label": "2020-02-03", "isolated_nodes": ["p1", "p2"]}
+INSTANCES_HEADER = b"local_date,motif_class,nodes,edges,device_count\n"
+INSTANCE = b"2020-02-01,M2_1,a|b,a|b,%d\n"
 # command -> {input file: its new bytes or an edit of them}, what the error names;
 # {name} is the path of that input under the test's directory, {name:N} also a line
 BAD_INPUTS = {
@@ -760,7 +762,16 @@ BAD_INPUTS = {
     # open() raises a plain ValueError for a path holding NUL
     "config-path-nul": (["run", "--config", "{config.json}"],
                         {"config.json": json.dumps({"stops": "a\0b", "pois": "b"})},
-                        "stops must be a string without NUL"),
+                        "bad stops (must be a string without NUL"),
+    # one error lists every bad key of a config or spec
+    "config-bad-keys": (["run", "--config", "{config.json}"],
+                        {"config.json": json.dumps({"bogus": 1, "min_dwell": "60", "top_k": 1.5})},
+                        "config file: unknown key(s) ['bogus']; bad min_dwell (must be a number, "
+                        "got '60'); bad top_k (must be an integer, got 1.5)"),
+    "world-bad-keys": (["synth", "--world", "{world.json}", "--traffic", "{traffic.json}"],
+                       {"world.json": json.dumps({**WORLD, "n_pois": 1.5, "seed": True})},
+                       "world spec: bad n_pois (must be an integer, got 1.5); bad seed (must be a "
+                       "number, got True)"),
     "sidecar-not-an-object": (["metrics", "--network", "{net.csv}"], {"net.meta.json": b"[]"},
                               "network sidecar: must be a JSON object, got list in "
                               "{net.meta.json}"),
@@ -801,6 +812,50 @@ BAD_INPUTS = {
     # numpy's default_rng raises a plain ValueError for a negative seed
     "refnet-random-negative-seed": (["refnet", "--kind", "random", "--n", "10", "--avg-degree", "2",
                                      "--seed", "-1"], {}, "seed must be >= 0, got -1"),
+    # int64 bounds: a weight, and total_weight * (nodes - 1), which bounds the clustering's sums
+    "network-weight-2-63": (["metrics", "--network", "{net.csv}"],
+                            {"net.csv": HEADER_ONLY + b"a,b,%d\n" % 2**63},
+                            "{net.csv:2}: weight 9223372036854775808 exceeds 2**63 - 1"),
+    "network-total-weight": (["metrics", "--network", "{net.csv}"],
+                             {"net.csv": HEADER_ONLY + b"a,b,%d\nb,c,%d\n" % (2**63 - 1, 2**63 - 1)},
+                             "network {net.csv}: total weight 18446744073709551614 times 2"),
+    # a triangle a-b-c with a tail a-d: strength(a) * (degree(a) - 1) wraps in int64
+    "network-clustering-sums": (["metrics", "--network", "{net.csv}"],
+                                {"net.csv": HEADER_ONLY + b"a,b,%d\na,c,%d\na,d,%d\nb,c,1\n"
+                                 % (2**61, 2**61, 2**61)},
+                                "network {net.csv}: total weight 6917529027641081857 times 3"),
+    "sidecar-isolated-int": (["metrics", "--network", "{net.csv}"],
+                             {"net.meta.json": json.dumps({**EDGELESS, "isolated_nodes": 5})},
+                             "network sidecar {net.meta.json}: bad isolated_nodes (must be a list "
+                             "of strings, got 5)"),
+    "sidecar-isolated-ints": (["metrics", "--network", "{net.csv}"],
+                              {"net.meta.json": json.dumps({**EDGELESS, "isolated_nodes": [5]})},
+                              "network sidecar {net.meta.json}: bad isolated_nodes (must be a list "
+                              "of strings, got [5])"),
+    "sidecar-no-total-weight": (["motifs", "--sequences", "{sequences.csv}", "--network",
+                                 "{net.csv}"],
+                                {"net.meta.json": json.dumps({"label": "x", "mode": "consecutive"})},
+                                "network sidecar {net.meta.json}: missing total_weight"),
+    "census-no-keys": (["series", "--census-dir", "{census}", "--pois", "{pois.csv}", "--summary",
+                        "{summary.json}"], {"census/census.json": b"{}"},
+                       "census {census/census.json} does not fit the report: census: 'mode' is a "
+                       "required property"),
+    "summary-no-keys": (["series", "--census-dir", "{census}", "--pois", "{pois.csv}", "--summary",
+                         "{summary.json}"], {"summary.json": b"{}"},
+                        "summary {summary.json} does not fit the report: summary: 'nodes' is a "
+                        "required property"),
+    "instances-count-2-63": (["attributed", "--instances", "{census/instances.csv}", "--pois",
+                              "{pois.csv}"],
+                             {"census/instances.csv": INSTANCES_HEADER + INSTANCE % 2**63},
+                             "{census/instances.csv:2}: device_count 9223372036854775808 exceeds "
+                             "2**63 - 1"),
+    "instances-count-total": (["attributed", "--instances", "{census/instances.csv}", "--pois",
+                               "{pois.csv}"],
+                              {"census/instances.csv": INSTANCES_HEADER
+                               + (INSTANCE % (2**63 - 1)).replace(b"01", b"02", 1)
+                               + INSTANCE % (2**63 - 1)},
+                              "instances {census/instances.csv}: device counts total "
+                              "18446744073709551614, more than 2**63 - 1"),
     "refnet-scale-free-negative-seed": (["refnet", "--kind", "scale-free", "--n", "10",
                                          "--avg-degree", "2", "--seed", "-1"], {},
                                         "seed must be >= 0, got -1"),

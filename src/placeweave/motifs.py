@@ -15,11 +15,11 @@ per class, visit flows equal covering device-days times the class edge
 count by construction. The instance table is integer columns: a walk's
 node slots are its at most four POI codes, sorted; its steps set bits of
 a 6-bit edge mask over the slot pairs, and a (node count, mask) lookup
-table built from classify_graph names its class. One lexsort by (day,
-class, node codes, edge rank) orders and tallies the rows, which is the
-order instances.csv is written in; a second one, without the day, sums
-each instance's device-day and weekend counts. Walks over five or
-more POIs (class OTHER) keep a small row form of names that is only
+table built from classify_graph names its class. One lexsort by (class,
+node codes, edge rank, day) tallies the rows: its runs are the
+instance-day rows and the distinct instances, and a stable sort by day
+puts the rows in the order instances.csv is written in. Walks over five
+or more POIs (class OTHER) keep a small row form of names that is only
 written and counted.
 """
 
@@ -269,11 +269,6 @@ def census_document(census: MotifCensus) -> dict:
     }
 
 
-def _instance_order(cls: np.ndarray, nodes: np.ndarray, mask: np.ndarray, *major) -> np.ndarray:
-    """The lexsort of rows by the major keys, then class, node codes and edges."""
-    return np.lexsort((EDGE_RANK[mask], *nodes.T[::-1], cls, *major[::-1]))
-
-
 @dataclass(eq=False)
 class Instances:
     """Motif instances as columns, one entry per instance.
@@ -331,20 +326,18 @@ class InstanceRows:
         cls, pois, day, classes, nodes, mask, count, other: Iterable[OtherRow]
     ) -> InstanceRows:
         """The table of unsorted rows; rows of one instance on one day are summed."""
-        order = _instance_order(classes, nodes, mask, day)
+        order = np.lexsort((day, EDGE_RANK[mask], *nodes.T[::-1], classes))
         day, classes, nodes, mask = day[order], classes[order], nodes[order], mask[order]
-        start = group_starts(day, classes, nodes, mask)
+        start = group_starts(classes, nodes, mask, day)  # each instance-day, instances in order
         count, day = np.add.reduceat(count[order], start), day[start]
         weekend = np.where(is_weekend(day), count, 0)
-        table = Instances(classes[start], nodes[start], mask[start], count, weekend)
-        order = _instance_order(table.cls, table.nodes, table.mask)
-        start = group_starts(table.cls[order], table.nodes[order], table.mask[order])
-        of_row = np.empty(len(order), dtype=np.int64)
-        of_row[order] = np.repeat(np.arange(len(start)), np.diff(np.append(start, len(order))))
-        instances = table.take(order[start])
-        instances.count, instances.weekend = (
-            np.add.reduceat(column[order], start) for column in (table.count, table.weekend)
-        )
+        rows = Instances(classes[start], nodes[start], mask[start], count, weekend)
+        first = group_starts(rows.cls, rows.nodes, rows.mask)  # each instance's first day
+        sums = (np.add.reduceat(column, first) for column in (rows.count, rows.weekend))
+        instances = Instances(rows.cls[first], rows.nodes[first], rows.mask[first], *sums)
+        run = np.repeat(np.arange(len(first)), np.diff(first, append=len(start)))
+        by_day = np.argsort(day, kind="stable")  # keeps the instance order within a day
+        table, day, of_row = rows.take(by_day), day[by_day], run[by_day]
         others: Counter = Counter()
         for d, n, e, c in other:
             others[d, n, e] += c

@@ -6,16 +6,13 @@ code pair) and each edge's int64 weight. Because the node ids are sorted,
 code order is string order, so the edge order is the order of the
 (poi_a, poi_b) string pairs. Weights count visit flows.
 
-Every network is built by PlaceNetwork.from_arrays, which sorts edges by
-the one int64 key src * n + dst and sums the weights of repeated pairs.
-poi_pairs turns a SequenceTable's steps, or its co-visited POIs, into
-pairs of POI codes of weight one, each tagged with its sequence;
-pair_network builds the network of any subset of them, so the daily
-networks and the whole-period network share one derivation. A network
-file is read into arrays first. Names are attached only when a network
-is written. The census and the clustering read the edge arrays as they
-are; csr_adjacency builds the symmetric CSR layout for callers of
-_fastcount.census_counts.
+day_networks builds every daily network and the whole-period one from a
+SequenceTable with one sort of (day, edge) keys, each network straight
+from its sorted distinct edges. PlaceNetwork.from_arrays builds one from
+unsorted edges (a network file, a reference network), sorting them by
+the int64 key src * n + dst and summing repeated pairs. The census and
+the clustering read the edge arrays as they are; csr_adjacency builds the
+symmetric CSR layout for callers of _fastcount.census_counts.
 
 The on-disk format is a CSV edge list (poi_a,poi_b,weight, poi_a < poi_b,
 rows sorted, fields unquoted) plus a JSON sidecar carrying the label, node
@@ -27,6 +24,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -149,50 +147,63 @@ class PlaceNetwork:
         )
 
 
-def poi_pairs(
-    sequences: SequenceTable, mode: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sequence, a, b) of every weight-one pair of POI codes a < b.
+def day_networks(sequences: SequenceTable, mode: str) -> tuple[Iterator[PlaceNetwork], PlaceNetwork]:
+    """The network of each local date, built as it is iterated, and the merged network.
 
-    consecutive mode gives one pair per step, so one per traversal;
-    covisitation mode one per unordered pair of distinct POIs a sequence
-    visits. SequenceTable.steps checks the walk rules.
+    A pair of POI codes a < b is a walk step (consecutive mode) or two distinct
+    POIs of a sequence (covisitation); SequenceTable.steps checks the walk rules.
+    One sort of day * n_edges + edge (the pair's day and edge a * n_pois + b as
+    indices among the distinct ones) gives the daily edges and weights in order;
+    node codes keep POI order, so no network re-sorts its edges. Per-pair arrays
+    are freed once used: at 1M device-days that keeps tens of MB off the heap.
     """
     if mode not in NETWORK_MODES:
         raise ValueError(f"mode must be one of {NETWORK_MODES}, got {mode!r}")
+    n_pois = max(len(sequences.pois), 1)
+
+    def network(edge: np.ndarray, weights: np.ndarray, label: str) -> PlaceNetwork:
+        a, b = divmod(edges[edge], n_pois)
+        touched = np.zeros(n_pois, dtype=bool)
+        touched[a] = touched[b] = True
+        code = np.cumsum(touched) - 1  # POI code -> node code
+        names = [sequences.pois[i] for i in np.flatnonzero(touched).tolist()]
+        return PlaceNetwork(names, code[a], code[b], weights, label=label, mode=mode)
+
     seq, position = sequences.steps()
     stays = sequences.stays.astype(np.int64)
     if mode == "consecutive":
         a, b = stays[position], stays[position + 1]
-        return seq[position], np.minimum(a, b), np.maximum(a, b)
-    n_pois = max(len(sequences.pois), 1)
-    # np.unique with no index output uses a hash table: 0.66 s against 0.012 s
-    # for this sort on 878,895 keys (numpy 2.4, 2-core host)
-    key = np.sort(seq * n_pois + stays)
-    key = key[group_starts(key)]  # each (sequence, POI) once
-    seq, poi = key // n_pois, key % n_pois
-    # each distinct POI pairs with every larger one of its sequence
-    later = np.searchsorted(seq, seq, side="right") - np.arange(len(seq)) - 1
-    first = np.repeat(np.arange(len(seq)), later)
-    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
-    return seq[first], poi[first], poi[second]
-
-
-def pair_network(
-    pois: list[str], a: np.ndarray, b: np.ndarray, mode: str, label: str
-) -> PlaceNetwork:
-    """The network of weight-one pairs (a, b) of codes into the POI names pois.
-
-    Its nodes are the POIs the pairs touch: under the walk rules every stay
-    of a sequence is in one of its pairs.
-    """
-    touched = np.zeros(len(pois), dtype=bool)
-    touched[a] = True
-    touched[b] = True
-    code = np.cumsum(touched) - 1  # POI code -> node code
-    names = [pois[i] for i in np.flatnonzero(touched).tolist()]
-    ones = np.ones(len(a), dtype=np.int64)
-    return PlaceNetwork.from_arrays(names, code[a], code[b], ones, label=label, mode=mode)
+        seq, a, b = seq[position], np.minimum(a, b), np.maximum(a, b)
+    else:
+        # np.unique with no index output uses a hash table: 0.66 s against 0.012 s
+        # for this sort on 878,895 keys (numpy 2.4, 2-core host)
+        key = np.sort(seq * n_pois + stays)
+        seq, poi = divmod(key[group_starts(key)], n_pois)  # each (sequence, POI) once
+        # each distinct POI pairs with every larger one of its sequence
+        later = np.searchsorted(seq, seq, side="right") - np.arange(len(seq)) - 1
+        first = np.repeat(np.arange(len(seq)), later)
+        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+        seq, a, b = seq[first], poi[first], poi[second]
+        del key, poi, later, first, second
+    del position, stays
+    days, day = np.unique(sequences.day, return_inverse=True)
+    edges, edge = np.unique(a * n_pois + b, return_inverse=True)
+    del a, b
+    merged = network(np.arange(len(edges)), np.bincount(edge), date_range_label(days[0], days[-1]))
+    # Local dates lie in 0001..9999 (ingest.local_days), so a day index is below
+    # 2**22, and an edge index below the pair count: the key fits in int64 for
+    # any pair array below 2**41 entries.
+    key = np.sort(day[seq] * len(edges) + edge)
+    del seq, day, edge
+    start = group_starts(key)
+    day, day_edge = divmod(key[start], len(edges))
+    weights = np.diff(start, append=len(key))
+    bounds = np.searchsorted(day, np.arange(len(days) + 1)).tolist()
+    daily = (
+        network(day_edge[lo:hi], weights[lo:hi], date_range_label(d, d))
+        for d, lo, hi in zip(days.tolist(), bounds, bounds[1:])
+    )
+    return daily, merged
 
 
 def date_range_label(first: int, last: int) -> str:

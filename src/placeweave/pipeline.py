@@ -33,12 +33,11 @@ from .errors import ConfigError, InvariantError, SchemaError
 from .ingest import EDGE_SEPARATOR, write_csv, write_json
 from .network import (
     PlaceNetwork,
-    date_range_label,
+    day_networks,
     edge_key,
-    pair_network,
-    poi_pairs,
     read_network,
     read_sidecar,
+    sidecar_path,
     write_network,
 )
 
@@ -113,25 +112,15 @@ def stage_ingest(
 
 
 def stage_network(sequences: ingest.SequenceTable, mode: str, out_dir: str | Path) -> PlaceNetwork:
-    """Write one network per local date and the merged whole-period network; returns the latter.
-
-    Each day's network is built from its slice of the day-sorted POI pairs.
-    """
+    """Write each local date's network and the merged one (day_networks); returns the latter."""
     if not len(sequences):
         raise SchemaError("no stay sequences to build networks from")
     out = _ensure_dir(out_dir)
     daily_dir = _ensure_dir(out / "daily")
-    sequence, a, b = poi_pairs(sequences, mode)
-    day = sequences.day[sequence]
-    order = np.argsort(day)
-    day, a, b = day[order], a[order], b[order]
-    days, first = np.unique(day, return_index=True)
-    for d, lo, hi in zip(days.tolist(), first.tolist(), [*first[1:].tolist(), len(day)]):
-        label = date_range_label(d, d)
-        net = pair_network(sequences.pois, a[lo:hi], b[lo:hi], mode, label)
-        write_network(net, daily_dir / f"{label}.csv")
-    merged = pair_network(sequences.pois, a, b, mode, date_range_label(days[0], days[-1]))
-    write_network(merged, out / "merged.csv", extra_meta={"days": len(days)})
+    daily, merged = day_networks(sequences, mode)
+    for days, net in enumerate(daily, 1):  # sequences give at least one day
+        write_network(net, daily_dir / f"{net.label}.csv")
+    write_network(merged, out / "merged.csv", extra_meta={"days": days})
     return merged
 
 
@@ -384,15 +373,20 @@ def load_motifs_inputs(
 ) -> dict:
     """stage_motifs keyword arguments from the motifs subcommand's files.
 
-    Only an enumeration census reads the network; the flow check reads its
-    sidecar alone.
+    Only an enumeration census reads the network, and the flow check its sidecar:
+    a consecutive-mode total weight other than the sequences' step count is a SchemaError.
     """
     meta = read_sidecar(network_path) if network_path and sequences_path else {}
+    sequences = ingest.read_sequences(sequences_path) if sequences_path else None
+    flow_weight = meta["total_weight"] if meta.get("mode") == "consecutive" else None
+    if flow_weight is not None and flow_weight != (steps := len(sequences.stays) - len(sequences)):
+        raise SchemaError(f"network sidecar {sidecar_path(network_path)}: total_weight "
+                          f"{flow_weight} is not the {steps} walk steps of {sequences_path}")
     return {
-        "sequences": ingest.read_sequences(sequences_path) if sequences_path else None,
+        "sequences": sequences,
         "catalog": ingest.load_poi_catalog(pois_path) if pois_path else None,
         "network": read_network(network_path) if network_path and mode == "enumerate" else None,
-        "flow_weight": meta["total_weight"] if meta.get("mode") == "consecutive" else None,
+        "flow_weight": flow_weight,
     }
 
 
@@ -415,8 +409,19 @@ def stage_motifs(
     """
     from . import motifs
 
+    if mode == "trajectory":
+        if sequences is None:
+            raise SchemaError("trajectory census requires --sequences")
+        if not len(sequences):
+            raise SchemaError("no stay sequences to census")
+    elif mode == "enumerate":
+        if network is None:
+            raise SchemaError("enumeration census requires --network")
+        if not network.n_edges:
+            raise SchemaError(f"network {network.label!r} has no edges to census")
+    else:
+        raise SchemaError(f"unknown census mode {mode!r}")
     out = _ensure_dir(out_dir)
-    traj: motifs.TrajectoryCensus | None = None
     instances: InstanceTable | None = None
     if sequences is not None:
         traj = motifs.classify_trajectories(sequences)
@@ -430,23 +435,13 @@ def stage_motifs(
             instances = InstanceTable(traj.rows, catalog)
 
     if mode == "trajectory":
-        if traj is None:
-            raise SchemaError("trajectory census requires --sequences")
-        if not len(sequences):
-            raise SchemaError("no stay sequences to census")
         census = motifs.census_percentages(traj.census())
         if instances is not None:
             from . import stats
 
             stats.attach_distances(census, instances.distance_table(weighting))
-    elif mode == "enumerate":
-        if network is None:
-            raise SchemaError("enumeration census requires --network")
-        if not network.n_edges:
-            raise SchemaError(f"network {network.label!r} has no edges to census")
-        census = motifs.census_percentages(motifs.enumeration_census(network))
     else:
-        raise SchemaError(f"unknown census mode {mode!r}")
+        census = motifs.census_percentages(motifs.enumeration_census(network))
 
     write_census_csv(census, out / "census.csv", min_count=min_count)
     doc = motifs.census_document(census)

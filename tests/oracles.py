@@ -10,13 +10,14 @@ The table builders at the top are not oracles: they let tests state a
 network, sequences, stops or a POI catalog as plain tuples and build the
 table through the library's own constructors (PlaceNetwork.from_arrays,
 the SequenceTable fields, parse_stops, load_poi_catalog), and walks reads
-a SequenceTable back as tuples. Nor are the helpers after them: build_network
-is the library's poi_pairs and pair_network over a whole table, labelled
-with its date range; node_code finds a node in a network's sorted names;
-degree counts a node's entries in the edge arrays; and
-local_clustering_weighted reads one node's value from the library's
-local_clustering. local_date is the datetime reading of a stop's local
-date that ingest.local_days computes in bulk.
+a SequenceTable back as tuples. build_network, after them, is an oracle: a
+dict count of each walk's steps, or of the pairs of its distinct POIs,
+labelled with the table's date range. The helpers after it are not:
+node_code finds a node in a network's sorted names; degree counts a
+node's entries in the edge arrays; and local_clustering_weighted reads one
+node's value from the library's local_clustering. local_date is the
+datetime reading of a stop's local date that ingest.local_days computes
+in bulk.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from placeweave.errors import RowError
 from placeweave.ingest import EPOCH, SequenceTable, load_poi_catalog, parse_stops
 from placeweave.metrics import local_clustering
 from placeweave.motifs import MotifClass, classify_graph
-from placeweave.network import PlaceNetwork, date_range_label, pair_network, poi_pairs
+from placeweave.network import PlaceNetwork
 from placeweave.stats import EARTH_RADIUS_KM
 from placeweave.synth import CLASS_WALKS, DeviceDayPlan
 
@@ -134,11 +135,18 @@ def catalog(rows: Iterable):
 def build_network(
     sequences: SequenceTable, mode: str = "consecutive", label: str | None = None
 ) -> PlaceNetwork:
-    """The network of every pair poi_pairs gives; the label defaults to the date range."""
-    _, a, b = poi_pairs(sequences, mode)
+    """Each walk's steps, or pairs of its distinct POIs, counted in a dict;
+    the label defaults to the date range."""
+    edges: Counter = Counter()
+    for walk in walks(sequences):
+        if mode == "consecutive":
+            edges.update(tuple(sorted(step)) for step in zip(walk.stays, walk.stays[1:]))
+        else:
+            edges.update(itertools.combinations(sorted(set(walk.stays)), 2))
     if label is None and len(sequences):
-        label = date_range_label(sequences.day.min(), sequences.day.max())
-    return pair_network(sequences.pois, a, b, mode, label or "")
+        first, last = (EPOCH + dt.timedelta(days=int(f(sequences.day))) for f in (min, max))
+        label = first.isoformat() if first == last else f"{first.isoformat()}..{last.isoformat()}"
+    return network(edges, label=label or "", mode=mode)
 
 
 def node_code(net: PlaceNetwork, node: str) -> int:

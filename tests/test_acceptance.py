@@ -27,7 +27,6 @@ from oracles import (
     brute_force_classify,
     brute_force_enumerate,
     brute_force_unweighted_clustering,
-    build_network,
     Walk,
     catalog,
     covering_walk,
@@ -54,7 +53,7 @@ from placeweave.motifs import (
     classify_trajectories,
     enumerate_induced,
 )
-from placeweave.network import PlaceNetwork, csr_adjacency
+from placeweave.network import PlaceNetwork, csr_adjacency, day_networks
 from placeweave.refnets import RefNetSpec, gen_random_network, gen_scale_free_network
 from placeweave.stats import EARTH_RADIUS_KM, haversine_km
 from placeweave.synth import (
@@ -182,7 +181,7 @@ def test_criterion_4_planted_recovery_50k():
         sequences = build_stay_sequences(filter_visits(stops, 300), 0.0)
         assert len(sequences) == 50_000
 
-        net = build_network(sequences, mode="consecutive")
+        _, net = day_networks(sequences, "consecutive")
         assert net.total_weight == sum(len(stays) - 1 for _, _, stays in walks(sequences))
 
         by_device = {device: stays for device, _, stays in walks(sequences)}

@@ -581,8 +581,9 @@ def test_test_only_helpers_are_not_in_the_package():
     removed = {
         ingest: ["local_date"],
         ingest.SequenceTable: ["walks"],
-        network: ["build_network", "bisect_left"],
+        network: ["build_network", "bisect_left", "pair_network", "poi_pairs"],
         network.PlaceNetwork: ["index"],
+        motifs: ["_instance_order"],
         metrics.DegreeHistogram: ["pdf_at", "ccdf_at", "mean"],
         refnets: ["RNG_ALGORITHM"],
     }
@@ -836,6 +837,11 @@ BAD_INPUTS = {
                                  "{net.csv}"],
                                 {"net.meta.json": json.dumps({"label": "x", "mode": "consecutive"})},
                                 "network sidecar {net.meta.json}: missing total_weight"),
+    "sidecar-other-sequences": (["motifs", "--sequences", "{sequences.csv}", "--network",
+                                 "{net.csv}"],
+                                {"net.meta.json": lambda data: json.dumps(
+                                    {**json.loads(data), "total_weight": 5})},
+                                "network sidecar {net.meta.json}: total_weight 5 is not the "),
     "census-no-keys": (["series", "--census-dir", "{census}", "--pois", "{pois.csv}", "--summary",
                         "{summary.json}"], {"census/census.json": b"{}"},
                        "census {census/census.json} does not fit the report: census: 'mode' is a "
@@ -892,6 +898,7 @@ def test_bad_input_exits_2_with_one_error_naming_it(synth_dir, run_dir, tmp_path
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and fill(named) in errors[0], errors
     assert "Traceback" not in caplog.text and all(r.exc_info is None for r in caplog.records)
+    assert [p for p in (tmp_path / "out").rglob("*") if p.is_file()] == []
 
 
 def test_an_internal_value_error_is_not_bad_input(run_dir, tmp_path, monkeypatch):

@@ -24,6 +24,7 @@ from placeweave.errors import InvariantError
 from placeweave.motifs import (
     CLASS_INDEX,
     CLASS_ORDER,
+    EDGE_RANK,
     INDEX_CLASS,
     MASK_CLASS,
     ClassStats,
@@ -563,6 +564,18 @@ def test_trajectory_rows_tally_like_brute_force(day_walks):
     assert sum(count for *_, count in rows) == census.total_device_days == len(seqs)
     assert len({(day, inst) for day, inst, _ in rows}) == len(rows)
     assert census.total_flows == sum(len(s.stays) - 1 for s in seqs)
+    # table rows in (day, class, node codes, edge rank) order, instances in the
+    # same order without the day, each key once; of_row finds each row's instance
+    table, instances, of_row = census.rows.table, census.rows.instances, census.rows.of_row
+
+    def sort_keys(inst, *major):
+        nodes, rank = map(tuple, inst.nodes.tolist()), EDGE_RANK[inst.mask].tolist()
+        return list(zip(*(column.tolist() for column in major), inst.cls.tolist(), nodes, rank))
+
+    for keys in (sort_keys(table, census.rows.day), sort_keys(instances)):
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+    for column in ("cls", "nodes", "mask"):
+        assert np.array_equal(getattr(instances, column)[of_row], getattr(table, column))
 
 
 def test_mask_class_table_equals_classify_graph():

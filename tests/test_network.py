@@ -11,7 +11,6 @@ import oracles
 from oracles import (
     Walk,
     adjacency,
-    build_network,
     edge_weights,
     merge_networks,
     network,
@@ -23,6 +22,7 @@ from placeweave.network import (
     PlaceNetwork,
     _sum_edges,
     csr_adjacency,
+    day_networks,
     read_network,
     sidecar_path,
     write_network,
@@ -39,41 +39,45 @@ def table(seqs):
     return sequence_table(seqs)
 
 
+def merged_network(sequences, mode="consecutive"):
+    return day_networks(sequences, mode)[1]
+
+
 def test_consecutive_chain():
-    net = build_network(table([seq("p1", "p2", "p3")]), mode="consecutive")
+    net = merged_network(table([seq("p1", "p2", "p3")]), mode="consecutive")
     assert edge_weights(net) == {("p1", "p2"): 1, ("p2", "p3"): 1}
 
 
 def test_covisitation_clique():
-    net = build_network(table([seq("p1", "p2", "p3")]), mode="covisitation")
+    net = merged_network(table([seq("p1", "p2", "p3")]), mode="covisitation")
     assert edge_weights(net) == {("p1", "p2"): 1, ("p1", "p3"): 1, ("p2", "p3"): 1}
 
 
 def test_ten_coinciding_trips_weigh_ten():
     seqs = [seq("pA", "pB", device=f"d{i}") for i in range(10)]
-    net = build_network(table(seqs), mode="consecutive")
+    net = merged_network(table(seqs), mode="consecutive")
     assert edge_weights(net) == {("pA", "pB"): 10}
 
 
 def test_covisitation_counts_pair_once_per_sequence():
-    net = build_network(table([seq("p1", "p2", "p1")]), mode="covisitation")
+    net = merged_network(table([seq("p1", "p2", "p1")]), mode="covisitation")
     assert edge_weights(net) == {("p1", "p2"): 1}
 
 
 def test_short_sequence_rejected():
     with pytest.raises(ValueError):
-        build_network(table([Walk("d1", DAY, ("p1",))]))
+        merged_network(table([Walk("d1", DAY, ("p1",))]))
 
 
 def test_consecutive_duplicate_rejected():
     with pytest.raises(ValueError, match="duplicate"):
-        build_network(table([seq("p1", "p1", "p2")]), mode="consecutive")
+        merged_network(table([seq("p1", "p1", "p2")]), mode="consecutive")
 
 
 def test_label_defaults_to_date_range():
     seqs = [seq("a", "b"), seq("a", "b", day=dt.date(2020, 2, 7))]
-    assert build_network(table(seqs)).label == "2020-02-03..2020-02-07"
-    assert build_network(table([seq("a", "b")])).label == "2020-02-03"
+    assert merged_network(table(seqs)).label == "2020-02-03..2020-02-07"
+    assert merged_network(table([seq("a", "b")])).label == "2020-02-03"
 
 
 @settings(max_examples=60)
@@ -97,26 +101,26 @@ def test_total_weight_equals_steps(walks):
             seqs.append(Walk(f"d{i}", DAY, tuple(collapsed)))
     if not seqs:
         return
-    net = build_network(table(seqs), mode="consecutive")
+    net = merged_network(table(seqs), mode="consecutive")
     assert net.total_weight == sum(len(s.stays) - 1 for s in seqs)
     assert all(a != b for a, b in edge_weights(net))  # no self-loops
 
 
 def test_merge_identity_and_disjoint_and_additive():
-    n1 = build_network(table([seq("a", "b")]))
+    n1 = merged_network(table([seq("a", "b")]))
     assert edge_weights(merge_networks([n1])) == edge_weights(n1)
 
-    n2 = build_network(table([seq("c", "d")]))
+    n2 = merged_network(table([seq("c", "d")]))
     merged = merge_networks([n1, n2])
     assert edge_weights(merged) == {("a", "b"): 1, ("c", "d"): 1}
 
-    n3 = build_network(table([seq("a", "b", device=f"x{i}") for i in range(3)]))
+    n3 = merged_network(table([seq("a", "b", device=f"x{i}") for i in range(3)]))
     assert edge_weights(merge_networks([n3, n3])) == {("a", "b"): 6}
 
 
 def test_merge_associative_commutative_up_to_label():
     nets = [
-        build_network(table([seq("a", "b", day=dt.date(2020, 2, d))]), label=f"2020-02-0{d}")
+        merged_network(table([seq("a", "b", day=dt.date(2020, 2, d))]))
         for d in (1, 2, 3)
     ]
     left = merge_networks([merge_networks(nets[:2]), nets[2]])
@@ -159,7 +163,7 @@ def test_add_edge_adds_nodes_and_weights_in_place():
 
 
 def test_file_round_trip(tmp_path):
-    net = build_network(table([seq("p2", "p1", "p3"), seq("p1", "p2", device="d2")]))
+    net = merged_network(table([seq("p2", "p1", "p3"), seq("p1", "p2", device="d2")]))
     path = tmp_path / "net.csv"
     write_network(net, path)
     back = read_network(path)
@@ -252,8 +256,8 @@ def test_sidecar_isolated_nodes_label_and_mode_survive_round_trip(tmp_path):
 
 
 def test_csr_adjacency_matches_network():
-    built = build_network(table([seq("p1", "p2", "p3", "p1"), seq("p4", "p2", device="d2")]))
-    repeated = build_network(
+    built = merged_network(table([seq("p1", "p2", "p3", "p1"), seq("p4", "p2", device="d2")]))
+    repeated = merged_network(
         table([seq("p1", "p2", "p3", "p1", "p2"), seq("p4", "p2", device="d2")])
     )
     isolated = network(edge_weights(built), nodes=["p0", "p5"])
@@ -341,10 +345,17 @@ def test_build_network_matches_brute_force(walks, mode):
             seqs.append(seq(*collapsed, device=f"d{i}", day=DAY + dt.timedelta(days=i % 3)))
     if not seqs:
         return
-    net = build_network(table(seqs), mode=mode)
+    daily, net = day_networks(table(seqs), mode)
+    daily = list(daily)
     assert edge_weights(net) == _brute_force_edges(seqs, mode)
     assert set(net.names) == {p for s in seqs for p in s.stays}
     assert net.total_weight == sum(_brute_force_edges(seqs, mode).values())
+    days = sorted({s.local_date for s in seqs})
+    assert [day_net.label for day_net in daily] == [day.isoformat() for day in days]
+    for day_net, day in zip(daily, days):
+        on_day = [s for s in seqs if s.local_date == day]
+        assert edge_weights(day_net) == _brute_force_edges(on_day, mode)
+        assert set(day_net.names) == {p for s in on_day for p in s.stays}
 
 
 NODE_NAMES = st.text("abcxyz019_-.", min_size=1, max_size=4)

@@ -44,15 +44,15 @@ TRAFFIC = {
 BOUNDS = {"synth_wall_s": 60.0, "run_wall_s": 90.0, "peak_rss_mb": 1536.0}
 
 
-def spawn(args: list[str]) -> dict:
-    """One placeweave CLI process to completion; usage from os.wait4."""
+def spawn(args: list[str], cwd: Path = WORK) -> dict:
+    """One placeweave CLI process in cwd to completion; usage from os.wait4."""
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-c", CHILD, str(ROOT / "src"), *args], cwd=WORK)
+    proc = subprocess.Popen([sys.executable, "-c", CHILD, str(ROOT / "src"), *args], cwd=cwd)
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
     rc = os.waitstatus_to_exitcode(status)
     if rc != 0:
-        raise SystemExit(f"one_million: {' '.join(args[:1])} exited {rc}")
+        raise SystemExit(f"placeweave {' '.join(args[:1])} exited {rc}")
     return {
         "wall_s": round(wall, 3),
         "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),

@@ -12,18 +12,20 @@ counted in well under a second.
 Nodes are ranked by degree and every edge points from the lower to the
 higher rank (Chiba & Nishizeki 1985); _orient is the only place that does
 so, straight from a network's edge arrays, each edge held once. A node
-then has at most sqrt(2m) out-neighbours, which bounds triangle listing,
-the 4-clique search and the 4-cycle wedge listing by O(m sqrt m) however
-heavy the hubs; their candidate arrays are processed in slices of bounded
-length. full_census orients the graph and lists its triangles once and
-derives every 3- and 4-node class from them.
+then has at most sqrt(2m) out-neighbours. _triangles finds each triangle
+and 4-clique at its lowest-ranked node, among that node's out-neighbours:
+O(m sqrt m) pair lookups however heavy the hubs, and sum k**3 for the
+products. The 4-cycle wedge listing is O(m sqrt m) too. Candidate arrays
+are processed in slices of at most _SLICE entries, or of about m at most
+for a node whose own pairs exceed it (k <= sqrt(2m)). full_census orients
+the graph, runs _triangles once and derives every class from its counts.
 
 codegrees gives codeg(i, j), the number of common neighbours, at every
 edge, for metrics.local_clustering: either from a dense A @ A or from the
 triangles on each edge, whichever _dense_pays picks.
 
-Everything is numpy. All work runs in the calling thread; the counts are
-exact integers and never depend on the thread count.
+Everything is numpy. BLAS products may run on several threads; their
+entries are integers below 2**24, so the counts never depend on the order.
 """
 
 from __future__ import annotations
@@ -69,8 +71,8 @@ def full_census(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
     src and dst hold each edge of a simple undirected graph over nodes
     0..n-1 once, as a PlaceNetwork does. Slots follow CLASS_INDEX; the M2_1
-    and OTHER slots are 0. One orientation and one triangle list serve
-    every class.
+    and OTHER slots are 0. One orientation and one pass of _triangles, the
+    triangles on each edge and the 4-clique count, serve every class.
     """
     counts = np.zeros(N_CLASS_SLOTS, dtype=np.int64)
     if n == 0:
@@ -78,14 +80,12 @@ def full_census(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     uptr, tail, head, keys, deg, _ = _orient(n, src, dst)
     d = deg.astype(object) if deg.max() >= _EXACT_DEGREE else deg
 
-    ab, bc, ac = _triangles(uptr, tail, head, keys, n)
-    triangles = ab.size
-    t_edge = np.bincount(np.concatenate((ab, bc, ac)), minlength=keys.size)
-    t_node = np.bincount(np.concatenate((tail[ab], head[ab], head[bc])), minlength=n)
-    clique = _four_cliques(uptr, tail, head, keys, n, ab, bc)
+    t_edge, clique = _triangles(uptr, head, keys, n)
+    triangles = _total(t_edge) // 3
     diamond = _total(t_edge * (t_edge - 1) // 2)
     cycle = _four_cycles(uptr, tail, head, deg, n)
-    tailed = _total(t_node * (d - 2))
+    # sum of t_v (d_v - 2) over nodes v; each triangle at v lies on two of v's edges
+    tailed = _total(t_edge * (d[tail] + d[head] - 4)) // 2
     path = _total((d[tail] - 1) * (d[head] - 1)) - 3 * triangles
     star = _total(d * (d - 1) * (d - 2) // 6)
     # Non-induced copies of each pattern (rows) inside one induced
@@ -120,19 +120,18 @@ def full_census(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
 
 # Costs of the two codegree forms, measured on a 2-core x86-64 host (numpy
-# 2.4.6, OpenBLAS), in-process, best of 3:
-# - dense, per n**3: 0.030 ns on the README-world merged network (n = 500,
-#   49,955 edges), 0.014 ns at n = 1,000 and 0.010-0.012 ns at n = 2,048;
-# - triangles, per candidate (see _dense_pays): 79-139 ns on graphs with
-#   0.4M-5.3M candidates, the 15,931-node county graph included; 300-660 ns
-#   on sparse graphs with 1k-13k candidates, where the whole form takes
-#   under 4 ms.
+# 2.4.6, OpenBLAS), in-process, best of 5, in two runs:
+# - dense, per n**3: 0.028-0.052 ns at n = 500 (the README-world merged
+#   network, 49,955 edges, and G(500, 0.4)), 0.011-0.013 ns at n = 1,000-2,896;
+# - triangles, per candidate (see _dense_pays), with _triangles' unused
+#   4-clique products: 54-165 ns on graphs with 0.4M-6.5M candidates, the
+#   15,931-node county graph included; 170-1,360 ns on sparse graphs with
+#   400-13k candidates, where the whole form takes under 3 ms.
 # The constants sit inside those ranges. With them the rule picks the faster
-# form on each graph above, and on G(n, p) at n = 1,000, p = 0.05 (dense
-# 14 ms, triangles 34 ms) and at n = 3,000, p = 0.02 (dense 302 ms,
-# triangles 167 ms). The dense form holds A and A @ A as float32 (8 n**2
-# bytes); every entry of A @ A is an integer at most n < 2**24, so the
-# product is exact.
+# form the cap allows on each graph above, on G(1,000, 0.05) (dense 11-12 ms,
+# triangles 25-32 ms) and on G(3,000, 0.02) (dense 190-248 ms, triangles
+# 97-129 ms). The dense form holds A and A @ A as float32 (8 n**2 bytes);
+# every entry of A @ A is an integer at most n < 2**24, so it is exact.
 _DENSE_NS_PER_CUBE = 0.02
 _TRIANGLE_NS_PER_CANDIDATE = 100
 _DENSE_MAX_NODES = math.isqrt((64 << 20) // 8)  # A and A @ A within 64 MiB: n <= 2,896
@@ -141,8 +140,8 @@ _DENSE_MAX_NODES = math.isqrt((64 << 20) // 8)  # A and A @ A within 64 MiB: n <
 def _dense_pays(n: int, candidates: int) -> bool:
     """Whether the dense form fits its memory cap and costs less than listing triangles.
 
-    candidates is the number of pairs of consecutive oriented edges a -> b -> c
-    that triangle listing checks, sum over edges a -> b of out(b).
+    candidates is the number of oriented paths a -> b -> c, sum over edges
+    a -> b of out(b); the triangle form's cost grows with it.
     """
     dense_ns = n**3 * _DENSE_NS_PER_CUBE
     return n <= _DENSE_MAX_NODES and dense_ns <= candidates * _TRIANGLE_NS_PER_CANDIDATE
@@ -155,14 +154,13 @@ def codegrees(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     A @ A over the n x n 0/1 adjacency when _dense_pays, else from the
     triangles on each edge; both are exact.
     """
-    uptr, tail, head, keys, _, edge = _orient(n, src, dst)
+    uptr, _, head, keys, _, edge = _orient(n, src, dst)
     if _dense_pays(n, int(np.diff(uptr)[head].sum())):
         adj = np.zeros((n, n), dtype=np.float32)
         adj[src, dst] = adj[dst, src] = 1
         return (adj @ adj)[src, dst].astype(np.int64)
     codeg = np.empty(keys.size, dtype=np.int64)
-    triangles = np.concatenate(_triangles(uptr, tail, head, keys, n))
-    codeg[edge] = np.bincount(triangles, minlength=keys.size)
+    codeg[edge] = _triangles(uptr, head, keys, n)[0]
     return codeg
 
 
@@ -188,33 +186,34 @@ def _orient(n, src, dst):
     return uptr, tail, head, keys, deg[order], edge
 
 
-def _triangles(uptr, tail, head, keys, n):
-    """Every triangle a < b < c once, as the edge ids of a->b, b->c, a->c."""
-    out = np.diff(uptr)
-    parts = [(np.empty(0, dtype=np.int64),) * 3]
-    for lo, hi in _slices(out[head]):
-        width = out[head[lo:hi]]
-        ab = np.repeat(np.arange(lo, hi), width)
-        bc = _ranges(uptr[head[lo:hi]], width)
-        ac = _lookup(keys, tail[ab] * n + head[bc])
-        hit = ac >= 0
-        parts.append((ab[hit], bc[hit], ac[hit]))
-    return tuple(np.concatenate(column) for column in zip(*parts))
+def _triangles(uptr, head, keys, n):
+    """Triangles on each edge id, and the number of 4-cliques.
 
-
-def _four_cliques(uptr, tail, head, keys, n, ab, bc) -> int:
-    """Extend each triangle a < b < c by the d > c adjacent to all three."""
-    a, b, c = tail[ab], head[ab], head[bc]
+    A triangle a < b < c is an edge b -> c between two of a's out-neighbours,
+    a 4-clique a < b < c < d a triangle among them. Nodes go in one batch per
+    out-degree k >= 2; the hits among their k(k-1)/2 out-neighbour pairs, as
+    k x k upper-triangular 0/1 float32 matrices B, hold sum((B @ B) * B)
+    triangles, exact as every entry of B @ B is at most k < 2**24.
+    """
     out = np.diff(uptr)
-    total = 0
-    for lo, hi in _slices(out[c]):
-        width = out[c[lo:hi]]
-        tri = np.repeat(np.arange(lo, hi), width)
-        fourth = head[_ranges(uptr[c[lo:hi]], width)]
-        near_a = _lookup(keys, a[tri] * n + fourth) >= 0
-        tri, fourth = tri[near_a], fourth[near_a]
-        total += int(np.count_nonzero(_lookup(keys, b[tri] * n + fourth) >= 0))
-    return total
+    t_edge = np.zeros(keys.size, dtype=np.int64)
+    cliques = 0
+    present = np.flatnonzero(np.bincount(out))  # np.unique's first call imports numpy.ma
+    for k in present[present >= 2].tolist():
+        nodes = np.flatnonzero(out == k)
+        i, j = np.triu_indices(k, 1)
+        for lo, hi in _slices(np.full(nodes.size, i.size)):
+            edges = uptr[nodes[lo:hi], None] + np.arange(k)  # heads ascend: b < c
+            ab, ac = edges[:, i], edges[:, j]
+            bc = _lookup(keys, head[ab] * n + head[ac])
+            found = bc >= 0
+            ids = np.concatenate((ab[found], bc[found], ac[found]))
+            t_edge += np.bincount(ids, minlength=keys.size)
+            if k >= 3:
+                b = np.zeros((hi - lo, k, k), dtype=np.float32)
+                b[:, i, j] = found
+                cliques += int(((b @ b) * b).sum(dtype=np.float64))
+    return t_edge, cliques
 
 
 def _four_cycles(uptr, tail, head, deg, n) -> int:

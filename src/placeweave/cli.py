@@ -162,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     # numpy first loads in _dispatch, and with it OpenBLAS, whose nproc - 1
     # workers busy-wait 2**28 cycles (about 0.1 s) after the load and after
-    # each BLAS call. The one call, codegrees' dense A @ A, still runs on
+    # each BLAS call. Its calls (A @ A and B @ B in _fastcount) still run on
     # the whole pool; 4 (2**4 cycles, OpenBLAS's minimum) only puts the
     # workers to sleep at once. On 2 cores this took the readme benchmark
     # job from 1.05 to 0.80 s of CPU (medians of 10 runs) at equal wall time.

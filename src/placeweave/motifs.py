@@ -153,7 +153,7 @@ def enumerate_induced(net: PlaceNetwork, k: int) -> dict[MotifClass, int]:
     k = 2 is the edge count. For k = 3 and 4 the counts are the size-k
     classes of the closed-form census (_fastcount.census_counts): 3-node
     classes from degrees and the triangle count, 4-node classes from
-    degrees, triangles, codegrees and 4-cliques; numpy only, one thread.
+    degrees, triangles, codegrees and 4-cliques; numpy only.
     """
     if k not in (2, 3, 4):
         raise ValueError(f"k must be 2, 3 or 4, got {k}")

@@ -311,8 +311,9 @@ def test_clustering_is_exact_past_2_to_the_53(dense, monkeypatch):
 
 
 def test_blas_thread_count_changes_no_metrics_bytes(tmp_path, monkeypatch):
-    # The dense form's A @ A is the program's one BLAS call and may run on
-    # several threads; its entries are integers below 2**24, exact in any order.
+    # The program's two BLAS calls may run on several threads: the dense
+    # clustering form's A @ A and the census's stacked B @ B over each node's
+    # out-neighbours. Their entries are integers below 2**24, exact in any order.
     net = FORM_CASES["readme-like-500"][0]()
     picked = []
     dense_pays = _fastcount._dense_pays
@@ -327,15 +328,20 @@ def test_blas_thread_count_changes_no_metrics_bytes(tmp_path, monkeypatch):
     env.pop("OPENBLAS_THREAD_TIMEOUT", None)  # the timeout main sets applies
     trees = []
     for threads in ("1", "2"):
-        out = tmp_path / f"out{threads}"
-        subprocess.run(
-            [sys.executable, "-m", "placeweave.cli", "metrics", "--network", "net.csv",
-             "--out", out.name],
-            env=dict(env, OPENBLAS_NUM_THREADS=threads), cwd=tmp_path, check=True,
-        )
-        trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        tree = {}
+        for command in (["metrics"], ["motifs", "--mode", "enumerate"]):
+            out = tmp_path / f"{command[0]}{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "placeweave.cli", *command, "--network", "net.csv",
+                 "--out", out.name],
+                env=dict(env, OPENBLAS_NUM_THREADS=threads), cwd=tmp_path, check=True,
+            )
+            tree.update({f"{command[0]}/{p.name}": p.read_bytes() for p in sorted(out.iterdir())})
+        trees.append(tree)
     assert trees[0] == trees[1]
-    assert json.loads(trees[0]["summary.json"])["average_clustering"] > 0
+    assert json.loads(trees[0]["metrics/summary.json"])["average_clustering"] > 0
+    classes = json.loads(trees[0]["motifs/census.json"])["classes"]
+    assert next(c["motif_count"] for c in classes if c["class"] == "M4_1") > 0
 
 
 def test_average_clustering_is_sequential_sum_in_node_order():

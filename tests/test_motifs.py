@@ -202,7 +202,13 @@ def test_closed_form_equals_esu_oracle():
 
 def test_closed_engine_rejects_negative_induced_count(monkeypatch):
     # One 4-clique more than the graph holds drives the diamond count below 0.
-    monkeypatch.setattr(_fastcount, "_four_cliques", lambda *args: 1)
+    real = _fastcount._triangles
+
+    def one_clique_more(*args):
+        t_edge, cliques = real(*args)
+        return t_edge, cliques + 1
+
+    monkeypatch.setattr(_fastcount, "_triangles", one_clique_more)
     with pytest.raises(InvariantError):
         enumerate_induced(ring(5), 4)
 
@@ -234,6 +240,8 @@ def grid(side):
         pytest.param(complete_bipartite(5, 6), id="K5,6"),
         pytest.param(grid(6), id="grid6x6"),
         pytest.param(gen_scale_free_network(RefNetSpec("scale_free", 30, 6, 3)), id="scale-free"),
+        # 4-cliques, and nodes of out-degree 13, whose 78 pairs form a slice alone
+        pytest.param(random_net(20, 0.75, 2), id="dense"),
     ],
 )
 def test_closed_engine_slices_give_the_unsliced_counts(monkeypatch, net):

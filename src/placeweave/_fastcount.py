@@ -121,30 +121,31 @@ def full_census(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
 # Costs of the two codegree forms, measured on a 2-core x86-64 host (numpy
 # 2.4.6, OpenBLAS), in-process, best of 5, in two runs:
-# - dense, per n**3: 0.028-0.052 ns at n = 500 (the README-world merged
-#   network, 49,955 edges, and G(500, 0.4)), 0.011-0.013 ns at n = 1,000-2,896;
-# - triangles, per candidate (see _dense_pays), with _triangles' unused
-#   4-clique products: 54-165 ns on graphs with 0.4M-6.5M candidates, the
-#   15,931-node county graph included; 170-1,360 ns on sparse graphs with
-#   400-13k candidates, where the whole form takes under 3 ms.
+# - dense, per n**3: 0.020-0.025 ns at n = 500 (G(500, 0.4) and the README
+#   world's merged networks at 20k device-days), 0.008-0.012 ns at n = 1,000-2,896;
+# - triangles, per out-neighbour pair (see _dense_pays): 62-140 ns on graphs
+#   with 0.36M-6.0M pairs, the 15,931-node county graph included; 195-1,880 ns
+#   on sparse graphs with 200-8,500 pairs, where the whole form takes under 2 ms.
+#   That includes _triangles' 4-clique products, which this form drops; where
+#   the rule picks it they cost little (the county graph's sum of k**3 is 16.2M).
 # The constants sit inside those ranges. With them the rule picks the faster
-# form the cap allows on each graph above, on G(1,000, 0.05) (dense 11-12 ms,
-# triangles 25-32 ms) and on G(3,000, 0.02) (dense 190-248 ms, triangles
-# 97-129 ms). The dense form holds A and A @ A as float32 (8 n**2 bytes);
-# every entry of A @ A is an integer at most n < 2**24, so it is exact.
+# form the cap allows on each graph above, on G(1,000, 0.05) (dense 11 ms,
+# triangles 32 ms) and on G(3,000, 0.02) (past the cap; triangles 98-134 ms).
+# The dense form holds A and A @ A as float32 (8 n**2 bytes); every entry of
+# A @ A is an integer at most n < 2**24, so it is exact.
 _DENSE_NS_PER_CUBE = 0.02
-_TRIANGLE_NS_PER_CANDIDATE = 100
+_TRIANGLE_NS_PER_PAIR = 100
 _DENSE_MAX_NODES = math.isqrt((64 << 20) // 8)  # A and A @ A within 64 MiB: n <= 2,896
 
 
-def _dense_pays(n: int, candidates: int) -> bool:
+def _dense_pays(n: int, pairs: int) -> bool:
     """Whether the dense form fits its memory cap and costs less than listing triangles.
 
-    candidates is the number of oriented paths a -> b -> c, sum over edges
-    a -> b of out(b); the triangle form's cost grows with it.
+    pairs is the number of out-neighbour pairs, sum over nodes of C(out, 2):
+    the lookups _triangles makes, which its cost grows with.
     """
     dense_ns = n**3 * _DENSE_NS_PER_CUBE
-    return n <= _DENSE_MAX_NODES and dense_ns <= candidates * _TRIANGLE_NS_PER_CANDIDATE
+    return n <= _DENSE_MAX_NODES and dense_ns <= pairs * _TRIANGLE_NS_PER_PAIR
 
 
 def codegrees(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -155,7 +156,8 @@ def codegrees(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     triangles on each edge; both are exact.
     """
     uptr, _, head, keys, _, edge = _orient(n, src, dst)
-    if _dense_pays(n, int(np.diff(uptr)[head].sum())):
+    out = np.diff(uptr)
+    if _dense_pays(n, int((out * (out - 1) // 2).sum())):
         adj = np.zeros((n, n), dtype=np.float32)
         adj[src, dst] = adj[dst, src] = 1
         return (adj @ adj)[src, dst].astype(np.int64)

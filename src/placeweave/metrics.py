@@ -1,5 +1,7 @@
 """Degree and clustering metrics, distribution curves, and fits.
 
+network_summary builds summary.json's document, which report.json holds too.
+
 Local clustering follows the weighted form of Barrat et al. (2004):
 
     C(i) = 1 / (s_i * (k_i - 1)) * sum over connected neighbor pairs {j, h}
@@ -61,26 +63,6 @@ class DegreeHistogram:
 
 
 @dataclass
-class NetworkSummary:
-    nodes: int
-    edges: int
-    total_weight: int
-    average_degree: float
-    average_clustering: float
-    label: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "edges": self.edges,
-            "total_weight": self.total_weight,
-            "average_degree": self.average_degree,
-            "average_clustering": self.average_clustering,
-            "label": self.label,
-        }
-
-
-@dataclass
 class PowerLawFit:
     exponent: float
     xmin: int
@@ -124,17 +106,18 @@ def average_clustering(net: PlaceNetwork) -> float:
     return sum(local_clustering(net).tolist()) / net.n_nodes
 
 
-def network_summary(net: PlaceNetwork) -> NetworkSummary:
+def network_summary(net: PlaceNetwork) -> dict:
+    """summary.json's document: the network's size, weight, mean degree and clustering."""
     if not net.n_nodes:
         raise ValueError("empty network")
-    return NetworkSummary(
-        nodes=net.n_nodes,
-        edges=net.n_edges,
-        total_weight=net.total_weight,
-        average_degree=2.0 * net.n_edges / net.n_nodes,
-        average_clustering=average_clustering(net),
-        label=net.label,
-    )
+    return {
+        "nodes": net.n_nodes,
+        "edges": net.n_edges,
+        "total_weight": net.total_weight,
+        "average_degree": 2.0 * net.n_edges / net.n_nodes,
+        "average_clustering": average_clustering(net),
+        "label": net.label,
+    }
 
 
 def _brentq(

@@ -21,6 +21,11 @@ instance-day rows and the distinct instances, and a stable sort by day
 puts the rows in the order instances.csv is written in. Walks over five
 or more POIs (class OTHER) keep a small row form of names that is only
 written and counted.
+
+Either census ends as census.json's document, built by census_document,
+the one place a census row is built: enumeration_census gives each class's
+count, TrajectoryCensus.document each class's instances and device-days.
+census.csv, and the census part of report.json, hold that document.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -173,8 +178,8 @@ def _class_counts(raw: np.ndarray) -> dict[MotifClass, int]:
     return result
 
 
-def enumeration_census(net: PlaceNetwork) -> "MotifCensus":
-    """Whole-network census of the 2-, 3- and 4-node classes.
+def enumeration_census(net: PlaceNetwork) -> dict[MotifClass, int]:
+    """Whole-network count of each 2-, 3- and 4-node class, in CLASS_ORDER.
 
     M2_1 is the edge count; every other class comes from one closed-form
     census (_fastcount.full_census) of the network's edge arrays.
@@ -184,14 +189,7 @@ def enumeration_census(net: PlaceNetwork) -> "MotifCensus":
     raw = full_census(net.n_nodes, net.src, net.dst)
     raw[CLASS_INDEX[MotifClass.M2_1]] = net.n_edges
     counts = _class_counts(raw)
-    return MotifCensus(
-        classes={c: ClassStats(counts.get(c, 0)) for c in CLASS_ORDER},
-        total_motifs=sum(counts.values()),
-        total_devices=None,
-        total_flows=None,
-        mode="enumerate",
-        device_unit=None,
-    )
+    return {c: counts.get(c, 0) for c in CLASS_ORDER}
 
 
 # -- trajectory census -------------------------------------------------------
@@ -222,49 +220,37 @@ OTHER = CLASS_INDEX[MotifClass.OTHER]
 OtherRow = tuple[int, tuple[str, ...], tuple[tuple[str, str], ...], int]
 
 
-@dataclass
-class ClassStats:
-    motif_count: int = 0
-    device_count: int | None = None
-    flow_count: int | None = None
-    percentage: float | None = None
-    avg_distance_km: float | None = None
+def census_document(
+    mode: str, motifs: dict[MotifClass, int], total_motifs: int, devices: dict | None = None,
+    total_devices: int | None = None, total_flows: int | None = None, distances: dict | None = None,
+) -> dict:
+    """census.json's document: a row per class in CLASS_ORDER, and the totals.
 
-
-@dataclass
-class MotifCensus:
-    """Per-class aggregates plus the global totals they are measured against."""
-
-    classes: dict[MotifClass, ClassStats]
-    total_motifs: int
-    total_devices: int | None
-    total_flows: int | None
-    mode: str
-    device_unit: str | None = "device-days"
-
-
-def census_document(census: MotifCensus) -> dict:
+    motifs holds each class's motif count and total_motifs the count every
+    percentage is a share of. A trajectory census also gives each class's
+    covering device-days (devices), whose flows are device-days times the
+    class edge count, and may give a stats.DistanceTable whose total_km is
+    each class's avg_distance_km.
+    """
+    if total_motifs == 0:
+        raise ValueError("census has no motifs; percentages undefined")
     rows = []
     for cls in CLASS_ORDER:
-        stats = census.classes[cls]
-        rows.append(
-            {
-                "class": cls.value,
-                "motif_count": stats.motif_count,
-                "device_count": stats.device_count,
-                "flow_count": stats.flow_count,
-                "percentage": stats.percentage,
-                "avg_distance_km": stats.avg_distance_km,
-            }
-        )
+        device_count = None if devices is None else devices[cls]
+        split = distances.get(cls) if distances else None
+        rows.append({
+            "class": cls.value,
+            "motif_count": motifs[cls],
+            "device_count": device_count,
+            "flow_count": None if devices is None else device_count * cls.edge_count,
+            "percentage": 100.0 * motifs[cls] / total_motifs,
+            "avg_distance_km": split.total_km if split else None,
+        })
+    totals = {"motif_count": total_motifs, "device_count": total_devices, "flow_count": total_flows}
     return {
-        "mode": census.mode,
-        "device_unit": census.device_unit,
-        "totals": {
-            "motif_count": census.total_motifs,
-            "device_count": census.total_devices,
-            "flow_count": census.total_flows,
-        },
+        "mode": mode,
+        "device_unit": None if devices is None else "device-days",
+        "totals": totals,
         "classes": rows,
     }
 
@@ -362,21 +348,18 @@ class TrajectoryCensus:
     total_device_days: int
     total_flows: int
 
-    def census(self) -> MotifCensus:
+    def document(self, distances: dict | None = None) -> dict:
+        """census.json's document; distances, a stats.DistanceTable, gives avg_distance_km."""
         inst = self.rows.instances
-        classes = {}
+        motifs, devices = {}, {}
         for i, cls in enumerate(CLASS_ORDER):
-            devices = int(inst.count[inst.cls == i].sum())
-            classes[cls] = ClassStats(
-                int((inst.cls == i).sum()), devices, devices * cls.edge_count
-            )
+            of_class = inst.cls == i
+            motifs[cls] = int(of_class.sum())
+            devices[cls] = int(inst.count[of_class].sum())
         others = {(nodes, edges) for _, nodes, edges, _ in self.rows.other}
-        return MotifCensus(
-            classes=classes,
-            total_motifs=len(inst) + len(others),
-            total_devices=self.total_device_days,
-            total_flows=self.total_flows,
-            mode="trajectory",
+        return census_document(
+            "trajectory", motifs, len(inst) + len(others), devices, self.total_device_days,
+            self.total_flows, distances,
         )
 
 
@@ -417,13 +400,3 @@ def classify_trajectories(sequences: SequenceTable) -> TrajectoryCensus:
     )
     return TrajectoryCensus(rows, n_walks, len(sequences.stays) - n_walks)
 
-
-def census_percentages(census: MotifCensus) -> MotifCensus:
-    """Fill each class's share of the global motif count, in percent."""
-    if census.total_motifs == 0:
-        raise ValueError("census has no motifs; percentages undefined")
-    classes = {
-        cls: replace(stats, percentage=100.0 * stats.motif_count / census.total_motifs)
-        for cls, stats in census.classes.items()
-    }
-    return replace(census, classes=classes)

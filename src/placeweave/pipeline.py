@@ -1,7 +1,9 @@
 """Stage functions behind the CLI and `run`.
 
 Each stage's core, `stage_<name>`, takes typed values, writes the stage's
-artifact files and returns what the next stage needs. A stage subcommand
+artifact files and returns what the next stage needs: the metrics and
+motifs stages return the summary.json and census.json documents they
+write, which the series stage embeds in report.json. A stage subcommand
 first reads its input files into those values with the stage's loader
 (`ingest.read_sequences`, `read_network` or a `load_*` function here; all
 read CSV through ingest.CsvRows); ingest parses the raw stops and POI
@@ -128,13 +130,14 @@ def stage_network(sequences: ingest.SequenceTable, mode: str, out_dir: str | Pat
 
 
 def stage_metrics(net: PlaceNetwork, out_dir: str | Path) -> dict:
+    """Write summary.json, degree_hist.csv and fit.json; returns summary.json's document."""
     from . import metrics
 
     if not net.n_edges:
         raise SchemaError(f"network {net.label!r} has no edges; its degree metrics are undefined")
     out = _ensure_dir(out_dir)
     summary = metrics.network_summary(net)
-    write_json(summary.as_dict(), out / "summary.json")
+    write_json(summary, out / "summary.json")
     hist = metrics.degree_distribution(net)
     write_csv(out / "degree_hist.csv", ("k", "count", "pdf", "ccdf"), hist.curve())
     try:
@@ -147,15 +150,15 @@ def stage_metrics(net: PlaceNetwork, out_dir: str | Path) -> dict:
     except ValueError as exc:
         logger.warning("power-law fit skipped: %s", exc)
         fit_doc = None
-    pmf = metrics.poisson_reference(summary.average_degree, hist.support())
+    pmf = metrics.poisson_reference(summary["average_degree"], hist.support())
     write_json(
         {
             "power_law": fit_doc,
-            "poisson": {"lambda": summary.average_degree, "pmf": [[k, p] for k, p in pmf]},
+            "poisson": {"lambda": summary["average_degree"], "pmf": [[k, p] for k, p in pmf]},
         },
         out / "fit.json",
     )
-    return summary.as_dict()
+    return summary
 
 
 # -- refnet -------------------------------------------------------------------
@@ -251,10 +254,11 @@ def write_instances_csv(rows: motifs.InstanceRows, path: str | Path) -> None:
 def read_instances_csv(path: str | Path) -> motifs.InstanceRows:
     """The instance table of an instances.csv file, read as write_instances_csv writes it.
 
-    Each row must name its nodes, edges between two distinct of them, a
-    device_count in [1, 2**63 - 1] and the class its graph has; a row that
-    does not raises RowError naming the file and line. The counts must
-    total at most 2**63 - 1, so that every int64 sum of them is exact.
+    Each row must name its nodes, each once, edges between two distinct of
+    them, each pair once, a device_count in [1, 2**63 - 1] and the class its
+    graph has; a row that does not raises RowError naming the file and line.
+    The counts must total at most 2**63 - 1, so that every int64 sum of them
+    is exact.
     """
     from . import motifs
 
@@ -267,17 +271,26 @@ def read_instances_csv(path: str | Path) -> motifs.InstanceRows:
         for line, (local_date, motif_class, node_field, edge_field, device_count) in lines:
             try:
                 day = (dt.date.fromisoformat(local_date) - ingest.EPOCH).days
-                names = sorted(set(node_field.split("|")))
+                listed = node_field.split("|")
                 pairs = (pair.split("|") for pair in edge_field.split(EDGE_SEPARATOR))
                 edges = [(a, b) for a, b in pairs]
                 count = int(device_count)
             except ValueError as exc:
                 raise lines.error(line, f"bad instance row: {exc}") from None
+            names = sorted(set(listed))
+            if len(names) < len(listed):
+                repeated = next(v for i, v in enumerate(listed) if v in listed[:i])
+                raise lines.error(line, f"node {repeated} is listed twice")
             slot = {v: i for i, v in enumerate(names)}
+            seen = set()
             for a, b in edges:
                 if a == b or a not in slot or b not in slot:
                     problem = "is a self-loop" if a == b else "has an endpoint outside nodes"
                     raise lines.error(line, f"edge {a}|{b} {problem}")
+                key = edge_key(a, b)
+                if key in seen:
+                    raise lines.error(line, f"edge {a}|{b} is listed twice")
+                seen.add(key)
             if count < 1:
                 raise lines.error(line, f"device_count {count} is below 1")
             if count > ingest.INT64.max:
@@ -285,13 +298,13 @@ def read_instances_csv(path: str | Path) -> motifs.InstanceRows:
             total += count
             cls, mask = motifs.OTHER, 0
             if len(names) <= 4:
-                mask = sum({int(motifs.PAIR_BIT[slot[a], slot[b]]) for a, b in edges})
+                mask = sum(int(motifs.PAIR_BIT[slot[a], slot[b]]) for a, b in edges)
                 cls = int(motifs.MASK_CLASS[len(names), mask])
             if motifs.INDEX_CLASS[cls].value != motif_class:
                 problem = f"row classifies as {motifs.INDEX_CLASS[cls]} but claims {motif_class}"
                 raise lines.error(line, problem)
             if cls == motifs.OTHER:
-                pairs = tuple(sorted({edge_key(a, b) for a, b in edges}))
+                pairs = tuple(sorted(seen))
                 other.append((day, tuple(names), pairs, count))
             else:
                 rows.append((day, cls, names, mask, count))
@@ -306,17 +319,13 @@ def read_instances_csv(path: str | Path) -> motifs.InstanceRows:
     return motifs.InstanceRows.tally(pois, day, cls, nodes, mask, count, other)
 
 
-def write_census_csv(census: motifs.MotifCensus, path: str | Path, min_count: int = 1) -> None:
-    from .motifs import CLASS_ORDER
-
+def write_census_csv(doc: dict, path: str | Path, min_count: int) -> None:
+    """census.json's document as CSV: a GLOBAL row of its totals, then each class
+    row whose motif_count is at least min_count."""
     columns = ("class", "motif_count", "device_count", "flow_count", "percentage",
                "avg_distance_km")
-    rows = [("GLOBAL", census.total_motifs, census.total_devices, census.total_flows, None, None)]
-    for cls in CLASS_ORDER:
-        row = census.classes[cls]
-        if row.motif_count >= min_count:
-            rows.append((cls.value, row.motif_count, row.device_count, row.flow_count,
-                         row.percentage, row.avg_distance_km))
+    rows = [["GLOBAL", *(doc["totals"][c] for c in columns[1:4]), None, None]]
+    rows += [[row[c] for c in columns] for row in doc["classes"] if row["motif_count"] >= min_count]
     write_csv(path, columns, rows)
 
 
@@ -435,17 +444,12 @@ def stage_motifs(
             instances = InstanceTable(traj.rows, catalog)
 
     if mode == "trajectory":
-        census = motifs.census_percentages(traj.census())
-        if instances is not None:
-            from . import stats
-
-            stats.attach_distances(census, instances.distance_table(weighting))
+        doc = traj.document(None if instances is None else instances.distance_table(weighting))
     else:
-        census = motifs.census_percentages(motifs.enumeration_census(network))
-
-    write_census_csv(census, out / "census.csv", min_count=min_count)
-    doc = motifs.census_document(census)
+        counts = motifs.enumeration_census(network)
+        doc = motifs.census_document(mode, counts, sum(counts.values()))
     doc["min_count"] = min_count
+    write_census_csv(doc, out / "census.csv", min_count)
     write_json(doc, out / "census.json")
     return doc, instances
 

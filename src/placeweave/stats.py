@@ -26,14 +26,7 @@ import numpy as np
 from .config import WEIGHTING_MODES
 from .errors import InvariantError, MissingPoiError
 from .ingest import EARTH_RADIUS_KM, PoiCatalog, day_date, group_starts, is_weekend
-from .motifs import (
-    CLASS_ORDER,
-    INDEX_CLASS,
-    Instances,
-    InstanceRows,
-    MotifCensus,
-    MotifClass,
-)
+from .motifs import CLASS_ORDER, INDEX_CLASS, Instances, InstanceRows, MotifClass
 
 
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -178,14 +171,6 @@ def class_avg_distance(
             *(total_km / w if w else None for total_km, w in zip(sums, totals))
         )
     return table
-
-
-def attach_distances(census: MotifCensus, table: DistanceTable) -> MotifCensus:
-    """Copy per-class total distances into census rows (in place)."""
-    for cls, stats in census.classes.items():
-        split = table.get(cls)
-        stats.avg_distance_km = split.total_km if split else None
-    return census
 
 
 # -- temporal series ---------------------------------------------------------

@@ -17,7 +17,7 @@ node_code finds a node in a network's sorted names; degree counts a
 node's entries in the edge arrays; and local_clustering_weighted reads one
 node's value from the library's local_clustering. local_date is the
 datetime reading of a stop's local date that ingest.local_days computes
-in bulk.
+in bulk. census_classes indexes a census document's rows by class.
 """
 
 from __future__ import annotations
@@ -173,6 +173,11 @@ def local_date(start_time: int, utc_offset: float) -> dt.date:
     """The date of start_time (UTC epoch seconds) in the timezone utc_offset hours from UTC."""
     tz = dt.timezone(dt.timedelta(hours=utc_offset))
     return dt.datetime.fromtimestamp(start_time, tz).date()
+
+
+def census_classes(doc: dict) -> dict[MotifClass, dict]:
+    """The class rows of a census document (census.json), by class."""
+    return {MotifClass(row["class"]): row for row in doc["classes"]}
 
 
 # -- CSV files read and formatted one row at a time --------------------------------

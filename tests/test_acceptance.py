@@ -29,6 +29,7 @@ from oracles import (
     brute_force_unweighted_clustering,
     Walk,
     catalog,
+    census_classes,
     covering_walk,
     instance_from_edges,
     local_clustering_weighted,
@@ -45,10 +46,8 @@ from placeweave.metrics import degree_distribution, fit_power_law
 from placeweave.motifs import (
     CLASS_INDEX,
     CLASS_ORDER,
-    ClassStats,
-    MotifCensus,
     MotifClass,
-    census_percentages,
+    census_document,
     classify_graph,
     classify_trajectories,
     enumerate_induced,
@@ -140,26 +139,18 @@ def test_criterion_3_census_identities():
         traffic = TrafficSpec(2000, mix, (dt.date(2020, 2, 1), dt.date(2020, 2, 28)), seed=32)
         stops = gen_device_days(catalog, traffic)
         sequences = build_stay_sequences(filter_visits(stops, 300), 0.0)
-        census = classify_trajectories(sequences).census()
+        census = census_classes(classify_trajectories(sequences).document())
         for cls in CLASS_ORDER:
-            row = census.classes[cls]
-            assert row.flow_count == row.device_count * cls.edge_count, cls
+            row = census[cls]
+            assert row["flow_count"] == row["device_count"] * cls.edge_count, cls
 
         # county-scale percentage arithmetic, exact to 2 decimals
-        classes = {
-            cls: ClassStats(motif_count=COUNTY_MOTIF_COUNTS[cls], device_count=0, flow_count=0)
-            for cls in CLASS_ORDER
-        }
-        county = MotifCensus(
-            classes=classes,
-            total_motifs=COUNTY_TOTAL_MOTIFS,
-            total_devices=405_562,
-            total_flows=1_735_489,
-            mode="trajectory",
-        )
-        county = census_percentages(county)
-        assert round(county.classes[MotifClass.M2_1].percentage, 2) == 1.42
-        nine_way = sum(county.classes[cls].percentage for cls in CLASS_ORDER)
+        county = census_classes(census_document(
+            "trajectory", COUNTY_MOTIF_COUNTS, COUNTY_TOTAL_MOTIFS,
+            dict.fromkeys(CLASS_ORDER, 0), total_devices=405_562, total_flows=1_735_489,
+        ))
+        assert round(county[MotifClass.M2_1]["percentage"], 2) == 1.42
+        nine_way = sum(county[cls]["percentage"] for cls in CLASS_ORDER)
         assert round(nine_way, 2) == 89.27
         assert 114_420 * MotifClass.M4_2.edge_count == 572_100
 
@@ -191,9 +182,9 @@ def test_criterion_4_planted_recovery_50k():
                 recovered += 1
         assert recovered == 50_000  # 100%, no tolerance
 
-        census = classify_trajectories(sequences).census()
+        census = census_classes(classify_trajectories(sequences).document())
         for cls, target in mix.items():
-            share = census.classes[cls].device_count / 50_000
+            share = census[cls]["device_count"] / 50_000
             assert abs(share - target) <= 0.01, cls
         assert time.perf_counter() - start < 60.0
 

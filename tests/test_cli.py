@@ -1,5 +1,6 @@
 import csv
 import inspect
+import io
 import json
 import re
 import sys
@@ -8,7 +9,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from placeweave import attributes, ingest, metrics, motifs, network, pipeline, refnets, stats
+from placeweave import (
+    _fastcount, attributes, ingest, metrics, motifs, network, pipeline, refnets, stats,
+)
 from placeweave.cli import main
 from placeweave.config import RunConfig, validate_config
 from placeweave.errors import ConfigError, InvariantError
@@ -583,9 +586,12 @@ def test_test_only_helpers_are_not_in_the_package():
         ingest.SequenceTable: ["walks"],
         network: ["build_network", "bisect_left", "pair_network", "poi_pairs"],
         network.PlaceNetwork: ["index"],
-        motifs: ["_instance_order"],
+        motifs: ["_instance_order", "ClassStats", "MotifCensus", "census_percentages"],
+        stats: ["attach_distances"],
+        metrics: ["NetworkSummary"],
         metrics.DegreeHistogram: ["pdf_at", "ccdf_at", "mean"],
         refnets: ["RNG_ALGORITHM"],
+        _fastcount: ["_four_cliques"],
     }
     for owner, names in removed.items():
         for name in names:
@@ -862,6 +868,29 @@ BAD_INPUTS = {
                                + INSTANCE % (2**63 - 1)},
                               "instances {census/instances.csv}: device counts total "
                               "18446744073709551614, more than 2**63 - 1"),
+    # a node or an edge listed twice in a row, in a class row and in an OTHER row
+    "instances-repeated-node": (["attributed", "--instances", "{census/instances.csv}", "--pois",
+                                 "{pois.csv}"],
+                                {"census/instances.csv": INSTANCES_HEADER
+                                 + b"2020-02-01,M2_1,p00|p00|p09,p00|p09,1\n"},
+                                "{census/instances.csv:2}: node p00 is listed twice"),
+    "instances-repeated-edge": (["attributed", "--instances", "{census/instances.csv}", "--pois",
+                                 "{pois.csv}"],
+                                {"census/instances.csv": INSTANCES_HEADER
+                                 + b"2020-02-01,M3_1,p00|p01|p02,p00|p01;p01|p02;p00|p01,1\n"},
+                                "{census/instances.csv:2}: edge p00|p01 is listed twice"),
+    "instances-other-repeated-edge": (["attributed", "--instances", "{census/instances.csv}",
+                                       "--pois", "{pois.csv}"],
+                                      {"census/instances.csv": INSTANCES_HEADER
+                                       + b"2020-02-01,OTHER,p00|p01|p02|p03|p04,"
+                                       b"p00|p01;p01|p02;p02|p03;p03|p04;p01|p00,1\n"},
+                                      "{census/instances.csv:2}: edge p01|p00 is listed twice"),
+    "instances-other-repeated-node": (["attributed", "--instances", "{census/instances.csv}",
+                                       "--pois", "{pois.csv}"],
+                                      {"census/instances.csv": INSTANCES_HEADER
+                                       + b"2020-02-01,OTHER,p00|p01|p02|p03|p04|p02,"
+                                       b"p00|p01;p01|p02;p02|p03;p03|p04,1\n"},
+                                      "{census/instances.csv:2}: node p02 is listed twice"),
     "refnet-scale-free-negative-seed": (["refnet", "--kind", "scale-free", "--n", "10",
                                          "--avg-degree", "2", "--seed", "-1"], {},
                                         "seed must be >= 0, got -1"),
@@ -899,6 +928,43 @@ def test_bad_input_exits_2_with_one_error_naming_it(synth_dir, run_dir, tmp_path
     assert len(errors) == 1 and fill(named) in errors[0], errors
     assert "Traceback" not in caplog.text and all(r.exc_info is None for r in caplog.records)
     assert [p for p in (tmp_path / "out").rglob("*") if p.is_file()] == []
+
+
+@pytest.mark.parametrize("mode", ["trajectory", "enumerate"])
+def test_min_count_drops_census_csv_rows_of_the_census_json_rows(synth_dir, run_dir, tmp_path, mode):
+    inputs = {
+        "trajectory": ["--sequences", str(run_dir / "ingest" / "sequences.csv"),
+                       "--pois", str(synth_dir / "pois.csv")],
+        "enumerate": ["--mode", "enumerate", "--network", str(run_dir / "networks" / "merged.csv")],
+    }[mode]
+
+    def census(n: int) -> tuple[dict, list[str]]:
+        out = tmp_path / f"min{n}"
+        assert main(["motifs", *inputs, "--min-count", str(n), "--out", str(out)]) == 0
+        return json.loads((out / "census.json").read_text()), (out / "census.csv").read_text()
+
+    def formatted(values) -> str:
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerow(values)
+        return text.getvalue()
+
+    first, _ = census(1)
+    counts = sorted(row["motif_count"] for row in first["classes"] if row["motif_count"])
+    n = counts[len(counts) // 2]  # the classes below it go, the class at it stays
+    doc, text = census(n)
+    assert doc == {**first, "min_count": n}  # all nine classes
+    assert len(doc["classes"]) == len(motifs.CLASS_ORDER)
+    columns = ("class", "motif_count", "device_count", "flow_count", "percentage",
+               "avg_distance_km")
+    kept = [row for row in doc["classes"] if row["motif_count"] >= n]
+    assert 0 < len(kept) < len(counts)
+    totals = doc["totals"]
+    assert text == "".join([
+        formatted(columns),
+        formatted(["GLOBAL", totals["motif_count"], totals["device_count"], totals["flow_count"],
+                   None, None]),
+        *(formatted([row[c] for c in columns]) for row in kept),
+    ])
 
 
 def test_an_internal_value_error_is_not_bad_input(run_dir, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -286,6 +287,24 @@ def test_both_clustering_forms_give_the_scipy_oracle_bits(name, monkeypatch):
     assert local_clustering(net).tobytes() == oracle.tobytes()
 
 
+@pytest.mark.parametrize("name", ["readme-like-500", "county"])
+def test_dense_pays_prices_the_out_neighbour_pairs(name, monkeypatch):
+    # The triangle form looks up every pair of each node's out-neighbours, with
+    # each edge pointing from the lower (degree, node) to the higher one.
+    build, dense = FORM_CASES[name]
+    net = build()
+    deg = np.bincount(np.concatenate((net.src, net.dst)), minlength=net.n_nodes).tolist()
+    tails = Counter(min(a, b, key=lambda v: (deg[v], v))
+                    for a, b in zip(net.src.tolist(), net.dst.tolist()))
+    pairs = sum(k * (k - 1) // 2 for k in tails.values())
+    calls = []
+    dense_pays = _fastcount._dense_pays
+    monkeypatch.setattr(_fastcount, "_dense_pays", lambda *a: calls.append(a) or dense_pays(*a))
+    local_clustering(net)
+    assert calls == [(net.n_nodes, pairs)]
+    assert dense_pays(net.n_nodes, pairs) is dense  # dense at n = 500, triangles for the county
+
+
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "triangles"])
 def test_clustering_is_exact_past_2_to_the_53(dense, monkeypatch):
     # A hub joined to the 150 nodes of a path, weights near 2**47: its sum of
@@ -378,13 +397,13 @@ def test_star_average_clustering_zero():
 
 def test_summary_triangle_weight_two():
     summary = network_summary(triangle((2, 2, 2)))
-    assert (summary.nodes, summary.edges, summary.total_weight) == (3, 3, 6)
-    assert summary.average_degree == 2.0
-    assert summary.average_clustering == 1.0
+    assert (summary["nodes"], summary["edges"], summary["total_weight"]) == (3, 3, 6)
+    assert summary["average_degree"] == 2.0
+    assert summary["average_clustering"] == 1.0
 
 
 def test_summary_schema_columns():
-    doc = network_summary(triangle()).as_dict()
+    doc = network_summary(triangle())
     assert set(doc) == {
         "nodes",
         "edges",
@@ -397,9 +416,9 @@ def test_summary_schema_columns():
 
 def test_summary_single_edge():
     summary = network_summary(network({("a", "b"): 5}))
-    assert (summary.nodes, summary.edges, summary.total_weight) == (2, 1, 5)
-    assert summary.average_degree == 1.0
-    assert summary.average_clustering == 0.0
+    assert (summary["nodes"], summary["edges"], summary["total_weight"]) == (2, 1, 5)
+    assert summary["average_degree"] == 1.0
+    assert summary["average_clustering"] == 0.0
 
 
 def test_summary_empty_rejected():

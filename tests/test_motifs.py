@@ -13,6 +13,7 @@ import oracles
 from oracles import (
     brute_force_classify,
     brute_force_enumerate,
+    census_classes,
     esu_enumerate,
     instance_from_edges,
     iter_induced_instances,
@@ -27,10 +28,8 @@ from placeweave.motifs import (
     EDGE_RANK,
     INDEX_CLASS,
     MASK_CLASS,
-    ClassStats,
-    MotifCensus,
     MotifClass,
-    census_percentages,
+    census_document,
     classify_graph,
     classify_trajectories,
     enumerate_induced,
@@ -393,22 +392,18 @@ def test_enumeration_census_lists_triangles_once(monkeypatch, net):
     expected = {}
     for k in (2, 3, 4):
         expected.update(brute_force_enumerate(net, k))
-    assert {c: s.motif_count for c, s in census.classes.items() if s.motif_count} == expected
-    assert list(census.classes) == list(CLASS_ORDER)
-    assert census.total_motifs == sum(expected.values())
+    assert census == {c: expected.get(c, 0) for c in CLASS_ORDER}
+    assert list(census) == list(CLASS_ORDER)
     # the CSR entry point of criterion 9 gives the same 3- and 4-node slots
     _, indptr, indices = csr_adjacency(net)
     for k in (3, 4):
         size_k = [c for c in CLASS_ORDER if c.size == k]
         slots = _fastcount.census_counts(indptr, indices, k)
-        assert [slots[CLASS_INDEX[c]] for c in size_k] == [
-            census.classes[c].motif_count for c in size_k
-        ]
+        assert [slots[CLASS_INDEX[c]] for c in size_k] == [census[c] for c in size_k]
 
 
 def _census_of_size(net, k):
-    census = enumeration_census(net)
-    return {c: s.motif_count for c, s in census.classes.items() if c.size == k and s.motif_count}
+    return {c: count for c, count in enumeration_census(net).items() if c.size == k and count}
 
 
 # Dense graphs, where 4-cliques and diamonds dominate: seeded G(n, p) over a
@@ -470,24 +465,23 @@ def classify(seqs):
 
 def test_two_devices_one_edge_instance():
     census = classify([seq("p1", "p2"), seq("p1", "p2", device="d2")])
-    stats = census.census().classes[MotifClass.M2_1]
-    assert (stats.motif_count, stats.device_count, stats.flow_count) == (1, 2, 2)
+    row = census_classes(census.document())[MotifClass.M2_1]
+    assert (row["motif_count"], row["device_count"], row["flow_count"]) == (1, 2, 2)
 
 
 def test_triangle_walk_flow_identity():
-    census = classify([seq("p1", "p2", "p3", "p1")]).census()
-    stats = census.classes[MotifClass.M3_2]
-    assert stats.flow_count == stats.device_count * MotifClass.M3_2.edge_count == 3
+    row = census_classes(classify([seq("p1", "p2", "p3", "p1")]).document())[MotifClass.M3_2]
+    assert row["flow_count"] == row["device_count"] * MotifClass.M3_2.edge_count == 3
 
 
 def test_oversize_walk_counts_only_in_totals():
     walk = seq("p1", "p2", "p3", "p4", "p5")
     census = classify([walk])
-    doc = census.census()
-    assert doc.total_motifs == 1
-    assert doc.total_devices == 1
-    assert doc.total_flows == 4
-    assert all(stats.motif_count == 0 for stats in doc.classes.values())
+    doc = census.document()
+    assert doc["totals"]["motif_count"] == 1
+    assert doc["totals"]["device_count"] == 1
+    assert doc["totals"]["flow_count"] == 4
+    assert all(row["motif_count"] == 0 for row in doc["classes"])
 
 
 def test_flow_identity_holds_for_every_class():
@@ -507,12 +501,13 @@ def test_flow_identity_holds_for_every_class():
         for i, walk in enumerate(walks.values())
         for j in range(i + 1)
     ]
-    census = classify(seqs).census()
+    doc = classify(seqs).document()
+    rows = census_classes(doc)
     for i, cls in enumerate(walks):
-        stats = census.classes[cls]
-        assert stats.device_count == i + 1, cls
-        assert stats.flow_count == stats.device_count * cls.edge_count
-    assert sum(s.device_count for s in census.classes.values()) == census.total_devices
+        row = rows[cls]
+        assert row["device_count"] == i + 1, cls
+        assert row["flow_count"] == row["device_count"] * cls.edge_count
+    assert sum(row["device_count"] for row in doc["classes"]) == doc["totals"]["device_count"]
 
 
 @pytest.mark.parametrize("walk", [("a", "a", "b"), ("a", "b", "c", "d", "e", "e")])
@@ -532,7 +527,7 @@ def test_distinct_edge_sets_are_distinct_instances():
     census = classify(
         [seq("a", "b", "c"), seq("a", "b", "a", "c", device="d2")]
     )
-    assert census.census().total_motifs == 2
+    assert census.document()["totals"]["motif_count"] == 2
 
 
 def test_weekday_weekend_split():
@@ -643,27 +638,20 @@ COUNTY_TOTAL_MOTIFS = 85237
 
 
 def county_census():
-    classes = {
-        cls: ClassStats(motif_count=COUNTY_MOTIF_COUNTS[cls], device_count=0, flow_count=0)
-        for cls in CLASS_ORDER
-    }
-    return MotifCensus(
-        classes=classes,
-        total_motifs=COUNTY_TOTAL_MOTIFS,
-        total_devices=405562,
-        total_flows=1735489,
-        mode="trajectory",
-    )
+    return census_classes(census_document(
+        "trajectory", COUNTY_MOTIF_COUNTS, COUNTY_TOTAL_MOTIFS, dict.fromkeys(CLASS_ORDER, 0),
+        total_devices=405562, total_flows=1735489,
+    ))
 
 
 def test_percentage_single_class_two_decimals():
-    census = census_percentages(county_census())
-    assert round(census.classes[MotifClass.M2_1].percentage, 2) == 1.42
+    census = county_census()
+    assert round(census[MotifClass.M2_1]["percentage"], 2) == 1.42
 
 
 def test_percentage_nine_class_sum_two_decimals():
-    census = census_percentages(county_census())
-    total_pct = sum(census.classes[cls].percentage for cls in CLASS_ORDER)
+    census = county_census()
+    total_pct = sum(census[cls]["percentage"] for cls in CLASS_ORDER)
     assert round(total_pct, 2) == 89.27
     assert sum(COUNTY_MOTIF_COUNTS.values()) == 76090
 
@@ -685,20 +673,14 @@ def test_county_coverage_shares():
 
 
 def test_percentage_single_class_census_is_100():
-    census = classify([seq("a", "b")]).census()
-    assert census_percentages(census).classes[MotifClass.M2_1].percentage == 100.0
+    census = classify([seq("a", "b")]).document()
+    assert census_classes(census)[MotifClass.M2_1]["percentage"] == 100.0
 
 
 def test_percentage_zero_total_rejected():
-    empty = MotifCensus(
-        classes={c: ClassStats() for c in CLASS_ORDER},
-        total_motifs=0,
-        total_devices=0,
-        total_flows=0,
-        mode="trajectory",
-    )
-    with pytest.raises(ValueError):
-        census_percentages(empty)
+    zero = dict.fromkeys(CLASS_ORDER, 0)
+    with pytest.raises(ValueError, match="census has no motifs"):
+        census_document("trajectory", zero, 0, zero, total_devices=0, total_flows=0)
 
 
 def test_instance_from_edges_classifies():

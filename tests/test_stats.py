@@ -11,12 +11,7 @@ from oracles import Walk, instance_from_edges, sequence_table
 from placeweave.config import RunConfig
 from placeweave.errors import InvariantError, MissingPoiError
 from placeweave.ingest import PoiCatalog
-from placeweave.motifs import (
-    MotifClass,
-    census_document,
-    census_percentages,
-    classify_trajectories,
-)
+from placeweave.motifs import MotifClass, classify_trajectories
 from placeweave.stats import (
     EARTH_RADIUS_KM,
     SeriesPoint,
@@ -423,14 +418,12 @@ def test_moving_average_window_too_long():
 
 
 def _small_census():
-    return census_percentages(
-        classify(
-            [
-                Walk("d1", MON, ("a", "b")),
-                Walk("d2", MON, ("a", "b", "c", "a")),
-            ]
-        ).census()
-    )
+    return classify(
+        [
+            Walk("d1", MON, ("a", "b")),
+            Walk("d2", MON, ("a", "b", "c", "a")),
+        ]
+    ).document()
 
 
 def _summary_doc():
@@ -453,23 +446,23 @@ def test_report_validates_and_passes_percentages_through():
     table = class_avg_distance(rows.instances, instance_distances(rows, catalog))
     report = build_report(
         summary=_summary_doc(),
-        census=census_document(census),
+        census=census,
         distances=distance_document(table, "devices"),
         series_files=["counts_M2_1.csv"],
         config=RunConfig().analysis_dict(),
         tool_version="0.0-test",
     )
     assert report["schema_version"] == 1
-    by_class = {row["class"]: row for row in report["census"]["classes"]}
-    assert by_class["M2_1"]["percentage"] == census.classes[MotifClass.M2_1].percentage
-    assert by_class["M3_2"]["percentage"] == census.classes[MotifClass.M3_2].percentage
+    by_class = oracles.census_classes(report["census"])
+    assert by_class[MotifClass.M2_1]["percentage"] == 50.0
+    assert by_class[MotifClass.M3_2]["percentage"] == 50.0
 
 
 def test_report_missing_section_rejected():
     with pytest.raises(InvariantError):
         build_report(
             summary={"nodes": 1},  # missing mandatory summary fields
-            census=census_document(_small_census()),
+            census=_small_census(),
             distances=distance_document({}, "devices"),
             series_files=[],
             config={},
@@ -478,7 +471,7 @@ def test_report_missing_section_rejected():
 
 
 def test_census_document_lists_all_classes():
-    doc = census_document(_small_census())
+    doc = _small_census()
     assert [row["class"] for row in doc["classes"]] == [c.value for c in (
         MotifClass.M2_1, MotifClass.M3_1, MotifClass.M3_2, MotifClass.M4_1,
         MotifClass.M4_2, MotifClass.M4_3, MotifClass.M4_4, MotifClass.M4_5,

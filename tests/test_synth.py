@@ -116,9 +116,9 @@ def test_class_mix_recovered_within_one_percent():
     mix = {MotifClass.M2_1: 0.5, MotifClass.M3_2: 0.3, MotifClass.M4_5: 0.2}
     stops = gen_device_days(catalog, traffic(n=20_000, mix=mix, seed=4))
     sequences = build_stay_sequences(filter_visits(stops, 300), 0.0)
-    census = classify_trajectories(sequences).census()
+    census = oracles.census_classes(classify_trajectories(sequences).document())
     for cls, target in mix.items():
-        share = census.classes[cls].device_count / 20_000
+        share = census[cls]["device_count"] / 20_000
         assert abs(share - target) <= 0.01, cls
 
 

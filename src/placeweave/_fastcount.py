@@ -14,23 +14,23 @@ higher rank (Chiba & Nishizeki 1985); _orient is the only place that does
 so, straight from a network's edge arrays, each edge held once. A node
 then has at most sqrt(2m) out-neighbours. _triangles finds each triangle
 and 4-clique at its lowest-ranked node, among that node's out-neighbours:
-O(m sqrt m) pair lookups however heavy the hubs, and sum k**3 for the
-products. The 4-cycle wedge listing is O(m sqrt m) too. Candidate arrays
-are processed in slices of at most _SLICE entries, or of about m at most
-for a node whose own pairs exceed it (k <= sqrt(2m)). full_census orients
-the graph, runs _triangles once and derives every class from its counts.
+O(m sqrt m) pair lookups however heavy the hubs, and ceil(k / 64) word
+ANDs per triangle for the 4-cliques. The 4-cycle wedge listing is
+O(m sqrt m) too. Candidate arrays are processed in slices of at most
+_SLICE entries, or of about m at most for a node whose own pairs exceed it
+(k <= sqrt(2m)). full_census orients the graph, runs _triangles once and
+derives every class from its counts.
 
 codegrees gives codeg(i, j), the number of common neighbours, at every
-edge, for metrics.local_clustering: either from a dense A @ A or from the
-triangles on each edge, whichever _dense_pays picks.
+edge, for metrics.local_clustering: on at most _DENSE_MAX_NODES nodes as
+the popcount of the two ends' adjacency bit rows ANDed, else from the
+triangles on each edge.
 
-Everything is numpy. BLAS products may run on several threads; their
-entries are integers below 2**24, so the counts never depend on the order.
+Everything is numpy, and every count is an integer operation: no BLAS
+call is made, so no count depends on a thread count.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -119,50 +119,31 @@ def full_census(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return counts
 
 
-# Costs of the two codegree forms, measured on a 2-core x86-64 host (numpy
-# 2.4.6, OpenBLAS), in-process, best of 5, in two runs:
-# - dense, per n**3: 0.020-0.025 ns at n = 500 (G(500, 0.4) and the README
-#   world's merged networks at 20k device-days), 0.008-0.012 ns at n = 1,000-2,896;
-# - triangles, per out-neighbour pair (see _dense_pays): 62-140 ns on graphs
-#   with 0.36M-6.0M pairs, the 15,931-node county graph included; 195-1,880 ns
-#   on sparse graphs with 200-8,500 pairs, where the whole form takes under 2 ms.
-#   That includes _triangles' 4-clique products, which this form drops; where
-#   the rule picks it they cost little (the county graph's sum of k**3 is 16.2M).
-# The constants sit inside those ranges. With them the rule picks the faster
-# form the cap allows on each graph above, on G(1,000, 0.05) (dense 11 ms,
-# triangles 32 ms) and on G(3,000, 0.02) (past the cap; triangles 98-134 ms).
-# The dense form holds A and A @ A as float32 (8 n**2 bytes); every entry of
-# A @ A is an integer at most n < 2**24, so it is exact.
-_DENSE_NS_PER_CUBE = 0.02
-_TRIANGLE_NS_PER_PAIR = 100
-_DENSE_MAX_NODES = math.isqrt((64 << 20) // 8)  # A and A @ A within 64 MiB: n <= 2,896
-
-
-def _dense_pays(n: int, pairs: int) -> bool:
-    """Whether the dense form fits its memory cap and costs less than listing triangles.
-
-    pairs is the number of out-neighbour pairs, sum over nodes of C(out, 2):
-    the lookups _triangles makes, which its cost grows with.
-    """
-    dense_ns = n**3 * _DENSE_NS_PER_CUBE
-    return n <= _DENSE_MAX_NODES and dense_ns <= pairs * _TRIANGLE_NS_PER_PAIR
+# codegrees' bitset form costs an n x n bool matrix and m * ceil(n / 64) word
+# ANDs and popcounts whatever the density: it wins on dense graphs and, up to
+# this cap, loses little on sparse ones. In process on a 2-core x86-64 host
+# (numpy 2.4.6), best of 5 in each of two runs, bitset against triangles:
+# G(2,896, 0.0005) 1.7-3.6 vs 0.5-0.8 ms; G(1,000, 0.05) 1.8-3.6 vs 27-43 ms;
+# G(2,896, 0.04) 39-78 vs 396-546 ms; past the cap, the 15,931-node county
+# graph 272-361 vs 68-96 ms.
+_DENSE_MAX_NODES = 2896
 
 
 def codegrees(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """codeg(src[e], dst[e]), the common neighbours of each edge's ends, as int64.
 
-    src and dst hold each edge once, as for full_census. codeg comes from
-    A @ A over the n x n 0/1 adjacency when _dense_pays, else from the
-    triangles on each edge; both are exact.
+    src and dst hold each edge once, as for full_census. On at most
+    _DENSE_MAX_NODES nodes codeg is the popcount of the ends' adjacency bit
+    rows ANDed, else the triangles on each edge; both are exact.
     """
-    uptr, _, head, keys, _, edge = _orient(n, src, dst)
-    out = np.diff(uptr)
-    if _dense_pays(n, int((out * (out - 1) // 2).sum())):
-        adj = np.zeros((n, n), dtype=np.float32)
-        adj[src, dst] = adj[dst, src] = 1
-        return (adj @ adj)[src, dst].astype(np.int64)
-    codeg = np.empty(keys.size, dtype=np.int64)
-    codeg[edge] = _triangles(uptr, head, keys, n)[0]
+    if n > _DENSE_MAX_NODES:
+        uptr, _, head, keys, _, edge = _orient(n, src, dst)
+        codeg = np.empty(keys.size, dtype=np.int64)
+        codeg[edge] = _triangles(uptr, head, keys, n)[0]
+        return codeg
+    codeg = np.zeros(src.size, dtype=np.int64)
+    for word in _bit_words(np.concatenate((src, dst)), np.concatenate((dst, src)), n, n):
+        codeg += np.bitwise_count(word[src] & word[dst])
     return codeg
 
 
@@ -193,9 +174,9 @@ def _triangles(uptr, head, keys, n):
 
     A triangle a < b < c is an edge b -> c between two of a's out-neighbours,
     a 4-clique a < b < c < d a triangle among them. Nodes go in one batch per
-    out-degree k >= 2; the hits among their k(k-1)/2 out-neighbour pairs, as
-    k x k upper-triangular 0/1 float32 matrices B, hold sum((B @ B) * B)
-    triangles, exact as every entry of B @ B is at most k < 2**24.
+    out-degree k >= 2. Each hit b -> c among a node's k(k-1)/2 out-neighbour
+    pairs is a triangle. With each out-neighbour's hits as a k-bit row, the
+    hit b -> c closes popcount(row_b & row_c) 4-cliques, one per d above both.
     """
     out = np.diff(uptr)
     t_edge = np.zeros(keys.size, dtype=np.int64)
@@ -212,9 +193,10 @@ def _triangles(uptr, head, keys, n):
             ids = np.concatenate((ab[found], bc[found], ac[found]))
             t_edge += np.bincount(ids, minlength=keys.size)
             if k >= 3:
-                b = np.zeros((hi - lo, k, k), dtype=np.float32)
-                b[:, i, j] = found
-                cliques += int(((b @ b) * b).sum(dtype=np.float64))
+                node, pair = np.divmod(np.flatnonzero(found), i.size)
+                b, c = node * k + i[pair], node * k + j[pair]  # rows within the slice
+                for word in _bit_words(b, j[pair], (hi - lo) * k, k):
+                    cliques += int(np.bitwise_count(word[b] & word[c]).sum(dtype=np.int64))
     return t_edge, cliques
 
 
@@ -271,6 +253,19 @@ def _lookup(keys, wanted):
     """Position of each wanted key in the sorted keys, or -1 if absent."""
     pos = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
     return np.where(keys[pos] == wanted, pos, -1)
+
+
+def _bit_words(rows, cols, n_rows, width):
+    """The n_rows x width 0/1 matrix with ones at (rows, cols), as ceil(width / 64) uint64 arrays.
+
+    Array w holds columns 64w to 64w + 63 of every row, the padding past
+    width 0: the popcounts of two rows' words ANDed sum to the columns the
+    rows share.
+    """
+    ones = np.zeros((n_rows, width), dtype=bool)
+    ones[rows, cols] = True
+    packed = np.packbits(ones, axis=1, bitorder="little")
+    return np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64).T.copy()
 
 
 def _total(terms) -> int:

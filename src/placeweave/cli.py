@@ -5,9 +5,9 @@ the file (and line), the path that is missing or unusable, the value out
 of range, or the empty network or sequences. Any other error is internal:
 a traceback and exit 1. Logs go to stderr; data only to files.
 
-main lets OpenBLAS's idle worker threads sleep at once
-(OPENBLAS_THREAD_TIMEOUT=4) unless the environment already sets that
-variable; the pool size is left to OpenBLAS.
+main lets the idle worker threads that OpenBLAS starts when numpy loads
+sleep at once (OPENBLAS_THREAD_TIMEOUT=4) unless the environment already
+sets that variable; placeweave makes no BLAS call.
 """
 
 from __future__ import annotations
@@ -161,11 +161,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # numpy first loads in _dispatch, and with it OpenBLAS, whose nproc - 1
-    # workers busy-wait 2**28 cycles (about 0.1 s) after the load and after
-    # each BLAS call. Its calls (A @ A and B @ B in _fastcount) still run on
-    # the whole pool; 4 (2**4 cycles, OpenBLAS's minimum) only puts the
-    # workers to sleep at once. On 2 cores this took the readme benchmark
-    # job from 1.05 to 0.80 s of CPU (medians of 10 runs) at equal wall time.
+    # workers busy-wait 2**28 cycles (about 0.1 s) after the load, although
+    # placeweave makes no BLAS call; 4 (2**4 cycles, OpenBLAS's minimum) puts
+    # them to sleep at once. On 2 cores a process that only imports the
+    # stage modules took 0.29 s of CPU with it and 0.36 s without (medians
+    # of 10).
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
     try:
         _dispatch(args)

@@ -2,9 +2,10 @@
 
 Everything here is deliberately direct: permutation isomorphism, full
 subset scans, the ESU subgraph walk, direct formula summation, over dicts
-built from a network's names, src, dst and weights arrays, and synthetic
-traffic drawn from one default_rng([seed, i]) per device-day. None of it
-shares code with the library paths under test.
+built from a network's names, src, dst and weights arrays; float64
+matrix products over its dense adjacency; and synthetic traffic drawn
+from one default_rng([seed, i]) per device-day. None of it shares code
+with the library paths under test.
 
 The table builders at the top are not oracles: they let tests state a
 network, sequences, stops or a POI catalog as plain tuples and build the
@@ -374,6 +375,27 @@ def brute_force_enumerate(net, k: int) -> dict[MotifClass, int]:
         if cls is not MotifClass.OTHER:
             counts[cls] = counts.get(cls, 0) + 1
     return counts
+
+
+def product_four_cliques(net) -> int:
+    """The 4-cliques as sum((B @ B) * B) in float64, over each node's later neighbours.
+
+    Nodes are ranked by (degree, index) and B is the upper-triangular 0/1
+    adjacency among a node's higher-ranked neighbours, so each 4-clique
+    a < b < c < d is a triangle b, c, d counted once, at a. Every sum is an
+    integer far below 2**53, so the float64 count is exact.
+    """
+    n = net.n_nodes
+    adj = np.zeros((n, n))
+    adj[net.src, net.dst] = adj[net.dst, net.src] = 1
+    rank = np.lexsort((np.arange(n), adj.sum(axis=1)))
+    adj = adj[np.ix_(rank, rank)]
+    total = 0
+    for a in range(n):
+        later = np.flatnonzero(adj[a, a + 1 :]) + a + 1
+        b = np.triu(adj[np.ix_(later, later)], 1)
+        total += int(((b @ b) * b).sum())
+    return total
 
 
 # -- ESU: the second enumeration oracle ------------------------------------------

@@ -5,7 +5,6 @@ import os
 import random
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -255,12 +254,12 @@ def county_net() -> PlaceNetwork:
 
 
 CAP = _fastcount._DENSE_MAX_NODES
-# name -> (graph, whether the rule picks the dense form)
+# name -> (graph, whether codegrees takes the bitset form: n <= CAP)
 FORM_CASES = {
-    "sparse-300": (lambda: random_net(300, 0.01, 1), False),
+    "sparse-300": (lambda: random_net(300, 0.01, 1), True),
     "dense-300": (lambda: random_net(300, 0.3, 2), True),
     "readme-like-500": (lambda: random_net(500, 0.4, 3), True),
-    "sparse-2048": (lambda: random_net(2048, 0.003, 4), False),
+    "sparse-2048": (lambda: random_net(2048, 0.003, 4), True),
     "dense-2048": (lambda: random_net(2048, 0.05, 5), True),
     "at-the-cap": (lambda: random_net(CAP, 0.04, 6), True),
     "past-the-cap": (lambda: random_net(CAP + 1, 0.04, 7), False),
@@ -270,43 +269,23 @@ FORM_CASES = {
 
 @pytest.mark.parametrize("name", sorted(FORM_CASES))
 def test_both_clustering_forms_give_the_scipy_oracle_bits(name, monkeypatch):
-    build, dense = FORM_CASES[name]
+    build, bitset = FORM_CASES[name]
     net = build()
     nodes, oracle = scipy_local_clustering(net)
-    picked = []
-    dense_pays = _fastcount._dense_pays
-    monkeypatch.setattr(
-        _fastcount, "_dense_pays", lambda *a: picked.append(dense_pays(*a)) or picked[-1]
-    )
+    calls = []  # codegrees calls _triangles only in the triangle form
+    triangles = _fastcount._triangles
+    monkeypatch.setattr(_fastcount, "_triangles", lambda *a: calls.append(a) or triangles(*a))
     local = local_clustering(net)
-    assert picked == [dense]  # a drift in the cost constants or the cap shows here
+    assert len(calls) == (not bitset)  # a drift in the cap shows here
     assert (net.names, local.tobytes()) == (nodes, oracle.tobytes())
-    if not dense and net.n_nodes > CAP + 1:
-        return  # the dense matrices of the county graph would take 2 GB
-    monkeypatch.setattr(_fastcount, "_dense_pays", lambda *a: not dense)
+    # the other form: the county graph's bitset is 31.7 MB
+    monkeypatch.setattr(_fastcount, "_DENSE_MAX_NODES", -1 if bitset else net.n_nodes)
     assert local_clustering(net).tobytes() == oracle.tobytes()
+    assert len(calls) == 1
 
 
-@pytest.mark.parametrize("name", ["readme-like-500", "county"])
-def test_dense_pays_prices_the_out_neighbour_pairs(name, monkeypatch):
-    # The triangle form looks up every pair of each node's out-neighbours, with
-    # each edge pointing from the lower (degree, node) to the higher one.
-    build, dense = FORM_CASES[name]
-    net = build()
-    deg = np.bincount(np.concatenate((net.src, net.dst)), minlength=net.n_nodes).tolist()
-    tails = Counter(min(a, b, key=lambda v: (deg[v], v))
-                    for a, b in zip(net.src.tolist(), net.dst.tolist()))
-    pairs = sum(k * (k - 1) // 2 for k in tails.values())
-    calls = []
-    dense_pays = _fastcount._dense_pays
-    monkeypatch.setattr(_fastcount, "_dense_pays", lambda *a: calls.append(a) or dense_pays(*a))
-    local_clustering(net)
-    assert calls == [(net.n_nodes, pairs)]
-    assert dense_pays(net.n_nodes, pairs) is dense  # dense at n = 500, triangles for the county
-
-
-@pytest.mark.parametrize("dense", [True, False], ids=["dense", "triangles"])
-def test_clustering_is_exact_past_2_to_the_53(dense, monkeypatch):
+@pytest.mark.parametrize("bitset", [True, False], ids=["bitset", "triangles"])
+def test_clustering_is_exact_past_2_to_the_53(bitset, monkeypatch):
     # A hub joined to the 150 nodes of a path, weights near 2**47: its sum of
     # w * codeg passes 2**55, where a float64 sum of such terms rounds, while
     # its denominator still fits int64.
@@ -315,7 +294,7 @@ def test_clustering_is_exact_past_2_to_the_53(dense, monkeypatch):
     dst = np.concatenate((np.arange(1, leaves + 1), np.arange(2, leaves + 1)))
     weights = 2**47 + np.random.default_rng(11).integers(0, 2**20, src.size)
     net = PlaceNetwork.from_arrays([f"v{i:03d}" for i in range(leaves + 1)], src, dst, weights)
-    monkeypatch.setattr(_fastcount, "_dense_pays", lambda *a: dense)
+    monkeypatch.setattr(_fastcount, "_DENSE_MAX_NODES", net.n_nodes if bitset else -1)
     adj = adjacency(net)
     expected = []
     for node in net.names:
@@ -329,18 +308,12 @@ def test_clustering_is_exact_past_2_to_the_53(dense, monkeypatch):
     assert local_clustering(net).tolist() == expected
 
 
-def test_blas_thread_count_changes_no_metrics_bytes(tmp_path, monkeypatch):
-    # The program's two BLAS calls may run on several threads: the dense
-    # clustering form's A @ A and the census's stacked B @ B over each node's
-    # out-neighbours. Their entries are integers below 2**24, exact in any order.
+def test_blas_thread_count_changes_no_metrics_bytes(tmp_path):
+    # No count goes through BLAS: the clustering's bitset codegrees and the
+    # census's 4-clique popcounts are integer operations, so the BLAS thread
+    # count can change no byte.
     net = FORM_CASES["readme-like-500"][0]()
-    picked = []
-    dense_pays = _fastcount._dense_pays
-    monkeypatch.setattr(
-        _fastcount, "_dense_pays", lambda *a: picked.append(dense_pays(*a)) or picked[-1]
-    )
-    local_clustering(net)
-    assert picked == [True]
+    assert net.n_nodes <= _fastcount._DENSE_MAX_NODES  # the bitset form
     write_network(net, tmp_path / "net.csv")
     src = str(Path(placeweave.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

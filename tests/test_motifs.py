@@ -256,6 +256,18 @@ def test_closed_engine_slices_give_the_unsliced_counts(monkeypatch, net):
     assert {INDEX_CLASS[i]: int(c) for i, c in enumerate(sliced) if c} == expected
 
 
+@pytest.mark.parametrize("n, p", [(300, 0.5), (200, 0.9)])
+def test_four_clique_popcounts_match_the_float_products(n, p):
+    # Out-degree batches past 64 that are no multiple of 8 give hit rows of
+    # several words whose last byte is partly padding.
+    net = random_net(n, p, 3)
+    uptr, _, head, keys, _, _ = _fastcount._orient(net.n_nodes, net.src, net.dst)
+    out = np.diff(uptr)
+    assert ((out > 64) & (out % 8 != 0)).any()
+    cliques = _fastcount._triangles(uptr, head, keys, net.n_nodes)[1]
+    assert cliques == oracles.product_four_cliques(net) > 0
+
+
 def test_enumeration_loads_no_scipy(tmp_path):
     # The closed-form census is numpy only; scipy is for the metrics stage.
     code = (

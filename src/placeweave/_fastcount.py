@@ -22,9 +22,9 @@ _SLICE entries, or of about m at most for a node whose own pairs exceed it
 derives every class from its counts.
 
 codegrees gives codeg(i, j), the number of common neighbours, at every
-edge, for metrics.local_clustering: on at most _DENSE_MAX_NODES nodes as
-the popcount of the two ends' adjacency bit rows ANDed, else from the
-triangles on each edge.
+edge, for metrics.local_clustering: on at most _DENSE_MAX_NODES nodes from
+the ends' adjacency bit rows by _shared, the bit-row kernel that also
+counts _triangles' 4-cliques, else from the triangles on each edge.
 
 Everything is numpy, and every count is an integer operation: no BLAS
 call is made, so no count depends on a thread count.
@@ -35,14 +35,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvariantError
-from .ingest import group_starts
+from .ingest import INT64, group_starts
 from .motifs import CLASS_INDEX, INDEX_CLASS, MotifClass
 
 N_CLASS_SLOTS = len(INDEX_CLASS)  # nine motif classes plus OTHER
 
 _SLICE = 1 << 22  # candidate entries handled at once
 _EXACT_DEGREE = 1 << 20  # below it every per-node and per-edge term fits int64
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 def census_counts(
@@ -119,13 +118,13 @@ def full_census(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return counts
 
 
-# codegrees' bitset form costs an n x n bool matrix and m * ceil(n / 64) word
-# ANDs and popcounts whatever the density: it wins on dense graphs and, up to
-# this cap, loses little on sparse ones. In process on a 2-core x86-64 host
+# codegrees' bitset form costs n * ceil(n / 64) uint64 words and m * ceil(n / 64)
+# word ANDs and popcounts whatever the density: it wins on dense graphs and, up
+# to this cap, loses little on sparse ones. In process on a 2-core x86-64 host
 # (numpy 2.4.6), best of 5 in each of two runs, bitset against triangles:
-# G(2,896, 0.0005) 1.7-3.6 vs 0.5-0.8 ms; G(1,000, 0.05) 1.8-3.6 vs 27-43 ms;
-# G(2,896, 0.04) 39-78 vs 396-546 ms; past the cap, the 15,931-node county
-# graph 272-361 vs 68-96 ms.
+# G(2,896, 0.0005) 0.5 vs 0.5 ms; G(1,000, 0.05) 1.7-1.8 vs 21-22 ms;
+# G(2,896, 0.04) 29-30 vs 298-301 ms; past the cap, the 15,931-node county
+# graph 122-128 vs 44-46 ms.
 _DENSE_MAX_NODES = 2896
 
 
@@ -141,10 +140,7 @@ def codegrees(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         codeg = np.empty(keys.size, dtype=np.int64)
         codeg[edge] = _triangles(uptr, head, keys, n)[0]
         return codeg
-    codeg = np.zeros(src.size, dtype=np.int64)
-    for word in _bit_words(np.concatenate((src, dst)), np.concatenate((dst, src)), n, n):
-        codeg += np.bitwise_count(word[src] & word[dst])
-    return codeg
+    return _shared(np.concatenate((src, dst)), np.concatenate((dst, src)), n, n, src, dst)
 
 
 def _orient(n, src, dst):
@@ -176,7 +172,7 @@ def _triangles(uptr, head, keys, n):
     a 4-clique a < b < c < d a triangle among them. Nodes go in one batch per
     out-degree k >= 2. Each hit b -> c among a node's k(k-1)/2 out-neighbour
     pairs is a triangle. With each out-neighbour's hits as a k-bit row, the
-    hit b -> c closes popcount(row_b & row_c) 4-cliques, one per d above both.
+    hit b -> c closes _shared's popcount(row_b & row_c) 4-cliques, one per d above both.
     """
     out = np.diff(uptr)
     t_edge = np.zeros(keys.size, dtype=np.int64)
@@ -195,8 +191,7 @@ def _triangles(uptr, head, keys, n):
             if k >= 3:
                 node, pair = np.divmod(np.flatnonzero(found), i.size)
                 b, c = node * k + i[pair], node * k + j[pair]  # rows within the slice
-                for word in _bit_words(b, j[pair], (hi - lo) * k, k):
-                    cliques += int(np.bitwise_count(word[b] & word[c]).sum(dtype=np.int64))
+                cliques += int(_shared(b, j[pair], (hi - lo) * k, k, b, c).sum())
     return t_edge, cliques
 
 
@@ -255,22 +250,25 @@ def _lookup(keys, wanted):
     return np.where(keys[pos] == wanted, pos, -1)
 
 
-def _bit_words(rows, cols, n_rows, width):
-    """The n_rows x width 0/1 matrix with ones at (rows, cols), as ceil(width / 64) uint64 arrays.
+def _shared(rows, cols, n_rows, width, a, b):
+    """Columns rows a[p] and b[p] share, of the n_rows x width 0/1 matrix with ones at (rows, cols).
 
-    Array w holds columns 64w to 64w + 63 of every row, the padding past
-    width 0: the popcounts of two rows' words ANDed sum to the columns the
-    rows share.
+    The matrix is ceil(width / 64) arrays of n_rows uint64 words, array w
+    holding columns 64w to 64w + 63 of every row; one np.bitwise_or.at sets
+    its bits. Each pair's count, int64, is the sum over the words of the
+    popcount of its two rows' words ANDed.
     """
-    ones = np.zeros((n_rows, width), dtype=bool)
-    ones[rows, cols] = True
-    packed = np.packbits(ones, axis=1, bitorder="little")
-    return np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64).T.copy()
+    words = np.zeros((-(-width // 64), n_rows), dtype=np.uint64)
+    np.bitwise_or.at(words, (cols >> 6, rows), np.uint64(1) << (cols & 63).astype(np.uint64))
+    shared = np.zeros(a.size, dtype=np.int64)
+    for word in words:
+        shared += np.bitwise_count(word[a] & word[b])
+    return shared
 
 
 def _total(terms) -> int:
     """Exact sum of non-negative integer terms; never wraps past int64."""
-    if terms.size and terms.dtype != object and int(terms.max()) > _INT64_MAX // terms.size:
+    if terms.size and terms.dtype != object and int(terms.max()) > INT64.max // terms.size:
         terms = terms.astype(object)
     return int(terms.sum())
 

@@ -78,13 +78,14 @@ def _great_circle_lengths(
 ) -> np.ndarray:
     """_great_circle_km of each row (u, v) of ends, point u first, bit for bit.
 
-    numpy does the IEEE operations (+, -, *, /, sqrt, minimum), which round
-    as Python's do. The transcendental steps run in math's libm calls: numpy's
-    sin and arcsin may differ from libm in the last bit, and x ** 2 is libm's
-    pow, not x * x. The Vincenty branch, beyond a quarter circle, runs per edge.
+    numpy does the IEEE operations (+, -, *, /, sqrt, minimum, and radians:
+    a multiply by math.radians' pi / 180), which round as Python's do. The
+    transcendental steps run in math's libm calls: numpy's sin and arcsin may
+    differ from libm in the last bit, and x ** 2 is libm's pow, not x * x.
+    The Vincenty branch, beyond a quarter circle, runs per edge.
     """
     u, v = ends.T
-    dlam = _libm(math.radians, lon[v] - lon[u])
+    dlam = np.radians(lon[v] - lon[u])
     half = np.concatenate([(phi[v] - phi[u]) / 2.0, dlam / 2.0]).tolist()
     sin2 = np.fromiter(map(math.pow, map(math.sin, half), repeat(2.0)), np.float64, len(half))
     sin2_dphi, sin2_dlam = np.split(sin2, 2)
@@ -122,7 +123,7 @@ def instance_distances(rows: InstanceRows, catalog: PoiCatalog) -> np.ndarray:
         bad = values[at][~(np.abs(values[at]) <= bound)]  # NaN fails the test too
         if bad.size:
             raise ValueError(f"{name} {bad[0]} out of range [-{bound:g}, {bound:g}]")
-    phi = _libm(math.radians, catalog.lat)
+    phi = np.radians(catalog.lat)
     lengths = _great_circle_lengths(phi, _libm(math.cos, phi), catalog.lon, at)
     ids = np.full(has.shape, len(lengths))  # the 0.0 appended below: no edge
     ids[has] = which

@@ -398,6 +398,14 @@ def product_four_cliques(net) -> int:
     return total
 
 
+def shared_columns(rows, cols, n_rows, width, a, b) -> np.ndarray:
+    """Columns rows a[p] and b[p] share, of the n_rows x width 0/1 matrix
+    with ones at (rows, cols): the dense matrix's row products, summed."""
+    ones = np.zeros((n_rows, width), dtype=np.int64)
+    ones[rows, cols] = 1
+    return (ones[a] * ones[b]).sum(axis=1, dtype=np.int64)
+
+
 # -- ESU: the second enumeration oracle ------------------------------------------
 
 

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +283,22 @@ def test_both_clustering_forms_give_the_scipy_oracle_bits(name, monkeypatch):
     monkeypatch.setattr(_fastcount, "_DENSE_MAX_NODES", -1 if bitset else net.n_nodes)
     assert local_clustering(net).tobytes() == oracle.tobytes()
     assert len(calls) == 1
+
+
+def test_bitset_codegrees_hold_little_beyond_the_bitset(monkeypatch):
+    # The county graph's bitset is 15,931 rows of 249 words, 30.3 MiB; its bits
+    # are set in place, with no bool matrix 8 times that size (338 MiB peak).
+    net = county_net()
+    monkeypatch.setattr(_fastcount, "_DENSE_MAX_NODES", net.n_nodes)
+    tracemalloc.start()
+    try:
+        codeg = _fastcount.codegrees(net.n_nodes, net.src, net.dst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 << 20
+    monkeypatch.setattr(_fastcount, "_DENSE_MAX_NODES", -1)
+    assert codeg.tobytes() == _fastcount.codegrees(net.n_nodes, net.src, net.dst).tobytes()
 
 
 @pytest.mark.parametrize("bitset", [True, False], ids=["bitset", "triangles"])

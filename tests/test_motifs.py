@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -217,7 +218,7 @@ def test_closed_engine_exact_when_terms_leave_int64(monkeypatch):
     net = random_net(14, 0.5, 1)
     expected = {k: brute_force_enumerate(net, k) for k in (3, 4)}
     monkeypatch.setattr(_fastcount, "_EXACT_DEGREE", 1)
-    monkeypatch.setattr(_fastcount, "_INT64_MAX", 7)
+    monkeypatch.setattr(_fastcount, "INT64", SimpleNamespace(max=7))
     for k in (3, 4):
         assert enumerate_induced(net, k) == expected[k]
 
@@ -258,14 +259,34 @@ def test_closed_engine_slices_give_the_unsliced_counts(monkeypatch, net):
 
 @pytest.mark.parametrize("n, p", [(300, 0.5), (200, 0.9)])
 def test_four_clique_popcounts_match_the_float_products(n, p):
-    # Out-degree batches past 64 that are no multiple of 8 give hit rows of
-    # several words whose last byte is partly padding.
+    # Out-degree batches past 64 that are no multiple of 8, so none of 64,
+    # give hit rows of several words whose last word runs past the row's width.
     net = random_net(n, p, 3)
     uptr, _, head, keys, _, _ = _fastcount._orient(net.n_nodes, net.src, net.dst)
     out = np.diff(uptr)
     assert ((out > 64) & (out % 8 != 0)).any()
     cliques = _fastcount._triangles(uptr, head, keys, net.n_nodes)[1]
     assert cliques == oracles.product_four_cliques(net) > 0
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 130])
+def test_shared_kernel_matches_the_dense_matrix(width):
+    # One word, a full word, and rows spilling one bit or more into the next.
+    rng = np.random.default_rng(width)
+    ones = rng.random((40, width)) < 0.5
+    ones[7] = False  # a row with no ones
+    rows, cols = np.nonzero(ones)
+    order = rng.permutation(rows.size)  # the bits come in no particular order
+    rows, cols = rows[order], cols[order]
+    a, b = rng.integers(0, 40, (2, 600))
+    a[:40], b[:40] = 7, np.arange(40)
+    a[40:80] = b[40:80] = np.arange(40)  # each row with itself: its own ones
+    shared = _fastcount._shared(rows, cols, 40, width, a, b)
+    assert shared.dtype == np.int64
+    assert shared.tolist() == oracles.shared_columns(rows, cols, 40, width, a, b).tolist()
+    assert shared[40:80].tolist() == ones.sum(axis=1).tolist()
+    empty = np.zeros(0, dtype=np.int64)
+    assert _fastcount._shared(empty, empty, 0, width, empty, empty).tolist() == []
 
 
 def test_enumeration_loads_no_scipy(tmp_path):

@@ -137,6 +137,18 @@ def test_edge_distances_equal_haversine_km_on_city_pairs():
     assert got == want
 
 
+def test_np_radians_is_math_radians_bit_for_bit():
+    # instance_distances takes its radians from np.radians and haversine_km
+    # from math.radians: both must be one multiply by the same pi / 180.
+    rng = np.random.default_rng(5)
+    tiny = np.nextafter(0.0, 1.0) * rng.integers(1, 2**52, 10_000)  # subnormals
+    special = [0.0, 90.0, 180.0, 1e308, np.finfo(np.float64).max, 5e-324, 2.2250738585072014e-308]
+    degrees = np.concatenate([special, tiny, rng.uniform(-360.0, 360.0, 100_000)])
+    degrees = np.concatenate([degrees, -degrees])
+    want = np.fromiter(map(math.radians, degrees.tolist()), np.float64, degrees.size)
+    assert np.radians(degrees).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize(
     "lat, lon, message",
     [

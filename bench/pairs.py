@@ -6,8 +6,11 @@ Each directory is a checkout of the repository. Pair i runs
 `perfbench/run.py --workload W --seed S --seconds R` once in each checkout,
 the parent first in even pairs and the change first in odd ones, where R is
 `run_seconds` of the change's BENCHMARK.json. Every run is a fresh process
-started in its checkout's root with PYTHONDONTWRITEBYTECODE=1, so no
-bytecode lands in either tree; the result is the last line of its output.
+started in its checkout's root; the result is the last line of its output.
+Each checkout compiles its bytecode into a PYTHONPYCACHEPREFIX directory of
+its own, made empty for the session and removed at its end, so both sides
+start from no bytecode, pay to compile it once, and no `__pycache__` lands
+in either tree.
 
 For each end-to-end metric of the change's BENCHMARK.json the summary gives
 each side's median and quartiles (statistics.quantiles, inclusive method),
@@ -27,6 +30,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -63,12 +67,16 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> li
     return rows
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict | None, str]:
-    """The result line of one benchmark invocation in checkout and '', or None and a problem."""
+def run_once(
+    checkout: Path, workload: str, seed: int, seconds: float, pycache: Path
+) -> tuple[dict | None, str]:
+    """The result line of one benchmark invocation in checkout, its bytecode
+    cached under pycache, and '', or None and a problem."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
-        cwd=checkout, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        cwd=checkout, env={**env, "PYTHONPYCACHEPREFIX": str(pycache)},
         capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -94,19 +102,21 @@ def main(argv: list[str] | None = None) -> int:
     sides = {"parent": args.parent, "change": args.change}
     values: dict[str, list[dict]] = {"parent": [], "change": []}
     problems = []
-    for i in range(args.pairs):
-        results = {}
-        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            results[side], problem = run_once(
-                sides[side], args.workload, args.seed, bench["run_seconds"]
-            )
-            if problem:
-                problems.append(f"pair {i}: {problem}")
-            print(f"pair {i} {side}: {problem or json.dumps(results[side])}", file=sys.stderr,
-                  flush=True)
-        if all(results.values()):
-            for side, result in results.items():
-                values[side].append({k: m["value"] for k, m in result["metrics"].items()})
+    with tempfile.TemporaryDirectory(prefix="pairs-pycache-") as cache:
+        for i in range(args.pairs):
+            results = {}
+            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                results[side], problem = run_once(
+                    sides[side], args.workload, args.seed, bench["run_seconds"],
+                    Path(cache) / side,
+                )
+                if problem:
+                    problems.append(f"pair {i}: {problem}")
+                print(f"pair {i} {side}: {problem or json.dumps(results[side])}",
+                      file=sys.stderr, flush=True)
+            if all(results.values()):
+                for side, result in results.items():
+                    values[side].append({k: m["value"] for k, m in result["metrics"].items()})
     if len(values["parent"]) >= 2:
         print(f"{args.workload}: {len(values['parent'])} pairs, seed {args.seed}")
         print("metric        unit  parent q1 / median / q3      change q1 / median / q3"

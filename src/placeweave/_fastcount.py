@@ -254,12 +254,15 @@ def _shared(rows, cols, n_rows, width, a, b):
     """Columns rows a[p] and b[p] share, of the n_rows x width 0/1 matrix with ones at (rows, cols).
 
     The matrix is ceil(width / 64) arrays of n_rows uint64 words, array w
-    holding columns 64w to 64w + 63 of every row; one np.bitwise_or.at sets
-    its bits. Each pair's count, int64, is the sum over the words of the
-    popcount of its two rows' words ANDed.
+    holding columns 64w to 64w + 63 of every row. The (row, col) pairs must
+    be distinct: one np.add.at on the flat word index then sets each bit
+    once, which equals OR-ing it in and runs faster than np.bitwise_or.at.
+    Each pair's count, int64, is the sum over the words of the popcount of
+    its two rows' words ANDed.
     """
     words = np.zeros((-(-width // 64), n_rows), dtype=np.uint64)
-    np.bitwise_or.at(words, (cols >> 6, rows), np.uint64(1) << (cols & 63).astype(np.uint64))
+    bits = np.uint64(1) << (cols & 63).astype(np.uint64)
+    np.add.at(words.reshape(-1), (cols >> 6) * n_rows + rows, bits)
     shared = np.zeros(a.size, dtype=np.int64)
     for word in words:
         shared += np.bitwise_count(word[a] & word[b])

@@ -9,7 +9,8 @@ For every connected edge mask of the instance table, KEY_PERMS stores the
 slot permutations that carry the class shape onto it; an instance's key is
 the minimum of its sector-id rows under them, packed with its class into
 one integer. The attributed census and the endpoint tally are grouped
-integer sums over those keys and over the instance edges.
+integer sums over those keys and over the instance edges; the census comes
+out as the rows of attributed_census.csv.
 """
 
 from __future__ import annotations
@@ -181,24 +182,16 @@ def endpoint_counts(rows: InstanceRows, catalog: PoiCatalog) -> tuple[np.ndarray
     return tally, int(weight[~known].sum())
 
 
-@dataclass(frozen=True)
-class AttributedEntry:
-    key: AttributedMotifKey
-    device_count: int
-    share: float
-    same_category: bool
-
-
-def attributed_census(
-    rows: InstanceRows, keys: np.ndarray, top_k: int = 10
-) -> dict[MotifClass, list[AttributedEntry]]:
-    """Rank attributed motifs by frequency within each class.
+def attributed_census(rows: InstanceRows, keys: np.ndarray, top_k: int = 10) -> list[dict]:
+    """The rows of attributed_census.csv: each class's most frequent attributed motifs.
 
     keys holds the canonical_keys of rows.instances; device counts are
-    summed per key as integers. Shares are device counts over the class
-    total; ordering is share descending with label sequence as the
-    deterministic tie-break; each class keeps its top_k keys. OTHER
-    instances are skipped.
+    summed per key as integers. A row, keyed by the file's columns, gives a
+    key's class, labels and sector label names ('|' and ' + '-joined), its
+    device count, its share of the class total, and whether its labels are
+    all one sector ("yes" or "no"). Rows come in CLASS_ORDER, then by share
+    descending with the label sequence as the deterministic tie-break; each
+    class keeps its top_k keys. OTHER instances are skipped.
     """
     if not len(rows):
         raise ValueError("no instances to attribute")
@@ -209,12 +202,16 @@ def attributed_census(
     for key, count in zip(keys[order[start]].tolist(), counts.tolist()):
         key = attributed_key(key)
         per_class.setdefault(key.motif_class, []).append((key, count))
-    result: dict[MotifClass, list[AttributedEntry]] = {}
-    for cls, bucket in per_class.items():
+    ranked = []
+    for cls, bucket in per_class.items():  # in CLASS_ORDER, as keys sort by class first
         total = sum(count for _, count in bucket)
-        ranked = sorted(bucket, key=lambda item: (-item[1], item[0].labels))
-        result[cls] = [
-            AttributedEntry(key, count, count / total, key.same_category())
-            for key, count in ranked[:top_k]
-        ]
-    return result
+        for key, count in sorted(bucket, key=lambda item: (-item[1], item[0].labels))[:top_k]:
+            ranked.append({
+                "class": cls.value,
+                "labels": "|".join(map(str, key.labels)),
+                "label_names": " + ".join(sector_by_id(i).label for i in key.labels),
+                "device_count": count,
+                "share": count / total,
+                "same_category": "yes" if key.same_category() else "no",
+            })
+    return ranked

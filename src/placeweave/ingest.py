@@ -638,9 +638,10 @@ def write_sequences(sequences: SequenceTable, path: str | Path) -> None:
 def read_sequences(source: str | Path | TextIO) -> SequenceTable:
     """Read a sequences file into a SequenceTable, one sequence per row in file order.
 
-    A missing or extra field and a bad date raise RowError naming the file
-    and line; so does a walk that breaks a walk rule (SequenceTable.steps),
-    once every row is read.
+    A missing or extra field, a bad date and a stay id holding a reserved
+    separator (; , or a line break, which instances.csv and merged.csv would
+    split on) raise RowError naming the file and line; so does a walk that
+    breaks a walk rule (SequenceTable.steps), once every row is read.
     """
     device_ids: list[str] = []
     days: list[int] = []
@@ -654,6 +655,10 @@ def read_sequences(source: str | Path | TextIO) -> SequenceTable:
             except ValueError:
                 raise rows.error(line, f"bad date {local_date!r}") from None
             stays = stay_field.split(STAY_SEPARATOR)
+            if any(ch in stay_field for ch in RESERVED_CHARACTERS if ch != STAY_SEPARATOR):
+                stay = next(s for s in stays if any(ch in s for ch in RESERVED_CHARACTERS))
+                raise rows.error(line, f"stay {stay!r} contains a reserved separator "
+                                       "(| ; , or a line break)")
             device_ids.append(device_id)
             days.append((day - EPOCH).days)
             lengths.append(len(stays))

@@ -274,7 +274,17 @@ def _xlogy(k: int, y: float) -> float:
     return k * math.log(y) if k else 0.0
 
 
-def _fit_tail(ks: list[int], counts: list[int], xmin: int) -> PowerLawFit:
+def fit_power_law(hist: DegreeHistogram, xmin: int = 1) -> PowerLawFit:
+    """Discrete MLE power-law fit of the degree tail k >= xmin.
+
+    Raises ValueError when fewer than two distinct degrees remain above xmin.
+    """
+    if xmin < 1:
+        raise ValueError("xmin must be >= 1")
+    ks = [k for k in hist.support() if k >= xmin]
+    if len(ks) < 2:
+        raise ValueError(f"degenerate histogram: fewer than 2 distinct degrees >= {xmin}")
+    counts = [hist.counts[k] for k in ks]
     n_tail = sum(counts)
     mean_log = sum(c * math.log(k) for k, c in zip(ks, counts)) / n_tail
 
@@ -299,32 +309,6 @@ def _fit_tail(ks: list[int], counts: list[int], xmin: int) -> PowerLawFit:
         ks_dist = max(ks_dist, abs(emp - fit))
         seen += c
     return PowerLawFit(exponent=float(alpha), xmin=xmin, ks_distance=float(ks_dist))
-
-
-def fit_power_law(
-    hist: DegreeHistogram, xmin: int = 1, scan_xmin: bool = False
-) -> PowerLawFit:
-    """Discrete MLE power-law fit of the degree tail k >= xmin.
-
-    With scan_xmin the fit is repeated for every candidate xmin in the
-    support and the one minimizing the KS distance wins (ties to the
-    smaller xmin). Raises ValueError when fewer than two distinct degrees
-    remain above xmin.
-    """
-    if xmin < 1:
-        raise ValueError("xmin must be >= 1")
-    support = [k for k in hist.support() if k >= xmin]
-    if len(support) < 2:
-        raise ValueError(f"degenerate histogram: fewer than 2 distinct degrees >= {xmin}")
-    if not scan_xmin:
-        return _fit_tail(support, [hist.counts[k] for k in support], xmin)
-    best: PowerLawFit | None = None
-    for candidate in support[:-1]:
-        tail = [k for k in support if k >= candidate]
-        fit = _fit_tail(tail, [hist.counts[k] for k in tail], candidate)
-        if best is None or fit.ks_distance < best.ks_distance:
-            best = fit
-    return best
 
 
 def poisson_reference(average_degree: float, ks: list[int]) -> list[tuple[int, float]]:

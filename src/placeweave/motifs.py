@@ -229,22 +229,22 @@ def census_document(
     motifs holds each class's motif count and total_motifs the count every
     percentage is a share of. A trajectory census also gives each class's
     covering device-days (devices), whose flows are device-days times the
-    class edge count, and may give a stats.DistanceTable whose total_km is
-    each class's avg_distance_km.
+    class edge count, and may give a stats.class_avg_distance table whose
+    rows' total_km is each class's avg_distance_km.
     """
     if total_motifs == 0:
         raise ValueError("census has no motifs; percentages undefined")
     rows = []
     for cls in CLASS_ORDER:
         device_count = None if devices is None else devices[cls]
-        split = distances.get(cls) if distances else None
+        km = distances.get(cls) if distances else None
         rows.append({
             "class": cls.value,
             "motif_count": motifs[cls],
             "device_count": device_count,
             "flow_count": None if devices is None else device_count * cls.edge_count,
             "percentage": 100.0 * motifs[cls] / total_motifs,
-            "avg_distance_km": split.total_km if split else None,
+            "avg_distance_km": None if km is None else km["total_km"],
         })
     totals = {"motif_count": total_motifs, "device_count": total_devices, "flow_count": total_flows}
     return {
@@ -349,7 +349,8 @@ class TrajectoryCensus:
     total_flows: int
 
     def document(self, distances: dict | None = None) -> dict:
-        """census.json's document; distances, a stats.DistanceTable, gives avg_distance_km."""
+        """census.json's document; distances, a stats.class_avg_distance table,
+        gives avg_distance_km."""
         inst = self.rows.instances
         motifs, devices = {}, {}
         for i, cls in enumerate(CLASS_ORDER):

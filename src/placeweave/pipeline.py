@@ -340,9 +340,7 @@ class InstanceTable:
 
     rows: motifs.InstanceRows
     catalog: ingest.PoiCatalog
-    _distance_tables: dict[str, stats.DistanceTable] = field(
-        default_factory=dict, init=False, repr=False
-    )
+    _distance_tables: dict[str, dict] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def distances(self) -> np.ndarray:
@@ -356,7 +354,7 @@ class InstanceTable:
 
         return attributes.canonical_keys(self.rows, self.catalog)
 
-    def distance_table(self, weighting: str) -> stats.DistanceTable:
+    def distance_table(self, weighting: str) -> dict:
         """The whole-period per-class distance table under one weighting."""
         from . import stats
 
@@ -458,19 +456,12 @@ def stage_motifs(
 
 
 def stage_attributed(instances: InstanceTable, top_k: int, out_dir: str | Path) -> None:
-    from . import attributes, motifs
+    from . import attributes
 
     out = _ensure_dir(out_dir)
     ranked = attributes.attributed_census(instances.rows, instances.keys, top_k=top_k)
     columns = ("class", "labels", "label_names", "device_count", "share", "same_category")
-    rows = [
-        (cls.value, "|".join(map(str, entry.key.labels)),
-         " + ".join(attributes.sector_by_id(i).label for i in entry.key.labels),
-         entry.device_count, entry.share, "yes" if entry.same_category else "no")
-        for cls in motifs.CLASS_ORDER
-        for entry in ranked.get(cls, [])
-    ]
-    write_csv(out / "attributed_census.csv", columns, rows)
+    write_csv(out / "attributed_census.csv", columns, [[row[c] for c in columns] for row in ranked])
     tally, unresolved = attributes.endpoint_counts(instances.rows, instances.catalog)
     for digits in (2, 4):
         ranked_cats = attributes.category_frequency(tally, instances.catalog, digits=digits)
@@ -560,34 +551,29 @@ def stage_series(
 
     # Whole-period distance tables.
     table = instances.distance_table(weighting)
-    km_rows = []
-    for cls in motifs.CLASS_ORDER:
-        if cls in table:
-            split = table[cls]
-            km_rows += [(cls.value, "total", split.total_km),
-                        (cls.value, "weekday", split.weekday_km),
-                        (cls.value, "weekend", split.weekend_km)]
-    write_csv(out / "distance_table.csv", ("class", "split", "km"), km_rows)
+    classes = [{"class": cls.value, **table[cls]} for cls in motifs.CLASS_ORDER if cls in table]
+    write_csv(out / "distance_table.csv", ("class", "split", "km"), [
+        (row["class"], split.removesuffix("_km"), row[split])
+        for row in classes for split in stats.SPLITS
+    ])
     # per attributed key, its instances in instance order
     by_key = np.argsort(instances.keys, kind="stable")
     attr_table = stats.class_avg_distance(
         rows.instances.take(by_key), distances[by_key], weighting, groups=instances.keys[by_key]
     )
     top_rows = sorted(
-        ((attributes.attributed_key(key), split) for key, split in attr_table.items()),
-        key=lambda kv: (-(kv[1].total_km or 0.0), kv[0].motif_class.value, kv[0].labels),
+        ((attributes.attributed_key(key), row) for key, row in attr_table.items()),
+        key=lambda kv: (-(kv[1]["total_km"] or 0.0), kv[0].motif_class.value, kv[0].labels),
     )[:TOP_DISTANCE]
-    columns = ("class", "labels", "total_km", "weekday_km", "weekend_km")
-    write_csv(out / "attributed_distance.csv", columns, [
-        (key.motif_class.value, "|".join(map(str, key.labels)), split.total_km,
-         split.weekday_km, split.weekend_km)
-        for key, split in top_rows
+    write_csv(out / "attributed_distance.csv", ("class", "labels", *stats.SPLITS), [
+        (key.motif_class.value, "|".join(map(str, key.labels)), *(row[s] for s in stats.SPLITS))
+        for key, row in top_rows
     ])
 
     report = stats.build_report(
         summary=summary_doc,
         census=census_doc,
-        distances=stats.distance_document(table, weighting),
+        distances={"weighting": weighting, "classes": classes},
         series_files=series_files,
         config=config.analysis_dict(),
         tool_version=__version__,

@@ -6,7 +6,9 @@ edge, as array code with the scalar's bits; each instance's edge lengths
 are gathered into columns in sorted edge order and added left to right.
 Every class table (per day, whole period, per attributed key) sums
 km * weight per group with np.cumsum in instance order, so its floats
-equal a left-to-right scalar loop over the instances.
+equal a left-to-right scalar loop over the instances. A table maps each
+key to the row that report.json and the distance CSVs hold: the average
+km under each of SPLITS, None where the split has no weight.
 
 Percentage-change series follow a weekly pattern: weekday points chain
 against the previous weekday, weekend points against the previous
@@ -58,14 +60,8 @@ def _great_circle_km(
     return EARTH_RADIUS_KM * math.atan2(y, x)
 
 
-@dataclass
-class DistanceSplit:
-    total_km: float | None
-    weekday_km: float | None
-    weekend_km: float | None
-
-
-DistanceTable = dict  # key (MotifClass or AttributedMotifKey) -> DistanceSplit
+# The day-type splits of a distance row: every instance, weekday ones, weekend ones.
+SPLITS = ("total_km", "weekday_km", "weekend_km")
 
 
 def _libm(fn, values: np.ndarray) -> np.ndarray:
@@ -139,8 +135,8 @@ def class_avg_distance(
     km: np.ndarray,
     weighting: str = "devices",
     groups: np.ndarray | None = None,
-) -> DistanceTable:
-    """Average motif distance per class, split by day type.
+) -> dict:
+    """Average motif distance per class and day type: key -> {split: km} over SPLITS.
 
     km holds the motif distance of each instance (see instance_distances).
     With devices weighting each instance counts once per covering
@@ -160,7 +156,7 @@ def class_avg_distance(
     keys = instances.cls if groups is None else groups
     start = group_starts(keys)
     weighted = km[:, None] * weights
-    table: DistanceTable = {}
+    table = {}
     for key, lo, hi, totals in zip(
         keys[start].tolist(),
         start.tolist(),
@@ -168,9 +164,9 @@ def class_avg_distance(
         np.add.reduceat(weights, start).tolist(),
     ):
         sums = np.cumsum(weighted[lo:hi], axis=0)[-1].tolist()
-        table[INDEX_CLASS[key] if groups is None else key] = DistanceSplit(
-            *(total_km / w if w else None for total_km, w in zip(sums, totals))
-        )
+        table[INDEX_CLASS[key] if groups is None else key] = {
+            split: km_sum / w if w else None for split, km_sum, w in zip(SPLITS, sums, totals)
+        }
     return table
 
 
@@ -211,9 +207,9 @@ def daily_census_series(
         for i, cls in enumerate(CLASS_ORDER):
             key = day * len(INDEX_CLASS) + i
             counts[cls].append(SeriesPoint(date, float(per_day[key]), kind))
-            split = table.get(key)
-            if split is not None and split.total_km is not None:
-                dists[cls].append(SeriesPoint(date, split.total_km, kind))
+            km = table[key]["total_km"] if key in table else None
+            if km is not None:
+                dists[cls].append(SeriesPoint(date, km, kind))
     return counts, dists
 
 
@@ -357,23 +353,6 @@ def _json_equal(a, b) -> bool:
     return a == b and isinstance(a, bool) == isinstance(b, bool)
 
 
-def distance_document(table: DistanceTable, weighting: str) -> dict:
-    rows = []
-    for cls in CLASS_ORDER:
-        split = table.get(cls)
-        if split is None:
-            continue
-        rows.append(
-            {
-                "class": cls.value,
-                "total_km": split.total_km,
-                "weekday_km": split.weekday_km,
-                "weekend_km": split.weekend_km,
-            }
-        )
-    return {"weighting": weighting, "classes": rows}
-
-
 def build_report(
     summary: dict,
     census: dict,
@@ -384,8 +363,8 @@ def build_report(
 ) -> dict:
     """Assemble and validate the run report document.
 
-    census and distances are the run's motifs.census_document and
-    distance_document.
+    census is the run's motifs.census_document, and distances the weighting
+    and the CLASS_ORDER rows of its whole-period class_avg_distance table.
     """
     report = {
         "schema_version": 1,

@@ -37,7 +37,7 @@ import numpy as np
 
 from placeweave.errors import RowError
 from placeweave.ingest import EPOCH, SequenceTable, load_poi_catalog, parse_stops
-from placeweave.metrics import local_clustering
+from placeweave.metrics import DegreeHistogram, PowerLawFit, fit_power_law, local_clustering
 from placeweave.motifs import MotifClass, classify_graph
 from placeweave.network import PlaceNetwork
 from placeweave.stats import EARTH_RADIUS_KM
@@ -928,3 +928,10 @@ def plan_stops(plan: DeviceDayPlan) -> list[Stop]:
         for k, (poi, dwell) in enumerate(zip(plan.walk, plan.dwells))
     ]
 
+
+def fit_power_law_scanned(hist: DegreeHistogram) -> PowerLawFit:
+    """fit_power_law at the xmin, among the positive degrees of the support but
+    the largest, whose fit has the smallest KS distance; ties go to the smaller xmin."""
+    candidates = [k for k in hist.support() if k >= 1][:-1]
+    fits = [fit_power_law(hist, xmin=k) for k in candidates]  # min keeps the first of a tie
+    return min(fits, key=lambda fit: fit.ks_distance)

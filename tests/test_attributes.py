@@ -74,6 +74,11 @@ def census_of(device_counts, catalog, top_k=10):
     return attributed_census(rows, canonical_keys(rows, catalog), top_k=top_k)
 
 
+def labels_of(row) -> tuple[int, ...]:
+    """The label sequence of an attributed_census row."""
+    return tuple(map(int, row["labels"].split("|")))
+
+
 # -- sector mapping -----------------------------------------------------------
 
 
@@ -288,19 +293,23 @@ def test_canonical_key_invariant_under_node_ids(perm, labels):
 def test_single_instance_census():
     cat = catalog_for({"x": 7, "y": 18})
     inst = make_instance(MotifClass.M2_1, ["x", "y"])
-    ranked = census_of({inst: 3}, cat)
-    [entry] = ranked[MotifClass.M2_1]
-    assert entry.share == 1.0
-    assert entry.device_count == 3
-    assert not entry.same_category
+    [row] = census_of({inst: 3}, cat)
+    assert row == {
+        "class": "M2_1",
+        "labels": "7|18",
+        "label_names": "Retail Trade + Accommodation and Food Services",
+        "device_count": 3,
+        "share": 1.0,
+        "same_category": "no",
+    }
 
 
 def test_same_category_flagged():
     cat = catalog_for({"x": 7, "y": 7})
     inst = make_instance(MotifClass.M2_1, ["x", "y"])
-    [entry] = census_of({inst: 1}, cat)[MotifClass.M2_1]
-    assert entry.same_category
-    assert entry.key.labels == (7, 7)
+    [row] = census_of({inst: 1}, cat)
+    assert row["same_category"] == "yes"
+    assert labels_of(row) == (7, 7)
 
 
 def test_planted_mix_shares_recovered():
@@ -315,10 +324,11 @@ def test_planted_mix_shares_recovered():
     counts = rng.multinomial(10_000, [0.5, 0.3, 0.2])
     planted = dict(zip(instances, counts.tolist()))
     ranked = census_of(planted, cat)
-    shares = {entry.key: entry.share for entry in ranked[MotifClass.M2_1]}
+    assert {row["class"] for row in ranked} == {"M2_1"}
+    shares = {labels_of(row): row["share"] for row in ranked}
     keys = [canonical_key(inst, cat) for inst in instances]
     for key, target in zip(keys, (0.5, 0.3, 0.2)):
-        assert abs(shares[key] - target) <= 0.02
+        assert abs(shares[key.labels] - target) <= 0.02
 
 
 def test_top_k_and_tie_break():
@@ -328,10 +338,10 @@ def test_top_k_and_tie_break():
         make_instance(MotifClass.M2_1, ["a", "c"]): 2,
         make_instance(MotifClass.M2_1, ["a", "d"]): 1,
     }
-    ranked = census_of(insts, cat, top_k=2)[MotifClass.M2_1]
+    ranked = census_of(insts, cat, top_k=2)
     assert len(ranked) == 2
     # equal shares tie-break on label sequence
-    assert ranked[0].key.labels < ranked[1].key.labels
+    assert labels_of(ranked[0]) < labels_of(ranked[1])
 
 
 def test_empty_census_rejected():

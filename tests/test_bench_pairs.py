@@ -59,11 +59,28 @@ def test_summary_counts_wins_in_the_metric_direction_and_applies_the_claim_rule(
     assert (summary["wins"], summary["claim"]) == (wins, claim)
 
 
+# Logs, to runs.log at the checkout root, the bytecode cache prefix it runs under and
+# whether helper.py's bytecode was already cached there, then imports helper.
+RUN_PY = """\
+import json, os, sys
+from importlib.util import cache_from_source
+here = os.path.dirname(os.path.abspath(__file__))
+cached = os.path.exists(cache_from_source(os.path.join(here, "helper.py")))
+import helper
+with open(os.path.join(here, os.pardir, "runs.log"), "a") as log:
+    log.write(json.dumps([sys.pycache_prefix, cached]) + "\\n")
+"""
+
+
 def checkout(root: Path, correct: bool) -> Path:
-    """A directory whose perfbench/run.py prints one fixed result line."""
+    """A directory whose perfbench/run.py logs its bytecode cache and prints one
+    fixed result line."""
     result = {"correct": correct, "failed": 0, "metrics": {"wall_s": {"value": 1.0}}}
     (root / "perfbench").mkdir(parents=True)
-    (root / "perfbench" / "run.py").write_text(f"print({json.dumps(json.dumps(result))})\n")
+    (root / "perfbench" / "helper.py").write_text("")
+    (root / "perfbench" / "run.py").write_text(
+        RUN_PY + f"print({json.dumps(json.dumps(result))})\n"
+    )
     (root / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": METRICS[:1]}))
     return root
 
@@ -75,3 +92,20 @@ def test_only_pairs_of_correct_runs_enter_the_summary(tmp_path, capsys, correct,
     out, err = capsys.readouterr()
     assert ("w: 2 pairs" in out) == summary and ("wall_s" in out) == summary
     assert ("correct" in err and "false" in err) != correct
+
+
+def test_each_side_compiles_once_into_a_cache_of_its_own_outside_its_checkout(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")  # the runs write bytecode even so
+    parent, change = checkout(tmp_path / "parent", True), checkout(tmp_path / "change", True)
+    assert pairs.main([str(parent), str(change), "--workload", "w", "--pairs", "3"]) == 0
+    prefixes = []
+    for side in (parent, change):
+        runs = [json.loads(line) for line in (side / "runs.log").read_text().splitlines()]
+        (prefix,) = {prefix for prefix, _ in runs}
+        assert prefix is not None and not Path(prefix).exists()  # removed at the end
+        assert [cached for _, cached in runs] == [False, True, True]
+        assert not list(side.rglob("__pycache__"))
+        prefixes.append(prefix)
+    assert prefixes[0] != prefixes[1]

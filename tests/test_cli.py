@@ -587,7 +587,8 @@ def test_test_only_helpers_are_not_in_the_package():
         network: ["build_network", "bisect_left", "pair_network", "poi_pairs"],
         network.PlaceNetwork: ["index"],
         motifs: ["_instance_order", "ClassStats", "MotifCensus", "census_percentages"],
-        stats: ["attach_distances"],
+        stats: ["attach_distances", "DistanceSplit", "DistanceTable", "distance_document"],
+        attributes: ["AttributedEntry"],
         metrics: ["NetworkSummary"],
         metrics.DegreeHistogram: ["pdf_at", "ccdf_at", "mean"],
         refnets: ["RNG_ALGORITHM"],
@@ -598,6 +599,7 @@ def test_test_only_helpers_are_not_in_the_package():
             assert not hasattr(owner, name), (owner, name)
     ks = inspect.signature(metrics.poisson_reference).parameters["ks"]
     assert ks.default is inspect.Parameter.empty
+    assert "scan_xmin" not in inspect.signature(metrics.fit_power_law).parameters
 
 
 def test_run_builds_no_stop_records_and_no_edge_dicts(synth_dir, tmp_path, monkeypatch):

@@ -226,6 +226,8 @@ def test_sequence_file_round_trip(tmp_path):
         ("a|b|b", "repeats a stay consecutively"),
         (None, "wrong number of fields"),
         ("a|b,junk", "wrong number of fields"),
+        ("p;1|p2", "stay 'p;1' contains a reserved separator"),
+        ('"p1|p,2"', "stay 'p,2' contains a reserved separator"),
     ],
 )
 def test_read_sequences_names_the_bad_row(stays, message):
@@ -436,7 +438,7 @@ def test_stops_reject_line_break_in_device_id(tmp_path, device_id):
 # A bare carriage return would end the row: the files' line terminator is "\n".
 DEVICE_IDS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00\r"))
 POI_IDS = st.text(
-    st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00\r|;,"), min_size=1
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00\r\n|;,"), min_size=1
 )
 # A walk never repeats a stay consecutively: read_sequences rejects that row.
 WALKS = (
@@ -450,7 +452,8 @@ WALKS = (
 @example([  # csv.writer quotes these device ids and the stays holding the quoted POI id
     Walk('d,1', dt.date(2020, 2, 3), ('a', 'b')),
     Walk('d"2', dt.date(2020, 2, 3), ('p"1', 'b', '"q')),
-    Walk("", dt.date(2020, 2, 4), ("a", "b\nc")),
+    Walk("", dt.date(2020, 2, 4), ("a", "b")),
+    Walk("d\n3", dt.date(2020, 2, 4), ("a", "b")),
 ])
 @given(
     st.lists(

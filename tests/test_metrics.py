@@ -22,6 +22,7 @@ from oracles import (
     degree,
     edge_weights,
     exact_barrat,
+    fit_power_law_scanned,
     local_clustering_weighted,
     network,
     scipy_local_clustering,
@@ -450,7 +451,7 @@ def test_fit_invariant_under_count_duplication():
 def test_fit_xmin_scan_prefers_tail():
     hist = zipf_histogram(2.5, 20_000, 3)
     shifted = DegreeHistogram({k + 5: c for k, c in hist.counts.items()}, hist.n)
-    scanned = fit_power_law(shifted, scan_xmin=True)
+    scanned = fit_power_law_scanned(shifted)
     assert scanned.xmin >= 6
     assert scanned.ks_distance <= fit_power_law(shifted, xmin=1).ks_distance
 
@@ -566,7 +567,7 @@ def test_xlogy_port_equals_scipy_on_a_grid():
 
 
 def power_law_score(ks, counts, xmin):
-    """_fit_tail's score function of one tail."""
+    """fit_power_law's score function of one tail."""
     from scipy.special import zeta
 
     mean_log = sum(c * math.log(k) for k, c in zip(ks, counts)) / sum(counts)

@@ -4,7 +4,7 @@ import hashlib
 import pytest
 from scipy import stats as ss
 
-from oracles import edge_weights
+from oracles import edge_weights, fit_power_law_scanned
 from placeweave.cli import main
 from placeweave.errors import ConfigError
 from placeweave.metrics import degree_distribution, fit_power_law
@@ -124,8 +124,8 @@ def test_scale_free_tail_exponent_in_ba_range():
 def test_er_tail_fits_power_law_worse_than_ba():
     er = gen_random_network(RefNetSpec("random", 3000, 17.0, 1))
     ba = gen_scale_free_network(RefNetSpec("scale_free", 3000, 17.0, 1))
-    fit_er = fit_power_law(degree_distribution(er), scan_xmin=True)
-    fit_ba = fit_power_law(degree_distribution(ba), scan_xmin=True)
+    fit_er = fit_power_law_scanned(degree_distribution(er))
+    fit_ba = fit_power_law_scanned(degree_distribution(ba))
     assert fit_er.ks_distance > 2 * fit_ba.ks_distance
 
 

@@ -12,13 +12,13 @@ from placeweave.config import RunConfig
 from placeweave.errors import InvariantError, MissingPoiError
 from placeweave.ingest import PoiCatalog
 from placeweave.motifs import MotifClass, classify_trajectories
+from placeweave.pipeline import InstanceTable, stage_series
 from placeweave.stats import (
     EARTH_RADIUS_KM,
     SeriesPoint,
     build_report,
     class_avg_distance,
     daily_census_series,
-    distance_document,
     haversine_km,
     instance_distances,
     moving_average,
@@ -227,10 +227,11 @@ def test_class_avg_distance_single_instance():
     catalog = oracles.catalog([poi("a", 0, 0), poi("b", north_of(0, 3.0), 0)])
     rows = _census_rows([Walk("d1", MON, ("a", "b"))])
     table = class_avg_distance(rows.instances, instance_distances(rows, catalog))
-    split = table[MotifClass.M2_1]
-    assert split.total_km == pytest.approx(3.0, abs=1e-9)
-    assert split.weekday_km == pytest.approx(3.0, abs=1e-9)
-    assert split.weekend_km is None
+    row = table[MotifClass.M2_1]
+    assert list(row) == ["total_km", "weekday_km", "weekend_km"]
+    assert row["total_km"] == pytest.approx(3.0, abs=1e-9)
+    assert row["weekday_km"] == pytest.approx(3.0, abs=1e-9)
+    assert row["weekend_km"] is None
 
 
 def test_class_avg_distance_device_weighting():
@@ -246,12 +247,12 @@ def test_class_avg_distance_device_weighting():
     rows = _census_rows(seqs)
     distances = instance_distances(rows, catalog)
     by_devices = class_avg_distance(rows.instances, distances, weighting="devices")
-    split = by_devices[MotifClass.M2_1]
-    assert split.total_km == pytest.approx((3 * 2.0 + 8.0) / 4, abs=1e-9)
-    assert split.weekday_km == pytest.approx(2.0, abs=1e-9)
-    assert split.weekend_km == pytest.approx(8.0, abs=1e-9)
+    row = by_devices[MotifClass.M2_1]
+    assert row["total_km"] == pytest.approx((3 * 2.0 + 8.0) / 4, abs=1e-9)
+    assert row["weekday_km"] == pytest.approx(2.0, abs=1e-9)
+    assert row["weekend_km"] == pytest.approx(8.0, abs=1e-9)
     by_instances = class_avg_distance(rows.instances, distances, weighting="instances")
-    assert by_instances[MotifClass.M2_1].total_km == pytest.approx(5.0, abs=1e-9)
+    assert by_instances[MotifClass.M2_1]["total_km"] == pytest.approx(5.0, abs=1e-9)
 
 
 def test_weekday_plus_weekend_counts_cover_total():
@@ -341,7 +342,7 @@ def test_distance_series_skips_days_without_the_class():
     triangle_km = class_avg_distance(mon_rows.instances, distances, weighting="devices")
     [point] = dists[MotifClass.M3_2]
     assert (point.date, point.day_type) == (mon, "weekday")
-    assert point.value == triangle_km[MotifClass.M3_2].total_km
+    assert point.value == triangle_km[MotifClass.M3_2]["total_km"]
     assert len(dists[MotifClass.M2_1]) == 2
 
 
@@ -456,10 +457,11 @@ def test_report_validates_and_passes_percentages_through():
     )
     rows = classify([Walk("d1", MON, ("a", "b"))]).rows
     table = class_avg_distance(rows.instances, instance_distances(rows, catalog))
+    classes = [{"class": "M2_1", **table[MotifClass.M2_1]}]
     report = build_report(
         summary=_summary_doc(),
         census=census,
-        distances=distance_document(table, "devices"),
+        distances={"weighting": "devices", "classes": classes},
         series_files=["counts_M2_1.csv"],
         config=RunConfig().analysis_dict(),
         tool_version="0.0-test",
@@ -475,7 +477,7 @@ def test_report_missing_section_rejected():
         build_report(
             summary={"nodes": 1},  # missing mandatory summary fields
             census=_small_census(),
-            distances=distance_document({}, "devices"),
+            distances={"weighting": "devices", "classes": []},
             series_files=[],
             config={},
             tool_version="0",
@@ -492,10 +494,19 @@ def test_census_document_lists_all_classes():
     assert doc["totals"]["motif_count"] == 2
 
 
-def test_distance_document_shape():
+def test_distance_document_shape(tmp_path):
+    """The distances part of report.json that stage_series builds, and the
+    distance_table.csv it writes from the same rows."""
     catalog = oracles.catalog([poi("a", 0, 0), poi("b", north_of(0, 1.0), 0)])
-    rows = _census_rows([Walk("d1", MON, ("a", "b"))])
-    table = class_avg_distance(rows.instances, instance_distances(rows, catalog))
-    doc = distance_document(table, "devices")
+    census = classify([Walk("d1", MON, ("a", "b"))])
+    instances = InstanceTable(census.rows, catalog)
+    report = stage_series(instances, census.document(), _summary_doc(), tmp_path, RunConfig())
+    doc = report["distances"]
     assert doc["weighting"] == "devices"
     assert doc["classes"][0]["class"] == "M2_1"
+    [row] = doc["classes"]
+    km = instances.distance_table("devices")[MotifClass.M2_1]["total_km"]
+    assert row == {"class": "M2_1", "total_km": km, "weekday_km": km, "weekend_km": None}
+    assert (tmp_path / "distance_table.csv").read_text().splitlines() == [
+        "class,split,km", f"M2_1,total,{km!r}", f"M2_1,weekday,{km!r}", "M2_1,weekend,"
+    ]

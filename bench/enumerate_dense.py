@@ -8,11 +8,14 @@ dates, runs `placeweave synth`, and then `placeweave run` with
 `census_mode=enumerate` under each network mode, each step a fresh
 process, under `.bench_enumerate_work/` (removed at the end). The merged
 networks of this world are dense: 72% of all POI pairs are edges at 50k
-device-days under the consecutive mode, 99% at 200k. Wall time runs from
-spawn to exit; CPU time and peak RSS come from `os.wait4` (`spawn` of
-bench/one_million.py). The result goes to `BENCH_enumerate.json` at the
-root: host facts, each step's measurements, each run's `--out` sha256 and
-M4_1 count, and each bound met or missed. It exits 1 if a bound is missed.
+device-days under the consecutive mode, 99% at 200k. The processes
+compile their bytecode into `.bench_enumerate_work/pycache`, their
+PYTHONPYCACHEPREFIX, fresh for the invocation and removed with the work
+directory. Wall time runs from spawn to exit; CPU time and peak RSS come
+from `os.wait4` (`spawn` of bench/one_million.py). The result goes to
+`BENCH_enumerate.json` at the root: host facts, each step's measurements,
+each run's `--out` sha256 and M4_1 count, and each bound met or missed. It
+exits 1 if a bound is missed.
 """
 
 from __future__ import annotations

@@ -5,7 +5,11 @@
 Run it from the repository root. It writes the README world and a traffic
 spec with the README class mix and dates at 1,000,000 device-days, then
 runs `placeweave synth` and `placeweave run --threads 2` as fresh
-processes, twice, under `.bench_1m_work/` (removed at the end). Wall time
+processes, twice, under `.bench_1m_work/` (made empty at the start and
+removed at the end). The processes compile their bytecode into
+`.bench_1m_work/pycache`, their PYTHONPYCACHEPREFIX, and run without
+PYTHONDONTWRITEBYTECODE: the first pays to compile, the rest reuse it, no
+stale bytecode enters, and no `__pycache__` lands in the tree. Wall time
 runs from spawn to exit; CPU time and peak RSS come from `os.wait4`. The
 result goes to `BENCH_1m.json` at the root: host facts, each step's
 measurements, the sha256 of each `synth` and `run --out` tree, whether the
@@ -45,9 +49,14 @@ BOUNDS = {"synth_wall_s": 60.0, "run_wall_s": 90.0, "peak_rss_mb": 1536.0}
 
 
 def spawn(args: list[str], cwd: Path = WORK) -> dict:
-    """One placeweave CLI process in cwd to completion; usage from os.wait4."""
+    """One placeweave CLI process in the work directory cwd to completion,
+    its bytecode cached under cwd/pycache; usage from os.wait4."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-c", CHILD, str(ROOT / "src"), *args], cwd=cwd)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", CHILD, str(ROOT / "src"), *args], cwd=cwd,
+        env={**env, "PYTHONPYCACHEPREFIX": str(cwd / "pycache")},
+    )
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
     rc = os.waitstatus_to_exitcode(status)

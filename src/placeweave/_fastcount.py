@@ -1,13 +1,13 @@
-"""Exact closed-form census of connected induced 3- and 4-node subgraphs.
+"""Exact closed-form census of connected induced 2-, 3- and 4-node subgraphs.
 
-The induced count of every motif class follows by a fixed linear
-inversion from counts of non-induced pattern copies, and those need only
-degrees, per-edge and per-node triangle counts, pair codegrees and the
-number of 4-cliques (ESCAPE: Pinar, Seshadhri & Vishal, WWW 2017; ORCA:
-Hocevar & Demsar, Bioinformatics 2014); the two 3-node classes need only
-the degrees and the triangle count. No subgraph is visited one by one, so
-the tens of millions of 4-node subgraphs of a county-scale graph are
-counted in well under a second.
+The induced count of every motif class follows from counts of non-induced
+pattern copies by a solve of motifs.COPIES, the copy table derived from the
+class shapes (ESCAPE: Pinar, Seshadhri & Vishal, WWW 2017; ORCA: Hocevar &
+Demsar, Bioinformatics 2014). The copies need only the edge count, degrees,
+per-edge triangle counts, 4-cycles and the number of 4-cliques. No
+subgraph is visited one by one, so the tens of millions of 4-node
+subgraphs of a county-scale graph are counted in well under a second, and
+every count is an exact Python int, past int64 too.
 
 Nodes are ranked by degree and every edge points from the lower to the
 higher rank (Chiba & Nishizeki 1985); _orient is the only place that does
@@ -19,7 +19,7 @@ ANDs per triangle for the 4-cliques. The 4-cycle wedge listing is
 O(m sqrt m) too. Candidate arrays are processed in slices of at most
 _SLICE entries, or of about m at most for a node whose own pairs exceed it
 (k <= sqrt(2m)). full_census orients the graph, runs _triangles once and
-derives every class from its counts.
+solves every class from its counts, the classes with most edges first.
 
 codegrees gives codeg(i, j), the number of common neighbours, at every
 edge, for metrics.local_clustering: on at most _DENSE_MAX_NODES nodes from
@@ -36,9 +36,7 @@ import numpy as np
 
 from .errors import InvariantError
 from .ingest import INT64, group_starts
-from .motifs import CLASS_INDEX, INDEX_CLASS, MotifClass
-
-N_CLASS_SLOTS = len(INDEX_CLASS)  # nine motif classes plus OTHER
+from .motifs import CLASS_INDEX, CLASS_ORDER, COPIES, INDEX_CLASS, MotifClass
 
 _SLICE = 1 << 22  # candidate entries handled at once
 _EXACT_DEGREE = 1 << 20  # below it every per-node and per-edge term fits int64
@@ -50,10 +48,11 @@ def census_counts(
     """Count classes of connected induced k-subgraphs; returns int64[10].
 
     indptr and indices hold a simple undirected graph as symmetric CSR
-    adjacency (the network.csr_adjacency layout). The size-k slots of
-    full_census over its upper triangle; every other slot is 0. threads is
-    kept because the README's criterion 9 calls census_counts with a thread
-    count; it changes neither the counts nor the work.
+    adjacency (the network.csr_adjacency layout). Slots follow CLASS_INDEX:
+    the size-k classes of full_census over its upper triangle; every other
+    slot is 0. threads is kept because the README's criterion 9 calls
+    census_counts with a thread count; it changes neither the counts nor
+    the work.
     """
     if k not in (3, 4):
         raise ValueError(f"closed-form census supports k in (3, 4), got {k}")
@@ -61,61 +60,45 @@ def census_counts(
     src = np.repeat(np.arange(n), np.diff(indptr))
     up = src < indices
     counts = full_census(n, src[up], indices[up])
-    counts[[cls.size != k for cls in INDEX_CLASS]] = 0
-    return counts
+    return np.array([counts[c] if c.size == k else 0 for c in INDEX_CLASS], dtype=np.int64)
 
 
-def full_census(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Count every 3- and 4-node class of connected induced subgraphs; returns int64[10].
+def full_census(n: int, src: np.ndarray, dst: np.ndarray) -> dict[MotifClass, int]:
+    """Count every 2-, 3- and 4-node class of connected induced subgraphs.
 
     src and dst hold each edge of a simple undirected graph over nodes
-    0..n-1 once, as a PlaceNetwork does. Slots follow CLASS_INDEX; the M2_1
-    and OTHER slots are 0. One orientation and one pass of _triangles, the
-    triangles on each edge and the 4-clique count, serve every class.
+    0..n-1 once, as a PlaceNetwork does. Returns each class's count, an
+    exact int, in CLASS_ORDER. One orientation and one pass of _triangles,
+    the triangles on each edge and the 4-clique count, give the non-induced
+    copies of every class; the induced counts solve motifs.COPIES for them.
     """
-    counts = np.zeros(N_CLASS_SLOTS, dtype=np.int64)
     if n == 0:
-        return counts
+        return dict.fromkeys(CLASS_ORDER, 0)
     uptr, tail, head, keys, deg, _ = _orient(n, src, dst)
     d = deg.astype(object) if deg.max() >= _EXACT_DEGREE else deg
-
     t_edge, clique = _triangles(uptr, head, keys, n)
     triangles = _total(t_edge) // 3
-    diamond = _total(t_edge * (t_edge - 1) // 2)
-    cycle = _four_cycles(uptr, tail, head, deg, n)
-    # sum of t_v (d_v - 2) over nodes v; each triangle at v lies on two of v's edges
-    tailed = _total(t_edge * (d[tail] + d[head] - 4)) // 2
-    path = _total((d[tail] - 1) * (d[head] - 1)) - 3 * triangles
-    star = _total(d * (d - 1) * (d - 2) // 6)
-    # Non-induced copies of each pattern (rows) inside one induced
-    # subgraph of each class (columns); the inversion below solves this
-    # unit lower-triangular system top to bottom.
-    #            K4  diamond  C4  tailed  path  star
-    #   K4        1
-    #   diamond   6     1
-    #   C4        3     1      1
-    #   tailed   12     4      0    1
-    #   path     12     6      4    2      1
-    #   star      4     2      0    1      0     1
-    k4 = clique
-    dia = diamond - 6 * k4
-    c4 = cycle - dia - 3 * k4
-    tt = tailed - 4 * dia - 12 * k4
-    induced = {
-        MotifClass.M3_1: _total(d * (d - 1) // 2) - 3 * triangles,
+    copies = {
+        MotifClass.M2_1: keys.size,
+        MotifClass.M3_1: _total(d * (d - 1) // 2),
         MotifClass.M3_2: triangles,
-        MotifClass.M4_1: k4,
-        MotifClass.M4_2: dia,
-        MotifClass.M4_3: c4,
-        MotifClass.M4_4: tt,
-        MotifClass.M4_5: path - 2 * tt - 4 * c4 - 6 * dia - 12 * k4,
-        MotifClass.M4_6: star - tt - 2 * dia - 4 * k4,
+        MotifClass.M4_1: clique,
+        MotifClass.M4_2: _total(t_edge * (t_edge - 1) // 2),
+        MotifClass.M4_3: _four_cycles(uptr, tail, head, deg, n),
+        # sum of t_v (d_v - 2) over nodes v; each triangle at v lies on two of v's edges
+        MotifClass.M4_4: _total(t_edge * (d[tail] + d[head] - 4)) // 2,
+        MotifClass.M4_5: _total((d[tail] - 1) * (d[head] - 1)) - 3 * triangles,
+        MotifClass.M4_6: _total(d * (d - 1) * (d - 2) // 6),
     }
-    for cls, count in induced.items():
-        if count < 0:
-            raise InvariantError(f"closed-form census gave {cls} = {count} < 0")
-        counts[CLASS_INDEX[cls]] = count
-    return counts
+    # A class's copies lie in itself and in classes with more edges, so going
+    # from the most edges down, every count the solve reads is final or still 0.
+    induced = dict.fromkeys(CLASS_ORDER, 0)
+    for cls in sorted(CLASS_ORDER, key=lambda c: -c.edge_count):
+        row = COPIES[CLASS_INDEX[cls]].tolist()
+        induced[cls] = copies[cls] - sum(a * b for a, b in zip(row, induced.values()))
+        if induced[cls] < 0:
+            raise InvariantError(f"closed-form census gave {cls} = {induced[cls]} < 0")
+    return induced
 
 
 # codegrees' bitset form costs n * ceil(n / 64) uint64 words and m * ceil(n / 64)

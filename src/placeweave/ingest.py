@@ -231,9 +231,10 @@ class CsvRows(AbstractContextManager):
     name or "<what> file"; an opened file that is not UTF-8 raises RowError
     at its first bad byte. The header must hold every one of columns, and
     with exact be columns, in order. Iterating yields (line, fields) per
-    non-blank row, fields in columns order (a repeated column's last field
-    wins); a row with fewer fields than the header, or with exact more,
-    raises RowError. quoting is csv.reader's; QUOTE_NONE reads unquoted files.
+    non-blank row, line being the row's first physical line and fields in
+    columns order (a repeated column's last field wins); a row with fewer
+    fields than the header, or with exact more, raises RowError. quoting is
+    csv.reader's; QUOTE_NONE reads unquoted files.
     """
 
     def __init__(
@@ -276,11 +277,13 @@ class CsvRows(AbstractContextManager):
 
     def __iter__(self) -> Iterator[tuple[int, list[str]]]:
         reader, index, width = self.reader()
+        line = reader.line_num + 1  # the next record starts past the lines read so far
         for row in reader:
             if len(row) == width or (len(row) > width and not self.exact):
-                yield reader.line_num, row if self.exact else [row[i] for i in index]
+                yield line, row if self.exact else [row[i] for i in index]
             elif row:
-                raise self.error(reader.line_num, "wrong number of fields")
+                raise self.error(line, "wrong number of fields")
+            line = reader.line_num + 1
 
 
 def write_json(doc: dict, path: str | Path) -> None:

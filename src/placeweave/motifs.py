@@ -4,10 +4,12 @@ CLASS_SHAPES writes each of the nine classes once, as edges between its
 key positions. Placing those positions on node slots in every order gives
 every connected graph on up to four slots with its class (EMBEDDINGS), so
 classification maps a graph's vertices to slots and looks its edge mask
-up. Enumeration counts every connected node-induced
-k-subgraph of a network exactly once, in closed form (_fastcount):
-induced counts follow from degrees, triangles, codegrees and 4-cliques
-without visiting any subgraph.
+up. Subsets of each shape that classify as a class of its size give
+COPIES, the copy table. Enumeration counts every connected node-induced
+k-subgraph of a network exactly once, in closed form (_fastcount): a
+solve of COPIES turns non-induced copy counts from degrees, triangles,
+codegrees and 4-cliques into induced counts without visiting any
+subgraph, and each count stays an exact Python int, past int64 too.
 
 Trajectory classification is the second counting mode: each device-day's
 stay walk induces a small graph whose identity is (node set, edge set);
@@ -38,7 +40,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InvariantError
 from .ingest import SequenceTable, group_starts, is_weekend
 from .network import PlaceNetwork, csr_adjacency, edge_key
 
@@ -156,9 +157,8 @@ def enumerate_induced(net: PlaceNetwork, k: int) -> dict[MotifClass, int]:
     """Count connected node-induced k-subgraphs per motif class.
 
     k = 2 is the edge count. For k = 3 and 4 the counts are the size-k
-    classes of the closed-form census (_fastcount.census_counts): 3-node
-    classes from degrees and the triangle count, 4-node classes from
-    degrees, triangles, codegrees and 4-cliques; numpy only.
+    classes of the closed-form census (_fastcount.census_counts), solved
+    from degrees, triangles, codegrees and 4-cliques; numpy only.
     """
     if k not in (2, 3, 4):
         raise ValueError(f"k must be 2, 3 or 4, got {k}")
@@ -167,29 +167,19 @@ def enumerate_induced(net: PlaceNetwork, k: int) -> dict[MotifClass, int]:
     from ._fastcount import census_counts
 
     _, indptr, indices = csr_adjacency(net)
-    return _class_counts(census_counts(indptr, indices, k))
-
-
-def _class_counts(raw: np.ndarray) -> dict[MotifClass, int]:
-    """The nonzero classes of a census count array, whose OTHER slot must be 0."""
-    result = {INDEX_CLASS[i]: int(c) for i, c in enumerate(raw) if c}
-    if result.pop(MotifClass.OTHER, 0):
-        raise InvariantError("enumeration emitted a disconnected subset")
-    return result
+    counts = census_counts(indptr, indices, k)
+    return {c: int(count) for c, count in zip(INDEX_CLASS, counts) if count}
 
 
 def enumeration_census(net: PlaceNetwork) -> dict[MotifClass, int]:
     """Whole-network count of each 2-, 3- and 4-node class, in CLASS_ORDER.
 
-    M2_1 is the edge count; every other class comes from one closed-form
-    census (_fastcount.full_census) of the network's edge arrays.
+    Every class comes from one closed-form census (_fastcount.full_census)
+    of the network's edge arrays, as an exact Python int.
     """
     from ._fastcount import full_census
 
-    raw = full_census(net.n_nodes, net.src, net.dst)
-    raw[CLASS_INDEX[MotifClass.M2_1]] = net.n_edges
-    counts = _class_counts(raw)
-    return {c: counts.get(c, 0) for c in CLASS_ORDER}
+    return full_census(net.n_nodes, net.src, net.dst)
 
 
 # -- trajectory census -------------------------------------------------------
@@ -210,11 +200,28 @@ def _mask_class(n: int, mask: int) -> int:
 # classify_graph of every (node count, edge mask) as a CLASS_INDEX; -1 where
 # it raises.
 MASK_CLASS = np.array([[_mask_class(n, m) for m in range(64)] for n in range(5)], dtype=np.int8)
+OTHER = CLASS_INDEX[MotifClass.OTHER]
+
+
+def _copies() -> np.ndarray:
+    copies = np.zeros((len(CLASS_ORDER),) * 2, dtype=np.int64)
+    for cls, shape in CLASS_SHAPES.items():
+        full = sum(int(PAIR_BIT[a, b]) for a, b in shape)
+        for sub in range(64):
+            part = MASK_CLASS[cls.size, sub]
+            if sub & full == sub and part != OTHER:
+                copies[part, CLASS_INDEX[cls]] += 1
+    return copies
+
+
+# COPIES[p, f]: the non-induced copies of class p in one induced subgraph of
+# class f, by CLASS_INDEX: the subsets of f's shape that MASK_CLASS names p on
+# f's node count, so each spans f's nodes and is connected.
+COPIES = _copies()
 # Position of each mask's sorted edge tuple among all 64: sorting instances of
 # one class and node set by it sorts them by their edges.
 EDGE_RANK = np.empty(64, dtype=np.uint8)
 EDGE_RANK[sorted(range(64), key=mask_edges)] = np.arange(64)
-OTHER = CLASS_INDEX[MotifClass.OTHER]
 
 # One OTHER instance-day: (day, sorted node names, sorted edge name pairs, device_count).
 OtherRow = tuple[int, tuple[str, ...], tuple[tuple[str, str], ...], int]

@@ -193,17 +193,21 @@ def csv_stop_rows(text: str, where: str = "stops file") -> list[Stop]:
     Ids are stripped of surrounding whitespace and a repeated column's last
     field wins. A row that is not blank and has fewer fields than the header,
     an empty id, a device id holding a line break, a field int() rejects, a
-    negative dwell or a value outside int64 raises RowError(where, line).
+    negative dwell or a value outside int64 raises RowError(where, line),
+    line being the row's first physical line.
     """
     reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, [])
     last = {name: i for i, name in enumerate(header)}
     index = [last[c] for c in ("device_id", "poi_id", "start_time", "dwell")]
     stops = []
-    for row in reader:
+    while True:
+        line = reader.line_num + 1  # the record's first line
+        row = next(reader, None)
+        if row is None:
+            return stops
         if not row:
             continue
-        line = reader.line_num
         if len(row) < len(header):
             raise RowError(where, line, "wrong number of fields")
         device, poi, start, dwell = (row[i] for i in index)
@@ -217,7 +221,6 @@ def csv_stop_rows(text: str, where: str = "stops file") -> list[Stop]:
         if dwell < 0 or not -(2**63) <= start < 2**63 or dwell >= 2**63:
             raise RowError(where, line, "integer field out of range")
         stops.append(Stop(device, poi, start, dwell))
-    return stops
 
 
 def format_sequences(sequences) -> str:
@@ -353,6 +356,19 @@ def brute_force_classify(n: int, edges) -> MotifClass:
         if size == n and graphs_isomorphic(n, edges, ref_edges):
             return cls
     return MotifClass.OTHER
+
+
+def copy_table() -> Counter:
+    """(p, f) -> how many subsets of reference graph f's edges some
+    permutation of f's vertices maps onto the edges of reference graph p."""
+    table: Counter = Counter()
+    for f, (n, f_edges) in REFERENCE_GRAPHS.items():
+        for r in range(1, len(f_edges) + 1):
+            for sub in itertools.combinations(sorted(f_edges), r):
+                for p, (size, p_edges) in REFERENCE_GRAPHS.items():
+                    if size == n and graphs_isomorphic(n, sub, p_edges):
+                        table[p, f] += 1
+    return table
 
 
 def brute_force_enumerate(net, k: int) -> dict[MotifClass, int]:

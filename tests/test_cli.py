@@ -586,13 +586,14 @@ def test_test_only_helpers_are_not_in_the_package():
         ingest.SequenceTable: ["walks"],
         network: ["build_network", "bisect_left", "pair_network", "poi_pairs"],
         network.PlaceNetwork: ["index"],
-        motifs: ["_instance_order", "ClassStats", "MotifCensus", "census_percentages"],
+        motifs: ["_instance_order", "ClassStats", "MotifCensus", "census_percentages",
+                 "_class_counts"],
         stats: ["attach_distances", "DistanceSplit", "DistanceTable", "distance_document"],
         attributes: ["AttributedEntry"],
         metrics: ["NetworkSummary"],
         metrics.DegreeHistogram: ["pdf_at", "ccdf_at", "mean"],
         refnets: ["RNG_ALGORITHM"],
-        _fastcount: ["_four_cliques"],
+        _fastcount: ["_four_cliques", "N_CLASS_SLOTS"],
     }
     for owner, names in removed.items():
         for name in names:

@@ -228,6 +228,7 @@ def test_sequence_file_round_trip(tmp_path):
         ("a|b,junk", "wrong number of fields"),
         ("p;1|p2", "stay 'p;1' contains a reserved separator"),
         ('"p1|p,2"', "stay 'p,2' contains a reserved separator"),
+        ('"p1|p\n2"', r"stay 'p\\n2' contains a reserved separator"),  # the row spans lines 3-4
     ],
 )
 def test_read_sequences_names_the_bad_row(stays, message):
@@ -405,12 +406,12 @@ def test_catalog_rejects_reserved_separator_in_poi_id(tmp_path, poi_id):
         load_poi_catalog(path)
 
 
-# A quoted field holding a line break spans two lines; errors name the last.
+# A quoted field holding a line break spans two lines; errors name the first.
 @pytest.mark.parametrize("poi_id", ["p\r1", "p\n1"])
 def test_catalog_rejects_line_break_in_poi_id(tmp_path, poi_id):
     path = tmp_path / "pois.csv"
     path.write_text(POIS_HEADER + "p0,A,0.0,0.0,44\n" + f'"{poi_id}",B,0.0,0.0,44\n', newline="")
-    where = re.escape(f"{path}:4: poi_id {poi_id!r} contains")
+    where = re.escape(f"{path}:3: poi_id {poi_id!r} contains")
     with pytest.raises(SchemaError, match=f"^{where}"):
         load_poi_catalog(path)
     stops = tmp_path / "stops.csv"
@@ -426,7 +427,7 @@ def test_stops_reject_line_break_in_device_id(tmp_path, device_id):
     path.write_text(
         STOPS_HEADER + "".join(rows) + f'"{device_id}",p1,1580601600,600\n', newline=""
     )
-    where = re.escape(f"{path}:53: device_id {device_id!r} holds a line break")
+    where = re.escape(f"{path}:52: device_id {device_id!r} holds a line break")
     with pytest.raises(SchemaError, match=f"^{where}"):
         parse_stops(path)
     pois = tmp_path / "pois.csv"

@@ -2,6 +2,7 @@ import datetime as dt
 import hashlib
 import itertools
 import json
+import math
 import random
 from types import SimpleNamespace
 
@@ -26,6 +27,7 @@ from placeweave.errors import InvariantError
 from placeweave.motifs import (
     CLASS_INDEX,
     CLASS_ORDER,
+    COPIES,
     EDGE_RANK,
     INDEX_CLASS,
     MASK_CLASS,
@@ -221,6 +223,17 @@ def test_closed_engine_exact_when_terms_leave_int64(monkeypatch):
     monkeypatch.setattr(_fastcount, "INT64", SimpleNamespace(max=7))
     for k in (3, 4):
         assert enumerate_induced(net, k) == expected[k]
+
+
+def test_full_census_stays_exact_past_int64():
+    # C(3.9M, 3) 3-stars pass int64's 9.2e18: an int64 count array overflows.
+    leaves = 3_900_000
+    census = _fastcount.full_census(
+        leaves + 1, np.zeros(leaves, dtype=np.int64), np.arange(1, leaves + 1)
+    )
+    assert census[MotifClass.M4_6] == math.comb(leaves, 3) == 9_886_492_395_001_300_000
+    assert census[MotifClass.M3_1] == math.comb(leaves, 2)
+    assert census[MotifClass.M2_1] == leaves
 
 
 def complete_bipartite(a, b):
@@ -433,6 +446,27 @@ def test_enumeration_census_lists_triangles_once(monkeypatch, net):
         size_k = [c for c in CLASS_ORDER if c.size == k]
         slots = _fastcount.census_counts(indptr, indices, k)
         assert [slots[CLASS_INDEX[c]] for c in size_k] == [census[c] for c in size_k]
+
+
+def test_copy_table_equals_the_permutation_oracle():
+    copies = oracles.copy_table()
+    assert COPIES.tolist() == [[copies[p, f] for f in CLASS_ORDER] for p in CLASS_ORDER]
+
+
+def test_full_census_matches_brute_force_on_every_graph_of_at_most_five_nodes():
+    # every labelled graph: n < 4, edge-free and complete graphs among them
+    for n in range(6):
+        names = [f"v{i}" for i in range(n)]
+        pairs = list(itertools.combinations(names, 2))
+        for mask in range(1 << len(pairs)):
+            net = network({pair: 1 for i, pair in enumerate(pairs) if mask >> i & 1}, nodes=names)
+            expected = {}
+            for k in (2, 3, 4):
+                expected.update(brute_force_enumerate(net, k))
+            census = _fastcount.full_census(net.n_nodes, net.src, net.dst)
+            assert census == {c: expected.get(c, 0) for c in CLASS_ORDER}, (n, mask)
+            assert list(census) == list(CLASS_ORDER)
+            assert all(type(count) is int for count in census.values())
 
 
 def _census_of_size(net, k):

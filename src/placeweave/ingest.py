@@ -13,10 +13,11 @@ PoiCatalog.codes. A repeated poi_id is fatal, naming the file and line.
 Every CSV file the package reads goes through CsvRows: a bad row raises
 RowError starting FILE:LINE:. Stops and POIs may carry further columns and
 trailing fields; the files the program writes must match their header.
-The stops file is read in np.loadtxt blocks from the file CsvRows opened;
-a file the blocks cannot read is read again row by row. The bulk files the
-program writes are int32 tokens over a vocabulary of strings that carry
-their separators, written by write_tokens as one byte gather.
+The stops file and network edge lists are read in np.loadtxt blocks from
+the file CsvRows opened (CsvRows.blocks); a file the blocks cannot read is
+read again row by row, and only the row readers word errors. The bulk
+files the program writes are int32 tokens over a vocabulary of strings
+that carry their separators, written by write_tokens as one byte gather.
 
 A stop becomes a visit when its dwell time reaches the configured
 threshold. Visits are grouped per device and local calendar day, ordered
@@ -73,12 +74,18 @@ EPOCH = dt.date(1970, 1, 1)
 EARTH_RADIUS_KM = 6371.0088
 _US_PER_DAY = 86_400_000_000
 _MIN_DAY, _MAX_DAY = ((day - EPOCH).days for day in (dt.date.min, dt.date.max))
-INT64 = np.iinfo(np.int64)
+# int64's bounds as Python ints: np.iinfo computes .max and .min again on each
+# access (0.2 us), and the row readers test them once per row.
+INT64 = SimpleNamespace(min=-(2**63), max=2**63 - 1)
 # Rows per token block a file writer builds, and tokens per byte gather of
 # write_tokens: together they bound the memory a written file takes.
 TOKEN_ROWS = 8_192
 _GATHER = 1 << 16
-# Stop rows per np.loadtxt block: the parse holds one block's strings at a time.
+# Rows per np.loadtxt block of CsvRows.blocks: a bulk read holds one block's
+# strings at a time. Blocks double from _FIRST_BLOCK rows, because np.loadtxt
+# sets up max_rows rows before it reads one (1.2 ms for 65,536 rows with
+# object fields), so a file sets up at most twice its rows, or _FIRST_BLOCK.
+_FIRST_BLOCK = 1_024
 _STOP_BLOCK = 65_536
 
 
@@ -285,6 +292,43 @@ class CsvRows(AbstractContextManager):
                 raise self.error(line, "wrong number of fields")
             line = reader.line_num + 1
 
+    def blocks(self, types: Sequence[type]) -> Iterator[np.ndarray | None]:
+        """The data rows as np.loadtxt blocks of up to _STOP_BLOCK rows, or None in
+        place of the first block loadtxt cannot read, which ends them.
+
+        A block is a structured array with a field per column, named by columns
+        and typed by types; an object field holds each value as a Python string,
+        uncut and with any trailing NUL. Blank lines are skipped, as csv.reader's
+        empty rows are. A row shorter than the header, or with exact longer,
+        fails the block, as it fails csv.reader's count: the header's last field
+        is always read, and an exact file is read whole.
+        """
+        _, index, width = self.reader()  # checks the header and leaves the file past it
+        fields, usecols = list(zip(self.columns, types)), None
+        if not self.exact:
+            usecols = index if width - 1 in index else [*index, width - 1]
+            fields += [("last", object)] * (len(usecols) - len(index))
+        dtype, quotechar = np.dtype(fields), None if self.quoting == csv.QUOTE_NONE else '"'
+        size = min(_FIRST_BLOCK, _STOP_BLOCK)
+        while True:
+            with warnings.catch_warnings():
+                # blank lines and an empty tail give no data, as csv.reader's empty rows do
+                warnings.filterwarnings("ignore", r"(loadtxt: input|Input line \d+) contained no data")
+                try:
+                    block = np.loadtxt(
+                        self._fh, dtype=dtype, delimiter=",", quotechar=quotechar,
+                        comments=None, usecols=usecols, max_rows=size, ndmin=1,
+                    )
+                except ValueError:
+                    yield None
+                    return
+            last = len(block) < size
+            yield block
+            del block  # the next block's strings replace this one's
+            if last:
+                return
+            size = min(2 * size, _STOP_BLOCK)
+
 
 def write_json(doc: dict, path: str | Path) -> None:
     """Write doc as JSON: indent 2, sorted keys, a trailing newline."""
@@ -396,9 +440,12 @@ def _checked_stops(rows: CsvRows) -> StopTable:
 
 def _block_codes(index: dict[str, int], values: np.ndarray) -> np.ndarray:
     """The int32 code of each of a block's values, numbering the values not yet
-    in index from len(index) on."""
+    in index from len(index) on, in the order they first appear.
+
+    A file whose ids first appear in order, as a star's do, so leaves index
+    in sorted order, and sorting its keys is one pass."""
     values = values.tolist()
-    new = set(values).difference(index)
+    new = [v for v in dict.fromkeys(values) if v not in index]
     index.update(zip(new, range(len(index), len(index) + len(new))))
     return np.fromiter(map(index.__getitem__, values), dtype=np.int32, count=len(values))
 
@@ -411,41 +458,24 @@ def _sorted_codes(values: list[str], codes: list[np.ndarray]) -> tuple[list[str]
 
 
 def _bulk_stops(rows: CsvRows) -> StopTable | None:
-    """The stops file's table read in np.loadtxt blocks of _STOP_BLOCK rows, or
-    None when a row needs the row check or holds an integer only int() reads.
+    """The stops file's table read in CsvRows.blocks, or None when a row needs
+    the row check or holds an integer only int() reads.
 
     The id fields are Python strings, so no id is cut to a field width or loses
     a trailing NUL; ids are interned through one dict per column across the
-    blocks and sorted once at the end. The header's last field is always read,
-    so a row shorter than the header fails as in csv.reader's count.
+    blocks and sorted once at the end.
     """
-    _, index, width = rows.reader()  # checks the header and leaves the file past it
-    usecols = [*index, width - 1] if width - 1 not in index else index
-    dtype = np.dtype(
-        [("device", object), ("poi", object), ("start", np.int64), ("dwell", np.int64)]
-        + [("last", object)] * (len(usecols) - 4)
-    )
     device_index: dict[str, int] = {}
     poi_index: dict[str, int] = {}
     devices, pois, starts, dwells = [], [], [], []
-    with warnings.catch_warnings():
-        # blank lines and an empty tail are skipped, as csv.reader's empty rows are
-        warnings.filterwarnings("ignore", r"(loadtxt: input|Input line \d+) contained no data")
-        while True:
-            try:
-                block = np.loadtxt(
-                    rows._fh, dtype=dtype, delimiter=",", quotechar='"', comments=None,
-                    usecols=usecols, max_rows=_STOP_BLOCK, ndmin=1,
-                )
-            except ValueError:
-                return None
-            devices.append(_block_codes(device_index, block["device"]))
-            pois.append(_block_codes(poi_index, block["poi"]))
-            starts.append(block["start"].copy())
-            dwells.append(block["dwell"].copy())
-            if len(block) < _STOP_BLOCK:
-                break
-            del block  # the next block's strings replace this one's
+    for block in rows.blocks((object, object, np.int64, np.int64)):
+        if block is None:
+            return None
+        devices.append(_block_codes(device_index, block["device_id"]))
+        pois.append(_block_codes(poi_index, block["poi_id"]))
+        starts.append(block["start_time"].copy())
+        dwells.append(block["dwell"].copy())
+        del block  # the next block's strings replace this one's
     start, dwell = np.concatenate(starts), np.concatenate(dwells)
     del starts, dwells
     device_ids, poi_ids = list(device_index), list(poi_index)  # in code order

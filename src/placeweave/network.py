@@ -16,7 +16,10 @@ symmetric CSR layout for callers of _fastcount.census_counts.
 
 The on-disk format is a CSV edge list (poi_a,poi_b,weight, poi_a < poi_b,
 rows sorted, fields unquoted) plus a JSON sidecar carrying the label, node
-count, build mode and any isolated nodes.
+count, build mode and any isolated nodes. read_network reads the edge list
+in np.loadtxt blocks (ingest.CsvRows.blocks), interning the ids per block,
+and checks its rules over whole arrays; a file that fails either is read
+again row by row, which words the error.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .ingest import (
     INT64,
     CsvRows,
     SequenceTable,
+    _block_codes,
     _intern,
     day_date,
     group_starts,
@@ -282,39 +286,86 @@ def read_sidecar(path: str | Path) -> dict:
     return meta
 
 
+def _checked_edges(rows: CsvRows) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The sorted distinct endpoint ids, each row's (poi_a, poi_b) codes into
+    them and its int64 weight, read row by row; the first bad row raises RowError."""
+    edges: dict[tuple[str, str], int] = {}
+    for line, (a, b, w) in rows:
+        try:
+            w = int(w)
+        except ValueError:
+            raise rows.error(line, f"non-integer weight {w!r}") from None
+        if w < 1:
+            raise rows.error(line, "weight must be >= 1")
+        if w > INT64.max:
+            raise rows.error(line, f"weight {w} exceeds 2**63 - 1")
+        if not a < b:
+            raise rows.error(line, "rows must satisfy poi_a < poi_b")
+        if (a, b) in edges:
+            raise rows.error(line, f"duplicate edge {a},{b}")
+        edges[a, b] = w
+    names, codes = _intern([v for edge in edges for v in edge])
+    return names, codes.reshape(-1, 2), np.array(list(edges.values()), dtype=np.int64)
+
+
+def _bulk_edges(rows: CsvRows) -> tuple[list[str], np.ndarray, np.ndarray] | None:
+    """What _checked_edges returns, read in CsvRows.blocks, or None when a block
+    is irregular or a row breaks a rule: a weight below 1, poi_a >= poi_b or a
+    repeated pair.
+
+    Both endpoint columns are interned through one dict across the blocks;
+    the ids are sorted once at the end, so code order is id order.
+    """
+    index: dict[str, int] = {}
+    ends, weights = [], []
+    for block in rows.blocks((object, object, np.int64)):
+        if block is None:
+            return None
+        a, b = (_block_codes(index, block[column]) for column in NETWORK_COLUMNS[:2])
+        ends.append(np.stack((a, b), axis=1))
+        weights.append(block["weight"].copy())
+        del block  # the next block's strings replace this one's
+    names = sorted(index)
+    remap = np.empty(len(names), dtype=np.int32)  # code -> position in names
+    remap[np.fromiter(map(index.__getitem__, names), dtype=np.int64, count=len(names))] = (
+        np.arange(len(names), dtype=np.int32)
+    )
+    del index
+    ends, weight = remap[np.concatenate(ends)], np.concatenate(weights)
+    if (weight < 1).any() or (ends[:, 0] >= ends[:, 1]).any():
+        return None
+    key = ends[:, 0].astype(np.int64) * len(names) + ends[:, 1]
+    # a file write_network wrote is in key order, and needs no sort to show its pairs distinct
+    if not (key[1:] > key[:-1]).all() and len(group_starts(np.sort(key))) < len(key):
+        return None
+    return names, ends, weight
+
+
 def read_network(path: str | Path) -> PlaceNetwork:
     """The network of an edge-list file, read as write_network writes it, and its sidecar.
 
-    Each weight, and total_weight * (nodes - 1), must fit in int64: that
-    product bounds every int64 sum metrics.local_clustering takes.
+    The file is read in np.loadtxt blocks; a file the blocks cannot read, or
+    with a row that breaks a rule, is read again row by row, so the first bad
+    row raises RowError naming the file and line. Each weight, and
+    total_weight * (nodes - 1), must fit in int64: that product bounds every
+    int64 sum metrics.local_clustering takes.
     """
-    edges: dict[tuple[str, str], int] = {}
     with CsvRows(path, NETWORK_COLUMNS, "network", exact=True, quoting=csv.QUOTE_NONE) as rows:
-        for line, (a, b, w) in rows:
-            try:
-                w = int(w)
-            except ValueError:
-                raise rows.error(line, f"non-integer weight {w!r}") from None
-            if w < 1:
-                raise rows.error(line, "weight must be >= 1")
-            if w > INT64.max:
-                raise rows.error(line, f"weight {w} exceeds 2**63 - 1")
-            if not a < b:
-                raise rows.error(line, "rows must satisfy poi_a < poi_b")
-            if (a, b) in edges:
-                raise rows.error(line, f"duplicate edge {a},{b}")
-            edges[a, b] = w
+        edges = _bulk_edges(rows)
+        names, ends, weights = _checked_edges(rows) if edges is None else edges
     meta = read_sidecar(path)
-    names, codes = _intern([v for edge in edges for v in edge] + meta.get("isolated_nodes", []))
-    total = sum(edges.values())
+    if meta.get("isolated_nodes"):
+        names, remap = _intern(names + meta["isolated_nodes"])
+        ends = remap[ends]  # names is sorted, so its codes lead remap
+    overflow = weights.size and int(weights.max()) > INT64.max // weights.size
+    total = sum(weights.tolist()) if overflow else int(weights.sum())
     if total * (len(names) - 1) > INT64.max:
         raise SchemaError(
             f"network {path}: total weight {total} times {len(names) - 1} (nodes - 1) "
             "exceeds 2**63 - 1"
         )
-    ends = codes[: 2 * len(edges)].reshape(-1, 2)
     return PlaceNetwork.from_arrays(
-        names, ends[:, 0], ends[:, 1], list(edges.values()),
+        names, ends[:, 0], ends[:, 1], weights,
         label=meta.get("label", ""), mode=meta.get("mode"),
     )
 

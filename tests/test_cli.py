@@ -1,4 +1,5 @@
 import csv
+import gc
 import inspect
 import io
 import json
@@ -547,6 +548,52 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "placeweave" in capsys.readouterr().out
+
+
+def _stage_refnet_raising(error):
+    def stage(*args, **kwargs):
+        raise error
+
+    return stage
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize(
+    "degree, stage, outcome",
+    [
+        ("3", None, 0),
+        ("inf", None, 2),
+        ("3", _stage_refnet_raising(InvariantError("broken")), 3),
+        ("3", _stage_refnet_raising(ValueError("a pipeline bug")), ValueError),
+        ("three", None, SystemExit),  # argparse rejects the value
+    ],
+    ids=["exit-0", "exit-2", "exit-3", "internal-error", "argparse-exit"],
+)
+def test_main_leaves_the_collector_as_it_found_it(
+    tmp_path, monkeypatch, enabled, degree, stage, outcome
+):
+    seen = []
+    real = stage or pipeline.stage_refnet
+
+    def stage_refnet(*args, **kwargs):
+        seen.append(gc.isenabled())  # the stage runs with the collector on
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "stage_refnet", stage_refnet)
+    argv = ["refnet", "--kind", "random", "--n", "20", "--avg-degree", degree,
+            "--out", str(tmp_path / "ref.csv")]
+    was = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        if isinstance(outcome, int):
+            assert main(argv) == outcome
+        else:
+            with pytest.raises(outcome):
+                main(argv)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    assert seen == ([] if outcome is SystemExit else [True])
 
 
 @pytest.mark.parametrize("kind", ["random", "scale-free"])

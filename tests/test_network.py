@@ -1,6 +1,7 @@
 import datetime as dt
 import json
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from oracles import (
     node_code,
     sequence_table,
 )
-from placeweave.errors import SchemaError
+from placeweave import ingest
+from placeweave import network as network_module
+from placeweave.errors import RowError, SchemaError
 from placeweave.network import (
     PlaceNetwork,
     _sum_edges,
@@ -224,6 +227,10 @@ def test_read_network_rejects_bad_header(tmp_path):
         ("c,b,2", "rows must satisfy poi_a < poi_b"),
         ("a,a,2", "rows must satisfy poi_a < poi_b"),
         ("a,b,3", "duplicate edge a,b"),
+        ("b,d,3", "duplicate edge b,d"),
+        ("b,c,-2", "weight must be >= 1"),
+        ("b,c,9223372036854775808", "weight 9223372036854775808 exceeds 2**63 - 1"),
+        ("  ", "wrong number of fields"),
     ],
 )
 def test_read_network_names_the_bad_row(tmp_path, row, message):
@@ -359,11 +366,20 @@ def test_build_network_matches_brute_force(walks, mode):
 
 
 NODE_NAMES = st.text("abcxyz019_-.", min_size=1, max_size=4)
+# Ids a network file holds unquoted that a quoting or fixed-width parse would
+# change: a leading quote, non-ASCII letters, spaces and a trailing NUL.
+ODD_NODE_NAMES = st.one_of(
+    NODE_NAMES,
+    NODE_NAMES.map(lambda v: '"' + v),
+    st.text("éü中 ab", min_size=1, max_size=4),
+    NODE_NAMES.map(lambda v: f"{v} {v}"),
+    NODE_NAMES.map(lambda v: v + "\x00"),
+)
 
 
 @st.composite
-def networks(draw):
-    nodes = draw(st.lists(NODE_NAMES, unique=True, max_size=8))
+def networks(draw, names=NODE_NAMES):
+    nodes = draw(st.lists(names, unique=True, max_size=8))
     label = draw(st.text(max_size=12))
     mode = draw(st.sampled_from([None, "consecutive", "covisitation", "reference"]))
     ends = st.sampled_from(nodes) if nodes else st.nothing()
@@ -393,3 +409,72 @@ def test_network_file_round_trips_any_network(tmp_path_factory, net):
     )
     write_network(back, path.with_name("again.csv"), extra_meta={"days": 3})
     assert path.with_name("again.csv").read_bytes() == path.read_bytes()
+
+
+def _read_outcome(path):
+    try:
+        net = read_network(path)
+    except SchemaError as exc:
+        return type(exc), str(exc)
+    return net, net.names, net.label, net.mode
+
+
+def _read_both_ways(path):
+    """read_network's outcome through its block reader, in blocks of 3 rows,
+    and through the row reader alone, and whether the block reader read the file."""
+    bulk = network_module._bulk_edges
+    read = []
+
+    def spy(rows):
+        edges = bulk(rows)
+        read.append(edges is not None)
+        return edges
+
+    with mock.patch.object(network_module, "_bulk_edges", spy), \
+            mock.patch.object(ingest, "_STOP_BLOCK", 3):
+        fast = _read_outcome(path)
+    with mock.patch.object(network_module, "_bulk_edges", lambda rows: None):
+        slow = _read_outcome(path)
+    return fast, slow, read == [True]
+
+
+@settings(max_examples=100, deadline=None)
+@example(network(
+    {('"p', "q"): 2, ("q", "é中"): 1, ("a b", "q\x00"): 3, ("q", "q\x00"): 4},
+    nodes=["lonely", " "], label="2020-02-03", mode="covisitation",
+))
+@given(networks(ODD_NODE_NAMES))
+def test_block_and_row_readers_read_any_written_network_alike(tmp_path_factory, net):
+    path = tmp_path_factory.mktemp("net") / "net.csv"
+    write_network(net, path)
+    fast, slow, bulk = _read_both_ways(path)
+    assert fast == slow == (net, net.names, net.label, net.mode)
+    assert bulk  # a file write_network wrote needs no row reader
+
+
+@pytest.mark.parametrize(
+    "rows, bulk",
+    [
+        ("", True),  # the header alone
+        ("b,c,1\na,b,2\n", True),  # rows out of order
+        ("a,b, 5\nb,c,+7\n", True),
+        ("a,b,1_000\nb,c,5\n", False),  # 1_000 only int() reads
+        ("a,b,9223372036854775807\nb,c,1\n", True),  # the total leaves int64: SchemaError
+    ],
+    ids=["header-only", "unsorted", "signs-and-spaces", "int-only-weight", "total-past-int64"],
+)
+def test_block_and_row_readers_read_a_hand_written_file_alike(tmp_path, rows, bulk):
+    path = tmp_path / "net.csv"
+    path.write_text("poi_a,poi_b,weight\n" + rows)
+    fast, slow, read_in_blocks = _read_both_ways(path)
+    assert fast == slow and read_in_blocks is bulk
+
+
+@pytest.mark.parametrize("rows_before", [2, 3000], ids=["first-chunk", "later-block"])
+def test_read_network_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, rows_before):
+    path = tmp_path / "net.csv"
+    head = "".join(["poi_a,poi_b,weight\n", *(f"a,b{i:05d},1\n" for i in range(rows_before))])
+    path.write_bytes(head.encode() + b"b,\xffc,1\n")
+    message = f"{path}:{rows_before + 2}: not UTF-8: invalid start byte at byte {len(head) + 2}"
+    with pytest.raises(RowError, match=f"^{re.escape(message)}$"):
+        read_network(path)

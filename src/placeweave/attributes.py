@@ -8,13 +8,17 @@ reduced to the lexicographic minimum over the class's automorphism group.
 For every connected edge mask of the instance table, KEY_PERMS stores the
 slot permutations that carry the class shape onto it; an instance's key is
 the minimum of its sector-id rows under them, packed with its class into
-one integer. The attributed census and the endpoint tally are grouped
+one integer. key_codes packs every instance's labels under all 24 slot
+orders with column shifts and ors, masks the orders its edge mask's
+KEY_PERMS rows lack, and takes the minimum, so no per-instance permutation
+rows are gathered. The attributed census and the endpoint tally are grouped
 integer sums over those keys and over the instance edges; the census comes
 out as the rows of attributed_census.csv.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -127,6 +131,12 @@ KEY_PERMS = np.array(
     [(EMBEDDINGS.get(mask, (None, [(0, 1, 2, 3)]))[1] * 24)[:24] for mask in range(64)],
     dtype=np.int8,
 )
+# Every map from key position to slot, and _ALLOWED[mask, j]: whether
+# _SLOT_ORDERS[j] is one of the mask's KEY_PERMS rows, each map read as a
+# base-4 number.
+_SLOT_ORDERS = list(itertools.permutations(range(4)))
+_BASE4 = np.array([64, 16, 4, 1])
+_ALLOWED = ((KEY_PERMS @ _BASE4)[:, :, None] == np.array(_SLOT_ORDERS) @ _BASE4).any(axis=1)
 
 
 def key_codes(cls: np.ndarray, mask: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -136,13 +146,20 @@ def key_codes(cls: np.ndarray, mask: np.ndarray, labels: np.ndarray) -> np.ndarr
     size). The key is the class index above the lexicographic minimum,
     over the mask's KEY_PERMS, of the labels in key-position order, read as
     base-32 digits (first position highest): keys sort by class, then by
-    label sequence.
+    label sequence. Each instance's code is built under all 24 slot orders
+    from shifted label columns; those its mask does not allow read as the
+    int32 maximum, and the minimum is taken.
     """
-    at = np.take_along_axis(labels[:, None, :], KEY_PERMS[mask], axis=2)
-    code = np.zeros(at.shape[:2], dtype=np.int32)  # small types: 24 rows per instance
-    for position in range(4):
-        code = code << _LABEL_BITS | at[..., position]
-    return cls.astype(np.int64) << 4 * _LABEL_BITS | code.min(axis=1)
+    slots = labels.T.astype(np.int32)
+    shifted = [[slots[slot] << _LABEL_BITS * (3 - position) for slot in range(4)]
+               for position in range(4)]
+    code = np.empty((len(_SLOT_ORDERS), len(labels)), dtype=np.int32)
+    for row, (a, b, c, d) in zip(code, _SLOT_ORDERS):
+        np.bitwise_or(shifted[0][a], shifted[1][b], out=row)
+        row |= shifted[2][c]
+        row |= shifted[3][d]
+    np.putmask(code, ~_ALLOWED.T[:, mask], np.iinfo(np.int32).max)
+    return cls.astype(np.int64) << 4 * _LABEL_BITS | code.min(axis=0)
 
 
 def canonical_keys(rows: InstanceRows, catalog: PoiCatalog) -> np.ndarray:

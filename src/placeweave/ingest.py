@@ -4,7 +4,9 @@ Device ids and POI ids are interned once: each becomes an int32 code into a
 sorted list of names, so integer order equals string order and every sort
 by name is a sort by code. Names are attached again only when a file is
 written. Stops are held as a StopTable of columns; after the catalog join
-their POI codes index the catalog's poi_ids.
+their POI codes index the catalog's poi_ids. A sort by several integer
+columns is lexorder: one stable argsort of the columns packed into one
+int64 key, or np.lexsort where their ranges do not fit it.
 
 The POI catalog is columns in poi_id order, each POI's sector resolved
 once when the catalog is built; consumers find an id's row through
@@ -39,8 +41,10 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import itertools
 import json
 import logging
+import operator
 import warnings
 from contextlib import AbstractContextManager
 from dataclasses import dataclass, replace
@@ -145,10 +149,39 @@ def _intern(values: list[str]) -> tuple[list[str], np.ndarray]:
     The names are fresh copies, so holding them pins none of the parse
     buffers the values came from.
     """
-    names = sorted(set(values))
+    names = sorted(dict.fromkeys(values))  # ids first seen in order sort in one pass
     index = {v: i for i, v in enumerate(names)}
     codes = np.fromiter(map(index.__getitem__, values), dtype=np.int32, count=len(values))
     return [v.encode().decode() for v in names], codes
+
+
+def lexorder(keys: Sequence[np.ndarray]) -> np.ndarray:
+    """The permutation np.lexsort(keys) gives, the last key primary.
+
+    The integer keys are packed into one mixed-radix int64, each key less its
+    minimum, the first key lowest, and sorted by one stable argsort. Whether
+    the product of the keys' ranges fits 2**63 is checked in Python ints from
+    each key's extremes; when it does not, when a key is not an integer type
+    int64 holds, or when the keys are empty, np.lexsort sorts them.
+    """
+    if not len(keys[0]) or not all(np.can_cast(key.dtype, np.int64) for key in keys):
+        return np.lexsort(keys)
+    ends = [(int(key.min()), int(key.max())) for key in keys]
+    size = 1
+    for lo, hi in ends:
+        size *= hi - lo + 1
+    if size > 2**63:
+        return np.lexsort(keys)
+    code = np.zeros(len(keys[0]), dtype=np.int64)
+    scale = 1
+    for key, (lo, hi) in zip(keys, ends):
+        if hi > lo:  # a constant key orders nothing
+            digit = key.astype(np.int64)
+            digit -= lo  # exact: key - lo < 2**63, and int64 wraps modulo 2**64
+            digit *= scale
+            code += digit
+            scale *= hi - lo + 1
+    return np.argsort(code, kind="stable")
 
 
 def group_starts(*columns: np.ndarray) -> np.ndarray:
@@ -438,22 +471,45 @@ def _checked_stops(rows: CsvRows) -> StopTable:
     return StopTable(devices, pois, device, poi, start, dwell)
 
 
-def _block_codes(index: dict[str, int], values: np.ndarray) -> np.ndarray:
-    """The int32 code of each of a block's values, numbering the values not yet
-    in index from len(index) on, in the order they first appear.
+class CodeIndex(dict):
+    """A dict of codes that gives each key it lacks the next code, len(self),
+    when asked for it: its keys are in code order, the order they first appear."""
+
+    def __missing__(self, key: str) -> int:
+        self[key] = code = len(self)
+        return code
+
+
+def _block_codes(index: CodeIndex, values: np.ndarray) -> np.ndarray:
+    """The int32 code in index of each of a block's values, one lookup per value.
 
     A file whose ids first appear in order, as a star's do, so leaves index
     in sorted order, and sorting its keys is one pass."""
     values = values.tolist()
-    new = [v for v in dict.fromkeys(values) if v not in index]
-    index.update(zip(new, range(len(index), len(index) + len(new))))
     return np.fromiter(map(index.__getitem__, values), dtype=np.int32, count=len(values))
+
+
+def _run_codes(index: CodeIndex, values: np.ndarray) -> np.ndarray:
+    """_block_codes of a block's values, looked up once per run of equal values."""
+    heads = group_starts(values)
+    return np.repeat(_block_codes(index, values[heads]), np.diff(heads, append=len(values)))
 
 
 def _sorted_codes(values: list[str], codes: list[np.ndarray]) -> tuple[list[str], np.ndarray]:
     """The sorted distinct stripped values, as fresh copies that pin none of
-    the parsed blocks' memory, and the blocks' codes into values mapped into them."""
-    names, remap = _intern([v.strip() for v in values])
+    the parsed blocks' memory, and the blocks' codes into values mapped into them.
+
+    values are distinct, so one sort of their positions orders them and no
+    dict is built; values that strip alike are neighbours in it and merge."""
+    stripped = [v.strip() for v in values]
+    order = sorted(range(len(stripped)), key=stripped.__getitem__)
+    ordered = [stripped[i] for i in order]
+    first = np.ones(len(ordered), dtype=bool)
+    differs = map(operator.ne, ordered[1:], ordered)  # from the value before
+    first[1:] = np.fromiter(differs, dtype=bool, count=len(first) - 1)
+    remap = np.empty(len(ordered), dtype=np.int32)
+    remap[np.array(order, dtype=np.int64)] = np.cumsum(first) - 1
+    names = [v.encode().decode() for v in itertools.compress(ordered, first)]
     return names, remap[np.concatenate(codes)]
 
 
@@ -463,15 +519,16 @@ def _bulk_stops(rows: CsvRows) -> StopTable | None:
 
     The id fields are Python strings, so no id is cut to a field width or loses
     a trailing NUL; ids are interned through one dict per column across the
-    blocks and sorted once at the end.
+    blocks and sorted once at the end. A device's rows usually come together,
+    so the device column is looked up once per run of equal ids (_run_codes);
+    the POI column, whose values rarely repeat in a row, once per row.
     """
-    device_index: dict[str, int] = {}
-    poi_index: dict[str, int] = {}
+    device_index, poi_index = CodeIndex(), CodeIndex()
     devices, pois, starts, dwells = [], [], [], []
     for block in rows.blocks((object, object, np.int64, np.int64)):
         if block is None:
             return None
-        devices.append(_block_codes(device_index, block["device_id"]))
+        devices.append(_run_codes(device_index, block["device_id"]))
         pois.append(_block_codes(poi_index, block["poi_id"]))
         starts.append(block["start_time"].copy())
         dwells.append(block["dwell"].copy())
@@ -549,16 +606,18 @@ def build_stay_sequences(stops: StopTable, utc_offset: float = 0.0) -> SequenceT
 
     Stops are keyed by (device, local date of start_time shifted by
     utc_offset hours) and ordered by start time, with poi_id as a
-    deterministic tie-break: one lexsort over the codes. Consecutive
-    repeats of the same POI collapse to one stay, and days with fewer than
-    two stays are discarded. Sequences are sorted by (device_id,
+    deterministic tie-break. For a fixed offset the local date never
+    decreases as the start time grows, so one lexorder of the codes by
+    (device, start time, POI) gives that order without the date as a key.
+    Consecutive repeats of the same POI collapse to one stay, and days with
+    fewer than two stays are discarded. Sequences are sorted by (device_id,
     local_date), so the result is independent of input order. The table
     keeps the stops' POI names and the devices that have a sequence.
     """
-    days = local_days(stops.start_time, utc_offset)
-    order = np.lexsort((stops.poi, stops.start_time, days, stops.device))
-    device, day, poi = stops.device[order], days[order], stops.poi[order]
-    del days, order  # the sort's temporaries go before the table is built
+    order = lexorder((stops.poi, stops.start_time, stops.device))
+    device, poi = stops.device[order], stops.poi[order]
+    day = local_days(stops.start_time[order], utc_offset)
+    del order  # the sort's temporaries go before the table is built
     keep = group_starts(device, day, poi)  # drops each consecutive repeat
     device, day, poi = device[keep], day[keep], poi[keep]
     starts = group_starts(device, day)  # the first stay of each device-day

@@ -17,8 +17,9 @@ per class, visit flows equal covering device-days times the class edge
 count by construction. The instance table is integer columns: a walk's
 node slots are its at most four POI codes, sorted; its steps set bits of
 a 6-bit edge mask over the slot pairs, and a (node count, mask) lookup
-table built from classify_graph names its class. One lexsort by (class,
-node codes, edge rank, day) tallies the rows: its runs are the
+table built from classify_graph names its class. One sort by (class,
+node codes, edge rank, day), packed into one int64 key where the ranges
+fit (ingest.lexorder), tallies the rows: its runs are the
 instance-day rows and the distinct instances, and a stable sort by day
 puts the rows in the order instances.csv is written in. Walks over five
 or more POIs (class OTHER) keep a small row form of names that is only
@@ -40,7 +41,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .ingest import SequenceTable, group_starts, is_weekend
+from .ingest import SequenceTable, group_starts, is_weekend, lexorder
 from .network import PlaceNetwork, csr_adjacency, edge_key
 
 
@@ -319,7 +320,7 @@ class InstanceRows:
         cls, pois, day, classes, nodes, mask, count, other: Iterable[OtherRow]
     ) -> InstanceRows:
         """The table of unsorted rows; rows of one instance on one day are summed."""
-        order = np.lexsort((day, EDGE_RANK[mask], *nodes.T[::-1], classes))
+        order = lexorder((day, EDGE_RANK[mask], *nodes.T[::-1], classes))
         day, classes, nodes, mask = day[order], classes[order], nodes[order], mask[order]
         start = group_starts(classes, nodes, mask, day)  # each instance-day, instances in order
         count, day = np.add.reduceat(count[order], start), day[start]

@@ -35,6 +35,7 @@ from .config import NETWORK_MODES, read_json
 from .errors import SchemaError
 from .ingest import (
     INT64,
+    CodeIndex,
     CsvRows,
     SequenceTable,
     _block_codes,
@@ -316,7 +317,7 @@ def _bulk_edges(rows: CsvRows) -> tuple[list[str], np.ndarray, np.ndarray] | Non
     Both endpoint columns are interned through one dict across the blocks;
     the ids are sorted once at the end, so code order is id order.
     """
-    index: dict[str, int] = {}
+    index = CodeIndex()
     ends, weights = [], []
     for block in rows.blocks((object, object, np.int64)):
         if block is None:

@@ -803,6 +803,18 @@ def canonical_key(instance, catalog):
     return AttributedMotifKey(cls, labels)
 
 
+def gathered_key_codes(cls, mask, labels):
+    """attributes.key_codes by gathering each instance's labels under its mask's
+    24 KEY_PERMS rows: the minimum of their base-32 codes, above the class."""
+    from placeweave.attributes import KEY_PERMS
+
+    at = np.take_along_axis(labels[:, None, :], KEY_PERMS[mask], axis=2)
+    code = np.zeros(at.shape[:2], dtype=np.int64)
+    for position in range(4):
+        code = code << 5 | at[..., position]
+    return cls.astype(np.int64) << 20 | code.min(axis=1)
+
+
 def attributed_census(instances, keys, top_k=10) -> dict:
     """class -> [(key, device_count, share)], share descending, labels breaking ties."""
     per_class: dict = {}

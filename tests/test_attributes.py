@@ -273,6 +273,18 @@ def test_key_perm_rows_are_pinned():
     assert digest == "35d9486f987c53d73e3351dfe65f0dcd60efdc19a1bd44179e66979b1f5def7c"
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_key_codes_equal_the_gather_over_every_mask(seed):
+    """The 24 fixed slot orders, masked per edge mask, give the keys that
+    gathering each instance's KEY_PERMS rows gives, for every 5-bit label."""
+    rng = np.random.default_rng(seed)
+    mask = np.repeat(np.arange(64, dtype=np.int8), 200)
+    labels = rng.integers(0, 32, (len(mask), 4)).astype(np.int8)
+    cls = rng.integers(0, 9, len(mask)).astype(np.int8)
+    want = oracles.gathered_key_codes(cls, mask, labels)
+    assert np.array_equal(key_codes(cls, mask, labels), want)
+
+
 @settings(max_examples=40)
 @given(st.permutations(list(range(4))), st.tuples(*[st.sampled_from(ALPHABET)] * 4))
 def test_canonical_key_invariant_under_node_ids(perm, labels):

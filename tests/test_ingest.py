@@ -15,6 +15,7 @@ from placeweave import ingest
 from placeweave.cli import main
 from placeweave.errors import RowError, SchemaError, UnknownSectorError
 from placeweave.ingest import (
+    STOPS_COLUMNS,
     filter_cataloged,
     load_poi_catalog,
     parse_stops,
@@ -139,6 +140,82 @@ def test_sequences_invariant_under_input_order(order):
     ]
     shuffled = [base[i] for i in order]
     assert build_stay_sequences(shuffled, 0) == build_stay_sequences(base, 0)
+
+
+INT_KEYS = {  # each key type with its extremes
+    np.bool_: (0, 1),
+    np.uint8: (0, 255),
+    np.int8: (-128, 127),
+    np.int32: (-(2**31), 2**31 - 1),
+    np.int64: (-(2**63), 2**63 - 1),
+}
+
+
+@st.composite
+def lexsort_keys(draw):
+    """Up to four integer keys of one length (0 included): each key's values lie
+    in a drawn span of its type, from one value to the whole type, so some keys
+    pack into one int64 and some do not."""
+    n = draw(st.integers(0, 12))
+    keys = []
+    for _ in range(draw(st.integers(1, 4))):
+        dtype = draw(st.sampled_from(list(INT_KEYS)))
+        low, high = INT_KEYS[dtype]
+        lo = draw(st.integers(low, high))
+        hi = min(high, lo + draw(st.sampled_from([0, 2, 300, 2**40, 2**62, 2**64])))
+        values = st.integers(lo, hi) | st.sampled_from([lo, hi])
+        keys.append(np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype))
+    return keys
+
+
+@settings(max_examples=300)
+@example([np.array([], dtype=np.int64)])
+@example([np.array([7], dtype=np.uint8), np.array([-3], dtype=np.int64)])
+@example([np.array([2**63 - 1, -(2**63), 0, -1])])  # a range of 2**64: np.lexsort
+@example([np.array([-1, -(2**63), -5])])  # a range of 2**63 exactly: one key
+@example([np.array([1, 0, 1, 0], dtype=np.uint8), np.array([2**62 - 1, -(2**62), 0, 5])])
+# near int64's end: packed without their minima, these keys would pass 2**63 and wrap
+@example([np.array([0, 3, 1, 2]), np.array([2**61, 2**61 - 1, 2**61 - 1, 2**61])])
+@given(lexsort_keys())
+def test_lexorder_is_the_lexsort_permutation(keys):
+    assert np.array_equal(ingest.lexorder(keys), np.lexsort(keys))
+
+
+def _spread_stops(rows, scale):
+    """A StopTable of (device code, POI code, start_time) rows with each code k
+    moved to k * scale, where the sorted names keep k's name ("d2", "p0") and
+    fill the gaps with others ("d1_0001")."""
+    size = max(max(d, p) for d, p, _ in rows) * scale + 1
+    names = [f"{i // scale}" + (f"_{i % scale:04d}" if i % scale else "") for i in range(size)]
+    devices, pois, starts = (np.array(column, dtype=np.int64) for column in zip(*rows))
+    return ingest.StopTable(
+        ["d" + name for name in names], ["p" + name for name in names],
+        (devices * scale).astype(np.int32), (pois * scale).astype(np.int32), starts,
+        np.full(len(rows), 600, dtype=np.int64),
+    )
+
+
+def test_stay_sort_falls_back_to_lexsort_where_one_key_cannot_hold_the_codes():
+    # stops on 0001-01-01 and 9999-12-31 span about 2**38 seconds: with codes
+    # spread over 2**13 device and POI names the packed key passes 2**63
+    first, last = -62_135_596_800, 253_402_300_799
+    rows = [
+        (2, 1, last - 60), (0, 2, first + 5), (0, 0, first + 5), (2, 2, last - 7200),
+        (1, 1, first), (0, 1, first + 9), (1, 0, last - 1), (2, 2, last - 3600),
+        (0, 1, first + 10), (1, 2, last), (2, 0, last - 30), (1, 2, first + 1),
+    ]
+    tables = {}
+    for scale in (1, 4095):  # the codes run to 2 and to 8190
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            tables[scale] = oracles.walks(ingest.build_stay_sequences(_spread_stops(rows, scale)))
+        assert lexsort.called == (scale > 1)
+    assert tables[1] == tables[4095]
+    assert [(w.device_id, w.local_date, w.stays) for w in tables[1]] == [
+        ("d0", dt.date(1, 1, 1), ("p0", "p2", "p1")),
+        ("d1", dt.date(1, 1, 1), ("p1", "p2")),
+        ("d1", dt.date(9999, 12, 31), ("p0", "p2")),
+        ("d2", dt.date(9999, 12, 31), ("p2", "p1", "p0")),
+    ]
 
 
 POIS_HEADER = "poi_id,name,lat,lon,naics\n"
@@ -575,3 +652,39 @@ def test_parse_stops_matches_a_csv_reader_parse(text):
     with mock.patch.object(ingest, "_STOP_BLOCK", 3):
         got = _parse_outcome(_library_stops, text)
     assert got == _parse_outcome(_oracle_stops, text)
+
+
+# Ids the run interning must keep apart, or merge as the strip does.
+INTERNED_IDS = st.sampled_from(
+    ["a", "a\x00", " a", "a ", "\ta", "b", "é", "é\x00", " é ", "中文", "d9", "d10"]
+) | STOP_IDS
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(INTERNED_IDS, st.integers(1, 4)), max_size=12),
+    st.lists(INTERNED_IDS, min_size=1, max_size=6),
+    st.randoms(use_true_random=False),
+    st.booleans(),
+)
+def test_run_interning_gives_the_row_parse_codes_and_names(runs, pois, rnd, grouped):
+    rows = [
+        (device, rnd.choice(pois), rnd.randint(-(10**12), 10**12), rnd.randint(0, 10**6))
+        for device, length in runs for _ in range(length)
+    ]
+    if not grouped:
+        rnd.shuffle(rows)
+    text = io.StringIO(newline="")
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(STOPS_COLUMNS)
+    writer.writerows(rows)
+    # blocks of three rows cut most runs of one device between two blocks
+    with mock.patch.object(ingest, "_STOP_BLOCK", 3):
+        source = io.StringIO(text.getvalue(), newline="")
+        with ingest.CsvRows(source, STOPS_COLUMNS, "stops") as read:
+            bulk, checked = ingest._bulk_stops(read), ingest._checked_stops(read)
+    assert bulk is not None
+    assert (bulk.devices, bulk.pois) == (checked.devices, checked.pois)
+    for column in ("device", "poi", "start_time", "dwell"):
+        got, want = getattr(bulk, column), getattr(checked, column)
+        assert got.dtype == want.dtype and np.array_equal(got, want), column

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import hashlib
 import itertools
@@ -5,6 +6,7 @@ import json
 import math
 import random
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -646,6 +648,30 @@ def test_trajectory_rows_tally_like_brute_force(day_walks):
         assert all(a < b for a, b in zip(keys, keys[1:]))
     for column in ("cls", "nodes", "mask"):
         assert np.array_equal(getattr(instances, column)[of_row], getattr(table, column))
+
+
+def test_tally_falls_back_to_lexsort_where_one_key_cannot_hold_the_codes():
+    """Spreading the POI codes over 2**14 times as many names takes the seven
+    tally keys past 2**63: np.lexsort then sorts them, to the same rows."""
+    seqs = [
+        seq("p0", "p4", day=SAT), seq("p4", "p3", "p0", "p1", device="d2"),
+        seq("p1", "p2", "p3", "p1"), seq("p0", "p1", "p2", "p3", "p4", device="d3"),
+        seq("p2", "p4", "p3", "p4", day=dt.date(2020, 2, 2)), seq("p0", "p4", device="d2"),
+        seq("p0", "p3", "p2", "p0", "p4", device="d4", day=SAT),
+    ]
+    table, rows = oracles.sequence_table(seqs), {}
+    for scale in (1, 2**14):  # the POI codes run to 4 and to 65,536
+        names = [table.pois[i // scale] + (f"_{i % scale:05d}" if i % scale else "")
+                 for i in range((len(table.pois) - 1) * scale + 1)]
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            rows[scale] = classify_trajectories(
+                dataclasses.replace(table, pois=names, stays=table.stays * scale)
+            ).rows
+        assert lexsort.called == (scale > 1)
+    narrow, wide = rows[1], rows[2**14]
+    assert oracles.table_rows(wide) == oracles.table_rows(narrow)
+    assert oracles.table_instances(wide) == oracles.table_instances(narrow)
+    assert np.array_equal(wide.day, narrow.day) and np.array_equal(wide.of_row, narrow.of_row)
 
 
 def test_mask_class_table_equals_classify_graph():

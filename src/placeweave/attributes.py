@@ -121,6 +121,11 @@ class AttributedMotifKey:
     def same_category(self) -> bool:
         return len(set(self.labels)) == 1
 
+    @property
+    def label_field(self) -> str:
+        """The labels field of the attributed files: the sector ids '|'-joined."""
+        return "|".join(map(str, self.labels))
+
 
 _LABEL_BITS = 5  # sector ids run 1..20
 
@@ -225,7 +230,7 @@ def attributed_census(rows: InstanceRows, keys: np.ndarray, top_k: int = 10) -> 
         for key, count in sorted(bucket, key=lambda item: (-item[1], item[0].labels))[:top_k]:
             ranked.append({
                 "class": cls.value,
-                "labels": "|".join(map(str, key.labels)),
+                "labels": key.label_field,
                 "label_names": " + ".join(sector_by_id(i).label for i in key.labels),
                 "device_count": count,
                 "share": count / total,

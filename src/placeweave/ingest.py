@@ -2,8 +2,10 @@
 
 Device ids and POI ids are interned once: each becomes an int32 code into a
 sorted list of names, so integer order equals string order and every sort
-by name is a sort by code. Names are attached again only when a file is
-written. Stops are held as a StopTable of columns; after the catalog join
+by name is a sort by code. Every reader, here and in network, numbers each
+id on first sight (CodeIndex) and sorts the distinct ids once (_sorted_codes);
+only the stops reader strips ids. Names are attached again only when a file
+is written. Stops are held as a StopTable of columns; after the catalog join
 their POI codes index the catalog's poi_ids. A sort by several integer
 columns is lexorder: one stable argsort of the columns packed into one
 int64 key, or np.lexsort where their ranges do not fit it.
@@ -41,10 +43,8 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import itertools
 import json
 import logging
-import operator
 import warnings
 from contextlib import AbstractContextManager
 from dataclasses import dataclass, replace
@@ -63,14 +63,14 @@ STOPS_COLUMNS = ("device_id", "poi_id", "start_time", "dwell")
 POIS_COLUMNS = ("poi_id", "name", "lat", "lon", "naics")
 SEQUENCES_COLUMNS = ("device_id", "local_date", "stays")
 
-# Separator used when serializing a stay list into one CSV field.
-STAY_SEPARATOR = "|"
+# Separator of the ids in one CSV field: a walk's stays, an instance's nodes, an edge's ends.
+ID_SEPARATOR = "|"
 # Separator of the edges in an instance file's edges field.
 EDGE_SEPARATOR = ";"
 # Characters the sequence and instance files use as separators; no poi_id may
 # hold one. No id may hold a line break: csv.writer leaves a bare "\r" unquoted.
 LINE_BREAKS = ("\r", "\n")
-RESERVED_CHARACTERS = (STAY_SEPARATOR, EDGE_SEPARATOR, ",", *LINE_BREAKS)
+RESERVED_CHARACTERS = (ID_SEPARATOR, EDGE_SEPARATOR, ",", *LINE_BREAKS)
 
 EPOCH = dt.date(1970, 1, 1)
 # IUGG mean Earth radius of the catalog's great-circle distances (stats,
@@ -141,18 +141,6 @@ def day_date(day: int) -> dt.date:
 def is_weekend(day: int | np.ndarray) -> bool | np.ndarray:
     """Whether a day number (an int or an int array) is a Saturday or Sunday."""
     return (day + 3) % 7 >= 5  # day 0, 1970-01-01, was a Thursday
-
-
-def _intern(values: list[str]) -> tuple[list[str], np.ndarray]:
-    """Sorted distinct values and the int32 code of each value.
-
-    The names are fresh copies, so holding them pins none of the parse
-    buffers the values came from.
-    """
-    names = sorted(dict.fromkeys(values))  # ids first seen in order sort in one pass
-    index = {v: i for i, v in enumerate(names)}
-    codes = np.fromiter(map(index.__getitem__, values), dtype=np.int32, count=len(values))
-    return [v.encode().decode() for v in names], codes
 
 
 def lexorder(keys: Sequence[np.ndarray]) -> np.ndarray:
@@ -480,37 +468,38 @@ class CodeIndex(dict):
         return code
 
 
-def _block_codes(index: CodeIndex, values: np.ndarray) -> np.ndarray:
-    """The int32 code in index of each of a block's values, one lookup per value.
-
-    A file whose ids first appear in order, as a star's do, so leaves index
-    in sorted order, and sorting its keys is one pass."""
-    values = values.tolist()
+def _block_codes(index: CodeIndex, values: Sequence[str]) -> np.ndarray:
+    """The int32 code in index of each value, one lookup per value."""
     return np.fromiter(map(index.__getitem__, values), dtype=np.int32, count=len(values))
 
 
 def _run_codes(index: CodeIndex, values: np.ndarray) -> np.ndarray:
     """_block_codes of a block's values, looked up once per run of equal values."""
     heads = group_starts(values)
-    return np.repeat(_block_codes(index, values[heads]), np.diff(heads, append=len(values)))
+    codes = _block_codes(index, values[heads].tolist())
+    return np.repeat(codes, np.diff(heads, append=len(values)))
 
 
 def _sorted_codes(values: list[str], codes: list[np.ndarray]) -> tuple[list[str], np.ndarray]:
-    """The sorted distinct stripped values, as fresh copies that pin none of
-    the parsed blocks' memory, and the blocks' codes into values mapped into them.
+    """The sorted distinct values, and the codes into values (code i names
+    values[i]) mapped into them.
 
-    values are distinct, so one sort of their positions orders them and no
-    dict is built; values that strip alike are neighbours in it and merge."""
-    stripped = [v.strip() for v in values]
-    order = sorted(range(len(stripped)), key=stripped.__getitem__)
-    ordered = [stripped[i] for i in order]
-    first = np.ones(len(ordered), dtype=bool)
-    differs = map(operator.ne, ordered[1:], ordered)  # from the value before
-    first[1:] = np.fromiter(differs, dtype=bool, count=len(first) - 1)
-    remap = np.empty(len(ordered), dtype=np.int32)
-    remap[np.array(order, dtype=np.int64)] = np.cumsum(first) - 1
-    names = [v.encode().decode() for v in itertools.compress(ordered, first)]
-    return names, remap[np.concatenate(codes)]
+    One sort of the values' positions orders them, in one pass for ids first seen
+    in sorted order (as a star's are); equal values are neighbours and merge."""
+    order = np.array(sorted(range(len(values)), key=values.__getitem__), dtype=np.int64)
+    ordered = np.array(values, dtype=object)[order]
+    starts = group_starts(ordered)  # the first position of each distinct value
+    remap = np.empty(len(values), dtype=np.int32)
+    sizes = np.diff(starts, append=len(values))
+    remap[order] = np.repeat(np.arange(len(starts), dtype=np.int32), sizes)
+    return ordered[starts].tolist(), remap[np.concatenate(codes)]
+
+
+def _intern(values: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct values and each value's int32 code into them."""
+    index = CodeIndex()
+    codes = _block_codes(index, values)
+    return _sorted_codes(list(index), [codes])
 
 
 def _bulk_stops(rows: CsvRows) -> StopTable | None:
@@ -518,10 +507,10 @@ def _bulk_stops(rows: CsvRows) -> StopTable | None:
     the row check or holds an integer only int() reads.
 
     The id fields are Python strings, so no id is cut to a field width or loses
-    a trailing NUL; ids are interned through one dict per column across the
-    blocks and sorted once at the end. A device's rows usually come together,
-    so the device column is looked up once per run of equal ids (_run_codes);
-    the POI column, whose values rarely repeat in a row, once per row.
+    a trailing NUL; each column's distinct ids are stripped and sorted once at
+    the end. A device's rows usually come together, so the device column is
+    looked up once per run of equal ids (_run_codes); the POI column, whose
+    values rarely repeat in a row, once per row.
     """
     device_index, poi_index = CodeIndex(), CodeIndex()
     devices, pois, starts, dwells = [], [], [], []
@@ -529,13 +518,14 @@ def _bulk_stops(rows: CsvRows) -> StopTable | None:
         if block is None:
             return None
         devices.append(_run_codes(device_index, block["device_id"]))
-        pois.append(_block_codes(poi_index, block["poi_id"]))
+        pois.append(_block_codes(poi_index, block["poi_id"].tolist()))
         starts.append(block["start_time"].copy())
         dwells.append(block["dwell"].copy())
         del block  # the next block's strings replace this one's
     start, dwell = np.concatenate(starts), np.concatenate(dwells)
     del starts, dwells
-    device_ids, poi_ids = list(device_index), list(poi_index)  # in code order
+    device_ids = [v.strip() for v in device_index]  # in code order
+    poi_ids = [v.strip() for v in poi_index]
     del device_index, poi_index  # free the dicts before the sorted names are indexed
     device_names, device = _sorted_codes(device_ids, devices)
     poi_names, poi = _sorted_codes(poi_ids, pois)
@@ -699,8 +689,8 @@ def write_sequences(sequences: SequenceTable, path: str | Path) -> None:
     escaped = [p.replace('"', '""') for p in pois]
     vocab = [
         *devices, *dates, "", '"',
-        *(p + STAY_SEPARATOR for p in pois), *(p + "\n" for p in pois),
-        *(e + STAY_SEPARATOR for e in escaped), *(e + '"\n' for e in escaped),
+        *(p + ID_SEPARATOR for p in pois), *(p + "\n" for p in pois),
+        *(e + ID_SEPARATOR for e in escaped), *(e + '"\n' for e in escaped),
     ]
     opening = len(devices) + len(dates)  # "" and '"' follow
     offsets = sequences.offsets
@@ -730,10 +720,10 @@ def write_sequences(sequences: SequenceTable, path: str | Path) -> None:
 def read_sequences(source: str | Path | TextIO) -> SequenceTable:
     """Read a sequences file into a SequenceTable, one sequence per row in file order.
 
-    A missing or extra field, a bad date and a stay id holding a reserved
-    separator (; , or a line break, which instances.csv and merged.csv would
-    split on) raise RowError naming the file and line; so does a walk that
-    breaks a walk rule (SequenceTable.steps), once every row is read.
+    A missing or extra field, a bad date, an empty stay id and a stay id
+    holding a reserved separator (; , or a line break, which instances.csv and
+    merged.csv would split on) raise RowError naming the file and line; so does
+    a walk that breaks a walk rule (SequenceTable.steps), once every row is read.
     """
     device_ids: list[str] = []
     days: list[int] = []
@@ -746,11 +736,13 @@ def read_sequences(source: str | Path | TextIO) -> SequenceTable:
                 day = dt.date.fromisoformat(local_date)
             except ValueError:
                 raise rows.error(line, f"bad date {local_date!r}") from None
-            stays = stay_field.split(STAY_SEPARATOR)
-            if any(ch in stay_field for ch in RESERVED_CHARACTERS if ch != STAY_SEPARATOR):
+            stays = stay_field.split(ID_SEPARATOR)
+            if any(ch in stay_field for ch in RESERVED_CHARACTERS if ch != ID_SEPARATOR):
                 stay = next(s for s in stays if any(ch in s for ch in RESERVED_CHARACTERS))
                 raise rows.error(line, f"stay {stay!r} contains a reserved separator "
                                        "(| ; , or a line break)")
+            if "" in stays:
+                raise rows.error(line, f"stays {stay_field!r} hold an empty stay id")
             device_ids.append(device_id)
             days.append((day - EPOCH).days)
             lengths.append(len(stays))

@@ -17,9 +17,9 @@ symmetric CSR layout for callers of _fastcount.census_counts.
 The on-disk format is a CSV edge list (poi_a,poi_b,weight, poi_a < poi_b,
 rows sorted, fields unquoted) plus a JSON sidecar carrying the label, node
 count, build mode and any isolated nodes. read_network reads the edge list
-in np.loadtxt blocks (ingest.CsvRows.blocks), interning the ids per block,
-and checks its rules over whole arrays; a file that fails either is read
-again row by row, which words the error.
+in np.loadtxt blocks (ingest.CsvRows.blocks) and checks its rules over whole
+arrays; a file that fails either is read again row by row, which words the
+error. Both paths intern ids as ingest's readers do, keeping their spaces.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .ingest import (
     SequenceTable,
     _block_codes,
     _intern,
+    _sorted_codes,
     day_date,
     group_starts,
     int_tokens,
@@ -111,10 +112,8 @@ class PlaceNetwork:
         """
         if a == b:
             raise ValueError(f"self-loop at {a!r}")
-        names = sorted(set(self.names).union((a, b)))
-        index = {v: i for i, v in enumerate(names)}
-        code = np.array([index[v] for v in self.names], dtype=np.int64)
-        lo, hi = sorted((index[a], index[b]))
+        names, code = _intern([*self.names, a, b])
+        lo, hi = sorted(code[-2:].tolist())
         net = PlaceNetwork.from_arrays(
             names,
             np.append(code[self.src], lo),
@@ -314,25 +313,22 @@ def _bulk_edges(rows: CsvRows) -> tuple[list[str], np.ndarray, np.ndarray] | Non
     is irregular or a row breaks a rule: a weight below 1, poi_a >= poi_b or a
     repeated pair.
 
-    Both endpoint columns are interned through one dict across the blocks;
-    the ids are sorted once at the end, so code order is id order.
+    Both endpoint columns are interned through one CodeIndex across the
+    blocks; the ids are sorted once at the end, so code order is id order.
     """
     index = CodeIndex()
     ends, weights = [], []
     for block in rows.blocks((object, object, np.int64)):
         if block is None:
             return None
-        a, b = (_block_codes(index, block[column]) for column in NETWORK_COLUMNS[:2])
+        a, b = (_block_codes(index, block[column].tolist()) for column in NETWORK_COLUMNS[:2])
         ends.append(np.stack((a, b), axis=1))
         weights.append(block["weight"].copy())
         del block  # the next block's strings replace this one's
-    names = sorted(index)
-    remap = np.empty(len(names), dtype=np.int32)  # code -> position in names
-    remap[np.fromiter(map(index.__getitem__, names), dtype=np.int64, count=len(names))] = (
-        np.arange(len(names), dtype=np.int32)
-    )
+    ids = list(index)  # in code order
     del index
-    ends, weight = remap[np.concatenate(ends)], np.concatenate(weights)
+    names, ends = _sorted_codes(ids, ends)
+    weight = np.concatenate(weights)
     if (weight < 1).any() or (ends[:, 0] >= ends[:, 1]).any():
         return None
     key = ends[:, 0].astype(np.int64) * len(names) + ends[:, 1]
@@ -357,7 +353,7 @@ def read_network(path: str | Path) -> PlaceNetwork:
     meta = read_sidecar(path)
     if meta.get("isolated_nodes"):
         names, remap = _intern(names + meta["isolated_nodes"])
-        ends = remap[ends]  # names is sorted, so its codes lead remap
+        ends = remap[ends]  # the codes of names lead remap
     overflow = weights.size and int(weights.max()) > INT64.max // weights.size
     total = sum(weights.tolist()) if overflow else int(weights.sum())
     if total * (len(names) - 1) > INT64.max:

@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__, ingest
 from .config import RNG_ALGORITHM, RunConfig, read_json
 from .errors import ConfigError, InvariantError, SchemaError
-from .ingest import EDGE_SEPARATOR, write_csv, write_json
+from .ingest import EDGE_SEPARATOR, ID_SEPARATOR, write_csv, write_json
 from .network import (
     PlaceNetwork,
     day_networks,
@@ -209,14 +209,15 @@ def write_instances_csv(rows: motifs.InstanceRows, path: str | Path) -> None:
     date_of = dict(zip(days, dates))
     other = [
         date_of[day] + ",".join((
-            motifs.MotifClass.OTHER.value, "|".join(names),
-            EDGE_SEPARATOR.join(map("|".join, pairs)), str(c),
+            motifs.MotifClass.OTHER.value, ID_SEPARATOR.join(names),
+            EDGE_SEPARATOR.join(map(ID_SEPARATOR.join, pairs)), str(c),
         )) + "\n"
         for day, names, pairs, c in rows.other
     ]
     other_days = np.array([row[0] for row in rows.other], dtype=np.int64)
     vocab = [
-        *(p + "|" for p in pois), *(p + "," for p in pois), *(p + EDGE_SEPARATOR for p in pois),
+        *(p + ID_SEPARATOR for p in pois), *(p + "," for p in pois),
+        *(p + EDGE_SEPARATOR for p in pois),
         "", *(f"{cls}," for cls in motifs.INDEX_CLASS), *dates, *counts, *other,
     ]
     empty = 3 * n
@@ -271,8 +272,8 @@ def read_instances_csv(path: str | Path) -> motifs.InstanceRows:
         for line, (local_date, motif_class, node_field, edge_field, device_count) in lines:
             try:
                 day = (dt.date.fromisoformat(local_date) - ingest.EPOCH).days
-                listed = node_field.split("|")
-                pairs = (pair.split("|") for pair in edge_field.split(EDGE_SEPARATOR))
+                listed = node_field.split(ID_SEPARATOR)
+                pairs = (pair.split(ID_SEPARATOR) for pair in edge_field.split(EDGE_SEPARATOR))
                 edges = [(a, b) for a, b in pairs]
                 count = int(device_count)
             except ValueError as exc:
@@ -310,12 +311,11 @@ def read_instances_csv(path: str | Path) -> motifs.InstanceRows:
                 rows.append((day, cls, names, mask, count))
     if total > ingest.INT64.max:
         raise SchemaError(f"instances {path}: device counts total {total}, more than 2**63 - 1")
-    pois = sorted({v for _, _, names, _, _ in rows for v in names})
-    code = {v: i for i, v in enumerate(pois)}
-    nodes = [[code[v] for v in names] + [-1] * (4 - len(names)) for _, _, names, _, _ in rows]
+    pois, code = ingest._intern([v for _, _, names, _, _ in rows for v in names])
+    nodes = np.full((len(rows), 4), -1, dtype=np.int32)  # -1 in each slot past the nodes
+    nodes[np.arange(4) < np.array([len(names) for _, _, names, _, _ in rows])[:, None]] = code
     columns = np.array([(d, c, m, n) for d, c, _, m, n in rows], dtype=np.int64).reshape(-1, 4)
     day, cls, mask, count = columns.T
-    nodes = np.array(nodes, dtype=np.int32).reshape(-1, 4)
     return motifs.InstanceRows.tally(pois, day, cls, nodes, mask, count, other)
 
 
@@ -566,7 +566,7 @@ def stage_series(
         key=lambda kv: (-(kv[1]["total_km"] or 0.0), kv[0].motif_class.value, kv[0].labels),
     )[:TOP_DISTANCE]
     write_csv(out / "attributed_distance.csv", ("class", "labels", *stats.SPLITS), [
-        (key.motif_class.value, "|".join(map(str, key.labels)), *(row[s] for s in stats.SPLITS))
+        (key.motif_class.value, key.label_field, *(row[s] for s in stats.SPLITS))
         for key, row in top_rows
     ])
 

@@ -18,7 +18,9 @@ node_code finds a node in a network's sorted names; degree counts a
 node's entries in the edge arrays; and local_clustering_weighted reads one
 node's value from the library's local_clustering. local_date is the
 datetime reading of a stop's local date that ingest.local_days computes
-in bulk. census_classes indexes a census document's rows by class.
+in bulk. census_classes indexes a census document's rows by class. intern
+is the readers' id interning done directly: a sort of the distinct ids and
+a dict of each one's position.
 """
 
 from __future__ import annotations
@@ -174,6 +176,14 @@ def local_date(start_time: int, utc_offset: float) -> dt.date:
     """The date of start_time (UTC epoch seconds) in the timezone utc_offset hours from UTC."""
     tz = dt.timezone(dt.timedelta(hours=utc_offset))
     return dt.datetime.fromtimestamp(start_time, tz).date()
+
+
+def intern(values: list[str]) -> tuple[list[str], np.ndarray]:
+    """Sorted distinct values and the int32 code of each value."""
+    names = sorted(dict.fromkeys(values))
+    index = {v: i for i, v in enumerate(names)}
+    codes = np.fromiter(map(index.__getitem__, values), dtype=np.int32, count=len(values))
+    return names, codes
 
 
 def census_classes(doc: dict) -> dict[MotifClass, dict]:

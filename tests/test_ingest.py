@@ -306,6 +306,8 @@ def test_sequence_file_round_trip(tmp_path):
         ("p;1|p2", "stay 'p;1' contains a reserved separator"),
         ('"p1|p,2"', "stay 'p,2' contains a reserved separator"),
         ('"p1|p\n2"', r"stay 'p\\n2' contains a reserved separator"),  # the row spans lines 3-4
+        ("a||b", r"stays 'a\|\|b' hold an empty stay id"),
+        ("a|b|", r"stays 'a\|b\|' hold an empty stay id"),
     ],
 )
 def test_read_sequences_names_the_bad_row(stays, message):
@@ -533,6 +535,10 @@ WALKS = (
     Walk("", dt.date(2020, 2, 4), ("a", "b")),
     Walk("d\n3", dt.date(2020, 2, 4), ("a", "b")),
 ])
+@example([  # stays that differ only by a leading space stay apart
+    Walk("d1", dt.date(2020, 2, 3), (" a", "a")),
+    Walk("d1", dt.date(2020, 2, 4), ("a", " a", "b")),
+])
 @given(
     st.lists(
         st.builds(
@@ -688,3 +694,19 @@ def test_run_interning_gives_the_row_parse_codes_and_names(runs, pois, rnd, grou
     for column in ("device", "poi", "start_time", "dwell"):
         got, want = getattr(bulk, column), getattr(checked, column)
         assert got.dtype == want.dtype and np.array_equal(got, want), column
+
+
+@settings(max_examples=200, deadline=None)
+@example([], False)
+@example(["0", " "], False)  # a strip in the shared path would merge these
+@example(["a", "a\x00", " a", "a ", "é", "a", "中文", "é\x00"], True)
+@given(st.lists(INTERNED_IDS | DEVICE_IDS, max_size=30), st.booleans())
+def test_interning_matches_the_sorted_position_dict(ids, first_seen_sorted):
+    """Every reader's interning (a CodeIndex, then _sorted_codes) against the
+    sort of dict.fromkeys and a position dict, over ids first seen in sorted
+    order (as a star's are) and in the drawn order."""
+    values = sorted(ids) if first_seen_sorted else ids
+    names, codes = ingest._intern(values)
+    want_names, want_codes = oracles.intern(values)
+    assert names == want_names
+    assert codes.dtype == want_codes.dtype and np.array_equal(codes, want_codes)

@@ -443,6 +443,7 @@ def _read_both_ways(path):
     {('"p', "q"): 2, ("q", "é中"): 1, ("a b", "q\x00"): 3, ("q", "q\x00"): 4},
     nodes=["lonely", " "], label="2020-02-03", mode="covisitation",
 ))
+@example(network({(" a", "a"): 1, ("a", "b "): 2}))  # names that differ only by a space stay apart
 @given(networks(ODD_NODE_NAMES))
 def test_block_and_row_readers_read_any_written_network_alike(tmp_path_factory, net):
     path = tmp_path_factory.mktemp("net") / "net.csv"

@@ -45,14 +45,14 @@ _EXACT_DEGREE = 1 << 20  # below it every per-node and per-edge term fits int64
 def census_counts(
     indptr: np.ndarray, indices: np.ndarray, k: int, threads: int = 1
 ) -> np.ndarray:
-    """Count classes of connected induced k-subgraphs; returns int64[10].
+    """Count classes of connected induced k-subgraphs; returns 10 ints as an object array.
 
     indptr and indices hold a simple undirected graph as symmetric CSR
     adjacency (the network.csr_adjacency layout). Slots follow CLASS_INDEX:
-    the size-k classes of full_census over its upper triangle; every other
-    slot is 0. threads is kept because the README's criterion 9 calls
-    census_counts with a thread count; it changes neither the counts nor
-    the work.
+    the size-k classes of full_census over its upper triangle, exact Python
+    ints past int64 too; every other slot is 0. threads is kept because the
+    README's criterion 9 calls census_counts with a thread count; it changes
+    neither the counts nor the work.
     """
     if k not in (3, 4):
         raise ValueError(f"closed-form census supports k in (3, 4), got {k}")
@@ -60,7 +60,7 @@ def census_counts(
     src = np.repeat(np.arange(n), np.diff(indptr))
     up = src < indices
     counts = full_census(n, src[up], indices[up])
-    return np.array([counts[c] if c.size == k else 0 for c in INDEX_CLASS], dtype=np.int64)
+    return np.array([counts[c] if c.size == k else 0 for c in INDEX_CLASS], dtype=object)
 
 
 def full_census(n: int, src: np.ndarray, dst: np.ndarray) -> dict[MotifClass, int]:

@@ -42,7 +42,8 @@ from typing import Iterable
 import numpy as np
 
 from .ingest import SequenceTable, group_starts, is_weekend, lexorder
-from .network import PlaceNetwork, csr_adjacency, edge_key
+from .network import PlaceNetwork, edge_key
+from .network import csr_adjacency  # noqa: F401  re-exported: the CSR input of census_counts
 
 
 class MotifClass(enum.Enum):
@@ -157,19 +158,11 @@ def classify_graph(n: int, edges: Iterable[tuple]) -> MotifClass:
 def enumerate_induced(net: PlaceNetwork, k: int) -> dict[MotifClass, int]:
     """Count connected node-induced k-subgraphs per motif class.
 
-    k = 2 is the edge count. For k = 3 and 4 the counts are the size-k
-    classes of the closed-form census (_fastcount.census_counts), solved
-    from degrees, triangles, codegrees and 4-cliques; numpy only.
+    The nonzero size-k classes of enumeration_census, each an exact int.
     """
     if k not in (2, 3, 4):
         raise ValueError(f"k must be 2, 3 or 4, got {k}")
-    if k == 2:
-        return {MotifClass.M2_1: net.n_edges} if net.n_edges else {}
-    from ._fastcount import census_counts
-
-    _, indptr, indices = csr_adjacency(net)
-    counts = census_counts(indptr, indices, k)
-    return {c: int(count) for c, count in zip(INDEX_CLASS, counts) if count}
+    return {c: count for c, count in enumeration_census(net).items() if c.size == k and count}
 
 
 def enumeration_census(net: PlaceNetwork) -> dict[MotifClass, int]:

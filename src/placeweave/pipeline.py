@@ -92,8 +92,9 @@ def stage_ingest(
     catalog = ingest.load_poi_catalog(pois_path)
     stops = ingest.parse_stops(stops_path)
     rows_read = len(stops)
-    visits, dropped = ingest.filter_cataloged(ingest.filter_visits(stops, min_dwell), catalog)
-    del stops  # each step's table is freed once the next exists
+    visits = ingest.filter_visits(stops, min_dwell)
+    del stops  # each step's table is freed before the next is built
+    visits, dropped = ingest.filter_cataloged(visits, catalog)
     visits_kept = len(visits)
     sequences = ingest.build_stay_sequences(visits, utc_offset)
     del visits

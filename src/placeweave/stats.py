@@ -1,9 +1,11 @@
 """Motif distances, weekday/weekend aggregates, temporal series, reports.
 
 A motif's spatial extent is the mean great-circle length of its edges.
-Over the instance table, the haversine runs once per distinct instance
-edge, as array code with the scalar's bits; each instance's edge lengths
-are gathered into columns in sorted edge order and added left to right.
+One array kernel, _great_circle_lengths, computes every such length, with
+the bits of the scalar formula (haversine_km is its one-edge call). Over
+the instance table it runs once per distinct instance edge; each
+instance's edge lengths are gathered into columns in sorted edge order
+and added left to right.
 Every class table (per day, whole period, per attributed key) sums
 km * weight per group with np.cumsum in instance order, so its floats
 equal a left-to-right scalar loop over the instances. A table maps each
@@ -33,79 +35,74 @@ from .motifs import CLASS_ORDER, INDEX_CLASS, Instances, InstanceRows, MotifClas
 
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Great-circle distance in kilometers between two degree coordinates."""
-    for lat in (lat1, lat2):
-        if not (math.isfinite(lat) and -90.0 <= lat <= 90.0):
-            raise ValueError(f"latitude {lat} out of range [-90, 90]")
-    for lon in (lon1, lon2):
-        if not (math.isfinite(lon) and -180.0 <= lon <= 180.0):
-            raise ValueError(f"longitude {lon} out of range [-180, 180]")
-    phi1, phi2 = math.radians(lat1), math.radians(lat2)
-    return _great_circle_km(phi1, math.cos(phi1), lon1, phi2, math.cos(phi2), lon2)
+    lat, lon = np.array([lat1, lat2], dtype=np.float64), np.array([lon1, lon2], dtype=np.float64)
+    _check_coordinates(lat, lon)
+    phi = np.radians(lat)
+    return _great_circle_lengths(phi, _libm(math.cos, phi), lon, np.array([[0, 1]])).item()
 
 
-def _great_circle_km(
-    phi1: float, cos1: float, lon1: float, phi2: float, cos2: float, lon2: float
-) -> float:
-    """haversine_km of checked points given as latitude in radians, its cosine
-    and longitude in degrees."""
-    dlam = math.radians(lon2 - lon1)
-    a = math.sin((phi2 - phi1) / 2.0) ** 2 + cos1 * cos2 * math.sin(dlam / 2.0) ** 2
-    if a <= 0.5:
-        return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(a)))
-    # Beyond a quarter circle asin of a value near 1 loses digits; use Vincenty's atan2 form.
-    y = math.hypot(
-        cos2 * math.sin(dlam), cos1 * math.sin(phi2) - math.sin(phi1) * cos2 * math.cos(dlam)
-    )
-    x = math.sin(phi1) * math.sin(phi2) + cos1 * cos2 * math.cos(dlam)
-    return EARTH_RADIUS_KM * math.atan2(y, x)
+def _check_coordinates(lat: np.ndarray, lon: np.ndarray) -> None:
+    """Raise ValueError for the first latitude outside [-90, 90], NaN and +-inf
+    included, else for the first longitude outside [-180, 180]."""
+    for name, values, bound in (("latitude", lat, 90.0), ("longitude", lon, 180.0)):
+        bad = values[~(np.abs(values) <= bound)]  # NaN fails the test too
+        if bad.size:
+            raise ValueError(f"{name} {bad[0]} out of range [-{bound:g}, {bound:g}]")
 
 
 # The day-type splits of a distance row: every instance, weekday ones, weekend ones.
 SPLITS = ("total_km", "weekday_km", "weekend_km")
 
 
-def _libm(fn, values: np.ndarray) -> np.ndarray:
-    """fn, a function of math's scalar calls, applied to each value."""
-    return np.fromiter(map(fn, values.tolist()), dtype=np.float64, count=len(values))
+def _libm(fn, *args: np.ndarray) -> np.ndarray:
+    """fn, a function of math's scalar calls, applied to each tuple of argument values."""
+    values = [arg.tolist() for arg in args]
+    return np.fromiter(map(fn, *values), dtype=np.float64, count=len(values[0]))
 
 
 def _great_circle_lengths(
     phi: np.ndarray, cos_phi: np.ndarray, lon: np.ndarray, ends: np.ndarray
 ) -> np.ndarray:
-    """_great_circle_km of each row (u, v) of ends, point u first, bit for bit.
+    """Great-circle km of each row (u, v) of ends, point u first.
 
-    numpy does the IEEE operations (+, -, *, /, sqrt, minimum, and radians:
-    a multiply by math.radians' pi / 180), which round as Python's do. The
-    transcendental steps run in math's libm calls: numpy's sin and arcsin may
-    differ from libm in the last bit, and x ** 2 is libm's pow, not x * x.
-    The Vincenty branch, beyond a quarter circle, runs per edge.
+    A point is its checked latitude in radians, that latitude's cosine and
+    its longitude in degrees. Within a quarter circle this is the
+    haversine's asin form; beyond it, where asin of a value near 1 loses
+    digits, Vincenty's atan2 form. numpy does the IEEE operations (+, -, *,
+    /, sqrt, minimum, and radians: a multiply by math.radians' pi / 180),
+    which round as Python's do. The transcendental steps run in math's libm
+    calls: numpy's sin and arcsin may differ from libm in the last bit,
+    x ** 2 is libm's pow, not x * x, and math.hypot is Python's own. So each
+    length has the bits of the scalar formula in Python floats.
     """
     u, v = ends.T
     dlam = np.radians(lon[v] - lon[u])
     half = np.concatenate([(phi[v] - phi[u]) / 2.0, dlam / 2.0]).tolist()
     sin2 = np.fromiter(map(math.pow, map(math.sin, half), repeat(2.0)), np.float64, len(half))
     sin2_dphi, sin2_dlam = np.split(sin2, 2)
-    a = sin2_dphi + cos_phi[u] * cos_phi[v] * sin2_dlam
+    cos_uv = cos_phi[u] * cos_phi[v]
+    a = sin2_dphi + cos_uv * sin2_dlam
     near = a <= 0.5
     km = np.empty(len(a))
     km[near] = 2.0 * EARTH_RADIUS_KM * _libm(math.asin, np.minimum(1.0, np.sqrt(a[near])))
-    far = np.flatnonzero(~near)
-    if far.size:
-        point = np.stack([phi, cos_phi, lon], axis=1).tolist()  # as Python floats
-        for i, (p, q) in zip(far.tolist(), ends[far].tolist()):
-            km[i] = _great_circle_km(*point[p], *point[q])
+    far = ~near
+    u, v, dl = u[far], v[far], dlam[far]
+    sin_u, sin_v, sin_dl = np.split(_libm(math.sin, np.concatenate([phi[u], phi[v], dl])), 3)
+    cos_dl = _libm(math.cos, dl)
+    y = _libm(math.hypot, cos_phi[v] * sin_dl, cos_phi[u] * sin_v - sin_u * cos_phi[v] * cos_dl)
+    x = sin_u * sin_v + cos_uv[far] * cos_dl
+    km[far] = EARTH_RADIUS_KM * _libm(math.atan2, y, x)
     return km
 
 
 def instance_distances(rows: InstanceRows, catalog: PoiCatalog) -> np.ndarray:
     """The motif distance of each of rows.instances: its mean edge length in km.
 
-    haversine_km's formula runs once per distinct instance edge, as array
-    code with its bits (_great_circle_lengths); each POI's radians and
-    cosine are computed, and the coordinates of the POIs in use checked,
-    once. Each instance's edge lengths are added left to right in sorted
-    edge order, then divided by its edge count, as a scalar loop over its
-    edges would.
+    The great-circle kernel (_great_circle_lengths) runs once per distinct
+    instance edge; each POI's radians and cosine are computed, and the
+    coordinates of the POIs in use checked, once. Each instance's edge
+    lengths are added left to right in sorted edge order, then divided by
+    its edge count, as a scalar loop over its edges would.
     """
     has, a, b = rows.instances.edges()
     n = len(rows.pois)
@@ -115,10 +112,7 @@ def instance_distances(rows: InstanceRows, catalog: PoiCatalog) -> np.ndarray:
     if (at < 0).any():
         missing = rows.pois[ends[at < 0].min()]
         raise MissingPoiError(f"poi_id {missing!r} has no coordinates in the catalog")
-    for name, values, bound in (("latitude", catalog.lat, 90.0), ("longitude", catalog.lon, 180.0)):
-        bad = values[at][~(np.abs(values[at]) <= bound)]  # NaN fails the test too
-        if bad.size:
-            raise ValueError(f"{name} {bad[0]} out of range [-{bound:g}, {bound:g}]")
+    _check_coordinates(catalog.lat[at], catalog.lon[at])
     phi = np.radians(catalog.lat)
     lengths = _great_circle_lengths(phi, _libm(math.cos, phi), catalog.lon, at)
     ids = np.full(has.shape, len(lengths))  # the 0.0 appended below: no edge

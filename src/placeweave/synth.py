@@ -175,7 +175,11 @@ def _candidate_indices(
     by_lat lists the catalog indices by ascending latitude; lats and lons
     are the coordinates in that order. A POI whose latitude alone is more
     than radius/2 away is farther than that, so the haversine runs only over
-    the latitude band around lat.
+    the latitude band around lat. It keeps numpy's own sin, cos and arcsin,
+    not stats' libm kernel: the test only decides membership, the kernel's
+    one Python call per value would slow large catalogs, and a last-bit
+    change at the radius could change which POIs synth draws, and so its
+    bytes.
     """
     band = np.degrees(radius_km / 2.0 / EARTH_RADIUS_KM) * (1.0 + 1e-6)
     lo = np.searchsorted(lats, lat - band, side="left")

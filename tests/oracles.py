@@ -3,7 +3,8 @@
 Everything here is deliberately direct: permutation isomorphism, full
 subset scans, the ESU subgraph walk, direct formula summation, over dicts
 built from a network's names, src, dst and weights arrays; float64
-matrix products over its dense adjacency; and synthetic traffic drawn
+matrix products over its dense adjacency; the great-circle formula in
+scalar Python floats; and synthetic traffic drawn
 from one default_rng([seed, i]) per device-day. None of it shares code
 with the library paths under test.
 
@@ -30,6 +31,7 @@ import datetime as dt
 import functools
 import io
 import itertools
+import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -601,16 +603,45 @@ def attributed_isomorphic(cls: MotifClass, labels_a: tuple, labels_b: tuple) -> 
     return False
 
 
+# -- the great-circle distance of two points, in Python floats --------------------
+
+
+def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
+    """Great-circle km between two degree coordinates, one scalar call at a time.
+
+    The bit reference for stats' array kernel, with its range checks and
+    messages: the haversine's asin form within a quarter circle, Vincenty's
+    atan2 form beyond it, where asin of a value near 1 loses digits.
+    """
+    for lat in (lat1, lat2):
+        if not (math.isfinite(lat) and -90.0 <= lat <= 90.0):
+            raise ValueError(f"latitude {lat} out of range [-90, 90]")
+    for lon in (lon1, lon2):
+        if not (math.isfinite(lon) and -180.0 <= lon <= 180.0):
+            raise ValueError(f"longitude {lon} out of range [-180, 180]")
+    phi1, phi2 = math.radians(lat1), math.radians(lat2)
+    cos1, cos2 = math.cos(phi1), math.cos(phi2)
+    dlam = math.radians(lon2 - lon1)
+    a = math.sin((phi2 - phi1) / 2.0) ** 2 + cos1 * cos2 * math.sin(dlam / 2.0) ** 2
+    if a <= 0.5:
+        return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(a)))
+    y = math.hypot(
+        cos2 * math.sin(dlam), cos1 * math.sin(phi2) - math.sin(phi1) * cos2 * math.cos(dlam)
+    )
+    x = math.sin(phi1) * math.sin(phi2) + cos1 * cos2 * math.cos(dlam)
+    return EARTH_RADIUS_KM * math.atan2(y, x)
+
+
 # -- the per-instance dict path -------------------------------------------------
 #
 # One MotifInstance object, dict entry and scalar distance or key per
 # instance: the form the instance table had before it became columnar. Sums
 # run left to right in instance order, so these reproduce the library's
 # floats bit for bit. They share with the library only classify_graph
-# (through instance_from_edges; checked against the permutation oracle),
-# the scalar haversine_km and to_sector. A POI's coordinates and sector are
-# looked up by name in a dict of the catalog's id, coordinate and NAICS
-# columns, never through its sector column.
+# (through instance_from_edges; checked against the permutation oracle)
+# and to_sector; distances come from haversine_km above. A POI's
+# coordinates and sector are looked up by name in a dict of the catalog's
+# id, coordinate and NAICS columns, never through its sector column.
 
 
 @functools.lru_cache(maxsize=4)
@@ -668,7 +699,6 @@ def aggregate_instances(rows) -> dict:
 def motif_avg_distance(instance, catalog) -> float:
     """Sum of edge great-circle lengths divided by the edge count."""
     from placeweave.errors import MissingPoiError
-    from placeweave.stats import haversine_km
 
     if not instance.edges:
         raise ValueError("instance has no edges")

@@ -230,12 +230,25 @@ def test_closed_engine_exact_when_terms_leave_int64(monkeypatch):
 def test_full_census_stays_exact_past_int64():
     # C(3.9M, 3) 3-stars pass int64's 9.2e18: an int64 count array overflows.
     leaves = 3_900_000
-    census = _fastcount.full_census(
-        leaves + 1, np.zeros(leaves, dtype=np.int64), np.arange(1, leaves + 1)
-    )
+    hub, leaf = np.zeros(leaves, dtype=np.int64), np.arange(1, leaves + 1)
+    census = _fastcount.full_census(leaves + 1, hub, leaf)
     assert census[MotifClass.M4_6] == math.comb(leaves, 3) == 9_886_492_395_001_300_000
     assert census[MotifClass.M3_1] == math.comb(leaves, 2)
     assert census[MotifClass.M2_1] == leaves
+    # The size-k entry points give the same exact ints. enumerate_induced
+    # reads only the node count from names: 3.9M distinct names would cost
+    # about 250 MB.
+    net = PlaceNetwork([""] * (leaves + 1), hub, leaf, np.ones(leaves, dtype=np.int64))
+    size_k = {k: {c: n for c, n in census.items() if c.size == k and n} for k in (3, 4)}
+    for k in (3, 4):
+        got = enumerate_induced(net, k)
+        assert got == size_k[k] and all(type(n) is int for n in got.values())
+    del net
+    # The star's CSR, built directly: the hub's row lists every leaf, and
+    # each leaf's row lists the hub.
+    indptr = np.concatenate(([0], np.arange(leaves, 2 * leaves + 1)))
+    slots = _fastcount.census_counts(indptr, np.concatenate((leaf, hub)), 4)
+    assert slots.tolist() == [size_k[4].get(c, 0) for c in INDEX_CLASS]
 
 
 def complete_bipartite(a, b):

@@ -16,6 +16,7 @@ from placeweave.pipeline import InstanceTable, stage_series
 from placeweave.stats import (
     EARTH_RADIUS_KM,
     SeriesPoint,
+    _great_circle_lengths,
     build_report,
     class_avg_distance,
     daily_census_series,
@@ -84,6 +85,50 @@ def test_haversine_triangle_inequality(p, q, r):
     assert direct <= detour + 1e-6
 
 
+# ((lat, lon), (lat, lon)) pairs that each test one case of the formula.
+GREAT_CIRCLE_CASES = [
+    ((29.76, -95.37), (29.7601, -95.3702)),  # near: metres apart
+    ((29.76, -95.37), (29.76, -95.37)),  # one point twice
+    ((0.0, 0.0), (0.0, 1.0)),  # one degree
+    ((51.5, -0.1), (-33.9, 151.2)),  # far: beyond a quarter circle
+    ((0.0, 0.0), (0.0, 180.0)),  # antipodes on the equator
+    ((40.0, -74.0), (-40.0, 106.0)),  # antipodes
+    ((90.0, 0.0), (-90.0, 0.0)),  # pole to pole
+    ((90.0, 45.0), (89.0, -135.0)),  # across the north pole
+    ((-90.0, 10.0), (-45.0, 0.0)),  # from the south pole
+    ((10.0, 180.0), (10.0, -180.0)),  # one meridian named twice
+    ((0.0, 179.9), (0.0, -179.9)),  # across the antimeridian
+    ((-5.0, -180.0), (5.0, 0.0)),  # near-antipodes from the antimeridian
+]
+
+
+def assert_oracle_bits(pairs):
+    """The kernel over all pairs, and haversine_km of each, give the scalar
+    oracle's bytes: the last bit, and the sign of a zero, must match too."""
+    want = np.array([oracles.haversine_km(*p, *q) for p, q in pairs])
+    lat, lon = np.array([point for pair in pairs for point in pair]).T
+    phi = np.radians(lat)
+    cos_phi = np.fromiter(map(math.cos, phi.tolist()), np.float64, phi.size)
+    ends = np.arange(lat.size).reshape(-1, 2)
+    assert _great_circle_lengths(phi, cos_phi, lon, ends).tobytes() == want.tobytes()
+    assert np.array([haversine_km(*p, *q) for p, q in pairs]).tobytes() == want.tobytes()
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(coords, coords), min_size=1, max_size=40))
+@example(pairs=GREAT_CIRCLE_CASES)
+def test_great_circle_kernel_has_the_scalar_oracles_bits(pairs):
+    assert_oracle_bits(pairs)
+
+
+def test_great_circle_kernel_has_the_scalar_oracles_bits_on_global_pairs():
+    # About half of uniform pairs lie beyond a quarter circle. There numpy's
+    # hypot and math.hypot round apart on about 1 pair in 1,000.
+    rng = np.random.default_rng(13)
+    points = np.stack([rng.uniform(-90.0, 90.0, 40_000), rng.uniform(-180.0, 180.0, 40_000)], 1)
+    assert_oracle_bits(points.reshape(-1, 2, 2).tolist())
+
+
 # -- motif distances ----------------------------------------------------------
 
 
@@ -100,7 +145,7 @@ def motif_avg_distance(inst, catalog) -> float:
 
 def pair_distances(lat, lon, pairs) -> tuple[list[float], list[float]]:
     """instance_distances over one two-POI walk per pair of POI indices, and
-    haversine_km of each instance's two POIs."""
+    the scalar oracle's distance between each instance's two POIs."""
     ids = [f"p{i:04d}" for i in range(len(lat))]
     catalog = oracles.catalog(poi(p, a, b) for p, a, b in zip(ids, lat.tolist(), lon.tolist()))
     walks = [Walk(f"d{k}", MON, (ids[i], ids[j])) for k, (i, j) in enumerate(pairs)]
@@ -108,7 +153,7 @@ def pair_distances(lat, lon, pairs) -> tuple[list[float], list[float]]:
     got = instance_distances(rows, catalog).tolist()
     ends = [[rows.pois[v] for v in nodes[:2]] for nodes in rows.instances.nodes.tolist()]
     coords = dict(zip(catalog.poi_ids, zip(catalog.lat.tolist(), catalog.lon.tolist())))
-    return got, [haversine_km(*coords[u], *coords[v]) for u, v in ends]
+    return got, [oracles.haversine_km(*coords[u], *coords[v]) for u, v in ends]
 
 
 def test_edge_distances_equal_haversine_km_on_random_pairs():
@@ -138,8 +183,8 @@ def test_edge_distances_equal_haversine_km_on_city_pairs():
 
 
 def test_np_radians_is_math_radians_bit_for_bit():
-    # instance_distances takes its radians from np.radians and haversine_km
-    # from math.radians: both must be one multiply by the same pi / 180.
+    # The great-circle kernel takes its radians from np.radians and the scalar
+    # oracle from math.radians: both must be one multiply by the same pi / 180.
     rng = np.random.default_rng(5)
     tiny = np.nextafter(0.0, 1.0) * rng.integers(1, 2**52, 10_000)  # subnormals
     special = [0.0, 90.0, 180.0, 1e308, np.finfo(np.float64).max, 5e-324, 2.2250738585072014e-308]
@@ -155,6 +200,11 @@ def test_np_radians_is_math_radians_bit_for_bit():
         (91.0, 0.0, "latitude 91.0"),
         (0.0, -181.0, "longitude -181.0"),
         (0.0, math.nan, "longitude nan"),
+        (math.inf, 0.0, "latitude inf"),
+        (-math.inf, 0.0, "latitude -inf"),
+        (0.0, math.inf, "longitude inf"),
+        (0.0, -math.inf, "longitude -inf"),
+        (-90.5, 0.0, "latitude -90.5"),
     ],
 )
 def test_edge_distances_reject_what_haversine_km_rejects(lat, lon, message):
@@ -162,9 +212,10 @@ def test_edge_distances_reject_what_haversine_km_rejects(lat, lon, message):
     rows = classify([Walk("d1", MON, ("a", "b"))]).rows
     with pytest.raises(ValueError, match=f"^{message} out of range") as err:
         instance_distances(rows, catalog)
-    with pytest.raises(ValueError) as expected:
-        haversine_km(0.0, 0.0, lat, lon)
-    assert str(err.value) == str(expected.value)
+    for reject in (haversine_km, oracles.haversine_km):
+        with pytest.raises(ValueError) as expected:
+            reject(0.0, 0.0, lat, lon)
+        assert str(err.value) == str(expected.value)
 
 
 def test_single_edge_distance():
@@ -193,7 +244,7 @@ def test_triangle_distance_is_mean_of_sides():
     catalog = oracles.catalog([poi("a", 0.0, 0.0), poi("b", 0.02, 0.01), poi("c", -0.01, 0.025)])
     inst = instance_from_edges(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
     sides = [
-        haversine_km(*pq)
+        oracles.haversine_km(*pq)
         for pq in [(0.0, 0.0, 0.02, 0.01), (0.02, 0.01, -0.01, 0.025), (0.0, 0.0, -0.01, 0.025)]
     ]
     assert motif_avg_distance(inst, catalog) == pytest.approx(sum(sides) / 3, abs=1e-12)

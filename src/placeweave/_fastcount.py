@@ -6,8 +6,11 @@ class shapes (ESCAPE: Pinar, Seshadhri & Vishal, WWW 2017; ORCA: Hocevar &
 Demsar, Bioinformatics 2014). The copies need only the edge count, degrees,
 per-edge triangle counts, 4-cycles and the number of 4-cliques. No
 subgraph is visited one by one, so the tens of millions of 4-node
-subgraphs of a county-scale graph are counted in well under a second, and
-every count is an exact Python int, past int64 too.
+subgraphs of a county-scale graph are counted in well under a second.
+Every count is an exact Python int, past int64 too, by one rule: node terms
+C(d, 2) and C(d, 3) are Python ints, once per distinct degree; edge terms
+stay int64 and every sum of them is ingest.exact_sum, exact for m < 2**31.
+For n < 2**31 each edge term is below 2**63 (triangles t < 2**31, d_t + d_h - 4 < 2**32).
 
 Nodes are ranked by degree and every edge points from the lower to the
 higher rank (Chiba & Nishizeki 1985); _orient is the only place that does
@@ -35,11 +38,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvariantError
-from .ingest import INT64, group_starts
+from .ingest import exact_sum, group_starts
 from .motifs import CLASS_INDEX, CLASS_ORDER, COPIES, INDEX_CLASS, MotifClass
 
 _SLICE = 1 << 22  # candidate entries handled at once
-_EXACT_DEGREE = 1 << 20  # below it every per-node and per-edge term fits int64
 
 
 def census_counts(
@@ -68,27 +70,29 @@ def full_census(n: int, src: np.ndarray, dst: np.ndarray) -> dict[MotifClass, in
 
     src and dst hold each edge of a simple undirected graph over nodes
     0..n-1 once, as a PlaceNetwork does. Returns each class's count, an
-    exact int, in CLASS_ORDER. One orientation and one pass of _triangles,
-    the triangles on each edge and the 4-clique count, give the non-induced
-    copies of every class; the induced counts solve motifs.COPIES for them.
+    exact int for n, m < 2**31 by the module docstring's rule, in
+    CLASS_ORDER. One orientation and one pass of _triangles, the triangles
+    on each edge and the 4-clique count, give the non-induced copies of
+    every class; the induced counts solve motifs.COPIES for them.
     """
     if n == 0:
         return dict.fromkeys(CLASS_ORDER, 0)
     uptr, tail, head, keys, deg, _ = _orient(n, src, dst)
-    d = deg.astype(object) if deg.max() >= _EXACT_DEGREE else deg
     t_edge, clique = _triangles(uptr, head, keys, n)
-    triangles = _total(t_edge) // 3
+    triangles = exact_sum(t_edge) // 3
+    start = group_starts(deg)  # deg ascends: one run of nodes per distinct degree
+    per_degree = list(zip(deg[start].tolist(), np.diff(start, append=n).tolist()))
     copies = {
         MotifClass.M2_1: keys.size,
-        MotifClass.M3_1: _total(d * (d - 1) // 2),
+        MotifClass.M3_1: sum(k * (d * (d - 1) // 2) for d, k in per_degree),
         MotifClass.M3_2: triangles,
         MotifClass.M4_1: clique,
-        MotifClass.M4_2: _total(t_edge * (t_edge - 1) // 2),
+        MotifClass.M4_2: exact_sum(t_edge * (t_edge - 1) // 2),
         MotifClass.M4_3: _four_cycles(uptr, tail, head, deg, n),
         # sum of t_v (d_v - 2) over nodes v; each triangle at v lies on two of v's edges
-        MotifClass.M4_4: _total(t_edge * (d[tail] + d[head] - 4)) // 2,
-        MotifClass.M4_5: _total((d[tail] - 1) * (d[head] - 1)) - 3 * triangles,
-        MotifClass.M4_6: _total(d * (d - 1) * (d - 2) // 6),
+        MotifClass.M4_4: exact_sum(t_edge * (deg[tail] + deg[head] - 4)) // 2,
+        MotifClass.M4_5: exact_sum((deg[tail] - 1) * (deg[head] - 1)) - 3 * triangles,
+        MotifClass.M4_6: sum(k * (d * (d - 1) * (d - 2) // 6) for d, k in per_degree),
     }
     # A class's copies lie in itself and in classes with more edges, so going
     # from the most edges down, every count the solve reads is final or still 0.
@@ -203,7 +207,7 @@ def _four_cycles(uptr, tail, head, deg, n) -> int:
         keys[split:] += np.repeat(offset, mid)
         keys.sort()  # one run per pair (v, w); its length is c
         c = np.diff(group_starts(keys), append=keys.size)
-        total += _total(c * (c - 1) // 2)
+        total += exact_sum(c * (c - 1) // 2)
     return total
 
 
@@ -250,11 +254,4 @@ def _shared(rows, cols, n_rows, width, a, b):
     for word in words:
         shared += np.bitwise_count(word[a] & word[b])
     return shared
-
-
-def _total(terms) -> int:
-    """Exact sum of non-negative integer terms; never wraps past int64."""
-    if terms.size and terms.dtype != object and int(terms.max()) > INT64.max // terms.size:
-        terms = terms.astype(object)
-    return int(terms.sum())
 

@@ -12,8 +12,8 @@ one integer. key_codes packs every instance's labels under all 24 slot
 orders with column shifts and ors, masks the orders its edge mask's
 KEY_PERMS rows lack, and takes the minimum, so no per-instance permutation
 rows are gathered. The attributed census and the endpoint tally are grouped
-integer sums over those keys and over the instance edges; the census comes
-out as the rows of attributed_census.csv.
+integer sums over those keys and over the instance edges, the tally exact
+past int64; the census comes out as the rows of attributed_census.csv.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingPoiError, UnknownSectorError
-from .ingest import PoiCatalog, group_starts
+from .ingest import ID_SEPARATOR, PoiCatalog, group_starts
 from .motifs import EMBEDDINGS, INDEX_CLASS, InstanceRows, MotifClass
 
 
@@ -123,8 +123,8 @@ class AttributedMotifKey:
 
     @property
     def label_field(self) -> str:
-        """The labels field of the attributed files: the sector ids '|'-joined."""
-        return "|".join(map(str, self.labels))
+        """The labels field of the attributed files: the sector ids ID_SEPARATOR-joined."""
+        return ID_SEPARATOR.join(map(str, self.labels))
 
 
 _LABEL_BITS = 5  # sector ids run 1..20
@@ -189,19 +189,23 @@ def attributed_key(key: int) -> AttributedMotifKey:
 
 def endpoint_counts(rows: InstanceRows, catalog: PoiCatalog) -> tuple[np.ndarray, int]:
     """Flow endpoints at each catalog row, and the number at POIs absent
-    from the catalog. Each edge of an instance is one flow per covering
-    device-day, so both its ends count its device_count."""
+    from the catalog, as exact Python ints (the tally an object array).
+    Each edge of an instance is one flow per covering device-day, so both
+    its ends count its device_count. The counts' high and low 32 bits are
+    summed apart, so no sum wraps past int64; an absent POI's code, -1,
+    adds to a last entry past the catalog rows."""
     inst = rows.instances
     has, a, b = inst.edges()
-    weight = np.broadcast_to(inst.count[:, None], has.shape)[has]
+    weight = np.repeat(inst.count, np.bitwise_count(inst.mask))  # one per edge, in has's row order
     other = [(end, count) for _, _, edges, count in rows.other for edge in edges for end in edge]
     ends = catalog.codes(rows.pois)[np.concatenate([a[has], b[has]])]
     at = np.concatenate([ends, catalog.codes([end for end, _ in other])])
     weight = np.concatenate([weight, weight, np.array([c for _, c in other], dtype=np.int64)])
-    known = at >= 0
-    tally = np.zeros(len(catalog), dtype=np.int64)
-    np.add.at(tally, at[known], weight[known])
-    return tally, int(weight[~known].sum())
+    high, low = np.zeros((2, len(catalog) + 1), dtype=np.int64)
+    np.add.at(high, at, weight >> 32)
+    np.add.at(low, at, weight & 0xFFFFFFFF)
+    tally = (high.astype(object) << 32) + low
+    return tally[:-1], tally[-1]
 
 
 def attributed_census(rows: InstanceRows, keys: np.ndarray, top_k: int = 10) -> list[dict]:

@@ -78,9 +78,6 @@ EPOCH = dt.date(1970, 1, 1)
 EARTH_RADIUS_KM = 6371.0088
 _US_PER_DAY = 86_400_000_000
 _MIN_DAY, _MAX_DAY = ((day - EPOCH).days for day in (dt.date.min, dt.date.max))
-# int64's bounds as Python ints: np.iinfo computes .max and .min again on each
-# access (0.2 us), and the row readers test them once per row.
-INT64 = SimpleNamespace(min=-(2**63), max=2**63 - 1)
 # Rows per token block a file writer builds, and tokens per byte gather of
 # write_tokens: together they bound the memory a written file takes.
 TOKEN_ROWS = 8_192
@@ -91,6 +88,14 @@ _GATHER = 1 << 16
 # object fields), so a file sets up at most twice its rows, or _FIRST_BLOCK.
 _FIRST_BLOCK = 1_024
 _STOP_BLOCK = 65_536
+# int64's bounds as Python ints: np.iinfo computes .max and .min again on each
+# access (0.2 us), and the row readers test them once per row.
+INT64 = SimpleNamespace(min=-(2**63), max=2**63 - 1)
+
+
+def exact_sum(values: np.ndarray) -> int:
+    """Exact sum of an int64 array of under 2**31 entries: each 32-bit half sums in int64."""
+    return (int((values >> 32).sum()) << 32) + int((values & 0xFFFFFFFF).sum())
 
 
 @dataclass(eq=False)

@@ -42,6 +42,7 @@ from .ingest import (
     _intern,
     _sorted_codes,
     day_date,
+    exact_sum,
     group_starts,
     int_tokens,
     token_rows,
@@ -354,8 +355,7 @@ def read_network(path: str | Path) -> PlaceNetwork:
     if meta.get("isolated_nodes"):
         names, remap = _intern(names + meta["isolated_nodes"])
         ends = remap[ends]  # the codes of names lead remap
-    overflow = weights.size and int(weights.max()) > INT64.max // weights.size
-    total = sum(weights.tolist()) if overflow else int(weights.sum())
+    total = exact_sum(weights)
     if total * (len(names) - 1) > INT64.max:
         raise SchemaError(
             f"network {path}: total weight {total} times {len(names) - 1} (nodes - 1) "

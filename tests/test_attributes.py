@@ -29,6 +29,7 @@ from placeweave.motifs import (
     MotifClass,
     classify_trajectories,
 )
+from placeweave.pipeline import read_instances_csv
 
 MON = dt.date(2020, 2, 3)
 
@@ -171,6 +172,33 @@ def test_endpoint_counts_include_other_rows():
     tally, unresolved = endpoints([("a", "b", "c", "d", "ghost"), ("a", "b")], catalog)
     assert tally.tolist() == [2, 3, 2, 2]
     assert unresolved == 1
+
+
+def test_endpoint_tally_stays_exact_past_int64(tmp_path):
+    # A 4-clique flowed by 2**62 device-days puts 3 * 2**62 endpoints at each
+    # POI, and one of unlisted POIs 12 * (2**62 - 1) unresolved: both pass
+    # int64, while the counts total 2**63 - 1, as read_instances_csv allows.
+    path = tmp_path / "instances.csv"
+    path.write_text(
+        "local_date,motif_class,nodes,edges,device_count\n"
+        f"2020-02-01,M4_1,a|b|c|d,a|b;a|c;a|d;b|c;b|d;c|d,{2**62}\n"
+        f"2020-02-01,M4_1,e|f|g|h,e|f;e|g;e|h;f|g;f|h;g|h,{2**62 - 1}\n"
+    )
+    catalog = oracles.catalog([
+        ("a", "a", 0, 0, "445110"), ("b", "b", 0, 0, "445120"),
+        ("c", "c", 0, 0, "621111"), ("d", "d", 0, 0, "722511"),
+    ])
+    tally, unresolved = endpoint_counts(read_instances_csv(path), catalog)
+    assert tally.tolist() == [3 * 2**62] * 4
+    assert unresolved == 12 * (2**62 - 1)
+    assert category_frequency(tally, catalog) == [
+        ("Retail Trade", 0.5),
+        ("Accommodation and Food Services", 0.25),
+        ("Health Care and Social Assistance", 0.25),
+    ]
+    assert category_frequency(tally, catalog, digits=4) == [
+        ("4451", 0.5), ("6211", 0.25), ("7225", 0.25)
+    ]
 
 
 def test_category_frequency_ranks_by_share_then_label():

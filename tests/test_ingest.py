@@ -218,6 +218,22 @@ def test_stay_sort_falls_back_to_lexsort_where_one_key_cannot_hold_the_codes():
     ]
 
 
+@settings(max_examples=300)
+@example([])
+@example([-(2**63)])
+@example([2**63 - 1])
+@example([-1, -(2**32), -(2**32) - 1, -5])
+@example([2**63 - 1] * 3)  # past +2**63
+@example([-(2**63)] * 3)  # past -2**63
+@example([2**63 - 1, -(2**63), 2**63 - 1, 1])
+@given(st.lists(st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from([-(2**63), 2**63 - 1])),
+                max_size=40))
+def test_exact_sum_is_the_python_int_sum(values):
+    array = np.array(values, dtype=np.int64)
+    total = ingest.exact_sum(array)
+    assert type(total) is int and total == sum(array.tolist())
+
+
 POIS_HEADER = "poi_id,name,lat,lon,naics\n"
 
 

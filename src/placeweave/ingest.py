@@ -21,7 +21,8 @@ The stops file and network edge lists are read in np.loadtxt blocks from
 the file CsvRows opened (CsvRows.blocks); a file the blocks cannot read is
 read again row by row, and only the row readers word errors. The bulk
 files the program writes are int32 tokens over a vocabulary of strings
-that carry their separators, written by write_tokens as one byte gather.
+that carry their separators, written by write_tokens as one str.join per
+block of tokens.
 
 A stop becomes a visit when its dwell time reaches the configured
 threshold. Visits are grouped per device and local calendar day, ordered
@@ -78,10 +79,8 @@ EPOCH = dt.date(1970, 1, 1)
 EARTH_RADIUS_KM = 6371.0088
 _US_PER_DAY = 86_400_000_000
 _MIN_DAY, _MAX_DAY = ((day - EPOCH).days for day in (dt.date.min, dt.date.max))
-# Rows per token block a file writer builds, and tokens per byte gather of
-# write_tokens: together they bound the memory a written file takes.
+# Rows per token block a file writer builds: it bounds the memory a written file takes.
 TOKEN_ROWS = 8_192
-_GATHER = 1 << 16
 # Rows per np.loadtxt block of CsvRows.blocks: a bulk read holds one block's
 # strings at a time. Blocks double from _FIRST_BLOCK rows, because np.loadtxt
 # sets up max_rows rows before it reads one (1.2 ms for 65,536 rows with
@@ -358,9 +357,7 @@ class CsvRows(AbstractContextManager):
 
 def write_json(doc: dict, path: str | Path) -> None:
     """Write doc as JSON: indent 2, sorted keys, a trailing newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -375,33 +372,21 @@ def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]
 def write_tokens(
     path: str | Path, columns: Sequence[str], vocab: Sequence[str], blocks: Iterable[np.ndarray]
 ) -> None:
-    """Write a CSV file: the header of columns, then for each int32 token t of
-    each block, in order, the UTF-8 bytes of vocab[t].
+    """Write a CSV file: the header of columns, then vocab[t] for each integer
+    token t of each block, in order, as UTF-8.
 
     A writer folds the separators and line ends into its vocabulary ("p1,",
-    "p1|", "7\n", and "" for an absent slot of a fixed-width row), so the file
-    is one gather from the vocabulary's bytes, _GATHER tokens at a time. The
-    byte indices are int32 when the vocabulary's bytes, and those of any one
-    gather, fit it.
+    "p1|", "7\n", and "" for an absent slot of a fixed-width row), so each
+    block is one str.join. A token UTF-8 cannot encode would fail partway
+    through the file, but none can: the program reads ids and names as strict
+    UTF-8 (CsvRows, and config.read_json, which rejects a lone surrogate), and
+    every other token is str() of an integer, an ISO date or a literal.
     """
-    text = "".join(vocab)
-    data = np.frombuffer(text.encode(), dtype=np.uint8)
-    size = np.fromiter(map(len, vocab), dtype=np.int64, count=len(vocab))
-    if len(data) != len(text):  # a token beyond ASCII: count each token's UTF-8 bytes
-        size = np.fromiter((len(v.encode()) for v in vocab), dtype=np.int64, count=len(vocab))
-    del text
-    index = np.int32 if max(len(data), _GATHER * int(size.max(initial=0))) < 2**31 else np.int64
-    start = (np.cumsum(size) - size).astype(index)
-    size = size.astype(index)
-    with open(path, "wb") as fh:
-        fh.write((",".join(columns) + "\n").encode())
+    table = np.array(vocab, dtype=object)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
         for block in blocks:
-            for lo in range(0, len(block), _GATHER):
-                tokens = block[lo : lo + _GATHER]
-                n = size[tokens]
-                at = np.repeat(start[tokens] - (np.cumsum(n, dtype=index) - n), n)
-                at += np.arange(len(at), dtype=index)  # in place: one byte-index array at a time
-                fh.write(data[at])
+            fh.write("".join(table[block].tolist()))
 
 
 def token_rows(columns: Sequence[np.ndarray], starts: Sequence[int]) -> Iterator[np.ndarray]:

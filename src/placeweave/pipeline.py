@@ -115,14 +115,20 @@ def stage_ingest(
 
 
 def stage_network(sequences: ingest.SequenceTable, mode: str, out_dir: str | Path) -> PlaceNetwork:
-    """Write each local date's network and the merged one (day_networks); returns the latter."""
+    """Write each local date's network and the merged one (day_networks); returns the latter.
+    The daily total weights must sum to the merged one's (InvariantError otherwise)."""
     if not len(sequences):
         raise SchemaError("no stay sequences to build networks from")
     out = _ensure_dir(out_dir)
     daily_dir = _ensure_dir(out / "daily")
     daily, merged = day_networks(sequences, mode)
+    daily_weight = 0
     for days, net in enumerate(daily, 1):  # sequences give at least one day
         write_network(net, daily_dir / f"{net.label}.csv")
+        daily_weight += net.total_weight
+    if daily_weight != merged.total_weight:
+        raise InvariantError(f"the daily networks' total weights sum to {daily_weight}, "
+                             f"not to the merged network's {merged.total_weight}")
     write_network(merged, out / "merged.csv", extra_meta={"days": days})
     return merged
 
@@ -131,7 +137,8 @@ def stage_network(sequences: ingest.SequenceTable, mode: str, out_dir: str | Pat
 
 
 def stage_metrics(net: PlaceNetwork, out_dir: str | Path) -> dict:
-    """Write summary.json, degree_hist.csv and fit.json; returns summary.json's document."""
+    """Write summary.json, degree_hist.csv and fit.json; returns summary.json's document.
+    The degrees must sum to twice the edges (InvariantError otherwise)."""
     from . import metrics
 
     if not net.n_edges:
@@ -140,6 +147,10 @@ def stage_metrics(net: PlaceNetwork, out_dir: str | Path) -> dict:
     summary = metrics.network_summary(net)
     write_json(summary, out / "summary.json")
     hist = metrics.degree_distribution(net)
+    degree_sum, m = sum(k * c for k, c in hist.counts.items()), summary["edges"]
+    if degree_sum != 2 * m:
+        raise InvariantError(f"the degree histogram's sum of k * count is {degree_sum}, "
+                             f"not twice the summary's {m} edges ({2 * m})")
     write_csv(out / "degree_hist.csv", ("k", "count", "pdf", "ccdf"), hist.curve())
     try:
         fit = metrics.fit_power_law(hist)

@@ -195,7 +195,7 @@ def census_classes(doc: dict) -> dict[MotifClass, dict]:
 
 # -- CSV files read and formatted one row at a time --------------------------------
 # The stops parse with csv.reader and the row formatters the file writers had
-# before they became token gathers; the writers must give these bytes.
+# before they became token writers; the writers must give these bytes.
 
 
 def csv_stop_rows(text: str, where: str = "stops file") -> list[Stop]:

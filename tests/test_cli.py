@@ -466,6 +466,66 @@ def test_run_flow_check_uses_the_in_hand_network(synth_dir, tmp_path, monkeypatc
     )
 
 
+def _stage_argv(stage, synth_dir, run_dir, out, chained):
+    """The argv of run, or of the chained stage reading run_dir's outputs."""
+    if not chained:
+        return ["run", "--stops", str(synth_dir / "stops.csv"), "--pois",
+                str(synth_dir / "pois.csv"), "--out", str(out)]
+    if stage == "network":
+        return ["network", "--sequences", str(run_dir / "ingest" / "sequences.csv"), "--out", str(out)]
+    return ["metrics", "--network", str(run_dir / "networks" / "merged.csv"), "--out", str(out)]
+
+
+@pytest.mark.parametrize("chained", [False, True], ids=["run", "chained"])
+def test_network_stage_checks_the_daily_weights_sum_to_the_merged(
+    synth_dir, run_dir, tmp_path, monkeypatch, caplog, chained
+):
+    real, totals = pipeline.day_networks, []
+
+    def one_weight_more(sequences, mode):
+        daily, merged = real(sequences, mode)
+        totals.append(merged.total_weight)
+        merged.weights[0] += 1
+        return daily, merged
+
+    monkeypatch.setattr(pipeline, "day_networks", one_weight_more)
+    out = tmp_path / "out"
+    assert main(_stage_argv("network", synth_dir, run_dir, out, chained)) == 3
+    (total,) = totals
+    message = (f"the daily networks' total weights sum to {total}, "
+               f"not to the merged network's {total + 1}")
+    assert message in caplog.text
+    if not chained:
+        failed = json.loads((out / "manifest.json").read_text())["artifacts"][-1]
+        assert failed == {"stage": "network", "status": "failed", "error": "InvariantError",
+                          "message": message}
+
+
+@pytest.mark.parametrize("chained", [False, True], ids=["run", "chained"])
+def test_metrics_stage_checks_the_degree_sum_is_twice_the_edges(
+    synth_dir, run_dir, tmp_path, monkeypatch, caplog, chained
+):
+    real, edges = metrics.degree_distribution, []
+
+    def one_degree_more(net):
+        hist = real(net)
+        edges.append(net.n_edges)
+        hist.counts[1] = hist.counts.get(1, 0) + 1
+        return hist
+
+    monkeypatch.setattr(metrics, "degree_distribution", one_degree_more)
+    out = tmp_path / "out"
+    assert main(_stage_argv("metrics", synth_dir, run_dir, out, chained)) == 3
+    (m,) = edges
+    message = (f"the degree histogram's sum of k * count is {2 * m + 1}, "
+               f"not twice the summary's {m} edges ({2 * m})")
+    assert message in caplog.text
+    if not chained:
+        failed = json.loads((out / "manifest.json").read_text())["artifacts"][-1]
+        assert failed == {"stage": "metrics", "status": "failed", "error": "InvariantError",
+                          "message": message}
+
+
 @pytest.fixture(scope="module")
 def real_report(synth_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("report") / "out"

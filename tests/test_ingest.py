@@ -575,18 +575,37 @@ def test_sequence_file_round_trips_any_table(tmp_path_factory, seqs):
     assert oracles.walks(read_sequences(path)) == oracles.walks(table)
 
 
-def test_write_tokens_gathers_the_same_bytes_with_int32_or_int64_indices(tmp_path, monkeypatch):
+def test_write_tokens_writes_each_blocks_tokens_in_order(tmp_path):
     vocab = ["", "p1,", "p22|", "é;", "7\n", "x" * 300 + "\n"]
     tokens = np.random.default_rng(3).integers(0, len(vocab), 5_000).astype(np.int32)
     want = ("a,b\n" + "".join(vocab[t] for t in tokens.tolist())).encode()
-    written = []
-    # several gathers of int32 byte indices, then one gather too wide for int32
-    for gather in (7, 1 << 31):
-        monkeypatch.setattr(ingest, "_GATHER", gather)
-        path = tmp_path / f"{gather}.csv"
-        ingest.write_tokens(path, ("a", "b"), vocab, [tokens[:1_234], tokens[1_234:]])
-        written.append(path.read_bytes())
-    assert written == [want, want]
+    path = tmp_path / "tokens.csv"
+    ingest.write_tokens(path, ("a", "b"), vocab, [tokens[:1_234], tokens[:0], tokens[1_234:]])
+    assert path.read_bytes() == want
+
+
+def test_write_tokens_of_no_blocks_writes_the_header_alone(tmp_path):
+    path = tmp_path / "tokens.csv"
+    ingest.write_tokens(path, ("a", "b"), ["p1,", "7\n"], [])
+    assert path.read_bytes() == b"a,b\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    vocab=st.lists(st.text(max_size=6), min_size=1, max_size=10),
+    dtype=st.sampled_from([np.int32, np.int64]),
+    data=st.data(),
+)
+def test_write_tokens_writes_any_vocabulary_over_any_block_split(
+    tmp_path_factory, vocab, dtype, data
+):
+    tokens = data.draw(st.lists(st.integers(0, len(vocab) - 1), max_size=50))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(tokens)), max_size=4)))
+    array = np.array(tokens, dtype=dtype)
+    blocks = [array[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(tokens)])]
+    path = tmp_path_factory.mktemp("tokens") / "tokens.csv"
+    ingest.write_tokens(path, ("a", "b"), vocab, blocks)
+    assert path.read_bytes() == ("a,b\n" + "".join(vocab[t] for t in tokens)).encode()
 
 
 # Stops files that read alike and differently under csv.reader and a columnar parse:
